@@ -16,7 +16,7 @@ out_dir = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out_dir, exist_ok=True)
 
 config = RunConfig()
-room = config.build_room()
+room = config.room
 array = config.build_array()
 grid = config.build_grid()
 

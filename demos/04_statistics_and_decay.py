@@ -21,7 +21,7 @@ from beamfield.runner import run_scenario
 
 
 def scenario_maps(config):
-    room = config.build_room()
+    room = config.room
     array = config.build_array()
     grid = config.build_grid()
     return array, [

@@ -22,7 +22,7 @@ from beamfield.runner import run_scenario
 
 config = dataclasses.replace(
     RunConfig(), ofdm=dataclasses.replace(RunConfig().ofdm, frames=1))
-room = config.build_room()
+room = config.room
 array = config.build_array()
 grid = config.build_grid()
 

@@ -15,7 +15,6 @@ from .channel import (
     generate_channel,
     image_sources,
     los_gain,
-    sweep_channels,
 )
 from .compliance import (
     DEFAULT_LIMITS_VPM,
@@ -34,7 +33,6 @@ from .errors import (
     ZfInfeasibleError,
 )
 from .field import (
-    FieldConstants,
     HeatMap,
     compute_heatmap,
     element_field,
@@ -53,7 +51,7 @@ from .geometry import (
     standard_scenarios,
     wavelength,
 )
-from .linalg import hermitian, matmul, right_pseudo_inverse, solve
+from .linalg import right_pseudo_inverse, solve
 from .ofdm import BerReport, OfdmConfig, demap_64qam, map_64qam, transmit_frame
 from .precoding import (
     PrecodingMatrix,
@@ -69,17 +67,17 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayGeometry", "BeamfieldError", "BerReport", "ChannelMatrix",
     "ChannelModelConfig", "ComplianceReport", "ConfigError", "CutProfile",
-    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "FieldConstants", "HeatMap",
+    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "HeatMap",
     "LimitTable", "OfdmConfig", "PrecodingMatrix", "ProbeGrid", "Room",
     "RunConfig", "Scenario", "SingularMatrixError", "UnknownRegionError",
     "ZfInfeasibleError", "average_heatmaps", "build_array", "build_grid",
     "check", "combining_vectors", "compute_heatmap", "demap_64qam",
     "effective_channel", "element_field", "estimate_csi", "extract_cut",
     "far_field_distance", "field_to_power", "fit_decay", "from_dict",
-    "generate_channel", "hermitian", "image_sources", "load_config",
-    "los_gain", "map_64qam", "matmul", "min_compliant_distance",
+    "generate_channel", "image_sources", "load_config",
+    "los_gain", "map_64qam", "min_compliant_distance",
     "power_to_field", "right_pseudo_inverse", "run", "solve",
-    "standard_scenarios", "summary", "superpose_fields", "sweep_channels",
+    "standard_scenarios", "summary", "superpose_fields",
     "transmit_frame", "validate", "verify_manifest", "wavelength",
     "zf_precoder",
 ]

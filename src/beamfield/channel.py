@@ -57,14 +57,12 @@ class ChannelMatrix:
 
     ``h`` has one row per receive antenna (users in scenario order, each
     user's antennas contiguous) and one column per active transmit
-    element.  ``subcarrier_index`` is the offset from the band centre in
-    subcarrier units (0 = carrier frequency).
+    element.
     """
 
     h: np.ndarray
     n_users: int
     antennas_per_ue: int
-    subcarrier_index: int = 0
 
     def ue_block(self, k):
         """Rows of user ``k``: an (antennas_per_ue x n_tx) matrix."""
@@ -159,21 +157,19 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
     return g
 
 
-def generate_channel(array, scenario, room, cfg, subcarrier_offset_hz=0.0):
-    """Ground-truth downlink channel for one scenario.
+def generate_channel(array, scenario, room, cfg):
+    """Ground-truth downlink channel for one scenario at the carrier frequency.
 
     Rows are UE antennas (4 per user, users in scenario order), columns
     the active transmit elements in array order.  Deterministic in the
-    geometry; ``subcarrier_offset_hz`` shifts the evaluation frequency
-    for per-subcarrier sweeps.
+    geometry.
     """
     for ux, uy in scenario.ue_positions:
         if not room.in_footprint(ux, uy):
             raise ValueError(f"UE position ({ux}, {uy}) lies outside the room")
-    freq = cfg.carrier_frequency + subcarrier_offset_hz
     rx = ue_antenna_positions(scenario, cfg.carrier_frequency, height=cfg.ue_height)
     tx = array.active_positions()
-    h = propagation_gains(tx, rx, freq, room=room, mode=cfg.mode,
+    h = propagation_gains(tx, rx, cfg.carrier_frequency, room=room, mode=cfg.mode,
                           pattern=cfg.element_pattern)
     if np.any(np.abs(h) >= 1.0):
         raise ValueError(
@@ -184,23 +180,7 @@ def generate_channel(array, scenario, room, cfg, subcarrier_offset_hz=0.0):
         h=h,
         n_users=scenario.n_users,
         antennas_per_ue=scenario.antennas_per_ue,
-        subcarrier_index=0,
     )
-
-
-def sweep_channels(array, scenario, room, cfg, subcarrier_spacing, indices):
-    """Per-subcarrier channels at carrier + index * spacing.
-
-    The band is only ~1.5% fractional bandwidth, so the default pipeline
-    uses the centre subcarrier (index 0) alone; this sweep exists to
-    check that flatness.
-    """
-    out = []
-    for idx in indices:
-        cm = generate_channel(array, scenario, room, cfg,
-                              subcarrier_offset_hz=idx * subcarrier_spacing)
-        out.append(replace(cm, subcarrier_index=int(idx)))
-    return out
 
 
 def estimate_csi(true_channel, cfg):

@@ -16,9 +16,8 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
-from .config import RunConfig, load_config, validate
+from .config import RunConfig, load_config, read_yaml, validate
 from .errors import BeamfieldError, ConfigError
 from .field import HeatMap
 from .geometry import ProbeGrid, standard_scenarios
@@ -57,12 +56,6 @@ def _build_parser():
     return parser
 
 
-def _load(args):
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return RunConfig()
-
-
 def _apply_overrides(config, args):
     updates = {}
     if getattr(args, "seed", None) is not None:
@@ -77,12 +70,7 @@ def _apply_overrides(config, args):
 
 
 def _cmd_validate(args):
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-        report = validate(raw if raw is not None else {})
-    else:
-        report = validate(RunConfig())
+    report = validate(read_yaml(args.config) if args.config else RunConfig())
     if report.ok:
         print("configuration OK (no findings)")
         return 0
@@ -92,7 +80,7 @@ def _cmd_validate(args):
 
 
 def _cmd_run(args):
-    config = _apply_overrides(_load(args), args)
+    config = _apply_overrides(load_config(args.config) if args.config else RunConfig(), args)
     manifest = run(config)
     print(f"run complete: {len(manifest.artifacts)} artifacts in {manifest.out_dir}")
     for art in manifest.artifacts:

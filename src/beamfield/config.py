@@ -1,14 +1,18 @@
-"""Run configuration: YAML loading, defaults and validation.
+"""Run configuration: the :class:`RunConfig` dataclasses, YAML loading and validation.
 
-A run is described by one structured document (see
-``configs/paper-defaults.yaml`` for the annotated default setup).  Every
-numeric field is coerced with ``float()``/``int()`` so scientific
-notation survives YAML's quirky float resolver, and unknown keys are
-rejected with the offending path.
+``RunConfig()`` is the only source of defaults.  ``from_dict`` starts each
+section from that instance and replaces just the keys a document sets, so
+``configs/paper-defaults.yaml`` only spells the defaults out.  The allowed
+keys are the dataclass fields, and each value is coerced to the type of
+its default: booleans must be YAML booleans, integers must be integral,
+and numbers may also come as strings, because YAML 1.1 reads ``1e-4`` as
+one.  Unknown keys and mistyped values raise :class:`ConfigError` naming
+the offending path.  ``validate`` reports everything else as findings and
+never raises.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 import yaml
@@ -16,7 +20,6 @@ import yaml
 from .channel import ChannelModelConfig
 from .errors import ConfigError
 from .geometry import (
-    DEFAULT_CARRIER_HZ,
     DEFAULT_ELEMENT_SPACING_M,
     DEFAULT_MOUNT_HEIGHT_M,
     Room,
@@ -28,8 +31,6 @@ from .geometry import (
 from .ofdm import OfdmConfig
 
 EXPORT_FORMATS = ("ascii", "csv", "json", "svg")
-
-DEFAULT_SCENARIO_IDS = tuple(str(i) for i in range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -51,22 +52,12 @@ class GridSection:
     height: float = DEFAULT_MOUNT_HEIGHT_M
 
 
-# Calibrated link operating point: first-order reflections decorrelate
-# users that share a bearing (two users on the boresight axis are nearly
-# colinear in pure LoS), and this CSI quality / noise level pair puts
-# every built-in scenario at an uncoded BER of 1e-2 or better with the
-# more-users-worse ordering clearly resolved.
-CALIBRATED_CHANNEL_MODE = "image-order-1"
-CALIBRATED_CSI_SNR_DB = 40.0
-CALIBRATED_NOISE_SNR_DB = 64.0
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a full simulation run needs, seed included."""
 
     seed: int = 1234
-    scenario_ids: tuple = DEFAULT_SCENARIO_IDS
+    scenario_ids: tuple = tuple(str(i) for i in range(1, 9))
     custom_scenarios: tuple = ()
     tx_power_w: float = 1.0
     formats: tuple = EXPORT_FORMATS
@@ -74,24 +65,22 @@ class RunConfig:
     output_dir: str = "out"
     room: Room = field(default_factory=Room)
     array: ArraySection = field(default_factory=ArraySection)
+    # Calibrated link operating point: first-order reflections decorrelate
+    # users that share a bearing (two users on the boresight axis are nearly
+    # colinear in pure LoS), and this CSI quality / noise level pair puts
+    # every built-in scenario at an uncoded BER of 1e-2 or better with the
+    # more-users-worse ordering clearly resolved.
     channel: ChannelModelConfig = field(
-        default_factory=lambda: ChannelModelConfig(
-            mode=CALIBRATED_CHANNEL_MODE, csi_snr_db=CALIBRATED_CSI_SNR_DB
-        )
+        default_factory=lambda: ChannelModelConfig(mode="image-order-1", csi_snr_db=40.0)
     )
     ofdm: OfdmConfig = field(
-        default_factory=lambda: OfdmConfig(
-            noise_snr_db=CALIBRATED_NOISE_SNR_DB, frames=4
-        )
+        default_factory=lambda: OfdmConfig(noise_snr_db=64.0, frames=4)
     )
     grid: GridSection = field(default_factory=GridSection)
     calibration: float = 1.0
     cut_x: float = 0.0
     fit_exclude_near_field: bool = True
     svg_vmax: float = None
-
-    def build_room(self):
-        return self.room
 
     def build_array(self):
         return build_array(
@@ -129,166 +118,128 @@ def derive_seed(base_seed, scenario_index, stream):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _section(raw, name, allowed):
-    d = raw.pop(name, {}) or {}
-    if not isinstance(d, dict):
-        raise ConfigError(f"{name}: expected a mapping")
-    unknown = set(d) - set(allowed)
+def _coerce(value, kind, path):
+    """``value`` as ``kind`` (bool, int, float or str), or a ConfigError."""
+    if kind in (bool, str):
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if kind is float:
+                return number
+            if number.is_integer():
+                return value if isinstance(value, int) else int(number)
+    raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+
+
+def _sequence(value, path, length=None):
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "a list" if length is None else f"a list of {length} values"
+        raise ConfigError(f"{path}: expected {size}, got {value!r}")
+    return value
+
+
+def _floats(value, path, length):
+    return tuple(_coerce(v, float, f"{path}[{i}]")
+                 for i, v in enumerate(_sequence(value, path, length)))
+
+
+# Field values of a custom scenario entry that does not set them.
+_CUSTOM_SCENARIO = Scenario(id="", ue_positions=((0.0, 0.0),))
+
+
+def _custom_scenarios(value, path):
+    entries = _sequence(value or [], path)
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or "id" not in entry or "ue_positions" not in entry:
+            raise ConfigError(f"{path}[{i}]: needs 'id' and 'ue_positions'")
+    return tuple(_section(_CUSTOM_SCENARIO, entry, f"{path}[{i}]")
+                 for i, entry in enumerate(entries))
+
+
+def _formats(value, path):
+    bad = [f for f in _sequence(value, path) if f not in EXPORT_FORMATS]
+    if bad:
+        raise ConfigError(f"{path}: unknown entries {bad}; valid: {list(EXPORT_FORMATS)}")
+    return tuple(sorted(set(value)))
+
+
+# Fields whose document form is not a scalar of their default's type.
+_IRREGULAR = {
+    (RunConfig, "scenario_ids"): lambda v, path: tuple(str(s) for s in _sequence(v, path)),
+    (RunConfig, "custom_scenarios"): _custom_scenarios,
+    (RunConfig, "formats"): _formats,
+    (RunConfig, "svg_vmax"): lambda v, path: None if v is None else _coerce(v, float, path),
+    (Room, "wall_reflection"): lambda v, path: (
+        _floats(v, path, 4) if isinstance(v, (list, tuple)) else _coerce(v, float, path)),
+    (ArraySection, "center"): lambda v, path: _floats(v, path, 3),
+    (Scenario, "id"): lambda v, path: str(v),
+    (Scenario, "ue_positions"): lambda v, path: tuple(
+        _floats(p, f"{path}[{k}]", 2) for k, p in enumerate(_sequence(v, path))),
+}
+
+# Field names the document spells differently.
+_DOC_KEYS = {"scenario_ids": "scenarios"}
+
+# Set by the run (per-scenario seeds, the run's power), never by a document.
+_DERIVED_FIELDS = {"rng_seed", "total_tx_power"}
+
+
+def _section(defaults, doc, path):
+    """``defaults`` (a dataclass instance) with the fields ``doc`` sets replaced."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config root'}: expected a mapping")
+    keys = {_DOC_KEYS.get(f.name, f.name): f.name for f in fields(defaults)
+            if f.name not in _DERIVED_FIELDS}
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    return d
-
-
-def _num(d, key, default, path, cast=float):
-    if key not in d:
-        return default
+        where = f"{path}: unknown keys" if path else "unknown top-level keys:"
+        raise ConfigError(f"{where} {sorted(unknown, key=str)}")
+    overrides = {}
+    for key, value in doc.items():
+        name = keys[key]
+        where = f"{path}.{key}" if path else key
+        default = getattr(defaults, name)
+        irregular = _IRREGULAR.get((type(defaults), name))
+        if irregular:
+            overrides[name] = irregular(value, where)
+        elif is_dataclass(default):
+            overrides[name] = _section(default, {} if value is None else value, where)
+        else:
+            overrides[name] = _coerce(value, type(default), where)
     try:
-        return cast(d[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}: expected a number, got {d[key]!r}") from None
+        return replace(defaults, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def from_dict(raw):
-    """Build a :class:`RunConfig` from a parsed YAML document."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    raw = dict(raw)
+    """Build a :class:`RunConfig` from a parsed YAML document.
 
-    if "seed" not in raw:
+    Every key the document leaves out keeps its value in ``RunConfig()``.
+    """
+    if isinstance(raw, dict) and "seed" not in raw:
         raise ConfigError("seed: required (runs must be reproducible)")
-    seed = _num(raw, "seed", None, "", cast=int)
-    del raw["seed"]
-    if seed < 0:
-        raise ConfigError("seed: must be non-negative")
+    return _section(RunConfig(), raw, "")
 
-    room_d = _section(raw, "room", (
-        "length_y", "width_x", "height_z",
-        "wall_reflection", "floor_reflection", "ceiling_reflection",
-    ))
-    array_d = _section(raw, "array", ("rows", "cols", "spacing", "center", "active"))
-    channel_d = _section(raw, "channel", (
-        "mode", "carrier_frequency", "csi_snr_db", "element_pattern", "ue_height",
-    ))
-    ofdm_d = _section(raw, "ofdm", (
-        "subcarrier_spacing", "sample_rate", "fft_size", "active_subcarriers",
-        "frame_samples", "noise_snr_db", "frames", "time_domain",
-    ))
-    grid_d = _section(raw, "grid", (
-        "x_min", "x_max", "y_min", "y_max", "spacing", "height",
-    ))
 
-    scenario_ids = raw.pop("scenarios", list(DEFAULT_SCENARIO_IDS))
-    if not isinstance(scenario_ids, (list, tuple)) or not scenario_ids:
-        raise ConfigError("scenarios: expected a non-empty list of scenario ids")
-    scenario_ids = tuple(str(s) for s in scenario_ids)
-
-    custom = []
-    for i, entry in enumerate(raw.pop("custom_scenarios", []) or []):
-        path = f"custom_scenarios[{i}]"
-        if not isinstance(entry, dict) or "id" not in entry or "ue_positions" not in entry:
-            raise ConfigError(f"{path}: needs 'id' and 'ue_positions'")
-        positions = tuple((float(x), float(y)) for x, y in entry["ue_positions"])
-        custom.append(Scenario(
-            id=str(entry["id"]),
-            ue_positions=positions,
-            antennas_per_ue=int(entry.get("antennas_per_ue", 4)),
-        ))
-
-    formats = raw.pop("formats", list(EXPORT_FORMATS))
-    bad = [f for f in formats if f not in EXPORT_FORMATS]
-    if bad:
-        raise ConfigError(f"formats: unknown entries {bad}; valid: {list(EXPORT_FORMATS)}")
-    formats = tuple(sorted(set(formats)))
-
-    tx_power = _num(raw, "tx_power_w", 1.0, "")
-    raw.pop("tx_power_w", None)
-    workers = _num(raw, "workers", 1, "", cast=int)
-    raw.pop("workers", None)
-    output_dir = str(raw.pop("output_dir", "out"))
-    calibration = _num(raw, "calibration", 1.0, "")
-    raw.pop("calibration", None)
-    cut_x = _num(raw, "cut_x", 0.0, "")
-    raw.pop("cut_x", None)
-    fit_flag = bool(raw.pop("fit_exclude_near_field", True))
-    svg_vmax = raw.pop("svg_vmax", None)
-    if svg_vmax is not None:
-        svg_vmax = float(svg_vmax)
-
-    if raw:
-        raise ConfigError(f"unknown top-level keys: {sorted(raw)}")
-
-    try:
-        room = Room(
-            length_y=_num(room_d, "length_y", 15.0, "room"),
-            width_x=_num(room_d, "width_x", 7.5, "room"),
-            height_z=_num(room_d, "height_z", 3.0, "room"),
-            wall_reflection=room_d.get("wall_reflection", -0.6),
-            floor_reflection=_num(room_d, "floor_reflection", -0.4, "room"),
-            ceiling_reflection=_num(room_d, "ceiling_reflection", -0.4, "room"),
-        )
-        center = array_d.get("center", (0.0, 0.0, DEFAULT_MOUNT_HEIGHT_M))
-        array = ArraySection(
-            rows=_num(array_d, "rows", 16, "array", cast=int),
-            cols=_num(array_d, "cols", 8, "array", cast=int),
-            spacing=_num(array_d, "spacing", DEFAULT_ELEMENT_SPACING_M, "array"),
-            center=tuple(float(v) for v in center),
-            active=str(array_d.get("active", "central-8x8")),
-        )
-        channel = ChannelModelConfig(
-            mode=str(channel_d.get("mode", CALIBRATED_CHANNEL_MODE)),
-            carrier_frequency=_num(channel_d, "carrier_frequency", DEFAULT_CARRIER_HZ, "channel"),
-            csi_snr_db=_num(channel_d, "csi_snr_db", CALIBRATED_CSI_SNR_DB, "channel"),
-            element_pattern=str(channel_d.get("element_pattern", "isotropic")),
-            ue_height=_num(channel_d, "ue_height", 1.5, "channel"),
-        )
-        ofdm = OfdmConfig(
-            subcarrier_spacing=_num(ofdm_d, "subcarrier_spacing", 15_000.0, "ofdm"),
-            sample_rate=_num(ofdm_d, "sample_rate", 61_440_000.0, "ofdm"),
-            fft_size=_num(ofdm_d, "fft_size", 4096, "ofdm", cast=int),
-            active_subcarriers=_num(ofdm_d, "active_subcarriers", 2664, "ofdm", cast=int),
-            frame_samples=_num(ofdm_d, "frame_samples", 65_536, "ofdm", cast=int),
-            noise_snr_db=_num(ofdm_d, "noise_snr_db", CALIBRATED_NOISE_SNR_DB, "ofdm"),
-            frames=_num(ofdm_d, "frames", 4, "ofdm", cast=int),
-            time_domain=bool(ofdm_d.get("time_domain", False)),
-        )
-        grid = GridSection(
-            x_min=_num(grid_d, "x_min", -3.0, "grid"),
-            x_max=_num(grid_d, "x_max", 3.0, "grid"),
-            y_min=_num(grid_d, "y_min", 1.0, "grid"),
-            y_max=_num(grid_d, "y_max", 8.0, "grid"),
-            spacing=_num(grid_d, "spacing", 1.0, "grid"),
-            height=_num(grid_d, "height", DEFAULT_MOUNT_HEIGHT_M, "grid"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        seed=seed,
-        scenario_ids=scenario_ids,
-        custom_scenarios=tuple(custom),
-        tx_power_w=tx_power,
-        formats=formats,
-        workers=workers,
-        output_dir=output_dir,
-        room=room,
-        array=array,
-        channel=channel,
-        ofdm=ofdm,
-        grid=grid,
-        calibration=calibration,
-        cut_x=cut_x,
-        fit_exclude_near_field=fit_flag,
-        svg_vmax=svg_vmax,
-    )
+def read_yaml(path):
+    """Parse a YAML config file; an empty file is an empty mapping."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+    return raw if raw is not None else {}
 
 
 def load_config(path):
     """Load and build a run configuration from a YAML file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    return from_dict(raw if raw is not None else {})
+    return from_dict(read_yaml(path))
 
 
 @dataclass(frozen=True)
@@ -302,48 +253,65 @@ class ValidationReport:
         return not self.findings
 
 
+# +inf has a meaning here: perfect CSI and a noiseless receiver.
+_INF_ALLOWED = {"channel.csi_snr_db", "ofdm.noise_snr_db"}
+
+
+def _nonfinite(obj, path=""):
+    """Findings for every float field (or float in a tuple field) that is not finite."""
+    findings = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        where = f"{path}.{f.name}" if path else f.name
+        if is_dataclass(value):
+            findings += _nonfinite(value, where)
+            continue
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v) \
+                    and not (v > 0 and where in _INF_ALLOWED):
+                findings.append(f"{where}: must be finite, got {v}")
+    return findings
+
+
 def validate(config):
     """Check a configuration without mutating or raising.
 
-    Accepts either a built :class:`RunConfig` or a raw mapping (the form
-    the CLI reads from disk); returns a report whose findings each name
-    the offending field.
+    Accepts either a built :class:`RunConfig` or a parsed document (the
+    form the CLI reads from disk); returns a report whose findings each
+    name the offending field.
     """
-    if isinstance(config, dict):
+    if not isinstance(config, RunConfig):
         try:
             config = from_dict(config)
         except ConfigError as exc:
             return ValidationReport(findings=(str(exc),))
 
-    findings = []
-    room = config.room
-
-    # OFDM arithmetic identities.
-    o = config.ofdm
-    spacing = o.sample_rate / o.fft_size
-    if spacing != o.subcarrier_spacing:
-        findings.append(
-            f"ofdm: sample_rate/fft_size gives {spacing / 1e3:g} kHz, "
-            f"not the configured {o.subcarrier_spacing / 1e3:g} kHz spacing"
-        )
-    if o.active_subcarriers * o.subcarrier_spacing > 40e6:
-        findings.append("ofdm: active subcarriers exceed the 40 MHz bandwidth")
-    if o.frame_samples % o.fft_size != 0:
-        findings.append("ofdm: frame_samples is not a whole number of OFDM symbols")
+    findings = _nonfinite(config)
+    if not config.scenario_ids:
+        findings.append("scenarios: expected a non-empty list of scenario ids")
+    if config.seed < 0:
+        findings.append("seed: must be non-negative")
+    if config.workers < 1:
+        findings.append("workers: must be >= 1")
+    if config.calibration <= 0:
+        findings.append("calibration: must be positive")
+    if config.tx_power_w <= 0:
+        findings.append("tx_power_w: must be positive")
+    if findings:
+        # The checks below assume finite values, a positive power and a scenario.
+        return ValidationReport(findings=tuple(findings))
 
     # Scenario references and UE placement.
+    room = config.room
     table = config.available_scenarios()
-    scenarios = []
     for sid in config.scenario_ids:
         if sid not in table:
             findings.append(f"scenarios: id {sid!r} is not defined")
-        else:
-            scenarios.append(table[sid])
-    for s in scenarios:
-        for ux, uy in s.ue_positions:
+            continue
+        for ux, uy in table[sid].ue_positions:
             if not room.in_footprint(ux, uy):
                 findings.append(
-                    f"scenario {s.id}: UE at ({ux:g}, {uy:g}) lies outside the "
+                    f"scenario {sid}: UE at ({ux:g}, {uy:g}) lies outside the "
                     f"room footprint (|x| <= {room.width_x / 2:g}, 0 <= y <= {room.length_y:g})"
                 )
 
@@ -359,20 +327,16 @@ def validate(config):
         if not room.contains(p):
             findings.append(f"array: element at {tuple(p)} lies outside the room")
             break
-    diff = grid.points[:, None, :] - array.active_positions()[None, :, :]
-    if np.any(np.all(diff == 0.0, axis=2)):
+    # Probe points are (x, y, height) over the lattice axes: compare per axis, in
+    # O(elements) memory rather than with a points x elements difference.
+    tx = array.active_positions()
+    if np.any(np.isin(tx[:, 0], grid.x_values) & np.isin(tx[:, 1], grid.y_values)
+              & (tx[:, 2] == grid.probe_height)):
         findings.append("grid: a probe point coincides exactly with a transmit element")
     if not np.any(np.abs(grid.x_values - config.cut_x) <= 1e-9):
         findings.append(
             f"cut_x: {config.cut_x:g} is not a grid column "
             f"(columns: {', '.join(f'{x:g}' for x in grid.x_values)})"
         )
-
-    if config.workers < 1:
-        findings.append("workers: must be >= 1")
-    if config.calibration <= 0:
-        findings.append("calibration: must be positive")
-    if not math.isfinite(config.tx_power_w) or config.tx_power_w <= 0:
-        findings.append("tx_power_w: must be positive and finite")
 
     return ValidationReport(findings=tuple(findings))

@@ -30,14 +30,6 @@ _FIELD_CONSTANT = math.sqrt(30.0)
 
 
 @dataclass(frozen=True)
-class FieldConstants:
-    """Physical constants used by the field formulas; never mutated."""
-
-    free_space_impedance: float = FREE_SPACE_IMPEDANCE
-    speed_of_light: float = 299_792_458.0
-
-
-@dataclass(frozen=True)
 class HeatMap:
     """RMS E-field (V/m) per probe-grid point for one scenario."""
 

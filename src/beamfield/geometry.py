@@ -20,6 +20,12 @@ DEFAULT_ELEMENT_SPACING_M = 0.057
 #: Height of the array centre and of the probe plane (m).
 DEFAULT_MOUNT_HEIGHT_M = 1.5
 
+#: Largest probe grid: a run holds a points x 64 complex gain matrix, ~1 GiB here.
+MAX_GRID_POINTS = 1_000_000
+
+#: Largest transmit array; the paper's panel has 128 elements.
+MAX_ARRAY_ELEMENTS = 4096
+
 
 def wavelength(frequency_hz):
     """Free-space wavelength in metres."""
@@ -177,6 +183,8 @@ def build_array(
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
+    if rows * cols > MAX_ARRAY_ELEMENTS:
+        raise ValueError(f"array: {rows * cols} elements exceed the {MAX_ARRAY_ELEMENTS} budget")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     cx, cy, cz = (float(v) for v in center)
@@ -209,9 +217,6 @@ def build_array(
             raise ValueError(
                 f"active mask has {mask.size} entries, expected {rows * cols}"
             )
-
-    if np.count_nonzero(mask) > rows * cols:
-        raise ValueError("active count exceeds element count")
 
     positions.setflags(write=False)
     mask.setflags(write=False)
@@ -267,6 +272,10 @@ def build_grid(
         raise ValueError("grid extent must satisfy x_max >= x_min and y_max >= y_min")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
+    # An upper bound of the point count, checked before anything is allocated.
+    n_points = ((x_max - x_min) / spacing + 1) * ((y_max - y_min) / spacing + 1)
+    if n_points > MAX_GRID_POINTS:
+        raise ValueError(f"grid: about {n_points:.3g} points exceed the {MAX_GRID_POINTS} budget")
 
     xs = _lattice_axis(x_min, x_max, spacing)
     ys = _lattice_axis(y_min, y_max, spacing)

@@ -27,22 +27,6 @@ def as_complex_matrix(a):
     return m
 
 
-def matmul(a, b):
-    """Matrix product ``a @ b`` with explicit dimension checking."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
-
-
-def hermitian(a):
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T.copy()
-
-
 def solve(a, b):
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 

@@ -59,6 +59,8 @@ class OfdmConfig:
     time_domain: bool = False
 
     def __post_init__(self):
+        if self.fft_size < 1:
+            raise ValueError("fft_size must be >= 1")
         if self.sample_rate / self.fft_size != self.subcarrier_spacing:
             raise ValueError(
                 f"sample_rate / fft_size = {self.sample_rate / self.fft_size} Hz "

@@ -82,7 +82,7 @@ def run(config, out_dir=None):
     out_dir = out_dir if out_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    room = config.build_room()
+    room = config.room
     array = config.build_array()
     grid = config.build_grid()
     scenarios = config.selected_scenarios()

@@ -162,7 +162,7 @@ def test_criterion_08_maximum_near_array(grid):
     config = _los_config()
     config = dataclasses.replace(
         config, ofdm=dataclasses.replace(config.ofdm, frames=1))
-    room = config.build_room()
+    room = config.room
     array = config.build_array()
     near = 0
     positions = []

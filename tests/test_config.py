@@ -1,0 +1,182 @@
+import dataclasses
+import math
+import os
+import tracemalloc
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from beamfield import ConfigError, RunConfig, load_config, validate
+from beamfield.cli import main as cli_main
+from beamfield.config import ValidationReport, from_dict
+
+CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "paper-defaults.yaml")
+
+# The default campaign with every key spelled out, as the benchmark writes it.
+EXPLICIT = {
+    "seed": 1234,
+    "scenarios": [str(i) for i in range(1, 9)],
+    "custom_scenarios": [],
+    "tx_power_w": 1.0,
+    "formats": ["ascii", "csv", "json", "svg"],
+    "workers": 1,
+    "output_dir": "out",
+    "calibration": 1.0,
+    "cut_x": 0.0,
+    "fit_exclude_near_field": True,
+    "svg_vmax": None,
+    "room": {
+        "length_y": 15.0, "width_x": 7.5, "height_z": 3.0,
+        "wall_reflection": -0.6, "floor_reflection": -0.4, "ceiling_reflection": -0.4,
+    },
+    "array": {
+        "rows": 16, "cols": 8, "spacing": 0.057,
+        "center": [0.0, 0.0, 1.5], "active": "central-8x8",
+    },
+    "channel": {
+        "mode": "image-order-1", "carrier_frequency": 2.63e9, "csi_snr_db": 40.0,
+        "element_pattern": "isotropic", "ue_height": 1.5,
+    },
+    "ofdm": {
+        "subcarrier_spacing": 15000.0, "sample_rate": 61.44e6, "fft_size": 4096,
+        "active_subcarriers": 2664, "frame_samples": 65536, "noise_snr_db": 64.0,
+        "frames": 4, "time_domain": False,
+    },
+    "grid": {
+        "x_min": -3.0, "x_max": 3.0, "y_min": 1.0, "y_max": 8.0,
+        "spacing": 1.0, "height": 1.5,
+    },
+}
+
+
+def schema(obj):
+    """{document key: default} for a config dataclass, sections nested."""
+    keys = {}
+    for f in dataclasses.fields(obj):
+        if f.name == "rng_seed":
+            continue
+        value = getattr(obj, f.name)
+        key = "scenarios" if f.name == "scenario_ids" else f.name
+        keys[key] = schema(value) if dataclasses.is_dataclass(value) else value
+    return keys
+
+
+class TestSingleSourceOfTruth:
+    def test_paper_defaults_file_is_the_default_config(self):
+        assert load_config(CONFIG_PATH) == RunConfig()
+
+    def test_explicit_mapping_builds_the_default_config(self):
+        expected = schema(RunConfig())
+        assert set(EXPLICIT) == set(expected)
+        for key, value in expected.items():
+            if isinstance(value, dict):
+                assert set(EXPLICIT[key]) == set(value), key
+        assert from_dict(EXPLICIT) == RunConfig()
+
+    def test_infinite_snrs_mean_perfect_csi_and_no_noise(self):
+        doc = {"seed": 1, "channel": {"csi_snr_db": math.inf},
+               "ofdm": {"noise_snr_db": math.inf}}
+        assert validate(doc).ok
+        doc["ofdm"]["noise_snr_db"] = -math.inf
+        assert validate(doc).findings == ("ofdm.noise_snr_db: must be finite, got -inf",)
+
+
+# Each document passed validation, was read as something else, or crashed.
+BAD_DOCUMENTS = [
+    ("nan-noise-snr", "seed: 1\nofdm: {noise_snr_db: .nan}\n", "ofdm.noise_snr_db"),
+    ("nan-csi-snr", "seed: 1\nchannel: {csi_snr_db: .nan}\n", "channel.csi_snr_db"),
+    ("inf-calibration", "seed: 1\ncalibration: .inf\n", "calibration: must be finite"),
+    ("inf-carrier", "seed: 1\nchannel: {carrier_frequency: .inf}\n",
+     "channel.carrier_frequency"),
+    ("string-bool", 'seed: 1\nofdm: {time_domain: "false"}\n', "ofdm.time_domain"),
+    ("yes-no-string", 'seed: 1\nfit_exclude_near_field: "no"\n', "fit_exclude_near_field"),
+    ("fractional-frames", "seed: 1\nofdm: {frames: 2.5}\n", "ofdm.frames"),
+    ("short-position", "seed: 1\ncustom_scenarios: [{id: x, ue_positions: [[1]]}]\n",
+     "custom_scenarios[0].ue_positions[0]"),
+    ("list-root", "- seed: 1\n", "config root"),
+    ("yaml-syntax", "seed: [1\n", "not valid YAML"),
+    ("seed-path", "seed: abc\n", "finding: seed: expected int, got 'abc'"),
+    ("grid-budget", "seed: 1\ngrid: {spacing: 1e-4}\n", "budget"),
+    ("nan-grid-spacing", "seed: 1\ngrid: {spacing: .nan}\n", "grid.spacing"),
+    ("array-budget", "seed: 1\narray: {rows: 100000, cols: 100000}\n", "budget"),
+    ("zero-fft-size", "seed: 1\nofdm: {fft_size: 0}\n", "fft_size"),
+]
+
+
+@pytest.mark.parametrize("text,expected", [case[1:] for case in BAD_DOCUMENTS],
+                         ids=[case[0] for case in BAD_DOCUMENTS])
+def test_bad_document_is_a_finding(tmp_path, capsys, text, expected):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert cli_main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    output = captured.out + captured.err
+    assert expected in output
+    assert output.startswith(("finding: ", "error: "))
+    if expected != "not valid YAML":
+        assert not validate(yaml.safe_load(text)).ok
+
+
+def test_grid_budget_is_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        report = validate({"seed": 1, "grid": {"spacing": 1e-4}})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert any("budget" in f for f in report.findings)
+    assert peak < 1 << 20
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=8))
+_MIXED = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=4))
+_TYPED = {bool: st.booleans(), int: st.integers(), float: _FLOATS, str: st.text(max_size=12)}
+# Well-typed values for keys whose default's type says too little.
+_TYPED_KEYS = {
+    "seed": st.integers(min_value=0),
+    "scenarios": st.lists(st.sampled_from(["1", "5", "8", "x"]), max_size=3),
+    "custom_scenarios": st.lists(
+        st.fixed_dictionaries({
+            "id": st.one_of(st.text(max_size=3), st.integers()),
+            "ue_positions": st.lists(st.lists(_FLOATS, min_size=2, max_size=2), max_size=9),
+        }),
+        max_size=2,
+    ),
+    "formats": st.lists(st.sampled_from(["ascii", "csv", "json", "svg"])),
+    "svg_vmax": st.one_of(st.none(), _FLOATS),
+    "center": st.lists(_FLOATS, min_size=3, max_size=3),
+    "active": st.sampled_from(["all", "central-8x8", "corner"]),
+    "mode": st.sampled_from(["los-only", "image-order-1", "ray-traced"]),
+    "element_pattern": st.sampled_from(["isotropic", "cosine", "dipole"]),
+}
+
+
+def _document(keys, mixed, required=()):
+    """Mappings over ``keys``; with ``mixed`` any value may be of any type."""
+    values = {}
+    for key, default in keys.items():
+        if isinstance(default, dict):
+            value = _document(default, mixed)
+        else:
+            value = _TYPED_KEYS.get(key, _TYPED.get(type(default), _MIXED))
+        values[key] = st.one_of(value, _MIXED) if mixed else value
+    return st.fixed_dictionaries({k: values.pop(k) for k in required}, optional=values)
+
+
+# Well-typed documents get past from_dict more often and so exercise validate.
+_DOCUMENTS = st.one_of(_document(schema(RunConfig()), mixed=False, required=("seed",)),
+                       _document(schema(RunConfig()), mixed=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_DOCUMENTS)
+def test_any_document_gives_a_config_error_or_a_report(doc):
+    try:
+        from_dict(doc)
+    except ConfigError:
+        pass
+    assert isinstance(validate(doc), ValidationReport)

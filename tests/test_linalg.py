@@ -1,80 +1,9 @@
 import numpy as np
 import pytest
 
-from beamfield import SingularMatrixError, hermitian, matmul, right_pseudo_inverse, solve
+from beamfield import SingularMatrixError, right_pseudo_inverse, solve
 
 from conftest import random_complex
-
-
-def naive_matmul(a, b):
-    """Independent triple-loop product used as the oracle."""
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        m = random_complex(rng, (3, 5))
-        assert np.allclose(matmul(np.eye(3), m), m, rtol=0, atol=0)
-
-    def test_hand_case(self):
-        a = np.array([[1.0, 1j]])
-        b = np.array([[1j], [1.0]])
-        assert np.allclose(matmul(a, b), [[2j]], rtol=1e-15)
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(2)
-        a = random_complex(rng, (4, 4))
-        b = random_complex(rng, (4, 4))
-        got = matmul(a, b)
-        want = naive_matmul(a, b)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        bad = np.array([[1.0, np.nan]])
-        with pytest.raises(ValueError, match="NaN"):
-            matmul(bad, np.ones((2, 1)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = random_complex(rng, (3, 4))
-            b = random_complex(rng, (4, 5))
-            c = random_complex(rng, (5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-10 * np.max(np.abs(left))
-
-
-class TestHermitian:
-    def test_real_diagonal_fixed_point(self):
-        d = np.diag([1.0, 2.0, 3.0])
-        assert np.array_equal(hermitian(d), d)
-
-    def test_conjugates(self):
-        assert hermitian(np.array([[1j]]))[0, 0] == -1j
-
-    def test_involution(self):
-        rng = np.random.default_rng(4)
-        m = random_complex(rng, (5, 3))
-        assert np.array_equal(hermitian(hermitian(m)), m)
-
-    def test_product_rule(self):
-        rng = np.random.default_rng(5)
-        a = random_complex(rng, (4, 6))
-        b = random_complex(rng, (6, 3))
-        lhs = hermitian(matmul(a, b))
-        rhs = matmul(hermitian(b), hermitian(a))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(lhs))
 
 
 class TestSolve:
@@ -105,6 +34,15 @@ class TestSolve:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             solve(np.ones((2, 3)), np.ones((2, 1)))
+
+    def test_rhs_row_mismatch(self):
+        with pytest.raises(ValueError, match="rhs has 3 rows"):
+            solve(np.eye(2), np.ones((3, 1)))
+
+    def test_rejects_nonfinite(self):
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            solve(bad, np.ones((2, 1)))
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
