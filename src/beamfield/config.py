@@ -28,7 +28,7 @@ from .geometry import (
     build_grid,
     standard_scenarios,
 )
-from .ofdm import OfdmConfig
+from .ofdm import MAX_SAMPLES_PER_STREAM, OfdmConfig
 
 EXPORT_FORMATS = ("ascii", "csv", "json", "svg")
 
@@ -297,6 +297,13 @@ def validate(config):
         findings.append("calibration: must be positive")
     if config.tx_power_w <= 0:
         findings.append("tx_power_w: must be positive")
+    ofdm = config.ofdm
+    per_symbol, unit = ((ofdm.fft_size, "FFT bins") if ofdm.time_domain
+                        else (ofdm.active_subcarriers, "active subcarriers"))
+    samples = ofdm.frames * ofdm.symbols_per_frame * per_symbol
+    if samples > MAX_SAMPLES_PER_STREAM:
+        findings.append(f"ofdm: {samples:.3g} samples per stream (frames x OFDM symbols x "
+                        f"{unit}) exceed the {MAX_SAMPLES_PER_STREAM:.0e} budget")
     if findings:
         # The checks below assume finite values, a positive power and a scenario.
         return ValidationReport(findings=tuple(findings))

@@ -26,6 +26,9 @@ MAX_GRID_POINTS = 1_000_000
 #: Largest transmit array; the paper's panel has 128 elements.
 MAX_ARRAY_ELEMENTS = 4096
 
+#: Most receive antennas per user; the paper's UEs have 4.
+MAX_UE_ANTENNAS = 64
+
 
 def wavelength(frequency_hz):
     """Free-space wavelength in metres."""
@@ -133,8 +136,8 @@ class Scenario:
     def __post_init__(self):
         if not 1 <= len(self.ue_positions) <= 8:
             raise ValueError("scenario must place between 1 and 8 users")
-        if self.antennas_per_ue < 1:
-            raise ValueError("antennas_per_ue must be positive")
+        if not 1 <= self.antennas_per_ue <= MAX_UE_ANTENNAS:
+            raise ValueError(f"antennas_per_ue must be between 1 and {MAX_UE_ANTENNAS}")
         if self.total_tx_power <= 0:
             raise ValueError("total_tx_power must be positive")
 

@@ -9,13 +9,23 @@ level, bits 3..5 the Q level, via the 3-bit Gray table
     110 -> +1   111 -> +3   101 -> +5   100 -> +7
 
 so adjacent levels differ in exactly one bit and ``000000`` maps to
-(-7 - 7j) / sqrt(42).
+(-7 - 7j) / sqrt(42).  A symbol travels as its 6-bit index, the value of
+its bit group; the receiver decides an index, and the bit errors of a
+decision are the popcount of sent XOR decided, so bits are never unpacked.
 
-The link simulation is frequency domain: the channel is flat across the
-band (~1.5% fractional bandwidth), so each subcarrier sees the same
-effective matrix and subcarriers only multiply the number of independent
-symbol slots.  An optional time-domain mode runs the same frame through
-an IFFT/FFT pair as a cross-check.
+The link is simulated on the k x k post-combining channel.  The channel
+is flat across the band (~1.5% fractional bandwidth), so every active
+subcarrier of every OFDM symbol is an independent symbol slot seeing the
+same matrices.  User u combines its antennas as c_u^H (H_u W s + n_u),
+with n_u ~ CN(0, sigma^2 I) white receiver noise.  The signal part is
+row u of the effective channel G W times s.  The combiner is fixed by the
+channel estimate and has unit norm, so c_u^H n_u is CN(0, sigma^2), and
+users own disjoint antennas, so these draws are independent across users
+and slots.  Sampling (G W) s plus one CN(0, sigma^2) draw per user and
+slot therefore gives exactly the distribution of the combined samples,
+without forming the n_tx x slots transmit block or per-antenna noise.
+An optional time-domain mode runs the full array instead, as a
+cross-check: IFFT, every UE antenna with its own noise, combining, FFT.
 """
 
 import math
@@ -30,9 +40,16 @@ _QAM_SCALE = 1.0 / math.sqrt(42.0)
 # level = _LEVEL_BY_VALUE[3-bit value], MSB first; inverse below.
 _LEVEL_BY_VALUE = np.array([-7, -5, -1, -3, 7, 5, 1, 3], dtype=np.int64)
 # 3-bit value = _VALUE_BY_LEVEL_INDEX[(level + 7) // 2]
-_VALUE_BY_LEVEL_INDEX = np.array([0, 1, 3, 2, 6, 7, 5, 4], dtype=np.int64)
+_VALUE_BY_LEVEL_INDEX = np.array([0, 1, 3, 2, 6, 7, 5, 4], dtype=np.uint8)
 
 _BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.int64)
+# Shifts that take a 6-bit symbol index apart into its bits, MSB first.
+_BIT_SHIFTS = np.arange(5, -1, -1)
+
+#: Most samples one stream is simulated over in a run: frames x OFDM symbols x
+#: active subcarriers (x FFT bins on the time-domain path).  It bounds both the
+#: per-frame arrays and the run time; the default run uses 1.7e5.
+MAX_SAMPLES_PER_STREAM = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -59,8 +76,10 @@ class OfdmConfig:
     time_domain: bool = False
 
     def __post_init__(self):
-        if self.fft_size < 1:
-            raise ValueError("fft_size must be >= 1")
+        for name in ("subcarrier_spacing", "sample_rate", "fft_size",
+                     "active_subcarriers", "frame_samples", "frames"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.sample_rate / self.fft_size != self.subcarrier_spacing:
             raise ValueError(
                 f"sample_rate / fft_size = {self.sample_rate / self.fft_size} Hz "
@@ -72,8 +91,6 @@ class OfdmConfig:
             raise ValueError("active subcarriers must fit inside the FFT grid")
         if self.frame_samples % self.fft_size != 0:
             raise ValueError("frame_samples must be a whole number of OFDM symbols")
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
 
     @property
     def symbols_per_frame(self):
@@ -111,6 +128,30 @@ def map_64qam(bits):
     return (_LEVEL_BY_VALUE[i_val] + 1j * _LEVEL_BY_VALUE[q_val]) * _QAM_SCALE
 
 
+def _index_bits(indices):
+    """The 6 bits of each symbol index, MSB first: shape (n, 6)."""
+    return (indices[:, None] >> _BIT_SHIFTS) & 1
+
+
+# Constellation point of every 6-bit symbol index.
+_CONSTELLATION = map_64qam(_index_bits(np.arange(64)))
+# Set bits of every 6-bit value: a decision's bit errors are _POPCOUNT[sent ^ decided].
+_POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)
+
+
+def _demap_indices(symbols):
+    """Hard-decision nearest-point symbol indices (uint8), elementwise.
+
+    Values beyond the outermost level saturate, so any finite input is
+    demapped.
+    """
+    indices = np.zeros(symbols.shape, dtype=np.uint8)
+    for shift, axis in ((3, symbols.real), (0, symbols.imag)):
+        level = np.clip(np.round((axis / _QAM_SCALE + 7.0) / 2.0), 0, 7).astype(np.uint8)
+        indices |= _VALUE_BY_LEVEL_INDEX[level] << shift
+    return indices
+
+
 def demap_64qam(symbols):
     """Hard-decision nearest-point demapping back to bits (Gray inverse).
 
@@ -118,14 +159,7 @@ def demap_64qam(symbols):
     demapped.
     """
     symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    bits = np.empty((symbols.size, 6), dtype=np.int64)
-    for offset, axis in ((0, symbols.real), (3, symbols.imag)):
-        level = np.clip(np.round((axis / _QAM_SCALE + 7.0) / 2.0), 0, 7).astype(np.int64)
-        value = _VALUE_BY_LEVEL_INDEX[level]
-        bits[:, offset] = (value >> 2) & 1
-        bits[:, offset + 1] = (value >> 1) & 1
-        bits[:, offset + 2] = value & 1
-    return bits.reshape(-1)
+    return _index_bits(_demap_indices(symbols)).reshape(-1)
 
 
 def _noise_power(noise_snr_db):
@@ -135,20 +169,23 @@ def _noise_power(noise_snr_db):
 
 
 def _complex_noise(rng, shape, power):
+    """CN(0, power) samples of ``shape``, or 0.0 for a noiseless receiver."""
     if power == 0.0:
         return 0.0
-    s = math.sqrt(power / 2.0)
-    return rng.normal(scale=s, size=shape) + 1j * rng.normal(scale=s, size=shape)
+    pairs = rng.normal(scale=math.sqrt(power / 2.0), size=(*shape[:-1], 2 * shape[-1]))
+    return pairs.view(np.complex128)
 
 
 def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
     """Send ZF-precoded frames over the true channel and count bit errors.
 
-    Every stream carries independent random 64-QAM symbols on each active
-    subcarrier of each OFDM symbol.  Receiver noise is added per UE
-    antenna before combining; the combined sample is equalised by the
-    known effective diagonal gain and hard-demapped.  Deterministic in
-    ``cfg.rng_seed``.
+    Every stream carries independent uniform 64-QAM symbol indices on each
+    active subcarrier of each OFDM symbol.  User u receives row u of the
+    k x k effective channel (G W) times the symbols plus one CN(0, sigma^2)
+    noise draw, which is its combined sample c_u^H (H_u W s + n_u) in
+    distribution (see the module docstring).  The sample is equalised by
+    the known own gain (G W)[u, u], demapped to an index and compared with
+    the sent one.  Deterministic in ``cfg.rng_seed``.
     """
     k = h_true.n_users
     if precoder.n_streams != k:
@@ -156,9 +193,10 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
             f"precoder has {precoder.n_streams} streams for {k} users"
         )
     eff = effective_channel(h_true, precoder, combiners)
-    diag = np.diag(eff)
-    if np.any(np.abs(diag) == 0.0):
+    gain = np.diag(eff)[:, None]
+    if np.any(np.abs(gain) == 0.0):
         raise ValueError("effective channel has a zero diagonal gain")
+    equalised = eff / gain
 
     rng = np.random.default_rng(cfg.rng_seed)
     noise_power = _noise_power(cfg.noise_snr_db)
@@ -166,33 +204,19 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
     errors = np.zeros(k, dtype=np.int64)
 
     for _ in range(cfg.frames):
-        bits = rng.integers(0, 2, size=(k, slots * 6))
-        symbols = np.vstack([map_64qam(bits[u]) for u in range(k)])
+        sent = rng.integers(0, 64, size=(k, slots), dtype=np.uint8)
+        symbols = _CONSTELLATION[sent]
         if cfg.time_domain:
             received = _propagate_time_domain(symbols, h_true, precoder, combiners,
-                                              cfg, rng, noise_power)
+                                              cfg, rng, noise_power) / gain
         else:
-            received = _propagate_flat(symbols, h_true, precoder, combiners,
-                                       rng, noise_power)
-        for u in range(k):
-            est_bits = demap_64qam(received[u] / diag[u])
-            errors[u] += int(np.count_nonzero(est_bits != bits[u]))
+            received = equalised @ symbols
+            received += _complex_noise(rng, received.shape, noise_power) / gain
+        errors += _POPCOUNT[_demap_indices(received) ^ sent].sum(axis=1, dtype=np.int64)
 
-    bits_tested = cfg.frames * slots * 6
+    bits_tested = cfg.frames * cfg.bits_per_frame
     ber = tuple(float(e) / bits_tested for e in errors)
     return BerReport(scenario_id=scenario_id, per_ue_ber=ber, bits_tested=bits_tested)
-
-
-def _propagate_flat(symbols, h_true, precoder, combiners, rng, noise_power):
-    """Frequency-domain propagation: one matrix multiply per UE antenna set."""
-    x = precoder.w @ symbols
-    k = h_true.n_users
-    received = np.empty_like(symbols)
-    for u in range(k):
-        y = h_true.ue_block(u) @ x
-        y += _complex_noise(rng, y.shape, noise_power)
-        received[u] = combiners[u].conj() @ y
-    return received
 
 
 def _propagate_time_domain(symbols, h_true, precoder, combiners, cfg, rng, noise_power):

@@ -103,6 +103,13 @@ BAD_DOCUMENTS = [
     ("nan-grid-spacing", "seed: 1\ngrid: {spacing: .nan}\n", "grid.spacing"),
     ("array-budget", "seed: 1\narray: {rows: 100000, cols: 100000}\n", "budget"),
     ("zero-fft-size", "seed: 1\nofdm: {fft_size: 0}\n", "fft_size"),
+    ("frames-budget", "seed: 1\nofdm: {frames: 100000000}\n", "budget"),
+    ("frame-samples-budget", "seed: 1\nofdm: {frame_samples: 409600000}\n", "budget"),
+    ("time-domain-budget", "seed: 1\nofdm: {frames: 200, time_domain: true}\n", "FFT bins"),
+    ("ue-antennas", "seed: 1\ncustom_scenarios: [{id: x, ue_positions: [[0, 4]], "
+     "antennas_per_ue: 1000000000}]\n", "custom_scenarios[0]: antennas_per_ue"),
+    ("negative-rates", "seed: 1\nofdm: {sample_rate: -61.44e6, subcarrier_spacing: -15000.0}\n",
+     "ofdm: subcarrier_spacing must be positive"),
 ]
 
 
@@ -129,6 +136,11 @@ def test_grid_budget_is_checked_before_allocating():
         tracemalloc.stop()
     assert any("budget" in f for f in report.findings)
     assert peak < 1 << 20
+
+
+def test_symbol_budget_leaves_room_for_long_runs():
+    # 200 frames on the flat path are 8.5e6 slots per stream, 50x the default run.
+    assert validate({"seed": 1, "ofdm": {"frames": 200}}).ok
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True)

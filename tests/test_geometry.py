@@ -81,6 +81,11 @@ class TestStandardScenarios:
         with pytest.raises(ValueError, match="between 1 and 8"):
             Scenario(id="x", ue_positions=tuple((0.0, float(i + 1)) for i in range(9)))
 
+    @pytest.mark.parametrize("antennas", [0, 65, 10**9])
+    def test_scenario_antenna_count_bounded(self, antennas):
+        with pytest.raises(ValueError, match="antennas_per_ue"):
+            Scenario(id="x", ue_positions=((0.0, 4.0),), antennas_per_ue=antennas)
+
 
 class TestBuildGrid:
     def test_default_56_points(self, grid):

@@ -32,6 +32,14 @@ class TestOfdmConfig:
         with pytest.raises(ValueError, match="40 MHz"):
             OfdmConfig(active_subcarriers=2700)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sample_rate", -61_440_000.0), ("subcarrier_spacing", -15_000.0),
+        ("active_subcarriers", 0), ("frame_samples", 0), ("frames", 0),
+    ])
+    def test_nonpositive_numerology_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            OfdmConfig(**{field: value})
+
     def test_partial_symbol_frame_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
             OfdmConfig(frame_samples=65_000)
