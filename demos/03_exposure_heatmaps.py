@@ -8,7 +8,7 @@ this script under ``output/``.
 
 import os
 
-from beamfield import RunConfig, standard_scenarios, summary
+from beamfield import RunConfig, probe_gains, standard_scenarios, summary
 from beamfield.render import heatmap_ascii, heatmap_svg
 from beamfield.runner import run_scenario
 
@@ -19,10 +19,12 @@ config = RunConfig()
 room = config.room
 array = config.build_array()
 grid = config.build_grid()
+# The probe x element gains do not depend on the scenario: compute them once.
+gains = probe_gains(array, room, grid, config.channel)
 
 # A shared colour scale makes the eight maps comparable.
 results = [
-    run_scenario(config, scn, i, array, room, grid)
+    run_scenario(config, scn, i, array, room, grid, gains)
     for i, scn in enumerate(standard_scenarios(total_tx_power=config.tx_power_w))
 ]
 vmax = max(float(r.heatmap.values.max()) for r in results)

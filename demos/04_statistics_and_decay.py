@@ -13,6 +13,7 @@ from beamfield import (
     extract_cut,
     far_field_distance,
     fit_decay,
+    probe_gains,
     standard_scenarios,
     summary,
     wavelength,
@@ -24,8 +25,9 @@ def scenario_maps(config):
     room = config.room
     array = config.build_array()
     grid = config.build_grid()
+    gains = probe_gains(array, room, grid, config.channel)
     return array, [
-        run_scenario(config, scn, i, array, room, grid).heatmap
+        run_scenario(config, scn, i, array, room, grid, gains).heatmap
         for i, scn in enumerate(standard_scenarios(config.tx_power_w))
     ]
 

@@ -16,6 +16,7 @@ from beamfield import (
     check,
     extract_cut,
     min_compliant_distance,
+    probe_gains,
     standard_scenarios,
 )
 from beamfield.runner import run_scenario
@@ -25,9 +26,10 @@ config = dataclasses.replace(
 room = config.room
 array = config.build_array()
 grid = config.build_grid()
+gains = probe_gains(array, room, grid, config.channel)
 
 maps = [
-    run_scenario(config, scn, i, array, room, grid).heatmap
+    run_scenario(config, scn, i, array, room, grid, gains).heatmap
     for i, scn in enumerate(standard_scenarios(config.tx_power_w))
 ]
 averaged = average_heatmaps(maps)

@@ -38,6 +38,7 @@ from .field import (
     element_field,
     field_to_power,
     power_to_field,
+    probe_gains,
     superpose_fields,
 )
 from .geometry import (
@@ -76,7 +77,7 @@ __all__ = [
     "far_field_distance", "field_to_power", "fit_decay", "from_dict",
     "generate_channel", "image_sources", "load_config",
     "los_gain", "map_64qam", "min_compliant_distance",
-    "power_to_field", "right_pseudo_inverse", "run", "solve",
+    "power_to_field", "probe_gains", "right_pseudo_inverse", "run", "solve",
     "standard_scenarios", "summary", "superpose_fields",
     "transmit_frame", "validate", "verify_manifest", "wavelength",
     "zf_precoder",

@@ -22,10 +22,12 @@ from .errors import ConfigError
 from .geometry import (
     DEFAULT_ELEMENT_SPACING_M,
     DEFAULT_MOUNT_HEIGHT_M,
+    MAX_GAIN_ENTRIES,
     Room,
     Scenario,
     build_array,
     build_grid,
+    grid_size_bound,
     standard_scenarios,
 )
 from .ofdm import MAX_SAMPLES_PER_STREAM, OfdmConfig
@@ -322,10 +324,30 @@ def validate(config):
                     f"room footprint (|x| <= {room.width_x / 2:g}, 0 <= y <= {room.length_y:g})"
                 )
 
-    # Geometry consistency: grid and array inside the room, no coincidence.
+    # Geometry: the memory budgets, from the extents, before the grid is built.
+    g = config.grid
+    try:
+        array = config.build_array()
+        points = grid_size_bound(g.x_min, g.x_max, g.y_min, g.y_max, g.spacing)
+    except ValueError as exc:
+        findings.append(str(exc))
+        return ValidationReport(findings=tuple(findings))
+    over_budget = []
+    if points * array.n_active > MAX_GAIN_ENTRIES:
+        over_budget.append(
+            f"grid: about {points:.3g} points x {array.n_active} active elements "
+            f"exceed the {MAX_GAIN_ENTRIES:.3g}-entry field-gain budget")
+    if ofdm.time_domain and array.n_active * ofdm.frame_samples > MAX_SAMPLES_PER_STREAM:
+        over_budget.append(
+            f"ofdm: the time-domain transmit block, {array.n_active} active elements x "
+            f"{ofdm.frame_samples} frame_samples, exceeds the "
+            f"{MAX_SAMPLES_PER_STREAM:.0e} budget")
+    if over_budget:
+        return ValidationReport(findings=tuple(findings + over_budget))
+
+    # Grid and array inside the room, no coincidence.
     try:
         grid = config.build_grid()
-        array = config.build_array()
     except ValueError as exc:
         findings.append(str(exc))
         return ValidationReport(findings=tuple(findings))
@@ -340,10 +362,13 @@ def validate(config):
     if np.any(np.isin(tx[:, 0], grid.x_values) & np.isin(tx[:, 1], grid.y_values)
               & (tx[:, 2] == grid.probe_height)):
         findings.append("grid: a probe point coincides exactly with a transmit element")
-    if not np.any(np.abs(grid.x_values - config.cut_x) <= 1e-9):
+    xs = grid.x_values
+    if not np.any(np.abs(xs - config.cut_x) <= 1e-9):
+        i = int(np.searchsorted(xs, config.cut_x))
+        nearest = " and ".join(f"{x:g}" for x in xs[max(i - 1, 0):i + 1])
         findings.append(
-            f"cut_x: {config.cut_x:g} is not a grid column "
-            f"(columns: {', '.join(f'{x:g}' for x in grid.x_values)})"
+            f"cut_x: {config.cut_x:g} is not a grid column (nearest: {nearest}; "
+            f"columns {xs[0]:g} to {xs[-1]:g} in steps of {grid.spacing:g})"
         )
 
     return ValidationReport(findings=tuple(findings))

@@ -12,6 +12,13 @@ independent data and are mutually incoherent over the probe's averaging
 time, so stream powers add.  Element-wise spherical-wave summation is
 used everywhere (no array-factor shortcut): probe points can sit inside
 the array's Fraunhofer distance, where only the exact summation is valid.
+
+A run computes the probe x element gain matrix once (:func:`probe_gains`)
+and every scenario's heat map reuses it.  This is exact, not an
+approximation: the image-model rays depend only on the array, the probe
+grid, the room, the carrier, the channel mode and the element pattern,
+never on the precoder or the seed, so each scenario would rebuild the
+same matrix bit for bit.
 """
 
 import math
@@ -48,22 +55,36 @@ class HeatMap:
         return self.values.reshape(len(self.grid.y_values), len(self.grid.x_values))
 
 
-def _gain_row(tx_points, probe, frequency, room, mode, pattern):
-    """Propagation factor exp(-j2 pi d/lambda)/d per element, images included.
+def _field_gains(tx_points, rx_points, frequency, room, mode, pattern):
+    """Propagation factor exp(-j2 pi d/lambda)/d per (probe, element), images included.
 
     ``propagation_gains`` returns (lambda / 4 pi d) e^{-j...}; the field
     formula needs e^{-j...} / d, so rescale by 4 pi / lambda.
     """
-    g = propagation_gains(tx_points, np.asarray(probe, dtype=float)[None, :],
-                          frequency, room=room, mode=mode, pattern=pattern)
-    return g[0] * (4.0 * math.pi / wavelength(frequency))
+    g = propagation_gains(tx_points, rx_points, frequency, room=room, mode=mode,
+                          pattern=pattern)
+    g *= 4.0 * math.pi / wavelength(frequency)
+    return g
+
+
+def probe_gains(array, room, grid, cfg):
+    """Field gain matrix (n_points x n_active) of the array over the probe grid.
+
+    ``cfg`` is the run's :class:`~beamfield.channel.ChannelModelConfig`;
+    only its carrier, mode and element pattern are read.  A run computes
+    this once and passes it to :func:`compute_heatmap` for every scenario,
+    so the matrix is read-only.
+    """
+    gains = _field_gains(array.active_positions(), grid.points, cfg.carrier_frequency,
+                         room, cfg.mode, cfg.element_pattern)
+    gains.setflags(write=False)
+    return gains
 
 
 def element_field(tx, weight, probe, frequency, room=None, mode=MODE_LOS,
                   pattern=PATTERN_ISOTROPIC):
     """Complex field phasor (V/m) of one element at one probe point."""
-    row = _gain_row(np.atleast_2d(np.asarray(tx, dtype=float)), probe, frequency,
-                    room, mode, pattern)
+    row = _field_gains(tx, probe, frequency, room, mode, pattern)[0]
     return complex(_FIELD_CONSTANT * weight * row[0])
 
 
@@ -72,8 +93,8 @@ def superpose_fields(array, precoder, probe, room, cfg, calibration=1.0):
 
     Coherent element sum per stream, root-sum-square across streams.
     """
-    row = _gain_row(array.active_positions(), probe, cfg.carrier_frequency,
-                    room, cfg.mode, cfg.element_pattern)
+    row = _field_gains(array.active_positions(), probe, cfg.carrier_frequency,
+                       room, cfg.mode, cfg.element_pattern)[0]
     per_stream = _FIELD_CONSTANT * _per_stream_product(row[None, :], precoder.w)[0]
     return calibration * float(np.sqrt(np.sum(np.abs(per_stream) ** 2)))
 
@@ -91,12 +112,13 @@ def _per_stream_product(gains, w):
     return out
 
 
-def compute_heatmap(scenario, array, room, precoder, grid, cfg, calibration=1.0):
-    """Evaluate the RMS field at every grid point; deterministic gather in grid order."""
-    tx = array.active_positions()
-    gains = propagation_gains(tx, grid.points, cfg.carrier_frequency, room=room,
-                              mode=cfg.mode, pattern=cfg.element_pattern)
-    gains *= 4.0 * math.pi / wavelength(cfg.carrier_frequency)
+def compute_heatmap(scenario, precoder, grid, gains, calibration=1.0):
+    """RMS field at every grid point, in grid order, from the shared gain matrix.
+
+    ``gains`` is :func:`probe_gains` of the run's array, room, grid and
+    channel config.  It does not depend on the scenario, so one matrix
+    serves every scenario of a run; only the precoder changes the map.
+    """
     per_stream = _FIELD_CONSTANT * _per_stream_product(gains, precoder.w)
     values = calibration * np.sqrt(np.sum(np.abs(per_stream) ** 2, axis=1))
     return HeatMap(grid=grid, values=values, scenario_id=scenario.id)

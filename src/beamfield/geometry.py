@@ -20,8 +20,12 @@ DEFAULT_ELEMENT_SPACING_M = 0.057
 #: Height of the array centre and of the probe plane (m).
 DEFAULT_MOUNT_HEIGHT_M = 1.5
 
-#: Largest probe grid: a run holds a points x 64 complex gain matrix, ~1 GiB here.
+#: Largest probe grid.
 MAX_GRID_POINTS = 1_000_000
+
+#: Largest probe x active-element field-gain matrix a run keeps: the largest
+#: grid at 64 active elements, 1 GiB of complex128.
+MAX_GAIN_ENTRIES = MAX_GRID_POINTS * 64
 
 #: Largest transmit array; the paper's panel has 128 elements.
 MAX_ARRAY_ELEMENTS = 4096
@@ -257,6 +261,19 @@ def standard_scenarios(total_tx_power=1.0):
     ]
 
 
+def grid_size_bound(x_min, x_max, y_min, y_max, spacing):
+    """Upper bound of the point count of a :func:`build_grid` lattice.
+
+    Computed from the extents alone, so budgets are checked before
+    anything is allocated.
+    """
+    if x_max < x_min or y_max < y_min:
+        raise ValueError("grid extent must satisfy x_max >= x_min and y_max >= y_min")
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
+    return ((x_max - x_min) / spacing + 1) * ((y_max - y_min) / spacing + 1)
+
+
 def build_grid(
     x_min=-3.0,
     x_max=3.0,
@@ -271,12 +288,7 @@ def build_grid(
     The default call reproduces the 7 x 8 = 56-point measurement grid.
     When ``room`` is given the grid must lie inside it.
     """
-    if x_max < x_min or y_max < y_min:
-        raise ValueError("grid extent must satisfy x_max >= x_min and y_max >= y_min")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    # An upper bound of the point count, checked before anything is allocated.
-    n_points = ((x_max - x_min) / spacing + 1) * ((y_max - y_min) / spacing + 1)
+    n_points = grid_size_bound(x_min, x_max, y_min, y_max, spacing)
     if n_points > MAX_GRID_POINTS:
         raise ValueError(f"grid: about {n_points:.3g} points exceed the {MAX_GRID_POINTS} budget")
 

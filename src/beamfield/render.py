@@ -14,6 +14,7 @@ _RAMP = (
     (38, 130, 142), (31, 158, 137), (53, 183, 121), (110, 206, 88),
     (181, 222, 43), (253, 231, 37), (255, 255, 110),
 )
+_RAMP_RGB = np.array(_RAMP, dtype=float)
 
 _ASCII_LEVELS = " .:-=+*#%@"
 
@@ -25,16 +26,30 @@ _BAR_WIDTH = 18
 _BAR_GAP = 24
 
 
-def _colour(t):
-    """RGB for t in [0, 1] by linear interpolation between ramp anchors."""
-    t = min(max(t, 0.0), 1.0)
+def _fills(t):
+    """'#rrggbb' per entry of ``t`` (row-major), linear between ramp anchors.
+
+    ``t`` is clamped to [0, 1].  ``np.rint`` rounds half to even, as
+    ``round`` does, and ``astype(int)`` truncates the non-negative
+    positions, as ``int`` does.
+    """
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
     pos = t * (len(_RAMP) - 1)
-    i = min(int(pos), len(_RAMP) - 2)
-    frac = pos - i
-    r, g, b = (
-        round(_RAMP[i][c] + frac * (_RAMP[i + 1][c] - _RAMP[i][c])) for c in range(3)
-    )
-    return f"#{r:02x}{g:02x}{b:02x}"
+    i = np.minimum(pos.astype(int), len(_RAMP) - 2)
+    frac = (pos - i)[..., None]
+    lo = _RAMP_RGB[i]
+    rgb = np.rint(lo + frac * (_RAMP_RGB[i + 1] - lo)).astype(int)
+    packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    return [f"#{v:06x}" for v in packed.ravel().tolist()]
+
+
+def _levels(values, top):
+    """ASCII level index 0-9 per entry of ``values`` on the scale 0 to ``top``.
+
+    Values are non-negative, so truncation is the floor of the scaled value.
+    """
+    n = len(_ASCII_LEVELS)
+    return np.minimum(values / top * n, n - 1).astype(int)
 
 
 def heatmap_svg(heatmap, vmax=None, markers=()):
@@ -66,20 +81,24 @@ def heatmap_svg(heatmap, vmax=None, markers=()):
     ]
 
     # Cells: x ascending to the right, y ascending upward (array side at bottom).
+    scaled = rows / top
+    fills = _fills(scaled)
+    x_labels = [f"{x:g}" for x in xs]
     for iy in range(n_y):
+        cy = _MARGIN_TOP + (n_y - 1 - iy) * _CELL
+        y_label = f"{ys[iy]:g}"
         for ix in range(n_x):
             cx = _MARGIN_LEFT + ix * _CELL
-            cy = _MARGIN_TOP + (n_y - 1 - iy) * _CELL
             val = rows[iy, ix]
             out.append(
                 f'<rect x="{cx}" y="{cy}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{_colour(val / top)}"><title>x={xs[ix]:g} y={ys[iy]:g} '
+                f'fill="{fills[iy * n_x + ix]}"><title>x={x_labels[ix]} y={y_label} '
                 f"E={val:.6g} V/m</title></rect>"
             )
             out.append(
                 f'<text x="{cx + _CELL / 2:g}" y="{cy + _CELL / 2 + 4:g}" '
                 f'font-family="monospace" font-size="10" text-anchor="middle" '
-                f'fill="{"black" if val / top > 0.6 else "white"}">{val:.2g}</text>'
+                f'fill="{"black" if scaled[iy, ix] > 0.6 else "white"}">{val:.2g}</text>'
             )
 
     # Axis labels.
@@ -122,11 +141,10 @@ def heatmap_svg(heatmap, vmax=None, markers=()):
     bar_x = _MARGIN_LEFT + plot_w + _BAR_GAP
     steps = 40
     step_h = plot_h / steps
-    for i in range(steps):
-        t = 1.0 - i / (steps - 1)
+    for i, fill in enumerate(_fills(1.0 - np.arange(steps) / (steps - 1))):
         out.append(
             f'<rect x="{bar_x}" y="{_MARGIN_TOP + i * step_h:.2f}" '
-            f'width="{_BAR_WIDTH}" height="{step_h + 0.5:.2f}" fill="{_colour(t)}"/>'
+            f'width="{_BAR_WIDTH}" height="{step_h + 0.5:.2f}" fill="{fill}"/>'
         )
     for frac in (0.0, 0.5, 1.0):
         out.append(
@@ -150,11 +168,9 @@ def heatmap_ascii(heatmap, vmax=None):
 
     lines = [f"scenario {heatmap.scenario_id}: RMS E-field, "
              f"'{_ASCII_LEVELS[0]}'=0 to '{_ASCII_LEVELS[-1]}'={top:.3g} V/m"]
+    levels = _levels(rows, top).tolist()
     for iy in range(len(ys) - 1, -1, -1):
-        chars = []
-        for val in rows[iy]:
-            level = min(int(val / top * len(_ASCII_LEVELS)), len(_ASCII_LEVELS) - 1)
-            chars.append(_ASCII_LEVELS[level] * 2)
-        lines.append(f"y={ys[iy]:>4g} |{''.join(chars)}|")
+        chars = "".join(_ASCII_LEVELS[level] * 2 for level in levels[iy])
+        lines.append(f"y={ys[iy]:>4g} |{chars}|")
     lines.append(f"        x: {xs[0]:g} to {xs[-1]:g} step {heatmap.grid.spacing:g} m")
     return "\n".join(lines) + "\n"

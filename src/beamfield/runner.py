@@ -22,7 +22,7 @@ from . import stats as stats_mod
 from .channel import estimate_csi, generate_channel
 from .config import derive_seed, validate
 from .errors import ConfigError
-from .field import compute_heatmap
+from .field import compute_heatmap, probe_gains
 from .geometry import far_field_distance, wavelength
 from .ofdm import transmit_frame
 from .precoding import combining_vectors, zf_precoder
@@ -50,8 +50,12 @@ class Manifest:
         return [a["path"] for a in self.artifacts]
 
 
-def run_scenario(config, scenario, index, array, room, grid):
-    """The measurement procedure for one scenario: pilots, precoding, frames, map."""
+def run_scenario(config, scenario, index, array, room, grid, gains):
+    """The measurement procedure for one scenario: pilots, precoding, frames, map.
+
+    ``gains`` is the run's :func:`~beamfield.field.probe_gains` matrix,
+    shared read-only by every scenario.
+    """
     ch_cfg = dataclasses.replace(
         config.channel, rng_seed=derive_seed(config.seed, index, _SEED_STREAM_CSI)
     )
@@ -64,7 +68,7 @@ def run_scenario(config, scenario, index, array, room, grid):
     precoder = zf_precoder(h_est, scenario, combiners=combiners)
     ber = transmit_frame(precoder, h_true, combiners, ofdm_cfg,
                          scenario_id=scenario.id)
-    heatmap = compute_heatmap(scenario, array, room, precoder, grid, ch_cfg,
+    heatmap = compute_heatmap(scenario, precoder, grid, gains,
                               calibration=config.calibration)
     return ScenarioResult(scenario=scenario, ber=ber, heatmap=heatmap)
 
@@ -85,16 +89,18 @@ def run(config, out_dir=None):
     room = config.room
     array = config.build_array()
     grid = config.build_grid()
+    gains = probe_gains(array, room, grid, config.channel)
     scenarios = config.selected_scenarios()
 
     if config.workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(
-                lambda pair: run_scenario(config, pair[1], pair[0], array, room, grid),
+                lambda pair: run_scenario(config, pair[1], pair[0], array, room, grid,
+                                          gains),
                 enumerate(scenarios),
             ))
     else:
-        results = [run_scenario(config, s, i, array, room, grid)
+        results = [run_scenario(config, s, i, array, room, grid, gains)
                    for i, s in enumerate(scenarios)]
 
     maps = [r.heatmap for r in results]

@@ -7,6 +7,7 @@ from beamfield import (
     build_grid,
     combining_vectors,
     generate_channel,
+    probe_gains,
     standard_scenarios,
     zf_precoder,
 )
@@ -36,6 +37,12 @@ def scenarios():
 def los_cfg():
     """LoS-only channel with perfect CSI."""
     return ChannelModelConfig()
+
+
+@pytest.fixture(scope="session")
+def los_gains(array, room, grid, los_cfg):
+    """Field gains of the default array over the default grid, LoS-only."""
+    return probe_gains(array, room, grid, los_cfg)
 
 
 def perfect_link(array, scenario, room, cfg):

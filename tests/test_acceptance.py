@@ -24,6 +24,7 @@ from beamfield import (
     far_field_distance,
     fit_decay,
     map_64qam,
+    probe_gains,
     right_pseudo_inverse,
     run,
     transmit_frame,
@@ -148,8 +149,9 @@ def test_criterion_06_free_space_field_ground_truth():
 def test_criterion_07_inverse_distance_decay(array, room, scenarios):
     cfg = ChannelModelConfig()  # los-only, perfect CSI
     _, _, precoder = perfect_link(array, scenarios[0], room, cfg)
-    heatmap = compute_heatmap(scenarios[0], array, room, precoder,
-                              RunConfig().build_grid(), cfg)
+    grid = RunConfig().build_grid()
+    heatmap = compute_heatmap(scenarios[0], precoder, grid,
+                              probe_gains(array, room, grid, cfg))
     cut = extract_cut(heatmap, 0.0)
     ff = far_field_distance(array.aperture(), wavelength(cfg.carrier_frequency))
     exponent, r_squared = fit_decay(cut, min_distance=ff)
@@ -164,10 +166,11 @@ def test_criterion_08_maximum_near_array(grid):
         config, ofdm=dataclasses.replace(config.ofdm, frames=1))
     room = config.room
     array = config.build_array()
+    gains = probe_gains(array, room, grid, config.channel)
     near = 0
     positions = []
     for i, scn in enumerate(config.selected_scenarios()):
-        result = run_scenario(config, scn, i, array, room, grid)
+        result = run_scenario(config, scn, i, array, room, grid, gains)
         p = result.heatmap.grid.points[np.argmax(result.heatmap.values)]
         positions.append((scn.id, float(p[0]), float(p[1])))
         if math.hypot(p[0] - 0.0, p[1] - 1.0) <= 1.5:
@@ -178,10 +181,11 @@ def test_criterion_08_maximum_near_array(grid):
 
 def test_criterion_09_average_exactness(array, room, grid, scenarios):
     cfg = ChannelModelConfig()
+    gains = probe_gains(array, room, grid, cfg)
     maps = []
     for scn in scenarios:
         _, _, precoder = perfect_link(array, scn, room, cfg)
-        maps.append(compute_heatmap(scn, array, room, precoder, grid, cfg))
+        maps.append(compute_heatmap(scn, precoder, grid, gains))
     averaged = average_heatmaps(maps)
     naive = sum(m.values for m in maps) / len(maps)
     rel = np.max(np.abs(averaged.values - naive) / naive)
@@ -207,10 +211,11 @@ def test_criterion_10_compliance_logic(array, room, grid, scenarios):
             assert check(m, region, limits).exceed_count == count
 
     cfg = ChannelModelConfig()
+    gains = probe_gains(array, room, grid, cfg)
     peak = 0.0
     for scn in scenarios:
         _, _, precoder = perfect_link(array, scn, room, cfg)
-        hm = compute_heatmap(scn, array, room, precoder, grid, cfg)
+        hm = compute_heatmap(scn, precoder, grid, gains)
         scaled = HeatMap(grid=grid, values=hm.values * (3.09 / hm.values.max()),
                          scenario_id=scn.id)
         peak = max(peak, float(scaled.values.max()))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from beamfield import ConfigError, RunConfig, load_config, validate
 from beamfield.cli import main as cli_main
 from beamfield.config import ValidationReport, from_dict
+from beamfield.geometry import MAX_GAIN_ENTRIES, MAX_GRID_POINTS
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "paper-defaults.yaml")
@@ -108,6 +109,12 @@ BAD_DOCUMENTS = [
     ("time-domain-budget", "seed: 1\nofdm: {frames: 200, time_domain: true}\n", "FFT bins"),
     ("ue-antennas", "seed: 1\ncustom_scenarios: [{id: x, ue_positions: [[0, 4]], "
      "antennas_per_ue: 1000000000}]\n", "custom_scenarios[0]: antennas_per_ue"),
+    ("gain-budget", "seed: 1\narray: {rows: 32, cols: 64, spacing: 0.04, active: all}\n"
+     "grid: {spacing: 0.008}\n", "field-gain budget"),
+    ("time-domain-block", "seed: 1\nofdm: {time_domain: true, frames: 1, "
+     "frame_samples: 622592}\n", "time-domain transmit block"),
+    ("cut-x-off-grid", "seed: 1\ngrid: {spacing: 0.0065, y_max: 1.0}\n",
+     "cut_x: 0 is not a grid column"),
     ("negative-rates", "seed: 1\nofdm: {sample_rate: -61.44e6, subcarrier_spacing: -15000.0}\n",
      "ofdm: subcarrier_spacing must be positive"),
 ]
@@ -136,6 +143,35 @@ def test_grid_budget_is_checked_before_allocating():
         tracemalloc.stop()
     assert any("budget" in f for f in report.findings)
     assert peak < 1 << 20
+
+
+def test_budgets_keep_the_default_array_and_time_domain_frame():
+    # 64 active elements fit over every grid the point budget allows.
+    assert MAX_GAIN_ENTRIES == MAX_GRID_POINTS * 64
+    assert validate({"seed": 1, "grid": {"spacing": 0.1}}).ok
+    assert validate({"seed": 1, "ofdm": {"time_domain": True}}).ok
+
+
+def test_gain_budget_is_checked_before_allocating():
+    tracemalloc.start()
+    try:
+        report = validate({"seed": 1, "grid": {"spacing": 0.008},
+                           "array": {"rows": 32, "cols": 64, "spacing": 0.04,
+                                     "active": "all"}})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert any("field-gain budget" in f for f in report.findings)
+    assert peak < 1 << 20
+
+
+def test_cut_x_finding_stays_short_on_a_fine_grid():
+    # 923 columns in one row: listing them all made a 7377-character line.
+    report = validate({"seed": 1, "grid": {"spacing": 0.0065, "y_max": 1.0}})
+    (finding,) = report.findings
+    assert finding.startswith("cut_x: 0 is not a grid column")
+    assert "-0.0035 and 0.003" in finding
+    assert len(finding) < 200
 
 
 def test_symbol_budget_leaves_room_for_long_runs():

@@ -8,12 +8,14 @@ from beamfield import (
     ChannelModelConfig,
     PrecodingMatrix,
     Room,
+    RunConfig,
     Scenario,
     compute_heatmap,
     element_field,
     far_field_distance,
     field_to_power,
     power_to_field,
+    probe_gains,
     standard_scenarios,
     superpose_fields,
     wavelength,
@@ -101,68 +103,90 @@ class TestSuperposeFields:
 
 
 class TestComputeHeatmap:
-    def test_zero_precoder_zero_map(self, array, room, grid, scenarios, los_cfg):
+    def test_zero_precoder_zero_map(self, grid, scenarios, los_gains):
         w = PrecodingMatrix(w=np.zeros((64, 1), dtype=complex), per_stream_power=0.0)
-        hm = compute_heatmap(scenarios[0], array, room, w, grid, los_cfg)
+        hm = compute_heatmap(scenarios[0], w, grid, los_gains)
         assert np.all(hm.values == 0.0)
 
     def test_scenario1_max_nearest_to_array(self, array, room, grid, scenarios,
-                                            los_cfg):
+                                            los_cfg, los_gains):
         _, _, w = perfect_link(array, scenarios[0], room, los_cfg)
-        hm = compute_heatmap(scenarios[0], array, room, w, grid, los_cfg)
+        hm = compute_heatmap(scenarios[0], w, grid, los_gains)
         best = hm.grid.points[np.argmax(hm.values)]
         assert np.allclose(best[:2], (0.0, 1.0))
 
-    def test_power_scaling_scales_field(self, array, room, grid, scenarios, los_cfg):
+    def test_power_scaling_scales_field(self, array, room, grid, scenarios, los_cfg,
+                                        los_gains):
         scn = scenarios[0]
         _, c, w = perfect_link(array, scn, room, los_cfg)
-        hm1 = compute_heatmap(scn, array, room, w, grid, los_cfg)
+        hm1 = compute_heatmap(scn, w, grid, los_gains)
         w2 = dataclasses.replace(w, w=w.w * math.sqrt(2.0))
-        hm2 = compute_heatmap(scn, array, room, w2, grid, los_cfg)
+        hm2 = compute_heatmap(scn, w2, grid, los_gains)
         assert np.allclose(hm2.values, hm1.values * math.sqrt(2.0), rtol=1e-12)
 
-    def test_linearity_in_weight_scale(self, array, room, grid, scenarios, los_cfg):
+    def test_linearity_in_weight_scale(self, array, room, grid, scenarios, los_cfg,
+                                       los_gains):
         _, _, w = perfect_link(array, scenarios[3], room, los_cfg)
-        hm1 = compute_heatmap(scenarios[3], array, room, w, grid, los_cfg)
+        hm1 = compute_heatmap(scenarios[3], w, grid, los_gains)
         # Power-of-two scale: every float operation stays exact.
         w2 = dataclasses.replace(w, w=w.w * 2.0)
-        hm2 = compute_heatmap(scenarios[3], array, room, w2, grid, los_cfg)
+        hm2 = compute_heatmap(scenarios[3], w2, grid, los_gains)
         assert np.array_equal(hm2.values, hm1.values * 2.0)
         # Generic scale: exact up to one rounding per operation.
         w3 = dataclasses.replace(w, w=w.w * 3.0)
-        hm3 = compute_heatmap(scenarios[3], array, room, w3, grid, los_cfg)
+        hm3 = compute_heatmap(scenarios[3], w3, grid, los_gains)
         assert np.allclose(hm3.values, hm1.values * 3.0, rtol=1e-14)
 
-    def test_calibration_scales_map(self, array, room, grid, scenarios, los_cfg):
+    def test_calibration_scales_map(self, array, room, grid, scenarios, los_cfg,
+                                    los_gains):
         _, _, w = perfect_link(array, scenarios[0], room, los_cfg)
-        hm1 = compute_heatmap(scenarios[0], array, room, w, grid, los_cfg)
-        hm2 = compute_heatmap(scenarios[0], array, room, w, grid, los_cfg,
+        hm1 = compute_heatmap(scenarios[0], w, grid, los_gains)
+        hm2 = compute_heatmap(scenarios[0], w, grid, los_gains,
                               calibration=0.5)
         assert np.array_equal(hm2.values, hm1.values * 0.5)
 
-    def test_mirror_symmetry(self, array, room, grid, los_cfg):
+    def test_mirror_symmetry(self, array, room, grid, los_cfg, los_gains):
         scn = standard_scenarios()[5]            # users at (0, 8) and (-3, 4)
         mirrored = Scenario(id="m", ue_positions=tuple(
             (-x, y) for x, y in scn.ue_positions
         ))
         _, _, w_a = perfect_link(array, scn, room, los_cfg)
         _, _, w_b = perfect_link(array, mirrored, room, los_cfg)
-        hm_a = compute_heatmap(scn, array, room, w_a, grid, los_cfg)
-        hm_b = compute_heatmap(mirrored, array, room, w_b, grid, los_cfg)
+        hm_a = compute_heatmap(scn, w_a, grid, los_gains)
+        hm_b = compute_heatmap(mirrored, w_b, grid, los_gains)
         a = hm_a.as_grid_rows()
         b = hm_b.as_grid_rows()
         assert np.allclose(a, b[:, ::-1], rtol=1e-9)
 
-    def test_stream_power_additivity(self, array, room, grid, scenarios, los_cfg):
+    def test_shared_gains_match_per_probe_superposition(self, array, room, grid,
+                                                        scenarios):
+        # One matrix serves every scenario: each map equals the direct
+        # superposition at its probes, reflections and calibration included.
+        config = RunConfig()
+        cfg = config.channel
+        gains = probe_gains(array, room, grid, cfg)
+        assert gains.shape == (grid.n_points, array.n_active)
+        assert not gains.flags.writeable
+        probes = np.random.default_rng(4).choice(grid.n_points, size=12, replace=False)
+        for scn in scenarios:
+            _, _, w = perfect_link(array, scn, room, cfg)
+            hm = compute_heatmap(scn, w, grid, gains, calibration=0.7)
+            for k in probes:
+                want = superpose_fields(array, w, grid.points[k], room, cfg,
+                                        calibration=0.7)
+                assert hm.values[k] == pytest.approx(want, rel=1e-12)
+
+    def test_stream_power_additivity(self, array, room, grid, scenarios, los_cfg,
+                                     los_gains):
         # All float operations are shared column-wise; only the final
         # correctly-rounded sqrt differs, so squares agree to 2 ulp.
         scn = scenarios[4]
         _, _, w = perfect_link(array, scn, room, los_cfg)
-        full = compute_heatmap(scn, array, room, w, grid, los_cfg)
+        full = compute_heatmap(scn, w, grid, los_gains)
         parts = []
         for s in range(2):
             ws = dataclasses.replace(w, w=w.w[:, s:s + 1].copy())
-            parts.append(compute_heatmap(scn, array, room, ws, grid, los_cfg))
+            parts.append(compute_heatmap(scn, ws, grid, los_gains))
         lhs = full.values ** 2
         rhs = parts[0].values ** 2 + parts[1].values ** 2
         assert np.all(np.abs(lhs - rhs) <= 2 * np.spacing(lhs))

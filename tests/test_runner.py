@@ -3,8 +3,10 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+import beamfield.field
 from beamfield import ConfigError, RunConfig, load_config, run, validate, verify_manifest
 from beamfield.cli import main as cli_main
 from beamfield.config import from_dict
@@ -77,6 +79,22 @@ class TestRun:
         run(cfg, out_dir=str(tmp_path))
         files = read_all(tmp_path)
         assert files["heatmap_average.csv"] == files["heatmap_scenario_1.csv"]
+
+    def test_probe_gains_computed_once_per_run(self, tmp_path, monkeypatch):
+        rx_seen = []
+        real = beamfield.field.propagation_gains
+
+        def counting(tx_points, rx_points, *args, **kwargs):
+            rx_seen.append(np.array(rx_points))
+            return real(tx_points, rx_points, *args, **kwargs)
+
+        monkeypatch.setattr(beamfield.field, "propagation_gains", counting)
+        config = small_config(scenario_ids=RunConfig().scenario_ids)
+        run(config, out_dir=str(tmp_path))
+        grid = config.build_grid()
+        assert len(config.scenario_ids) == 8
+        assert sum(np.array_equal(rx, grid.points) for rx in rx_seen) == 1
+        assert len(rx_seen) == 1
 
     def test_expected_artifacts(self, tmp_path):
         run(small_config(), out_dir=str(tmp_path))

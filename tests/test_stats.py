@@ -23,11 +23,11 @@ def constant_map(grid, value, scenario_id="c"):
 
 
 @pytest.fixture()
-def scenario_maps(array, room, grid, scenarios, los_cfg):
+def scenario_maps(array, room, grid, scenarios, los_cfg, los_gains):
     maps = []
     for scn in scenarios:
         _, _, w = perfect_link(array, scn, room, los_cfg)
-        maps.append(compute_heatmap(scn, array, room, w, grid, los_cfg))
+        maps.append(compute_heatmap(scn, w, grid, los_gains))
     return maps
 
 
