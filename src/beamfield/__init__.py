@@ -52,7 +52,7 @@ from .geometry import (
     standard_scenarios,
     wavelength,
 )
-from .linalg import right_pseudo_inverse, solve
+from .linalg import right_pseudo_inverse
 from .ofdm import BerReport, OfdmConfig, demap_64qam, map_64qam, transmit_frame
 from .precoding import (
     PrecodingMatrix,
@@ -77,7 +77,7 @@ __all__ = [
     "far_field_distance", "field_to_power", "fit_decay", "from_dict",
     "generate_channel", "image_sources", "load_config",
     "los_gain", "map_64qam", "min_compliant_distance",
-    "power_to_field", "probe_gains", "right_pseudo_inverse", "run", "solve",
+    "power_to_field", "probe_gains", "right_pseudo_inverse", "run",
     "standard_scenarios", "summary", "superpose_fields",
     "transmit_frame", "validate", "verify_manifest", "wavelength",
     "zf_precoder",

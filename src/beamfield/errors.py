@@ -8,8 +8,9 @@ class BeamfieldError(Exception):
 class SingularMatrixError(BeamfieldError, ArithmeticError):
     """A linear system is singular or numerically rank deficient.
 
-    ``pivot_index`` is the elimination step at which the pivot fell below
-    the rank threshold.
+    ``pivot_index`` is the first row that is not separable from the rows
+    before it: its energy left after projecting them out fell below the
+    rank threshold.
     """
 
     def __init__(self, message, pivot_index):

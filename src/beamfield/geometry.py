@@ -198,10 +198,11 @@ def build_array(
 
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing + cx
     zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing + cz
-    positions = np.empty((rows * cols, 3))
-    for r in range(rows):
-        for c in range(cols):
-            positions[r * cols + c] = (xs[c], cy, zs[r])
+    positions = np.empty((rows, cols, 3))
+    positions[..., 0] = xs
+    positions[..., 1] = cy
+    positions[..., 2] = zs[:, None]
+    positions = positions.reshape(-1, 3)
 
     if isinstance(active_selection, str):
         if active_selection == "all":
@@ -302,12 +303,8 @@ def build_grid(
                     f"grid corner ({x}, {y}) at height {height} lies outside the room"
                 )
 
-    points = np.empty((len(xs) * len(ys), 3))
-    k = 0
-    for y in ys:
-        for x in xs:
-            points[k] = (x, y, height)
-            k += 1
+    gx, gy = np.meshgrid(xs, ys)
+    points = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(height))])
     points.setflags(write=False)
     xs.setflags(write=False)
     ys.setflags(write=False)
@@ -335,11 +332,12 @@ def ue_antenna_positions(scenario, carrier_frequency, height=DEFAULT_MOUNT_HEIGH
     lam = wavelength(carrier_frequency)
     m = scenario.antennas_per_ue
     offsets = (np.arange(m) - (m - 1) / 2.0) * (lam / 2.0)
-    out = np.empty((scenario.n_users * m, 3))
-    for k, (ux, uy) in enumerate(scenario.ue_positions):
-        for i in range(m):
-            out[k * m + i] = (ux + offsets[i], uy, height)
-    return out
+    ue = np.asarray(scenario.ue_positions, dtype=float)
+    out = np.empty((scenario.n_users, m, 3))
+    out[..., 0] = ue[:, :1] + offsets
+    out[..., 1] = ue[:, 1:]
+    out[..., 2] = height
+    return out.reshape(-1, 3)
 
 
 def far_field_distance(aperture_m, wavelength_m):

@@ -1,19 +1,19 @@
-"""Deterministic complex linear algebra for precoding and channel estimation.
+"""Complex linear algebra for the zero-forcing precoder.
 
-Matrices are plain 2-D ``numpy.ndarray`` of ``complex128`` in row-major
-order.  The solver is a direct Gaussian elimination with partial pivoting:
-every system in the simulator is at most 32 x 32 (users x users after
-receive combining), where elimination is both stable and easy to audit.
-Rank deficiency is declared when a pivot drops below ``RANK_EPS`` times
-the largest entry of the original matrix.
+Matrices are plain 2-D ``numpy.ndarray`` of ``complex128``.  The right
+pseudo-inverse comes from a QR factorisation of ``h^H`` (``numpy.linalg``),
+so the Gram matrix ``h h^H`` is never formed.  Because ``h h^H = R^H R``,
+``|R[k, k]|^2`` is the energy of row ``k`` left after projecting out the
+rows before it; rank deficiency is declared at the first ``k`` where that
+energy falls below ``RANK_EPS`` times the largest row energy.
 """
 
 import numpy as np
 
 from .errors import SingularMatrixError
 
-# Pivot threshold relative to the largest initial entry; far below any
-# physically meaningful channel conditioning in this simulator.
+# Residual row energy threshold relative to the largest row energy; far
+# below any physically meaningful channel conditioning in this simulator.
 RANK_EPS = 1e-12
 
 
@@ -27,59 +27,26 @@ def as_complex_matrix(a):
     return m
 
 
-def solve(a, b):
-    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
-
-    ``a`` must be square; ``b`` may have any number of right-hand-side
-    columns.  Raises :class:`SingularMatrixError` (carrying the failing
-    pivot index) when a pivot falls below ``RANK_EPS`` times the largest
-    entry of the original ``a``.
-    """
-    a = as_complex_matrix(a).copy()
-    b = as_complex_matrix(b).copy()
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"rhs has {b.shape[0]} rows, expected {n}")
-
-    threshold = RANK_EPS * np.max(np.abs(a)) if n else 0.0
-
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if np.abs(a[p, k]) < threshold or a[p, k] == 0:
-            raise SingularMatrixError(
-                f"matrix is singular to working precision (pivot {k})", pivot_index=k
-            )
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1:] -= np.outer(factors, b[k])
-
-    x = np.zeros_like(b)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
-
-
 def right_pseudo_inverse(h):
     """Right pseudo-inverse ``h^H (h h^H)^-1`` of a wide full-row-rank matrix.
 
     This is the core of the zero-forcing precoder: the result satisfies
-    ``h @ right_pseudo_inverse(h) == I`` up to numerical residual.
+    ``h @ right_pseudo_inverse(h) == I`` up to numerical residual.  With
+    ``h^H = Q R`` it equals ``Q R^-H``.  Raises :class:`SingularMatrixError`
+    whose ``pivot_index`` is the first row not separable from the rows
+    before it.
     """
     h = as_complex_matrix(h)
     m, n = h.shape
     if m > n:
         raise ValueError(f"matrix must have rows <= cols, got {m}x{n}")
-    hh = h @ h.conj().T
-    try:
-        inv = solve(hh, np.eye(m, dtype=np.complex128))
-    except SingularMatrixError as exc:
+    q, r = np.linalg.qr(h.conj().T)
+    residual = np.abs(np.diag(r)) ** 2
+    threshold = RANK_EPS * np.max(np.sum(np.abs(h) ** 2, axis=1)) if m else 0.0
+    deficient = np.flatnonzero((residual < threshold) | (residual == 0))
+    if deficient.size:
+        k = int(deficient[0])
         raise SingularMatrixError(
-            f"ZF infeasible: users not separable (pivot {exc.pivot_index})",
-            pivot_index=exc.pivot_index,
-        ) from exc
-    return h.conj().T @ inv
+            f"ZF infeasible: users not separable (pivot {k})", pivot_index=k
+        )
+    return np.linalg.solve(r, q.conj().T).conj().T

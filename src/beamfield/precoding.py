@@ -1,10 +1,10 @@
 """Zero-forcing precoding with per-user maximum-ratio receive combining.
 
 Each user's four receive antennas are collapsed to a single stream by the
-dominant direction of its channel block (power iteration on H_k H_k^H, so
-no SVD dependency).  The precoder is the right pseudo-inverse of the
-resulting effective user channel, with every stream scaled to an equal
-share of the configured total transmit power.
+dominant left singular vector of its channel block (``numpy.linalg.svd``).
+The precoder is the right pseudo-inverse of the resulting effective user
+channel, with every stream scaled to an equal share of the configured
+total transmit power.
 """
 
 from dataclasses import dataclass
@@ -13,9 +13,6 @@ import numpy as np
 
 from .errors import DegenerateChannelError, SingularMatrixError, ZfInfeasibleError
 from .linalg import right_pseudo_inverse
-
-_POWER_ITERATIONS = 30
-_POWER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,28 +38,15 @@ class PrecodingMatrix:
 def _dominant_direction(block):
     """Unit-norm dominant left singular direction of a (m x n) block.
 
-    Power iteration on A = block block^H; the phase is canonicalised so
-    the largest-magnitude component is real and non-negative.
+    The phase is canonicalised so the largest-magnitude component is real
+    and non-negative.
     """
-    a = block @ block.conj().T
-    if np.max(np.abs(a)) == 0.0:
+    u, s, _ = np.linalg.svd(block, full_matrices=False)
+    if s[0] == 0.0:
         raise DegenerateChannelError("user channel block is identically zero")
-    m = a.shape[0]
-    v = np.ones(m, dtype=np.complex128) / np.sqrt(m)
-    for _ in range(_POWER_ITERATIONS):
-        w = a @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        w /= norm
-        if np.linalg.norm(w - v) <= _POWER_TOL:
-            v = w
-            break
-        v = w
+    v = u[:, 0]
     pivot = int(np.argmax(np.abs(v)))
-    phase = v[pivot] / abs(v[pivot])
-    v = v / phase
-    return v / np.linalg.norm(v)
+    return v * (abs(v[pivot]) / v[pivot])
 
 
 def combining_vectors(h_est, scenario):

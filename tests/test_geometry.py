@@ -34,6 +34,21 @@ class TestBuildArray:
         assert abs(active[:, 0].mean()) < 1e-12
         assert active[:, 2].mean() == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("rows, cols, spacing, center", [
+        (16, 8, 0.057, (0.0, 0.0, 1.5)),
+        (3, 5, 0.13, (1, -2, 3)),
+    ])
+    def test_positions_equal_loop_reference(self, rows, cols, spacing, center):
+        pos = build_array(rows, cols, spacing, center, active_selection="all").element_positions
+        xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing + center[0]
+        zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing + center[2]
+        expect = np.empty((rows * cols, 3))
+        for r in range(rows):
+            for c in range(cols):
+                expect[r * cols + c] = (xs[c], center[1], zs[r])
+        assert pos.tobytes() == expect.tobytes()
+        assert not pos.flags.writeable
+
     def test_central_policy_needs_8x8(self):
         with pytest.raises(ValueError, match="central-8x8"):
             build_array(rows=2, cols=2, spacing=0.05, center=(0, 0, 0),
@@ -110,6 +125,21 @@ class TestBuildGrid:
         assert np.allclose(pts[0][:2], (-3, 1))
         assert np.allclose(pts[-1][:2], (3, 8))
 
+    @pytest.mark.parametrize("args", [
+        (-3.0, 3.0, 1.0, 8.0, 1.0, 1.5),
+        (-3.0, 3.0, 1.0, 8.0, 0.1, 1.5),
+        (-1.3, 2.71, 0.2, 3.3, 0.37, 2),
+    ])
+    def test_points_equal_loop_reference(self, args):
+        g = build_grid(*args)
+        expect = np.empty((g.n_points, 3))
+        k = 0
+        for y in g.y_values:
+            for x in g.x_values:
+                expect[k] = (x, y, args[5])
+                k += 1
+        assert g.points.tobytes() == expect.tobytes()
+
     def test_outside_room_rejected(self, room):
         with pytest.raises(ValueError, match="outside the room"):
             build_grid(-5, 5, 1, 8, 1.0, 1.5, room=room)
@@ -148,6 +178,16 @@ class TestHelpers:
         assert np.allclose(pos[:, 0].mean(), 1.0)
         assert np.all(pos[:, 1] == 5.0)
         assert np.all(pos[:, 2] == 1.5)
+
+    def test_ue_antennas_equal_loop_reference(self):
+        s = Scenario(id="t", ue_positions=((1, 5), (-0.3, 2.7), (3.0, 4.1)), antennas_per_ue=7)
+        pos = ue_antenna_positions(s, 3.5e9, height=2)
+        offsets = (np.arange(7) - 3.0) * (wavelength(3.5e9) / 2.0)
+        expect = np.empty((21, 3))
+        for k, (ux, uy) in enumerate(s.ue_positions):
+            for i in range(7):
+                expect[k * 7 + i] = (ux + offsets[i], uy, 2)
+        assert pos.tobytes() == expect.tobytes()
 
     def test_far_field_distance(self):
         assert far_field_distance(0.456, 0.114) == pytest.approx(2 * 0.456**2 / 0.114)

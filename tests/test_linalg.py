@@ -1,56 +1,9 @@
 import numpy as np
 import pytest
 
-from beamfield import SingularMatrixError, right_pseudo_inverse, solve
+from beamfield import SingularMatrixError, right_pseudo_inverse
 
 from conftest import random_complex
-
-
-class TestSolve:
-    def test_identity_system(self):
-        rng = np.random.default_rng(6)
-        b = random_complex(rng, (4, 2))
-        assert np.allclose(solve(np.eye(4), b), b, rtol=0, atol=0)
-
-    def test_diagonal_inverse(self):
-        a = np.array([[2.0, 0.0], [0.0, 4.0]])
-        x = solve(a, np.eye(2))
-        assert np.allclose(x, np.diag([0.5, 0.25]), rtol=1e-15)
-
-    def test_residual_random_6x6(self):
-        rng = np.random.default_rng(7)
-        a = random_complex(rng, (6, 6)) + 6 * np.eye(6)
-        b = random_complex(rng, (6, 3))
-        x = solve(a, b)
-        residual = np.linalg.norm(a @ x - b)
-        assert residual <= 1e-10 * np.linalg.norm(b)
-
-    def test_singular_raises_with_pivot(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
-        with pytest.raises(SingularMatrixError) as exc:
-            solve(a, np.eye(2))
-        assert exc.value.pivot_index == 1
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            solve(np.ones((2, 3)), np.ones((2, 1)))
-
-    def test_rhs_row_mismatch(self):
-        with pytest.raises(ValueError, match="rhs has 3 rows"):
-            solve(np.eye(2), np.ones((3, 1)))
-
-    def test_rejects_nonfinite(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="NaN"):
-            solve(bad, np.ones((2, 1)))
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(8)
-        a = random_complex(rng, (8, 8)) + 8 * np.eye(8)
-        b = random_complex(rng, (8, 8))
-        x1 = solve(a, b)
-        x2 = solve(a.copy(), b.copy())
-        assert np.array_equal(x1, x2)
 
 
 class TestRightPseudoInverse:
@@ -86,3 +39,31 @@ class TestRightPseudoInverse:
     def test_tall_rejected(self):
         with pytest.raises(ValueError, match="rows <= cols"):
             right_pseudo_inverse(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("rows, pivot", [
+        (lambda g: [g[0], 2 * g[0]], 1),
+        (lambda g: [g[0], g[1], g[0]], 2),
+        (lambda g: [g[0], g[0], g[1]], 1),
+        (lambda g: [g[1], g[0], 3 * g[0]], 2),
+        (lambda g: [5 * g[0], g[1], g[0]], 2),
+        (lambda g: [g[0], g[1], g[0] + g[1]], 2),
+        (lambda g: [g[0], g[1], g[2], 2 * g[1]], 3),
+        (lambda g: [0 * g[0], g[1]], 0),
+    ], ids=["g0,2g0", "g0,g1,g0", "g0,g0,g1", "g1,g0,3g0", "5g0,g1,g0", "g0,g1,g0+g1",
+            "g0,g1,g2,2g1", "0,g1"])
+    def test_pivot_names_first_dependent_row(self, rows, pivot):
+        rng = np.random.default_rng(12)
+        g = random_complex(rng, (3, 16))
+        with pytest.raises(SingularMatrixError, match=f"pivot {pivot}") as exc:
+            right_pseudo_inverse(np.vstack(rows(g)))
+        assert exc.value.pivot_index == pivot
+
+    def test_rejects_nonfinite(self):
+        bad = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            right_pseudo_inverse(bad)
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(8)
+        h = random_complex(rng, (8, 64))
+        assert np.array_equal(right_pseudo_inverse(h), right_pseudo_inverse(h.copy()))

@@ -49,6 +49,18 @@ class TestCombiningVectors:
             for c in combining_vectors(h, scn):
                 assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("s2", [0.9, 0.99, 0.999])
+    def test_near_degenerate_block_gives_dominant_vector(self, s2):
+        # sigma_2 / sigma_1 close to 1: the combiner must still be u_1.
+        rng = np.random.default_rng(26)
+        u, _ = np.linalg.qr(random_complex(rng, (4, 4)))
+        v, _ = np.linalg.qr(random_complex(rng, (64, 4)))
+        block = u @ np.diag([1.0, s2, 0.3, 0.1]) @ v.conj().T
+        h = make_channel(block, n_users=1)
+        scn = Scenario(id="t", ue_positions=((0.0, 4.0),))
+        (c,) = combining_vectors(h, scn)
+        assert abs(np.vdot(c, u[:, 0])) >= 1 - 1e-12
+
     def test_zero_block_rejected(self):
         h = make_channel(np.zeros((4, 8)), n_users=1)
         scn = Scenario(id="t", ue_positions=((0.0, 4.0),))
@@ -125,6 +137,14 @@ class TestZfPrecoder:
         h = make_channel(np.vstack([block, block]), n_users=2)
         scn = Scenario(id="t", ue_positions=((0.0, 4.0), (0.0, 4.0)))
         with pytest.raises(ZfInfeasibleError, match="not separable"):
+            zf_precoder(h, scn)
+
+    def test_duplicate_user_named(self):
+        rng = np.random.default_rng(27)
+        b0, b1 = random_complex(rng, (2, 4, 16))
+        h = make_channel(np.vstack([b0, b1, b0]), n_users=3)
+        scn = Scenario(id="t", ue_positions=((0.0, 4.0), (1.0, 4.0), (0.0, 4.0)))
+        with pytest.raises(ZfInfeasibleError, match="user 2 is not separable"):
             zf_precoder(h, scn)
 
     def test_fewer_users_get_more_gain(self, array, room, scenarios, los_cfg):

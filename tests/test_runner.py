@@ -236,3 +236,52 @@ class TestRenderOutputs:
         txt = (tmp_path / "heatmap_average.txt").read_text()
         assert "y=   8" in txt and "y=   1" in txt
         assert txt.count("\n") == 10  # header + 8 rows + axis line
+
+
+class TestGoldenValues:
+    """`configs/paper-defaults.yaml` against values recorded from a run.
+
+    A run is byte-identical only for the same platform, numpy and
+    BLAS/LAPACK build (see README, "Reproducibility"). Across builds the
+    heat-map statistics may move in their last digits, hence rtol, and a
+    link may gain or lose a few bit errors, hence the absolute BER
+    tolerance of about 10 errors in 1 022 976 bits.
+    """
+
+    RTOL = 1e-9
+    BER_ATOL = 1e-5
+    AVERAGE = {"max_vpm": 4.7702880583940726, "mean_vpm": 1.7264564292000055,
+               "p95_vpm": 3.5335090301208516}
+    EXPONENT = -0.40150408007102983
+    BER = {
+        ("1", "1"): 4.8877002e-06, ("2", "1"): 0.0, ("3", "1"): 0.0,
+        ("4", "1"): 2.93262012e-06, ("4", "2"): 0.0,
+        ("5", "1"): 0.00119259885, ("5", "2"): 0.0,
+        ("6", "1"): 0.00097265234, ("6", "2"): 2.93262012e-06,
+        ("7", "1"): 0.000850459835, ("7", "2"): 0.0,
+        ("8", "1"): 0.00502455581, ("8", "2"): 8.30909034e-05, ("8", "3"): 0.0,
+    }
+
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("paper-defaults")
+        run(load_config(CONFIG_PATH), out_dir=str(out))
+        return out
+
+    def test_average_map_and_decay(self, out_dir):
+        average = json.loads((out_dir / "summary.json").read_text())["average"]
+        for key, value in self.AVERAGE.items():
+            assert average[key] == pytest.approx(value, rel=self.RTOL, abs=0), key
+        fit = json.loads((out_dir / "decay_fit.json").read_text())
+        assert fit["exponent"] == pytest.approx(self.EXPONENT, rel=self.RTOL, abs=0)
+
+    def test_every_link_ber(self, out_dir):
+        rows = (out_dir / "ber.csv").read_text().split("\n")[1:-1]
+        ber = {}
+        for row in rows:
+            scenario, ue, value, bits = row.split(",")
+            assert int(bits) == 1022976
+            ber[scenario, ue] = float(value)
+        assert ber.keys() == self.BER.keys()
+        for link, value in self.BER.items():
+            assert ber[link] == pytest.approx(value, rel=0, abs=self.BER_ATOL), link
