@@ -9,7 +9,7 @@ this script under ``output/``.
 import os
 
 from beamfield import RunConfig, probe_gains, standard_scenarios, summary
-from beamfield.render import heatmap_ascii, heatmap_svg
+from beamfield.render import grid_text, heatmap_ascii, heatmap_svg
 from beamfield.runner import run_scenario
 
 out_dir = os.path.join(os.path.dirname(__file__), "output")
@@ -19,8 +19,10 @@ config = RunConfig()
 room = config.room
 array = config.build_array()
 grid = config.build_grid()
-# The probe x element gains do not depend on the scenario: compute them once.
+# The probe x element gains and the grid's SVG cell geometry, axes and colour
+# bar do not depend on the scenario: compute them once.
 gains = probe_gains(array, room, grid, config.channel)
+text = grid_text(grid)
 
 # A shared colour scale makes the eight maps comparable.
 results = [
@@ -36,7 +38,7 @@ for r in results:
     print(heatmap_ascii(r.heatmap, vmax=vmax))
     path = os.path.join(out_dir, f"heatmap_scenario_{r.scenario.id}.svg")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(heatmap_svg(r.heatmap, vmax=vmax, markers=r.scenario.ue_positions))
+        fh.write(heatmap_svg(r.heatmap, text, vmax=vmax, markers=r.scenario.ue_positions))
     print(f"  wrote {path}\n")
 
 peaks = [float(r.heatmap.values.max()) for r in results]

@@ -109,17 +109,23 @@ def image_sources(room, tx, order=1):
     ]
 
 
-def _pattern_amplitude(tx_points, rx_points, pattern):
-    """Element amplitude factor per (rx, tx) ray; boresight is +y.
+def _distances(rx_points, points):
+    """Ray lengths and y offsets (each R x T) from T points to R receivers.
 
-    tx_points: (T, 3); rx_points: (R, 3).  Returns (R, T) real factors.
+    The per-axis differences are summed as dx*dx + dy*dy + dz*dz, the
+    order in which ``np.linalg.norm(rx[:, None] - points[None], axis=2)``
+    adds them, so the lengths are bit-identical to it without its
+    (R, T, 3) temporary.
     """
-    if pattern == PATTERN_ISOTROPIC:
-        return 1.0
-    delta = rx_points[:, None, :] - tx_points[None, :, :]
-    d = np.linalg.norm(delta, axis=2)
-    cos_theta = np.clip(delta[:, :, 1] / d, 0.0, None)
-    return math.sqrt(_COSINE_PEAK_GAIN) * cos_theta
+    dx = rx_points[:, 0, None] - points[:, 0]
+    dy = rx_points[:, 1, None] - points[:, 1]
+    dz = rx_points[:, 2, None] - points[:, 2]
+    return np.sqrt(dx * dx + dy * dy + dz * dz), dy
+
+
+def _pattern_amplitude(d, dy):
+    """Cosine element amplitude factor per ray of length ``d``; boresight is +y."""
+    return math.sqrt(_COSINE_PEAK_GAIN) * np.clip(dy / d, 0.0, None)
 
 
 def propagation_gains(tx_points, rx_points, frequency, room=None,
@@ -133,15 +139,23 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
     tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
     rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
     lam = wavelength(frequency)
+    if pattern not in (PATTERN_ISOTROPIC, PATTERN_COSINE):
+        raise ValueError(f"unknown element pattern {pattern!r}")
 
-    def ray(points):
-        delta = rx_points[:, None, :] - points[None, :, :]
-        d = np.linalg.norm(delta, axis=2)
+    def ray(points, coeffs=None):
+        # Surface coefficient first, then the pattern: the order of the
+        # products fixes the rounding, and so the bytes of every artifact.
+        d, dy = _distances(rx_points, points)
         if np.any(d == 0.0):
             raise ValueError("a probe/receive point coincides with a transmit element")
-        return (lam / (4.0 * math.pi * d)) * np.exp(-2j * math.pi * d / lam)
+        g = (lam / (4.0 * math.pi * d)) * np.exp(-2j * math.pi * d / lam)
+        if coeffs is not None:
+            g *= coeffs
+        if pattern == PATTERN_COSINE:
+            g *= _pattern_amplitude(d, dy)
+        return g
 
-    g = ray(tx_points) * _pattern_amplitude(tx_points, rx_points, pattern)
+    g = ray(tx_points)
     if mode == MODE_IMAGE_1:
         if room is None:
             raise ValueError("image-order-1 mode requires a room")
@@ -151,7 +165,7 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
             coeffs = np.array([mirrored[t][surface][1] for t in range(len(tx_points))])
             if np.all(coeffs == 0.0):
                 continue
-            g += coeffs[None, :] * ray(pts) * _pattern_amplitude(pts, rx_points, pattern)
+            g += ray(pts, coeffs)
     elif mode != MODE_LOS:
         raise ValueError(f"unknown channel mode {mode!r}")
     return g

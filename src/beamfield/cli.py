@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 runtime error.
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -21,7 +22,7 @@ from .config import RunConfig, load_config, read_yaml, validate
 from .errors import BeamfieldError, ConfigError
 from .field import HeatMap
 from .geometry import ProbeGrid, standard_scenarios
-from .render import heatmap_ascii, heatmap_svg
+from .render import grid_text, heatmap_ascii, heatmap_svg
 from .runner import run
 
 
@@ -117,6 +118,23 @@ def _cmd_scenarios(_args):
     return 0
 
 
+def _parse_csv_row(path, lineno, line):
+    """(x, y, e) of one heat-map CSV data row; ConfigError names the line."""
+    where = f"{path}: line {lineno}"
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != 3:
+        raise ConfigError(f"{where}: expected 3 fields x_m,y_m,e_vpm, got {len(fields)}")
+    try:
+        x, y, v = (float(f) for f in fields)
+    except ValueError:
+        raise ConfigError(f"{where}: not a number in {line.strip()!r}") from None
+    if not all(math.isfinite(f) for f in (x, y, v)):
+        raise ConfigError(f"{where}: non-finite value in {line.strip()!r}")
+    if v < 0:
+        raise ConfigError(f"{where}: negative field value {v!r}")
+    return x, y, v
+
+
 def _read_heatmap_csv(path):
     """Rebuild a HeatMap from the runner's x_m,y_m,e_vpm CSV."""
     rows = []
@@ -124,16 +142,17 @@ def _read_heatmap_csv(path):
         header = fh.readline().strip()
         if header != "x_m,y_m,e_vpm":
             raise ConfigError(f"{path}: not a heat-map CSV (header {header!r})")
-        for line in fh:
-            x, y, v = line.strip().split(",")
-            rows.append((float(x), float(y), float(v)))
+        for lineno, line in enumerate(fh, start=2):
+            rows.append(_parse_csv_row(path, lineno, line))
+    if not rows:
+        raise ConfigError(f"{path}: line 2: no data rows after the header")
     xs = np.array(sorted({r[0] for r in rows}))
     ys = np.array(sorted({r[1] for r in rows}))
-    if len(xs) * len(ys) != len(rows):
+    lookup = {(r[0], r[1]): r[2] for r in rows}
+    if len(lookup) != len(rows) or len(xs) * len(ys) != len(rows):
         raise ConfigError(f"{path}: points do not form a complete lattice")
     values = np.empty(len(rows))
     points = np.empty((len(rows), 3))
-    lookup = {(r[0], r[1]): r[2] for r in rows}
     k = 0
     for y in ys:
         for x in xs:
@@ -143,9 +162,12 @@ def _read_heatmap_csv(path):
     spacing = float(xs[1] - xs[0]) if len(xs) > 1 else 1.0
     grid = ProbeGrid(points=points, spacing=spacing, probe_height=0.0,
                      x_values=xs, y_values=ys)
-    scenario_id = os.path.basename(path).removesuffix(".csv")
-    if scenario_id.startswith("heatmap_scenario_"):
-        scenario_id = scenario_id.removeprefix("heatmap_scenario_")
+    # The run names its maps by scenario id, and the average map "average".
+    stem = os.path.basename(path).removesuffix(".csv")
+    if stem == "heatmap_average":
+        scenario_id = "average"
+    else:
+        scenario_id = stem.removeprefix("heatmap_scenario_")
     return HeatMap(grid=grid, values=values, scenario_id=scenario_id)
 
 
@@ -159,7 +181,7 @@ def _cmd_render(args):
     if "svg" in formats:
         path = os.path.join(out_dir, f"{stem}.svg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(heatmap_svg(heatmap, vmax=args.vmax))
+            fh.write(heatmap_svg(heatmap, grid_text(heatmap.grid), vmax=args.vmax))
         written.append(path)
     if "ascii" in formats:
         path = os.path.join(out_dir, f"{stem}.txt")

@@ -1,10 +1,20 @@
-"""Deterministic SVG and ASCII renderings of heat maps.
+"""Deterministic CSV, JSON, SVG and ASCII text of heat maps.
 
 The SVG is assembled by hand (no plotting library) so repeated runs emit
 byte-identical files.  Colours follow a fixed linear scale from 0 V/m to
 ``vmax`` through an 11-anchor perceptual ramp; the ASCII preview
 quantises the same scale to 10 character levels.
+
+Most of a map's CSV, JSON and SVG text depends only on the probe grid:
+the coordinates, the cell geometry and titles, the axis labels and the
+colour bar.  :func:`grid_text` formats those parts once; a run builds it
+next to :func:`~beamfield.field.probe_gains` and shares it with every map
+it writes, so per map only the values, their colours and the title are
+formatted.
 """
+
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +34,8 @@ _MARGIN_BOTTOM = 40
 _MARGIN_TOP = 34
 _BAR_WIDTH = 18
 _BAR_GAP = 24
+# Colour-bar label positions, bottom to top, as fractions of the scale.
+_BAR_FRACTIONS = (0.0, 0.5, 1.0)
 
 
 def _fills(t):
@@ -52,79 +64,177 @@ def _levels(values, top):
     return np.minimum(values / top * n, n - 1).astype(int)
 
 
-def heatmap_svg(heatmap, vmax=None, markers=()):
-    """Render a heat map as an SVG colour grid.
+@dataclass(frozen=True, repr=False)
+class GridText:
+    """The artifact text of a heat map that depends only on its probe grid.
 
-    ``markers`` are (x, y) positions drawn as open circles (user
-    locations).  ``vmax`` pins the top of the colour scale; default is
-    the map maximum.
+    ``csv``, ``json`` and ``svg_cells`` are ``%``-templates with one slot
+    per grid point (four per SVG cell: fill, value, label colour, label),
+    so a map's text is one fill of the template.  ``%.9g`` formats a
+    float as ``format(v, ".9g")`` does, and ``%r`` is the
+    ``float.__repr__`` the JSON encoder writes.  Build it with
+    :func:`grid_text`.
     """
-    xs = np.asarray(heatmap.grid.x_values, dtype=float)
-    ys = np.asarray(heatmap.grid.y_values, dtype=float)
-    rows = heatmap.as_grid_rows()
-    top = float(vmax) if vmax is not None else float(heatmap.values.max())
-    if top <= 0:
-        top = 1.0
 
+    grid: object
+    csv: str
+    json: str
+    svg_open: str
+    svg_cells: str
+    svg_axes: str
+    svg_bar: str
+    bar_labels: tuple
+
+    def check(self, heatmap):
+        """Raise ValueError unless ``heatmap`` lies on this text's grid."""
+        if not self.grid.same_lattice(heatmap.grid):
+            raise ValueError("heat map and grid text come from different grids")
+
+
+def grid_text(grid):
+    """Format the grid-only parts of every heat-map artifact of ``grid`` once.
+
+    A run builds this next to :func:`~beamfield.field.probe_gains` and
+    shares it with every map it writes: the coordinates, the SVG cell
+    geometry, the axis labels and the colour bar are the same for each
+    scenario, so only the values and what they colour are formatted per
+    map.
+    """
+    xs = np.asarray(grid.x_values, dtype=float)
+    ys = np.asarray(grid.y_values, dtype=float)
     n_x, n_y = len(xs), len(ys)
     plot_w = n_x * _CELL
     plot_h = n_y * _CELL
     width = _MARGIN_LEFT + plot_w + _BAR_GAP + _BAR_WIDTH + 64
     height = _MARGIN_TOP + plot_h + _MARGIN_BOTTOM
 
-    out = [
+    csv = "x_m,y_m,e_vpm\n" + "".join(
+        f"{x:.9g},{y:.9g},%.9g\n" for x, y, _ in grid.points.tolist()
+    )
+
+    # json.dumps(..., indent=2, sort_keys=True) layout: e_vpm, scenario, x_m, y_m.
+    row = "    [\n" + ",\n".join(["      %r"] * n_x) + "\n    ]"
+    json_axes = json.dumps({"x_m": xs.tolist(), "y_m": ys.tolist()}, indent=2,
+                           sort_keys=True)
+    json_text = ('{\n  "e_vpm": [\n' + ",\n".join([row] * n_y)
+                 + '\n  ],\n  "scenario": %s,\n' + json_axes.removeprefix("{\n") + "\n")
+
+    svg_open = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{_MARGIN_LEFT}" y="20" font-family="monospace" font-size="14">'
-        f"scenario {heatmap.scenario_id} &#8212; RMS E-field (V/m), scale 0 to {top:.3g}</text>",
-    ]
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>'
+    )
 
     # Cells: x ascending to the right, y ascending upward (array side at bottom).
-    scaled = rows / top
-    fills = _fills(scaled)
     x_labels = [f"{x:g}" for x in xs]
+    cells = []
     for iy in range(n_y):
         cy = _MARGIN_TOP + (n_y - 1 - iy) * _CELL
         y_label = f"{ys[iy]:g}"
         for ix in range(n_x):
             cx = _MARGIN_LEFT + ix * _CELL
-            val = rows[iy, ix]
-            out.append(
+            cells.append(
                 f'<rect x="{cx}" y="{cy}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{fills[iy * n_x + ix]}"><title>x={x_labels[ix]} y={y_label} '
-                f"E={val:.6g} V/m</title></rect>"
-            )
-            out.append(
+                f'fill="%s"><title>x={x_labels[ix]} y={y_label} '
+                f"E=%.6g V/m</title></rect>\n"
                 f'<text x="{cx + _CELL / 2:g}" y="{cy + _CELL / 2 + 4:g}" '
                 f'font-family="monospace" font-size="10" text-anchor="middle" '
-                f'fill="{"black" if scaled[iy, ix] > 0.6 else "white"}">{val:.2g}</text>'
+                f'fill="%s">%.2g</text>'
             )
 
-    # Axis labels.
-    for ix, x in enumerate(xs):
-        out.append(
-            f'<text x="{_MARGIN_LEFT + ix * _CELL + _CELL / 2:g}" '
-            f'y="{_MARGIN_TOP + plot_h + 16}" font-family="monospace" font-size="11" '
-            f'text-anchor="middle">{x:g}</text>'
-        )
-    for iy, y in enumerate(ys):
-        out.append(
-            f'<text x="{_MARGIN_LEFT - 8}" '
-            f'y="{_MARGIN_TOP + (n_y - 1 - iy) * _CELL + _CELL / 2 + 4:g}" '
-            f'font-family="monospace" font-size="11" text-anchor="end">{y:g}</text>'
-        )
-    out.append(
+    axes = [
+        f'<text x="{_MARGIN_LEFT + ix * _CELL + _CELL / 2:g}" '
+        f'y="{_MARGIN_TOP + plot_h + 16}" font-family="monospace" font-size="11" '
+        f'text-anchor="middle">{x:g}</text>'
+        for ix, x in enumerate(xs)
+    ]
+    axes += [
+        f'<text x="{_MARGIN_LEFT - 8}" '
+        f'y="{_MARGIN_TOP + (n_y - 1 - iy) * _CELL + _CELL / 2 + 4:g}" '
+        f'font-family="monospace" font-size="11" text-anchor="end">{y:g}</text>'
+        for iy, y in enumerate(ys)
+    ]
+    axes.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:g}" y="{height - 10}" '
         f'font-family="monospace" font-size="12" text-anchor="middle">x (m)</text>'
     )
-    out.append(
+    axes.append(
         f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:g}" font-family="monospace" '
         f'font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:g})">y (m)</text>'
     )
 
+    # Colour bar; its labels end with the map's scale.
+    bar_x = _MARGIN_LEFT + plot_w + _BAR_GAP
+    steps = 40
+    step_h = plot_h / steps
+    bar = [
+        f'<rect x="{bar_x}" y="{_MARGIN_TOP + i * step_h:.2f}" '
+        f'width="{_BAR_WIDTH}" height="{step_h + 0.5:.2f}" fill="{fill}"/>'
+        for i, fill in enumerate(_fills(1.0 - np.arange(steps) / (steps - 1)))
+    ]
+    bar_labels = tuple(
+        f'<text x="{bar_x + _BAR_WIDTH + 6}" '
+        f'y="{_MARGIN_TOP + (1 - frac) * plot_h + 4:.2f}" '
+        f'font-family="monospace" font-size="11">'
+        for frac in _BAR_FRACTIONS
+    )
+
+    return GridText(grid=grid, csv=csv, json=json_text, svg_open=svg_open,
+                    svg_cells="\n".join(cells), svg_axes="\n".join(axes),
+                    svg_bar="\n".join(bar), bar_labels=bar_labels)
+
+
+def heatmap_csv(heatmap, text):
+    """``x_m,y_m,e_vpm`` rows in grid order, 9 significant digits."""
+    text.check(heatmap)
+    return text.csv % tuple(heatmap.values.tolist())
+
+
+def heatmap_json(heatmap, text):
+    """The map as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``.
+
+    ``payload`` holds ``scenario``, the axes ``x_m`` / ``y_m`` and the
+    values ``e_vpm`` as rows of constant y.
+    """
+    text.check(heatmap)
+    values = heatmap.values.astype(float, copy=False).tolist()
+    return text.json % (*values, json.dumps(heatmap.scenario_id))
+
+
+def heatmap_svg(heatmap, text, vmax=None, markers=()):
+    """Render a heat map as an SVG colour grid.
+
+    ``text`` is the :func:`grid_text` of the map's grid.  ``markers`` are
+    (x, y) positions drawn as open circles (user locations).  ``vmax``
+    pins the top of the colour scale; default is the map maximum.
+    """
+    text.check(heatmap)
+    top = float(vmax) if vmax is not None else float(heatmap.values.max())
+    if top <= 0:
+        top = 1.0
+
+    values = heatmap.values.tolist()
+    scaled = heatmap.values / top
+    slots = [None] * (4 * len(values))
+    slots[0::4] = _fills(scaled)
+    slots[1::4] = values
+    slots[2::4] = ["black" if s > 0.6 else "white" for s in scaled.tolist()]
+    slots[3::4] = values
+
+    out = [
+        text.svg_open,
+        f'<text x="{_MARGIN_LEFT}" y="20" font-family="monospace" font-size="14">'
+        f"scenario {heatmap.scenario_id} &#8212; RMS E-field (V/m), scale 0 to {top:.3g}</text>",
+        text.svg_cells % tuple(slots),
+        text.svg_axes,
+    ]
+
     # User markers.
+    xs = np.asarray(heatmap.grid.x_values, dtype=float)
+    ys = np.asarray(heatmap.grid.y_values, dtype=float)
+    plot_w = len(xs) * _CELL
+    plot_h = len(ys) * _CELL
     x0, x1 = xs[0], xs[-1]
     y0, y1 = ys[0], ys[-1]
     for mx, my in markers:
@@ -137,22 +247,9 @@ def heatmap_svg(heatmap, vmax=None, markers=()):
             f'stroke="white" stroke-width="2.5"/>'
         )
 
-    # Colour bar.
-    bar_x = _MARGIN_LEFT + plot_w + _BAR_GAP
-    steps = 40
-    step_h = plot_h / steps
-    for i, fill in enumerate(_fills(1.0 - np.arange(steps) / (steps - 1))):
-        out.append(
-            f'<rect x="{bar_x}" y="{_MARGIN_TOP + i * step_h:.2f}" '
-            f'width="{_BAR_WIDTH}" height="{step_h + 0.5:.2f}" fill="{fill}"/>'
-        )
-    for frac in (0.0, 0.5, 1.0):
-        out.append(
-            f'<text x="{bar_x + _BAR_WIDTH + 6}" '
-            f'y="{_MARGIN_TOP + (1 - frac) * plot_h + 4:.2f}" '
-            f'font-family="monospace" font-size="11">{frac * top:.3g}</text>'
-        )
-
+    out.append(text.svg_bar)
+    out.extend(f"{label}{frac * top:.3g}</text>"
+               for frac, label in zip(_BAR_FRACTIONS, text.bar_labels))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 

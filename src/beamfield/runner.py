@@ -8,6 +8,11 @@ summary statistics and compliance checks against the built-in regional
 limits.  Every artifact is written in a fixed order with deterministic
 formatting, and a manifest of content hashes is emitted last, so two
 runs with the same configuration and seed are byte-identical.
+
+Two things depend only on the probe grid and are built once per run,
+then shared read-only by every scenario: the probe x element gain matrix
+(:func:`~beamfield.field.probe_gains`) and the grid's heat-map artifact
+text (:func:`~beamfield.render.grid_text`).
 """
 
 import concurrent.futures
@@ -26,7 +31,7 @@ from .field import compute_heatmap, probe_gains
 from .geometry import far_field_distance, wavelength
 from .ofdm import transmit_frame
 from .precoding import combining_vectors, zf_precoder
-from .render import heatmap_ascii, heatmap_svg
+from .render import grid_text, heatmap_ascii, heatmap_csv, heatmap_json, heatmap_svg
 
 _SEED_STREAM_CSI = 0
 _SEED_STREAM_FRAME = 1
@@ -90,6 +95,7 @@ def run(config, out_dir=None):
     array = config.build_array()
     grid = config.build_grid()
     gains = probe_gains(array, room, grid, config.channel)
+    text = grid_text(grid)
     scenarios = config.selected_scenarios()
 
     if config.workers > 1:
@@ -121,9 +127,9 @@ def run(config, out_dir=None):
 
     writer = _ArtifactWriter(out_dir, config.formats)
     for r in results:
-        writer.heatmap(r.heatmap, scenario=r.scenario.id,
+        writer.heatmap(r.heatmap, text, scenario=r.scenario.id,
                        vmax=config.svg_vmax, markers=r.scenario.ue_positions)
-    writer.heatmap(average, scenario=None, vmax=config.svg_vmax)
+    writer.heatmap(average, text, scenario=None, vmax=config.svg_vmax)
     writer.ber_table([r.ber for r in results])
     writer.cut(cut, config.cut_x)
     writer.json_report("decay_fit.json", {
@@ -188,15 +194,15 @@ class _ArtifactWriter:
             "scenario": scenario,
         })
 
-    def heatmap(self, heatmap, scenario, vmax=None, markers=()):
+    def heatmap(self, heatmap, text, scenario, vmax=None, markers=()):
+        """Write one map's artifacts; ``text`` is the run's :func:`grid_text`."""
         stem = f"heatmap_scenario_{scenario}" if scenario is not None else "heatmap_average"
         if "csv" in self.formats:
-            self._write(f"{stem}.csv", _heatmap_csv(heatmap), "heatmap-csv", scenario)
+            self._write(f"{stem}.csv", heatmap_csv(heatmap, text), "heatmap-csv", scenario)
         if "json" in self.formats:
-            self._write(f"{stem}.json", _json_text(_heatmap_dict(heatmap)),
-                        "heatmap-json", scenario)
+            self._write(f"{stem}.json", heatmap_json(heatmap, text), "heatmap-json", scenario)
         if "svg" in self.formats:
-            self._write(f"{stem}.svg", heatmap_svg(heatmap, vmax=vmax, markers=markers),
+            self._write(f"{stem}.svg", heatmap_svg(heatmap, text, vmax=vmax, markers=markers),
                         "heatmap-svg", scenario)
         if "ascii" in self.formats:
             self._write(f"{stem}.txt", heatmap_ascii(heatmap, vmax=vmax),
@@ -237,22 +243,6 @@ class _ArtifactWriter:
 
 def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _heatmap_csv(heatmap):
-    lines = ["x_m,y_m,e_vpm"]
-    for point, value in zip(heatmap.grid.points, heatmap.values):
-        lines.append(f"{_sig9(point[0])},{_sig9(point[1])},{_sig9(value)}")
-    return "\n".join(lines) + "\n"
-
-
-def _heatmap_dict(heatmap):
-    return {
-        "scenario": heatmap.scenario_id,
-        "x_m": [float(v) for v in heatmap.grid.x_values],
-        "y_m": [float(v) for v in heatmap.grid.y_values],
-        "e_vpm": [[float(v) for v in row] for row in heatmap.as_grid_rows()],
-    }
 
 
 def verify_manifest(out_dir):

@@ -12,6 +12,7 @@ from beamfield import (
     image_sources,
     los_gain,
 )
+from beamfield.channel import _distances, propagation_gains
 from beamfield.geometry import ue_antenna_positions, wavelength
 
 from conftest import random_complex
@@ -65,6 +66,65 @@ class TestImageSources:
     def test_outside_room_rejected(self, room):
         with pytest.raises(ValueError, match="outside"):
             image_sources(room, (10, 1, 1), order=1)
+
+
+class TestRayDistances:
+    def test_bit_identical_to_the_norm_of_the_difference(self):
+        rng = np.random.default_rng(21)
+        for scale in (1e-3, 1.0, 15.0, 1e6):
+            rx = rng.normal(scale=scale, size=(500, 3))
+            pts = rng.normal(scale=scale, size=(37, 3))
+            delta = rx[:, None, :] - pts[None, :, :]
+            d, dy = _distances(rx, pts)
+            assert d.tobytes() == np.linalg.norm(delta, axis=2).tobytes()
+            assert dy.tobytes() == np.ascontiguousarray(delta[:, :, 1]).tobytes()
+
+
+class TestCosinePattern:
+    """The broadside-cosine element against closed forms; boresight is +y."""
+
+    F = 2.63e9
+
+    def test_boresight_amplitude(self):
+        lam = wavelength(self.F)
+        tx = [(0.2, 0.0, 1.5)]
+        for d in (0.5, 2.0, 7.25):
+            g = propagation_gains(tx, [(0.2, d, 1.5)], self.F, pattern="cosine")[0, 0]
+            assert abs(g) == pytest.approx(math.sqrt(6) * lam / (4 * math.pi * d), rel=1e-12)
+            iso = propagation_gains(tx, [(0.2, d, 1.5)], self.F)[0, 0]
+            assert g == pytest.approx(math.sqrt(6) * iso, rel=1e-12)
+
+    def test_no_gain_in_or_behind_the_array_plane(self):
+        tx = [(0.0, 0.0, 1.5), (0.057, 0.0, 1.5)]
+        rx = [(1.0, 0.0, 1.5), (0.0, 0.0, 0.2), (0.0, -2.0, 1.5), (2.0, -0.5, 0.3)]
+        g = propagation_gains(tx, rx, self.F, pattern="cosine")
+        assert np.all(g == 0.0)
+
+    def test_image_mode_is_the_per_ray_sum(self, room):
+        lam = wavelength(self.F)
+        tx = [(0.0, 0.0, 1.5), (0.057, 0.0, 1.5), (-0.2, 0.0, 1.3)]
+        rx = [(0.5, 3.0, 1.5), (-2.0, 9.0, 0.4), (3.0, 0.7, 2.9)]
+
+        def ray(src, dst):
+            delta = np.subtract(dst, src)
+            d = math.sqrt(float(delta @ delta))
+            cos_theta = max(delta[1] / d, 0.0)
+            return (math.sqrt(6) * cos_theta * lam / (4 * math.pi * d)
+                    * np.exp(-2j * math.pi * d / lam))
+
+        want = np.zeros((len(rx), len(tx)), dtype=complex)
+        for r, dst in enumerate(rx):
+            for t, src in enumerate(tx):
+                want[r, t] = ray(src, dst) + sum(
+                    coeff * ray(image, dst) for image, coeff in image_sources(room, src))
+        got = propagation_gains(tx, rx, self.F, room=room, mode="image-order-1",
+                                pattern="cosine")
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+        assert not np.allclose(got, propagation_gains(tx, rx, self.F, pattern="cosine"))
+
+    def test_unknown_pattern_rejected(self):
+        with pytest.raises(ValueError, match="element pattern"):
+            propagation_gains([(0, 0, 1.5)], [(0, 2, 1.5)], self.F, pattern="dipole")
 
 
 class TestGenerateChannel:

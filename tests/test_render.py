@@ -1,14 +1,23 @@
-"""The vectorised heat-map colour and ASCII-level rules against scalar references."""
+"""Heat-map text against references: the vectorised colour and ASCII-level
+rules against scalar ones, and the per-grid CSV, JSON and SVG text against
+the per-map formatters of ``heatmap_reference``."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import heatmap_reference as ref
 from beamfield import HeatMap, build_grid
 from beamfield.render import (
     _ASCII_LEVELS,
     _RAMP,
     _fills,
     _levels,
+    grid_text,
     heatmap_ascii,
+    heatmap_csv,
+    heatmap_json,
     heatmap_svg,
 )
 
@@ -63,7 +72,7 @@ def test_renderings_use_the_cell_rules():
     values = np.random.default_rng(15).uniform(0, 5, grid.n_points)
     heatmap = HeatMap(grid=grid, values=values, scenario_id="r")
     top = 4.0
-    svg = heatmap_svg(heatmap, vmax=top)
+    svg = heatmap_svg(heatmap, grid_text(grid), vmax=top)
     for value in values:
         assert f'fill="{scalar_fill(value / top)}"><title>' in svg
     lines = heatmap_ascii(heatmap, vmax=top).splitlines()[1:-1]
@@ -71,3 +80,74 @@ def test_renderings_use_the_cell_rules():
     for line, row in zip(lines, rows):
         cells = line.split("|")[1]
         assert cells == "".join(_ASCII_LEVELS[scalar_level(v, top)] * 2 for v in row)
+
+
+# 1 x 1, 1 x n, n x 1, the 56-point campaign grid and the 4331-point 0.1 m grid.
+GRIDS = {
+    "1x1": dict(x_min=0.0, x_max=0.0, y_min=2.0, y_max=2.0),
+    "1xn": dict(x_min=0.0, x_max=0.0, y_min=1.0, y_max=8.0),
+    "nx1": dict(x_min=-3.0, x_max=3.0, y_min=4.0, y_max=4.0),
+    "56": dict(),
+    "4331": dict(spacing=0.1),
+}
+
+# Exact extremes, and binary-exact ties at the rounding digit of .2g, .6g and .9g.
+SPECIAL = [0.0, 5e-324, 1e-300, 1e300, 0.125, 0.375, 1.25, 2.5, 12.5, 0.5,
+           100000.5, 100001.5, 1000005.0, 1000015.0, 100000000.5, 100000001.5, 1.5,
+           99.5]
+
+
+def assert_texts_match(heatmap, vmax=None, markers=()):
+    text = grid_text(heatmap.grid)
+    assert heatmap_csv(heatmap, text) == ref.heatmap_csv(heatmap)
+    assert heatmap_json(heatmap, text) == ref.heatmap_json(heatmap)
+    assert (heatmap_svg(heatmap, text, vmax=vmax, markers=markers)
+            == ref.heatmap_svg(heatmap, vmax=vmax, markers=markers))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+def test_grid_text_matches_the_per_map_formatters(name):
+    grid = build_grid(**GRIDS[name])
+    rng = np.random.default_rng(16)
+    n = grid.n_points
+    special = np.resize(SPECIAL, n)
+    for values in (rng.uniform(0, 5, n), rng.exponential(1e-3, n), special,
+                   np.zeros(n), np.arange(n)):
+        heatmap = HeatMap(grid=grid, values=values, scenario_id="7")
+        assert_texts_match(heatmap)
+        assert_texts_match(heatmap, vmax=2.5, markers=[(0.0, 2.0), (1.0, 5.0), (40.0, 1.0)])
+
+
+@pytest.mark.parametrize("scenario_id", ['a"b', "back\\slash", "\u00e9t\u00e9", "\u96ea", "average",
+                                         '"\\\u00e9\n'])
+def test_scenario_ids_are_encoded_like_the_reference(scenario_id):
+    grid = build_grid()
+    values = np.random.default_rng(17).uniform(0, 5, grid.n_points)
+    assert_texts_match(HeatMap(grid=grid, values=values, scenario_id=scenario_id))
+
+
+def test_every_special_value_on_one_grid():
+    grid = build_grid(x_min=0.0, x_max=5.0, y_min=1.0, y_max=3.0)
+    assert grid.n_points == len(SPECIAL)
+    heatmap = HeatMap(grid=grid, values=np.array(SPECIAL), scenario_id="s")
+    assert_texts_match(heatmap)
+    assert_texts_match(heatmap, vmax=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(min_value=0.0, max_value=1e300, allow_nan=False,
+                                 allow_infinity=False), min_size=12, max_size=12),
+       scenario_id=st.text(max_size=8),
+       vmax=st.none() | st.floats(min_value=1e-3, max_value=1e300))
+def test_drawn_values_match_the_reference(values, scenario_id, vmax):
+    grid = build_grid(x_min=-1.0, x_max=1.0, y_min=1.0, y_max=4.0)
+    heatmap = HeatMap(grid=grid, values=np.array(values), scenario_id=scenario_id)
+    assert_texts_match(heatmap, vmax=vmax, markers=[(0.0, 2.0)])
+
+
+def test_grid_text_rejects_a_map_of_another_grid():
+    text = grid_text(build_grid())
+    heatmap = HeatMap(grid=build_grid(y_max=7.0), values=np.ones(49), scenario_id="1")
+    for render in (heatmap_csv, heatmap_json, heatmap_svg):
+        with pytest.raises(ValueError, match="different grids"):
+            render(heatmap, text)

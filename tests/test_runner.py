@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import beamfield.field
+import beamfield.runner
 from beamfield import ConfigError, RunConfig, load_config, run, validate, verify_manifest
 from beamfield.cli import main as cli_main
 from beamfield.config import from_dict
@@ -95,6 +96,22 @@ class TestRun:
         assert len(config.scenario_ids) == 8
         assert sum(np.array_equal(rx, grid.points) for rx in rx_seen) == 1
         assert len(rx_seen) == 1
+
+    def test_grid_text_built_once_per_run(self, tmp_path, monkeypatch):
+        grids = []
+        real = beamfield.runner.grid_text
+
+        def counting(grid):
+            grids.append(grid)
+            return real(grid)
+
+        monkeypatch.setattr(beamfield.runner, "grid_text", counting)
+        config = small_config(scenario_ids=RunConfig().scenario_ids,
+                              formats=("ascii", "csv", "json", "svg"))
+        manifest = run(config, out_dir=str(tmp_path))
+        assert len(grids) == 1
+        assert grids[0].same_lattice(config.build_grid())
+        assert sum(a["type"] == "heatmap-svg" for a in manifest.artifacts) == 9
 
     def test_expected_artifacts(self, tmp_path):
         run(small_config(), out_dir=str(tmp_path))
@@ -207,6 +224,39 @@ class TestCli:
         assert (out_dir / "heatmap_scenario_3.svg").exists()
         svg = (out_dir / "heatmap_scenario_3.svg").read_text()
         assert svg.startswith("<svg") and "scenario 3" in svg
+
+    def test_rerendered_average_keeps_its_title(self, tmp_path):
+        run(small_config(formats=("ascii", "csv")), out_dir=str(tmp_path / "run"))
+        csv_path = tmp_path / "run" / "heatmap_average.csv"
+        again = tmp_path / "again"
+        assert cli_main(["render", str(csv_path), "--out", str(again)]) == 0
+        ascii_text = (again / "heatmap_average.txt").read_text()
+        assert ascii_text == (tmp_path / "run" / "heatmap_average.txt").read_text()
+        assert "scenario average &#8212;" in (again / "heatmap_average.svg").read_text()
+
+    @pytest.mark.parametrize("body, line, message", [
+        ("", 2, "no data rows"),
+        ("0,1,2\n1,1\n", 3, "expected 3 fields"),
+        ("0,1,2,3\n", 2, "expected 3 fields"),
+        ("0,1,2\n\n", 3, "expected 3 fields"),
+        ("0,1,abc\n", 2, "not a number"),
+        ("0,1,nan\n", 2, "non-finite"),
+        ("0,1,2\n1,inf,2\n", 3, "non-finite"),
+        ("0,1,-0.5\n", 2, "negative"),
+    ])
+    def test_render_reports_malformed_csv_lines(self, tmp_path, capsys, body, line, message):
+        path = tmp_path / "heatmap_scenario_1.csv"
+        path.write_text("x_m,y_m,e_vpm\n" + body)
+        assert cli_main(["render", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line {line}: {message}")
+        assert not (tmp_path / "heatmap_scenario_1.svg").exists()
+
+    def test_render_rejects_duplicate_points(self, tmp_path, capsys):
+        path = tmp_path / "heatmap_scenario_1.csv"
+        path.write_text("x_m,y_m,e_vpm\n0,0,1\n0,0,1\n1,0,1\n1,1,1\n")
+        assert cli_main(["render", str(path)]) == 1
+        assert "complete lattice" in capsys.readouterr().err
 
     def test_run_scenario_and_seed_flags(self, tmp_path):
         out_dir = tmp_path / "out"
