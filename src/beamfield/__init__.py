@@ -13,7 +13,6 @@ from .channel import (
     ChannelModelConfig,
     estimate_csi,
     generate_channel,
-    image_sources,
     los_gain,
 )
 from .compliance import (
@@ -75,7 +74,7 @@ __all__ = [
     "check", "combining_vectors", "compute_heatmap", "demap_64qam",
     "effective_channel", "element_field", "estimate_csi", "extract_cut",
     "far_field_distance", "field_to_power", "fit_decay", "from_dict",
-    "generate_channel", "image_sources", "load_config",
+    "generate_channel", "load_config",
     "los_gain", "map_64qam", "min_compliant_distance",
     "power_to_field", "probe_gains", "right_pseudo_inverse", "run",
     "standard_scenarios", "summary", "superpose_fields",

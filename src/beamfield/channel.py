@@ -5,7 +5,8 @@ with first-order image sources for the six room surfaces (four walls,
 floor, ceiling).  Each surface contributes a mirrored transmitter whose
 ray is weighted by that surface's amplitude reflection coefficient, which
 reproduces the dominant standing-wave structure of an indoor link without
-a full ray tracer.
+a full ray tracer.  The images of a whole array are built in one numpy
+pass: each surface is a reflection of one coordinate across its plane.
 """
 
 import math
@@ -81,32 +82,30 @@ def los_gain(tx, rx, frequency):
     return (lam / (4.0 * math.pi * d)) * np.exp(-2j * math.pi * d / lam)
 
 
-def image_sources(room, tx, order=1):
-    """First-order image sources of ``tx`` for the six room surfaces.
+def _images(room, points):
+    """First-order images of the (T x 3) ``points`` in the six room surfaces.
 
-    Returns a list of (mirrored position, reflection coefficient) in the
-    fixed order x-low wall, x-high wall, y-low wall, y-high wall, floor,
-    ceiling.  ``order`` 0 returns an empty list.
+    Returns a (6, T, 3) array of mirrored points and the six amplitude
+    reflection coefficients, both in the fixed order x-low wall, x-high
+    wall, y-low wall, y-high wall, floor, ceiling.  Raises if a point lies
+    outside the room.
     """
-    if order not in (0, 1):
-        raise ValueError("only reflection orders 0 and 1 are supported")
-    tx = np.asarray(tx, dtype=float)
-    if not room.contains(tx):
-        raise ValueError(f"transmit point {tuple(tx)} lies outside the room")
-    if order == 0:
-        return []
+    inside = room.contains(points)
+    if not inside.all():
+        first = tuple(float(v) for v in points[np.argmin(inside)])
+        raise ValueError(f"transmit point {first} lies outside the room")
 
-    x, y, z = tx
+    x, y, z = points.T
     wx = room.width_x / 2.0
-    w_lo, w_hi, w_near, w_far = room.wall_reflections()
-    return [
-        (np.array([-2 * wx - x, y, z]), w_lo),
-        (np.array([2 * wx - x, y, z]), w_hi),
-        (np.array([x, -y, z]), w_near),
-        (np.array([x, 2 * room.length_y - y, z]), w_far),
-        (np.array([x, y, -z]), room.floor_reflection),
-        (np.array([x, y, 2 * room.height_z - z]), room.ceiling_reflection),
-    ]
+    images = np.tile(points, (6, 1, 1))
+    images[0, :, 0] = -2 * wx - x
+    images[1, :, 0] = 2 * wx - x
+    images[2, :, 1] = -y
+    images[3, :, 1] = 2 * room.length_y - y
+    images[4, :, 2] = -z
+    images[5, :, 2] = 2 * room.height_z - z
+    coeffs = (*room.wall_reflections(), room.floor_reflection, room.ceiling_reflection)
+    return images, coeffs
 
 
 def _distances(rx_points, points):
@@ -132,9 +131,11 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
                       mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
     """Complex gain matrix (n_rx x n_tx) of the configured ray model.
 
-    Direct line-of-sight rays always contribute; in image mode each of
-    the six first-order images of every transmit point adds a reflected
-    ray scaled by its surface coefficient.
+    Direct line-of-sight rays always contribute.  In image mode the six
+    first-order images of all transmit points are built at once, and each
+    surface then adds one (n_rx x n_tx) block of reflected rays scaled by
+    its coefficient: the direct rays first, then the surfaces in the fixed
+    order of ``_images``, skipping any surface whose coefficient is 0.
     """
     tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
     rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
@@ -142,15 +143,15 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
     if pattern not in (PATTERN_ISOTROPIC, PATTERN_COSINE):
         raise ValueError(f"unknown element pattern {pattern!r}")
 
-    def ray(points, coeffs=None):
+    def ray(points, coeff=None):
         # Surface coefficient first, then the pattern: the order of the
         # products fixes the rounding, and so the bytes of every artifact.
         d, dy = _distances(rx_points, points)
         if np.any(d == 0.0):
             raise ValueError("a probe/receive point coincides with a transmit element")
         g = (lam / (4.0 * math.pi * d)) * np.exp(-2j * math.pi * d / lam)
-        if coeffs is not None:
-            g *= coeffs
+        if coeff is not None:
+            g *= coeff
         if pattern == PATTERN_COSINE:
             g *= _pattern_amplitude(d, dy)
         return g
@@ -159,13 +160,10 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
     if mode == MODE_IMAGE_1:
         if room is None:
             raise ValueError("image-order-1 mode requires a room")
-        mirrored = [image_sources(room, t, order=1) for t in tx_points]
-        for surface in range(6):
-            pts = np.array([mirrored[t][surface][0] for t in range(len(tx_points))])
-            coeffs = np.array([mirrored[t][surface][1] for t in range(len(tx_points))])
-            if np.all(coeffs == 0.0):
-                continue
-            g += ray(pts, coeffs)
+        images, coeffs = _images(room, tx_points)
+        for points, coeff in zip(images, coeffs):
+            if coeff != 0.0:
+                g += ray(points, coeff)
     elif mode != MODE_LOS:
         raise ValueError(f"unknown channel mode {mode!r}")
     return g

@@ -81,13 +81,13 @@ class Room:
         return w
 
     def contains(self, point, tol=1e-9):
-        """True if the 3-D point lies inside the room (boundary inclusive)."""
-        x, y, z = point
-        return (
-            abs(x) <= self.width_x / 2 + tol
-            and -tol <= y <= self.length_y + tol
-            and -tol <= z <= self.height_z + tol
-        )
+        """True if the 3-D point lies inside the room (boundary inclusive).
+
+        ``point`` may also be an (N, 3) array, which gives N flags.
+        """
+        x, y, z = np.asarray(point, dtype=float).T
+        return ((np.abs(x) <= self.width_x / 2 + tol) & (-tol <= y)
+                & (y <= self.length_y + tol) & (-tol <= z) & (z <= self.height_z + tol))
 
     def in_footprint(self, x, y, tol=1e-9):
         """True if the (x, y) position lies inside the floor footprint."""

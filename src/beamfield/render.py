@@ -202,6 +202,15 @@ def heatmap_json(heatmap, text):
     return text.json % (*values, json.dumps(heatmap.scenario_id))
 
 
+def _xml_text(s):
+    """``s`` escaped as XML character data.
+
+    The rule of ``xml.sax.saxutils.escape``, whose import loads
+    ``urllib.request`` and about 2.5 MiB of modules with it.
+    """
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def heatmap_svg(heatmap, text, vmax=None, markers=()):
     """Render a heat map as an SVG colour grid.
 
@@ -225,7 +234,8 @@ def heatmap_svg(heatmap, text, vmax=None, markers=()):
     out = [
         text.svg_open,
         f'<text x="{_MARGIN_LEFT}" y="20" font-family="monospace" font-size="14">'
-        f"scenario {heatmap.scenario_id} &#8212; RMS E-field (V/m), scale 0 to {top:.3g}</text>",
+        f"scenario {_xml_text(heatmap.scenario_id)} &#8212; RMS E-field (V/m), "
+        f"scale 0 to {top:.3g}</text>",
         text.svg_cells % tuple(slots),
         text.svg_axes,
     ]

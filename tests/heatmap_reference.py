@@ -6,6 +6,7 @@ tests require the new text to equal theirs byte for byte.
 """
 
 import json
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -68,7 +69,8 @@ def heatmap_svg(heatmap, vmax=None, markers=()):
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{_MARGIN_LEFT}" y="20" font-family="monospace" font-size="14">'
-        f"scenario {heatmap.scenario_id} &#8212; RMS E-field (V/m), scale 0 to {top:.3g}</text>",
+        f"scenario {escape(heatmap.scenario_id)} &#8212; RMS E-field (V/m), "
+        f"scale 0 to {top:.3g}</text>",
     ]
 
     # Cells: x ascending to the right, y ascending upward (array side at bottom).

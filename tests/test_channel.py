@@ -8,13 +8,15 @@ from beamfield import (
     Room,
     Scenario,
     estimate_csi,
+    build_array,
+    build_grid,
     generate_channel,
-    image_sources,
     los_gain,
 )
-from beamfield.channel import _distances, propagation_gains
+from beamfield.channel import _distances, _images, propagation_gains
 from beamfield.geometry import ue_antenna_positions, wavelength
 
+import gains_reference as ref
 from conftest import random_complex
 
 
@@ -42,30 +44,87 @@ class TestLosGain:
             los_gain((1, 1, 1), (1, 1, 1), 2.63e9)
 
 
-class TestImageSources:
-    def test_order_zero_empty(self, room):
-        assert image_sources(room, (0, 1, 1.5), order=0) == []
+class TestImages:
+    """The mirror array against image positions written out by hand."""
 
     def test_six_first_order_images(self, room):
-        assert len(image_sources(room, (0, 1, 1.5), order=1)) == 6
+        images, coeffs = _images(room, np.array([(0.0, 1.0, 1.5), (0.5, 2.0, 1.0)]))
+        assert images.shape == (6, 2, 3)
+        assert len(coeffs) == 6
 
     def test_floor_mirror(self, room):
-        images = image_sources(room, (0, 0, 1.5), order=1)
-        floor_pos, floor_coeff = images[4]
-        assert np.allclose(floor_pos, (0, 0, -1.5))
-        assert floor_coeff == room.floor_reflection
+        images, coeffs = _images(room, np.array([(0.0, 0.0, 1.5)]))
+        assert np.array_equal(images[4, 0], (0.0, 0.0, -1.5))
+        assert coeffs[4] == room.floor_reflection
 
     def test_wall_mirrors(self, room):
-        images = image_sources(room, (1.0, 2.0, 1.0), order=1)
-        assert np.allclose(images[0][0], (-8.5, 2.0, 1.0))   # x = -3.75 wall
-        assert np.allclose(images[1][0], (6.5, 2.0, 1.0))    # x = +3.75 wall
-        assert np.allclose(images[2][0], (1.0, -2.0, 1.0))   # y = 0 wall
-        assert np.allclose(images[3][0], (1.0, 28.0, 1.0))   # y = 15 wall
-        assert np.allclose(images[5][0], (1.0, 2.0, 5.0))    # ceiling z = 3
+        # Room: |x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3.
+        images, coeffs = _images(room, np.array([(1.0, 2.0, 1.0)]))
+        want = [
+            (-8.5, 2.0, 1.0),   # x = -3.75 wall
+            (6.5, 2.0, 1.0),    # x = +3.75 wall
+            (1.0, -2.0, 1.0),   # y = 0 wall
+            (1.0, 28.0, 1.0),   # y = 15 wall
+            (1.0, 2.0, -1.0),   # floor z = 0
+            (1.0, 2.0, 5.0),    # ceiling z = 3
+        ]
+        assert np.array_equal(images[:, 0], want)
+        assert coeffs == (-0.6, -0.6, -0.6, -0.6, -0.4, -0.4)
+
+    def test_every_point_is_mirrored(self, room):
+        pts = np.array([(1.0, 2.0, 1.0), (-3.0, 14.0, 0.5), (0.0, 0.0, 3.0)])
+        images, _ = _images(room, pts)
+        assert np.array_equal(images[:, 1], [
+            (-4.5, 14.0, 0.5), (10.5, 14.0, 0.5), (-3.0, -14.0, 0.5),
+            (-3.0, 16.0, 0.5), (-3.0, 14.0, -0.5), (-3.0, 14.0, 5.5)])
+        assert np.array_equal(images[:, 2], [
+            (-7.5, 0.0, 3.0), (7.5, 0.0, 3.0), (0.0, 0.0, 3.0),
+            (0.0, 30.0, 3.0), (0.0, 0.0, -3.0), (0.0, 0.0, 3.0)])
+        assert np.array_equal(pts[0], (1.0, 2.0, 1.0))
+
+    def test_per_wall_reflections(self):
+        room = Room(wall_reflection=(-0.1, -0.2, -0.3, -0.4), floor_reflection=-0.5,
+                    ceiling_reflection=0.0)
+        _, coeffs = _images(room, np.array([(0.0, 1.0, 1.5)]))
+        assert coeffs == (-0.1, -0.2, -0.3, -0.4, -0.5, 0.0)
 
     def test_outside_room_rejected(self, room):
-        with pytest.raises(ValueError, match="outside"):
-            image_sources(room, (10, 1, 1), order=1)
+        tx = [(0.0, 0.0, 1.5), (10.0, 1.0, 1.0), (0.0, -1.0, 1.0)]
+        with pytest.raises(ValueError, match=r"\(10\.0, 1\.0, 1\.0\) lies outside the room"):
+            propagation_gains(tx, [(0.0, 5.0, 1.5)], 2.63e9, room=room, mode="image-order-1")
+
+
+class TestImageModeReference:
+    """Image-mode gains byte for byte against the per-element loop."""
+
+    F = 2.63e9
+
+    def check(self, tx, rx, room, pattern="isotropic"):
+        got = propagation_gains(tx, rx, self.F, room=room, mode="image-order-1",
+                                pattern=pattern)
+        assert got.tobytes() == ref.image_gains(tx, rx, self.F, room, pattern).tobytes()
+
+    def test_default_array_over_the_grid(self, array, room):
+        rx = build_grid(room=room, spacing=0.5).points
+        for pattern in ("isotropic", "cosine"):
+            self.check(array.active_positions(), rx, room, pattern)
+
+    def test_zero_surface_coefficients(self, array, scenarios):
+        room = Room(wall_reflection=(-0.6, 0.0, -0.3, -1.0), floor_reflection=0.0,
+                    ceiling_reflection=-0.2)
+        rx = ue_antenna_positions(scenarios[7], self.F)
+        for pattern in ("isotropic", "cosine"):
+            self.check(array.active_positions(), rx, room, pattern)
+
+    def test_array_off_the_wall(self, room):
+        arr = build_array(rows=4, cols=4, center=(1.0, 2.5, 1.2), active_selection="all")
+        rx = [(0.3, 6.0, 1.5), (-2.0, 1.0, 0.4), (3.0, 2.5, 2.9), (0.0, 14.0, 1.5)]
+        for pattern in ("isotropic", "cosine"):
+            self.check(arr.active_positions(), rx, room, pattern)
+
+    def test_single_element(self, room):
+        for pattern in ("isotropic", "cosine"):
+            self.check([(0.2, 0.0, 1.5)], [(0.2, 4.0, 1.5), (-1.0, 7.5, 0.3)], room, pattern)
 
 
 class TestRayDistances:
@@ -112,11 +171,18 @@ class TestCosinePattern:
             return (math.sqrt(6) * cos_theta * lam / (4 * math.pi * d)
                     * np.exp(-2j * math.pi * d / lam))
 
+        def images(src):
+            # Room: |x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3; walls -0.6, floor and ceiling -0.4.
+            x, y, z = src
+            return [((-7.5 - x, y, z), -0.6), ((7.5 - x, y, z), -0.6),
+                    ((x, -y, z), -0.6), ((x, 30.0 - y, z), -0.6),
+                    ((x, y, -z), -0.4), ((x, y, 6.0 - z), -0.4)]
+
         want = np.zeros((len(rx), len(tx)), dtype=complex)
         for r, dst in enumerate(rx):
             for t, src in enumerate(tx):
                 want[r, t] = ray(src, dst) + sum(
-                    coeff * ray(image, dst) for image, coeff in image_sources(room, src))
+                    coeff * ray(image, dst) for image, coeff in images(src))
         got = propagation_gains(tx, rx, self.F, room=room, mode="image-order-1",
                                 pattern="cosine")
         assert np.allclose(got, want, rtol=1e-12, atol=0)

@@ -3,14 +3,15 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfield import ConfigError, RunConfig, load_config, validate
+from beamfield import ConfigError, RunConfig, config, load_config, validate
 from beamfield.cli import main as cli_main
-from beamfield.config import ValidationReport, from_dict
+from beamfield.config import ValidationReport, from_dict, read_yaml
 from beamfield.geometry import MAX_GAIN_ENTRIES, MAX_GRID_POINTS
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -117,6 +118,15 @@ BAD_DOCUMENTS = [
      "cut_x: 0 is not a grid column"),
     ("negative-rates", "seed: 1\nofdm: {sample_rate: -61.44e6, subcarrier_spacing: -15000.0}\n",
      "ofdm: subcarrier_spacing must be positive"),
+    ("slash-id", "seed: 1\nscenarios: [a/b]\n"
+     "custom_scenarios: [{id: a/b, ue_positions: [[0, 4]]}]\n",
+     "custom_scenarios[0].id: 'a/b' cannot name artifact files"),
+    ("backslash-id", 'seed: 1\ncustom_scenarios: [{id: "a\\\\b", ue_positions: [[0, 4]]}]\n',
+     "custom_scenarios[0].id"),
+    ("nul-id", 'seed: 1\ncustom_scenarios: [{id: "a\\0b", ue_positions: [[0, 4]]}]\n',
+     "custom_scenarios[0].id"),
+    ("empty-id", 'seed: 1\ncustom_scenarios: [{id: "", ue_positions: [[0, 4]]}]\n',
+     "custom_scenarios[0].id: '' cannot name artifact files"),
 ]
 
 
@@ -132,6 +142,46 @@ def test_bad_document_is_a_finding(tmp_path, capsys, text, expected):
     assert output.startswith(("finding: ", "error: "))
     if expected != "not valid YAML":
         assert not validate(yaml.safe_load(text)).ok
+
+
+def _placement_sweep_document(n_scenarios=96):
+    """A campaign document with many seeded custom placements of 1-8 users."""
+    rng = np.random.default_rng(5)
+    custom = [{"id": f"p{i + 1:02d}",
+               "ue_positions": rng.uniform((-3.5, 1.0), (3.5, 14.0), (i % 8 + 1, 2))
+               .round(3).tolist()}
+              for i in range(n_scenarios)]
+    doc = dict(EXPLICIT, seed=9, custom_scenarios=custom, scenarios=[c["id"] for c in custom])
+    return yaml.safe_dump(doc, sort_keys=True)
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("text", [
+    *(pytest.param(case[1], id=case[0]) for case in BAD_DOCUMENTS),
+    pytest.param(_read(CONFIG_PATH), id="paper-defaults"),
+    pytest.param(_placement_sweep_document(), id="placement-sweep"),
+])
+def test_libyaml_loader_reads_what_the_python_loader_reads(tmp_path, capsys, monkeypatch, text):
+    chosen = config._YAML_LOADER
+    if yaml.__with_libyaml__:
+        assert chosen is yaml.CSafeLoader
+    path = tmp_path / "doc.yaml"
+    path.write_text(text)
+    outcomes = []
+    for loader in (yaml.SafeLoader, chosen):
+        monkeypatch.setattr(config, "_YAML_LOADER", loader)
+        try:
+            outcomes.append(repr(read_yaml(path)))  # repr: NaN equals NaN
+        except ConfigError as exc:
+            assert "not valid YAML" in str(exc)
+            assert cli_main(["validate", "--config", str(path)]) == 1
+            assert "not valid YAML" in capsys.readouterr().err
+            outcomes.append("not valid YAML")
+    assert outcomes[0] == outcomes[1]
 
 
 def test_grid_budget_is_checked_before_allocating():

@@ -164,6 +164,10 @@ class TestRoom:
         assert not room.contains((3.76, 1, 1))
         assert not room.contains((0, -0.1, 1))
 
+    def test_contains_flags_each_row(self, room):
+        pts = [(0, 0, 1.5), (3.76, 1, 1), (3.75, 15, 3), (0, 1, 3.1)]
+        assert room.contains(pts).tolist() == [True, False, True, False]
+
 
 class TestHelpers:
     def test_wavelength_at_carrier(self):

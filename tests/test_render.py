@@ -2,6 +2,8 @@
 rules against scalar ones, and the per-grid CSV, JSON and SVG text against
 the per-map formatters of ``heatmap_reference``."""
 
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,7 +121,7 @@ def test_grid_text_matches_the_per_map_formatters(name):
 
 
 @pytest.mark.parametrize("scenario_id", ['a"b', "back\\slash", "\u00e9t\u00e9", "\u96ea", "average",
-                                         '"\\\u00e9\n'])
+                                         '"\\\u00e9\n', "a<b&c>"])
 def test_scenario_ids_are_encoded_like_the_reference(scenario_id):
     grid = build_grid()
     values = np.random.default_rng(17).uniform(0, 5, grid.n_points)
@@ -151,3 +153,11 @@ def test_grid_text_rejects_a_map_of_another_grid():
     for render in (heatmap_csv, heatmap_json, heatmap_svg):
         with pytest.raises(ValueError, match="different grids"):
             render(heatmap, text)
+
+
+def test_svg_escapes_the_scenario_id():
+    grid = build_grid()
+    heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="a<b&c")
+    svg = heatmap_svg(heatmap, grid_text(grid), markers=[(0.0, 2.0)])
+    title = minidom.parseString(svg).getElementsByTagName("text")[0]
+    assert title.firstChild.data.startswith("scenario a<b&c \u2014 RMS E-field")
