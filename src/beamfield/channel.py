@@ -26,6 +26,10 @@ PATTERN_COSINE = "cosine"
 # power pattern confined to the front half space integrates to 4*pi/6.
 _COSINE_PEAK_GAIN = 6.0
 
+# Gains per receiver block of propagation_gains: 16 Ki complex entries are
+# 256 KiB, so each elementwise pass over a block runs from the L2 cache.
+_GAIN_BLOCK_ENTRIES = 16384
+
 
 @dataclass(frozen=True)
 class ChannelModelConfig:
@@ -133,20 +137,32 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
 
     Direct line-of-sight rays always contribute.  In image mode the six
     first-order images of all transmit points are built at once, and each
-    surface then adds one (n_rx x n_tx) block of reflected rays scaled by
-    its coefficient: the direct rays first, then the surfaces in the fixed
-    order of ``_images``, skipping any surface whose coefficient is 0.
+    surface then adds its reflected rays scaled by its coefficient: the
+    direct rays first, then the surfaces in the fixed order of
+    ``_images``, skipping any surface whose coefficient is 0.  Receivers
+    are taken in blocks of about ``_GAIN_BLOCK_ENTRIES`` gains, written
+    into one result; every entry is computed by the same operations in
+    the same order whatever the block, so the block size never changes a
+    bit of the result.
     """
     tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
     rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
     lam = wavelength(frequency)
     if pattern not in (PATTERN_ISOTROPIC, PATTERN_COSINE):
         raise ValueError(f"unknown element pattern {pattern!r}")
+    rays = [(tx_points, None)]
+    if mode == MODE_IMAGE_1:
+        if room is None:
+            raise ValueError("image-order-1 mode requires a room")
+        images, coeffs = _images(room, tx_points)
+        rays += [(points, coeff) for points, coeff in zip(images, coeffs) if coeff != 0.0]
+    elif mode != MODE_LOS:
+        raise ValueError(f"unknown channel mode {mode!r}")
 
-    def ray(points, coeff=None):
+    def ray(rx, points, coeff):
         # Surface coefficient first, then the pattern: the order of the
         # products fixes the rounding, and so the bytes of every artifact.
-        d, dy = _distances(rx_points, points)
+        d, dy = _distances(rx, points)
         if np.any(d == 0.0):
             raise ValueError("a probe/receive point coincides with a transmit element")
         g = (lam / (4.0 * math.pi * d)) * np.exp(-2j * math.pi * d / lam)
@@ -156,16 +172,15 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
             g *= _pattern_amplitude(d, dy)
         return g
 
-    g = ray(tx_points)
-    if mode == MODE_IMAGE_1:
-        if room is None:
-            raise ValueError("image-order-1 mode requires a room")
-        images, coeffs = _images(room, tx_points)
-        for points, coeff in zip(images, coeffs):
-            if coeff != 0.0:
-                g += ray(points, coeff)
-    elif mode != MODE_LOS:
-        raise ValueError(f"unknown channel mode {mode!r}")
+    n_tx = len(tx_points)
+    g = np.empty((len(rx_points), n_tx), dtype=np.complex128)
+    rows = max(1, _GAIN_BLOCK_ENTRIES // max(n_tx, 1))
+    for start in range(0, len(rx_points), rows):
+        rx = rx_points[start:start + rows]
+        block = ray(rx, *rays[0])
+        for points, coeff in rays[1:]:
+            block += ray(rx, points, coeff)
+        g[start:start + rows] = block
     return g
 
 

@@ -364,10 +364,10 @@ def validate(config):
         findings.append(str(exc))
         return ValidationReport(findings=tuple(findings))
 
-    for p in array.element_positions:
-        if not room.contains(p):
-            findings.append(f"array: element at {tuple(p)} lies outside the room")
-            break
+    inside = room.contains(array.element_positions)
+    if not inside.all():
+        first = tuple(float(v) for v in array.element_positions[np.argmin(inside)])
+        findings.append(f"array: element at {first} lies outside the room")
     # Probe points are (x, y, height) over the lattice axes: compare per axis, in
     # O(elements) memory rather than with a points x elements difference.
     tx = array.active_positions()

@@ -13,7 +13,7 @@ from beamfield import (
     generate_channel,
     los_gain,
 )
-from beamfield.channel import _distances, _images, propagation_gains
+from beamfield.channel import _GAIN_BLOCK_ENTRIES, _distances, _images, propagation_gains
 from beamfield.geometry import ue_antenna_positions, wavelength
 
 import gains_reference as ref
@@ -125,6 +125,23 @@ class TestImageModeReference:
     def test_single_element(self, room):
         for pattern in ("isotropic", "cosine"):
             self.check([(0.2, 0.0, 1.5)], [(0.2, 4.0, 1.5), (-1.0, 7.5, 0.3)], room, pattern)
+
+    def test_receivers_over_several_blocks(self, array, room):
+        # 64 elements: 256 receivers per block, so 725 probes end in a partial block.
+        rx = build_grid(room=room, spacing=0.25).points
+        rows = _GAIN_BLOCK_ENTRIES // array.n_active
+        assert len(rx) > 2 * rows and len(rx) % rows != 0
+        for pattern in ("isotropic", "cosine"):
+            self.check(array.active_positions(), rx, room, pattern)
+
+    def test_large_array_takes_few_receivers_per_block(self, room):
+        # 32 x 32 active elements: 16 receivers per block, so 56 probes are 4 blocks.
+        arr = build_array(rows=32, cols=32, active_selection="all")
+        rx = build_grid(room=room, spacing=1.0).points
+        rows = _GAIN_BLOCK_ENTRIES // arr.n_active
+        assert rows == 16 and len(rx) % rows != 0
+        for pattern in ("isotropic", "cosine"):
+            self.check(arr.active_positions(), rx, room, pattern)
 
 
 class TestRayDistances:

@@ -116,6 +116,8 @@ BAD_DOCUMENTS = [
      "frame_samples: 622592}\n", "time-domain transmit block"),
     ("cut-x-off-grid", "seed: 1\ngrid: {spacing: 0.0065, y_max: 1.0}\n",
      "cut_x: 0 is not a grid column"),
+    ("array-outside-room", "seed: 1\narray: {center: [0, -1, 1.5]}\n",
+     "finding: array: element at (-0.1995, -1.0, 1.0725) lies outside the room\n"),
     ("negative-rates", "seed: 1\nofdm: {sample_rate: -61.44e6, subcarrier_spacing: -15000.0}\n",
      "ofdm: subcarrier_spacing must be positive"),
     ("slash-id", "seed: 1\nscenarios: [a/b]\n"

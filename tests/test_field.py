@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from beamfield import (
     wavelength,
 )
 from beamfield.field import FREE_SPACE_IMPEDANCE
-from beamfield.geometry import build_array
+from beamfield.geometry import build_array, build_grid
 
 from conftest import perfect_link
 
@@ -227,3 +228,18 @@ class TestPowerFieldConversion:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             power_to_field(-1.0, FREQ)
+
+
+@pytest.mark.parametrize("pattern", ["isotropic", "cosine"])
+def test_probe_gains_peak_memory_stays_near_the_result(array, room, pattern):
+    # The 0.1 m exposure grid: 4331 probes x 64 elements, a 4.2 MiB matrix.
+    grid = build_grid(room=room, spacing=0.1)
+    cfg = ChannelModelConfig(mode="image-order-1", element_pattern=pattern)
+    tracemalloc.start()
+    try:
+        gains = probe_gains(array, room, grid, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gains.nbytes > 4 << 20
+    assert peak < gains.nbytes + (2 << 20)

@@ -1,17 +1,27 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from beamfield import (
     BerReport,
+    ChannelModelConfig,
     OfdmConfig,
+    Scenario,
+    combining_vectors,
     demap_64qam,
+    estimate_csi,
+    generate_channel,
     map_64qam,
     transmit_frame,
+    zf_precoder,
 )
+from beamfield import ofdm
 
 from conftest import perfect_link
+from ofdm_reference import frame_errors
 from qam_oracle import exact_ber_64qam
 
 _SCALE = 1.0 / math.sqrt(42.0)
@@ -157,3 +167,77 @@ class TestTransmitFrame:
             BerReport(scenario_id="x", per_ue_ber=(0.0,), bits_tested=0)
         with pytest.raises(ValueError, match="BER"):
             BerReport(scenario_id="x", per_ue_ber=(1.5,), bits_tested=10)
+
+
+# A 64-point FFT frame of 33 OFDM symbols on 47 subcarriers: 1551 slots per
+# user, so three users fit in one block and eight end in a partial one.  The
+# count is odd: uint8 indices come four to a 32-bit draw, so splitting the
+# frame's index draw at a user boundary would shift the stream.
+_SHORT_FRAME = dict(fft_size=64, sample_rate=960_000.0, active_subcarriers=47,
+                    frame_samples=64 * 33)
+_EIGHT_USERS = Scenario(id="eight", ue_positions=(
+    (-3.0, 2.0), (-1.5, 3.5), (0.0, 5.0), (1.5, 6.5), (3.0, 8.0), (-2.0, 9.5),
+    (2.0, 11.0), (0.0, 13.0)))
+
+
+class TestBlockedFrame:
+    """Error counts against the whole-frame loop in ``ofdm_reference``."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("name,ofdm_cfg", [
+        ("noisy", OfdmConfig(frames=2, noise_snr_db=58.0, rng_seed=11)),
+        ("noiseless", OfdmConfig(frames=2, noise_snr_db=math.inf, rng_seed=12)),
+        ("noisy-short-frame", OfdmConfig(frames=2, noise_snr_db=58.0, rng_seed=13,
+                                         **_SHORT_FRAME)),
+        ("time-domain", OfdmConfig(frames=2, noise_snr_db=58.0, rng_seed=14,
+                                   time_domain=True, **_SHORT_FRAME)),
+    ])
+    def test_error_counts_match_the_whole_frame_loop(self, array, room, scenarios,
+                                                      k, name, ofdm_cfg):
+        scenario = {1: scenarios[0], 3: scenarios[7], 8: _EIGHT_USERS}[k]
+        assert scenario.n_users == k
+        cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=10.0, rng_seed=3)
+        h = generate_channel(array, scenario, room, cfg)
+        h_est = estimate_csi(h, cfg)
+        c = combining_vectors(h_est, scenario)
+        w = zf_precoder(h_est, scenario, combiners=c)
+        rep = transmit_frame(w, h, c, ofdm_cfg)
+        errors = frame_errors(w, h, c, ofdm_cfg)
+        assert rep.bits_tested == 2 * ofdm_cfg.bits_per_frame
+        assert rep.per_ue_ber == tuple(float(e) / rep.bits_tested for e in errors)
+        # Without noise only residual interference errs, which the 10 dB CSI
+        # leaves on the eight-user link alone.
+        assert errors.sum() > 0 or (name == "noiseless" and k < 8)
+
+    def test_frames_straddle_the_block(self):
+        block = ofdm._SLOT_BLOCK
+        slots = OfdmConfig().bits_per_frame // 6
+        assert slots > block and slots % block != 0
+        short = OfdmConfig(**_SHORT_FRAME).bits_per_frame // 6
+        assert 3 * short <= block < 8 * short and 8 % (block // short) != 0
+        assert short % 4 != 0
+
+    def test_small_frame_takes_one_pass(self, array, room, scenarios, los_cfg, monkeypatch):
+        shapes = []
+        demap = ofdm._demap_indices
+        monkeypatch.setattr(ofdm, "_demap_indices", lambda s: shapes.append(s.shape) or demap(s))
+        h, c, w = perfect_link(array, scenarios[7], room, los_cfg)
+        ofdm_cfg = OfdmConfig(frames=2, noise_snr_db=58.0, **_SHORT_FRAME)
+        transmit_frame(w, h, c, ofdm_cfg)
+        assert shapes == [(3, ofdm_cfg.bits_per_frame // 6)] * 2
+
+    def test_peak_memory_does_not_grow_with_frames(self, array, room, scenarios, los_cfg):
+        h, c, w = perfect_link(array, scenarios[7], room, los_cfg)
+        ofdm_cfg = OfdmConfig(noise_snr_db=64.0, rng_seed=4)
+        k, slots = 3, ofdm_cfg.bits_per_frame // 6
+        # A frame's full product holds its (k, slots) complex input and output
+        # and the uint8 indices; noise, demap and counts run in blocks.
+        bound = k * slots * (2 * 16 + 1) + (1 << 20)
+        for frames in (1, 3):
+            tracemalloc.start()
+            try:
+                transmit_frame(w, h, c, dataclasses.replace(ofdm_cfg, frames=frames))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, frames
