@@ -13,7 +13,6 @@ from .channel import (
     ChannelModelConfig,
     estimate_csi,
     generate_channel,
-    los_gain,
 )
 from .compliance import (
     DEFAULT_LIMITS_VPM,
@@ -31,15 +30,7 @@ from .errors import (
     UnknownRegionError,
     ZfInfeasibleError,
 )
-from .field import (
-    HeatMap,
-    compute_heatmap,
-    element_field,
-    field_to_power,
-    power_to_field,
-    probe_gains,
-    superpose_fields,
-)
+from .field import HeatMap, compute_heatmap, probe_gains
 from .geometry import (
     ArrayGeometry,
     ProbeGrid,
@@ -72,12 +63,9 @@ __all__ = [
     "RunConfig", "Scenario", "SingularMatrixError", "UnknownRegionError",
     "ZfInfeasibleError", "average_heatmaps", "build_array", "build_grid",
     "check", "combining_vectors", "compute_heatmap", "demap_64qam",
-    "effective_channel", "element_field", "estimate_csi", "extract_cut",
-    "far_field_distance", "field_to_power", "fit_decay", "from_dict",
-    "generate_channel", "load_config",
-    "los_gain", "map_64qam", "min_compliant_distance",
-    "power_to_field", "probe_gains", "right_pseudo_inverse", "run",
-    "standard_scenarios", "summary", "superpose_fields",
-    "transmit_frame", "validate", "verify_manifest", "wavelength",
-    "zf_precoder",
+    "effective_channel", "estimate_csi", "extract_cut", "far_field_distance",
+    "fit_decay", "from_dict", "generate_channel", "load_config", "map_64qam",
+    "min_compliant_distance", "probe_gains", "right_pseudo_inverse", "run",
+    "standard_scenarios", "summary", "transmit_frame", "validate",
+    "verify_manifest", "wavelength", "zf_precoder",
 ]

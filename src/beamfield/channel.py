@@ -75,17 +75,6 @@ class ChannelMatrix:
         return self.h[k * m:(k + 1) * m]
 
 
-def los_gain(tx, rx, frequency):
-    """Free-space complex gain (lambda / 4 pi d) * exp(-j 2 pi d / lambda)."""
-    tx = np.asarray(tx, dtype=float)
-    rx = np.asarray(rx, dtype=float)
-    d = float(np.linalg.norm(rx - tx))
-    if d == 0.0:
-        raise ValueError("transmit and receive points coincide")
-    lam = wavelength(frequency)
-    return (lam / (4.0 * math.pi * d)) * np.exp(-2j * math.pi * d / lam)
-
-
 def _images(room, points):
     """First-order images of the (T x 3) ``points`` in the six room surfaces.
 

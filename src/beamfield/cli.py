@@ -172,6 +172,8 @@ def _read_heatmap_csv(path):
 
 
 def _cmd_render(args):
+    if args.vmax is not None and not 0 < args.vmax < math.inf:
+        raise ConfigError(f"--vmax: must be a positive, finite V/m value, got {args.vmax!r}")
     heatmap = _read_heatmap_csv(args.csv)
     formats = args.format or ["svg", "ascii"]
     out_dir = args.out or os.path.dirname(os.path.abspath(args.csv))

@@ -49,7 +49,6 @@ class ComplianceReport:
     exceed_count: int
     exceed_fraction: float
     worst_margin_db: float
-    exceedance_mask: np.ndarray
 
     @property
     def compliant(self):
@@ -60,8 +59,7 @@ def check(heatmap, region, limits=None):
     """Pointwise comparison of a heat map against a regional limit."""
     limits = limits if limits is not None else LimitTable()
     limit = limits.limit(region)
-    mask = heatmap.values > limit
-    count = int(np.count_nonzero(mask))
+    count = int(np.count_nonzero(heatmap.values > limit))
     peak = float(heatmap.values.max()) if heatmap.values.size else 0.0
     margin = -math.inf if peak == 0.0 else 20.0 * math.log10(peak / limit)
     return ComplianceReport(
@@ -70,7 +68,6 @@ def check(heatmap, region, limits=None):
         exceed_count=count,
         exceed_fraction=count / heatmap.values.size,
         worst_margin_db=margin,
-        exceedance_mask=mask,
     )
 
 

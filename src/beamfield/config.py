@@ -27,8 +27,10 @@ from .geometry import (
     Scenario,
     build_array,
     build_grid,
+    far_field_distance,
     grid_size_bound,
     standard_scenarios,
+    wavelength,
 )
 from .ofdm import MAX_SAMPLES_PER_STREAM, OfdmConfig
 
@@ -91,8 +93,18 @@ class RunConfig:
             spacing=self.array.spacing,
             center=self.array.center,
             active_selection=self.array.active,
-            carrier_frequency=self.channel.carrier_frequency,
         )
+
+    def fit_min_distance(self, array):
+        """Shortest cut distance the decay fit keeps, or None to keep them all.
+
+        With ``fit_exclude_near_field`` it is the array's far-field distance:
+        nearer samples do not follow the 1/d law.
+        """
+        if not self.fit_exclude_near_field:
+            return None
+        return far_field_distance(array.aperture(),
+                                  wavelength(self.channel.carrier_frequency))
 
     def build_grid(self):
         g = self.grid
@@ -307,6 +319,8 @@ def validate(config):
         findings.append("calibration: must be positive")
     if config.tx_power_w <= 0:
         findings.append("tx_power_w: must be positive")
+    if config.svg_vmax is not None and config.svg_vmax <= 0:
+        findings.append("svg_vmax: must be positive")
     for i, scenario in enumerate(config.custom_scenarios):
         if not scenario.id or any(c in scenario.id for c in _ID_FORBIDDEN):
             findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} cannot name artifact "
@@ -382,5 +396,16 @@ def validate(config):
             f"cut_x: {config.cut_x:g} is not a grid column (nearest: {nearest}; "
             f"columns {xs[0]:g} to {xs[-1]:g} in steps of {grid.spacing:g})"
         )
+    # The decay fit of the cut column needs 3 samples, at positive distances.
+    kept = grid.y_values
+    min_distance = config.fit_min_distance(array)
+    if min_distance is not None:
+        kept = kept[kept >= min_distance]
+    if kept.size < 3 or kept[0] <= 0:
+        beyond = "" if min_distance is None else \
+            f" at or beyond the {min_distance:.3g} m far-field distance"
+        got = f"{kept.size}, from y = {kept[0]:g} m" if kept.size else "none"
+        findings.append(f"grid: the decay fit needs at least 3 positive cut distances"
+                        f"{beyond}; the grid rows give {got}")
 
     return ValidationReport(findings=tuple(findings))

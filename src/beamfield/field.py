@@ -26,11 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MODE_LOS, PATTERN_ISOTROPIC, propagation_gains
+from .channel import propagation_gains
 from .geometry import wavelength
-
-#: Impedance of free space (ohms) used by the power/field conversion.
-FREE_SPACE_IMPEDANCE = 376.730313668
 
 #: Radiated-field constant: sqrt(30 P) / d for an isotropic element.
 _FIELD_CONSTANT = math.sqrt(30.0)
@@ -55,18 +52,6 @@ class HeatMap:
         return self.values.reshape(len(self.grid.y_values), len(self.grid.x_values))
 
 
-def _field_gains(tx_points, rx_points, frequency, room, mode, pattern):
-    """Propagation factor exp(-j2 pi d/lambda)/d per (probe, element), images included.
-
-    ``propagation_gains`` returns (lambda / 4 pi d) e^{-j...}; the field
-    formula needs e^{-j...} / d, so rescale by 4 pi / lambda.
-    """
-    g = propagation_gains(tx_points, rx_points, frequency, room=room, mode=mode,
-                          pattern=pattern)
-    g *= 4.0 * math.pi / wavelength(frequency)
-    return g
-
-
 def probe_gains(array, room, grid, cfg):
     """Field gain matrix (n_points x n_active) of the array over the probe grid.
 
@@ -75,28 +60,13 @@ def probe_gains(array, room, grid, cfg):
     this once and passes it to :func:`compute_heatmap` for every scenario,
     so the matrix is read-only.
     """
-    gains = _field_gains(array.active_positions(), grid.points, cfg.carrier_frequency,
-                         room, cfg.mode, cfg.element_pattern)
+    gains = propagation_gains(array.active_positions(), grid.points, cfg.carrier_frequency,
+                              room=room, mode=cfg.mode, pattern=cfg.element_pattern)
+    # propagation_gains returns (lambda / 4 pi d) e^{-j...}; the field formula
+    # needs e^{-j...} / d, so rescale by 4 pi / lambda.
+    gains *= 4.0 * math.pi / wavelength(cfg.carrier_frequency)
     gains.setflags(write=False)
     return gains
-
-
-def element_field(tx, weight, probe, frequency, room=None, mode=MODE_LOS,
-                  pattern=PATTERN_ISOTROPIC):
-    """Complex field phasor (V/m) of one element at one probe point."""
-    row = _field_gains(tx, probe, frequency, room, mode, pattern)[0]
-    return complex(_FIELD_CONSTANT * weight * row[0])
-
-
-def superpose_fields(array, precoder, probe, room, cfg, calibration=1.0):
-    """RMS field (V/m) of the full precoded transmission at one probe point.
-
-    Coherent element sum per stream, root-sum-square across streams.
-    """
-    row = _field_gains(array.active_positions(), probe, cfg.carrier_frequency,
-                       room, cfg.mode, cfg.element_pattern)[0]
-    per_stream = _FIELD_CONSTANT * _per_stream_product(row[None, :], precoder.w)[0]
-    return calibration * float(np.sqrt(np.sum(np.abs(per_stream) ** 2)))
 
 
 def _per_stream_product(gains, w):
@@ -122,25 +92,3 @@ def compute_heatmap(scenario, precoder, grid, gains, calibration=1.0):
     per_stream = _FIELD_CONSTANT * _per_stream_product(gains, precoder.w)
     values = calibration * np.sqrt(np.sum(np.abs(per_stream) ** 2, axis=1))
     return HeatMap(grid=grid, values=values, scenario_id=scenario.id)
-
-
-def power_to_field(received_power, frequency, probe_antenna_gain=1.0):
-    """Convert probe-received power (W) to field strength (V/m).
-
-    Inverts the effective-aperture relation: A_eff = lambda^2 G / 4 pi,
-    S = P / A_eff, E = sqrt(S * eta0).
-    """
-    if received_power < 0:
-        raise ValueError("received power must be non-negative")
-    lam = wavelength(frequency)
-    density = received_power * 4.0 * math.pi / (lam ** 2 * probe_antenna_gain)
-    return math.sqrt(density * FREE_SPACE_IMPEDANCE)
-
-
-def field_to_power(field_vpm, frequency, probe_antenna_gain=1.0):
-    """Inverse of :func:`power_to_field`: incident power on the same aperture."""
-    if field_vpm < 0:
-        raise ValueError("field must be non-negative")
-    lam = wavelength(frequency)
-    density = field_vpm ** 2 / FREE_SPACE_IMPEDANCE
-    return density * lam ** 2 * probe_antenna_gain / (4.0 * math.pi)

@@ -11,10 +11,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: Carrier used by the default indoor setup (Hz).
-DEFAULT_CARRIER_HZ = 2.63e9
-
-#: Half wavelength at the default carrier; the usual array design point (m).
+#: Half wavelength at the default 2.63 GHz carrier; the usual array design point (m).
 DEFAULT_ELEMENT_SPACING_M = 0.057
 
 #: Height of the array centre and of the probe plane (m).
@@ -104,8 +101,6 @@ class ArrayGeometry:
 
     element_positions: np.ndarray
     active_mask: np.ndarray
-    element_spacing: float
-    carrier_frequency: float = DEFAULT_CARRIER_HZ
 
     @property
     def n_elements(self):
@@ -120,12 +115,15 @@ class ArrayGeometry:
         return self.element_positions[self.active_mask]
 
     def aperture(self):
-        """Largest pairwise distance between active elements (metres)."""
+        """Largest pairwise distance between active elements (metres).
+
+        The pairwise differences are taken in blocks of about 64 Ki; all of
+        them at once would take 384 MiB for a 4096-element array.
+        """
         pos = self.active_positions()
-        if pos.shape[0] < 2:
-            return 0.0
-        diff = pos[:, None, :] - pos[None, :, :]
-        return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+        rows = max(1, 65536 // max(len(pos), 1))
+        return max((float(np.sqrt(((pos[i:i + rows, None] - pos) ** 2).sum(axis=2)).max())
+                    for i in range(0, len(pos), rows)), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -180,7 +178,6 @@ def build_array(
     spacing=DEFAULT_ELEMENT_SPACING_M,
     center=(0.0, 0.0, DEFAULT_MOUNT_HEIGHT_M),
     active_selection="central-8x8",
-    carrier_frequency=DEFAULT_CARRIER_HZ,
 ):
     """Build a rows x cols planar array centred at ``center``.
 
@@ -228,12 +225,7 @@ def build_array(
 
     positions.setflags(write=False)
     mask.setflags(write=False)
-    return ArrayGeometry(
-        element_positions=positions,
-        active_mask=mask,
-        element_spacing=float(spacing),
-        carrier_frequency=float(carrier_frequency),
-    )
+    return ArrayGeometry(element_positions=positions, active_mask=mask)
 
 
 # UE coordinates (x, y) of the eight built-in single/multi-user cases.

@@ -101,10 +101,3 @@ def effective_channel(h_true, precoder, combiners):
     g = effective_user_channel(h_true, combiners)
     return g @ precoder.w
 
-
-def interference_ratio(eff):
-    """Max |off-diagonal| over min |diagonal| of an effective channel."""
-    diag = np.abs(np.diag(eff))
-    off = np.abs(eff - np.diag(np.diag(eff)))
-    max_off = float(off.max()) if eff.shape[0] > 1 else 0.0
-    return max_off / float(diag.min())

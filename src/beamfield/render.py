@@ -14,6 +14,7 @@ formatted.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,18 @@ def _fills(t):
     rgb = np.rint(lo + frac * (_RAMP_RGB[i + 1] - lo)).astype(int)
     packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
     return [f"#{v:06x}" for v in packed.ravel().tolist()]
+
+
+def _scale_top(heatmap, vmax):
+    """Top of the colour scale: ``vmax`` if given, else the map maximum.
+
+    An all-zero map has no maximum to scale to and gets 1 V/m.
+    """
+    if vmax is None:
+        return float(heatmap.values.max()) or 1.0
+    if not 0 < vmax < math.inf:
+        raise ValueError(f"vmax must be positive and finite, got {vmax!r}")
+    return float(vmax)
 
 
 def _levels(values, top):
@@ -219,9 +232,7 @@ def heatmap_svg(heatmap, text, vmax=None, markers=()):
     pins the top of the colour scale; default is the map maximum.
     """
     text.check(heatmap)
-    top = float(vmax) if vmax is not None else float(heatmap.values.max())
-    if top <= 0:
-        top = 1.0
+    top = _scale_top(heatmap, vmax)
 
     values = heatmap.values.tolist()
     scaled = heatmap.values / top
@@ -269,9 +280,7 @@ def heatmap_ascii(heatmap, vmax=None):
     rows = heatmap.as_grid_rows()
     xs = heatmap.grid.x_values
     ys = heatmap.grid.y_values
-    top = float(vmax) if vmax is not None else float(heatmap.values.max())
-    if top <= 0:
-        top = 1.0
+    top = _scale_top(heatmap, vmax)
 
     lines = [f"scenario {heatmap.scenario_id}: RMS E-field, "
              f"'{_ASCII_LEVELS[0]}'=0 to '{_ASCII_LEVELS[-1]}'={top:.3g} V/m"]

@@ -28,7 +28,6 @@ from .channel import estimate_csi, generate_channel
 from .config import derive_seed, validate
 from .errors import ConfigError
 from .field import compute_heatmap, probe_gains
-from .geometry import far_field_distance, wavelength
 from .ofdm import transmit_frame
 from .precoding import combining_vectors, zf_precoder
 from .render import grid_text, heatmap_ascii, heatmap_csv, heatmap_json, heatmap_svg
@@ -112,10 +111,7 @@ def run(config, out_dir=None):
     maps = [r.heatmap for r in results]
     average = stats_mod.average_heatmaps(maps)
     cut = stats_mod.extract_cut(average, config.cut_x)
-    min_distance = None
-    if config.fit_exclude_near_field:
-        lam = wavelength(config.channel.carrier_frequency)
-        min_distance = far_field_distance(array.aperture(), lam)
+    min_distance = config.fit_min_distance(array)
     exponent, r_squared = stats_mod.fit_decay(cut, min_distance=min_distance)
     avg_summary = stats_mod.summary(average)
     regions = sorted(compliance_mod.DEFAULT_LIMITS_VPM)

@@ -15,7 +15,6 @@ class CutProfile:
     range from the array plane at y = 0.
     """
 
-    axis: str
     fixed_value: float
     distances: np.ndarray
     fields: np.ndarray
@@ -74,7 +73,6 @@ def extract_cut(heatmap, x, tol=1e-9):
     rows = heatmap.as_grid_rows()
     ys = np.asarray(heatmap.grid.y_values, dtype=float)
     return CutProfile(
-        axis="x-fixed",
         fixed_value=float(xs[col]),
         distances=ys.copy(),
         fields=rows[:, col].copy(),

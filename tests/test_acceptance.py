@@ -14,12 +14,15 @@ import pytest
 from beamfield import (
     ChannelModelConfig,
     LimitTable,
+    PrecodingMatrix,
     RunConfig,
+    Scenario,
+    build_array,
+    build_grid,
     check,
     compute_heatmap,
     demap_64qam,
     effective_channel,
-    element_field,
     extract_cut,
     far_field_distance,
     fit_decay,
@@ -31,11 +34,11 @@ from beamfield import (
     wavelength,
 )
 from beamfield.field import HeatMap
-from beamfield.precoding import interference_ratio
 from beamfield.runner import run_scenario
 from beamfield.stats import average_heatmaps
 
 from conftest import perfect_link, random_complex
+from field_oracle import interference_ratio
 from qam_oracle import exact_ber_64qam
 
 
@@ -140,9 +143,17 @@ def test_criterion_05_ber_grows_with_users(array, room, scenarios):
              f"< scn8 {means['8']:.2e}; max {max(means.values()):.2e} <= 1e-2")
 
 
-def test_criterion_06_free_space_field_ground_truth():
-    e = abs(element_field((0, 0, 0), 1.0, (0, 1, 0), 2.63e9))
-    assert e == pytest.approx(math.sqrt(30.0), rel=1e-6)
+def test_criterion_06_free_space_field_ground_truth(room):
+    # The run's own path: probe gains, then the heat map of a 1 W precoder
+    # on one isotropic element, read 1 m in front of it.
+    element = build_array(rows=1, cols=1, center=(0.0, 0.0, 1.5), active_selection="all")
+    probe = build_grid(x_min=0.0, x_max=0.0, y_min=1.0, y_max=1.0, height=1.5)
+    one_watt = PrecodingMatrix(w=np.ones((1, 1), dtype=complex), per_stream_power=1.0)
+    gains = probe_gains(element, room, probe, ChannelModelConfig())
+    heatmap = compute_heatmap(Scenario(id="1w", ue_positions=((0.0, 1.0),)), one_watt,
+                              probe, gains)
+    e = float(heatmap.values[0])
+    assert e == pytest.approx(math.sqrt(30.0), rel=1e-12)
     _pass(6, f"1 W isotropic at 1 m: {e:.6f} V/m (sqrt(30) = {math.sqrt(30):.6f})")
 
 

@@ -11,13 +11,13 @@ from beamfield import (
     build_array,
     build_grid,
     generate_channel,
-    los_gain,
 )
 from beamfield.channel import _GAIN_BLOCK_ENTRIES, _distances, _images, propagation_gains
 from beamfield.geometry import ue_antenna_positions, wavelength
 
 import gains_reference as ref
 from conftest import random_complex
+from field_oracle import los_gain
 
 
 class TestLosGain:

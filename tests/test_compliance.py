@@ -22,7 +22,7 @@ def constant_map(grid, value):
 
 
 def profile(distances, fields):
-    return CutProfile(axis="x-fixed", fixed_value=0.0,
+    return CutProfile(fixed_value=0.0,
                       distances=np.asarray(distances, dtype=float),
                       fields=np.asarray(fields, dtype=float))
 
@@ -75,7 +75,7 @@ class TestCheck:
                     scenario_id="r")
         rep = check(m, "Poland")
         assert rep.exceed_fraction == rep.exceed_count / grid.n_points
-        assert rep.exceed_count == int(np.count_nonzero(rep.exceedance_mask))
+        assert rep.exceed_count == int(np.count_nonzero(m.values > rep.limit))
 
     def test_unknown_region(self, grid):
         with pytest.raises(UnknownRegionError):

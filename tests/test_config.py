@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -118,6 +121,14 @@ BAD_DOCUMENTS = [
      "cut_x: 0 is not a grid column"),
     ("array-outside-room", "seed: 1\narray: {center: [0, -1, 1.5]}\n",
      "finding: array: element at (-0.1995, -1.0, 1.0725) lies outside the room\n"),
+    ("decay-fit-beyond-the-grid", "seed: 1\ngrid: {y_min: 1.0, y_max: 2.0}\n",
+     "finding: grid: the decay fit needs at least 3 positive cut distances at or beyond "
+     "the 5.59 m far-field distance; the grid rows give none\n"),
+    ("decay-fit-zero-distance", "seed: 1\nfit_exclude_near_field: false\ngrid: {y_min: 0.0}\n",
+     "finding: grid: the decay fit needs at least 3 positive cut distances; "
+     "the grid rows give 9, from y = 0 m\n"),
+    ("negative-svg-vmax", "seed: 1\nsvg_vmax: -1\n", "finding: svg_vmax: must be positive\n"),
+    ("zero-svg-vmax", "seed: 1\nsvg_vmax: 0\n", "finding: svg_vmax: must be positive\n"),
     ("negative-rates", "seed: 1\nofdm: {sample_rate: -61.44e6, subcarrier_spacing: -15000.0}\n",
      "ofdm: subcarrier_spacing must be positive"),
     ("slash-id", "seed: 1\nscenarios: [a/b]\n"
@@ -219,8 +230,10 @@ def test_gain_budget_is_checked_before_allocating():
 
 def test_cut_x_finding_stays_short_on_a_fine_grid():
     # 923 columns in one row: listing them all made a 7377-character line.
+    # One row is also too few for the decay fit, which is the second finding.
     report = validate({"seed": 1, "grid": {"spacing": 0.0065, "y_max": 1.0}})
-    (finding,) = report.findings
+    finding, fit = report.findings
+    assert fit.startswith("grid: the decay fit needs at least 3 positive cut distances")
     assert finding.startswith("cut_x: 0 is not a grid column")
     assert "-0.0035 and 0.003" in finding
     assert len(finding) < 200
@@ -280,3 +293,47 @@ def test_any_document_gives_a_config_error_or_a_report(doc):
     except ConfigError:
         pass
     assert isinstance(validate(doc), ValidationReport)
+
+
+# One scenario on a narrowband link over a small grid: about 12 ms a run.
+# The values straddle what validate must catch: grids that end before the
+# far-field distance (0.69, 2.75 or 5.59 m for the three element spacings),
+# rows at y = 0, off-grid cuts and non-positive colour scales.
+_RUNNABLE = st.fixed_dictionaries({
+    "seed": st.integers(0, 3),
+    "scenarios": st.lists(st.sampled_from([str(i) for i in range(1, 9)]),
+                          min_size=1, max_size=1),
+    "formats": st.sampled_from([["csv"], ["ascii", "svg"]]),
+    "fit_exclude_near_field": st.booleans(),
+    "cut_x": st.sampled_from([0.0, 0.0, -1.0, 1.0, 0.5]),
+    "svg_vmax": st.sampled_from([None, None, None, 3.0, 0.5, 0.0, -1.0]),
+    "calibration": st.sampled_from([0.5, 1.0]),
+    "array": st.fixed_dictionaries({"spacing": st.sampled_from([0.02, 0.04, 0.057])}),
+    "channel": st.fixed_dictionaries({
+        "mode": st.sampled_from(["los-only", "image-order-1"]),
+        "element_pattern": st.sampled_from(["isotropic", "cosine"]),
+    }),
+    "ofdm": st.just({"sample_rate": 960000.0, "fft_size": 64, "active_subcarriers": 48,
+                     "frame_samples": 1024, "frames": 1}),
+    "grid": st.fixed_dictionaries({
+        "x_min": st.sampled_from([-2.0, -1.0, 0.0]),
+        "x_max": st.sampled_from([0.0, 1.0, 2.0]),
+        "y_min": st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        "y_max": st.sampled_from([2.0, 4.0, 8.0, 12.0]),
+        "spacing": st.sampled_from([0.5, 1.0, 2.0]),
+    }),
+})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_RUNNABLE)
+def test_a_document_that_validates_runs(doc):
+    if not validate(doc).ok:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.yaml")
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli_main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+    assert status == 0

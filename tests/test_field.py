@@ -9,22 +9,23 @@ from beamfield import (
     ChannelModelConfig,
     PrecodingMatrix,
     Room,
-    RunConfig,
     Scenario,
     compute_heatmap,
-    element_field,
     far_field_distance,
-    field_to_power,
-    power_to_field,
     probe_gains,
     standard_scenarios,
-    superpose_fields,
     wavelength,
 )
-from beamfield.field import FREE_SPACE_IMPEDANCE
 from beamfield.geometry import build_array, build_grid
 
 from conftest import perfect_link
+from field_oracle import (
+    FREE_SPACE_IMPEDANCE,
+    element_field,
+    field_to_power,
+    power_to_field,
+    superpose_fields,
+)
 
 FREQ = 2.63e9
 
@@ -161,21 +162,20 @@ class TestComputeHeatmap:
 
     def test_shared_gains_match_per_probe_superposition(self, array, room, grid,
                                                         scenarios):
-        # One matrix serves every scenario: each map equals the direct
-        # superposition at its probes, reflections and calibration included.
-        config = RunConfig()
-        cfg = config.channel
-        gains = probe_gains(array, room, grid, cfg)
-        assert gains.shape == (grid.n_points, array.n_active)
-        assert not gains.flags.writeable
-        probes = np.random.default_rng(4).choice(grid.n_points, size=12, replace=False)
-        for scn in scenarios:
-            _, _, w = perfect_link(array, scn, room, cfg)
-            hm = compute_heatmap(scn, w, grid, gains, calibration=0.7)
-            for k in probes:
-                want = superpose_fields(array, w, grid.points[k], room, cfg,
-                                        calibration=0.7)
-                assert hm.values[k] == pytest.approx(want, rel=1e-12)
+        # One matrix serves every scenario: each map equals the oracle's
+        # element-by-element superposition at every probe, reflections,
+        # element pattern and calibration included.
+        for pattern in ("isotropic", "cosine"):
+            cfg = ChannelModelConfig(mode="image-order-1", element_pattern=pattern)
+            gains = probe_gains(array, room, grid, cfg)
+            assert gains.shape == (grid.n_points, array.n_active)
+            assert not gains.flags.writeable
+            for scn in scenarios:
+                _, _, w = perfect_link(array, scn, room, cfg)
+                hm = compute_heatmap(scn, w, grid, gains, calibration=0.7)
+                want = [superpose_fields(array, w, p, room, cfg, calibration=0.7)
+                        for p in grid.points]
+                assert hm.values.tolist() == pytest.approx(want, rel=1e-12)
 
     def test_stream_power_additivity(self, array, room, grid, scenarios, los_cfg,
                                      los_gains):

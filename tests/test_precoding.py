@@ -13,9 +13,8 @@ from beamfield import (
     generate_channel,
     zf_precoder,
 )
-from beamfield.precoding import interference_ratio
-
 from conftest import perfect_link, random_complex
+from field_oracle import interference_ratio
 
 
 def make_channel(h, n_users, antennas=4):

@@ -161,3 +161,14 @@ def test_svg_escapes_the_scenario_id():
     svg = heatmap_svg(heatmap, grid_text(grid), markers=[(0.0, 2.0)])
     title = minidom.parseString(svg).getElementsByTagName("text")[0]
     assert title.firstChild.data.startswith("scenario a<b&c \u2014 RMS E-field")
+
+
+@pytest.mark.parametrize("vmax", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_pinned_scale_top_must_be_positive_and_finite(vmax):
+    grid = build_grid()
+    heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
+    with pytest.raises(ValueError, match="vmax must be positive and finite"):
+        heatmap_svg(heatmap, grid_text(grid), vmax=vmax)
+    with pytest.raises(ValueError, match="vmax must be positive and finite"):
+        heatmap_ascii(heatmap, vmax=vmax)
+

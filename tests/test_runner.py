@@ -252,6 +252,14 @@ class TestCli:
         assert err.startswith(f"error: {path}: line {line}: {message}")
         assert not (tmp_path / "heatmap_scenario_1.svg").exists()
 
+    @pytest.mark.parametrize("vmax", ["nan", "0", "-1"])
+    def test_render_rejects_a_scale_top_that_is_not_positive(self, tmp_path, capsys, vmax):
+        path = tmp_path / "heatmap_scenario_1.csv"
+        path.write_text("x_m,y_m,e_vpm\n0,1,2\n")
+        assert cli_main(["render", str(path), "--vmax", vmax]) == 1
+        assert capsys.readouterr().err.startswith("error: --vmax: must be a positive")
+        assert not (tmp_path / "heatmap_scenario_1.svg").exists()
+
     def test_render_rejects_duplicate_points(self, tmp_path, capsys):
         path = tmp_path / "heatmap_scenario_1.csv"
         path.write_text("x_m,y_m,e_vpm\n0,0,1\n0,0,1\n1,0,1\n1,1,1\n")
