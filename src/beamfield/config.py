@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 import yaml
 
-from .channel import ChannelModelConfig
+from .channel import MODE_IMAGE_1, PATTERN_COSINE, ChannelModelConfig
 from .errors import ConfigError
 from .geometry import (
     DEFAULT_ELEMENT_SPACING_M,
@@ -33,6 +33,7 @@ from .geometry import (
     wavelength,
 )
 from .ofdm import MAX_SAMPLES_PER_STREAM, OfdmConfig
+from .stats import CutProfile, fit_decay
 
 EXPORT_FORMATS = ("ascii", "csv", "json", "svg")
 
@@ -396,16 +397,25 @@ def validate(config):
             f"cut_x: {config.cut_x:g} is not a grid column (nearest: {nearest}; "
             f"columns {xs[0]:g} to {xs[-1]:g} in steps of {grid.spacing:g})"
         )
-    # The decay fit of the cut column needs 3 samples, at positive distances.
-    kept = grid.y_values
+    # The decay fit of the cut column: fit_decay itself judges the rows, with
+    # a unit field on each, or 0 where the cosine pattern lights no ray. It
+    # lights a row only from a source behind it: an element, or in image mode
+    # its y-low wall image at -y (the y-high image always lies beyond the room).
+    ys = grid.y_values
+    lit = np.ones(ys.size)
+    if config.channel.element_pattern == PATTERN_COSINE:
+        behind = tx[:, 1]
+        if config.channel.mode == MODE_IMAGE_1 and room.wall_reflections()[2] != 0.0:
+            behind = np.concatenate([behind, -behind])
+        lit = (ys > behind.min()).astype(float)
     min_distance = config.fit_min_distance(array)
-    if min_distance is not None:
-        kept = kept[kept >= min_distance]
-    if kept.size < 3 or kept[0] <= 0:
-        beyond = "" if min_distance is None else \
+    try:
+        fit_decay(CutProfile(config.cut_x, ys, lit), min_distance)
+    except ValueError as exc:
+        rows = "" if min_distance is None else \
             f" at or beyond the {min_distance:.3g} m far-field distance"
-        got = f"{kept.size}, from y = {kept[0]:g} m" if kept.size else "none"
-        findings.append(f"grid: the decay fit needs at least 3 positive cut distances"
-                        f"{beyond}; the grid rows give {got}")
+        unlit = "" if lit.all() else \
+            f"; the cosine pattern gives no field at y <= {behind.min():g} m"
+        findings.append(f"grid: the decay fit cannot run on the cut rows{rows}: {exc}{unlit}")
 
     return ValidationReport(findings=tuple(findings))

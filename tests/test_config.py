@@ -122,11 +122,15 @@ BAD_DOCUMENTS = [
     ("array-outside-room", "seed: 1\narray: {center: [0, -1, 1.5]}\n",
      "finding: array: element at (-0.1995, -1.0, 1.0725) lies outside the room\n"),
     ("decay-fit-beyond-the-grid", "seed: 1\ngrid: {y_min: 1.0, y_max: 2.0}\n",
-     "finding: grid: the decay fit needs at least 3 positive cut distances at or beyond "
-     "the 5.59 m far-field distance; the grid rows give none\n"),
+     "finding: grid: the decay fit cannot run on the cut rows at or beyond the 5.59 m "
+     "far-field distance: need at least 3 samples to fit a decay law, got 0\n"),
     ("decay-fit-zero-distance", "seed: 1\nfit_exclude_near_field: false\ngrid: {y_min: 0.0}\n",
-     "finding: grid: the decay fit needs at least 3 positive cut distances; "
-     "the grid rows give 9, from y = 0 m\n"),
+     "finding: grid: the decay fit cannot run on the cut rows: "
+     "decay fit requires strictly positive distances and fields\n"),
+    ("decay-fit-behind-a-cosine-array", "seed: 1\narray: {center: [0, 3, 1.5]}\n"
+     "channel: {mode: los-only, element_pattern: cosine}\nfit_exclude_near_field: false\n",
+     "finding: grid: the decay fit cannot run on the cut rows: decay fit requires strictly "
+     "positive distances and fields; the cosine pattern gives no field at y <= 3 m\n"),
     ("negative-svg-vmax", "seed: 1\nsvg_vmax: -1\n", "finding: svg_vmax: must be positive\n"),
     ("zero-svg-vmax", "seed: 1\nsvg_vmax: 0\n", "finding: svg_vmax: must be positive\n"),
     ("negative-rates", "seed: 1\nofdm: {sample_rate: -61.44e6, subcarrier_spacing: -15000.0}\n",
@@ -233,7 +237,7 @@ def test_cut_x_finding_stays_short_on_a_fine_grid():
     # One row is also too few for the decay fit, which is the second finding.
     report = validate({"seed": 1, "grid": {"spacing": 0.0065, "y_max": 1.0}})
     finding, fit = report.findings
-    assert fit.startswith("grid: the decay fit needs at least 3 positive cut distances")
+    assert fit.startswith("grid: the decay fit cannot run on the cut rows")
     assert finding.startswith("cut_x: 0 is not a grid column")
     assert "-0.0035 and 0.003" in finding
     assert len(finding) < 200
@@ -298,7 +302,8 @@ def test_any_document_gives_a_config_error_or_a_report(doc):
 # One scenario on a narrowband link over a small grid: about 12 ms a run.
 # The values straddle what validate must catch: grids that end before the
 # far-field distance (0.69, 2.75 or 5.59 m for the three element spacings),
-# rows at y = 0, off-grid cuts and non-positive colour scales.
+# rows at y = 0, rows at or behind an array that the cosine pattern leaves
+# unlit, off-grid cuts and non-positive colour scales.
 _RUNNABLE = st.fixed_dictionaries({
     "seed": st.integers(0, 3),
     "scenarios": st.lists(st.sampled_from([str(i) for i in range(1, 9)]),
@@ -308,7 +313,11 @@ _RUNNABLE = st.fixed_dictionaries({
     "cut_x": st.sampled_from([0.0, 0.0, -1.0, 1.0, 0.5]),
     "svg_vmax": st.sampled_from([None, None, None, 3.0, 0.5, 0.0, -1.0]),
     "calibration": st.sampled_from([0.5, 1.0]),
-    "array": st.fixed_dictionaries({"spacing": st.sampled_from([0.02, 0.04, 0.057])}),
+    "array": st.fixed_dictionaries({
+        "spacing": st.sampled_from([0.02, 0.04, 0.057]),
+        "center": st.sampled_from([[0.0, 0.0, 1.5], [0.0, 1.0, 1.5], [0.0, 3.0, 1.5]]),
+    }),
+    "room": st.fixed_dictionaries({"wall_reflection": st.sampled_from([-0.6, 0.0])}),
     "channel": st.fixed_dictionaries({
         "mode": st.sampled_from(["los-only", "image-order-1"]),
         "element_pattern": st.sampled_from(["isotropic", "cosine"]),

@@ -243,3 +243,12 @@ def test_probe_gains_peak_memory_stays_near_the_result(array, room, pattern):
         tracemalloc.stop()
     assert gains.nbytes > 4 << 20
     assert peak < gains.nbytes + (2 << 20)
+
+
+@pytest.mark.parametrize("mode", ["los-only", "image-order-1"])
+def test_probe_on_an_active_element_rejected(room, mode):
+    # The package's own check: a zero ray length would divide by zero.
+    element = build_array(rows=1, cols=1, center=(0.0, 1.0, 1.5), active_selection="all")
+    grid = build_grid(x_min=-1.0, x_max=1.0, y_min=1.0, y_max=2.0, height=1.5, room=room)
+    with pytest.raises(ValueError, match="probe/receive point coincides with a transmit"):
+        probe_gains(element, room, grid, ChannelModelConfig(mode=mode))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,27 @@ class TestBuildArray:
         # central 8x8 at 0.057 m pitch: diagonal of a 7-gap square.
         expect = np.sqrt(2) * 7 * 0.057
         assert array.aperture() == pytest.approx(expect, rel=1e-12)
+
+    def test_blocked_aperture_equals_the_full_pairwise_form(self):
+        # 406 active elements: blocks of 161 rows split them three ways.
+        mask = np.random.default_rng(7).random(32 * 16) < 0.8
+        a = build_array(rows=32, cols=16, spacing=0.031, center=(0.2, 0.0, 1.5),
+                        active_selection=mask)
+        pos = a.active_positions()
+        full = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)).max()
+        assert a.aperture() == float(full)
+
+    def test_aperture_of_a_large_array_stays_small_in_memory(self):
+        # All pairwise differences of 4096 elements at once take 384 MiB.
+        a = build_array(rows=64, cols=64, spacing=0.02, active_selection="all")
+        tracemalloc.start()
+        try:
+            aperture = a.aperture()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert aperture == pytest.approx(np.sqrt(2) * 63 * 0.02, rel=1e-12)
+        assert peak < 8 << 20
 
 
 class TestStandardScenarios:
