@@ -371,6 +371,12 @@ def validate(config):
             f"{MAX_SAMPLES_PER_STREAM:.0e} budget")
     if over_budget:
         return ValidationReport(findings=tuple(findings + over_budget))
+    # Zero-forcing inverts the users x active-elements channel from the right.
+    for sid in config.scenario_ids:
+        if sid in table and table[sid].n_users > array.n_active:
+            findings.append(
+                f"scenario {sid}: {table[sid].n_users} users exceed the {array.n_active} "
+                "active array elements; zero-forcing needs at least one element per user")
 
     # Grid and array inside the room, no coincidence.
     try:

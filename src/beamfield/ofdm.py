@@ -27,16 +27,53 @@ without forming the n_tx x slots transmit block or per-antenna noise.
 An optional time-domain mode runs the full array instead, as a
 cross-check: IFFT, every UE antenna with its own noise, combining, FFT.
 
-Random stream order, per frame: one draw of all k x slots symbol indices
-(uint8 draws are buffered inside a call, so the call is never split), then
-the noise, user-major, as the interleaved real pairs of one (k, 2 x slots)
-normal draw.  The flat path forms the whole frame's k x k product in one
-BLAS call (blocks of it round differently) and then adds the noise,
-demaps and counts errors in blocks of ``_SLOT_BLOCK`` slots: whole users
-while a user fits in a block, else one user's slots in order.  Consecutive
-draws continue one stream, so each block draws exactly the normals that
-one whole-frame draw would give its slots, and the block size never
-changes an error count.
+The flat path draws noise only where it can flip a decision.  User u's
+equalised sample is s_u + d_u + n_u / g_u, with own gain g_u = (G W)[u, u],
+interference d_u = (e_uu - 1) s_u + sum_{j != u} e_uj s_j from its row e_u
+of (G W) / g_u, and noise whose I and Q parts are N(0, sigma^2 / 2 / |g_u|^2).
+No point is farther than 7 sqrt(2) S from the origin, with S = 1/sqrt(42)
+half the level spacing, so each axis of d_u is at most
+
+    reach_u = 7 sqrt(2) S (|e_uu - 1| + sum_{j != u} |e_uj|).
+
+An axis decides its own level while it stays less than S from it (the
+outer levels saturate, which only helps), so whenever that axis's noise
+has |n| <= tau_u = S - reach_u - 1e-9 S, the decision is the sent one,
+whatever the symbols.  The 1e-9 S margin is far above the rounding of the
+demapper's arithmetic.  A slot can therefore err only where one of its 2k
+user-axis noises exceeds its tau, which happens independently per
+component with p_c = erfc(tau / (sd sqrt 2)), and in a slot with prob.
+P(any) = 1 - prod (1 - p_c).  Per frame the path draws
+
+1. K ~ Binomial(slots, P(any)), the number of slots with an exceedance;
+2. for each of the K slots, which components exceed, from their joint law
+   given that one does: the first one with P(first = c) =
+   prod_{c' < c} (1 - p_c') p_c / P(any), then every later one as its own
+   Bernoulli(p).  Together these give the exact joint law of the 2k
+   independent indicators given "at least one", so errors of different
+   users in a slot stay as correlated as the full simulation makes them;
+3. fresh symbol indices for the K slots.  Symbols are iid and independent
+   of the noise, so which slots of the frame exceeded never matters;
+4. for each exceeding component, its noise from the normal law given
+   |n| > tau; a component that does not exceed cannot flip its axis, so
+   its noise is left at 0;
+5. the K slots' samples, their decisions and their bit errors.
+
+A user whose reach is at least S (tau <= 0) gets p = 1 and an untruncated
+draw, so an interference-limited link sends every slot through the same
+code; a noiseless receiver gives p = 0 while tau > 0.  The error counts
+of all users are thus exactly distributed as in the per-slot simulation.
+
+Random stream order, per frame.  Flat path: one binomial draw of K; K
+uniforms for the first exceeding component; 2k x K uniforms for the later
+ones, component by component; one draw of all k x K uint8 symbol
+indices; then the tail noise of the exceeding components, component by
+component: first those with threshold below one standard deviation, one
+normal each and then rounds of normals for the rejected (each keeps its
+own sign), then the rest by Marsaglia's tail method, in rounds of two
+uniforms per open draw, and one uniform each for the sign.  No block
+size enters the stream.  Time-domain path: one draw of all k x slots
+symbol indices, then per user the noise of every UE antenna.
 """
 
 import math
@@ -62,10 +99,11 @@ _BIT_SHIFTS = np.arange(5, -1, -1)
 #: per-frame arrays and the run time; the default run uses 1.7e5.
 MAX_SAMPLES_PER_STREAM = 10 ** 7
 
-# Symbol slots per block of the flat path after its full-frame product: 8 Ki
-# complex slots are 128 KiB, so the noise, equalisation, demap and error-count
-# passes over a block run from the L2 cache.
-_SLOT_BLOCK = 8192
+# Farthest any constellation point lies from the origin: the corner 7 + 7j.
+_PEAK_AMPLITUDE = 7.0 * math.sqrt(2.0) * _QAM_SCALE
+# Absolute margin by which the noise threshold stays inside the decision
+# boundary; the demapper's rounding is ~1e-15 S.
+_THRESHOLD_MARGIN = 1e-9 * _QAM_SCALE
 
 
 @dataclass(frozen=True)
@@ -192,6 +230,90 @@ def _complex_noise(rng, shape, power):
     return pairs.view(np.complex128)
 
 
+def _exceedance(equalised, gain, noise_power):
+    """Per user-axis component 2u (I) and 2u + 1 (Q): the noise standard
+    deviation, the threshold t in those deviations that the noise must
+    exceed to flip the decision, and the probability that it does.
+
+    A user whose interference can reach the decision boundary on its own
+    gets t = 0 and probability 1 (see the module docstring).
+    """
+    # |e_uu - 1| on the diagonal and |e_uj| off it.
+    reach = _PEAK_AMPLITUDE * np.abs(equalised - np.eye(gain.size)).sum(axis=1)
+    tau = _QAM_SCALE - _THRESHOLD_MARGIN - reach
+    sd = math.sqrt(noise_power / 2.0) / np.abs(gain)
+    # A noiseless receiver never exceeds a positive threshold.
+    t = [0.0 if a <= 0.0 else a / s if s > 0.0 else math.inf
+         for a, s in zip(tau.tolist(), sd.tolist())]
+    p = [math.erfc(x / math.sqrt(2.0)) for x in t]
+    return np.repeat([sd, t, p], 2, axis=1)
+
+
+def _first_exceedance_cdf(p):
+    """c[i] = P(some component <= i exceeds), for independent components
+    exceeding with probabilities ``p``; c[-1] is P(any).
+
+    Summing log1p(-p) keeps p ~ 1e-20 to rounding, where 1 - prod(1 - p)
+    would give 0; a p of 1 makes c exactly 1 from there on.
+    """
+    log_none = np.full(p.shape, -math.inf)
+    np.log1p(-p, out=log_none, where=p < 1.0)
+    return 0.0 - np.expm1(np.cumsum(log_none))
+
+
+def _exceedance_patterns(rng, n, p, cdf):
+    """Which components exceed in ``n`` slots, given that at least one does
+    in each: a (components, n) bool array.
+
+    The first exceeding component is c with probability
+    (cdf[c] - cdf[c - 1]) / cdf[-1]; every later one then exceeds on its
+    own with its p, and every earlier one does not.
+    """
+    first = np.searchsorted(cdf / cdf[-1], rng.random(n), side="right")
+    index = np.arange(p.size)[:, None]
+    return (index == first) | ((index > first) & (rng.random((p.size, n)) < p[:, None]))
+
+
+def _normal_tail(rng, t):
+    """Standard normal draws conditioned on |x| > t, elementwise (t >= 0).
+
+    Thresholds below 1 take plain normals, redrawn until they exceed;
+    the rest take Marsaglia's tail method and a random sign.
+    """
+    x = np.empty(t.shape)
+    near = t < 1.0
+    x[near] = _plain_tail(rng, t[near])
+    x[~near] = _marsaglia_tail(rng, t[~near])
+    return x
+
+
+def _plain_tail(rng, t):
+    """Normals redrawn where |x| <= t; below t = 1 each is kept at least 31 % of the time."""
+    x = rng.standard_normal(t.size)
+    redo = np.flatnonzero(np.abs(x) <= t)
+    while redo.size:
+        x[redo] = rng.standard_normal(redo.size)
+        redo = redo[np.abs(x[redo]) <= t[redo]]
+    return x
+
+
+def _marsaglia_tail(rng, t):
+    """Marsaglia's method for the normal tail beyond t >= 1, with a random sign.
+
+    y = sqrt(t^2 - 2 ln u) has density y exp(-(y^2 - t^2) / 2) on y > t;
+    accepting it with probability t / y leaves the normal tail.  Each u
+    lies in (0, 1], so its log is finite.
+    """
+    y = np.empty(t.size)
+    redo = np.arange(t.size)
+    while redo.size:
+        tr = t[redo]
+        u = 1.0 - rng.random((2, redo.size))
+        y[redo] = np.sqrt(tr * tr - 2.0 * np.log(u[0]))
+        redo = redo[(u[1] * y[redo] >= tr) | (y[redo] <= tr)]
+    return np.where(rng.random(t.size) < 0.5, -y, y)
+
+
 def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
     """Send ZF-precoded frames over the true channel and count bit errors.
 
@@ -199,9 +321,17 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
     active subcarrier of each OFDM symbol.  User u receives row u of the
     k x k effective channel (G W) times the symbols plus one CN(0, sigma^2)
     noise draw, which is its combined sample c_u^H (H_u W s + n_u) in
-    distribution (see the module docstring).  The sample is equalised by
-    the known own gain (G W)[u, u], demapped to an index and compared with
-    the sent one.  Deterministic in ``cfg.rng_seed``.
+    distribution.  The sample is equalised by the known own gain
+    (G W)[u, u], demapped to an index and compared with the sent one.
+
+    The flat path simulates only the slots in which some user's noise
+    exceeds the threshold that keeps its decision: |n| <= tau leaves the
+    own symbol whatever the interference does, the slots are iid so their
+    positions never matter, and the exceeding components are drawn from
+    their joint law given that one exceeds, which keeps the users' error
+    counts jointly as distributed as in the per-slot simulation.  The
+    module docstring gives the argument and the random-number order.
+    Deterministic in ``cfg.rng_seed``.
     """
     k = h_true.n_users
     if precoder.n_streams != k:
@@ -209,39 +339,42 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
             f"precoder has {precoder.n_streams} streams for {k} users"
         )
     eff = effective_channel(h_true, precoder, combiners)
-    gain = np.diag(eff)[:, None]
+    gain = np.diag(eff)
     if np.any(np.abs(gain) == 0.0):
         raise ValueError("effective channel has a zero diagonal gain")
-    equalised = eff / gain
+    equalised = eff / gain[:, None]
 
     rng = np.random.default_rng(cfg.rng_seed)
     noise_power = _noise_power(cfg.noise_snr_db)
     slots = cfg.active_subcarriers * cfg.symbols_per_frame
     errors = np.zeros(k, dtype=np.int64)
-
-    # Blocks of whole users while a user fits in one, else one user at a time.
-    rows = max(1, _SLOT_BLOCK // slots)
-    cols = min(slots, _SLOT_BLOCK)
+    sd, t, p = _exceedance(equalised, gain, noise_power)
+    cdf = _first_exceedance_cdf(p)
 
     for _ in range(cfg.frames):
-        # One integers call per frame: its bounded uint8 draws are buffered,
-        # so splitting the call would change the stream.
-        sent = rng.integers(0, 64, size=(k, slots), dtype=np.uint8)
         if cfg.time_domain:
+            # One integers call per frame: its bounded uint8 draws are
+            # buffered, so splitting the call would change the stream.
+            sent = rng.integers(0, 64, size=(k, slots), dtype=np.uint8)
             received = _propagate_time_domain(_CONSTELLATION[sent], h_true, precoder,
-                                              combiners, cfg, rng, noise_power) / gain
-            errors += _POPCOUNT[_demap_indices(received) ^ sent].sum(axis=1, dtype=np.int64)
+                                              combiners, cfg, rng, noise_power) / gain[:, None]
         else:
-            # One BLAS product per frame: split into column blocks, it rounds
-            # some entries differently.
+            n = int(rng.binomial(slots, cdf[-1]))
+            if n == 0:
+                continue
+            hit = _exceedance_patterns(rng, n, p, cdf)
+            sent = rng.integers(0, 64, size=(k, n), dtype=np.uint8)
+            # Tail noise for the exceeding components, component by component.
+            tail = _normal_tail(rng, np.repeat(t, np.count_nonzero(hit, axis=1)))
+            noise = np.zeros(hit.shape)
+            noise[hit] = tail
+            noise *= sd[:, None]
+            del hit, tail
             received = equalised @ _CONSTELLATION[sent]
-            for u in range(0, k, rows):
-                users = slice(u, u + rows)
-                for c in range(0, slots, cols):
-                    block = received[users, c:c + cols]
-                    block = block + _complex_noise(rng, block.shape, noise_power) / gain[users]
-                    wrong = _POPCOUNT[_demap_indices(block) ^ sent[users, c:c + cols]]
-                    errors[users] += wrong.sum(axis=1, dtype=np.int64)
+            received.real += noise[0::2]
+            received.imag += noise[1::2]
+            del noise
+        errors += _POPCOUNT[_demap_indices(received) ^ sent].sum(axis=1, dtype=np.int64)
         # Free the frame before the next one is drawn, so the peak does not
         # hold two frames.
         del sent, received

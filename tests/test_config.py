@@ -119,6 +119,9 @@ BAD_DOCUMENTS = [
      "frame_samples: 622592}\n", "time-domain transmit block"),
     ("cut-x-off-grid", "seed: 1\ngrid: {spacing: 0.0065, y_max: 1.0}\n",
      "cut_x: 0 is not a grid column"),
+    ("more-users-than-elements", "seed: 1\nscenarios: [\"4\"]\narray: {rows: 1, cols: 1, "
+     "active: all}\nfit_exclude_near_field: false\n",
+     "scenario 4: 2 users exceed the 1 active array elements"),
     ("array-outside-room", "seed: 1\narray: {center: [0, -1, 1.5]}\n",
      "finding: array: element at (-0.1995, -1.0, 1.0725) lies outside the room\n"),
     ("decay-fit-beyond-the-grid", "seed: 1\ngrid: {y_min: 1.0, y_max: 2.0}\n",
@@ -303,7 +306,8 @@ def test_any_document_gives_a_config_error_or_a_report(doc):
 # The values straddle what validate must catch: grids that end before the
 # far-field distance (0.69, 2.75 or 5.59 m for the three element spacings),
 # rows at y = 0, rows at or behind an array that the cosine pattern leaves
-# unlit, off-grid cuts and non-positive colour scales.
+# unlit, off-grid cuts, non-positive colour scales, and arrays with fewer
+# active elements than a scenario has users (or too few for central-8x8).
 _RUNNABLE = st.fixed_dictionaries({
     "seed": st.integers(0, 3),
     "scenarios": st.lists(st.sampled_from([str(i) for i in range(1, 9)]),
@@ -314,6 +318,9 @@ _RUNNABLE = st.fixed_dictionaries({
     "svg_vmax": st.sampled_from([None, None, None, 3.0, 0.5, 0.0, -1.0]),
     "calibration": st.sampled_from([0.5, 1.0]),
     "array": st.fixed_dictionaries({
+        "rows": st.sampled_from([1, 2, 8, 16]),
+        "cols": st.sampled_from([1, 2, 8]),
+        "active": st.sampled_from(["all", "central-8x8"]),
         "spacing": st.sampled_from([0.02, 0.04, 0.057]),
         "center": st.sampled_from([[0.0, 0.0, 1.5], [0.0, 1.0, 1.5], [0.0, 3.0, 1.5]]),
     }),
@@ -334,7 +341,7 @@ _RUNNABLE = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(_RUNNABLE)
 def test_a_document_that_validates_runs(doc):
     if not validate(doc).ok:

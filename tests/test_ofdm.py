@@ -12,6 +12,7 @@ from beamfield import (
     Scenario,
     combining_vectors,
     demap_64qam,
+    effective_channel,
     estimate_csi,
     generate_channel,
     map_64qam,
@@ -170,68 +171,78 @@ class TestTransmitFrame:
 
 
 # A 64-point FFT frame of 33 OFDM symbols on 47 subcarriers: 1551 slots per
-# user, so three users fit in one block and eight end in a partial one.  The
-# count is odd: uint8 indices come four to a 32-bit draw, so splitting the
-# frame's index draw at a user boundary would shift the stream.
+# user, so hundreds of frames take a second.
 _SHORT_FRAME = dict(fft_size=64, sample_rate=960_000.0, active_subcarriers=47,
                     frame_samples=64 * 33)
 _EIGHT_USERS = Scenario(id="eight", ue_positions=(
     (-3.0, 2.0), (-1.5, 3.5), (0.0, 5.0), (1.5, 6.5), (3.0, 8.0), (-2.0, 9.5),
     (2.0, 11.0), (0.0, 13.0)))
+# Frames per user count compared with the per-slot reference, and the factor
+# within which the two sample variances of a user's count must agree: five
+# standard deviations of the log variance ratio, sqrt(2 / 299) each, for
+# near-normal counts.
+_FRAMES_COMPARED = 300
+_VARIANCE_RATIO = 1.8
 
 
-class TestBlockedFrame:
-    """Error counts against the whole-frame loop in ``ofdm_reference``."""
+def _noisy_csi_link(array, room, scenario):
+    """True channel, combiners and ZF precoder from a 10 dB CSI estimate."""
+    cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=10.0, rng_seed=3)
+    h = generate_channel(array, scenario, room, cfg)
+    h_est = estimate_csi(h, cfg)
+    c = combining_vectors(h_est, scenario)
+    return h, c, zf_precoder(h_est, scenario, combiners=c)
 
-    @pytest.mark.parametrize("k", [1, 3, 8])
-    @pytest.mark.parametrize("name,ofdm_cfg", [
-        ("noisy", OfdmConfig(frames=2, noise_snr_db=58.0, rng_seed=11)),
-        ("noiseless", OfdmConfig(frames=2, noise_snr_db=math.inf, rng_seed=12)),
-        ("noisy-short-frame", OfdmConfig(frames=2, noise_snr_db=58.0, rng_seed=13,
-                                         **_SHORT_FRAME)),
-        ("time-domain", OfdmConfig(frames=2, noise_snr_db=58.0, rng_seed=14,
-                                   time_domain=True, **_SHORT_FRAME)),
-    ])
-    def test_error_counts_match_the_whole_frame_loop(self, array, room, scenarios,
-                                                      k, name, ofdm_cfg):
+
+def _exceedance_of(h, c, w, noise_snr_db):
+    """The sampler's per-axis noise deviations, thresholds and probabilities."""
+    eff = effective_channel(h, w, c)
+    gain = np.diag(eff)
+    return ofdm._exceedance(eff / gain[:, None], gain, ofdm._noise_power(noise_snr_db))
+
+
+class TestFrameSampler:
+    """The flat path's error counts against the per-slot reference simulator."""
+
+    @pytest.mark.parametrize("k,noise_snr_db", [(1, 58.0), (3, 58.0), (8, 58.0),
+                                                (8, math.inf)])
+    def test_counts_match_the_per_slot_reference(self, array, room, scenarios,
+                                                 k, noise_snr_db):
+        # At 10 dB CSI the one-user link errs only in rare slots, while the
+        # three- and eight-user links have users whose interference alone can
+        # reach a boundary, so every slot is drawn.
         scenario = {1: scenarios[0], 3: scenarios[7], 8: _EIGHT_USERS}[k]
-        assert scenario.n_users == k
-        cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=10.0, rng_seed=3)
-        h = generate_channel(array, scenario, room, cfg)
-        h_est = estimate_csi(h, cfg)
-        c = combining_vectors(h_est, scenario)
-        w = zf_precoder(h_est, scenario, combiners=c)
-        rep = transmit_frame(w, h, c, ofdm_cfg)
-        errors = frame_errors(w, h, c, ofdm_cfg)
-        assert rep.bits_tested == 2 * ofdm_cfg.bits_per_frame
-        assert rep.per_ue_ber == tuple(float(e) / rep.bits_tested for e in errors)
-        # Without noise only residual interference errs, which the 10 dB CSI
-        # leaves on the eight-user link alone.
-        assert errors.sum() > 0 or (name == "noiseless" and k < 8)
+        h, c, w = _noisy_csi_link(array, room, scenario)
+        _, _, p = _exceedance_of(h, c, w, noise_snr_db)
+        p_any = ofdm._first_exceedance_cdf(p)[-1]
+        assert (p_any < 0.1) if k == 1 else (p_any == 1.0)
 
-    def test_frames_straddle_the_block(self):
-        block = ofdm._SLOT_BLOCK
-        slots = OfdmConfig().bits_per_frame // 6
-        assert slots > block and slots % block != 0
-        short = OfdmConfig(**_SHORT_FRAME).bits_per_frame // 6
-        assert 3 * short <= block < 8 * short and 8 % (block // short) != 0
-        assert short % 4 != 0
-
-    def test_small_frame_takes_one_pass(self, array, room, scenarios, los_cfg, monkeypatch):
-        shapes = []
-        demap = ofdm._demap_indices
-        monkeypatch.setattr(ofdm, "_demap_indices", lambda s: shapes.append(s.shape) or demap(s))
-        h, c, w = perfect_link(array, scenarios[7], room, los_cfg)
-        ofdm_cfg = OfdmConfig(frames=2, noise_snr_db=58.0, **_SHORT_FRAME)
-        transmit_frame(w, h, c, ofdm_cfg)
-        assert shapes == [(3, ofdm_cfg.bits_per_frame // 6)] * 2
+        cfg = OfdmConfig(noise_snr_db=noise_snr_db, **_SHORT_FRAME)
+        bits = cfg.bits_per_frame
+        sampled = np.array([
+            [round(b * bits) for b in transmit_frame(
+                w, h, c, dataclasses.replace(cfg, rng_seed=s)).per_ue_ber]
+            for s in range(_FRAMES_COMPARED)])
+        reference = np.array([
+            frame_errors(w, h, c, cfg, np.random.default_rng([1, s]))
+            for s in range(_FRAMES_COMPARED)])
+        assert sampled.sum() > 0
+        n = _FRAMES_COMPARED
+        for u in range(k):
+            a, b = sampled[:, u], reference[:, u]
+            va, vb = a.var(ddof=1), b.var(ddof=1)
+            assert abs(a.mean() - b.mean()) <= 5.0 * math.sqrt((va + vb) / n), u
+            if va + vb == 0.0:
+                assert a.mean() == b.mean()
+            else:
+                assert 1.0 / _VARIANCE_RATIO <= va / vb <= _VARIANCE_RATIO, u
 
     def test_peak_memory_does_not_grow_with_frames(self, array, room, scenarios, los_cfg):
         h, c, w = perfect_link(array, scenarios[7], room, los_cfg)
         ofdm_cfg = OfdmConfig(noise_snr_db=64.0, rng_seed=4)
         k, slots = 3, ofdm_cfg.bits_per_frame // 6
-        # A frame's full product holds its (k, slots) complex input and output
-        # and the uint8 indices; noise, demap and counts run in blocks.
+        # A frame holds at most its (k, slots) complex input and output and
+        # the uint8 indices.
         bound = k * slots * (2 * 16 + 1) + (1 << 20)
         for frames in (1, 3):
             tracemalloc.start()
@@ -241,3 +252,139 @@ class TestBlockedFrame:
             finally:
                 tracemalloc.stop()
             assert peak < bound, frames
+
+    def test_peak_memory_of_a_frame_that_draws_every_slot(self, array, room):
+        h, c, w = _noisy_csi_link(array, room, _EIGHT_USERS)
+        ofdm_cfg = OfdmConfig(noise_snr_db=58.0, rng_seed=4)
+        _, _, p = _exceedance_of(h, c, w, ofdm_cfg.noise_snr_db)
+        assert ofdm._first_exceedance_cdf(p)[-1] == 1.0
+        k, slots = 8, ofdm_cfg.bits_per_frame // 6
+        # Per user and slot: the symbol index, its point, the product, the
+        # two noise axes, and the tail draw's thresholds, proposals and
+        # masks (measured: 85 bytes).
+        bound = k * slots * 96 + (1 << 20)
+        for frames in (1, 2):
+            tracemalloc.start()
+            try:
+                transmit_frame(w, h, c, dataclasses.replace(ofdm_cfg, frames=frames))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, frames
+
+
+def _equalised_rows(rng, k, fraction, aligned):
+    """A k x k equalised channel whose every row reaches ``fraction`` of S.
+
+    The coefficient magnitudes |e_uu - 1| and |e_uj| sum to fraction / (7
+    sqrt 2).  Aligned rows turn every coefficient by -pi/4, so each one
+    moves the corner 7 + 7j straight along the I axis.
+    """
+    mags = rng.random((k, k)) + 0.1
+    mags *= fraction / (7.0 * math.sqrt(2.0)) / mags.sum(axis=1, keepdims=True)
+    phase = -math.pi / 4 if aligned else rng.uniform(-math.pi, math.pi, (k, k))
+    eq = mags * np.exp(1j * phase)
+    eq[np.diag_indices(k)] += 1.0
+    return eq
+
+
+def _chi2_sf(x, df):
+    """P(chi-square with ``df`` degrees of freedom > x), by the gamma series."""
+    a, y = df / 2.0, x / 2.0
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= y / (a + n)
+        total += term
+    return 1.0 - math.exp(a * math.log(y) - y - math.lgamma(a)) * total
+
+
+class TestSamplerParts:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("fraction", [0.5, 0.99, 1.0 - 1e-7, 1.001])
+    @pytest.mark.parametrize("aligned", [False, True], ids=["random", "aligned"])
+    def test_reach_bounds_every_noiseless_sample(self, k, fraction, aligned):
+        rng = np.random.default_rng(41)
+        eq = _equalised_rows(rng, k, fraction, aligned)
+        # Unit gain and noise power 2 give unit noise per axis: t is tau.
+        _, t, p = ofdm._exceedance(eq, np.ones(k), 2.0)
+        tau, p = t[::2], p[::2]
+        reach = _SCALE * 7.0 * math.sqrt(2.0) * (
+            np.abs(np.diag(eq) - 1.0) + np.abs(eq).sum(axis=1) - np.abs(np.diag(eq)))
+        assert reach == pytest.approx(np.full(k, fraction * _SCALE), rel=1e-12)
+        if fraction > 1.0:
+            assert np.all(tau == 0.0) and np.all(p == 1.0)
+            return
+        assert tau == pytest.approx(_SCALE - reach - 1e-9 * _SCALE, rel=0, abs=1e-15)
+        assert np.all(tau > 0.0)
+
+        if k <= 2:
+            sent = np.indices((64,) * k).reshape(k, -1).astype(np.uint8)
+        else:
+            sent = rng.integers(0, 64, size=(k, 20_000), dtype=np.uint8)
+        points = ofdm._CONSTELLATION[sent]
+        noiseless = eq @ points
+        assert np.all(np.abs(noiseless - points) <= reach[:, None] * (1.0 + 1e-12))
+        for si, sq in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            noisy = noiseless + (tau * (si + 1j * sq))[:, None]
+            assert np.array_equal(ofdm._demap_indices(noisy), sent), (si, sq)
+
+    def test_noiseless_receiver_never_exceeds_a_positive_threshold(self):
+        eq = _equalised_rows(np.random.default_rng(42), 2, 0.5, False)
+        _, t, p = ofdm._exceedance(eq, np.ones(2), 0.0)
+        assert np.all(t == math.inf) and np.all(p == 0.0)
+        assert ofdm._first_exceedance_cdf(p)[-1] == 0.0
+
+    @pytest.mark.parametrize("p", [[0.3, 0.0, 1.0, 0.05], [0.0, 0.2, 0.05, 0.4],
+                                   [2e-3, 0.0, 1e-3, 0.0]])
+    def test_exceedance_patterns_follow_the_conditional_law(self, p):
+        p = np.array(p)
+        cdf = ofdm._first_exceedance_cdf(p)
+        n = 20_000
+        hit = ofdm._exceedance_patterns(np.random.default_rng(43), n, p, cdf)
+        assert hit.shape == (4, n) and np.all(hit.any(axis=0))
+        observed = np.bincount(np.dot([8, 4, 2, 1], hit), minlength=16)
+        expected = np.zeros(16)
+        for code in range(1, 16):
+            bits = np.array([(code >> (3 - c)) & 1 for c in range(4)])
+            expected[code] = np.prod(np.where(bits == 1, p, 1.0 - p))
+        expected *= n / expected.sum()
+        support = expected > 0.0
+        assert np.all(observed[~support] == 0)
+        stat = np.sum((observed[support] - expected[support]) ** 2 / expected[support])
+        assert _chi2_sf(stat, np.count_nonzero(support) - 1) > 1e-6
+
+    def test_chi2_sf_matches_closed_forms(self):
+        # df 2: exp(-x/2); df 1: erfc(sqrt(x/2)).
+        for x in (0.1, 3.0, 30.0):
+            assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-9)
+            assert _chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-6)
+
+    def test_tail_draws_exceed_and_follow_the_normal_tail(self):
+        thresholds = np.array([0.0, 0.5, 1.0, 3.0, 8.0])
+        n = 20_000
+        t = np.tile(thresholds, n)
+        x = ofdm._normal_tail(np.random.default_rng(44), t)
+        # Dvoretzky-Kiefer-Wolfowitz: P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2).
+        eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+        for threshold in thresholds:
+            draws = x[t == threshold]
+            assert np.all(np.abs(draws) > threshold), threshold
+            assert abs(np.count_nonzero(draws < 0) - n / 2) <= 5.0 * math.sqrt(n) / 2
+            y = np.sort(np.abs(draws))
+            tail = math.erfc(threshold / math.sqrt(2.0))
+            cdf = 1.0 - np.array([math.erfc(v / math.sqrt(2.0)) for v in y]) / tail
+            ranks = np.arange(1, n + 1) / n
+            distance = max(np.max(ranks - cdf), np.max(cdf - (ranks - 1.0 / n)))
+            assert distance < eps, threshold
+
+    def test_any_exceedance_keeps_tiny_probabilities(self):
+        cdf = ofdm._first_exceedance_cdf(np.full(4, 1e-20))
+        assert cdf == pytest.approx([1e-20, 2e-20, 3e-20, 4e-20], rel=1e-12)
+        p = np.array([0.1, 0.35, 0.02])
+        assert ofdm._first_exceedance_cdf(p)[-1] == pytest.approx(1.0 - np.prod(1.0 - p),
+                                                                  rel=1e-12)
+        assert list(ofdm._first_exceedance_cdf(np.array([0.1, 1.0, 0.2]))) == [0.1, 1.0, 1.0]
+        zero = ofdm._first_exceedance_cdf(np.zeros(3))
+        assert np.all(zero == 0.0) and not np.any(np.signbit(zero))

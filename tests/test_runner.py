@@ -312,12 +312,12 @@ class TestGoldenValues:
                "p95_vpm": 3.5335090301208516}
     EXPONENT = -0.40150408007102983
     BER = {
-        ("1", "1"): 4.8877002e-06, ("2", "1"): 0.0, ("3", "1"): 0.0,
-        ("4", "1"): 2.93262012e-06, ("4", "2"): 0.0,
-        ("5", "1"): 0.00119259885, ("5", "2"): 0.0,
-        ("6", "1"): 0.00097265234, ("6", "2"): 2.93262012e-06,
-        ("7", "1"): 0.000850459835, ("7", "2"): 0.0,
-        ("8", "1"): 0.00502455581, ("8", "2"): 8.30909034e-05, ("8", "3"): 0.0,
+        ("1", "1"): 7.82032032e-06, ("2", "1"): 0.0, ("3", "1"): 0.0,
+        ("4", "1"): 1.95508008e-06, ("4", "2"): 0.0,
+        ("5", "1"): 0.00116816035, ("5", "2"): 0.0,
+        ("6", "1"): 0.00098829298, ("6", "2"): 9.7754004e-07,
+        ("7", "1"): 0.000878808496, ("7", "2"): 0.0,
+        ("8", "1"): 0.00501575795, ("8", "2"): 7.62481231e-05, ("8", "3"): 1.95508008e-06,
     }
 
     @pytest.fixture(scope="class")
