@@ -42,8 +42,9 @@ print(f"strongest entry |h| = {np.abs(h_true.h).max():.2e} (passive, always < 1)
 h_est = estimate_csi(h_true, cfg)
 combiners = combining_vectors(h_est, scenario)
 precoder = zf_precoder(h_est, scenario, combiners=combiners)
+stream_power = np.sum(np.abs(precoder.w) ** 2, axis=0)
 print(f"precoder: {precoder.w.shape[0]} elements x {precoder.n_streams} streams, "
-      f"total {precoder.total_power():.6f} W, {precoder.per_stream_power:.4f} W per stream")
+      f"total {stream_power.sum():.6f} W, {stream_power.mean():.4f} W per stream")
 
 # The whole point of ZF: the effective channel is (near) diagonal.
 eff = effective_channel(h_true, precoder, combiners)

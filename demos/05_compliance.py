@@ -9,8 +9,8 @@ peak of ~3 V/m, then derives the exclusion distance along boresight.
 import dataclasses
 
 from beamfield import (
+    DEFAULT_LIMITS_VPM,
     HeatMap,
-    LimitTable,
     RunConfig,
     average_heatmaps,
     check,
@@ -33,14 +33,13 @@ maps = [
     for i, scn in enumerate(standard_scenarios(config.tx_power_w))
 ]
 averaged = average_heatmaps(maps)
-limits = LimitTable()
-print("limit table:", limits.entries)
+print("limit table:", DEFAULT_LIMITS_VPM)
 
 
 def table(heatmap, label):
     print(f"\n{label} (max {heatmap.values.max():.2f} V/m):")
-    for region in sorted(limits.entries):
-        rep = check(heatmap, region, limits)
+    for region in sorted(DEFAULT_LIMITS_VPM):
+        rep = check(heatmap, region)
         margin = "-inf" if rep.exceed_count == 0 and heatmap.values.max() == 0 \
             else f"{rep.worst_margin_db:+.2f}"
         print(f"  {region:<8} limit {rep.limit:>5.1f} V/m  exceeded at "
@@ -57,6 +56,6 @@ table(calibrated, f"same map calibrated to 3.09 V/m (scale {scale:.3f})")
 
 cut = extract_cut(averaged, 0.0)
 print("\nexclusion distance along x = 0 at 1 W:")
-for region in sorted(limits.entries):
-    d = min_compliant_distance([cut], region, limits)
+for region in sorted(DEFAULT_LIMITS_VPM):
+    d = min_compliant_distance(cut, region)
     print(f"  {region:<8} compliant from {d:g} m outward")

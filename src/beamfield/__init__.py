@@ -17,7 +17,6 @@ from .channel import (
 from .compliance import (
     DEFAULT_LIMITS_VPM,
     ComplianceReport,
-    LimitTable,
     check,
     min_compliant_distance,
 )
@@ -43,7 +42,7 @@ from .geometry import (
     wavelength,
 )
 from .linalg import right_pseudo_inverse
-from .ofdm import BerReport, OfdmConfig, demap_64qam, map_64qam, transmit_frame
+from .ofdm import BerReport, OfdmConfig, transmit_frame
 from .precoding import (
     PrecodingMatrix,
     combining_vectors,
@@ -58,14 +57,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayGeometry", "BeamfieldError", "BerReport", "ChannelMatrix",
     "ChannelModelConfig", "ComplianceReport", "ConfigError", "CutProfile",
-    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "HeatMap",
-    "LimitTable", "OfdmConfig", "PrecodingMatrix", "ProbeGrid", "Room",
-    "RunConfig", "Scenario", "SingularMatrixError", "UnknownRegionError",
-    "ZfInfeasibleError", "average_heatmaps", "build_array", "build_grid",
-    "check", "combining_vectors", "compute_heatmap", "demap_64qam",
-    "effective_channel", "estimate_csi", "extract_cut", "far_field_distance",
-    "fit_decay", "from_dict", "generate_channel", "load_config", "map_64qam",
-    "min_compliant_distance", "probe_gains", "right_pseudo_inverse", "run",
-    "standard_scenarios", "summary", "transmit_frame", "validate",
+    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "HeatMap", "OfdmConfig",
+    "PrecodingMatrix", "ProbeGrid", "Room", "RunConfig", "Scenario",
+    "SingularMatrixError", "UnknownRegionError", "ZfInfeasibleError",
+    "average_heatmaps", "build_array", "build_grid", "check", "combining_vectors",
+    "compute_heatmap", "effective_channel", "estimate_csi", "extract_cut",
+    "far_field_distance", "fit_decay", "from_dict", "generate_channel",
+    "load_config", "min_compliant_distance", "probe_gains", "right_pseudo_inverse",
+    "run", "standard_scenarios", "summary", "transmit_frame", "validate",
     "verify_manifest", "wavelength", "zf_precoder",
 ]

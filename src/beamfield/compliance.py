@@ -1,13 +1,13 @@
 """Heat-map comparison against regional RF-EMF exposure limits.
 
-Limits are flat V/m scalars per region.  The built-in table carries the
-general-public reference levels relevant at this band: the ICNIRP
-guideline value of 41 V/m and the stricter national limits of Italy
-(6 V/m) and Poland (7 V/m).
+Limits are flat V/m scalars per region.  ``DEFAULT_LIMITS_VPM`` is the
+table: the general-public reference levels relevant at this band, the
+ICNIRP guideline value of 41 V/m and the stricter national limits of
+Italy (6 V/m) and Poland (7 V/m).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,24 +16,15 @@ from .errors import UnknownRegionError
 DEFAULT_LIMITS_VPM = {"ICNIRP": 41.0, "Italy": 6.0, "Poland": 7.0}
 
 
-@dataclass(frozen=True)
-class LimitTable:
-    """Region label -> RMS field limit in V/m."""
-
-    entries: dict = field(default_factory=lambda: dict(DEFAULT_LIMITS_VPM))
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.entries.values()):
-            raise ValueError("all limits must be positive")
-
-    def limit(self, region):
-        try:
-            return self.entries[region]
-        except KeyError:
-            known = ", ".join(sorted(self.entries))
-            raise UnknownRegionError(
-                f"unknown region {region!r}; known regions: {known}"
-            ) from None
+def _limit(region):
+    """The region's limit in V/m; UnknownRegionError names the known regions."""
+    try:
+        return DEFAULT_LIMITS_VPM[region]
+    except KeyError:
+        known = ", ".join(sorted(DEFAULT_LIMITS_VPM))
+        raise UnknownRegionError(
+            f"unknown region {region!r}; known regions: {known}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -55,10 +46,9 @@ class ComplianceReport:
         return self.exceed_count == 0
 
 
-def check(heatmap, region, limits=None):
+def check(heatmap, region):
     """Pointwise comparison of a heat map against a regional limit."""
-    limits = limits if limits is not None else LimitTable()
-    limit = limits.limit(region)
+    limit = _limit(region)
     count = int(np.count_nonzero(heatmap.values > limit))
     peak = float(heatmap.values.max()) if heatmap.values.size else 0.0
     margin = -math.inf if peak == 0.0 else 20.0 * math.log10(peak / limit)
@@ -71,26 +61,15 @@ def check(heatmap, region, limits=None):
     )
 
 
-def min_compliant_distance(profiles, region, limits=None):
-    """Smallest sampled distance beyond which every profile stays under the limit.
+def min_compliant_distance(profile, region):
+    """Smallest sampled distance of the cut beyond which it stays under the limit.
 
     Returns 0.0 when no sample exceeds, and +inf when even the farthest
-    sample of some profile exceeds.
+    sample exceeds.
     """
-    if not profiles:
-        raise ValueError("need at least one cut profile")
-    limits = limits if limits is not None else LimitTable()
-    limit = limits.limit(region)
-
-    worst = -math.inf
-    all_distances = []
-    for p in profiles:
-        all_distances.append(p.distances)
-        exceeding = p.distances[p.fields > limit]
-        if exceeding.size:
-            worst = max(worst, float(exceeding.max()))
-    if worst == -math.inf:
+    limit = _limit(region)
+    exceeding = profile.distances[profile.fields > limit]
+    if not exceeding.size:
         return 0.0
-    candidates = np.concatenate(all_distances)
-    beyond = candidates[candidates > worst]
+    beyond = profile.distances[profile.distances > exceeding.max()]
     return float(beyond.min()) if beyond.size else math.inf

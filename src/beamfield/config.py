@@ -30,10 +30,11 @@ from .geometry import (
     far_field_distance,
     grid_size_bound,
     standard_scenarios,
+    ue_antenna_positions,
     wavelength,
 )
 from .ofdm import MAX_SAMPLES_PER_STREAM, OfdmConfig
-from .stats import CutProfile, fit_decay
+from .stats import CutProfile, cut_column, fit_decay
 
 EXPORT_FORMATS = ("ascii", "csv", "json", "svg")
 
@@ -279,6 +280,11 @@ _ID_FORBIDDEN = ("/", "\\", "\0")
 # +inf has a meaning here: perfect CSI and a noiseless receiver.
 _INF_ALLOWED = {"channel.csi_snr_db", "ofdm.noise_snr_db"}
 
+# Largest finite SNR magnitude.  Within it 10^(SNR/10) and its inverse stay
+# inside 1e-300..1e300, so the noise variances made from them are finite and
+# non-zero; 10^310 overflows a float and 10^-400 rounds to 0.
+MAX_SNR_DB = 3000.0
+
 
 def _nonfinite(obj, path=""):
     """Findings for every float field (or float in a tuple field) that is not finite."""
@@ -337,19 +343,38 @@ def validate(config):
         # The checks below assume finite values, a positive power and a scenario.
         return ValidationReport(findings=tuple(findings))
 
-    # Scenario references and UE placement.
+    for where, snr in (("channel.csi_snr_db", config.channel.csi_snr_db),
+                       ("ofdm.noise_snr_db", config.ofdm.noise_snr_db)):
+        if math.isfinite(snr) and abs(snr) > MAX_SNR_DB:
+            findings.append(f"{where}: must lie between {-MAX_SNR_DB:g} and {MAX_SNR_DB:g} "
+                            f"dB, or be +inf; got {snr:g}")
+    if not math.isfinite(wavelength(config.channel.carrier_frequency)):
+        # UE antennas sit half a wavelength apart: none has a position.
+        findings.append(f"channel.carrier_frequency: {config.channel.carrier_frequency:g} Hz "
+                        "has no finite wavelength")
+        return ValidationReport(findings=tuple(findings))
     room = config.room
+    # An image ray is at most twice the room's diagonal long; its square must be finite.
+    if not math.isfinite(4.0 * (room.width_x * room.width_x + room.length_y * room.length_y
+                                + room.height_z * room.height_z)):
+        findings.append(f"room: {room.width_x:g} x {room.length_y:g} x {room.height_z:g} m "
+                        "is too large: the squared image-ray lengths overflow")
+    # Scenario references, and every UE antenna inside the room.
     table = config.available_scenarios()
     for sid in config.scenario_ids:
         if sid not in table:
             findings.append(f"scenarios: id {sid!r} is not defined")
             continue
-        for ux, uy in table[sid].ue_positions:
-            if not room.in_footprint(ux, uy):
-                findings.append(
-                    f"scenario {sid}: UE at ({ux:g}, {uy:g}) lies outside the "
-                    f"room footprint (|x| <= {room.width_x / 2:g}, 0 <= y <= {room.length_y:g})"
-                )
+        antennas = ue_antenna_positions(table[sid], config.channel.carrier_frequency,
+                                        height=config.channel.ue_height)
+        inside = room.contains(antennas)
+        if not inside.all():
+            x, y, z = (float(v) for v in antennas[np.argmin(inside)])
+            findings.append(
+                f"scenario {sid}: UE antenna at ({x:g}, {y:g}, {z:g}) lies outside the room "
+                f"(|x| <= {room.width_x / 2:g}, 0 <= y <= {room.length_y:g}, "
+                f"0 <= z <= {room.height_z:g})"
+            )
 
     # Geometry: the memory budgets, from the extents, before the grid is built.
     g = config.grid
@@ -395,14 +420,10 @@ def validate(config):
     if np.any(np.isin(tx[:, 0], grid.x_values) & np.isin(tx[:, 1], grid.y_values)
               & (tx[:, 2] == grid.probe_height)):
         findings.append("grid: a probe point coincides exactly with a transmit element")
-    xs = grid.x_values
-    if not np.any(np.abs(xs - config.cut_x) <= 1e-9):
-        i = int(np.searchsorted(xs, config.cut_x))
-        nearest = " and ".join(f"{x:g}" for x in xs[max(i - 1, 0):i + 1])
-        findings.append(
-            f"cut_x: {config.cut_x:g} is not a grid column (nearest: {nearest}; "
-            f"columns {xs[0]:g} to {xs[-1]:g} in steps of {grid.spacing:g})"
-        )
+    try:
+        cut_column(grid, config.cut_x)
+    except ValueError as exc:
+        findings.append(f"cut_x: {exc}")
     # The decay fit of the cut column: fit_decay itself judges the rows, with
     # a unit field on each, or 0 where the cosine pattern lights no ray. It
     # lights a row only from a source behind it: an element, or in image mode

@@ -30,6 +30,9 @@ MAX_ARRAY_ELEMENTS = 4096
 #: Most receive antennas per user; the paper's UEs have 4.
 MAX_UE_ANTENNAS = 64
 
+# Slack of the room's boundary tests, far above the rounding of positions (m).
+_BOUNDARY_TOL = 1e-9
+
 
 def wavelength(frequency_hz):
     """Free-space wavelength in metres."""
@@ -77,17 +80,19 @@ class Room:
             raise ValueError("wall_reflection must be a scalar or a 4-sequence")
         return w
 
-    def contains(self, point, tol=1e-9):
+    def contains(self, point):
         """True if the 3-D point lies inside the room (boundary inclusive).
 
         ``point`` may also be an (N, 3) array, which gives N flags.
         """
+        tol = _BOUNDARY_TOL
         x, y, z = np.asarray(point, dtype=float).T
         return ((np.abs(x) <= self.width_x / 2 + tol) & (-tol <= y)
                 & (y <= self.length_y + tol) & (-tol <= z) & (z <= self.height_z + tol))
 
-    def in_footprint(self, x, y, tol=1e-9):
+    def in_footprint(self, x, y):
         """True if the (x, y) position lies inside the floor footprint."""
+        tol = _BOUNDARY_TOL
         return abs(x) <= self.width_x / 2 + tol and -tol <= y <= self.length_y + tol
 
 
@@ -182,8 +187,8 @@ def build_array(
     """Build a rows x cols planar array centred at ``center``.
 
     Rows run along z, columns along x; element order is row-major.
-    ``active_selection`` is ``"all"``, ``"central-8x8"`` (the central 64
-    elements) or an explicit boolean mask of length rows*cols.
+    ``active_selection`` is ``"all"`` or ``"central-8x8"`` (the central 64
+    elements).
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
@@ -201,27 +206,20 @@ def build_array(
     positions[..., 2] = zs[:, None]
     positions = positions.reshape(-1, 3)
 
-    if isinstance(active_selection, str):
-        if active_selection == "all":
-            mask = np.ones(rows * cols, dtype=bool)
-        elif active_selection == "central-8x8":
-            if rows < 8 or cols < 8:
-                raise ValueError(
-                    f"central-8x8 needs at least an 8x8 array, got {rows}x{cols}"
-                )
-            mask = np.zeros((rows, cols), dtype=bool)
-            r0 = rows // 2 - 4
-            c0 = cols // 2 - 4
-            mask[r0:r0 + 8, c0:c0 + 8] = True
-            mask = mask.reshape(-1)
-        else:
-            raise ValueError(f"unknown active_selection policy {active_selection!r}")
-    else:
-        mask = np.asarray(active_selection, dtype=bool).reshape(-1)
-        if mask.size != rows * cols:
+    if active_selection == "all":
+        mask = np.ones(rows * cols, dtype=bool)
+    elif active_selection == "central-8x8":
+        if rows < 8 or cols < 8:
             raise ValueError(
-                f"active mask has {mask.size} entries, expected {rows * cols}"
+                f"central-8x8 needs at least an 8x8 array, got {rows}x{cols}"
             )
+        mask = np.zeros((rows, cols), dtype=bool)
+        r0 = rows // 2 - 4
+        c0 = cols // 2 - 4
+        mask[r0:r0 + 8, c0:c0 + 8] = True
+        mask = mask.reshape(-1)
+    else:
+        raise ValueError(f"unknown active_selection policy {active_selection!r}")
 
     positions.setflags(write=False)
     mask.setflags(write=False)

@@ -2,16 +2,17 @@
 
 Constellation: square 64-QAM built from two independent Gray-coded 8-PAM
 axes with levels {-7,-5,-3,-1,+1,+3,+5,+7} / sqrt(42), giving unit average
-symbol energy.  Each 6-bit group maps MSB-first: bits 0..2 select the I
-level, bits 3..5 the Q level, via the 3-bit Gray table
+symbol energy.  A symbol is a 6-bit index: its high three bits
+(index >> 3) select the I level and its low three bits (index & 7) the Q
+level, via the 3-bit Gray table
 
     000 -> -7   001 -> -5   011 -> -3   010 -> -1
     110 -> +1   111 -> +3   101 -> +5   100 -> +7
 
-so adjacent levels differ in exactly one bit and ``000000`` maps to
-(-7 - 7j) / sqrt(42).  A symbol travels as its 6-bit index, the value of
-its bit group; the receiver decides an index, and the bit errors of a
-decision are the popcount of sent XOR decided, so bits are never unpacked.
+so adjacent levels differ in exactly one bit and index 0 maps to
+(-7 - 7j) / sqrt(42).  The receiver decides an index, and the bit errors
+of a decision are the popcount of sent XOR decided, so bits are never
+unpacked.
 
 The link is simulated on the k x k post-combining channel.  The channel
 is flat across the band (~1.5% fractional bandwidth), so every active
@@ -90,10 +91,6 @@ _LEVEL_BY_VALUE = np.array([-7, -5, -1, -3, 7, 5, 1, 3], dtype=np.int64)
 # 3-bit value = _VALUE_BY_LEVEL_INDEX[(level + 7) // 2]
 _VALUE_BY_LEVEL_INDEX = np.array([0, 1, 3, 2, 6, 7, 5, 4], dtype=np.uint8)
 
-_BIT_WEIGHTS = np.array([4, 2, 1], dtype=np.int64)
-# Shifts that take a 6-bit symbol index apart into its bits, MSB first.
-_BIT_SHIFTS = np.arange(5, -1, -1)
-
 #: Most samples one stream is simulated over in a run: frames x OFDM symbols x
 #: active subcarriers (x FFT bins on the time-domain path).  It bounds both the
 #: per-frame arrays and the run time; the default run uses 1.7e5.
@@ -171,24 +168,10 @@ class BerReport:
             raise ValueError("BER values must lie in [0, 1]")
 
 
-def map_64qam(bits):
-    """Map a bit sequence (length divisible by 6) to unit-energy 64-QAM symbols."""
-    bits = np.asarray(bits, dtype=np.int64).reshape(-1)
-    if bits.size % 6 != 0:
-        raise ValueError(f"bit count {bits.size} is not divisible by 6")
-    groups = bits.reshape(-1, 6)
-    i_val = groups[:, :3] @ _BIT_WEIGHTS
-    q_val = groups[:, 3:] @ _BIT_WEIGHTS
-    return (_LEVEL_BY_VALUE[i_val] + 1j * _LEVEL_BY_VALUE[q_val]) * _QAM_SCALE
-
-
-def _index_bits(indices):
-    """The 6 bits of each symbol index, MSB first: shape (n, 6)."""
-    return (indices[:, None] >> _BIT_SHIFTS) & 1
-
-
+_SYMBOLS = np.arange(64)
 # Constellation point of every 6-bit symbol index.
-_CONSTELLATION = map_64qam(_index_bits(np.arange(64)))
+_CONSTELLATION = (_LEVEL_BY_VALUE[_SYMBOLS >> 3] + 1j * _LEVEL_BY_VALUE[_SYMBOLS & 7]) \
+    * _QAM_SCALE
 # Set bits of every 6-bit value: a decision's bit errors are _POPCOUNT[sent ^ decided].
 _POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)
 
@@ -204,16 +187,6 @@ def _demap_indices(symbols):
         level = np.clip(np.round((axis / _QAM_SCALE + 7.0) / 2.0), 0, 7).astype(np.uint8)
         indices |= _VALUE_BY_LEVEL_INDEX[level] << shift
     return indices
-
-
-def demap_64qam(symbols):
-    """Hard-decision nearest-point demapping back to bits (Gray inverse).
-
-    Values beyond the outermost level saturate, so any finite input is
-    demapped.
-    """
-    symbols = np.asarray(symbols, dtype=np.complex128).reshape(-1)
-    return _index_bits(_demap_indices(symbols)).reshape(-1)
 
 
 def _noise_power(noise_snr_db):

@@ -20,19 +20,14 @@ class PrecodingMatrix:
     """Transmit precoder: one column per user stream.
 
     ``w`` is (n_active_tx x n_streams); the squared Frobenius norm equals
-    the scenario's total transmit power, split equally across streams
-    (``per_stream_power`` watts each).
+    the scenario's total transmit power, split equally across streams.
     """
 
     w: np.ndarray
-    per_stream_power: float
 
     @property
     def n_streams(self):
         return self.w.shape[1]
-
-    def total_power(self):
-        return float(np.sum(np.abs(self.w) ** 2))
 
 
 def _dominant_direction(block):
@@ -65,15 +60,14 @@ def effective_user_channel(h, combiners):
     return np.vstack(rows)
 
 
-def zf_precoder(h_est, scenario, combiners=None):
+def zf_precoder(h_est, scenario, combiners):
     """Zero-forcing precoder from the estimated channel.
 
-    W0 = G^H (G G^H)^-1 for the effective user channel G, then each
-    column is scaled to carry total_tx_power / n_users watts.  For a
-    single user this degenerates to maximum-ratio transmission.
+    W0 = G^H (G G^H)^-1 for the effective user channel G that
+    ``combiners`` (:func:`combining_vectors` of the same estimate) make,
+    then each column is scaled to carry total_tx_power / n_users watts.
+    For a single user this degenerates to maximum-ratio transmission.
     """
-    if combiners is None:
-        combiners = combining_vectors(h_est, scenario)
     g = effective_user_channel(h_est, combiners)
     try:
         w0 = right_pseudo_inverse(g)
@@ -88,7 +82,7 @@ def zf_precoder(h_est, scenario, combiners=None):
     if np.any(column_norms == 0.0):
         raise ZfInfeasibleError("ZF produced a zero-power stream")
     w = w0 * (np.sqrt(per_stream) / column_norms)[None, :]
-    return PrecodingMatrix(w=w, per_stream_power=per_stream)
+    return PrecodingMatrix(w=w)
 
 
 def effective_channel(h_true, precoder, combiners):

@@ -69,7 +69,7 @@ def run_scenario(config, scenario, index, array, room, grid, gains):
     h_true = generate_channel(array, scenario, room, ch_cfg)
     h_est = estimate_csi(h_true, ch_cfg)
     combiners = combining_vectors(h_est, scenario)
-    precoder = zf_precoder(h_est, scenario, combiners=combiners)
+    precoder = zf_precoder(h_est, scenario, combiners)
     ber = transmit_frame(precoder, h_true, combiners, ofdm_cfg,
                          scenario_id=scenario.id)
     heatmap = compute_heatmap(scenario, precoder, grid, gains,
@@ -116,10 +116,8 @@ def run(config, out_dir=None):
     avg_summary = stats_mod.summary(average)
     regions = sorted(compliance_mod.DEFAULT_LIMITS_VPM)
     compliance_reports = [compliance_mod.check(average, region) for region in regions]
-    exclusion_distances = {
-        region: compliance_mod.min_compliant_distance([cut], region)
-        for region in regions
-    }
+    exclusion_distances = {region: compliance_mod.min_compliant_distance(cut, region)
+                           for region in regions}
 
     writer = _ArtifactWriter(out_dir, config.formats)
     for r in results:

@@ -6,6 +6,9 @@ import numpy as np
 
 from .field import HeatMap
 
+# How far a cut's x may lie from a grid column's and still select it (m).
+_COLUMN_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class CutProfile:
@@ -61,15 +64,28 @@ def average_heatmaps(maps):
     return HeatMap(grid=first.grid, values=mean, scenario_id="average")
 
 
-def extract_cut(heatmap, x, tol=1e-9):
+def cut_column(grid, x):
+    """Index of the probe-grid column at ``x``, matched to within 1e-9 m.
+
+    Raises ValueError naming the columns on either side when none matches;
+    the message is short however many columns the grid has.
+    """
+    xs = grid.x_values
+    matches = np.flatnonzero(np.abs(xs - x) <= _COLUMN_TOL)
+    if matches.size == 0:
+        i = int(np.searchsorted(xs, x))
+        nearest = " and ".join(f"{v:g}" for v in xs[max(i - 1, 0):i + 1])
+        raise ValueError(
+            f"{x:g} is not a grid column (nearest: {nearest}; "
+            f"columns {xs[0]:g} to {xs[-1]:g} in steps of {grid.spacing:g})"
+        )
+    return int(matches[0])
+
+
+def extract_cut(heatmap, x):
     """Column of the heat map at a fixed x, as a distance-ordered profile."""
     xs = heatmap.grid.x_values
-    matches = np.nonzero(np.abs(xs - x) <= tol)[0]
-    if matches.size == 0:
-        order = np.argsort(np.abs(xs - x))
-        near = ", ".join(f"{xs[i]:g}" for i in order[:2])
-        raise ValueError(f"x = {x:g} is not a grid column; nearest columns: {near}")
-    col = int(matches[0])
+    col = cut_column(heatmap.grid, x)
     rows = heatmap.as_grid_rows()
     ys = np.asarray(heatmap.grid.y_values, dtype=float)
     return CutProfile(

@@ -8,26 +8,42 @@ import os
 import pkgutil
 
 import beamfield
-from beamfield import ArrayGeometry, ComplianceReport, CutProfile, build_array
+from beamfield import (
+    ArrayGeometry,
+    ComplianceReport,
+    CutProfile,
+    PrecodingMatrix,
+    Room,
+    build_array,
+    check,
+    extract_cut,
+    min_compliant_distance,
+    transmit_frame,
+    zf_precoder,
+)
+from beamfield.channel import propagation_gains
 
 PUBLIC = [
     "ArrayGeometry", "BeamfieldError", "BerReport", "ChannelMatrix",
     "ChannelModelConfig", "ComplianceReport", "ConfigError", "CutProfile",
-    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "HeatMap", "LimitTable",
-    "OfdmConfig", "PrecodingMatrix", "ProbeGrid", "Room", "RunConfig", "Scenario",
+    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "HeatMap", "OfdmConfig",
+    "PrecodingMatrix", "ProbeGrid", "Room", "RunConfig", "Scenario",
     "SingularMatrixError", "UnknownRegionError", "ZfInfeasibleError",
     "average_heatmaps", "build_array", "build_grid", "check", "combining_vectors",
-    "compute_heatmap", "demap_64qam", "effective_channel", "estimate_csi",
-    "extract_cut", "far_field_distance", "fit_decay", "from_dict",
-    "generate_channel", "load_config", "map_64qam", "min_compliant_distance",
-    "probe_gains", "right_pseudo_inverse", "run", "standard_scenarios", "summary",
-    "transmit_frame", "validate", "verify_manifest", "wavelength", "zf_precoder",
+    "compute_heatmap", "effective_channel", "estimate_csi", "extract_cut",
+    "far_field_distance", "fit_decay", "from_dict", "generate_channel",
+    "load_config", "min_compliant_distance", "probe_gains", "right_pseudo_inverse",
+    "run", "standard_scenarios", "summary", "transmit_frame", "validate",
+    "verify_manifest", "wavelength", "zf_precoder",
 ]
 
-# Names only tests called (now in field_oracle.py), and a constant nothing read.
+# Names only tests called (now in field_oracle.py), a constant nothing read,
+# and alternatives no pipeline path reached: the configurable limit table and
+# the bit-level 64-QAM mapper and demapper next to the index path.
 REMOVED = ("los_gain", "element_field", "superpose_fields", "power_to_field",
            "field_to_power", "FREE_SPACE_IMPEDANCE", "interference_ratio",
-           "DEFAULT_CARRIER_HZ", "_field_gains")
+           "DEFAULT_CARRIER_HZ", "_field_gains", "LimitTable", "map_64qam",
+           "demap_64qam", "_index_bits", "_BIT_WEIGHTS", "_BIT_SHIFTS")
 
 
 def _modules():
@@ -55,6 +71,28 @@ def test_fields_nothing_reads_stay_deleted():
     assert "carrier_frequency" not in inspect.signature(build_array).parameters
     assert "axis" not in _field_names(CutProfile)
     assert "exceedance_mask" not in _field_names(ComplianceReport)
+    assert _field_names(PrecodingMatrix) == ["w"]
+    assert not hasattr(PrecodingMatrix, "total_power")
+
+
+def _parameters(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_signatures_take_what_the_pipeline_passes():
+    # One built-in limit table, one cut, combiners from the caller, fixed tolerances.
+    assert _parameters(check) == ["heatmap", "region"]
+    assert _parameters(min_compliant_distance) == ["profile", "region"]
+    assert _parameters(zf_precoder) == ["h_est", "scenario", "combiners"]
+    assert inspect.signature(zf_precoder).parameters["combiners"].default \
+        is inspect.Parameter.empty
+    assert _parameters(extract_cut) == ["heatmap", "x"]
+    assert _parameters(Room.contains) == ["self", "point"]
+    assert _parameters(Room.in_footprint) == ["self", "x", "y"]
+    # Names the benchmark binds by keyword.
+    assert _parameters(transmit_frame)[:4] == ["precoder", "h_true", "combiners", "cfg"]
+    assert _parameters(propagation_gains) == ["tx_points", "rx_points", "frequency", "room",
+                                              "mode", "pattern"]
 
 
 def test_the_oracle_does_not_import_the_code_it_checks():

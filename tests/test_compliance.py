@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamfield import (
-    LimitTable,
+    DEFAULT_LIMITS_VPM,
     UnknownRegionError,
     check,
     compute_heatmap,
@@ -29,16 +29,15 @@ def profile(distances, fields):
 
 class TestLimitTable:
     def test_builtin_defaults(self):
-        t = LimitTable()
-        assert t.entries == {"ICNIRP": 41.0, "Italy": 6.0, "Poland": 7.0}
+        assert DEFAULT_LIMITS_VPM == {"ICNIRP": 41.0, "Italy": 6.0, "Poland": 7.0}
 
     def test_positive_limits_enforced(self):
-        with pytest.raises(ValueError, match="positive"):
-            LimitTable(entries={"X": 0.0})
+        # A margin is 20 log10(peak / limit): every limit must be positive.
+        assert all(limit > 0 for limit in DEFAULT_LIMITS_VPM.values())
 
-    def test_unknown_region_lists_known(self):
+    def test_unknown_region_lists_known(self, grid):
         with pytest.raises(UnknownRegionError, match="ICNIRP, Italy, Poland"):
-            LimitTable().limit("Atlantis")
+            check(constant_map(grid, 1.0), "Atlantis")
 
 
 class TestCheck:
@@ -97,36 +96,31 @@ class TestCheck:
 class TestMinCompliantDistance:
     def test_all_compliant_zero(self):
         p = profile([1, 2, 3], [1.0, 0.5, 0.2])
-        assert min_compliant_distance([p], "Italy") == 0.0
+        assert min_compliant_distance(p, "Italy") == 0.0
 
     def test_inverse_distance_crossing(self):
         d = np.arange(1.0, 9.0)
         p = profile(d, 12.0 / d)
         # 12 / d = 6 at d = 2; the d = 1 sample exceeds, d >= 2 comply.
-        assert min_compliant_distance([p], "Italy") == 2.0
+        assert min_compliant_distance(p, "Italy") == 2.0
 
     def test_stricter_limit_larger_distance(self):
         d = np.arange(1.0, 9.0)
         p = profile(d, 12.0 / d)
-        strict = min_compliant_distance([p], "Italy")     # 6 V/m
-        loose = min_compliant_distance([p], "Poland")     # 7 V/m
+        strict = min_compliant_distance(p, "Italy")     # 6 V/m
+        loose = min_compliant_distance(p, "Poland")     # 7 V/m
         assert strict >= loose
 
     def test_never_compliant_is_inf(self):
         p = profile([1, 2, 3], [100.0, 90.0, 80.0])
-        assert min_compliant_distance([p], "ICNIRP") == math.inf
+        assert min_compliant_distance(p, "ICNIRP") == math.inf
 
-    def test_multiple_profiles_use_worst(self):
-        d = np.arange(1.0, 9.0)
-        clean = profile(d, np.full(8, 0.1))
-        hot = profile(d, 12.0 / d)
-        assert min_compliant_distance([clean, hot], "Italy") == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            min_compliant_distance([], "Italy")
+    def test_farthest_exceeding_sample_decides(self):
+        # A compliant dip between two exceeding samples does not count.
+        p = profile([1, 2, 3, 4], [10.0, 1.0, 10.0, 1.0])
+        assert min_compliant_distance(p, "Italy") == 4.0
 
     def test_unknown_region(self):
         p = profile([1, 2, 3], [1, 1, 1])
-        with pytest.raises(UnknownRegionError):
-            min_compliant_distance([p], "Nowhere")
+        with pytest.raises(UnknownRegionError, match="ICNIRP, Italy, Poland"):
+            min_compliant_distance(p, "Nowhere")

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import io
 import math
@@ -12,7 +13,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamfield import ConfigError, RunConfig, config, load_config, validate
+from beamfield import (
+    ConfigError,
+    RunConfig,
+    config,
+    load_config,
+    run,
+    validate,
+    verify_manifest,
+)
 from beamfield.cli import main as cli_main
 from beamfield.config import ValidationReport, from_dict, read_yaml
 from beamfield.geometry import MAX_GAIN_ENTRIES, MAX_GRID_POINTS
@@ -147,6 +156,25 @@ BAD_DOCUMENTS = [
      "custom_scenarios[0].id"),
     ("empty-id", 'seed: 1\ncustom_scenarios: [{id: "", ue_positions: [[0, 4]]}]\n',
      "custom_scenarios[0].id: '' cannot name artifact files"),
+    ("csi-snr-overflow", "seed: 1\nchannel: {csi_snr_db: 3100}\n",
+     "finding: channel.csi_snr_db: must lie between -3000 and 3000 dB, or be +inf; got 3100\n"),
+    ("csi-snr-underflow", "seed: 1\nchannel: {csi_snr_db: -4000}\n",
+     "finding: channel.csi_snr_db: must lie between -3000 and 3000 dB, or be +inf; got -4000\n"),
+    ("noise-snr-overflow", "seed: 1\nofdm: {noise_snr_db: -4000}\n",
+     "finding: ofdm.noise_snr_db: must lie between -3000 and 3000 dB, or be +inf; got -4000\n"),
+    ("ue-below-the-floor", "seed: 1\nscenarios: ['1']\nchannel: {ue_height: -5}\n",
+     "finding: scenario 1: UE antenna at (-0.0854921, 8, -5) lies outside the room "
+     "(|x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3)\n"),
+    ("ue-above-the-ceiling", "seed: 1\nscenarios: ['1']\nchannel: {ue_height: 1e6}\n",
+     "finding: scenario 1: UE antenna at (-0.0854921, 8, 1e+06) lies outside the room"),
+    ("ue-antennas-a-wavelength-apart", "seed: 1\nscenarios: ['1']\n"
+     "channel: {carrier_frequency: 1e-200}\n",
+     "finding: scenario 1: UE antenna at (-2.24844e+208, 8, 1.5) lies outside the room"),
+    ("no-finite-wavelength", "seed: 1\nchannel: {carrier_frequency: 1e-310}\n",
+     "finding: channel.carrier_frequency: 1e-310 Hz has no finite wavelength\n"),
+    ("room-overflow", "seed: 1\nroom: {length_y: 1e300, width_x: 1e300}\n",
+     "finding: room: 1e+300 x 1e+300 x 3 m is too large: the squared image-ray lengths "
+     "overflow\n"),
 ]
 
 
@@ -162,6 +190,32 @@ def test_bad_document_is_a_finding(tmp_path, capsys, text, expected):
     assert output.startswith(("finding: ", "error: "))
     if expected != "not valid YAML":
         assert not validate(yaml.safe_load(text)).ok
+
+
+@pytest.mark.parametrize("text", [case[1] for case in BAD_DOCUMENTS],
+                         ids=[case[0] for case in BAD_DOCUMENTS])
+def test_bad_document_does_not_run(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key", [("channel", "csi_snr_db"), ("ofdm", "noise_snr_db")])
+@pytest.mark.parametrize("snr_db", [-config.MAX_SNR_DB, config.MAX_SNR_DB])
+def test_snrs_at_the_range_edges_run(tmp_path, section, key, snr_db):
+    # pytest turns a RuntimeWarning from an overflowing power into an error.
+    doc = {"seed": 1, "scenarios": ["8"], "formats": ["csv"],
+           "channel": {}, "ofdm": {"sample_rate": 960000.0, "fft_size": 64,
+                                   "active_subcarriers": 48, "frame_samples": 1024}}
+    doc[section][key] = snr_db
+    assert validate(doc).ok
+    manifest = run(from_dict(doc), out_dir=str(tmp_path))
+    assert verify_manifest(str(tmp_path)) == []
+    assert "ber.csv" in manifest.paths()
 
 
 def _placement_sweep_document(n_scenarios=96):
@@ -302,50 +356,83 @@ def test_any_document_gives_a_config_error_or_a_report(doc):
     assert isinstance(validate(doc), ValidationReport)
 
 
-# One scenario on a narrowband link over a small grid: about 12 ms a run.
-# The values straddle what validate must catch: grids that end before the
-# far-field distance (0.69, 2.75 or 5.59 m for the three element spacings),
-# rows at y = 0, rows at or behind an array that the cosine pattern leaves
-# unlit, off-grid cuts, non-positive colour scales, and arrays with fewer
-# active elements than a scenario has users (or too few for central-8x8).
-_RUNNABLE = st.fixed_dictionaries({
-    "seed": st.integers(0, 3),
-    "scenarios": st.lists(st.sampled_from([str(i) for i in range(1, 9)]),
-                          min_size=1, max_size=1),
-    "formats": st.sampled_from([["csv"], ["ascii", "svg"]]),
-    "fit_exclude_near_field": st.booleans(),
-    "cut_x": st.sampled_from([0.0, 0.0, -1.0, 1.0, 0.5]),
-    "svg_vmax": st.sampled_from([None, None, None, 3.0, 0.5, 0.0, -1.0]),
-    "calibration": st.sampled_from([0.5, 1.0]),
-    "array": st.fixed_dictionaries({
-        "rows": st.sampled_from([1, 2, 8, 16]),
-        "cols": st.sampled_from([1, 2, 8]),
-        "active": st.sampled_from(["all", "central-8x8"]),
-        "spacing": st.sampled_from([0.02, 0.04, 0.057]),
-        "center": st.sampled_from([[0.0, 0.0, 1.5], [0.0, 1.0, 1.5], [0.0, 3.0, 1.5]]),
-    }),
-    "room": st.fixed_dictionaries({"wall_reflection": st.sampled_from([-0.6, 0.0])}),
-    "channel": st.fixed_dictionaries({
-        "mode": st.sampled_from(["los-only", "image-order-1"]),
-        "element_pattern": st.sampled_from(["isotropic", "cosine"]),
-    }),
-    "ofdm": st.just({"sample_rate": 960000.0, "fft_size": 64, "active_subcarriers": 48,
-                     "frame_samples": 1024, "frames": 1}),
-    "grid": st.fixed_dictionaries({
-        "x_min": st.sampled_from([-2.0, -1.0, 0.0]),
-        "x_max": st.sampled_from([0.0, 1.0, 2.0]),
-        "y_min": st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-        "y_max": st.sampled_from([2.0, 4.0, 8.0, 12.0]),
-        "spacing": st.sampled_from([0.5, 1.0, 2.0]),
-    }),
-})
+# Users of the built-in scenarios, and the y of the nearest one.
+_USERS = {"1": (1, 8.0), "2": (1, 4.0), "3": (1, 2.0), "4": (2, 2.0), "5": (2, 4.0),
+          "6": (2, 4.0), "7": (2, 2.0), "8": (3, 2.0)}
+_WAVELENGTH = 299_792_458.0 / 2.63e9
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+def _far_field(rows, cols, spacing):
+    """2 D^2 / lambda of a rows x cols active block, D its diagonal."""
+    return 2.0 * spacing ** 2 * ((rows - 1) ** 2 + (cols - 1) ** 2) / _WAVELENGTH
+
+
+@st.composite
+def _runnable(draw):
+    """One scenario on a narrowband link over a small grid, valid by construction.
+
+    About 12 ms a run.  The array is any of the drawn sizes and policies;
+    central-8x8 only where the array has 8 x 8 elements.  Arrays of fewer
+    than 8 active elements carry one user: two users on one symmetry axis
+    of a 2-element array see identical channels.  The cosine pattern
+    lights nothing behind the array, so its users and grid rows lie in
+    front of it, and at least 3 rows lie at or beyond the fit cutoff; the
+    cut is a grid column.
+    """
+    rows = draw(st.sampled_from([1, 2, 8, 16]))
+    cols = draw(st.sampled_from([1, 2, 8]))
+    active = draw(st.sampled_from(["all", "central-8x8"] if min(rows, cols) >= 8 else ["all"]))
+    spacing = draw(st.sampled_from([0.02, 0.04, 0.057]))
+    center_y = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    n_active = 64 if active == "central-8x8" else rows * cols
+    pattern = draw(st.sampled_from(["isotropic", "cosine"]))
+    scenario = draw(st.sampled_from([
+        s for s, (n, nearest) in _USERS.items()
+        if (n == 1 or n_active >= 8) and (pattern == "isotropic" or nearest > center_y)]))
+
+    step = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    x_min = draw(st.sampled_from([-2.0, -1.0, 0.0]))
+    x_max = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    y_min = draw(st.sampled_from([y for y in (0.5, 1.0, 2.0, 4.0) if y > center_y]))
+    side = 8 if active == "central-8x8" else None
+    cutoff = _far_field(side or rows, side or cols, spacing)
+
+    def kept_rows(y_max, exclude):
+        ys = [y_min + k * step for k in range(int((y_max - y_min) / step + 1e-9) + 1)]
+        # A margin keeps rows clear of rounding at the cutoff.
+        return sum(1 for y in ys if not exclude or y >= cutoff * (1 + 1e-6))
+
+    exclude = draw(st.booleans()) and kept_rows(15.0, True) >= 3
+    y_max = draw(st.sampled_from([y for y in (4.0, 8.0, 12.0, 15.0)
+                                  if kept_rows(y, exclude) >= 3]))
+    columns = [x_min + j * step for j in range(int((x_max - x_min) / step + 1e-9) + 1)]
+    return {
+        "seed": draw(st.integers(0, 3)),
+        "scenarios": [scenario],
+        "formats": draw(st.sampled_from([["csv"], ["ascii", "svg"]])),
+        "fit_exclude_near_field": exclude,
+        "cut_x": draw(st.sampled_from(columns)),
+        "svg_vmax": draw(st.sampled_from([None, None, 3.0, 0.5])),
+        "calibration": draw(st.sampled_from([0.5, 1.0])),
+        "array": {"rows": rows, "cols": cols, "active": active, "spacing": spacing,
+                  "center": [0.0, center_y, 1.5]},
+        "room": {"wall_reflection": draw(st.sampled_from([-0.6, 0.0]))},
+        "channel": {"mode": draw(st.sampled_from(["los-only", "image-order-1"])),
+                    "element_pattern": pattern},
+        "ofdm": {"sample_rate": 960000.0, "fft_size": 64, "active_subcarriers": 48,
+                 "frame_samples": 1024, "frames": 1},
+        "grid": {"x_min": x_min, "x_max": x_max, "y_min": y_min, "y_max": y_max,
+                 "spacing": step},
+    }
+
+
+_RUNNABLE = _runnable()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(_RUNNABLE)
 def test_a_document_that_validates_runs(doc):
-    if not validate(doc).ok:
-        return
+    assert validate(doc).findings == ()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.yaml")
         with open(path, "w", encoding="utf-8") as fh:
@@ -353,3 +440,71 @@ def test_a_document_that_validates_runs(doc):
         with contextlib.redirect_stdout(io.StringIO()):
             status = cli_main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
     assert status == 0
+
+
+def _set(doc, path, value):
+    """A deep copy of ``doc`` with the dotted ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    *sections, key = path.split(".")
+    target = doc
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[key] = value
+    return doc
+
+
+def _small_array(doc, rows, cols, active):
+    array = dict(doc["array"], rows=rows, cols=cols, active=active)
+    return dict(doc, array=array)
+
+
+# Each breaks one rule of a runnable document: (name, mutate, the finding's start).
+MUTATIONS = [
+    ("negative-seed", lambda d: _set(d, "seed", -1), "seed: must be non-negative"),
+    ("infinite-calibration", lambda d: _set(d, "calibration", math.inf),
+     "calibration: must be finite"),
+    ("zero-svg-vmax", lambda d: _set(d, "svg_vmax", 0.0), "svg_vmax: must be positive"),
+    ("undefined-scenario", lambda d: _set(d, "scenarios", ["nine"]),
+     "scenarios: id 'nine' is not defined"),
+    ("slash-in-custom-id", lambda d: _set(d, "custom_scenarios",
+                                          [{"id": "a/b", "ue_positions": [[0, 4]]}]),
+     "custom_scenarios[0].id"),
+    ("frames-budget", lambda d: _set(d, "ofdm.frames", 20_000), "ofdm: 1.54e+07 samples"),
+    ("csi-snr-overflow", lambda d: _set(d, "channel.csi_snr_db", 3100.0),
+     "channel.csi_snr_db: must lie between -3000 and 3000 dB"),
+    ("csi-snr-underflow", lambda d: _set(d, "channel.csi_snr_db", -4000.0),
+     "channel.csi_snr_db: must lie between -3000 and 3000 dB"),
+    ("noise-snr-overflow", lambda d: _set(d, "ofdm.noise_snr_db", -4000.0),
+     "ofdm.noise_snr_db: must lie between -3000 and 3000 dB"),
+    ("no-finite-wavelength", lambda d: _set(d, "channel.carrier_frequency", 1e-310),
+     "channel.carrier_frequency: 1e-310 Hz has no finite wavelength"),
+    ("room-overflow", lambda d: _set(d, "room.length_y", 1e300),
+     "room: 7.5 x 1e+300 x 3 m is too large"),
+    ("ue-below-the-floor", lambda d: _set(d, "channel.ue_height", -0.5),
+     "scenario {scenario}: UE antenna at"),
+    ("ue-above-the-ceiling", lambda d: _set(d, "channel.ue_height", 3.5),
+     "scenario {scenario}: UE antenna at"),
+    ("central-8x8-on-a-small-array", lambda d: _small_array(d, 2, 2, "central-8x8"),
+     "central-8x8 needs at least an 8x8 array, got 2x2"),
+    ("more-users-than-elements",
+     lambda d: _set(_small_array(d, 1, 1, "all"), "scenarios", ["8"]),
+     "scenario 8: 3 users exceed the 1 active array elements"),
+    ("grid-outside-the-room", lambda d: _set(d, "grid.x_max", 4.0), "grid corner (4.0, "),
+    ("array-outside-the-room", lambda d: _set(d, "array.center", [0.0, -1.0, 1.5]),
+     "array: element at"),
+    ("cut-x-between-columns",
+     lambda d: _set(d, "cut_x", d["cut_x"] + d["grid"]["spacing"] / 2),
+     "cut_x: "),
+    ("two-grid-rows", lambda d: _set(d, "grid.y_max", d["grid"]["y_min"] + d["grid"]["spacing"]),
+     "grid: the decay fit cannot run on the cut rows"),
+]
+
+
+@pytest.mark.parametrize("mutate,expected", [m[1:] for m in MUTATIONS],
+                         ids=[m[0] for m in MUTATIONS])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(doc=_RUNNABLE)
+def test_breaking_one_rule_gives_exactly_its_finding(doc, mutate, expected):
+    findings = validate(mutate(doc)).findings
+    assert len(findings) == 1, findings
+    assert findings[0].startswith(expected.format(scenario=doc["scenarios"][0])), findings

@@ -66,7 +66,7 @@ class TestSuperposeFields:
     def test_single_element_single_stream(self, room):
         arr = build_array(rows=1, cols=1, spacing=0.05, center=(0, 0, 1.5),
                           active_selection="all")
-        w = PrecodingMatrix(w=np.array([[1.0 + 0j]]), per_stream_power=1.0)
+        w = PrecodingMatrix(w=np.array([[1.0 + 0j]]))
         cfg = ChannelModelConfig()
         probe = (0.0, 3.0, 1.5)
         got = superpose_fields(arr, w, probe, room, cfg)
@@ -76,8 +76,8 @@ class TestSuperposeFields:
     def test_two_equal_streams_add_in_power(self, room):
         arr = build_array(rows=1, cols=1, spacing=0.05, center=(0, 0, 1.5),
                           active_selection="all")
-        w = PrecodingMatrix(w=np.array([[1.0 + 0j, 1.0 + 0j]]), per_stream_power=1.0)
-        single = PrecodingMatrix(w=np.array([[1.0 + 0j]]), per_stream_power=1.0)
+        w = PrecodingMatrix(w=np.array([[1.0 + 0j, 1.0 + 0j]]))
+        single = PrecodingMatrix(w=np.array([[1.0 + 0j]]))
         cfg = ChannelModelConfig()
         probe = (0.0, 3.0, 1.5)
         e1 = superpose_fields(arr, single, probe, room, cfg)
@@ -94,19 +94,19 @@ class TestSuperposeFields:
         lam = wavelength(FREQ)
         d = np.linalg.norm(arr.element_positions - probe, axis=1)
         phased = np.exp(2j * math.pi * d / lam) / 8.0  # conjugate phasing, 1 W
-        w = PrecodingMatrix(w=phased[:, None], per_stream_power=1.0)
+        w = PrecodingMatrix(w=phased[:, None])
         e_array = superpose_fields(arr, w, probe, None, cfg)
 
         single = build_array(rows=1, cols=1, spacing=0.057, center=(0, 0, 0),
                              active_selection="all")
-        w1 = PrecodingMatrix(w=np.array([[1.0 + 0j]]), per_stream_power=1.0)
+        w1 = PrecodingMatrix(w=np.array([[1.0 + 0j]]))
         e_single = superpose_fields(single, w1, probe, None, cfg)
         assert e_array / e_single == pytest.approx(8.0, rel=0.05)
 
 
 class TestComputeHeatmap:
     def test_zero_precoder_zero_map(self, grid, scenarios, los_gains):
-        w = PrecodingMatrix(w=np.zeros((64, 1), dtype=complex), per_stream_power=0.0)
+        w = PrecodingMatrix(w=np.zeros((64, 1), dtype=complex))
         hm = compute_heatmap(scenarios[0], w, grid, los_gains)
         assert np.all(hm.values == 0.0)
 

@@ -56,10 +56,10 @@ class TestBuildArray:
             build_array(rows=2, cols=2, spacing=0.05, center=(0, 0, 0),
                         active_selection="central-8x8")
 
-    def test_explicit_mask_size_checked(self):
-        with pytest.raises(ValueError, match="entries"):
+    def test_unknown_selection_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown active_selection policy 'corner'"):
             build_array(rows=2, cols=2, spacing=0.05, center=(0, 0, 0),
-                        active_selection=np.ones(5, dtype=bool))
+                        active_selection="corner")
 
     def test_aperture_matches_active_extent(self, array):
         # central 8x8 at 0.057 m pitch: diagonal of a 7-gap square.
@@ -67,10 +67,9 @@ class TestBuildArray:
         assert array.aperture() == pytest.approx(expect, rel=1e-12)
 
     def test_blocked_aperture_equals_the_full_pairwise_form(self):
-        # 406 active elements: blocks of 161 rows split them three ways.
-        mask = np.random.default_rng(7).random(32 * 16) < 0.8
-        a = build_array(rows=32, cols=16, spacing=0.031, center=(0.2, 0.0, 1.5),
-                        active_selection=mask)
+        # 425 active elements: blocks of 154 rows split them three ways.
+        a = build_array(rows=25, cols=17, spacing=0.031, center=(0.2, 0.0, 1.5),
+                        active_selection="all")
         pos = a.active_positions()
         full = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)).max()
         assert a.aperture() == float(full)
@@ -186,6 +185,12 @@ class TestRoom:
         assert room.contains((3.75, 15, 3))
         assert not room.contains((3.76, 1, 1))
         assert not room.contains((0, -0.1, 1))
+
+    def test_boundary_slack_is_a_nanometre(self, room):
+        assert room.contains((3.75 + 5e-10, -5e-10, 3 + 5e-10))
+        assert not room.contains((3.75 + 2e-9, 1, 1))
+        assert room.in_footprint(-3.75 - 5e-10, 15 + 5e-10)
+        assert not room.in_footprint(0, -2e-9)
 
     def test_contains_flags_each_row(self, room):
         pts = [(0, 0, 1.5), (3.76, 1, 1), (3.75, 15, 3), (0, 1, 3.1)]

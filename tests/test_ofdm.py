@@ -11,18 +11,16 @@ from beamfield import (
     OfdmConfig,
     Scenario,
     combining_vectors,
-    demap_64qam,
     effective_channel,
     estimate_csi,
     generate_channel,
-    map_64qam,
     transmit_frame,
     zf_precoder,
 )
 from beamfield import ofdm
 
 from conftest import perfect_link
-from ofdm_reference import frame_errors
+from ofdm_reference import GRAY_LEVEL, constellation, decide, frame_errors
 from qam_oracle import exact_ber_64qam
 
 _SCALE = 1.0 / math.sqrt(42.0)
@@ -56,60 +54,73 @@ class TestOfdmConfig:
             OfdmConfig(frame_samples=65_000)
 
 
+# The 3-bit Gray values from the lowest level to the highest.
+_GRAY_ORDER = [0b000, 0b001, 0b011, 0b010, 0b110, 0b111, 0b101, 0b100]
+
+
+def _bit_errors(decided, sent):
+    return int(np.unpackbits((decided ^ sent).astype(np.uint8)).sum())
+
+
 class TestQamMapping:
+    """The index constellation and the decision rule, against the Gray tables
+    and the midpoint demapper of ``ofdm_reference``."""
+
     def test_all_zero_bits(self):
-        s = map_64qam([0, 0, 0, 0, 0, 0])
-        assert s[0] == pytest.approx((-7 - 7j) * _SCALE, rel=1e-15)
+        assert ofdm._CONSTELLATION[0] == pytest.approx((-7 - 7j) * _SCALE, rel=1e-15)
 
     def test_unit_average_energy(self):
         # Mean |s|^2 over all 64 points is exactly 2 * 168 * 8 / 42 / 64 = 1.
-        bits = np.array(
-            [[(v >> b) & 1 for b in range(5, -1, -1)] for v in range(64)]
-        ).reshape(-1)
-        symbols = map_64qam(bits)
-        assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0, rel=1e-12)
+        assert np.mean(np.abs(ofdm._CONSTELLATION) ** 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_gray_table_documented_order(self):
-        # Lowest-to-highest level must follow the Gray sequence on each axis.
-        levels = {}
-        for v in range(8):
-            bits = [(v >> 2) & 1, (v >> 1) & 1, v & 1] + [0, 0, 0]
-            levels[v] = map_64qam(bits)[0].real / _SCALE
-        order = sorted(levels, key=lambda v: levels[v])
-        assert order == [0b000, 0b001, 0b011, 0b010, 0b110, 0b111, 0b101, 0b100]
+        # Lowest-to-highest level must follow the Gray sequence on each axis:
+        # the high three index bits pick the I level, the low three the Q level.
+        values = np.arange(8)
+        i_levels = ofdm._CONSTELLATION[values << 3].real
+        q_levels = ofdm._CONSTELLATION[values].imag
+        assert list(np.argsort(i_levels)) == _GRAY_ORDER
+        assert list(np.argsort(q_levels)) == _GRAY_ORDER
+        assert list(np.argsort(GRAY_LEVEL)) == _GRAY_ORDER
+        assert np.allclose(ofdm._CONSTELLATION, constellation(np.arange(64)),
+                           rtol=1e-15, atol=0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(30)
-        bits = rng.integers(0, 2, size=6 * 1000)
-        assert np.array_equal(demap_64qam(map_64qam(bits)), bits)
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError, match="divisible by 6"):
-            map_64qam([0, 1, 0, 1])
+        sent = np.concatenate([np.arange(64), rng.integers(0, 64, size=1000)]).astype(np.uint8)
+        decided = ofdm._demap_indices(ofdm._CONSTELLATION[sent])
+        assert decided.dtype == np.uint8
+        assert np.array_equal(decided, sent)
 
     def test_demap_saturates_outside(self):
-        far = np.array([100.0 + 100.0j])
-        assert np.array_equal(demap_64qam(far), demap_64qam(np.array([(7 + 7j) * _SCALE])))
+        far = np.array([100.0 + 100.0j, -100.0 + 0.1j])
+        assert np.array_equal(ofdm._demap_indices(far),
+                              ofdm._demap_indices(np.array([(7 + 7j) * _SCALE,
+                                                            (-7 + 1j) * _SCALE])))
+        assert np.array_equal(ofdm._demap_indices(far), decide(far))
 
     def test_small_perturbation_survives(self):
         rng = np.random.default_rng(31)
-        bits = rng.integers(0, 2, size=6 * 500)
-        symbols = map_64qam(bits)
+        sent = rng.integers(0, 64, size=500, dtype=np.uint8)
         # Half the minimum distance is _SCALE; stay safely inside.
         offset = 0.4 * _SCALE * (1 + 1j) / np.sqrt(2)
-        assert np.array_equal(demap_64qam(symbols + offset), bits)
+        assert np.array_equal(ofdm._demap_indices(ofdm._CONSTELLATION[sent] + offset), sent)
+
+    def test_decisions_match_the_reference_demapper(self):
+        rng = np.random.default_rng(33)
+        samples = rng.uniform(-2.0, 2.0, 20_000) + 1j * rng.uniform(-2.0, 2.0, 20_000)
+        assert np.array_equal(ofdm._demap_indices(samples), decide(samples))
 
     def test_awgn_ber_matches_oracle(self):
         rng = np.random.default_rng(32)
         ebn0_db = 12.0
-        n_bits = 1_200_000
-        bits = rng.integers(0, 2, size=n_bits)
-        symbols = map_64qam(bits)
+        n_symbols = 200_000
+        sent = rng.integers(0, 64, size=n_symbols, dtype=np.uint8)
         n0 = 1.0 / (6.0 * 10 ** (ebn0_db / 10))
         sigma = math.sqrt(n0 / 2)
-        noisy = symbols + rng.normal(scale=sigma, size=symbols.shape) \
-            + 1j * rng.normal(scale=sigma, size=symbols.shape)
-        ber = np.count_nonzero(demap_64qam(noisy) != bits) / n_bits
+        noisy = ofdm._CONSTELLATION[sent] + rng.normal(scale=sigma, size=n_symbols) \
+            + 1j * rng.normal(scale=sigma, size=n_symbols)
+        ber = _bit_errors(ofdm._demap_indices(noisy), sent) / (6 * n_symbols)
         assert ber == pytest.approx(exact_ber_64qam(ebn0_db), rel=0.2)
 
 

@@ -93,7 +93,7 @@ class TestZfPrecoder:
         h = make_channel(np.vstack(blocks), n_users=3)
         scn = Scenario(id="t", ue_positions=((0.0, 2.0), (0.0, 4.0), (0.0, 6.0)),
                        total_tx_power=3.0)
-        w = zf_precoder(h, scn)
+        w = zf_precoder(h, scn, combining_vectors(h, scn))
         # G = 2 I (combiner sum of 4 half entries), so W is diagonal, each
         # column carrying 1 W.
         assert np.allclose(np.abs(w.w), np.eye(3), rtol=1e-10)
@@ -110,7 +110,7 @@ class TestZfPrecoder:
     def test_power_conservation_all_scenarios(self, array, room, scenarios, los_cfg):
         for scn in scenarios:
             _, _, precoder = perfect_link(array, scn, room, los_cfg)
-            assert precoder.total_power() == pytest.approx(
+            assert np.sum(np.abs(precoder.w) ** 2) == pytest.approx(
                 scn.total_tx_power, rel=1e-12
             )
 
@@ -124,8 +124,9 @@ class TestZfPrecoder:
         rng = np.random.default_rng(24)
         h_raw = random_complex(rng, (8, 32))
         scn = Scenario(id="t", ue_positions=((0.0, 2.0), (1.0, 4.0)))
-        w1 = zf_precoder(make_channel(h_raw, 2), scn)
-        w2 = zf_precoder(make_channel(7.25 * h_raw, 2), scn)
+        h1, h2 = make_channel(h_raw, 2), make_channel(7.25 * h_raw, 2)
+        w1 = zf_precoder(h1, scn, combining_vectors(h1, scn))
+        w2 = zf_precoder(h2, scn, combining_vectors(h2, scn))
         d1 = w1.w / np.linalg.norm(w1.w)
         d2 = w2.w / np.linalg.norm(w2.w)
         assert np.max(np.abs(d1 - d2)) <= 1e-10
@@ -136,7 +137,7 @@ class TestZfPrecoder:
         h = make_channel(np.vstack([block, block]), n_users=2)
         scn = Scenario(id="t", ue_positions=((0.0, 4.0), (0.0, 4.0)))
         with pytest.raises(ZfInfeasibleError, match="not separable"):
-            zf_precoder(h, scn)
+            zf_precoder(h, scn, combining_vectors(h, scn))
 
     def test_duplicate_user_named(self):
         rng = np.random.default_rng(27)
@@ -144,7 +145,7 @@ class TestZfPrecoder:
         h = make_channel(np.vstack([b0, b1, b0]), n_users=3)
         scn = Scenario(id="t", ue_positions=((0.0, 4.0), (1.0, 4.0), (0.0, 4.0)))
         with pytest.raises(ZfInfeasibleError, match="user 2 is not separable"):
-            zf_precoder(h, scn)
+            zf_precoder(h, scn, combining_vectors(h, scn))
 
     def test_fewer_users_get_more_gain(self, array, room, scenarios, los_cfg):
         # UE at (0, 8) appears in scenarios 1 and 8; with power split three
