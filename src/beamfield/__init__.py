@@ -25,7 +25,6 @@ from .errors import (
     BeamfieldError,
     ConfigError,
     DegenerateChannelError,
-    SingularMatrixError,
     UnknownRegionError,
     ZfInfeasibleError,
 )
@@ -59,7 +58,7 @@ __all__ = [
     "ChannelModelConfig", "ComplianceReport", "ConfigError", "CutProfile",
     "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "HeatMap", "OfdmConfig",
     "PrecodingMatrix", "ProbeGrid", "Room", "RunConfig", "Scenario",
-    "SingularMatrixError", "UnknownRegionError", "ZfInfeasibleError",
+    "UnknownRegionError", "ZfInfeasibleError",
     "average_heatmaps", "build_array", "build_grid", "check", "combining_vectors",
     "compute_heatmap", "effective_channel", "estimate_csi", "extract_cut",
     "far_field_distance", "fit_decay", "from_dict", "generate_channel",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ue_antenna_positions, wavelength
+from .geometry import DEFAULT_MOUNT_HEIGHT_M, ue_antenna_positions, wavelength
 
 MODE_LOS = "los-only"
 MODE_IMAGE_1 = "image-order-1"
@@ -45,15 +45,20 @@ class ChannelModelConfig:
     csi_snr_db: float = math.inf
     rng_seed: int = 0
     element_pattern: str = PATTERN_ISOTROPIC
-    ue_height: float = 1.5
+    ue_height: float = DEFAULT_MOUNT_HEIGHT_M
 
     def __post_init__(self):
         if self.carrier_frequency <= 0:
             raise ValueError("carrier_frequency must be positive")
-        if self.mode not in (MODE_LOS, MODE_IMAGE_1):
-            raise ValueError(f"unknown channel mode {self.mode!r}")
-        if self.element_pattern not in (PATTERN_ISOTROPIC, PATTERN_COSINE):
-            raise ValueError(f"unknown element pattern {self.element_pattern!r}")
+        _check_model(self.mode, self.element_pattern)
+
+
+def _check_model(mode, pattern):
+    """Raise ValueError for an unknown channel mode or element pattern."""
+    if mode not in (MODE_LOS, MODE_IMAGE_1):
+        raise ValueError(f"unknown channel mode {mode!r}")
+    if pattern not in (PATTERN_ISOTROPIC, PATTERN_COSINE):
+        raise ValueError(f"unknown element pattern {pattern!r}")
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,7 @@ def _images(room, points):
     wall, y-low wall, y-high wall, floor, ceiling.  Raises if a point lies
     outside the room.
     """
-    inside = room.contains(points)
-    if not inside.all():
-        first = tuple(float(v) for v in points[np.argmin(inside)])
-        raise ValueError(f"transmit point {first} lies outside the room")
-
+    room.require_inside(points, "transmit point")
     x, y, z = points.T
     wx = room.width_x / 2.0
     images = np.tile(points, (6, 1, 1))
@@ -120,33 +121,51 @@ def _pattern_amplitude(d, dy):
     return math.sqrt(_COSINE_PEAK_GAIN) * np.clip(dy / d, 0.0, None)
 
 
-def propagation_gains(tx_points, rx_points, frequency, room=None,
-                      mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
-    """Complex gain matrix (n_rx x n_tx) of the configured ray model.
-
-    Direct line-of-sight rays always contribute.  In image mode the six
-    first-order images of all transmit points are built at once, and each
-    surface then adds its reflected rays scaled by its coefficient: the
-    direct rays first, then the surfaces in the fixed order of
-    ``_images``, skipping any surface whose coefficient is 0.  Receivers
-    are taken in blocks of about ``_GAIN_BLOCK_ENTRIES`` gains, written
-    into one result; every entry is computed by the same operations in
-    the same order whatever the block, so the block size never changes a
-    bit of the result.
+def _ray_sources(tx_points, room, mode):
+    """The ray model's sources as (points, coefficient) pairs: the direct rays
+    first, with coefficient None, then in image mode each surface whose
+    coefficient is not 0, in the order of ``_images``.
     """
-    tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
-    rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
-    lam = wavelength(frequency)
-    if pattern not in (PATTERN_ISOTROPIC, PATTERN_COSINE):
-        raise ValueError(f"unknown element pattern {pattern!r}")
     rays = [(tx_points, None)]
     if mode == MODE_IMAGE_1:
         if room is None:
             raise ValueError("image-order-1 mode requires a room")
         images, coeffs = _images(room, tx_points)
         rays += [(points, coeff) for points, coeff in zip(images, coeffs) if coeff != 0.0]
-    elif mode != MODE_LOS:
-        raise ValueError(f"unknown channel mode {mode!r}")
+    return rays
+
+
+def lit_above(tx_points, room=None, mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
+    """The y at or below which ``pattern`` lights no ray of :func:`propagation_gains`.
+
+    -inf for the isotropic pattern; for the cosine pattern, which lights a
+    receiver only from sources at smaller y, their least y (0.0, never -0.0).
+    A mirror maps y to y or c - y, so only the images of the transmit points
+    of least and greatest y are built.
+    """
+    _check_model(mode, pattern)
+    if pattern == PATTERN_ISOTROPIC:
+        return -math.inf
+    tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
+    ends = tx_points[[np.argmin(tx_points[:, 1]), np.argmax(tx_points[:, 1])]]
+    return min(float(points[:, 1].min()) for points, _ in _ray_sources(ends, room, mode)) + 0.0
+
+
+def propagation_gains(tx_points, rx_points, frequency, room=None,
+                      mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
+    """Complex gain matrix (n_rx x n_tx) of the configured ray model.
+
+    Each source of :func:`_ray_sources` adds its rays scaled by its
+    coefficient, in that order.  Receivers are taken in blocks of about
+    ``_GAIN_BLOCK_ENTRIES`` gains, written into one result; every entry
+    is computed by the same operations in the same order whatever the
+    block, so the block size never changes a bit of the result.
+    """
+    tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
+    rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
+    lam = wavelength(frequency)
+    _check_model(mode, pattern)
+    rays = _ray_sources(tx_points, room, mode)
 
     def ray(rx, points, coeff):
         # Surface coefficient first, then the pattern: the order of the
@@ -178,12 +197,10 @@ def generate_channel(array, scenario, room, cfg):
 
     Rows are UE antennas (4 per user, users in scenario order), columns
     the active transmit elements in array order.  Deterministic in the
-    geometry.
+    geometry.  Raises if a UE antenna lies outside the room.
     """
-    for ux, uy in scenario.ue_positions:
-        if not room.in_footprint(ux, uy):
-            raise ValueError(f"UE position ({ux}, {uy}) lies outside the room")
     rx = ue_antenna_positions(scenario, cfg.carrier_frequency, height=cfg.ue_height)
+    room.require_inside(rx, "UE antenna")
     tx = array.active_positions()
     h = propagation_gains(tx, rx, cfg.carrier_frequency, room=room, mode=cfg.mode,
                           pattern=cfg.element_pattern)

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config, read_yaml, validate
+from .config import EXPORT_FORMATS, RunConfig, load_config, read_yaml, validate
 from .errors import BeamfieldError, ConfigError
 from .field import HeatMap
 from .geometry import ProbeGrid, standard_scenarios
@@ -43,7 +43,7 @@ def _build_parser():
     p_run.add_argument("--scenario", action="append", default=None,
                        help="scenario id to run (repeatable; default: all in config)")
     p_run.add_argument("--format", action="append", default=None,
-                       choices=["csv", "json", "svg", "ascii"],
+                       choices=EXPORT_FORMATS,
                        help="export format (repeatable; overrides config)")
 
     sub.add_parser("scenarios", help="list the built-in scenarios")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 import yaml
 
-from .channel import MODE_IMAGE_1, PATTERN_COSINE, ChannelModelConfig
+from .channel import ChannelModelConfig, lit_above
 from .errors import ConfigError
 from .geometry import (
     DEFAULT_ELEMENT_SPACING_M,
@@ -367,14 +367,10 @@ def validate(config):
             continue
         antennas = ue_antenna_positions(table[sid], config.channel.carrier_frequency,
                                         height=config.channel.ue_height)
-        inside = room.contains(antennas)
-        if not inside.all():
-            x, y, z = (float(v) for v in antennas[np.argmin(inside)])
-            findings.append(
-                f"scenario {sid}: UE antenna at ({x:g}, {y:g}, {z:g}) lies outside the room "
-                f"(|x| <= {room.width_x / 2:g}, 0 <= y <= {room.length_y:g}, "
-                f"0 <= z <= {room.height_z:g})"
-            )
+        try:
+            room.require_inside(antennas, f"scenario {sid}: UE antenna")
+        except ValueError as exc:
+            findings.append(str(exc))
 
     # Geometry: the memory budgets, from the extents, before the grid is built.
     g = config.grid
@@ -406,17 +402,21 @@ def validate(config):
     # Grid and array inside the room, no coincidence.
     try:
         grid = config.build_grid()
+        room.require_inside(array.element_positions, "array: element")
     except ValueError as exc:
         findings.append(str(exc))
         return ValidationReport(findings=tuple(findings))
 
-    inside = room.contains(array.element_positions)
-    if not inside.all():
-        first = tuple(float(v) for v in array.element_positions[np.argmin(inside)])
-        findings.append(f"array: element at {first} lies outside the room")
+    # The element pattern lights every user: it lights only y > lit_y.
+    tx = array.active_positions()
+    lit_y = lit_above(tx, room, config.channel.mode, config.channel.element_pattern)
+    for sid in config.scenario_ids:
+        for u, (_, y) in enumerate(table[sid].ue_positions if sid in table else ()):
+            if y <= lit_y:
+                findings.append(f"scenario {sid}: user {u} at y = {y:g} m gets no field: "
+                                f"the cosine pattern lights only y > {lit_y:g} m")
     # Probe points are (x, y, height) over the lattice axes: compare per axis, in
     # O(elements) memory rather than with a points x elements difference.
-    tx = array.active_positions()
     if np.any(np.isin(tx[:, 0], grid.x_values) & np.isin(tx[:, 1], grid.y_values)
               & (tx[:, 2] == grid.probe_height)):
         findings.append("grid: a probe point coincides exactly with a transmit element")
@@ -425,16 +425,9 @@ def validate(config):
     except ValueError as exc:
         findings.append(f"cut_x: {exc}")
     # The decay fit of the cut column: fit_decay itself judges the rows, with
-    # a unit field on each, or 0 where the cosine pattern lights no ray. It
-    # lights a row only from a source behind it: an element, or in image mode
-    # its y-low wall image at -y (the y-high image always lies beyond the room).
+    # a unit field on each, or 0 where the pattern lights no ray.
     ys = grid.y_values
-    lit = np.ones(ys.size)
-    if config.channel.element_pattern == PATTERN_COSINE:
-        behind = tx[:, 1]
-        if config.channel.mode == MODE_IMAGE_1 and room.wall_reflections()[2] != 0.0:
-            behind = np.concatenate([behind, -behind])
-        lit = (ys > behind.min()).astype(float)
+    lit = (ys > lit_y).astype(float)
     min_distance = config.fit_min_distance(array)
     try:
         fit_decay(CutProfile(config.cut_x, ys, lit), min_distance)
@@ -442,7 +435,7 @@ def validate(config):
         rows = "" if min_distance is None else \
             f" at or beyond the {min_distance:.3g} m far-field distance"
         unlit = "" if lit.all() else \
-            f"; the cosine pattern gives no field at y <= {behind.min():g} m"
+            f"; the cosine pattern gives no field at y <= {lit_y:g} m"
         findings.append(f"grid: the decay fit cannot run on the cut rows{rows}: {exc}{unlit}")
 
     return ValidationReport(findings=tuple(findings))

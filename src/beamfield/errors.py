@@ -5,21 +5,17 @@ class BeamfieldError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class SingularMatrixError(BeamfieldError, ArithmeticError):
-    """A linear system is singular or numerically rank deficient.
+class ZfInfeasibleError(BeamfieldError, ValueError):
+    """Zero-forcing cannot separate the users (effective channel rank deficient).
 
-    ``pivot_index`` is the first row that is not separable from the rows
-    before it: its energy left after projecting them out fell below the
-    rank threshold.
+    ``pivot_index`` is the first user whose row is not separable from the
+    rows before it (its energy left after projecting them out fell below
+    the rank threshold), or None for a stream left without power.
     """
 
-    def __init__(self, message, pivot_index):
+    def __init__(self, message, pivot_index=None):
         super().__init__(message)
         self.pivot_index = pivot_index
-
-
-class ZfInfeasibleError(BeamfieldError, ValueError):
-    """Zero-forcing cannot separate the users (effective channel rank deficient)."""
 
 
 class DegenerateChannelError(BeamfieldError, ValueError):

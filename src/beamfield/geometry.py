@@ -90,10 +90,15 @@ class Room:
         return ((np.abs(x) <= self.width_x / 2 + tol) & (-tol <= y)
                 & (y <= self.length_y + tol) & (-tol <= z) & (z <= self.height_z + tol))
 
-    def in_footprint(self, x, y):
-        """True if the (x, y) position lies inside the floor footprint."""
-        tol = _BOUNDARY_TOL
-        return abs(x) <= self.width_x / 2 + tol and -tol <= y <= self.length_y + tol
+    def require_inside(self, points, what):
+        """Raise ValueError naming, as ``what``, the first (N, 3) ``points`` row outside."""
+        points = np.asarray(points, dtype=float)
+        inside = self.contains(points)
+        if not inside.all():
+            x, y, z = points[np.argmin(inside)]
+            raise ValueError(f"{what} at ({x:g}, {y:g}, {z:g}) lies outside the room (|x| <= "
+                             f"{self.width_x / 2:g}, 0 <= y <= {self.length_y:g}, "
+                             f"0 <= z <= {self.height_z:g})")
 
 
 @dataclass(frozen=True)
@@ -120,15 +125,13 @@ class ArrayGeometry:
         return self.element_positions[self.active_mask]
 
     def aperture(self):
-        """Largest pairwise distance between active elements (metres).
+        """Largest distance between active elements (metres).
 
-        The pairwise differences are taken in blocks of about 64 Ki; all of
-        them at once would take 384 MiB for a 4096-element array.
+        The diagonal of their bounding box, which is that distance for the
+        rectangular active blocks :func:`build_array` makes.
         """
         pos = self.active_positions()
-        rows = max(1, 65536 // max(len(pos), 1))
-        return max((float(np.sqrt(((pos[i:i + rows, None] - pos) ** 2).sum(axis=2)).max())
-                    for i in range(0, len(pos), rows)), default=0.0)
+        return float(np.sqrt(((pos.max(axis=0) - pos.min(axis=0)) ** 2).sum()))
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def build_array(
 
     Rows run along z, columns along x; element order is row-major.
     ``active_selection`` is ``"all"`` or ``"central-8x8"`` (the central 64
-    elements).
+    elements); either way the active elements form one rectangular block.
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
@@ -287,11 +290,7 @@ def build_grid(
     ys = _lattice_axis(y_min, y_max, spacing)
 
     if room is not None:
-        for x, y in ((x_min, y_min), (x_max, y_max)):
-            if not room.in_footprint(x, y) or not 0 <= height <= room.height_z:
-                raise ValueError(
-                    f"grid corner ({x}, {y}) at height {height} lies outside the room"
-                )
+        room.require_inside([(x_min, y_min, height), (x_max, y_max, height)], "grid corner")
 
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(height))])

@@ -10,7 +10,7 @@ energy falls below ``RANK_EPS`` times the largest row energy.
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import ZfInfeasibleError
 
 # Residual row energy threshold relative to the largest row energy; far
 # below any physically meaningful channel conditioning in this simulator.
@@ -32,9 +32,9 @@ def right_pseudo_inverse(h):
 
     This is the core of the zero-forcing precoder: the result satisfies
     ``h @ right_pseudo_inverse(h) == I`` up to numerical residual.  With
-    ``h^H = Q R`` it equals ``Q R^-H``.  Raises :class:`SingularMatrixError`
-    whose ``pivot_index`` is the first row not separable from the rows
-    before it.
+    ``h^H = Q R`` it equals ``Q R^-H``.  Raises :class:`ZfInfeasibleError`
+    whose ``pivot_index`` is the first row (user) not separable from the
+    rows before it.
     """
     h = as_complex_matrix(h)
     m, n = h.shape
@@ -46,7 +46,8 @@ def right_pseudo_inverse(h):
     deficient = np.flatnonzero((residual < threshold) | (residual == 0))
     if deficient.size:
         k = int(deficient[0])
-        raise SingularMatrixError(
-            f"ZF infeasible: users not separable (pivot {k})", pivot_index=k
+        raise ZfInfeasibleError(
+            f"ZF infeasible: user {k} is not separable from the users before it "
+            "(colinear effective channels)", pivot_index=k
         )
     return np.linalg.solve(r, q.conj().T).conj().T

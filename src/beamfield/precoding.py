@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, SingularMatrixError, ZfInfeasibleError
+from .errors import DegenerateChannelError, ZfInfeasibleError
 from .linalg import right_pseudo_inverse
 
 
@@ -69,13 +69,7 @@ def zf_precoder(h_est, scenario, combiners):
     For a single user this degenerates to maximum-ratio transmission.
     """
     g = effective_user_channel(h_est, combiners)
-    try:
-        w0 = right_pseudo_inverse(g)
-    except SingularMatrixError as exc:
-        raise ZfInfeasibleError(
-            f"ZF infeasible: user {exc.pivot_index} is not separable from the "
-            f"users before it (colinear effective channels)"
-        ) from exc
+    w0 = right_pseudo_inverse(g)
     k = scenario.n_users
     per_stream = scenario.total_tx_power / k
     column_norms = np.linalg.norm(w0, axis=0)

@@ -14,14 +14,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamfield import (
+    ChannelModelConfig,
     ConfigError,
+    Room,
     RunConfig,
+    Scenario,
+    build_array,
+    build_grid,
     config,
+    generate_channel,
     load_config,
     run,
     validate,
     verify_manifest,
 )
+from beamfield.channel import propagation_gains
 from beamfield.cli import main as cli_main
 from beamfield.config import ValidationReport, from_dict, read_yaml
 from beamfield.geometry import MAX_GAIN_ENTRIES, MAX_GRID_POINTS
@@ -132,7 +139,8 @@ BAD_DOCUMENTS = [
      "active: all}\nfit_exclude_near_field: false\n",
      "scenario 4: 2 users exceed the 1 active array elements"),
     ("array-outside-room", "seed: 1\narray: {center: [0, -1, 1.5]}\n",
-     "finding: array: element at (-0.1995, -1.0, 1.0725) lies outside the room\n"),
+     "finding: array: element at (-0.1995, -1, 1.0725) lies outside the room "
+     "(|x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3)\n"),
     ("decay-fit-beyond-the-grid", "seed: 1\ngrid: {y_min: 1.0, y_max: 2.0}\n",
      "finding: grid: the decay fit cannot run on the cut rows at or beyond the 5.59 m "
      "far-field distance: need at least 3 samples to fit a decay law, got 0\n"),
@@ -143,6 +151,15 @@ BAD_DOCUMENTS = [
      "channel: {mode: los-only, element_pattern: cosine}\nfit_exclude_near_field: false\n",
      "finding: grid: the decay fit cannot run on the cut rows: decay fit requires strictly "
      "positive distances and fields; the cosine pattern gives no field at y <= 3 m\n"),
+    ("user-behind-a-cosine-array", "seed: 1\narray: {center: [0, 3, 1.5]}\n"
+     "channel: {mode: los-only, element_pattern: cosine}\nscenarios: ['3']\n",
+     "finding: scenario 3: user 0 at y = 2 m gets no field: the cosine pattern lights only "
+     "y > 3 m\n"),
+    ("user-behind-a-cosine-array-without-a-back-wall-image",
+     "seed: 1\narray: {center: [0, 3, 1.5]}\nroom: {wall_reflection: [-0.6, -0.6, 0, -0.6]}\n"
+     "channel: {mode: image-order-1, element_pattern: cosine}\nscenarios: ['3']\n",
+     "finding: scenario 3: user 0 at y = 2 m gets no field: the cosine pattern lights only "
+     "y > 3 m\n"),
     ("negative-svg-vmax", "seed: 1\nsvg_vmax: -1\n", "finding: svg_vmax: must be positive\n"),
     ("zero-svg-vmax", "seed: 1\nsvg_vmax: 0\n", "finding: svg_vmax: must be positive\n"),
     ("negative-rates", "seed: 1\nofdm: {sample_rate: -61.44e6, subcarrier_spacing: -15000.0}\n",
@@ -458,6 +475,15 @@ def _small_array(doc, rows, cols, active):
     return dict(doc, array=array)
 
 
+def _user_at_the_array_face(doc):
+    """One user at the y of the array face, and a cosine pattern with no wall images."""
+    y = doc["array"]["center"][1]
+    doc = _set(doc, "custom_scenarios", [{"id": "u", "ue_positions": [[0.0, y]]}])
+    doc = _set(doc, "scenarios", ["u"])
+    doc = _set(doc, "channel.mode", "los-only")
+    return _set(doc, "channel.element_pattern", "cosine")
+
+
 # Each breaks one rule of a runnable document: (name, mutate, the finding's start).
 MUTATIONS = [
     ("negative-seed", lambda d: _set(d, "seed", -1), "seed: must be non-negative"),
@@ -486,12 +512,15 @@ MUTATIONS = [
      "scenario {scenario}: UE antenna at"),
     ("central-8x8-on-a-small-array", lambda d: _small_array(d, 2, 2, "central-8x8"),
      "central-8x8 needs at least an 8x8 array, got 2x2"),
+    # Scenario 6 puts its users at y >= 4, in front of every drawn array.
     ("more-users-than-elements",
-     lambda d: _set(_small_array(d, 1, 1, "all"), "scenarios", ["8"]),
-     "scenario 8: 3 users exceed the 1 active array elements"),
-    ("grid-outside-the-room", lambda d: _set(d, "grid.x_max", 4.0), "grid corner (4.0, "),
+     lambda d: _set(_small_array(d, 1, 1, "all"), "scenarios", ["6"]),
+     "scenario 6: 2 users exceed the 1 active array elements"),
+    ("grid-outside-the-room", lambda d: _set(d, "grid.x_max", 4.0), "grid corner at (4, "),
     ("array-outside-the-room", lambda d: _set(d, "array.center", [0.0, -1.0, 1.5]),
      "array: element at"),
+    ("user-at-the-array-face", _user_at_the_array_face,
+     "scenario u: user 0 at y = "),
     ("cut-x-between-columns",
      lambda d: _set(d, "cut_x", d["cut_x"] + d["grid"]["spacing"] / 2),
      "cut_x: "),
@@ -508,3 +537,25 @@ def test_breaking_one_rule_gives_exactly_its_finding(doc, mutate, expected):
     findings = validate(mutate(doc)).findings
     assert len(findings) == 1, findings
     assert findings[0].startswith(expected.format(scenario=doc["scenarios"][0])), findings
+
+
+def test_a_point_outside_the_room_gets_one_message_from_every_site():
+    # A UE antenna, a transmit point and a grid corner at the same place.
+    where = "at (5, 4, 1.5) lies outside the room (|x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3)"
+    doc = {"seed": 1, "scenarios": ["s"],
+           "custom_scenarios": [{"id": "s", "ue_positions": [[5.0, 4.0]], "antennas_per_ue": 1}]}
+    assert validate(doc).findings == (f"scenario s: UE antenna {where}",)
+    room = Room()
+    user = Scenario(id="s", ue_positions=((5.0, 4.0),), antennas_per_ue=1)
+    calls = [
+        lambda: generate_channel(build_array(), user, room, ChannelModelConfig()),
+        lambda: propagation_gains([(5.0, 4.0, 1.5)], [(0.0, 4.0, 1.5)], 2.63e9, room=room,
+                                  mode="image-order-1"),
+        lambda: build_grid(5.0, 5.0, 4.0, 4.0, 1.0, 1.5, room=room),
+    ]
+    messages = []
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.append(str(exc.value))
+    assert messages == [f"UE antenna {where}", f"transmit point {where}", f"grid corner {where}"]

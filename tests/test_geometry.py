@@ -112,7 +112,7 @@ class TestStandardScenarios:
     def test_positions_inside_room(self, scenarios, room):
         for s in scenarios:
             for x, y in s.ue_positions:
-                assert room.in_footprint(x, y)
+                assert room.contains((x, y, 1.5))
 
     def test_scenario_rejects_too_many_users(self):
         with pytest.raises(ValueError, match="between 1 and 8"):
@@ -189,8 +189,13 @@ class TestRoom:
     def test_boundary_slack_is_a_nanometre(self, room):
         assert room.contains((3.75 + 5e-10, -5e-10, 3 + 5e-10))
         assert not room.contains((3.75 + 2e-9, 1, 1))
-        assert room.in_footprint(-3.75 - 5e-10, 15 + 5e-10)
-        assert not room.in_footprint(0, -2e-9)
+        assert room.contains((-3.75 - 5e-10, 15 + 5e-10, -5e-10))
+        assert not room.contains((0, -2e-9, 1))
+
+    def test_grid_height_has_the_same_slack(self, room):
+        assert build_grid(0, 0, 1, 1, 1.0, 3 + 5e-10, room=room).n_points == 1
+        with pytest.raises(ValueError, match=r"grid corner at \(0, 1, 3\) lies outside"):
+            build_grid(0, 0, 1, 1, 1.0, 3 + 2e-9, room=room)
 
     def test_contains_flags_each_row(self, room):
         pts = [(0, 0, 1.5), (3.76, 1, 1), (3.75, 15, 3), (0, 1, 3.1)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beamfield import SingularMatrixError, right_pseudo_inverse
+from beamfield import ZfInfeasibleError, right_pseudo_inverse
 
 from conftest import random_complex
 
@@ -33,7 +33,7 @@ class TestRightPseudoInverse:
 
     def test_rank_deficient_context(self):
         h = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
-        with pytest.raises(SingularMatrixError, match="not separable"):
+        with pytest.raises(ZfInfeasibleError, match="not separable"):
             right_pseudo_inverse(h)
 
     def test_tall_rejected(self):
@@ -54,7 +54,7 @@ class TestRightPseudoInverse:
     def test_pivot_names_first_dependent_row(self, rows, pivot):
         rng = np.random.default_rng(12)
         g = random_complex(rng, (3, 16))
-        with pytest.raises(SingularMatrixError, match=f"pivot {pivot}") as exc:
+        with pytest.raises(ZfInfeasibleError, match=f"user {pivot} is not separable") as exc:
             right_pseudo_inverse(np.vstack(rows(g)))
         assert exc.value.pivot_index == pivot
 
