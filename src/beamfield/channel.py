@@ -102,36 +102,58 @@ def _images(room, points):
     return images, coeffs
 
 
-def _distances(rx_points, points):
-    """Ray lengths and y offsets (each R x T) from T points to R receivers.
+def _lengths(squares, out):
+    """Ray lengths (R x T) from the three squared axis offsets, into ``out``.
 
-    The per-axis differences are summed as dx*dx + dy*dy + dz*dz, the
-    order in which ``np.linalg.norm(rx[:, None] - points[None], axis=2)``
-    adds them, so the lengths are bit-identical to it without its
-    (R, T, 3) temporary.
+    They are summed as (x*x + y*y) + z*z, the order in which
+    ``np.linalg.norm(rx[:, None] - points[None], axis=2)`` adds them, so
+    the lengths are bit-identical to it without its (R, T, 3) temporary.
     """
-    dx = rx_points[:, 0, None] - points[:, 0]
-    dy = rx_points[:, 1, None] - points[:, 1]
-    dz = rx_points[:, 2, None] - points[:, 2]
-    return np.sqrt(dx * dx + dy * dy + dz * dz), dy
+    np.add(squares[0], squares[1], out=out)
+    np.add(out, squares[2], out=out)
+    return np.sqrt(out, out=out)
 
 
-def _pattern_amplitude(d, dy):
-    """Cosine element amplitude factor per ray of length ``d``; boresight is +y."""
-    return math.sqrt(_COSINE_PEAK_GAIN) * np.clip(dy / d, 0.0, None)
+def _free_space(d, lam, out, scratch):
+    """``(lam / (4 pi d)) * exp(-2j pi d / lam)`` per ray length, into ``out``.
+
+    The operations and their order are those of the expression, so the
+    gains are bit-identical to it; ``scratch`` is a real array like ``d``.
+    One is rewritten: numpy divides a complex by a real ``lam`` (Smith's
+    method with a zero imaginary part) by multiplying with ``1.0 / lam``,
+    so that product gives the same bits without a division per entry.
+    """
+    if np.any(d == 0.0):
+        raise ValueError("a probe/receive point coincides with a transmit element")
+    np.multiply(-2j * math.pi, d, out=out)
+    np.multiply(out, 1.0 / lam, out=out)
+    np.exp(out, out=out)
+    np.multiply(4.0 * math.pi, d, out=scratch)
+    np.divide(lam, scratch, out=scratch)
+    return np.multiply(scratch, out, out=out)
+
+
+def _pattern_amplitude(d, dy, out):
+    """Cosine element amplitude factor per ray of length ``d``, into ``out``;
+    boresight is +y."""
+    np.divide(dy, d, out=out)
+    np.clip(out, 0.0, None, out=out)
+    return np.multiply(math.sqrt(_COSINE_PEAK_GAIN), out, out=out)
 
 
 def _ray_sources(tx_points, room, mode):
-    """The ray model's sources as (points, coefficient) pairs: the direct rays
-    first, with coefficient None, then in image mode each surface whose
-    coefficient is not 0, in the order of ``_images``.
+    """The ray model's sources as (points, coefficient, axis) triples: the
+    direct rays first, with coefficient and axis None, then in image mode
+    each surface whose coefficient is not 0, in the order of ``_images``,
+    with the one axis its mirror changes (image i mirrors axis i // 2).
     """
-    rays = [(tx_points, None)]
+    rays = [(tx_points, None, None)]
     if mode == MODE_IMAGE_1:
         if room is None:
             raise ValueError("image-order-1 mode requires a room")
         images, coeffs = _images(room, tx_points)
-        rays += [(points, coeff) for points, coeff in zip(images, coeffs) if coeff != 0.0]
+        rays += [(points, coeff, i // 2)
+                 for i, (points, coeff) in enumerate(zip(images, coeffs)) if coeff != 0.0]
     return rays
 
 
@@ -148,7 +170,7 @@ def lit_above(tx_points, room=None, mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
         return -math.inf
     tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
     ends = tx_points[[np.argmin(tx_points[:, 1]), np.argmax(tx_points[:, 1])]]
-    return min(float(points[:, 1].min()) for points, _ in _ray_sources(ends, room, mode)) + 0.0
+    return min(float(points[:, 1].min()) for points, _, _ in _ray_sources(ends, room, mode)) + 0.0
 
 
 def propagation_gains(tx_points, rx_points, frequency, room=None,
@@ -156,40 +178,87 @@ def propagation_gains(tx_points, rx_points, frequency, room=None,
     """Complex gain matrix (n_rx x n_tx) of the configured ray model.
 
     Each source of :func:`_ray_sources` adds its rays scaled by its
-    coefficient, in that order.  Receivers are taken in blocks of about
-    ``_GAIN_BLOCK_ENTRIES`` gains, written into one result; every entry
-    is computed by the same operations in the same order whatever the
-    block, so the block size never changes a bit of the result.
+    coefficient and then by the element pattern, in that order.
+    Receivers are taken in blocks of about ``_GAIN_BLOCK_ENTRIES`` gains,
+    written into one result; every entry is computed by the same
+    operations in the same order whatever the block, so the block size
+    never changes a bit of the result.
+
+    Each distinct ray is evaluated once per block.  An image mirrors one
+    axis, so it shares the direct rays' squared offsets along the other
+    two and only its own axis term is recomputed; the terms are still
+    added in the order of :func:`_lengths`.  An image whose mirrored
+    coordinates equal those of the transmit points (the y = 0 wall image
+    of an array mounted on that wall) has the direct rays' lengths, so it
+    reuses their free-space gains.
     """
     tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
     rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
     lam = wavelength(frequency)
     _check_model(mode, pattern)
-    rays = _ray_sources(tx_points, room, mode)
+    cosine = pattern == PATTERN_COSINE
+    # Per image: whether it coincides with the transmit points.
+    images = [(points, coeff, axis, np.array_equal(points[:, axis], tx_points[:, axis]))
+              for points, coeff, axis in _ray_sources(tx_points, room, mode)[1:]]
 
-    def ray(rx, points, coeff):
-        # Surface coefficient first, then the pattern: the order of the
-        # products fixes the rounding, and so the bytes of every artifact.
-        d, dy = _distances(rx, points)
-        if np.any(d == 0.0):
-            raise ValueError("a probe/receive point coincides with a transmit element")
-        g = (lam / (4.0 * math.pi * d)) * np.exp(-2j * math.pi * d / lam)
-        if coeff is not None:
-            g *= coeff
-        if pattern == PATTERN_COSINE:
-            g *= _pattern_amplitude(d, dy)
-        return g
-
-    n_tx = len(tx_points)
-    g = np.empty((len(rx_points), n_tx), dtype=np.complex128)
+    n_rx, n_tx = len(rx_points), len(tx_points)
+    g = np.empty((n_rx, n_tx), dtype=np.complex128)
     rows = max(1, _GAIN_BLOCK_ENTRIES // max(n_tx, 1))
-    for start in range(0, len(rx_points), rows):
+    # One set of block buffers, no larger than the receivers need: three
+    # squared offsets, two working arrays and, for the cosine pattern, a
+    # scratch array and the direct rays' y offsets and lengths; two complex
+    # gain arrays.
+    shape = (min(rows, n_rx), n_tx)
+    real = np.empty((8 if cosine else 5, *shape))
+    gains = np.empty((2, *shape), dtype=np.complex128)
+    for start in range(0, n_rx, rows):
         rx = rx_points[start:start + rows]
-        block = ray(rx, *rays[0])
-        for points, coeff in rays[1:]:
-            block += ray(rx, points, coeff)
-        g[start:start + rows] = block
+        n = len(rx)
+        _block_gains(rx, tx_points, images, lam, cosine, g[start:start + n],
+                     real[:, :n], gains[:, :n])
     return g
+
+
+def _block_gains(rx, tx_points, images, lam, cosine, out, real, gains):
+    """The gains of one block of receivers ``rx`` into ``out``; see
+    :func:`propagation_gains`.  ``real`` and ``gains`` are its buffers.
+    """
+    squares, diff, d = real[:3], real[3], real[4]
+    # Only the cosine pattern reads an image's y offsets after its squared
+    # offsets are summed, and the direct rays' y offsets and lengths after
+    # their gains are computed; otherwise those arrays are shared.
+    scratch, dy, d_direct = real[5:8] if cosine else (diff, None, d)
+    direct, ray = gains
+
+    for axis, square in enumerate(squares):
+        np.subtract(rx[:, axis, None], tx_points[:, axis], out=square)
+        if cosine and axis == 1:
+            dy[...] = square
+        np.multiply(square, square, out=square)
+    _lengths(squares, d_direct)
+    _free_space(d_direct, lam, direct, scratch)
+    if cosine:
+        np.multiply(direct, _pattern_amplitude(d_direct, dy, scratch), out=out)
+    else:
+        out[...] = direct
+
+    for points, coeff, axis, coincident in images:
+        if not coincident or (cosine and axis == 1):
+            np.subtract(rx[:, axis, None], points[:, axis], out=diff)
+        if coincident:
+            ray_d = d_direct
+            np.multiply(direct, coeff, out=ray)
+        else:
+            # The mirrored axis's term replaces the direct rays' one.
+            terms = list(squares)
+            terms[axis] = np.multiply(diff, diff, out=scratch)
+            ray_d = _lengths(terms, d)
+            _free_space(ray_d, lam, ray, scratch)
+            np.multiply(ray, coeff, out=ray)
+        if cosine:
+            ray_dy = diff if axis == 1 else dy
+            np.multiply(ray, _pattern_amplitude(ray_d, ray_dy, scratch), out=ray)
+        out += ray
 
 
 def generate_channel(array, scenario, room, cfg):

@@ -91,14 +91,24 @@ class Room:
                 & (y <= self.length_y + tol) & (-tol <= z) & (z <= self.height_z + tol))
 
     def require_inside(self, points, what):
-        """Raise ValueError naming, as ``what``, the first (N, 3) ``points`` row outside."""
+        """Raise ValueError naming, as ``what``, the first (N, 3) ``points`` row outside.
+
+        Numbers print as the shortest text that reads back as the same
+        float, so a point just beyond the boundary slack never prints as
+        the bound it breaks.
+        """
         points = np.asarray(points, dtype=float)
         inside = self.contains(points)
         if not inside.all():
-            x, y, z = points[np.argmin(inside)]
-            raise ValueError(f"{what} at ({x:g}, {y:g}, {z:g}) lies outside the room (|x| <= "
-                             f"{self.width_x / 2:g}, 0 <= y <= {self.length_y:g}, "
-                             f"0 <= z <= {self.height_z:g})")
+            x, y, z = (_exact(v) for v in points[np.argmin(inside)])
+            raise ValueError(f"{what} at ({x}, {y}, {z}) lies outside the room (|x| <= "
+                             f"{_exact(self.width_x / 2)}, 0 <= y <= {_exact(self.length_y)}, "
+                             f"0 <= z <= {_exact(self.height_z)})")
+
+
+def _exact(v):
+    """``repr`` of the float ``v``, with no ``.0`` on a whole number: 5, 3.000000002."""
+    return repr(float(v)).removesuffix(".0")
 
 
 @dataclass(frozen=True)

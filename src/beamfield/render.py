@@ -26,8 +26,20 @@ _RAMP = (
     (181, 222, 43), (253, 231, 37), (255, 255, 110),
 )
 _RAMP_RGB = np.array(_RAMP, dtype=float)
+# Per-channel step from each anchor to the next; small integers, so exact.
+_RAMP_STEP = _RAMP_RGB[1:] - _RAMP_RGB[:-1]
+# Two hex digits per channel value 0-255, and the " #" that opens a colour,
+# each as one 2-byte unit, so a colour's text is four units.
+_HEX_PAIRS = np.frombuffer("".join(f"{v:02x}" for v in range(256)).encode("ascii"),
+                           dtype=np.uint16)
+_COLOUR_OPEN = np.frombuffer(b" #", dtype=np.uint16)[0]
 
 _ASCII_LEVELS = " .:-=+*#%@"
+# Byte of each level, drawn twice per cell so that cells are about square.
+_ASCII_CODES = np.frombuffer(_ASCII_LEVELS.encode("ascii"), dtype=np.uint8)
+
+# SVG cell-label colour, indexed by whether the cell is brighter than 0.6 of the scale.
+_LABEL_COLOURS = np.array(["white", "black"], dtype=object)
 
 _CELL = 64
 _MARGIN_LEFT = 56
@@ -44,16 +56,18 @@ def _fills(t):
 
     ``t`` is clamped to [0, 1].  ``np.rint`` rounds half to even, as
     ``round`` does, and ``astype(int)`` truncates the non-negative
-    positions, as ``int`` does.
+    positions, as ``int`` does.  The text of every colour is looked up
+    from a table of hex pairs in one array and split into strings once.
     """
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0).ravel()
     pos = t * (len(_RAMP) - 1)
     i = np.minimum(pos.astype(int), len(_RAMP) - 2)
-    frac = (pos - i)[..., None]
-    lo = _RAMP_RGB[i]
-    rgb = np.rint(lo + frac * (_RAMP_RGB[i + 1] - lo)).astype(int)
-    packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
-    return [f"#{v:06x}" for v in packed.ravel().tolist()]
+    frac = (pos - i)[:, None]
+    rgb = np.rint(np.take(_RAMP_RGB, i, axis=0) + frac * np.take(_RAMP_STEP, i, axis=0))
+    text = np.empty((len(t), 4), dtype=np.uint16)
+    text[:, 0] = _COLOUR_OPEN
+    text[:, 1:] = np.take(_HEX_PAIRS, rgb.astype(int))
+    return text.tobytes().decode("ascii").split()
 
 
 def _scale_top(heatmap, vmax):
@@ -121,8 +135,11 @@ def grid_text(grid):
     width = _MARGIN_LEFT + plot_w + _BAR_GAP + _BAR_WIDTH + 64
     height = _MARGIN_TOP + plot_h + _MARGIN_BOTTOM
 
+    # Each text is joined from per-column and per-row fragments, so every
+    # coordinate is formatted once, not once per grid point.
+    csv_x = [f"{x:.9g}" for x in xs.tolist()]
     csv = "x_m,y_m,e_vpm\n" + "".join(
-        f"{x:.9g},{y:.9g},%.9g\n" for x, y, _ in grid.points.tolist()
+        tail.join(csv_x) + tail for tail in (f",{y:.9g},%.9g\n" for y in ys.tolist())
     )
 
     # json.dumps(..., indent=2, sort_keys=True) layout: e_vpm, scenario, x_m, y_m.
@@ -139,21 +156,23 @@ def grid_text(grid):
     )
 
     # Cells: x ascending to the right, y ascending upward (array side at bottom).
-    x_labels = [f"{x:g}" for x in xs]
+    # A cell alternates column and row fragments: rect x, rect y, title x,
+    # title y, label x, label y.
+    columns = []
+    for ix, x in enumerate(xs):
+        cx = _MARGIN_LEFT + ix * _CELL
+        columns.append((f'<rect x="{cx}" y="', f"{x:g}", f"{cx + _CELL / 2:g}"))
     cells = []
-    for iy in range(n_y):
+    for iy, y in enumerate(ys):
         cy = _MARGIN_TOP + (n_y - 1 - iy) * _CELL
-        y_label = f"{ys[iy]:g}"
-        for ix in range(n_x):
-            cx = _MARGIN_LEFT + ix * _CELL
-            cells.append(
-                f'<rect x="{cx}" y="{cy}" width="{_CELL}" height="{_CELL}" '
-                f'fill="%s"><title>x={x_labels[ix]} y={y_label} '
-                f"E=%.6g V/m</title></rect>\n"
-                f'<text x="{cx + _CELL / 2:g}" y="{cy + _CELL / 2 + 4:g}" '
-                f'font-family="monospace" font-size="10" text-anchor="middle" '
-                f'fill="%s">%.2g</text>'
-            )
+        rect_y = (f'{cy}" width="{_CELL}" height="{_CELL}" '
+                  f'fill="%s"><title>x=')
+        title_y = f' y={y:g} E=%.6g V/m</title></rect>\n<text x="'
+        label_y = (f'" y="{cy + _CELL / 2 + 4:g}" '
+                   f'font-family="monospace" font-size="10" text-anchor="middle" '
+                   f'fill="%s">%.2g</text>')
+        cells += [rect_x + rect_y + title_x + title_y + label_x + label_y
+                  for rect_x, title_x, label_x in columns]
 
     axes = [
         f'<text x="{_MARGIN_LEFT + ix * _CELL + _CELL / 2:g}" '
@@ -239,7 +258,7 @@ def heatmap_svg(heatmap, text, vmax=None, markers=()):
     slots = [None] * (4 * len(values))
     slots[0::4] = _fills(scaled)
     slots[1::4] = values
-    slots[2::4] = ["black" if s > 0.6 else "white" for s in scaled.tolist()]
+    slots[2::4] = _LABEL_COLOURS[(scaled > 0.6).view(np.int8)].tolist()
     slots[3::4] = values
 
     out = [
@@ -284,9 +303,8 @@ def heatmap_ascii(heatmap, vmax=None):
 
     lines = [f"scenario {heatmap.scenario_id}: RMS E-field, "
              f"'{_ASCII_LEVELS[0]}'=0 to '{_ASCII_LEVELS[-1]}'={top:.3g} V/m"]
-    levels = _levels(rows, top).tolist()
+    cells = np.repeat(_ASCII_CODES[_levels(rows, top)], 2, axis=1)
     for iy in range(len(ys) - 1, -1, -1):
-        chars = "".join(_ASCII_LEVELS[level] * 2 for level in levels[iy])
-        lines.append(f"y={ys[iy]:>4g} |{chars}|")
+        lines.append(f"y={ys[iy]:>4g} |{cells[iy].tobytes().decode('ascii')}|")
     lines.append(f"        x: {xs[0]:g} to {xs[-1]:g} step {heatmap.grid.spacing:g} m")
     return "\n".join(lines) + "\n"

@@ -107,6 +107,9 @@ def run(config, out_dir=None):
     else:
         results = [run_scenario(config, s, i, array, room, grid, gains)
                    for i, s in enumerate(scenarios)]
+    # Every map is computed: free the gain matrix, the run's largest array,
+    # before any artifact is written.
+    del gains
 
     maps = [r.heatmap for r in results]
     average = stats_mod.average_heatmaps(maps)

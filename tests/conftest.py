@@ -1,6 +1,14 @@
-import pytest
+import os
 
-from beamfield import (
+# One OpenBLAS thread, set before numpy is first imported (pytest and its
+# plugins do not import it).  On a 2-vCPU host an (8, 8) @ (8, 1551)
+# complex product took 0.94 ms with OpenBLAS's default threads and 0.04 ms
+# with one.  The benchmark pins the same count; an explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+from beamfield import (  # noqa: E402
     ChannelModelConfig,
     Room,
     build_array,

@@ -1,8 +1,9 @@
 """Per-map reference formatters for the heat-map artifacts.
 
 These format every line of a map, grid coordinates included, for each
-map: the code the per-grid text of ``beamfield.render`` replaced.  The
-tests require the new text to equal theirs byte for byte.
+map, and every ASCII cell on its own: the code the per-grid text and the
+level table of ``beamfield.render`` replaced.  The tests require the new
+text to equal theirs byte for byte.
 """
 
 import json
@@ -11,6 +12,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from beamfield.render import (
+    _ASCII_LEVELS,
     _BAR_GAP,
     _BAR_WIDTH,
     _CELL,
@@ -148,3 +150,22 @@ def heatmap_svg(heatmap, vmax=None, markers=()):
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+def heatmap_ascii(heatmap, vmax=None):
+    """The ASCII preview, one level character pair per cell."""
+    rows = heatmap.as_grid_rows()
+    xs = heatmap.grid.x_values
+    ys = heatmap.grid.y_values
+    top = float(vmax) if vmax is not None else float(heatmap.values.max())
+    if top <= 0:
+        top = 1.0
+    n = len(_ASCII_LEVELS)
+    lines = [f"scenario {heatmap.scenario_id}: RMS E-field, "
+             f"'{_ASCII_LEVELS[0]}'=0 to '{_ASCII_LEVELS[-1]}'={top:.3g} V/m"]
+    for iy in range(len(ys) - 1, -1, -1):
+        chars = "".join(_ASCII_LEVELS[min(int(v / top * n), n - 1)] * 2
+                        for v in rows[iy].tolist())
+        lines.append(f"y={ys[iy]:>4g} |{chars}|")
+    lines.append(f"        x: {xs[0]:g} to {xs[-1]:g} step {heatmap.grid.spacing:g} m")
+    return "\n".join(lines) + "\n"

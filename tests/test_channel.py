@@ -13,7 +13,7 @@ from beamfield import (
     build_grid,
     generate_channel,
 )
-from beamfield.channel import _GAIN_BLOCK_ENTRIES, _distances, _images, propagation_gains
+from beamfield.channel import _GAIN_BLOCK_ENTRIES, _images, _lengths, propagation_gains
 from beamfield.geometry import ue_antenna_positions, wavelength
 
 import gains_reference as ref
@@ -137,6 +137,38 @@ class TestImageModeReference:
         for pattern in ("isotropic", "cosine"):
             self.check(array.active_positions(), rx, room, pattern)
 
+    def test_array_partly_off_the_wall(self, array, room):
+        # Only some transmit points lie on y = 0, so no image has the direct rays.
+        tx = array.active_positions().copy()
+        tx[::3, 1] = 0.25
+        rx = build_grid(room=room, spacing=0.5).points
+        for pattern in ("isotropic", "cosine"):
+            self.check(tx, rx, room, pattern)
+
+    def test_array_flush_on_an_x_wall(self, room):
+        # Every element at x = -3.75: the x-low image coincides with the array.
+        tx = [(-3.75, y, z) for y in (1.0, 1.057, 1.114) for z in (1.4, 1.6)]
+        rx = build_grid(room=room, spacing=0.5).points
+        for pattern in ("isotropic", "cosine"):
+            self.check(tx, rx, room, pattern)
+
+    def test_on_wall_array_without_a_y_low_image(self, array):
+        room = Room(wall_reflection=(-0.6, -0.5, 0.0, -0.3))
+        rx = build_grid(room=room, spacing=0.5).points
+        for pattern in ("isotropic", "cosine"):
+            self.check(array.active_positions(), rx, room, pattern)
+
+    def test_signed_zeros_in_the_y_column(self, array, room):
+        # -0.0 == 0.0, so the y-low image still coincides with the array; the
+        # receivers on the wall give rays with y offsets of either sign of zero.
+        tx = array.active_positions().copy()
+        tx[::2, 1] = -0.0
+        rx = np.vstack([build_grid(room=room, spacing=0.5).points,
+                        [(1.0, 0.0, 1.0), (1.0, -0.0, 2.0), (-2.0, -0.0, 0.5)]])
+        assert np.signbit(tx[:, 1]).any() and not np.signbit(tx[:, 1]).all()
+        for pattern in ("isotropic", "cosine"):
+            self.check(tx, rx, room, pattern)
+
     def test_large_array_takes_few_receivers_per_block(self, room):
         # 32 x 32 active elements: 16 receivers per block, so 56 probes are 4 blocks.
         arr = build_array(rows=32, cols=32, active_selection="all")
@@ -154,9 +186,9 @@ class TestRayDistances:
             rx = rng.normal(scale=scale, size=(500, 3))
             pts = rng.normal(scale=scale, size=(37, 3))
             delta = rx[:, None, :] - pts[None, :, :]
-            d, dy = _distances(rx, pts)
+            squares = [delta[:, :, axis] * delta[:, :, axis] for axis in range(3)]
+            d = _lengths(squares, np.empty(delta.shape[:2]))
             assert d.tobytes() == np.linalg.norm(delta, axis=2).tobytes()
-            assert dy.tobytes() == np.ascontiguousarray(delta[:, :, 1]).tobytes()
 
 
 class TestCosinePattern:

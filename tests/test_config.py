@@ -180,13 +180,15 @@ BAD_DOCUMENTS = [
     ("noise-snr-overflow", "seed: 1\nofdm: {noise_snr_db: -4000}\n",
      "finding: ofdm.noise_snr_db: must lie between -3000 and 3000 dB, or be +inf; got -4000\n"),
     ("ue-below-the-floor", "seed: 1\nscenarios: ['1']\nchannel: {ue_height: -5}\n",
-     "finding: scenario 1: UE antenna at (-0.0854921, 8, -5) lies outside the room "
+     "finding: scenario 1: UE antenna at (-0.0854921458174905, 8, -5) lies outside the room "
      "(|x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3)\n"),
     ("ue-above-the-ceiling", "seed: 1\nscenarios: ['1']\nchannel: {ue_height: 1e6}\n",
-     "finding: scenario 1: UE antenna at (-0.0854921, 8, 1e+06) lies outside the room"),
+     "finding: scenario 1: UE antenna at (-0.0854921458174905, 8, 1000000) lies outside "
+     "the room"),
     ("ue-antennas-a-wavelength-apart", "seed: 1\nscenarios: ['1']\n"
      "channel: {carrier_frequency: 1e-200}\n",
-     "finding: scenario 1: UE antenna at (-2.24844e+208, 8, 1.5) lies outside the room"),
+     "finding: scenario 1: UE antenna at (-2.248443435e+208, 8, 1.5) lies outside the "
+     "room"),
     ("no-finite-wavelength", "seed: 1\nchannel: {carrier_frequency: 1e-310}\n",
      "finding: channel.carrier_frequency: 1e-310 Hz has no finite wavelength\n"),
     ("room-overflow", "seed: 1\nroom: {length_y: 1e300, width_x: 1e300}\n",

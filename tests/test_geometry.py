@@ -194,7 +194,10 @@ class TestRoom:
 
     def test_grid_height_has_the_same_slack(self, room):
         assert build_grid(0, 0, 1, 1, 1.0, 3 + 5e-10, room=room).n_points == 1
-        with pytest.raises(ValueError, match=r"grid corner at \(0, 1, 3\) lies outside"):
+        # The rejected height prints with the digits that set it apart from the bound.
+        with pytest.raises(ValueError, match=r"grid corner at \(0, 1, 3\.000000002\) lies "
+                                             r"outside the room \(\|x\| <= 3\.75, 0 <= y <= 15, "
+                                             r"0 <= z <= 3\)"):
             build_grid(0, 0, 1, 1, 1.0, 3 + 2e-9, room=room)
 
     def test_contains_flags_each_row(self, room):

@@ -1,6 +1,7 @@
 """Heat-map text against references: the vectorised colour and ASCII-level
-rules against scalar ones, and the per-grid CSV, JSON and SVG text against
-the per-map formatters of ``heatmap_reference``."""
+rules against scalar ones, and the per-grid CSV, JSON and SVG text and the
+table-driven ASCII text against the per-map formatters of
+``heatmap_reference``."""
 
 from xml.dom import minidom
 
@@ -105,6 +106,7 @@ def assert_texts_match(heatmap, vmax=None, markers=()):
     assert heatmap_json(heatmap, text) == ref.heatmap_json(heatmap)
     assert (heatmap_svg(heatmap, text, vmax=vmax, markers=markers)
             == ref.heatmap_svg(heatmap, vmax=vmax, markers=markers))
+    assert heatmap_ascii(heatmap, vmax=vmax) == ref.heatmap_ascii(heatmap, vmax=vmax)
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -112,6 +113,28 @@ class TestRun:
         assert len(grids) == 1
         assert grids[0].same_lattice(config.build_grid())
         assert sum(a["type"] == "heatmap-svg" for a in manifest.artifacts) == 9
+
+    def test_gain_matrix_is_freed_before_artifacts_are_written(self, tmp_path, monkeypatch):
+        matrices = []
+        alive = []
+        real_gains = beamfield.runner.probe_gains
+        real_csv = beamfield.runner.heatmap_csv
+
+        def tracked(*args, **kwargs):
+            gains = real_gains(*args, **kwargs)
+            matrices.append(weakref.ref(gains))
+            return gains
+
+        def checking(heatmap, text):
+            alive.append(matrices[0]() is not None)
+            return real_csv(heatmap, text)
+
+        monkeypatch.setattr(beamfield.runner, "probe_gains", tracked)
+        monkeypatch.setattr(beamfield.runner, "heatmap_csv", checking)
+        run(small_config(), out_dir=str(tmp_path))
+        assert len(matrices) == 1
+        # Two scenario maps and the average, none written while the matrix lives.
+        assert alive == [False, False, False]
 
     def test_expected_artifacts(self, tmp_path):
         run(small_config(), out_dir=str(tmp_path))
