@@ -8,7 +8,7 @@ this script under ``output/``.
 
 import os
 
-from beamfield import RunConfig, probe_gains, standard_scenarios, summary
+from beamfield import RunConfig, heatmaps, standard_scenarios, summary
 from beamfield.render import grid_text, heatmap_ascii, heatmap_svg
 from beamfield.runner import run_scenario
 
@@ -19,29 +19,31 @@ config = RunConfig()
 room = config.room
 array = config.build_array()
 grid = config.build_grid()
-# The probe x element gains and the grid's SVG cell geometry, axes and colour
-# bar do not depend on the scenario: compute them once.
-gains = probe_gains(array, room, grid, config.channel)
+# The grid's SVG cell geometry, axes and colour bar do not depend on the
+# scenario: format them once.
 text = grid_text(grid)
 
-# A shared colour scale makes the eight maps comparable.
-results = [
-    run_scenario(config, scn, i, array, room, grid, gains)
-    for i, scn in enumerate(standard_scenarios(total_tx_power=config.tx_power_w))
-]
-vmax = max(float(r.heatmap.values.max()) for r in results)
+# The link stages of every scenario, then all their maps from one pass
+# over the probe grid's gains.
+links = [run_scenario(config, scn, i, array, room)
+         for i, scn in enumerate(standard_scenarios(total_tx_power=config.tx_power_w))]
+maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
+                config.channel, calibration=config.calibration)
 
-for r in results:
-    s = summary(r.heatmap)
-    print(f"scenario {r.scenario.id}: users {r.scenario.ue_positions}")
+# A shared colour scale makes the eight maps comparable.
+vmax = max(float(hm.values.max()) for hm in maps)
+
+for link, hm in zip(links, maps):
+    s = summary(hm)
+    print(f"scenario {link.scenario.id}: users {link.scenario.ue_positions}")
     print(f"  field max {s.max:.2f} V/m at {s.max_position}, mean {s.mean:.2f} V/m")
-    print(heatmap_ascii(r.heatmap, vmax=vmax))
-    path = os.path.join(out_dir, f"heatmap_scenario_{r.scenario.id}.svg")
+    print(heatmap_ascii(hm, vmax=vmax))
+    path = os.path.join(out_dir, f"heatmap_scenario_{link.scenario.id}.svg")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(heatmap_svg(r.heatmap, text, vmax=vmax, markers=r.scenario.ue_positions))
+        fh.write(heatmap_svg(hm, text, vmax=vmax, markers=link.scenario.ue_positions))
     print(f"  wrote {path}\n")
 
-peaks = [float(r.heatmap.values.max()) for r in results]
+peaks = [float(hm.values.max()) for hm in maps]
 print(f"peak field across scenarios: {min(peaks):.2f} to {max(peaks):.2f} V/m at "
       f"{config.tx_power_w:g} W total transmit power")
 print("the hottest grid point sits next to the array in every scenario, even")

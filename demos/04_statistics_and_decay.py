@@ -13,7 +13,7 @@ from beamfield import (
     extract_cut,
     far_field_distance,
     fit_decay,
-    probe_gains,
+    heatmaps,
     standard_scenarios,
     summary,
     wavelength,
@@ -24,12 +24,11 @@ from beamfield.runner import run_scenario
 def scenario_maps(config):
     room = config.room
     array = config.build_array()
-    grid = config.build_grid()
-    gains = probe_gains(array, room, grid, config.channel)
-    return array, [
-        run_scenario(config, scn, i, array, room, grid, gains).heatmap
-        for i, scn in enumerate(standard_scenarios(config.tx_power_w))
-    ]
+    links = [run_scenario(config, scn, i, array, room)
+             for i, scn in enumerate(standard_scenarios(config.tx_power_w))]
+    return array, heatmaps([(link.scenario, link.precoder) for link in links], array, room,
+                           config.build_grid(), config.channel,
+                           calibration=config.calibration)
 
 
 for mode in ("los-only", "image-order-1"):

@@ -15,8 +15,8 @@ from beamfield import (
     average_heatmaps,
     check,
     extract_cut,
+    heatmaps,
     min_compliant_distance,
-    probe_gains,
     standard_scenarios,
 )
 from beamfield.runner import run_scenario
@@ -26,12 +26,10 @@ config = dataclasses.replace(
 room = config.room
 array = config.build_array()
 grid = config.build_grid()
-gains = probe_gains(array, room, grid, config.channel)
-
-maps = [
-    run_scenario(config, scn, i, array, room, grid, gains).heatmap
-    for i, scn in enumerate(standard_scenarios(config.tx_power_w))
-]
+links = [run_scenario(config, scn, i, array, room)
+         for i, scn in enumerate(standard_scenarios(config.tx_power_w))]
+maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
+                config.channel, calibration=config.calibration)
 averaged = average_heatmaps(maps)
 print("limit table:", DEFAULT_LIMITS_VPM)
 

@@ -13,12 +13,22 @@ time, so stream powers add.  Element-wise spherical-wave summation is
 used everywhere (no array-factor shortcut): probe points can sit inside
 the array's Fraunhofer distance, where only the exact summation is valid.
 
-A run computes the probe x element gain matrix once (:func:`probe_gains`)
-and every scenario's heat map reuses it.  This is exact, not an
-approximation: the image-model rays depend only on the array, the probe
-grid, the room, the carrier, the channel mode and the element pattern,
-never on the precoder or the seed, so each scenario would rebuild the
-same matrix bit for bit.
+A run streams its maps (:func:`heatmaps`): it takes the probe grid one
+block of grid rows at a time, computes that block's probe x element
+gains once (:func:`probe_gains`), pushes them through every scenario's
+precoder (:func:`compute_heatmap`) and drops them, so it never holds the
+whole grid's gain matrix.  It draws the precoders as the scenarios'
+link stages make them, so on a grid of one block the precoders do not
+pile up: each is dropped once its map is made.  Sharing a block's gains
+is exact, not an approximation: the image-model rays depend only on the
+array, the probe points, the room, the carrier, the channel mode and the
+element pattern, never on the precoder or the seed, so each scenario
+would rebuild the same gains bit for bit.  Streaming is exact too: every
+gain is computed by the same operations whatever the block, and a
+block's per-stream product equals the same rows of the whole grid's
+product bit for bit, except for a one-point block, which numpy evaluates
+as a dot product that may round differently; such a block is merged
+into the one before it.
 """
 
 import math
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import propagation_gains
+from .channel import _GAIN_BLOCK_ENTRIES, propagation_gains
 from .geometry import wavelength
 
 #: Radiated-field constant: sqrt(30 P) / d for an isotropic element.
@@ -56,9 +66,8 @@ def probe_gains(array, room, grid, cfg):
     """Field gain matrix (n_points x n_active) of the array over the probe grid.
 
     ``cfg`` is the run's :class:`~beamfield.channel.ChannelModelConfig`;
-    only its carrier, mode and element pattern are read.  A run computes
-    this once and passes it to :func:`compute_heatmap` for every scenario,
-    so the matrix is read-only.
+    only its carrier, mode and element pattern are read.  The matrix is
+    read-only: one serves :func:`compute_heatmap` for every scenario.
     """
     gains = propagation_gains(array.active_positions(), grid.points, cfg.carrier_frequency,
                               room=room, mode=cfg.mode, pattern=cfg.element_pattern)
@@ -87,8 +96,58 @@ def compute_heatmap(scenario, precoder, grid, gains, calibration=1.0):
 
     ``gains`` is :func:`probe_gains` of the run's array, room, grid and
     channel config.  It does not depend on the scenario, so one matrix
-    serves every scenario of a run; only the precoder changes the map.
+    serves every scenario; only the precoder changes the map.
     """
     per_stream = _FIELD_CONSTANT * _per_stream_product(gains, precoder.w)
     values = calibration * np.sqrt(np.sum(np.abs(per_stream) ** 2, axis=1))
     return HeatMap(grid=grid, values=values, scenario_id=scenario.id)
+
+
+def _row_blocks(grid, n_active):
+    """(start, stop) grid-row ranges that :func:`heatmaps` takes in turn.
+
+    A block holds as many whole grid rows as fit in ``_GAIN_BLOCK_ENTRIES``
+    gains, at least one.  A last block of one point (a one-column grid
+    whose row count leaves a remainder of one) joins the block before it.
+    """
+    n_x, n_y = len(grid.x_values), len(grid.y_values)
+    height = max(1, _GAIN_BLOCK_ENTRIES // (n_x * n_active))
+    starts = list(range(0, n_y, height))
+    if n_x == 1 and len(starts) > 1 and n_y - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_y]))
+
+
+def heatmaps(links, array, room, grid, cfg, calibration=1.0):
+    """The heat map of every (scenario, precoder) pair of ``links`` over ``grid``.
+
+    The grid is taken one block of rows at a time (:func:`_row_blocks`):
+    each block's :func:`probe_gains` are computed once, pass through
+    every precoder in :func:`compute_heatmap` and are dropped, so the
+    maps equal :func:`compute_heatmap` over the whole grid's gains bit
+    for bit while at most one block of gains is held.  ``links`` is
+    drawn once, in order, after the first block's gains are computed,
+    and each pair meets that block as it is drawn; its precoder is kept
+    only if the grid has more blocks.  So on a one-block grid, a caller
+    that makes its pairs lazily never holds all the precoders at once.
+    """
+    n_x = len(grid.x_values)
+    (_, stop), *rest = _row_blocks(grid, array.n_active)
+    block = grid.rows(0, stop)
+    gains = probe_gains(array, room, block, cfg)
+    kept = []
+    for scenario, precoder in links:
+        values = np.empty(grid.n_points)
+        values[:stop * n_x] = compute_heatmap(scenario, precoder, block, gains,
+                                              calibration).values
+        kept.append((scenario, precoder if rest else None, values))
+    for start, stop in rest:
+        block = grid.rows(start, stop)
+        # The previous block's gains are dropped before this block's are computed.
+        del gains
+        gains = probe_gains(array, room, block, cfg)
+        for scenario, precoder, values in kept:
+            values[start * n_x:stop * n_x] = compute_heatmap(scenario, precoder, block, gains,
+                                                             calibration).values
+    return [HeatMap(grid=grid, values=values, scenario_id=scenario.id)
+            for scenario, _, values in kept]

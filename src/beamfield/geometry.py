@@ -20,8 +20,8 @@ DEFAULT_MOUNT_HEIGHT_M = 1.5
 #: Largest probe grid.
 MAX_GRID_POINTS = 1_000_000
 
-#: Largest probe x active-element field-gain matrix a run keeps: the largest
-#: grid at 64 active elements, 1 GiB of complex128.
+#: Most probe x active-element field gains a run computes: the largest grid
+#: at 64 active elements.  A run holds one block of them at a time.
 MAX_GAIN_ENTRIES = MAX_GRID_POINTS * 64
 
 #: Largest transmit array; the paper's panel has 128 elements.
@@ -171,18 +171,26 @@ class ProbeGrid:
     """Regular lattice of probe positions at a fixed height.
 
     Points are ordered row-major: y ascending, x ascending within each
-    row, so serialized artifacts are byte-for-byte reproducible.
+    row, so serialized artifacts are byte-for-byte reproducible.  A grid
+    row is one y value; ``x_values`` and ``y_values`` are the lattice axes.
     """
 
     points: np.ndarray
     spacing: float
     probe_height: float
-    x_values: np.ndarray = field(repr=False, default=None)
-    y_values: np.ndarray = field(repr=False, default=None)
+    x_values: np.ndarray = field(repr=False)
+    y_values: np.ndarray = field(repr=False)
 
     @property
     def n_points(self):
         return self.points.shape[0]
+
+    def rows(self, start, stop):
+        """The sub-grid of grid rows ``start`` to ``stop`` (y_values[start:stop])."""
+        n_x = len(self.x_values)
+        return ProbeGrid(points=self.points[start * n_x:stop * n_x], spacing=self.spacing,
+                         probe_height=self.probe_height, x_values=self.x_values,
+                         y_values=self.y_values[start:stop])
 
     def same_lattice(self, other):
         return self.points.shape == other.points.shape and np.array_equal(

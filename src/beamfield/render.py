@@ -8,9 +8,8 @@ quantises the same scale to 10 character levels.
 Most of a map's CSV, JSON and SVG text depends only on the probe grid:
 the coordinates, the cell geometry and titles, the axis labels and the
 colour bar.  :func:`grid_text` formats those parts once; a run builds it
-next to :func:`~beamfield.field.probe_gains` and shares it with every map
-it writes, so per map only the values, their colours and the title are
-formatted.
+once and shares it with every map it writes, so per map only the
+values, their colours and the title are formatted.
 """
 
 import json
@@ -95,22 +94,20 @@ def _levels(values, top):
 class GridText:
     """The artifact text of a heat map that depends only on its probe grid.
 
-    ``csv``, ``json`` and ``svg_cells`` are ``%``-templates with one slot
-    per grid point (four per SVG cell: fill, value, label colour, label),
-    so a map's text is one fill of the template.  ``%.9g`` formats a
-    float as ``format(v, ".9g")`` does, and ``%r`` is the
-    ``float.__repr__`` the JSON encoder writes.  Build it with
-    :func:`grid_text`.
+    ``csv``, ``json`` and ``svg`` are ``%``-templates with one slot per
+    grid point (four per SVG cell: fill, value, label colour, label), so
+    a map's text is one fill of the template, made without a second copy
+    of it.  The SVG has two slots before its cells (the escaped scenario
+    id and the scale top) and four after them (the user markers and the
+    three colour-bar labels).  ``%.9g`` formats a float as
+    ``format(v, ".9g")`` does, and ``%r`` is the ``float.__repr__`` the
+    JSON encoder writes.  Build it with :func:`grid_text`.
     """
 
     grid: object
     csv: str
     json: str
-    svg_open: str
-    svg_cells: str
-    svg_axes: str
-    svg_bar: str
-    bar_labels: tuple
+    svg: str
 
     def check(self, heatmap):
         """Raise ValueError unless ``heatmap`` lies on this text's grid."""
@@ -121,11 +118,10 @@ class GridText:
 def grid_text(grid):
     """Format the grid-only parts of every heat-map artifact of ``grid`` once.
 
-    A run builds this next to :func:`~beamfield.field.probe_gains` and
-    shares it with every map it writes: the coordinates, the SVG cell
-    geometry, the axis labels and the colour bar are the same for each
-    scenario, so only the values and what they colour are formatted per
-    map.
+    A run builds this once and shares it with every map it writes: the
+    coordinates, the SVG cell geometry, the axis labels and the colour
+    bar are the same for each scenario, so only the values and what they
+    colour are formatted per map.
     """
     xs = np.asarray(grid.x_values, dtype=float)
     ys = np.asarray(grid.y_values, dtype=float)
@@ -212,9 +208,20 @@ def grid_text(grid):
         for frac in _BAR_FRACTIONS
     )
 
-    return GridText(grid=grid, csv=csv, json=json_text, svg_open=svg_open,
-                    svg_cells="\n".join(cells), svg_axes="\n".join(axes),
-                    svg_bar="\n".join(bar), bar_labels=bar_labels)
+    # One line per part, joined once.  No fixed part holds a "%": they are
+    # numbers and constant markup.
+    svg = "\n".join([
+        svg_open,
+        f'<text x="{_MARGIN_LEFT}" y="20" font-family="monospace" font-size="14">'
+        "scenario %s &#8212; RMS E-field (V/m), scale 0 to %s</text>",
+        *cells,
+        *axes[:-1],
+        axes[-1] + "%s",
+        *bar,
+        *(label + "%s</text>" for label in bar_labels),
+        "</svg>\n",
+    ])
+    return GridText(grid=grid, csv=csv, json=json_text, svg=svg)
 
 
 def heatmap_csv(heatmap, text):
@@ -255,43 +262,35 @@ def heatmap_svg(heatmap, text, vmax=None, markers=()):
 
     values = heatmap.values.tolist()
     scaled = heatmap.values / top
-    slots = [None] * (4 * len(values))
-    slots[0::4] = _fills(scaled)
-    slots[1::4] = values
-    slots[2::4] = _LABEL_COLOURS[(scaled > 0.6).view(np.int8)].tolist()
-    slots[3::4] = values
+    cells = 4 * len(values)
+    slots = [None] * (2 + cells + 4)
+    slots[0] = _xml_text(heatmap.scenario_id)
+    slots[1] = f"{top:.3g}"
+    slots[2:2 + cells:4] = _fills(scaled)
+    slots[3:3 + cells:4] = values
+    slots[4:4 + cells:4] = _LABEL_COLOURS[(scaled > 0.6).view(np.int8)].tolist()
+    slots[5:5 + cells:4] = values
 
-    out = [
-        text.svg_open,
-        f'<text x="{_MARGIN_LEFT}" y="20" font-family="monospace" font-size="14">'
-        f"scenario {_xml_text(heatmap.scenario_id)} &#8212; RMS E-field (V/m), "
-        f"scale 0 to {top:.3g}</text>",
-        text.svg_cells % tuple(slots),
-        text.svg_axes,
-    ]
-
-    # User markers.
+    # User markers, each on a line of its own after the axes.
     xs = np.asarray(heatmap.grid.x_values, dtype=float)
     ys = np.asarray(heatmap.grid.y_values, dtype=float)
     plot_w = len(xs) * _CELL
     plot_h = len(ys) * _CELL
     x0, x1 = xs[0], xs[-1]
     y0, y1 = ys[0], ys[-1]
+    circles = []
     for mx, my in markers:
         if not (x0 - 0.5 <= mx <= x1 + 0.5 and y0 - 0.5 <= my <= y1 + 0.5):
             continue
         px = _MARGIN_LEFT + (mx - x0) / max(x1 - x0, 1e-12) * (plot_w - _CELL) + _CELL / 2
         py = _MARGIN_TOP + (y1 - my) / max(y1 - y0, 1e-12) * (plot_h - _CELL) + _CELL / 2
-        out.append(
-            f'<circle cx="{px:.2f}" cy="{py:.2f}" r="10" fill="none" '
+        circles.append(
+            f'\n<circle cx="{px:.2f}" cy="{py:.2f}" r="10" fill="none" '
             f'stroke="white" stroke-width="2.5"/>'
         )
-
-    out.append(text.svg_bar)
-    out.extend(f"{label}{frac * top:.3g}</text>"
-               for frac, label in zip(_BAR_FRACTIONS, text.bar_labels))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    slots[-4] = "".join(circles)
+    slots[-3:] = [f"{frac * top:.3g}" for frac in _BAR_FRACTIONS]
+    return text.svg % tuple(slots)
 
 
 def heatmap_ascii(heatmap, vmax=None):

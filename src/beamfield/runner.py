@@ -1,18 +1,23 @@
 """End-to-end run orchestration and artifact export.
 
-One run executes, per selected scenario: channel generation, pilot-based
-CSI estimation, receive combining, zero-forcing precoding, OFDM frame
-transmission (per-user BER) and the probe-grid heat map.  Scenario
-results are then aggregated: average map, boresight cut, decay fit,
+One run executes, per selected scenario, the link stages: channel
+generation, pilot-based CSI estimation, receive combining, zero-forcing
+precoding and OFDM frame transmission (per-user BER).  The probe-grid
+heat maps are streamed one block of grid rows at a time
+(:func:`~beamfield.field.heatmaps`), so the run holds one block of probe
+x element gains, never the whole grid's matrix.  The first block's gains
+are computed before the link stages and each precoder meets them as soon
+as it exists; the other blocks follow, each shared by every scenario.
+The maps are then aggregated: average map, boresight cut, decay fit,
 summary statistics and compliance checks against the built-in regional
 limits.  Every artifact is written in a fixed order with deterministic
-formatting, and a manifest of content hashes is emitted last, so two
-runs with the same configuration and seed are byte-identical.
+formatting and hashed as it is written, one chunk of its text at a
+time, and a manifest of content hashes is emitted last, so two runs
+with the same configuration and seed are byte-identical.
 
-Two things depend only on the probe grid and are built once per run,
-then shared read-only by every scenario: the probe x element gain matrix
-(:func:`~beamfield.field.probe_gains`) and the grid's heat-map artifact
-text (:func:`~beamfield.render.grid_text`).
+The grid's heat-map artifact text (:func:`~beamfield.render.grid_text`)
+depends only on the probe grid; it is built once per run and shared by
+every map.
 """
 
 import concurrent.futures
@@ -27,7 +32,7 @@ from . import stats as stats_mod
 from .channel import estimate_csi, generate_channel
 from .config import derive_seed, validate
 from .errors import ConfigError
-from .field import compute_heatmap, probe_gains
+from .field import heatmaps
 from .ofdm import transmit_frame
 from .precoding import combining_vectors, zf_precoder
 from .render import grid_text, heatmap_ascii, heatmap_csv, heatmap_json, heatmap_svg
@@ -35,12 +40,18 @@ from .render import grid_text, heatmap_ascii, heatmap_csv, heatmap_json, heatmap
 _SEED_STREAM_CSI = 0
 _SEED_STREAM_FRAME = 1
 
+# Artifact text is encoded, hashed and written 64 Ki characters at a time,
+# and verify_manifest reads and hashes artifacts 64 KiB at a time.
+_CHUNK = 1 << 16
+
 
 @dataclasses.dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioLink:
+    """One scenario's link result: its BER report and the precoder its map needs."""
+
     scenario: object
     ber: object
-    heatmap: object
+    precoder: object
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,11 +65,11 @@ class Manifest:
         return [a["path"] for a in self.artifacts]
 
 
-def run_scenario(config, scenario, index, array, room, grid, gains):
-    """The measurement procedure for one scenario: pilots, precoding, frames, map.
+def run_scenario(config, scenario, index, array, room):
+    """The link stages of one scenario: pilots, precoding and frames.
 
-    ``gains`` is the run's :func:`~beamfield.field.probe_gains` matrix,
-    shared read-only by every scenario.
+    Its heat map comes from the returned precoder, through
+    :func:`~beamfield.field.heatmaps`.
     """
     ch_cfg = dataclasses.replace(
         config.channel, rng_seed=derive_seed(config.seed, index, _SEED_STREAM_CSI)
@@ -72,9 +83,7 @@ def run_scenario(config, scenario, index, array, room, grid, gains):
     precoder = zf_precoder(h_est, scenario, combiners)
     ber = transmit_frame(precoder, h_true, combiners, ofdm_cfg,
                          scenario_id=scenario.id)
-    heatmap = compute_heatmap(scenario, precoder, grid, gains,
-                              calibration=config.calibration)
-    return ScenarioResult(scenario=scenario, ber=ber, heatmap=heatmap)
+    return ScenarioLink(scenario=scenario, ber=ber, precoder=precoder)
 
 
 def run(config, out_dir=None):
@@ -93,25 +102,32 @@ def run(config, out_dir=None):
     room = config.room
     array = config.build_array()
     grid = config.build_grid()
-    gains = probe_gains(array, room, grid, config.channel)
     text = grid_text(grid)
     scenarios = config.selected_scenarios()
 
+    reports = []
+
+    def links(stages):
+        # Each link's BER report is kept; its precoder goes on to the maps.
+        for link in stages:
+            reports.append(link.ber)
+            yield link.scenario, link.precoder
+
+    def stage(pair):
+        return run_scenario(config, pair[1], pair[0], array, room)
+
+    # The link stages run as heatmaps draws their precoders, so on a grid of
+    # one block each precoder is dropped once its map is made.  A pool is
+    # made only for several workers: importing its thread module adds about
+    # 0.3 MiB of RSS.
     if config.workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(
-                lambda pair: run_scenario(config, pair[1], pair[0], array, room, grid,
-                                          gains),
-                enumerate(scenarios),
-            ))
+            maps = heatmaps(links(pool.map(stage, enumerate(scenarios))), array, room, grid,
+                            config.channel, calibration=config.calibration)
     else:
-        results = [run_scenario(config, s, i, array, room, grid, gains)
-                   for i, s in enumerate(scenarios)]
-    # Every map is computed: free the gain matrix, the run's largest array,
-    # before any artifact is written.
-    del gains
+        maps = heatmaps(links(map(stage, enumerate(scenarios))), array, room, grid,
+                        config.channel, calibration=config.calibration)
 
-    maps = [r.heatmap for r in results]
     average = stats_mod.average_heatmaps(maps)
     cut = stats_mod.extract_cut(average, config.cut_x)
     min_distance = config.fit_min_distance(array)
@@ -123,11 +139,11 @@ def run(config, out_dir=None):
                            for region in regions}
 
     writer = _ArtifactWriter(out_dir, config.formats)
-    for r in results:
-        writer.heatmap(r.heatmap, text, scenario=r.scenario.id,
-                       vmax=config.svg_vmax, markers=r.scenario.ue_positions)
+    for scenario, heatmap in zip(scenarios, maps):
+        writer.heatmap(heatmap, text, scenario=scenario.id,
+                       vmax=config.svg_vmax, markers=scenario.ue_positions)
     writer.heatmap(average, text, scenario=None, vmax=config.svg_vmax)
-    writer.ber_table([r.ber for r in results])
+    writer.ber_table(reports)
     writer.cut(cut, config.cut_x)
     writer.json_report("decay_fit.json", {
         "cut_x_m": config.cut_x,
@@ -137,8 +153,8 @@ def run(config, out_dir=None):
     }, kind="decay-fit")
     writer.json_report("summary.json", {
         "average": _summary_dict(avg_summary),
-        "per_scenario": {r.scenario.id: _summary_dict(stats_mod.summary(r.heatmap))
-                         for r in results},
+        "per_scenario": {heatmap.scenario_id: _summary_dict(stats_mod.summary(heatmap))
+                         for heatmap in maps},
     }, kind="summary")
     for rep in compliance_reports:
         distance = exclusion_distances[rep.region]
@@ -180,14 +196,20 @@ class _ArtifactWriter:
         self._records = []
 
     def _write(self, name, text, kind, scenario=None):
+        # One chunk of the text is encoded at a time, so no bytes copy of a
+        # whole artifact exists; a str holds code points, so the chunks'
+        # UTF-8 bytes join to those of the whole text.
         path = os.path.join(self.out_dir, name)
-        data = text.encode("utf-8")
+        digest = hashlib.sha256()
         with open(path, "wb") as fh:
-            fh.write(data)
+            for start in range(0, len(text), _CHUNK):
+                data = text[start:start + _CHUNK].encode("utf-8")
+                digest.update(data)
+                fh.write(data)
         self._records.append({
             "path": name,
             "type": kind,
-            "sha256": hashlib.sha256(data).hexdigest(),
+            "sha256": digest.hexdigest(),
             "scenario": scenario,
         })
 
@@ -247,10 +269,14 @@ def verify_manifest(out_dir):
     with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     bad = []
+    # One buffer for every read, so reading allocates nothing per chunk.
+    chunk = memoryview(bytearray(_CHUNK))
     for art in manifest["artifacts"]:
         path = os.path.join(out_dir, art["path"])
+        digest = hashlib.sha256()
         with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        if digest != art["sha256"]:
+            while n := fh.readinto(chunk):
+                digest.update(chunk[:n])
+        if digest.hexdigest() != art["sha256"]:
             bad.append(art["path"])
     return bad

@@ -25,6 +25,7 @@ from beamfield import (
     extract_cut,
     far_field_distance,
     fit_decay,
+    heatmaps,
     probe_gains,
     right_pseudo_inverse,
     run,
@@ -183,12 +184,14 @@ def test_criterion_08_maximum_near_array(grid):
         config, ofdm=dataclasses.replace(config.ofdm, frames=1))
     room = config.room
     array = config.build_array()
-    gains = probe_gains(array, room, grid, config.channel)
+    links = [run_scenario(config, scn, i, array, room)
+             for i, scn in enumerate(config.selected_scenarios())]
+    maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
+                    config.channel, calibration=config.calibration)
     near = 0
     positions = []
-    for i, scn in enumerate(config.selected_scenarios()):
-        result = run_scenario(config, scn, i, array, room, grid, gains)
-        p = result.heatmap.grid.points[np.argmax(result.heatmap.values)]
+    for scn, heatmap in zip(config.selected_scenarios(), maps):
+        p = heatmap.grid.points[np.argmax(heatmap.values)]
         positions.append((scn.id, float(p[0]), float(p[1])))
         if math.hypot(p[0] - 0.0, p[1] - 1.0) <= 1.5:
             near += 1

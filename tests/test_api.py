@@ -31,7 +31,7 @@ PUBLIC = [
     "UnknownRegionError", "ZfInfeasibleError",
     "average_heatmaps", "build_array", "build_grid", "check", "combining_vectors",
     "compute_heatmap", "effective_channel", "estimate_csi", "extract_cut",
-    "far_field_distance", "fit_decay", "from_dict", "generate_channel",
+    "far_field_distance", "fit_decay", "from_dict", "generate_channel", "heatmaps",
     "load_config", "min_compliant_distance", "probe_gains", "right_pseudo_inverse",
     "run", "standard_scenarios", "summary", "transmit_frame", "validate",
     "verify_manifest", "wavelength", "zf_precoder",

@@ -16,6 +16,7 @@ from beamfield import (
     standard_scenarios,
     wavelength,
 )
+from beamfield.field import _row_blocks
 from beamfield.geometry import build_array, build_grid
 
 from conftest import perfect_link
@@ -191,6 +192,27 @@ class TestComputeHeatmap:
         lhs = full.values ** 2
         rhs = parts[0].values ** 2 + parts[1].values ** 2
         assert np.all(np.abs(lhs - rhs) <= 2 * np.spacing(lhs))
+
+
+# The blocks of grid rows a run's maps are streamed in.  tests/test_runner.py
+# checks that those maps equal compute_heatmap over the whole grid's gains
+# byte for byte.
+@pytest.mark.parametrize("n_x, n_y, n_active, blocks", [
+    (61, 71, 64, [(4 * i, 4 * i + 4) for i in range(17)] + [(68, 71)]),
+    (61, 71, 128, [(2 * i, 2 * i + 2) for i in range(35)] + [(70, 71)]),
+    (7, 8, 64, [(0, 8)]),
+    # A one-point remainder joins the block before it ...
+    (1, 513, 64, [(0, 256), (256, 513)]),
+    (1, 257, 64, [(0, 257)]),
+    # ... but a one-row remainder of several points stays a block.
+    (2, 129, 64, [(0, 128), (128, 129)]),
+    (1, 1, 64, [(0, 1)]),
+    # A row wider than a block is a block of its own.
+    (300, 3, 64, [(0, 1), (1, 2), (2, 3)]),
+])
+def test_row_blocks(n_x, n_y, n_active, blocks):
+    grid = build_grid(x_min=0.0, x_max=n_x - 1.0, y_min=0.0, y_max=n_y - 1.0, spacing=1.0)
+    assert _row_blocks(grid, n_active) == blocks
 
 
 class TestDecayLaw:

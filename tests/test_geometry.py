@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beamfield import Room, Scenario, build_array, build_grid
-from beamfield.geometry import far_field_distance, ue_antenna_positions, wavelength
+from beamfield.geometry import ProbeGrid, far_field_distance, ue_antenna_positions, wavelength
 
 
 class TestBuildArray:
@@ -169,6 +169,18 @@ class TestBuildGrid:
     def test_no_point_on_array_element(self, grid, array):
         diff = grid.points[:, None, :] - array.element_positions[None, :, :]
         assert not np.any(np.all(diff == 0.0, axis=2))
+
+    @pytest.mark.parametrize("axes", [{}, {"x_values": np.zeros(1)}, {"y_values": np.zeros(1)}])
+    def test_axes_are_required(self, axes):
+        with pytest.raises(TypeError, match="_values"):
+            ProbeGrid(points=np.zeros((1, 3)), spacing=1.0, probe_height=1.5, **axes)
+
+    def test_rows_are_a_sub_grid(self, grid):
+        block = grid.rows(2, 5)
+        assert block.points.tobytes() == grid.points[14:35].tobytes()
+        assert block.y_values.tolist() == [3.0, 4.0, 5.0]
+        assert block.x_values is grid.x_values
+        assert (block.spacing, block.probe_height) == (grid.spacing, grid.probe_height)
 
 
 class TestRoom:

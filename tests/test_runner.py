@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,8 +11,12 @@ import pytest
 import beamfield.field
 import beamfield.runner
 from beamfield import ConfigError, RunConfig, load_config, run, validate, verify_manifest
+from beamfield.channel import _GAIN_BLOCK_ENTRIES
 from beamfield.cli import main as cli_main
 from beamfield.config import from_dict
+from beamfield.field import compute_heatmap, probe_gains
+from beamfield.render import grid_text, heatmap_json
+from beamfield.runner import run_scenario
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "paper-defaults.yaml")
@@ -114,27 +119,103 @@ class TestRun:
         assert grids[0].same_lattice(config.build_grid())
         assert sum(a["type"] == "heatmap-svg" for a in manifest.artifacts) == 9
 
-    def test_gain_matrix_is_freed_before_artifacts_are_written(self, tmp_path, monkeypatch):
-        matrices = []
+    def test_each_gain_call_gets_at_most_one_block_of_rows(self, tmp_path, monkeypatch):
+        # The 0.1 m grid, 61 x 71 points: 4 grid rows (244 points) per block
+        # at 64 active elements, so the run never holds its 4.4 MB matrix.
+        calls = []
+        blocks = []
         alive = []
-        real_gains = beamfield.runner.probe_gains
-        real_csv = beamfield.runner.heatmap_csv
+        real_gains = beamfield.field.propagation_gains
+        real_probe = beamfield.field.probe_gains
+
+        def recording(tx_points, rx_points, *args, **kwargs):
+            calls.append((len(tx_points), np.array(rx_points)))
+            return real_gains(tx_points, rx_points, *args, **kwargs)
 
         def tracked(*args, **kwargs):
-            gains = real_gains(*args, **kwargs)
-            matrices.append(weakref.ref(gains))
+            alive.append(sum(ref() is not None for ref in blocks))
+            gains = real_probe(*args, **kwargs)
+            blocks.append(weakref.ref(gains))
             return gains
 
-        def checking(heatmap, text):
-            alive.append(matrices[0]() is not None)
-            return real_csv(heatmap, text)
+        monkeypatch.setattr(beamfield.field, "propagation_gains", recording)
+        monkeypatch.setattr(beamfield.field, "probe_gains", tracked)
+        config = small_config(grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
+        run(config, out_dir=str(tmp_path))
+        grid = config.build_grid()
+        assert grid.n_points == 4331
+        assert len(calls) == 18
+        for n_tx, rx in calls:
+            assert n_tx == 64 and len(rx) <= _GAIN_BLOCK_ENTRIES // n_tx
+        # The blocks cover the grid once, in order, and each block's gains
+        # are dropped before the next block's are computed.
+        assert np.concatenate([rx for _, rx in calls]).tobytes() == grid.points.tobytes()
+        assert alive == [0] * 18
 
-        monkeypatch.setattr(beamfield.runner, "probe_gains", tracked)
-        monkeypatch.setattr(beamfield.runner, "heatmap_csv", checking)
-        run(small_config(), out_dir=str(tmp_path))
-        assert len(matrices) == 1
-        # Two scenario maps and the average, none written while the matrix lives.
-        assert alive == [False, False, False]
+    def test_precoders_do_not_pile_up_on_a_one_block_grid(self, tmp_path, monkeypatch):
+        # The default 56-point grid is one block, so each scenario's link
+        # stages run when its map needs the precoder, and no precoder is kept
+        # for a later block.  Only the loop variables still naming the
+        # previous link may keep its precoder while the next one is made.
+        precoders = []
+        alive = []
+        real = beamfield.runner.run_scenario
+
+        def tracked(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in precoders))
+            link = real(*args, **kwargs)
+            precoders.append(weakref.ref(link.precoder))
+            return link
+
+        monkeypatch.setattr(beamfield.runner, "run_scenario", tracked)
+        run(small_config(scenario_ids=RunConfig().scenario_ids), out_dir=str(tmp_path))
+        assert len(alive) == 8
+        assert max(alive) <= 1
+
+    @pytest.mark.parametrize("mode", ["los-only", "image-order-1"])
+    @pytest.mark.parametrize("pattern", ["isotropic", "cosine"])
+    @pytest.mark.parametrize("grid_keys, active", [
+        (dict(spacing=0.1), "central-8x8"),
+        # One column of 513 rows: the last 64-element block would be one point.
+        (dict(x_min=0.0, x_max=0.0, y_min=1.0, y_max=9.0, spacing=1 / 64), "central-8x8"),
+        (dict(spacing=0.1), "all"),
+    ], ids=["fine", "one-column", "fine-all-elements"])
+    def test_maps_match_the_whole_grid_gain_matrix_byte_for_byte(
+            self, tmp_path, mode, pattern, grid_keys, active):
+        # One and three users, so one and three streams per map.
+        base = small_config(scenario_ids=("1", "8"), formats=("json",), calibration=0.7,
+                            fit_exclude_near_field=False)
+        config = dataclasses.replace(
+            base,
+            array=dataclasses.replace(base.array, active=active),
+            channel=dataclasses.replace(base.channel, mode=mode, element_pattern=pattern),
+            grid=dataclasses.replace(base.grid, **grid_keys))
+        run(config, out_dir=str(tmp_path))
+        room, array, grid = config.room, config.build_array(), config.build_grid()
+        gains = probe_gains(array, room, grid, config.channel)
+        text = grid_text(grid)
+        for i, scenario in enumerate(config.selected_scenarios()):
+            link = run_scenario(config, scenario, i, array, room)
+            want = compute_heatmap(scenario, link.precoder, grid, gains,
+                                   calibration=config.calibration)
+            written = (tmp_path / f"heatmap_scenario_{scenario.id}.json").read_text()
+            assert written == heatmap_json(want, text)
+
+    def test_one_scenario_csv_run_holds_less_than_its_gain_matrix(self, tmp_path):
+        # The 0.05 m grid: 121 x 141 points x 64 elements would be a 17.5 MB
+        # matrix; a run holds one block of it, the maps and the artifact
+        # being written.
+        config = small_config(scenario_ids=("1",), formats=("csv",),
+                              grid=dataclasses.replace(RunConfig().grid, spacing=0.05))
+        matrix_bytes = config.build_grid().n_points * config.build_array().n_active * 16
+        assert matrix_bytes > 17_400_000
+        tracemalloc.start()
+        try:
+            run(config, out_dir=str(tmp_path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix_bytes
 
     def test_expected_artifacts(self, tmp_path):
         run(small_config(), out_dir=str(tmp_path))
@@ -158,6 +239,21 @@ class TestRun:
         for art in manifest.artifacts:
             with open(tmp_path / art["path"], "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == art["sha256"]
+
+    def test_manifest_hashes_artifacts_of_several_chunks(self, tmp_path):
+        # The 0.1 m grid's CSV, about 84 kB, is written, hashed and
+        # verified in 64 KiB chunks; a change to its last byte is found.
+        config = small_config(scenario_ids=("1",), formats=("csv",),
+                              grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
+        manifest = run(config, out_dir=str(tmp_path))
+        path = tmp_path / "heatmap_scenario_1.csv"
+        data = path.read_bytes()
+        assert len(data) > 65536
+        sha = {a["path"]: a["sha256"] for a in manifest.artifacts}
+        assert hashlib.sha256(data).hexdigest() == sha["heatmap_scenario_1.csv"]
+        assert verify_manifest(str(tmp_path)) == []
+        path.write_bytes(data[:-1] + b" ")
+        assert verify_manifest(str(tmp_path)) == ["heatmap_scenario_1.csv"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_config()
