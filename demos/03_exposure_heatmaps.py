@@ -21,7 +21,7 @@ array = config.build_array()
 grid = config.build_grid()
 # The grid's SVG cell geometry, axes and colour bar do not depend on the
 # scenario: format them once.
-text = grid_text(grid)
+text = grid_text(grid, ("svg",))
 
 # The link stages of every scenario, then all their maps from one pass
 # over the probe grid's gains.

@@ -159,7 +159,8 @@ def _read_heatmap_csv(path):
             points[k] = (x, y, 0.0)
             values[k] = lookup[(x, y)]
             k += 1
-    spacing = float(xs[1] - xs[0]) if len(xs) > 1 else 1.0
+    axis = xs if len(xs) > 1 else ys  # a one-column grid steps in y
+    spacing = float(axis[1] - axis[0]) if len(axis) > 1 else 1.0
     grid = ProbeGrid(points=points, spacing=spacing, probe_height=0.0,
                      x_values=xs, y_values=ys)
     # The run names its maps by scenario id, and the average map "average".
@@ -183,7 +184,7 @@ def _cmd_render(args):
     if "svg" in formats:
         path = os.path.join(out_dir, f"{stem}.svg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(heatmap_svg(heatmap, grid_text(heatmap.grid), vmax=args.vmax))
+            fh.write(heatmap_svg(heatmap, grid_text(heatmap.grid, ("svg",)), vmax=args.vmax))
         written.append(path)
     if "ascii" in formats:
         path = os.path.join(out_dir, f"{stem}.txt")

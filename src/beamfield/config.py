@@ -6,9 +6,10 @@ section from that instance and replaces just the keys a document sets, so
 keys are the dataclass fields, and each value is coerced to the type of
 its default: booleans must be YAML booleans, integers must be integral,
 and numbers may also come as strings, because YAML 1.1 reads ``1e-4`` as
-one.  Unknown keys and mistyped values raise :class:`ConfigError` naming
-the offending path.  ``validate`` reports everything else as findings and
-never raises.
+one.  Unknown keys, mistyped values and a retired key (``_RETIRED``) at
+any value but the one it is still read at raise :class:`ConfigError`
+naming the offending path.  ``validate`` reports everything else as
+findings and never raises.
 """
 
 import math
@@ -67,7 +68,6 @@ class RunConfig:
     custom_scenarios: tuple = ()
     tx_power_w: float = 1.0
     formats: tuple = EXPORT_FORMATS
-    workers: int = 1
     output_dir: str = "out"
     room: Room = field(default_factory=Room)
     array: ArraySection = field(default_factory=ArraySection)
@@ -204,11 +204,28 @@ _DOC_KEYS = {"scenario_ids": "scenarios"}
 # Set by the run (per-scenario seeds, the run's power), never by a document.
 _DERIVED_FIELDS = {"rng_seed", "total_tx_power"}
 
+# Keys that set nothing any more, by document path: each is read, and dropped,
+# only at the one value (of exactly that type) that every run now means.
+_RETIRED = {"workers": (1, "runs are serial"),
+            "ofdm.time_domain": (False, "the BER path is the flat k x k one")}
+
+
+def _retired(where, value):
+    """True for a retired key at its one value; a ConfigError at any other."""
+    if where not in _RETIRED:
+        return False
+    accepted, reason = _RETIRED[where]
+    if type(value) is not type(accepted) or value != accepted:
+        raise ConfigError(f"{where}: retired, {reason}; remove the key (got {value!r})")
+    return True
+
 
 def _section(defaults, doc, path):
     """``defaults`` (a dataclass instance) with the fields ``doc`` sets replaced."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config root'}: expected a mapping")
+    doc = {key: value for key, value in doc.items()
+           if not _retired(f"{path}.{key}" if path else key, value)}
     keys = {_DOC_KEYS.get(f.name, f.name): f.name for f in fields(defaults)
             if f.name not in _DERIVED_FIELDS}
     unknown = set(doc) - set(keys)
@@ -320,8 +337,6 @@ def validate(config):
         findings.append("scenarios: expected a non-empty list of scenario ids")
     if config.seed < 0:
         findings.append("seed: must be non-negative")
-    if config.workers < 1:
-        findings.append("workers: must be >= 1")
     if config.calibration <= 0:
         findings.append("calibration: must be positive")
     if config.tx_power_w <= 0:
@@ -333,12 +348,10 @@ def validate(config):
             findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} cannot name artifact "
                             "files: ids must be non-empty, without '/', '\\' or NUL")
     ofdm = config.ofdm
-    per_symbol, unit = ((ofdm.fft_size, "FFT bins") if ofdm.time_domain
-                        else (ofdm.active_subcarriers, "active subcarriers"))
-    samples = ofdm.frames * ofdm.symbols_per_frame * per_symbol
+    samples = ofdm.frames * ofdm.symbols_per_frame * ofdm.active_subcarriers
     if samples > MAX_SAMPLES_PER_STREAM:
         findings.append(f"ofdm: {samples:.3g} samples per stream (frames x OFDM symbols x "
-                        f"{unit}) exceed the {MAX_SAMPLES_PER_STREAM:.0e} budget")
+                        f"active subcarriers) exceed the {MAX_SAMPLES_PER_STREAM:.0e} budget")
     if findings:
         # The checks below assume finite values, a positive power and a scenario.
         return ValidationReport(findings=tuple(findings))
@@ -380,18 +393,11 @@ def validate(config):
     except ValueError as exc:
         findings.append(str(exc))
         return ValidationReport(findings=tuple(findings))
-    over_budget = []
     if points * array.n_active > MAX_GAIN_ENTRIES:
-        over_budget.append(
+        findings.append(
             f"grid: about {points:.3g} points x {array.n_active} active elements "
             f"exceed the {MAX_GAIN_ENTRIES:.3g}-entry field-gain budget")
-    if ofdm.time_domain and array.n_active * ofdm.frame_samples > MAX_SAMPLES_PER_STREAM:
-        over_budget.append(
-            f"ofdm: the time-domain transmit block, {array.n_active} active elements x "
-            f"{ofdm.frame_samples} frame_samples, exceeds the "
-            f"{MAX_SAMPLES_PER_STREAM:.0e} budget")
-    if over_budget:
-        return ValidationReport(findings=tuple(findings + over_budget))
+        return ValidationReport(findings=tuple(findings))
     # Zero-forcing inverts the users x active-elements channel from the right.
     for sid in config.scenario_ids:
         if sid in table and table[sid].n_users > array.n_active:

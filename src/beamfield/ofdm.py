@@ -25,10 +25,8 @@ users own disjoint antennas, so these draws are independent across users
 and slots.  Sampling (G W) s plus one CN(0, sigma^2) draw per user and
 slot therefore gives exactly the distribution of the combined samples,
 without forming the n_tx x slots transmit block or per-antenna noise.
-An optional time-domain mode runs the full array instead, as a
-cross-check: IFFT, every UE antenna with its own noise, combining, FFT.
 
-The flat path draws noise only where it can flip a decision.  User u's
+The sampler draws noise only where it can flip a decision.  User u's
 equalised sample is s_u + d_u + n_u / g_u, with own gain g_u = (G W)[u, u],
 interference d_u = (e_uu - 1) s_u + sum_{j != u} e_uj s_j from its row e_u
 of (G W) / g_u, and noise whose I and Q parts are N(0, sigma^2 / 2 / |g_u|^2).
@@ -65,16 +63,15 @@ draw, so an interference-limited link sends every slot through the same
 code; a noiseless receiver gives p = 0 while tau > 0.  The error counts
 of all users are thus exactly distributed as in the per-slot simulation.
 
-Random stream order, per frame.  Flat path: one binomial draw of K; K
-uniforms for the first exceeding component; 2k x K uniforms for the later
-ones, component by component; one draw of all k x K uint8 symbol
-indices; then the tail noise of the exceeding components, component by
+Random stream order, per frame: one binomial draw of K; K uniforms for
+the first exceeding component; 2k x K uniforms for the later ones,
+component by component; one draw of all k x K uint8 symbol indices;
+then the tail noise of the exceeding components, component by
 component: first those with threshold below one standard deviation, one
 normal each and then rounds of normals for the rejected (each keeps its
 own sign), then the rest by Marsaglia's tail method, in rounds of two
 uniforms per open draw, and one uniform each for the sign.  No block
-size enters the stream.  Time-domain path: one draw of all k x slots
-symbol indices, then per user the noise of every UE antenna.
+size enters the stream.
 """
 
 import math
@@ -92,8 +89,8 @@ _LEVEL_BY_VALUE = np.array([-7, -5, -1, -3, 7, 5, 1, 3], dtype=np.int64)
 _VALUE_BY_LEVEL_INDEX = np.array([0, 1, 3, 2, 6, 7, 5, 4], dtype=np.uint8)
 
 #: Most samples one stream is simulated over in a run: frames x OFDM symbols x
-#: active subcarriers (x FFT bins on the time-domain path).  It bounds both the
-#: per-frame arrays and the run time; the default run uses 1.7e5.
+#: active subcarriers.  It bounds both the per-frame arrays and the run time;
+#: the default run uses 1.7e5.
 MAX_SAMPLES_PER_STREAM = 10 ** 7
 
 # Farthest any constellation point lies from the origin: the corner 7 + 7j.
@@ -124,7 +121,6 @@ class OfdmConfig:
     noise_snr_db: float = 60.0
     rng_seed: int = 0
     frames: int = 1
-    time_domain: bool = False
 
     def __post_init__(self):
         for name in ("subcarrier_spacing", "sample_rate", "fft_size",
@@ -193,14 +189,6 @@ def _noise_power(noise_snr_db):
     if math.isinf(noise_snr_db) and noise_snr_db > 0:
         return 0.0
     return 10.0 ** (-noise_snr_db / 10.0)
-
-
-def _complex_noise(rng, shape, power):
-    """CN(0, power) samples of ``shape``, or 0.0 for a noiseless receiver."""
-    if power == 0.0:
-        return 0.0
-    pairs = rng.normal(scale=math.sqrt(power / 2.0), size=(*shape[:-1], 2 * shape[-1]))
-    return pairs.view(np.complex128)
 
 
 def _exceedance(equalised, gain, noise_power):
@@ -297,13 +285,13 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
     distribution.  The sample is equalised by the known own gain
     (G W)[u, u], demapped to an index and compared with the sent one.
 
-    The flat path simulates only the slots in which some user's noise
-    exceeds the threshold that keeps its decision: |n| <= tau leaves the
-    own symbol whatever the interference does, the slots are iid so their
-    positions never matter, and the exceeding components are drawn from
-    their joint law given that one exceeds, which keeps the users' error
-    counts jointly as distributed as in the per-slot simulation.  The
-    module docstring gives the argument and the random-number order.
+    It simulates only the slots in which some user's noise exceeds the
+    threshold that keeps its decision: |n| <= tau leaves the own symbol
+    whatever the interference does, the slots are iid so their positions
+    never matter, and the exceeding components are drawn from their joint
+    law given that one exceeds, which keeps the users' error counts
+    jointly as distributed as in the per-slot simulation.  The module
+    docstring gives the argument and the random-number order.
     Deterministic in ``cfg.rng_seed``.
     """
     k = h_true.n_users
@@ -325,28 +313,21 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
     cdf = _first_exceedance_cdf(p)
 
     for _ in range(cfg.frames):
-        if cfg.time_domain:
-            # One integers call per frame: its bounded uint8 draws are
-            # buffered, so splitting the call would change the stream.
-            sent = rng.integers(0, 64, size=(k, slots), dtype=np.uint8)
-            received = _propagate_time_domain(_CONSTELLATION[sent], h_true, precoder,
-                                              combiners, cfg, rng, noise_power) / gain[:, None]
-        else:
-            n = int(rng.binomial(slots, cdf[-1]))
-            if n == 0:
-                continue
-            hit = _exceedance_patterns(rng, n, p, cdf)
-            sent = rng.integers(0, 64, size=(k, n), dtype=np.uint8)
-            # Tail noise for the exceeding components, component by component.
-            tail = _normal_tail(rng, np.repeat(t, np.count_nonzero(hit, axis=1)))
-            noise = np.zeros(hit.shape)
-            noise[hit] = tail
-            noise *= sd[:, None]
-            del hit, tail
-            received = equalised @ _CONSTELLATION[sent]
-            received.real += noise[0::2]
-            received.imag += noise[1::2]
-            del noise
+        n = int(rng.binomial(slots, cdf[-1]))
+        if n == 0:
+            continue
+        hit = _exceedance_patterns(rng, n, p, cdf)
+        sent = rng.integers(0, 64, size=(k, n), dtype=np.uint8)
+        # Tail noise for the exceeding components, component by component.
+        tail = _normal_tail(rng, np.repeat(t, np.count_nonzero(hit, axis=1)))
+        noise = np.zeros(hit.shape)
+        noise[hit] = tail
+        noise *= sd[:, None]
+        del hit, tail
+        received = equalised @ _CONSTELLATION[sent]
+        received.real += noise[0::2]
+        received.imag += noise[1::2]
+        del noise
         errors += _POPCOUNT[_demap_indices(received) ^ sent].sum(axis=1, dtype=np.int64)
         # Free the frame before the next one is drawn, so the peak does not
         # hold two frames.
@@ -355,31 +336,3 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
     bits_tested = cfg.frames * cfg.bits_per_frame
     ber = tuple(float(e) / bits_tested for e in errors)
     return BerReport(scenario_id=scenario_id, per_ue_ber=ber, bits_tested=bits_tested)
-
-
-def _propagate_time_domain(symbols, h_true, precoder, combiners, cfg, rng, noise_power):
-    """IFFT -> flat channel -> FFT cross-check path (no delay spread).
-
-    Active subcarriers occupy bins -A/2..-1 and +1..+A/2 around DC (DC
-    itself is left empty).  Orthonormal FFTs keep per-subcarrier noise
-    power identical to the frequency-domain path.
-    """
-    k = h_true.n_users
-    n_sym = cfg.symbols_per_frame
-    a = cfg.active_subcarriers
-    bins = np.concatenate([np.arange(-a // 2, 0), np.arange(1, a // 2 + 1)])
-    bins = np.mod(bins, cfg.fft_size)
-
-    grid = np.zeros((k, n_sym, cfg.fft_size), dtype=np.complex128)
-    grid[:, :, bins] = symbols.reshape(k, n_sym, a)
-    tx_time = np.fft.ifft(grid, axis=2, norm="ortho")
-
-    received = np.empty((k, n_sym, a), dtype=np.complex128)
-    x = np.tensordot(precoder.w, tx_time, axes=([1], [0]))
-    for u in range(k):
-        y = np.tensordot(h_true.ue_block(u), x, axes=([1], [0]))
-        y += _complex_noise(rng, y.shape, noise_power)
-        combined = np.tensordot(combiners[u].conj(), y, axes=([0], [0]))
-        spectrum = np.fft.fft(combined, axis=1, norm="ortho")
-        received[u] = spectrum[:, bins]
-    return received.reshape(k, n_sym * a)

@@ -97,11 +97,12 @@ class GridText:
     ``csv``, ``json`` and ``svg`` are ``%``-templates with one slot per
     grid point (four per SVG cell: fill, value, label colour, label), so
     a map's text is one fill of the template, made without a second copy
-    of it.  The SVG has two slots before its cells (the escaped scenario
-    id and the scale top) and four after them (the user markers and the
-    three colour-bar labels).  ``%.9g`` formats a float as
-    ``format(v, ".9g")`` does, and ``%r`` is the ``float.__repr__`` the
-    JSON encoder writes.  Build it with :func:`grid_text`.
+    of it; the template of a format not requested is None.  The SVG has
+    two slots before its cells (the escaped scenario id and the scale
+    top) and four after them (the user markers and the three colour-bar
+    labels).  ``%.9g`` formats a float as ``format(v, ".9g")`` does, and
+    ``%r`` is the ``float.__repr__`` the JSON encoder writes.  Build it
+    with :func:`grid_text`.
     """
 
     grid: object
@@ -109,41 +110,41 @@ class GridText:
     json: str
     svg: str
 
-    def check(self, heatmap):
-        """Raise ValueError unless ``heatmap`` lies on this text's grid."""
+    def template(self, heatmap, name):
+        """The ``name`` template for ``heatmap``; ValueError unless it was
+        built and the map lies on this text's grid."""
         if not self.grid.same_lattice(heatmap.grid):
             raise ValueError("heat map and grid text come from different grids")
+        text = getattr(self, name)
+        if text is None:
+            raise ValueError(f"grid text was built without the {name} template")
+        return text
 
 
-def grid_text(grid):
-    """Format the grid-only parts of every heat-map artifact of ``grid`` once.
+def _csv_template(xs, ys):
+    # Joined from per-column and per-row fragments, so every coordinate is
+    # formatted once, not once per grid point.
+    csv_x = [f"{x:.9g}" for x in xs.tolist()]
+    return "x_m,y_m,e_vpm\n" + "".join(
+        tail.join(csv_x) + tail for tail in (f",{y:.9g},%.9g\n" for y in ys.tolist())
+    )
 
-    A run builds this once and shares it with every map it writes: the
-    coordinates, the SVG cell geometry, the axis labels and the colour
-    bar are the same for each scenario, so only the values and what they
-    colour are formatted per map.
-    """
-    xs = np.asarray(grid.x_values, dtype=float)
-    ys = np.asarray(grid.y_values, dtype=float)
+
+def _json_template(xs, ys):
+    # json.dumps(..., indent=2, sort_keys=True) layout: e_vpm, scenario, x_m, y_m.
+    row = "    [\n" + ",\n".join(["      %r"] * len(xs)) + "\n    ]"
+    json_axes = json.dumps({"x_m": xs.tolist(), "y_m": ys.tolist()}, indent=2,
+                           sort_keys=True)
+    return ('{\n  "e_vpm": [\n' + ",\n".join([row] * len(ys))
+            + '\n  ],\n  "scenario": %s,\n' + json_axes.removeprefix("{\n") + "\n")
+
+
+def _svg_template(xs, ys):
     n_x, n_y = len(xs), len(ys)
     plot_w = n_x * _CELL
     plot_h = n_y * _CELL
     width = _MARGIN_LEFT + plot_w + _BAR_GAP + _BAR_WIDTH + 64
     height = _MARGIN_TOP + plot_h + _MARGIN_BOTTOM
-
-    # Each text is joined from per-column and per-row fragments, so every
-    # coordinate is formatted once, not once per grid point.
-    csv_x = [f"{x:.9g}" for x in xs.tolist()]
-    csv = "x_m,y_m,e_vpm\n" + "".join(
-        tail.join(csv_x) + tail for tail in (f",{y:.9g},%.9g\n" for y in ys.tolist())
-    )
-
-    # json.dumps(..., indent=2, sort_keys=True) layout: e_vpm, scenario, x_m, y_m.
-    row = "    [\n" + ",\n".join(["      %r"] * n_x) + "\n    ]"
-    json_axes = json.dumps({"x_m": xs.tolist(), "y_m": ys.tolist()}, indent=2,
-                           sort_keys=True)
-    json_text = ('{\n  "e_vpm": [\n' + ",\n".join([row] * n_y)
-                 + '\n  ],\n  "scenario": %s,\n' + json_axes.removeprefix("{\n") + "\n")
 
     svg_open = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -210,7 +211,7 @@ def grid_text(grid):
 
     # One line per part, joined once.  No fixed part holds a "%": they are
     # numbers and constant markup.
-    svg = "\n".join([
+    return "\n".join([
         svg_open,
         f'<text x="{_MARGIN_LEFT}" y="20" font-family="monospace" font-size="14">'
         "scenario %s &#8212; RMS E-field (V/m), scale 0 to %s</text>",
@@ -221,13 +222,28 @@ def grid_text(grid):
         *(label + "%s</text>" for label in bar_labels),
         "</svg>\n",
     ])
-    return GridText(grid=grid, csv=csv, json=json_text, svg=svg)
+
+
+def grid_text(grid, formats):
+    """Format the grid-only parts of the heat-map artifacts of ``grid`` once.
+
+    A run builds this once and shares it with every map it writes: the
+    coordinates, the SVG cell geometry, the axis labels and the colour
+    bar are the same for each scenario, so only the values and what they
+    colour are formatted per map.  Only the CSV, JSON and SVG templates
+    named in ``formats`` are built; ASCII needs none.
+    """
+    xs = np.asarray(grid.x_values, dtype=float)
+    ys = np.asarray(grid.y_values, dtype=float)
+    return GridText(grid=grid,
+                    csv=_csv_template(xs, ys) if "csv" in formats else None,
+                    json=_json_template(xs, ys) if "json" in formats else None,
+                    svg=_svg_template(xs, ys) if "svg" in formats else None)
 
 
 def heatmap_csv(heatmap, text):
     """``x_m,y_m,e_vpm`` rows in grid order, 9 significant digits."""
-    text.check(heatmap)
-    return text.csv % tuple(heatmap.values.tolist())
+    return text.template(heatmap, "csv") % tuple(heatmap.values.tolist())
 
 
 def heatmap_json(heatmap, text):
@@ -236,9 +252,9 @@ def heatmap_json(heatmap, text):
     ``payload`` holds ``scenario``, the axes ``x_m`` / ``y_m`` and the
     values ``e_vpm`` as rows of constant y.
     """
-    text.check(heatmap)
+    template = text.template(heatmap, "json")
     values = heatmap.values.astype(float, copy=False).tolist()
-    return text.json % (*values, json.dumps(heatmap.scenario_id))
+    return template % (*values, json.dumps(heatmap.scenario_id))
 
 
 def _xml_text(s):
@@ -257,7 +273,7 @@ def heatmap_svg(heatmap, text, vmax=None, markers=()):
     (x, y) positions drawn as open circles (user locations).  ``vmax``
     pins the top of the colour scale; default is the map maximum.
     """
-    text.check(heatmap)
+    template = text.template(heatmap, "svg")
     top = _scale_top(heatmap, vmax)
 
     values = heatmap.values.tolist()
@@ -290,7 +306,7 @@ def heatmap_svg(heatmap, text, vmax=None, markers=()):
         )
     slots[-4] = "".join(circles)
     slots[-3:] = [f"{frac * top:.3g}" for frac in _BAR_FRACTIONS]
-    return text.svg % tuple(slots)
+    return template % tuple(slots)
 
 
 def heatmap_ascii(heatmap, vmax=None):

@@ -16,11 +16,10 @@ time, and a manifest of content hashes is emitted last, so two runs
 with the same configuration and seed are byte-identical.
 
 The grid's heat-map artifact text (:func:`~beamfield.render.grid_text`)
-depends only on the probe grid; it is built once per run and shared by
-every map.
+depends only on the probe grid; it is built once per run, for the
+requested formats, and shared by every map.
 """
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -102,31 +101,22 @@ def run(config, out_dir=None):
     room = config.room
     array = config.build_array()
     grid = config.build_grid()
-    text = grid_text(grid)
+    text = grid_text(grid, config.formats)
     scenarios = config.selected_scenarios()
 
     reports = []
 
-    def links(stages):
-        # Each link's BER report is kept; its precoder goes on to the maps.
-        for link in stages:
+    def links():
+        # The link stages run as heatmaps draws their precoders, so on a grid
+        # of one block each precoder is dropped once its map is made.  Each
+        # link's BER report is kept.
+        for index, scenario in enumerate(scenarios):
+            link = run_scenario(config, scenario, index, array, room)
             reports.append(link.ber)
-            yield link.scenario, link.precoder
+            yield scenario, link.precoder
 
-    def stage(pair):
-        return run_scenario(config, pair[1], pair[0], array, room)
-
-    # The link stages run as heatmaps draws their precoders, so on a grid of
-    # one block each precoder is dropped once its map is made.  A pool is
-    # made only for several workers: importing its thread module adds about
-    # 0.3 MiB of RSS.
-    if config.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-            maps = heatmaps(links(pool.map(stage, enumerate(scenarios))), array, room, grid,
-                            config.channel, calibration=config.calibration)
-    else:
-        maps = heatmaps(links(map(stage, enumerate(scenarios))), array, room, grid,
-                        config.channel, calibration=config.calibration)
+    maps = heatmaps(links(), array, room, grid, config.channel,
+                    calibration=config.calibration)
 
     average = stats_mod.average_heatmaps(maps)
     cut = stats_mod.extract_cut(average, config.cut_x)
@@ -265,14 +255,27 @@ def _json_text(payload):
 
 
 def verify_manifest(out_dir):
-    """Re-hash every artifact listed in a manifest; returns mismatched paths."""
+    """Re-hash every artifact listed in a manifest; returns the paths that fail.
+
+    The manifest is untrusted input.  A run writes each artifact once,
+    directly in ``out_dir``, so a path that is absolute, resolves
+    anywhere else (links included) or was listed before fails unopened,
+    as does a file that does not exist or does not match its hash.
+    """
     with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    root = os.path.realpath(out_dir)
+    seen = set()
     bad = []
     # One buffer for every read, so reading allocates nothing per chunk.
     chunk = memoryview(bytearray(_CHUNK))
     for art in manifest["artifacts"]:
-        path = os.path.join(out_dir, art["path"])
+        path = os.path.realpath(os.path.join(root, art["path"]))
+        if os.path.isabs(art["path"]) or os.path.dirname(path) != root or path in seen \
+                or not os.path.isfile(path):
+            bad.append(art["path"])
+            continue
+        seen.add(path)
         digest = hashlib.sha256()
         with open(path, "rb") as fh:
             while n := fh.readinto(chunk):

@@ -23,6 +23,7 @@ from beamfield.config import derive_seed
 from beamfield.precoding import combining_vectors, zf_precoder
 from beamfield.runner import _SEED_STREAM_CSI, _SEED_STREAM_FRAME
 
+from ofdm_reference import time_domain_errors
 from qam_oracle import (
     count_log_tail,
     exact_ber_64qam,
@@ -42,11 +43,21 @@ def _link(scenario, ch_cfg):
     return h, combiners, zf_precoder(est, scenario, combiners=combiners)
 
 
-def _run_link(h, combiners, precoder, ofdm_cfg):
-    """Bit-error count per user, symbols sent per user, and the effective channel."""
-    report = transmit_frame(precoder, h, combiners, ofdm_cfg)
-    counts = [round(ber * report.bits_tested) for ber in report.per_ue_ber]
-    return counts, report.bits_tested // 6, effective_channel(h, precoder, combiners)
+def _run_link(h, combiners, precoder, ofdm_cfg, time_domain=False):
+    """Bit-error count per user, symbols sent per user, and the effective channel.
+
+    ``time_domain`` counts the errors with the full-array reference
+    simulator instead of ``transmit_frame``.
+    """
+    bits = ofdm_cfg.frames * ofdm_cfg.bits_per_frame
+    if time_domain:
+        counts = time_domain_errors(precoder, h, combiners, ofdm_cfg,
+                                    np.random.default_rng(ofdm_cfg.rng_seed)).tolist()
+    else:
+        report = transmit_frame(precoder, h, combiners, ofdm_cfg)
+        assert report.bits_tested == bits
+        counts = [round(ber * bits) for ber in report.per_ue_ber]
+    return counts, bits // 6, effective_channel(h, precoder, combiners)
 
 
 def _oracle_pmfs(eff, noise_snr_db, interference=True):
@@ -64,9 +75,9 @@ def _inside(count, n_symbols, pmf):
     return count_log_tail(pmf, n_symbols, count) >= math.log(LEVEL / 2)
 
 
-def _check_against_oracle(h, combiners, precoder, ofdm_cfg, label):
+def _check_against_oracle(h, combiners, precoder, ofdm_cfg, label, time_domain=False):
     """Send frames, then test every user's error count; returns report lines."""
-    counts, n_symbols, eff = _run_link(h, combiners, precoder, ofdm_cfg)
+    counts, n_symbols, eff = _run_link(h, combiners, precoder, ofdm_cfg, time_domain)
     lines = []
     for u, (count, pmf) in enumerate(zip(counts, _oracle_pmfs(eff, ofdm_cfg.noise_snr_db))):
         predicted = n_symbols * float(np.dot(np.arange(7), pmf))
@@ -131,16 +142,16 @@ def test_criterion_5_links_match_oracle():
 @pytest.mark.parametrize("time_domain", [False, True], ids=["flat", "time-domain"])
 @pytest.mark.parametrize("scenario_id,snr_db", [("1", 61.0), ("5", 64.0)])
 def test_flat_and_full_array_paths_match_oracle(time_domain, scenario_id, snr_db):
-    """The k x k flat path and the full 64-antenna IFFT/FFT path agree with the
-    same oracle on a 1-user and a 2-user link where the BER is ~1e-3."""
+    """The k x k flat path and the full 64-antenna IFFT/FFT reference simulator
+    agree with the same oracle on a 1-user and a 2-user link where the BER is
+    ~1e-3."""
     base = RunConfig()
     scn = base.available_scenarios()[scenario_id]
     h, combiners, precoder = _link(scn, dataclasses.replace(base.channel, rng_seed=7))
     pmf = _oracle_pmfs(effective_channel(h, precoder, combiners), snr_db)[0]
     assert 3e-4 <= float(np.dot(np.arange(7), pmf)) / 6 <= 3e-3
-    ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=snr_db, frames=2, rng_seed=8,
-                                   time_domain=time_domain)
-    _check_against_oracle(h, combiners, precoder, ofdm_cfg, scenario_id)
+    ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=snr_db, frames=2, rng_seed=8)
+    _check_against_oracle(h, combiners, precoder, ofdm_cfg, scenario_id, time_domain)
 
 
 @pytest.mark.parametrize("time_domain", [False, True], ids=["flat", "time-domain"])
@@ -152,9 +163,8 @@ def test_interference_limited_link_matches_oracle(time_domain):
     scn = base.available_scenarios()["8"]
     ch_cfg = dataclasses.replace(base.channel, csi_snr_db=10.0, rng_seed=7)
     h, combiners, precoder = _link(scn, ch_cfg)
-    ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=68.0, frames=1, rng_seed=8,
-                                   time_domain=time_domain)
-    counts, n_symbols, eff = _run_link(h, combiners, precoder, ofdm_cfg)
+    ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=68.0, frames=1, rng_seed=8)
+    counts, n_symbols, eff = _run_link(h, combiners, precoder, ofdm_cfg, time_domain)
     for count, pmf in zip(counts, _oracle_pmfs(eff, ofdm_cfg.noise_snr_db)):
         assert _inside(count, n_symbols, pmf)
     noise_only = _oracle_pmfs(eff, ofdm_cfg.noise_snr_db, interference=False)

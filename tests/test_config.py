@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from beamfield import (
     ChannelModelConfig,
     ConfigError,
+    OfdmConfig,
     Room,
     RunConfig,
     Scenario,
@@ -43,7 +44,6 @@ EXPLICIT = {
     "custom_scenarios": [],
     "tx_power_w": 1.0,
     "formats": ["ascii", "csv", "json", "svg"],
-    "workers": 1,
     "output_dir": "out",
     "calibration": 1.0,
     "cut_x": 0.0,
@@ -64,7 +64,7 @@ EXPLICIT = {
     "ofdm": {
         "subcarrier_spacing": 15000.0, "sample_rate": 61.44e6, "fft_size": 4096,
         "active_subcarriers": 2664, "frame_samples": 65536, "noise_snr_db": 64.0,
-        "frames": 4, "time_domain": False,
+        "frames": 4,
     },
     "grid": {
         "x_min": -3.0, "x_max": 3.0, "y_min": 1.0, "y_max": 8.0,
@@ -97,6 +97,31 @@ class TestSingleSourceOfTruth:
                 assert set(EXPLICIT[key]) == set(value), key
         assert from_dict(EXPLICIT) == RunConfig()
 
+    def test_retired_keys_at_their_one_value_still_load(self):
+        # The benchmark's workloads spell out both retired keys at these values.
+        doc = copy.deepcopy(EXPLICIT)
+        doc["workers"] = 1
+        doc["ofdm"]["time_domain"] = False
+        assert from_dict(doc) == RunConfig()
+        assert validate(doc).ok
+
+    @pytest.mark.parametrize("doc,finding", [
+        ({"workers": 2}, "workers: retired, runs are serial; remove the key (got 2)"),
+        ({"workers": True}, "workers: retired, runs are serial; remove the key (got True)"),
+        ({"ofdm": {"time_domain": True}}, "ofdm.time_domain: retired, the BER path is the "
+         "flat k x k one; remove the key (got True)"),
+        ({"ofdm": {"time_domain": "false"}}, "ofdm.time_domain: retired, the BER path is "
+         "the flat k x k one; remove the key (got 'false')"),
+    ], ids=["workers-2", "workers-true", "time-domain-true", "time-domain-string"])
+    def test_retired_keys_at_any_other_value_are_one_finding(self, doc, finding):
+        assert validate(dict(doc, seed=1)).findings == (finding,)
+
+    def test_retired_fields_are_gone(self):
+        with pytest.raises(TypeError):
+            RunConfig(workers=1)
+        with pytest.raises(TypeError):
+            OfdmConfig(time_domain=False)
+
     def test_infinite_snrs_mean_perfect_csi_and_no_noise(self):
         doc = {"seed": 1, "channel": {"csi_snr_db": math.inf},
                "ofdm": {"noise_snr_db": math.inf}}
@@ -112,7 +137,7 @@ BAD_DOCUMENTS = [
     ("inf-calibration", "seed: 1\ncalibration: .inf\n", "calibration: must be finite"),
     ("inf-carrier", "seed: 1\nchannel: {carrier_frequency: .inf}\n",
      "channel.carrier_frequency"),
-    ("string-bool", 'seed: 1\nofdm: {time_domain: "false"}\n', "ofdm.time_domain"),
+    ("string-bool", 'seed: 1\nfit_exclude_near_field: "false"\n', "fit_exclude_near_field"),
     ("yes-no-string", 'seed: 1\nfit_exclude_near_field: "no"\n', "fit_exclude_near_field"),
     ("fractional-frames", "seed: 1\nofdm: {frames: 2.5}\n", "ofdm.frames"),
     ("short-position", "seed: 1\ncustom_scenarios: [{id: x, ue_positions: [[1]]}]\n",
@@ -126,13 +151,10 @@ BAD_DOCUMENTS = [
     ("zero-fft-size", "seed: 1\nofdm: {fft_size: 0}\n", "fft_size"),
     ("frames-budget", "seed: 1\nofdm: {frames: 100000000}\n", "budget"),
     ("frame-samples-budget", "seed: 1\nofdm: {frame_samples: 409600000}\n", "budget"),
-    ("time-domain-budget", "seed: 1\nofdm: {frames: 200, time_domain: true}\n", "FFT bins"),
     ("ue-antennas", "seed: 1\ncustom_scenarios: [{id: x, ue_positions: [[0, 4]], "
      "antennas_per_ue: 1000000000}]\n", "custom_scenarios[0]: antennas_per_ue"),
     ("gain-budget", "seed: 1\narray: {rows: 32, cols: 64, spacing: 0.04, active: all}\n"
      "grid: {spacing: 0.008}\n", "field-gain budget"),
-    ("time-domain-block", "seed: 1\nofdm: {time_domain: true, frames: 1, "
-     "frame_samples: 622592}\n", "time-domain transmit block"),
     ("cut-x-off-grid", "seed: 1\ngrid: {spacing: 0.0065, y_max: 1.0}\n",
      "cut_x: 0 is not a grid column"),
     ("more-users-than-elements", "seed: 1\nscenarios: [\"4\"]\narray: {rows: 1, cols: 1, "
@@ -194,6 +216,10 @@ BAD_DOCUMENTS = [
     ("room-overflow", "seed: 1\nroom: {length_y: 1e300, width_x: 1e300}\n",
      "finding: room: 1e+300 x 1e+300 x 3 m is too large: the squared image-ray lengths "
      "overflow\n"),
+    ("retired-workers", "seed: 1\nworkers: 2\n", "finding: workers: retired"),
+    ("retired-workers-bool", "seed: 1\nworkers: true\n", "finding: workers: retired"),
+    ("retired-time-domain", "seed: 1\nofdm: {time_domain: true}\n",
+     "finding: ofdm.time_domain: retired"),
 ]
 
 
@@ -288,11 +314,10 @@ def test_grid_budget_is_checked_before_allocating():
     assert peak < 1 << 20
 
 
-def test_budgets_keep_the_default_array_and_time_domain_frame():
+def test_budgets_keep_the_default_array():
     # 64 active elements fit over every grid the point budget allows.
     assert MAX_GAIN_ENTRIES == MAX_GRID_POINTS * 64
     assert validate({"seed": 1, "grid": {"spacing": 0.1}}).ok
-    assert validate({"seed": 1, "ofdm": {"time_domain": True}}).ok
 
 
 def test_gain_budget_is_checked_before_allocating():

@@ -20,7 +20,7 @@ from beamfield import (
 from beamfield import ofdm
 
 from conftest import perfect_link
-from ofdm_reference import GRAY_LEVEL, constellation, decide, frame_errors
+from ofdm_reference import GRAY_LEVEL, constellation, decide, frame_errors, time_domain_errors
 from qam_oracle import exact_ber_64qam
 
 _SCALE = 1.0 / math.sqrt(42.0)
@@ -154,19 +154,21 @@ class TestTransmitFrame:
         assert bers[0] > 0
 
     def test_time_domain_mode_noiseless(self, array, room, scenarios, los_cfg):
-        ofdm_cfg = OfdmConfig(noise_snr_db=math.inf, rng_seed=1, time_domain=True)
-        rep = _link(array, room, scenarios[4], los_cfg, ofdm_cfg)
-        assert rep.per_ue_ber == (0.0, 0.0)
+        # The full-array reference: IFFT, 64 elements, per-antenna channel, FFT.
+        h, c, w = perfect_link(array, scenarios[4], room, los_cfg)
+        errors = time_domain_errors(w, h, c, OfdmConfig(noise_snr_db=math.inf),
+                                    np.random.default_rng(1))
+        assert errors.tolist() == [0, 0]
 
     def test_time_domain_matches_flat_statistics(self, array, room, scenarios, los_cfg):
-        # Same noise level, independent draws: BERs agree within Monte-Carlo
-        # slack.
-        flat = _link(array, room, scenarios[0], los_cfg,
-                     OfdmConfig(noise_snr_db=53.0, rng_seed=2, frames=2))
-        td = _link(array, room, scenarios[0], los_cfg,
-                   OfdmConfig(noise_snr_db=53.0, rng_seed=3, frames=2,
-                              time_domain=True))
-        assert flat.per_ue_ber[0] == pytest.approx(td.per_ue_ber[0], rel=0.25)
+        # The flat path against the full-array reference at the same noise
+        # level, independent draws: BERs agree within Monte-Carlo slack.
+        cfg = OfdmConfig(noise_snr_db=53.0, rng_seed=2, frames=2)
+        flat = _link(array, room, scenarios[0], los_cfg, cfg)
+        h, c, w = perfect_link(array, scenarios[0], room, los_cfg)
+        td = time_domain_errors(w, h, c, cfg, np.random.default_rng(3))
+        bits = cfg.frames * cfg.bits_per_frame
+        assert flat.per_ue_ber[0] == pytest.approx(td[0] / bits, rel=0.25)
 
     def test_stream_count_checked(self, array, room, scenarios, los_cfg):
         h, c, w = perfect_link(array, scenarios[4], room, los_cfg)

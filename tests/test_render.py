@@ -3,6 +3,7 @@ rules against scalar ones, and the per-grid CSV, JSON and SVG text and the
 table-driven ASCII text against the per-map formatters of
 ``heatmap_reference``."""
 
+import tracemalloc
 from xml.dom import minidom
 
 import numpy as np
@@ -75,7 +76,7 @@ def test_renderings_use_the_cell_rules():
     values = np.random.default_rng(15).uniform(0, 5, grid.n_points)
     heatmap = HeatMap(grid=grid, values=values, scenario_id="r")
     top = 4.0
-    svg = heatmap_svg(heatmap, grid_text(grid), vmax=top)
+    svg = heatmap_svg(heatmap, grid_text(grid, ("svg",)), vmax=top)
     for value in values:
         assert f'fill="{scalar_fill(value / top)}"><title>' in svg
     lines = heatmap_ascii(heatmap, vmax=top).splitlines()[1:-1]
@@ -101,7 +102,7 @@ SPECIAL = [0.0, 5e-324, 1e-300, 1e300, 0.125, 0.375, 1.25, 2.5, 12.5, 0.5,
 
 
 def assert_texts_match(heatmap, vmax=None, markers=()):
-    text = grid_text(heatmap.grid)
+    text = grid_text(heatmap.grid, ("csv", "json", "svg"))
     assert heatmap_csv(heatmap, text) == ref.heatmap_csv(heatmap)
     assert heatmap_json(heatmap, text) == ref.heatmap_json(heatmap)
     assert (heatmap_svg(heatmap, text, vmax=vmax, markers=markers)
@@ -150,17 +151,46 @@ def test_drawn_values_match_the_reference(values, scenario_id, vmax):
 
 
 def test_grid_text_rejects_a_map_of_another_grid():
-    text = grid_text(build_grid())
+    text = grid_text(build_grid(), ("csv", "json", "svg"))
     heatmap = HeatMap(grid=build_grid(y_max=7.0), values=np.ones(49), scenario_id="1")
     for render in (heatmap_csv, heatmap_json, heatmap_svg):
         with pytest.raises(ValueError, match="different grids"):
             render(heatmap, text)
 
 
+def test_a_format_whose_template_was_not_built_is_rejected():
+    grid = build_grid()
+    heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
+    text = grid_text(grid, ("ascii", "csv"))
+    assert (text.json, text.svg) == (None, None)
+    assert heatmap_csv(heatmap, text) == ref.heatmap_csv(heatmap)
+    for render, name in ((heatmap_json, "json"), (heatmap_svg, "svg")):
+        with pytest.raises(ValueError, match=f"without the {name} template"):
+            render(heatmap, text)
+
+
+def _grid_text_peak(grid, formats):
+    tracemalloc.start()
+    try:
+        grid_text(grid, formats)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_csv_only_grid_text_does_not_build_the_svg_template():
+    # The 0.05 m grid, 17 061 points: its SVG template alone is about 3.6 MB,
+    # its CSV template 0.24 MB.
+    grid = build_grid(spacing=0.05)
+    assert grid.n_points == 17_061
+    every = _grid_text_peak(grid, ("ascii", "csv", "json", "svg"))
+    assert _grid_text_peak(grid, ("csv",)) < every / 4
+
+
 def test_svg_escapes_the_scenario_id():
     grid = build_grid()
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="a<b&c")
-    svg = heatmap_svg(heatmap, grid_text(grid), markers=[(0.0, 2.0)])
+    svg = heatmap_svg(heatmap, grid_text(grid, ("svg",)), markers=[(0.0, 2.0)])
     title = minidom.parseString(svg).getElementsByTagName("text")[0]
     assert title.firstChild.data.startswith("scenario a<b&c \u2014 RMS E-field")
 
@@ -170,7 +200,7 @@ def test_a_pinned_scale_top_must_be_positive_and_finite(vmax):
     grid = build_grid()
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
     with pytest.raises(ValueError, match="vmax must be positive and finite"):
-        heatmap_svg(heatmap, grid_text(grid), vmax=vmax)
+        heatmap_svg(heatmap, grid_text(grid, ("svg",)), vmax=vmax)
     with pytest.raises(ValueError, match="vmax must be positive and finite"):
         heatmap_ascii(heatmap, vmax=vmax)
 

@@ -107,9 +107,9 @@ class TestRun:
         grids = []
         real = beamfield.runner.grid_text
 
-        def counting(grid):
+        def counting(grid, formats):
             grids.append(grid)
-            return real(grid)
+            return real(grid, formats)
 
         monkeypatch.setattr(beamfield.runner, "grid_text", counting)
         config = small_config(scenario_ids=RunConfig().scenario_ids,
@@ -193,7 +193,7 @@ class TestRun:
         run(config, out_dir=str(tmp_path))
         room, array, grid = config.room, config.build_array(), config.build_grid()
         gains = probe_gains(array, room, grid, config.channel)
-        text = grid_text(grid)
+        text = grid_text(grid, config.formats)
         for i, scenario in enumerate(config.selected_scenarios()):
             link = run_scenario(config, scenario, i, array, room)
             want = compute_heatmap(scenario, link.precoder, grid, gains,
@@ -263,11 +263,6 @@ class TestRun:
         b = read_all(tmp_path / "b")
         assert a == b
 
-    def test_workers_do_not_change_artifacts(self, tmp_path):
-        run(small_config(), out_dir=str(tmp_path / "serial"))
-        run(small_config(workers=4), out_dir=str(tmp_path / "parallel"))
-        assert read_all(tmp_path / "serial") == read_all(tmp_path / "parallel")
-
     def test_different_seed_changes_ber(self, tmp_path):
         run(small_config(), out_dir=str(tmp_path / "a"))
         run(small_config(seed=999), out_dir=str(tmp_path / "b"))
@@ -311,6 +306,61 @@ class TestRun:
         assert avg["max_vpm"] >= avg["p95_vpm"] >= avg["mean_vpm"] >= avg["min_vpm"]
 
 
+class TestVerifyManifest:
+    """A manifest is untrusted input: every listed path that fails is returned."""
+
+    @pytest.fixture
+    def out_dir(self, tmp_path):
+        # out/a.csv is an artifact; outside.txt lies beside out/, and
+        # out/link.txt links to it.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "a.csv").write_bytes(b"a\n")
+        (tmp_path / "outside.txt").write_bytes(b"secret\n")
+        (out / "link.txt").symlink_to(tmp_path / "outside.txt")
+        return out
+
+    def verify(self, out_dir, paths, monkeypatch):
+        # Each entry carries the true hash of the file it names, so only the
+        # path rules can fail it; the files opened are recorded.
+        def sha(path):
+            target = os.path.join(out_dir, path)
+            if not os.path.isfile(target):
+                return ""
+            with open(target, "rb") as fh:
+                return hashlib.sha256(fh.read()).hexdigest()
+
+        artifacts = [{"path": p, "sha256": sha(p)} for p in paths]
+        (out_dir / "manifest.json").write_text(json.dumps({"artifacts": artifacts}))
+        opened = []
+
+        def recording(path, *args, **kwargs):
+            opened.append(os.path.realpath(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(beamfield.runner, "open", recording, raising=False)
+        bad = verify_manifest(str(out_dir))
+        root = os.path.realpath(out_dir)
+        assert all(os.path.dirname(path) == root for path in opened), opened
+        return bad
+
+    def test_listed_files_that_match_pass(self, out_dir, monkeypatch):
+        assert self.verify(out_dir, ["a.csv"], monkeypatch) == []
+
+    def test_a_missing_file_fails(self, out_dir, monkeypatch):
+        assert self.verify(out_dir, ["a.csv", "gone.csv"], monkeypatch) == ["gone.csv"]
+
+    @pytest.mark.parametrize("path", ["../outside.txt", "link.txt", ".", "sub/../../outside.txt",
+                                      "{out}/../outside.txt", "{out}/a.csv"])
+    def test_an_absolute_or_escaping_path_fails_unopened(self, out_dir, monkeypatch, path):
+        path = path.format(out=out_dir)
+        assert self.verify(out_dir, [path, "a.csv"], monkeypatch) == [path]
+
+    def test_a_file_listed_twice_fails(self, out_dir, monkeypatch):
+        assert self.verify(out_dir, ["a.csv", "a.csv", "./a.csv"], monkeypatch) \
+            == ["a.csv", "./a.csv"]
+
+
 class TestCli:
     def test_scenarios_verb(self, capsys):
         assert cli_main(["scenarios"]) == 0
@@ -352,6 +402,21 @@ class TestCli:
         ascii_text = (again / "heatmap_average.txt").read_text()
         assert ascii_text == (tmp_path / "run" / "heatmap_average.txt").read_text()
         assert "scenario average &#8212;" in (again / "heatmap_average.svg").read_text()
+
+    @pytest.mark.parametrize("grid_keys, step", [
+        ({}, "step 1 m"),
+        (dict(x_min=0.0, x_max=0.0, spacing=0.5), "step 0.5 m"),
+    ], ids=["default", "one-column"])
+    def test_rerendered_ascii_footer_keeps_the_grid_step(self, tmp_path, grid_keys, step):
+        config = small_config(scenario_ids=("1",), formats=("ascii", "csv"),
+                              grid=dataclasses.replace(RunConfig().grid, **grid_keys))
+        run(config, out_dir=str(tmp_path / "run"))
+        again = tmp_path / "again"
+        csv_path = tmp_path / "run" / "heatmap_scenario_1.csv"
+        assert cli_main(["render", str(csv_path), "--out", str(again), "--format", "ascii"]) == 0
+        footer = (tmp_path / "run" / "heatmap_scenario_1.txt").read_text().splitlines()[-1]
+        assert footer.endswith(step)
+        assert (again / "heatmap_scenario_1.txt").read_text().splitlines()[-1] == footer
 
     @pytest.mark.parametrize("body, line, message", [
         ("", 2, "no data rows"),
