@@ -32,16 +32,16 @@ for s in standard_scenarios():
 
 # The three-user case, with pilot-grade CSI.
 scenario = standard_scenarios()[7]
-cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=40.0, rng_seed=1)
+cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=40.0)
 
 h_true = generate_channel(array, scenario, room, cfg)
 print(f"\nscenario {scenario.id}: channel is {h_true.h.shape[0]} UE antennas "
       f"x {h_true.h.shape[1]} Tx elements")
 print(f"strongest entry |h| = {np.abs(h_true.h).max():.2e} (passive, always < 1)")
 
-h_est = estimate_csi(h_true, cfg)
-combiners = combining_vectors(h_est, scenario)
-precoder = zf_precoder(h_est, scenario, combiners=combiners)
+h_est = estimate_csi(h_true, cfg, seed=1)
+combiners = combining_vectors(h_est)
+precoder = zf_precoder(h_est, combiners, total_power=1.0)
 stream_power = np.sum(np.abs(precoder.w) ** 2, axis=0)
 print(f"precoder: {precoder.w.shape[0]} elements x {precoder.n_streams} streams, "
       f"total {stream_power.sum():.6f} W, {stream_power.mean():.4f} W per stream")

@@ -27,8 +27,8 @@ array = build_array()
 scenario = standard_scenarios()[0]
 cfg = ChannelModelConfig()  # line of sight, perfect CSI
 h = generate_channel(array, scenario, room, cfg)
-combiners = combining_vectors(h, scenario)
-precoder = zf_precoder(h, scenario, combiners)
+combiners = combining_vectors(h)
+precoder = zf_precoder(h, combiners, total_power=1.0)
 gain = abs(effective_channel(h, precoder, combiners)[0, 0])
 print(f"one user at {scenario.ue_positions[0]}: own gain |g| = {gain:.4e}")
 
@@ -37,7 +37,7 @@ for i, ebn0_db in enumerate((8.0, 10.0, 12.0, 14.0, 16.0)):
     # Unit-energy symbols, 6 bits each, equalised by g: Eb/N0 = |g|^2 / (6 sigma^2).
     noise_snr_db = ebn0_db + 10.0 * math.log10(6.0) - 20.0 * math.log10(gain)
     report = transmit_frame(precoder, h, combiners,
-                            OfdmConfig(noise_snr_db=noise_snr_db, rng_seed=7 + i, frames=5))
+                            OfdmConfig(noise_snr_db=noise_snr_db, frames=5), seed=7 + i)
     ber = report.per_ue_ber[0]
     analytic = (7.0 / 24.0) * math.erfc(math.sqrt(10 ** (ebn0_db / 10) / 7.0))
     print(f"{ebn0_db:10.1f}   {ber:13.3e}   {analytic:11.3e}   {ber / analytic:9.3f}")

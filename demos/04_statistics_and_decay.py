@@ -25,7 +25,7 @@ def scenario_maps(config):
     room = config.room
     array = config.build_array()
     links = [run_scenario(config, scn, i, array, room)
-             for i, scn in enumerate(standard_scenarios(config.tx_power_w))]
+             for i, scn in enumerate(standard_scenarios())]
     return array, heatmaps([(link.scenario, link.precoder) for link in links], array, room,
                            config.build_grid(), config.channel,
                            calibration=config.calibration)

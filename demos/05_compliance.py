@@ -27,7 +27,7 @@ room = config.room
 array = config.build_array()
 grid = config.build_grid()
 links = [run_scenario(config, scn, i, array, room)
-         for i, scn in enumerate(standard_scenarios(config.tx_power_w))]
+         for i, scn in enumerate(standard_scenarios())]
 maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                 config.channel, calibration=config.calibration)
 averaged = average_heatmaps(maps)

@@ -35,15 +35,14 @@ _GAIN_BLOCK_ENTRIES = 16384
 class ChannelModelConfig:
     """Propagation and CSI-acquisition settings.
 
-    ``csi_snr_db = math.inf`` means perfect channel knowledge.  The seed
-    drives only the CSI estimation noise; channel generation itself is a
-    pure function of the geometry.
+    ``csi_snr_db = math.inf`` means perfect channel knowledge.  Channel
+    generation is a pure function of the geometry; only the CSI estimate
+    draws noise, from the seed given to :func:`estimate_csi`.
     """
 
     mode: str = MODE_LOS
     carrier_frequency: float = 2.63e9
     csi_snr_db: float = math.inf
-    rng_seed: int = 0
     element_pattern: str = PATTERN_ISOTROPIC
     ue_height: float = DEFAULT_MOUNT_HEIGHT_M
 
@@ -73,6 +72,11 @@ class ChannelMatrix:
     h: np.ndarray
     n_users: int
     antennas_per_ue: int
+
+    def __post_init__(self):
+        expected = self.n_users * self.antennas_per_ue
+        if self.h.shape[0] != expected:
+            raise ValueError(f"channel has {self.h.shape[0]} rows, expected {expected}")
 
     def ue_block(self, k):
         """Rows of user ``k``: an (antennas_per_ue x n_tx) matrix."""
@@ -285,18 +289,17 @@ def generate_channel(array, scenario, room, cfg):
     )
 
 
-def estimate_csi(true_channel, cfg):
+def estimate_csi(true_channel, cfg, seed):
     """Pilot-based channel estimate: the true channel plus Gaussian error.
 
     The per-entry error variance is mean(|H|^2) / 10^(csi_snr_db / 10);
-    an infinite SNR returns an exact copy.  Reproducible via
-    ``cfg.rng_seed``.
+    an infinite SNR returns an exact copy.  The error is drawn from ``seed``.
     """
     if not math.isfinite(cfg.csi_snr_db) and cfg.csi_snr_db > 0:
         return replace(true_channel, h=true_channel.h.copy())
     h = true_channel.h
     noise_var = float(np.mean(np.abs(h) ** 2)) / 10.0 ** (cfg.csi_snr_db / 10.0)
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     scale = math.sqrt(noise_var / 2.0)
     noise = rng.normal(scale=scale, size=h.shape) + 1j * rng.normal(scale=scale, size=h.shape)
     return replace(true_channel, h=h + noise)

@@ -13,6 +13,7 @@ findings and never raises.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -115,10 +116,7 @@ class RunConfig:
 
     def available_scenarios(self):
         """Standard scenarios plus any custom ones, keyed by id."""
-        table = {s.id: s for s in standard_scenarios(total_tx_power=self.tx_power_w)}
-        for s in self.custom_scenarios:
-            table[s.id] = replace(s, total_tx_power=self.tx_power_w)
-        return table
+        return {s.id: s for s in (*standard_scenarios(), *self.custom_scenarios)}
 
     def selected_scenarios(self):
         table = self.available_scenarios()
@@ -201,9 +199,6 @@ _IRREGULAR = {
 # Field names the document spells differently.
 _DOC_KEYS = {"scenario_ids": "scenarios"}
 
-# Set by the run (per-scenario seeds, the run's power), never by a document.
-_DERIVED_FIELDS = {"rng_seed", "total_tx_power"}
-
 # Keys that set nothing any more, by document path: each is read, and dropped,
 # only at the one value (of exactly that type) that every run now means.
 _RETIRED = {"workers": (1, "runs are serial"),
@@ -226,8 +221,7 @@ def _section(defaults, doc, path):
         raise ConfigError(f"{path or 'config root'}: expected a mapping")
     doc = {key: value for key, value in doc.items()
            if not _retired(f"{path}.{key}" if path else key, value)}
-    keys = {_DOC_KEYS.get(f.name, f.name): f.name for f in fields(defaults)
-            if f.name not in _DERIVED_FIELDS}
+    keys = {_DOC_KEYS.get(f.name, f.name): f.name for f in fields(defaults)}
     unknown = set(doc) - set(keys)
     if unknown:
         where = f"{path}: unknown keys" if path else "unknown top-level keys:"
@@ -347,6 +341,13 @@ def validate(config):
         if not scenario.id or any(c in scenario.id for c in _ID_FORBIDDEN):
             findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} cannot name artifact "
                             "files: ids must be non-empty, without '/', '\\' or NUL")
+    # Artifact file names carry the id, so each scenario is defined once and runs once.
+    for sid, n in Counter(s.id for s in config.custom_scenarios).items():
+        if n > 1:
+            findings.append(f"custom_scenarios: id {sid!r} is defined {n} times")
+    for sid, n in Counter(config.scenario_ids).items():
+        if n > 1:
+            findings.append(f"scenarios: id {sid!r} is listed {n} times")
     ofdm = config.ofdm
     samples = ofdm.frames * ofdm.symbols_per_frame * ofdm.active_subcarriers
     if samples > MAX_SAMPLES_PER_STREAM:

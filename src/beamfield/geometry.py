@@ -146,20 +146,17 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class Scenario:
-    """User placement and power budget for one beamforming case."""
+    """User placement for one beamforming case."""
 
     id: str
     ue_positions: tuple
     antennas_per_ue: int = 4
-    total_tx_power: float = 1.0
 
     def __post_init__(self):
         if not 1 <= len(self.ue_positions) <= 8:
             raise ValueError("scenario must place between 1 and 8 users")
         if not 1 <= self.antennas_per_ue <= MAX_UE_ANTENNAS:
             raise ValueError(f"antennas_per_ue must be between 1 and {MAX_UE_ANTENNAS}")
-        if self.total_tx_power <= 0:
-            raise ValueError("total_tx_power must be positive")
 
     @property
     def n_users(self):
@@ -260,17 +257,10 @@ _STANDARD_UE_LAYOUTS = (
 )
 
 
-def standard_scenarios(total_tx_power=1.0):
+def standard_scenarios():
     """The eight built-in beamforming scenarios, ids "1" through "8"."""
-    return [
-        Scenario(
-            id=str(i + 1),
-            ue_positions=layout,
-            antennas_per_ue=4,
-            total_tx_power=total_tx_power,
-        )
-        for i, layout in enumerate(_STANDARD_UE_LAYOUTS)
-    ]
+    return [Scenario(id=str(i + 1), ue_positions=layout, antennas_per_ue=4)
+            for i, layout in enumerate(_STANDARD_UE_LAYOUTS)]
 
 
 def grid_size_bound(x_min, x_max, y_min, y_max, spacing):

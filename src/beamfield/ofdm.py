@@ -102,7 +102,7 @@ _THRESHOLD_MARGIN = 1e-9 * _QAM_SCALE
 
 @dataclass(frozen=True)
 class OfdmConfig:
-    """Waveform numerology plus receiver noise and seeding.
+    """Waveform numerology plus receiver noise.
 
     The defaults describe a 40 MHz channel at 61.44 Msps: 4096-point FFT
     at 15 kHz subcarrier spacing with 2664 active subcarriers (222
@@ -119,7 +119,6 @@ class OfdmConfig:
     active_subcarriers: int = 2664
     frame_samples: int = 65_536
     noise_snr_db: float = 60.0
-    rng_seed: int = 0
     frames: int = 1
 
     def __post_init__(self):
@@ -153,7 +152,6 @@ class OfdmConfig:
 class BerReport:
     """Uncoded bit error rate per user for one scenario."""
 
-    scenario_id: str
     per_ue_ber: tuple
     bits_tested: int
 
@@ -275,7 +273,7 @@ def _marsaglia_tail(rng, t):
     return np.where(rng.random(t.size) < 0.5, -y, y)
 
 
-def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
+def transmit_frame(precoder, h_true, combiners, cfg, seed):
     """Send ZF-precoded frames over the true channel and count bit errors.
 
     Every stream carries independent uniform 64-QAM symbol indices on each
@@ -292,7 +290,7 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
     law given that one exceeds, which keeps the users' error counts
     jointly as distributed as in the per-slot simulation.  The module
     docstring gives the argument and the random-number order.
-    Deterministic in ``cfg.rng_seed``.
+    Deterministic in ``seed``.
     """
     k = h_true.n_users
     if precoder.n_streams != k:
@@ -305,7 +303,7 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
         raise ValueError("effective channel has a zero diagonal gain")
     equalised = eff / gain[:, None]
 
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(seed)
     noise_power = _noise_power(cfg.noise_snr_db)
     slots = cfg.active_subcarriers * cfg.symbols_per_frame
     errors = np.zeros(k, dtype=np.int64)
@@ -335,4 +333,4 @@ def transmit_frame(precoder, h_true, combiners, cfg, scenario_id=""):
 
     bits_tested = cfg.frames * cfg.bits_per_frame
     ber = tuple(float(e) / bits_tested for e in errors)
-    return BerReport(scenario_id=scenario_id, per_ue_ber=ber, bits_tested=bits_tested)
+    return BerReport(per_ue_ber=ber, bits_tested=bits_tested)

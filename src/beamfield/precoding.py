@@ -3,8 +3,8 @@
 Each user's four receive antennas are collapsed to a single stream by the
 dominant left singular vector of its channel block (``numpy.linalg.svd``).
 The precoder is the right pseudo-inverse of the resulting effective user
-channel, with every stream scaled to an equal share of the configured
-total transmit power.
+channel, with every stream scaled to an equal share of the given total
+transmit power.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ class PrecodingMatrix:
     """Transmit precoder: one column per user stream.
 
     ``w`` is (n_active_tx x n_streams); the squared Frobenius norm equals
-    the scenario's total transmit power, split equally across streams.
+    the total transmit power, split equally across streams.
     """
 
     w: np.ndarray
@@ -44,14 +44,9 @@ def _dominant_direction(block):
     return v * (abs(v[pivot]) / v[pivot])
 
 
-def combining_vectors(h_est, scenario):
-    """Per-user maximum-ratio combiners, one unit-norm 4-vector per user."""
-    expected = scenario.n_users * scenario.antennas_per_ue
-    if h_est.h.shape[0] != expected:
-        raise ValueError(
-            f"channel has {h_est.h.shape[0]} rows, expected {expected}"
-        )
-    return [_dominant_direction(h_est.ue_block(k)) for k in range(scenario.n_users)]
+def combining_vectors(h_est):
+    """Per-user maximum-ratio combiners, one unit-norm vector per user."""
+    return [_dominant_direction(h_est.ue_block(k)) for k in range(h_est.n_users)]
 
 
 def effective_user_channel(h, combiners):
@@ -60,18 +55,19 @@ def effective_user_channel(h, combiners):
     return np.vstack(rows)
 
 
-def zf_precoder(h_est, scenario, combiners):
+def zf_precoder(h_est, combiners, total_power):
     """Zero-forcing precoder from the estimated channel.
 
     W0 = G^H (G G^H)^-1 for the effective user channel G that
     ``combiners`` (:func:`combining_vectors` of the same estimate) make,
-    then each column is scaled to carry total_tx_power / n_users watts.
+    then each column is scaled to carry total_power / n_users watts.
     For a single user this degenerates to maximum-ratio transmission.
     """
+    if not total_power > 0:
+        raise ValueError(f"total_power must be positive, got {total_power}")
     g = effective_user_channel(h_est, combiners)
     w0 = right_pseudo_inverse(g)
-    k = scenario.n_users
-    per_stream = scenario.total_tx_power / k
+    per_stream = total_power / h_est.n_users
     column_norms = np.linalg.norm(w0, axis=0)
     if np.any(column_norms == 0.0):
         raise ZfInfeasibleError("ZF produced a zero-power stream")

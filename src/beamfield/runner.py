@@ -70,18 +70,13 @@ def run_scenario(config, scenario, index, array, room):
     Its heat map comes from the returned precoder, through
     :func:`~beamfield.field.heatmaps`.
     """
-    ch_cfg = dataclasses.replace(
-        config.channel, rng_seed=derive_seed(config.seed, index, _SEED_STREAM_CSI)
-    )
-    ofdm_cfg = dataclasses.replace(
-        config.ofdm, rng_seed=derive_seed(config.seed, index, _SEED_STREAM_FRAME)
-    )
-    h_true = generate_channel(array, scenario, room, ch_cfg)
-    h_est = estimate_csi(h_true, ch_cfg)
-    combiners = combining_vectors(h_est, scenario)
-    precoder = zf_precoder(h_est, scenario, combiners)
-    ber = transmit_frame(precoder, h_true, combiners, ofdm_cfg,
-                         scenario_id=scenario.id)
+    h_true = generate_channel(array, scenario, room, config.channel)
+    h_est = estimate_csi(h_true, config.channel,
+                         derive_seed(config.seed, index, _SEED_STREAM_CSI))
+    combiners = combining_vectors(h_est)
+    precoder = zf_precoder(h_est, combiners, config.tx_power_w)
+    ber = transmit_frame(precoder, h_true, combiners, config.ofdm,
+                         derive_seed(config.seed, index, _SEED_STREAM_FRAME))
     return ScenarioLink(scenario=scenario, ber=ber, precoder=precoder)
 
 
@@ -93,7 +88,8 @@ def run(config, out_dir=None):
     """
     report = validate(config)
     if not report.ok:
-        raise ConfigError("configuration invalid:\n" + "\n".join(report.findings))
+        raise ConfigError("configuration invalid:\n"
+                          + "\n".join(f"finding: {f}" for f in report.findings))
 
     out_dir = out_dir if out_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -109,10 +105,10 @@ def run(config, out_dir=None):
     def links():
         # The link stages run as heatmaps draws their precoders, so on a grid
         # of one block each precoder is dropped once its map is made.  Each
-        # link's BER report is kept.
+        # link's BER report is kept, with its scenario id.
         for index, scenario in enumerate(scenarios):
             link = run_scenario(config, scenario, index, array, room)
-            reports.append(link.ber)
+            reports.append((scenario.id, link.ber))
             yield scenario, link.precoder
 
     maps = heatmaps(links(), array, room, grid, config.channel,
@@ -218,18 +214,19 @@ class _ArtifactWriter:
                         "heatmap-ascii", scenario)
 
     def ber_table(self, reports):
+        """Write the (scenario id, BER report) pairs ``reports``."""
         # BER and the cut are core results: CSV is always written, JSON on request.
         lines = ["scenario,ue,ber,bits"]
-        for rep in reports:
+        for sid, rep in reports:
             for u, ber in enumerate(rep.per_ue_ber, start=1):
-                lines.append(f"{rep.scenario_id},{u},{_sig9(ber)},{rep.bits_tested}")
+                lines.append(f"{sid},{u},{_sig9(ber)},{rep.bits_tested}")
         self._write("ber.csv", "\n".join(lines) + "\n", "ber-csv")
         if "json" in self.formats:
             payload = [{
-                "scenario": rep.scenario_id,
+                "scenario": sid,
                 "per_ue_ber": list(rep.per_ue_ber),
                 "bits_tested": rep.bits_tested,
-            } for rep in reports]
+            } for sid, rep in reports]
             self._write("ber.json", _json_text(payload), "ber-json")
 
     def cut(self, profile, x):
@@ -258,9 +255,10 @@ def verify_manifest(out_dir):
     """Re-hash every artifact listed in a manifest; returns the paths that fail.
 
     The manifest is untrusted input.  A run writes each artifact once,
-    directly in ``out_dir``, so a path that is absolute, resolves
-    anywhere else (links included) or was listed before fails unopened,
-    as does a file that does not exist or does not match its hash.
+    directly in ``out_dir``, so a path that is not a string, contains
+    NUL, is absolute, resolves anywhere else (links included) or was
+    listed before fails unopened, as does a file that does not exist or
+    does not match its hash.
     """
     with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -270,10 +268,13 @@ def verify_manifest(out_dir):
     # One buffer for every read, so reading allocates nothing per chunk.
     chunk = memoryview(bytearray(_CHUNK))
     for art in manifest["artifacts"]:
-        path = os.path.realpath(os.path.join(root, art["path"]))
-        if os.path.isabs(art["path"]) or os.path.dirname(path) != root or path in seen \
-                or not os.path.isfile(path):
-            bad.append(art["path"])
+        name = art["path"]
+        if not isinstance(name, str) or "\0" in name or os.path.isabs(name):
+            bad.append(name)
+            continue
+        path = os.path.realpath(os.path.join(root, name))
+        if os.path.dirname(path) != root or path in seen or not os.path.isfile(path):
+            bad.append(name)
             continue
         seen.add(path)
         digest = hashlib.sha256()
@@ -281,5 +282,5 @@ def verify_manifest(out_dir):
             while n := fh.readinto(chunk):
                 digest.update(chunk[:n])
         if digest.hexdigest() != art["sha256"]:
-            bad.append(art["path"])
+            bad.append(name)
     return bad

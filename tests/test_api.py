@@ -10,12 +10,18 @@ import pkgutil
 import beamfield
 from beamfield import (
     ArrayGeometry,
+    BerReport,
+    ChannelModelConfig,
     ComplianceReport,
     CutProfile,
+    OfdmConfig,
     PrecodingMatrix,
     Room,
+    Scenario,
     build_array,
     check,
+    combining_vectors,
+    estimate_csi,
     extract_cut,
     min_compliant_distance,
     transmit_frame,
@@ -75,6 +81,10 @@ def test_fields_nothing_reads_stay_deleted():
     assert "exceedance_mask" not in _field_names(ComplianceReport)
     assert _field_names(PrecodingMatrix) == ["w"]
     assert not hasattr(PrecodingMatrix, "total_power")
+    # The run seed and RunConfig.tx_power_w own the seeds and the power.
+    assert "rng_seed" not in _field_names(ChannelModelConfig) + _field_names(OfdmConfig)
+    assert _field_names(Scenario) == ["id", "ue_positions", "antennas_per_ue"]
+    assert _field_names(BerReport) == ["per_ue_ber", "bits_tested"]
 
 
 def _parameters(fn):
@@ -85,15 +95,19 @@ def test_signatures_take_what_the_pipeline_passes():
     # One built-in limit table, one cut, combiners from the caller, fixed tolerances.
     assert _parameters(check) == ["heatmap", "region"]
     assert _parameters(min_compliant_distance) == ["profile", "region"]
-    assert _parameters(zf_precoder) == ["h_est", "scenario", "combiners"]
-    assert inspect.signature(zf_precoder).parameters["combiners"].default \
-        is inspect.Parameter.empty
+    assert _parameters(combining_vectors) == ["h_est"]
+    assert _parameters(zf_precoder) == ["h_est", "combiners", "total_power"]
+    assert _parameters(estimate_csi) == ["true_channel", "cfg", "seed"]
+    # A default seed or power would be a hidden second owner of the value.
+    for fn in (zf_precoder, estimate_csi, transmit_frame):
+        assert all(p.default is inspect.Parameter.empty
+                   for p in inspect.signature(fn).parameters.values()), fn.__name__
     assert _parameters(extract_cut) == ["heatmap", "x"]
     assert _parameters(Room.contains) == ["self", "point"]
     assert _parameters(Room.require_inside) == ["self", "points", "what"]
     assert not hasattr(Room, "in_footprint")
     # Names the benchmark binds by keyword.
-    assert _parameters(transmit_frame)[:4] == ["precoder", "h_true", "combiners", "cfg"]
+    assert _parameters(transmit_frame) == ["precoder", "h_true", "combiners", "cfg", "seed"]
     assert _parameters(propagation_gains) == ["tx_points", "rx_points", "frequency", "room",
                                               "mode", "pattern"]
 

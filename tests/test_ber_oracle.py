@@ -34,16 +34,16 @@ from qam_oracle import (
 LEVEL = 1e-6
 
 
-def _link(scenario, ch_cfg):
+def _link(scenario, ch_cfg, seed):
     """True channel, combiners and ZF precoder from a noisy CSI estimate."""
     config = RunConfig()
     h = generate_channel(config.build_array(), scenario, config.room, ch_cfg)
-    est = estimate_csi(h, ch_cfg)
-    combiners = combining_vectors(est, scenario)
-    return h, combiners, zf_precoder(est, scenario, combiners=combiners)
+    est = estimate_csi(h, ch_cfg, seed)
+    combiners = combining_vectors(est)
+    return h, combiners, zf_precoder(est, combiners, config.tx_power_w)
 
 
-def _run_link(h, combiners, precoder, ofdm_cfg, time_domain=False):
+def _run_link(h, combiners, precoder, ofdm_cfg, seed, time_domain=False):
     """Bit-error count per user, symbols sent per user, and the effective channel.
 
     ``time_domain`` counts the errors with the full-array reference
@@ -52,9 +52,9 @@ def _run_link(h, combiners, precoder, ofdm_cfg, time_domain=False):
     bits = ofdm_cfg.frames * ofdm_cfg.bits_per_frame
     if time_domain:
         counts = time_domain_errors(precoder, h, combiners, ofdm_cfg,
-                                    np.random.default_rng(ofdm_cfg.rng_seed)).tolist()
+                                    np.random.default_rng(seed)).tolist()
     else:
-        report = transmit_frame(precoder, h, combiners, ofdm_cfg)
+        report = transmit_frame(precoder, h, combiners, ofdm_cfg, seed)
         assert report.bits_tested == bits
         counts = [round(ber * bits) for ber in report.per_ue_ber]
     return counts, bits // 6, effective_channel(h, precoder, combiners)
@@ -75,9 +75,9 @@ def _inside(count, n_symbols, pmf):
     return count_log_tail(pmf, n_symbols, count) >= math.log(LEVEL / 2)
 
 
-def _check_against_oracle(h, combiners, precoder, ofdm_cfg, label, time_domain=False):
+def _check_against_oracle(h, combiners, precoder, ofdm_cfg, seed, label, time_domain=False):
     """Send frames, then test every user's error count; returns report lines."""
-    counts, n_symbols, eff = _run_link(h, combiners, precoder, ofdm_cfg, time_domain)
+    counts, n_symbols, eff = _run_link(h, combiners, precoder, ofdm_cfg, seed, time_domain)
     lines = []
     for u, (count, pmf) in enumerate(zip(counts, _oracle_pmfs(eff, ofdm_cfg.noise_snr_db))):
         predicted = n_symbols * float(np.dot(np.arange(7), pmf))
@@ -117,11 +117,9 @@ def test_campaign_links_match_oracle():
     config = dataclasses.replace(RunConfig(), seed=1)
     lines = []
     for i, scn in enumerate(config.selected_scenarios()):
-        ch_cfg = dataclasses.replace(
-            config.channel, rng_seed=derive_seed(config.seed, i, _SEED_STREAM_CSI))
-        ofdm_cfg = dataclasses.replace(
-            config.ofdm, rng_seed=derive_seed(config.seed, i, _SEED_STREAM_FRAME))
-        lines += _check_against_oracle(*_link(scn, ch_cfg), ofdm_cfg, scn.id)
+        link = _link(scn, config.channel, derive_seed(config.seed, i, _SEED_STREAM_CSI))
+        lines += _check_against_oracle(*link, config.ofdm,
+                                       derive_seed(config.seed, i, _SEED_STREAM_FRAME), scn.id)
     assert len(lines) == 14
     print("\n" + "; ".join(lines))
 
@@ -132,10 +130,9 @@ def test_criterion_5_links_match_oracle():
     checked = 0
     for scn in base.selected_scenarios():
         for seed in range(20):
-            ch_cfg = dataclasses.replace(base.channel, rng_seed=10_000 + seed)
-            ofdm_cfg = dataclasses.replace(base.ofdm, frames=1, rng_seed=20_000 + seed)
-            checked += len(_check_against_oracle(*_link(scn, ch_cfg), ofdm_cfg,
-                                                 f"{scn.id}@{seed}"))
+            ofdm_cfg = dataclasses.replace(base.ofdm, frames=1)
+            checked += len(_check_against_oracle(*_link(scn, base.channel, 10_000 + seed),
+                                                 ofdm_cfg, 20_000 + seed, f"{scn.id}@{seed}"))
     assert checked == 20 * 14
 
 
@@ -147,11 +144,11 @@ def test_flat_and_full_array_paths_match_oracle(time_domain, scenario_id, snr_db
     ~1e-3."""
     base = RunConfig()
     scn = base.available_scenarios()[scenario_id]
-    h, combiners, precoder = _link(scn, dataclasses.replace(base.channel, rng_seed=7))
+    h, combiners, precoder = _link(scn, base.channel, 7)
     pmf = _oracle_pmfs(effective_channel(h, precoder, combiners), snr_db)[0]
     assert 3e-4 <= float(np.dot(np.arange(7), pmf)) / 6 <= 3e-3
-    ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=snr_db, frames=2, rng_seed=8)
-    _check_against_oracle(h, combiners, precoder, ofdm_cfg, scenario_id, time_domain)
+    ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=snr_db, frames=2)
+    _check_against_oracle(h, combiners, precoder, ofdm_cfg, 8, scenario_id, time_domain)
 
 
 @pytest.mark.parametrize("time_domain", [False, True], ids=["flat", "time-domain"])
@@ -161,10 +158,10 @@ def test_interference_limited_link_matches_oracle(time_domain):
     its count must match the full oracle and be rejected by the noise-only one."""
     base = RunConfig()
     scn = base.available_scenarios()["8"]
-    ch_cfg = dataclasses.replace(base.channel, csi_snr_db=10.0, rng_seed=7)
-    h, combiners, precoder = _link(scn, ch_cfg)
-    ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=68.0, frames=1, rng_seed=8)
-    counts, n_symbols, eff = _run_link(h, combiners, precoder, ofdm_cfg, time_domain)
+    ch_cfg = dataclasses.replace(base.channel, csi_snr_db=10.0)
+    h, combiners, precoder = _link(scn, ch_cfg, 7)
+    ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=68.0, frames=1)
+    counts, n_symbols, eff = _run_link(h, combiners, precoder, ofdm_cfg, 8, time_domain)
     for count, pmf in zip(counts, _oracle_pmfs(eff, ofdm_cfg.noise_snr_db)):
         assert _inside(count, n_symbols, pmf)
     noise_only = _oracle_pmfs(eff, ofdm_cfg.noise_snr_db, interference=False)

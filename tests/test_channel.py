@@ -307,7 +307,7 @@ class TestGenerateChannel:
 class TestEstimateCsi:
     def test_perfect_csi_exact_copy(self, array, room, scenarios, los_cfg):
         cm = generate_channel(array, scenarios[0], room, los_cfg)
-        est = estimate_csi(cm, los_cfg)
+        est = estimate_csi(cm, los_cfg, 0)
         assert np.array_equal(est.h, cm.h)
         assert est.h is not cm.h
 
@@ -318,8 +318,7 @@ class TestEstimateCsi:
         rng = np.random.default_rng(11)
         h = random_complex(rng, (250, 400))
         cm = ChannelMatrix(h=h, n_users=1, antennas_per_ue=250)
-        cfg = ChannelModelConfig(csi_snr_db=0.0, rng_seed=42)
-        est = estimate_csi(cm, cfg)
+        est = estimate_csi(cm, ChannelModelConfig(csi_snr_db=0.0), 42)
         ratio = np.mean(np.abs(est.h - h) ** 2) / np.mean(np.abs(h) ** 2)
         assert ratio == pytest.approx(1.0, rel=0.05)
 
@@ -329,11 +328,11 @@ class TestEstimateCsi:
         rng = np.random.default_rng(12)
         h = random_complex(rng, (100, 100))
         cm = ChannelMatrix(h=h, n_users=1, antennas_per_ue=100)
-        e20 = estimate_csi(cm, ChannelModelConfig(csi_snr_db=20.0, rng_seed=1))
+        e20 = estimate_csi(cm, ChannelModelConfig(csi_snr_db=20.0), 1)
         ratio = np.mean(np.abs(e20.h - h) ** 2) / np.mean(np.abs(h) ** 2)
         assert ratio == pytest.approx(0.01, rel=0.1)
 
     def test_seeded_reproducibility(self, array, room, scenarios):
-        cfg = ChannelModelConfig(csi_snr_db=10.0, rng_seed=7)
+        cfg = ChannelModelConfig(csi_snr_db=10.0)
         cm = generate_channel(array, scenarios[2], room, cfg)
-        assert np.array_equal(estimate_csi(cm, cfg).h, estimate_csi(cm, cfg).h)
+        assert np.array_equal(estimate_csi(cm, cfg, 7).h, estimate_csi(cm, cfg, 7).h)

@@ -77,8 +77,6 @@ def schema(obj):
     """{document key: default} for a config dataclass, sections nested."""
     keys = {}
     for f in dataclasses.fields(obj):
-        if f.name == "rng_seed":
-            continue
         value = getattr(obj, f.name)
         key = "scenarios" if f.name == "scenario_ids" else f.name
         keys[key] = schema(value) if dataclasses.is_dataclass(value) else value
@@ -195,6 +193,11 @@ BAD_DOCUMENTS = [
      "custom_scenarios[0].id"),
     ("empty-id", 'seed: 1\ncustom_scenarios: [{id: "", ue_positions: [[0, 4]]}]\n',
      "custom_scenarios[0].id: '' cannot name artifact files"),
+    ("selected-id-twice", "seed: 1\nscenarios: ['1', '8', '1']\n",
+     "finding: scenarios: id '1' is listed 2 times\n"),
+    ("custom-id-twice", "seed: 1\nscenarios: [a]\ncustom_scenarios: [{id: a, ue_positions: "
+     "[[0, 4]]}, {id: a, ue_positions: [[1, 4]]}]\n",
+     "finding: custom_scenarios: id 'a' is defined 2 times\n"),
     ("csi-snr-overflow", "seed: 1\nchannel: {csi_snr_db: 3100}\n",
      "finding: channel.csi_snr_db: must lie between -3000 and 3000 dB, or be +inf; got 3100\n"),
     ("csi-snr-underflow", "seed: 1\nchannel: {csi_snr_db: -4000}\n",
@@ -247,6 +250,15 @@ def test_bad_document_does_not_run(tmp_path, capsys, text):
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_scenario_selected_twice_on_the_command_line_does_not_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["run", "--scenario", "1", "--scenario", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: configuration invalid:\n" \
+        "finding: scenarios: id '1' is listed 2 times\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key", [("channel", "csi_snr_db"), ("ofdm", "noise_snr_db")])
@@ -519,6 +531,8 @@ MUTATIONS = [
     ("zero-svg-vmax", lambda d: _set(d, "svg_vmax", 0.0), "svg_vmax: must be positive"),
     ("undefined-scenario", lambda d: _set(d, "scenarios", ["nine"]),
      "scenarios: id 'nine' is not defined"),
+    ("scenario-listed-twice", lambda d: _set(d, "scenarios", d["scenarios"] * 2),
+     "scenarios: id '{scenario}' is listed 2 times"),
     ("slash-in-custom-id", lambda d: _set(d, "custom_scenarios",
                                           [{"id": "a/b", "ue_positions": [[0, 4]]}]),
      "custom_scenarios[0].id"),

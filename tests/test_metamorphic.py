@@ -6,7 +6,9 @@ does not need one.
 """
 
 import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +23,9 @@ USERS = {
 }
 # Per-wall coefficients (x-low, x-high, y-low, y-high), unequal on the two x walls.
 WALLS = (-0.6, -0.2, -0.5, -0.3)
+# A 64-point FFT frame of 48 subcarriers: the BER path costs little.
+NARROWBAND = dict(sample_rate=960_000.0, fft_size=64, active_subcarriers=48,
+                  frame_samples=1024, frames=1)
 
 
 def _config(mode, pattern, mirror_users, walls):
@@ -38,20 +43,26 @@ def _config(mode, pattern, mirror_users, walls):
         room=dataclasses.replace(base.room, wall_reflection=walls),
         channel=dataclasses.replace(base.channel, mode=mode, element_pattern=pattern,
                                     csi_snr_db=float("inf")),
-        ofdm=dataclasses.replace(base.ofdm, sample_rate=960_000.0, fft_size=64,
-                                 active_subcarriers=48, frame_samples=1024, frames=1),
+        ofdm=dataclasses.replace(base.ofdm, **NARROWBAND),
     )
+
+
+def _reports(config, out_dir):
+    """{file name: parsed JSON} of every JSON artifact a run writes."""
+    manifest = run(config, out_dir=str(out_dir))
+    reports = {}
+    for name in manifest.paths():
+        if name.endswith(".json"):
+            with open(out_dir / name, encoding="utf-8") as fh:
+                reports[name] = json.load(fh)
+    return reports
 
 
 def _maps(config, out_dir):
     """{file name: e_vpm rows} of every heat-map JSON a run writes."""
-    manifest = run(config, out_dir=str(out_dir))
-    maps = {}
-    for name in manifest.paths():
-        if name.startswith("heatmap_"):
-            with open(out_dir / name, encoding="utf-8") as fh:
-                maps[name] = np.array(json.load(fh)["e_vpm"])
-    return maps
+    return {name: np.array(report["e_vpm"])
+            for name, report in _reports(config, out_dir).items()
+            if name.startswith("heatmap_")}
 
 
 def _worst_mirror_mismatch(a, b):
@@ -71,3 +82,52 @@ def test_mirroring_the_users_and_the_x_walls_mirrors_every_map(tmp_path, mode, p
         # The x walls differ, so mirroring the users alone does not mirror the maps.
         c = _maps(_config(mode, pattern, True, WALLS), tmp_path / "c")
         assert _worst_mirror_mismatch(a, c) > 1e-3
+
+
+def _campaign(mode, tx_power_w):
+    """The eight built-in scenarios at 40 dB CSI on a narrowband link."""
+    base = RunConfig()
+    return dataclasses.replace(base, seed=3, tx_power_w=tx_power_w, formats=("json",),
+                               channel=dataclasses.replace(base.channel, mode=mode),
+                               ofdm=dataclasses.replace(base.ofdm, **NARROWBAND))
+
+
+@pytest.mark.parametrize("mode", ["los-only", "image-order-1"])
+def test_scaling_the_power_scales_every_field_by_its_root(tmp_path, mode):
+    # The same seeds give the same CSI, so only the precoder's scale changes.
+    base = _reports(_campaign(mode, 1.0), tmp_path / "base")
+    maps = [name for name in base if name.startswith("heatmap_")]
+    regions = [name for name in base if name.startswith("compliance_")]
+    assert len(maps) == 9 and len(regions) == 3
+    for alpha in (0.3, 4.0, 1000.0):
+        scaled = _reports(_campaign(mode, alpha), tmp_path / f"x{alpha:g}")
+        for name in maps:
+            want = math.sqrt(alpha) * np.array(base[name]["e_vpm"])
+            got = np.array(scaled[name]["e_vpm"])
+            assert np.max(np.abs(got - want) / want) <= 1e-12, (alpha, name)
+        assert abs(scaled["decay_fit.json"]["exponent"]
+                   - base["decay_fit.json"]["exponent"]) <= 1e-12, alpha
+        for name in regions:
+            shift = scaled[name]["worst_margin_db"] - base[name]["worst_margin_db"]
+            assert abs(shift - 10.0 * math.log10(alpha)) <= 1e-9, (alpha, name)
+
+
+@pytest.mark.parametrize("mode", ["los-only", "image-order-1"])
+def test_reordering_the_users_leaves_the_map(tmp_path, mode):
+    # Perfect CSI: the CSI noise is drawn in row order, so at 40 dB CSI the
+    # maps of two orders differ by 1-2 %.
+    users = USERS["three"]
+    orders = ["".join(map(str, order)) for order in itertools.permutations(range(3))]
+    scenarios = tuple(Scenario(id=order, ue_positions=tuple(users[int(i)] for i in order))
+                      for order in orders)
+    base = RunConfig()
+    config = dataclasses.replace(
+        base, seed=3, custom_scenarios=scenarios, scenario_ids=tuple(orders),
+        formats=("json",),
+        channel=dataclasses.replace(base.channel, mode=mode, csi_snr_db=math.inf),
+        ofdm=dataclasses.replace(base.ofdm, **NARROWBAND))
+    maps = _maps(config, tmp_path)
+    first = maps[f"heatmap_scenario_{orders[0]}.json"]
+    for order in orders[1:]:
+        other = maps[f"heatmap_scenario_{order}.json"]
+        assert np.max(np.abs(other - first) / first) <= 1e-12, order

@@ -124,31 +124,31 @@ class TestQamMapping:
         assert ber == pytest.approx(exact_ber_64qam(ebn0_db), rel=0.2)
 
 
-def _link(array, room, scenario, cfg, ofdm_cfg):
+def _link(array, room, scenario, cfg, ofdm_cfg, seed):
     h, c, w = perfect_link(array, scenario, room, cfg)
-    return transmit_frame(w, h, c, ofdm_cfg, scenario_id=scenario.id)
+    return transmit_frame(w, h, c, ofdm_cfg, seed)
 
 
 class TestTransmitFrame:
     def test_noiseless_perfect_csi_zero_ber(self, array, room, scenarios, los_cfg):
-        ofdm_cfg = OfdmConfig(noise_snr_db=math.inf, rng_seed=1)
+        ofdm_cfg = OfdmConfig(noise_snr_db=math.inf)
         for scn in scenarios:
-            rep = _link(array, room, scn, los_cfg, ofdm_cfg)
+            rep = _link(array, room, scn, los_cfg, ofdm_cfg, 1)
             assert rep.per_ue_ber == (0.0,) * scn.n_users
             assert rep.bits_tested == ofdm_cfg.bits_per_frame
 
     def test_deterministic_given_seed(self, array, room, scenarios, los_cfg):
-        ofdm_cfg = OfdmConfig(noise_snr_db=55.0, rng_seed=99)
-        r1 = _link(array, room, scenarios[4], los_cfg, ofdm_cfg)
-        r2 = _link(array, room, scenarios[4], los_cfg, ofdm_cfg)
+        ofdm_cfg = OfdmConfig(noise_snr_db=55.0)
+        r1 = _link(array, room, scenarios[4], los_cfg, ofdm_cfg, 99)
+        r2 = _link(array, room, scenarios[4], los_cfg, ofdm_cfg, 99)
         assert r1 == r2
 
     def test_ber_monotone_in_snr(self, array, room, scenarios, los_cfg):
         # 5-point sweep, > 1e6 bits per point via 5 frames.
         bers = []
         for snr in (52.0, 54.0, 56.0, 58.0, 60.0):
-            cfg = OfdmConfig(noise_snr_db=snr, rng_seed=5, frames=5)
-            rep = _link(array, room, scenarios[0], los_cfg, cfg)
+            cfg = OfdmConfig(noise_snr_db=snr, frames=5)
+            rep = _link(array, room, scenarios[0], los_cfg, cfg, 5)
             bers.append(rep.per_ue_ber[0])
         assert all(a >= b for a, b in zip(bers, bers[1:]))
         assert bers[0] > 0
@@ -163,8 +163,8 @@ class TestTransmitFrame:
     def test_time_domain_matches_flat_statistics(self, array, room, scenarios, los_cfg):
         # The flat path against the full-array reference at the same noise
         # level, independent draws: BERs agree within Monte-Carlo slack.
-        cfg = OfdmConfig(noise_snr_db=53.0, rng_seed=2, frames=2)
-        flat = _link(array, room, scenarios[0], los_cfg, cfg)
+        cfg = OfdmConfig(noise_snr_db=53.0, frames=2)
+        flat = _link(array, room, scenarios[0], los_cfg, cfg, 2)
         h, c, w = perfect_link(array, scenarios[0], room, los_cfg)
         td = time_domain_errors(w, h, c, cfg, np.random.default_rng(3))
         bits = cfg.frames * cfg.bits_per_frame
@@ -174,13 +174,13 @@ class TestTransmitFrame:
         h, c, w = perfect_link(array, scenarios[4], room, los_cfg)
         h1, c1, w1 = perfect_link(array, scenarios[0], room, los_cfg)
         with pytest.raises(ValueError, match="streams"):
-            transmit_frame(w1, h, c, OfdmConfig())
+            transmit_frame(w1, h, c, OfdmConfig(), 0)
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="bits_tested"):
-            BerReport(scenario_id="x", per_ue_ber=(0.0,), bits_tested=0)
+            BerReport(per_ue_ber=(0.0,), bits_tested=0)
         with pytest.raises(ValueError, match="BER"):
-            BerReport(scenario_id="x", per_ue_ber=(1.5,), bits_tested=10)
+            BerReport(per_ue_ber=(1.5,), bits_tested=10)
 
 
 # A 64-point FFT frame of 33 OFDM symbols on 47 subcarriers: 1551 slots per
@@ -200,11 +200,11 @@ _VARIANCE_RATIO = 1.8
 
 def _noisy_csi_link(array, room, scenario):
     """True channel, combiners and ZF precoder from a 10 dB CSI estimate."""
-    cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=10.0, rng_seed=3)
+    cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=10.0)
     h = generate_channel(array, scenario, room, cfg)
-    h_est = estimate_csi(h, cfg)
-    c = combining_vectors(h_est, scenario)
-    return h, c, zf_precoder(h_est, scenario, combiners=c)
+    h_est = estimate_csi(h, cfg, 3)
+    c = combining_vectors(h_est)
+    return h, c, zf_precoder(h_est, c, 1.0)
 
 
 def _exceedance_of(h, c, w, noise_snr_db):
@@ -233,8 +233,7 @@ class TestFrameSampler:
         cfg = OfdmConfig(noise_snr_db=noise_snr_db, **_SHORT_FRAME)
         bits = cfg.bits_per_frame
         sampled = np.array([
-            [round(b * bits) for b in transmit_frame(
-                w, h, c, dataclasses.replace(cfg, rng_seed=s)).per_ue_ber]
+            [round(b * bits) for b in transmit_frame(w, h, c, cfg, s).per_ue_ber]
             for s in range(_FRAMES_COMPARED)])
         reference = np.array([
             frame_errors(w, h, c, cfg, np.random.default_rng([1, s]))
@@ -252,7 +251,7 @@ class TestFrameSampler:
 
     def test_peak_memory_does_not_grow_with_frames(self, array, room, scenarios, los_cfg):
         h, c, w = perfect_link(array, scenarios[7], room, los_cfg)
-        ofdm_cfg = OfdmConfig(noise_snr_db=64.0, rng_seed=4)
+        ofdm_cfg = OfdmConfig(noise_snr_db=64.0)
         k, slots = 3, ofdm_cfg.bits_per_frame // 6
         # A frame holds at most its (k, slots) complex input and output and
         # the uint8 indices.
@@ -260,7 +259,7 @@ class TestFrameSampler:
         for frames in (1, 3):
             tracemalloc.start()
             try:
-                transmit_frame(w, h, c, dataclasses.replace(ofdm_cfg, frames=frames))
+                transmit_frame(w, h, c, dataclasses.replace(ofdm_cfg, frames=frames), 4)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -268,7 +267,7 @@ class TestFrameSampler:
 
     def test_peak_memory_of_a_frame_that_draws_every_slot(self, array, room):
         h, c, w = _noisy_csi_link(array, room, _EIGHT_USERS)
-        ofdm_cfg = OfdmConfig(noise_snr_db=58.0, rng_seed=4)
+        ofdm_cfg = OfdmConfig(noise_snr_db=58.0)
         _, _, p = _exceedance_of(h, c, w, ofdm_cfg.noise_snr_db)
         assert ofdm._first_exceedance_cdf(p)[-1] == 1.0
         k, slots = 8, ofdm_cfg.bits_per_frame // 6
@@ -279,7 +278,7 @@ class TestFrameSampler:
         for frames in (1, 2):
             tracemalloc.start()
             try:
-                transmit_frame(w, h, c, dataclasses.replace(ofdm_cfg, frames=frames))
+                transmit_frame(w, h, c, dataclasses.replace(ofdm_cfg, frames=frames), 4)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -5,7 +5,6 @@ from beamfield import (
     ChannelMatrix,
     ChannelModelConfig,
     DegenerateChannelError,
-    Scenario,
     ZfInfeasibleError,
     combining_vectors,
     effective_channel,
@@ -27,8 +26,7 @@ class TestCombiningVectors:
         rng = np.random.default_rng(20)
         row = random_complex(rng, (1, 16))
         h = make_channel(np.repeat(row, 4, axis=0), n_users=1)
-        scn = Scenario(id="t", ue_positions=((0.0, 4.0),))
-        (c,) = combining_vectors(h, scn)
+        (c,) = combining_vectors(h)
         assert np.allclose(c, np.full(4, 0.5), rtol=1e-10)
 
     def test_rank_one_block_recovers_left_vector(self):
@@ -37,15 +35,14 @@ class TestCombiningVectors:
         u /= np.linalg.norm(u)
         v = random_complex(rng, 16)
         h = make_channel(np.outer(u, v.conj()), n_users=1)
-        scn = Scenario(id="t", ue_positions=((0.0, 4.0),))
-        (c,) = combining_vectors(h, scn)
+        (c,) = combining_vectors(h)
         # parallel up to the canonical phase: |<c, u>| = 1.
         assert abs(np.vdot(c, u)) == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_norm(self, array, room, scenarios, los_cfg):
         for scn in scenarios:
             h = generate_channel(array, scn, room, los_cfg)
-            for c in combining_vectors(h, scn):
+            for c in combining_vectors(h):
                 assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("s2", [0.9, 0.99, 0.999])
@@ -56,30 +53,27 @@ class TestCombiningVectors:
         v, _ = np.linalg.qr(random_complex(rng, (64, 4)))
         block = u @ np.diag([1.0, s2, 0.3, 0.1]) @ v.conj().T
         h = make_channel(block, n_users=1)
-        scn = Scenario(id="t", ue_positions=((0.0, 4.0),))
-        (c,) = combining_vectors(h, scn)
+        (c,) = combining_vectors(h)
         assert abs(np.vdot(c, u[:, 0])) >= 1 - 1e-12
 
     def test_zero_block_rejected(self):
         h = make_channel(np.zeros((4, 8)), n_users=1)
-        scn = Scenario(id="t", ue_positions=((0.0, 4.0),))
         with pytest.raises(DegenerateChannelError):
-            combining_vectors(h, scn)
+            combining_vectors(h)
 
-    def test_row_count_checked(self, scenarios):
-        h = make_channel(np.ones((4, 8)), n_users=1)
-        with pytest.raises(ValueError, match="rows"):
-            combining_vectors(h, scenarios[4])  # two-user scenario
+    def test_row_count_checked(self):
+        # Two users of four antennas need eight rows.
+        with pytest.raises(ValueError, match="channel has 4 rows, expected 8"):
+            make_channel(np.ones((4, 8)), n_users=2)
 
 
 class TestZfPrecoder:
     def test_single_user_is_matched_direction(self):
         rng = np.random.default_rng(22)
         h = make_channel(random_complex(rng, (4, 32)), n_users=1)
-        scn = Scenario(id="t", ue_positions=((0.0, 4.0),), total_tx_power=2.0)
-        c = combining_vectors(h, scn)
+        c = combining_vectors(h)
         g = (c[0].conj() @ h.h).reshape(1, -1)
-        w = zf_precoder(h, scn, combiners=c)
+        w = zf_precoder(h, c, 2.0)
         expect = np.sqrt(2.0) * g.conj().T / np.linalg.norm(g)
         assert np.allclose(w.w, expect, rtol=1e-10)
 
@@ -91,9 +85,7 @@ class TestZfPrecoder:
             b[:, k] = 1.0  # identical rows -> combiner (1,1,1,1)/2
             blocks.append(b)
         h = make_channel(np.vstack(blocks), n_users=3)
-        scn = Scenario(id="t", ue_positions=((0.0, 2.0), (0.0, 4.0), (0.0, 6.0)),
-                       total_tx_power=3.0)
-        w = zf_precoder(h, scn, combining_vectors(h, scn))
+        w = zf_precoder(h, combining_vectors(h), 3.0)
         # G = 2 I (combiner sum of 4 half entries), so W is diagonal, each
         # column carrying 1 W.
         assert np.allclose(np.abs(w.w), np.eye(3), rtol=1e-10)
@@ -101,32 +93,33 @@ class TestZfPrecoder:
     def test_three_user_interference_nulled(self):
         rng = np.random.default_rng(23)
         h = make_channel(random_complex(rng, (12, 64)), n_users=3)
-        scn = Scenario(id="t", ue_positions=((0.0, 2.0), (1.0, 4.0), (-1.0, 6.0)))
-        c = combining_vectors(h, scn)
-        w = zf_precoder(h, scn, combiners=c)
+        c = combining_vectors(h)
+        w = zf_precoder(h, c, 1.0)
         eff = effective_channel(h, w, c)
         assert interference_ratio(eff) <= 1e-9
 
     def test_power_conservation_all_scenarios(self, array, room, scenarios, los_cfg):
         for scn in scenarios:
-            _, _, precoder = perfect_link(array, scn, room, los_cfg)
-            assert np.sum(np.abs(precoder.w) ** 2) == pytest.approx(
-                scn.total_tx_power, rel=1e-12
-            )
+            _, _, precoder = perfect_link(array, scn, room, los_cfg, 2.5)
+            assert np.sum(np.abs(precoder.w) ** 2) == pytest.approx(2.5, rel=1e-12)
 
     def test_equal_per_stream_power(self, array, room, scenarios, los_cfg):
-        scn = scenarios[7]
-        _, _, precoder = perfect_link(array, scn, room, los_cfg)
+        _, _, precoder = perfect_link(array, scenarios[7], room, los_cfg, 2.5)
         col_power = np.sum(np.abs(precoder.w) ** 2, axis=0)
-        assert np.allclose(col_power, scn.total_tx_power / 3, rtol=1e-12)
+        assert np.allclose(col_power, 2.5 / 3, rtol=1e-12)
+
+    @pytest.mark.parametrize("power", [0.0, -1.0, float("nan")])
+    def test_power_must_be_positive(self, power):
+        h = make_channel(random_complex(np.random.default_rng(28), (4, 16)), n_users=1)
+        with pytest.raises(ValueError, match="total_power must be positive"):
+            zf_precoder(h, combining_vectors(h), power)
 
     def test_direction_invariant_to_channel_scale(self):
         rng = np.random.default_rng(24)
         h_raw = random_complex(rng, (8, 32))
-        scn = Scenario(id="t", ue_positions=((0.0, 2.0), (1.0, 4.0)))
         h1, h2 = make_channel(h_raw, 2), make_channel(7.25 * h_raw, 2)
-        w1 = zf_precoder(h1, scn, combining_vectors(h1, scn))
-        w2 = zf_precoder(h2, scn, combining_vectors(h2, scn))
+        w1 = zf_precoder(h1, combining_vectors(h1), 1.0)
+        w2 = zf_precoder(h2, combining_vectors(h2), 1.0)
         d1 = w1.w / np.linalg.norm(w1.w)
         d2 = w2.w / np.linalg.norm(w2.w)
         assert np.max(np.abs(d1 - d2)) <= 1e-10
@@ -135,33 +128,31 @@ class TestZfPrecoder:
         rng = np.random.default_rng(25)
         block = random_complex(rng, (4, 16))
         h = make_channel(np.vstack([block, block]), n_users=2)
-        scn = Scenario(id="t", ue_positions=((0.0, 4.0), (0.0, 4.0)))
         with pytest.raises(ZfInfeasibleError, match="not separable"):
-            zf_precoder(h, scn, combining_vectors(h, scn))
+            zf_precoder(h, combining_vectors(h), 1.0)
 
     def test_duplicate_user_named(self):
         rng = np.random.default_rng(27)
         b0, b1 = random_complex(rng, (2, 4, 16))
         h = make_channel(np.vstack([b0, b1, b0]), n_users=3)
-        scn = Scenario(id="t", ue_positions=((0.0, 4.0), (1.0, 4.0), (0.0, 4.0)))
         with pytest.raises(ZfInfeasibleError, match="user 2 is not separable"):
-            zf_precoder(h, scn, combining_vectors(h, scn))
+            zf_precoder(h, combining_vectors(h), 1.0)
 
     def test_fewer_users_get_more_gain(self, array, room, scenarios, los_cfg):
         # UE at (0, 8) appears in scenarios 1 and 8; with power split three
         # ways its diagonal gain can only drop.
         for seed in range(5):
-            cfg = ChannelModelConfig(csi_snr_db=25.0, rng_seed=seed)
+            cfg = ChannelModelConfig(csi_snr_db=25.0)
             h8 = generate_channel(array, scenarios[7], room, cfg)
-            est8 = estimate_csi(h8, cfg)
-            c8 = combining_vectors(est8, scenarios[7])
-            w8 = zf_precoder(est8, scenarios[7], combiners=c8)
+            est8 = estimate_csi(h8, cfg, seed)
+            c8 = combining_vectors(est8)
+            w8 = zf_precoder(est8, c8, 1.0)
             gain8 = abs(effective_channel(h8, w8, c8)[0, 0])
 
             h1 = ChannelMatrix(h=h8.h[:4], n_users=1, antennas_per_ue=4)
             est1 = ChannelMatrix(h=est8.h[:4], n_users=1, antennas_per_ue=4)
-            c1 = combining_vectors(est1, scenarios[0])
-            w1 = zf_precoder(est1, scenarios[0], combiners=c1)
+            c1 = combining_vectors(est1)
+            w1 = zf_precoder(est1, c1, 1.0)
             gain1 = abs(effective_channel(h1, w1, c1)[0, 0])
             assert gain1 >= gain8
 
@@ -188,11 +179,11 @@ class TestEffectiveChannel:
         for snr in (10.0, 20.0, 30.0):
             powers = []
             for seed in range(10):
-                cfg = ChannelModelConfig(csi_snr_db=snr, rng_seed=seed)
+                cfg = ChannelModelConfig(csi_snr_db=snr)
                 h = generate_channel(array, scn, room, cfg)
-                est = estimate_csi(h, cfg)
-                c = combining_vectors(est, scn)
-                w = zf_precoder(est, scn, combiners=c)
+                est = estimate_csi(h, cfg, seed)
+                c = combining_vectors(est)
+                w = zf_precoder(est, c, 1.0)
                 eff = effective_channel(h, w, c)
                 off = eff - np.diag(np.diag(eff))
                 powers.append(np.sum(np.abs(off) ** 2))
@@ -207,11 +198,11 @@ class TestEffectiveChannel:
         def mean_off_power(scn):
             vals = []
             for seed in range(20):
-                cfg = ChannelModelConfig(csi_snr_db=20.0, rng_seed=seed)
+                cfg = ChannelModelConfig(csi_snr_db=20.0)
                 h = generate_channel(array, scn, room, cfg)
-                est = estimate_csi(h, cfg)
-                c = combining_vectors(est, scn)
-                w = zf_precoder(est, scn, combiners=c)
+                est = estimate_csi(h, cfg, seed)
+                c = combining_vectors(est)
+                w = zf_precoder(est, c, 1.0)
                 eff = effective_channel(h, w, c)
                 off = eff - np.diag(np.diag(eff))
                 k = scn.n_users

@@ -324,6 +324,8 @@ class TestVerifyManifest:
         # Each entry carries the true hash of the file it names, so only the
         # path rules can fail it; the files opened are recorded.
         def sha(path):
+            if not isinstance(path, str):
+                return ""
             target = os.path.join(out_dir, path)
             if not os.path.isfile(target):
                 return ""
@@ -359,6 +361,11 @@ class TestVerifyManifest:
     def test_a_file_listed_twice_fails(self, out_dir, monkeypatch):
         assert self.verify(out_dir, ["a.csv", "a.csv", "./a.csv"], monkeypatch) \
             == ["a.csv", "./a.csv"]
+
+    @pytest.mark.parametrize("path", ["a.csv\0", "a\0b", 7, None, ["a.csv"]],
+                             ids=["trailing-nul", "nul", "int", "null", "list"])
+    def test_a_path_that_names_no_file_fails_unopened(self, out_dir, monkeypatch, path):
+        assert self.verify(out_dir, [path, "a.csv"], monkeypatch) == [path]
 
 
 class TestCli:
