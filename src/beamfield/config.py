@@ -337,10 +337,14 @@ def validate(config):
         findings.append("tx_power_w: must be positive")
     if config.svg_vmax is not None and config.svg_vmax <= 0:
         findings.append("svg_vmax: must be positive")
+    builtin = {s.id for s in standard_scenarios()}
     for i, scenario in enumerate(config.custom_scenarios):
         if not scenario.id or any(c in scenario.id for c in _ID_FORBIDDEN):
             findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} cannot name artifact "
                             "files: ids must be non-empty, without '/', '\\' or NUL")
+        if scenario.id in builtin:
+            findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} is a built-in "
+                            "scenario id")
     # Artifact file names carry the id, so each scenario is defined once and runs once.
     for sid, n in Counter(s.id for s in config.custom_scenarios).items():
         if n > 1:
@@ -349,7 +353,7 @@ def validate(config):
         if n > 1:
             findings.append(f"scenarios: id {sid!r} is listed {n} times")
     ofdm = config.ofdm
-    samples = ofdm.frames * ofdm.symbols_per_frame * ofdm.active_subcarriers
+    samples = ofdm.frames * ofdm.slots_per_frame
     if samples > MAX_SAMPLES_PER_STREAM:
         findings.append(f"ofdm: {samples:.3g} samples per stream (frames x OFDM symbols x "
                         f"active subcarriers) exceed the {MAX_SAMPLES_PER_STREAM:.0e} budget")

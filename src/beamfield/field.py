@@ -17,18 +17,16 @@ A run streams its maps (:func:`heatmaps`): it takes the probe grid one
 block of grid rows at a time, computes that block's probe x element
 gains once (:func:`probe_gains`), pushes them through every scenario's
 precoder (:func:`compute_heatmap`) and drops them, so it never holds the
-whole grid's gain matrix.  It draws the precoders as the scenarios'
-link stages make them, so on a grid of one block the precoders do not
-pile up: each is dropped once its map is made.  Sharing a block's gains
-is exact, not an approximation: the image-model rays depend only on the
-array, the probe points, the room, the carrier, the channel mode and the
-element pattern, never on the precoder or the seed, so each scenario
-would rebuild the same gains bit for bit.  Streaming is exact too: every
-gain is computed by the same operations whatever the block, and a
-block's per-stream product equals the same rows of the whole grid's
-product bit for bit, except for a one-point block, which numpy evaluates
-as a dot product that may round differently; such a block is merged
-into the one before it.
+whole grid's gain matrix.  Sharing a block's gains is exact, not an
+approximation: the image-model rays depend only on the array, the probe
+points, the room, the carrier, the channel mode and the element pattern,
+never on the precoder or the seed, so each scenario would rebuild the
+same gains bit for bit.  Streaming is exact too: every gain is computed
+by the same operations whatever the block, and a block's per-stream
+product equals the same rows of the whole grid's product bit for bit,
+except for a one-point block, which numpy evaluates as a dot product
+that may round differently; such a block is merged into the one before
+it.
 """
 
 import math
@@ -125,29 +123,18 @@ def heatmaps(links, array, room, grid, cfg, calibration=1.0):
     each block's :func:`probe_gains` are computed once, pass through
     every precoder in :func:`compute_heatmap` and are dropped, so the
     maps equal :func:`compute_heatmap` over the whole grid's gains bit
-    for bit while at most one block of gains is held.  ``links`` is
-    drawn once, in order, after the first block's gains are computed,
-    and each pair meets that block as it is drawn; its precoder is kept
-    only if the grid has more blocks.  So on a one-block grid, a caller
-    that makes its pairs lazily never holds all the precoders at once.
+    for bit while at most one block of gains is held.
     """
+    links = list(links)
     n_x = len(grid.x_values)
-    (_, stop), *rest = _row_blocks(grid, array.n_active)
-    block = grid.rows(0, stop)
-    gains = probe_gains(array, room, block, cfg)
-    kept = []
-    for scenario, precoder in links:
-        values = np.empty(grid.n_points)
-        values[:stop * n_x] = compute_heatmap(scenario, precoder, block, gains,
-                                              calibration).values
-        kept.append((scenario, precoder if rest else None, values))
-    for start, stop in rest:
+    values = [np.empty(grid.n_points) for _ in links]
+    for start, stop in _row_blocks(grid, array.n_active):
         block = grid.rows(start, stop)
-        # The previous block's gains are dropped before this block's are computed.
-        del gains
         gains = probe_gains(array, room, block, cfg)
-        for scenario, precoder, values in kept:
-            values[start * n_x:stop * n_x] = compute_heatmap(scenario, precoder, block, gains,
-                                                             calibration).values
-    return [HeatMap(grid=grid, values=values, scenario_id=scenario.id)
-            for scenario, _, values in kept]
+        for (scenario, precoder), out in zip(links, values):
+            out[start * n_x:stop * n_x] = compute_heatmap(scenario, precoder, block, gains,
+                                                          calibration).values
+        # This block's gains are dropped before the next block's are computed.
+        del gains
+    return [HeatMap(grid=grid, values=out, scenario_id=scenario.id)
+            for (scenario, _), out in zip(links, values)]

@@ -143,9 +143,14 @@ class OfdmConfig:
         return self.frame_samples // self.fft_size
 
     @property
+    def slots_per_frame(self):
+        """Data symbols per stream in one frame: one per active subcarrier per OFDM symbol."""
+        return self.active_subcarriers * self.symbols_per_frame
+
+    @property
     def bits_per_frame(self):
         """Payload bits per stream in one frame."""
-        return self.active_subcarriers * self.symbols_per_frame * 6
+        return self.slots_per_frame * 6
 
 
 @dataclass(frozen=True)
@@ -305,7 +310,7 @@ def transmit_frame(precoder, h_true, combiners, cfg, seed):
 
     rng = np.random.default_rng(seed)
     noise_power = _noise_power(cfg.noise_snr_db)
-    slots = cfg.active_subcarriers * cfg.symbols_per_frame
+    slots = cfg.slots_per_frame
     errors = np.zeros(k, dtype=np.int64)
     sd, t, p = _exceedance(equalised, gain, noise_power)
     cdf = _first_exceedance_cdf(p)

@@ -3,11 +3,9 @@
 One run executes, per selected scenario, the link stages: channel
 generation, pilot-based CSI estimation, receive combining, zero-forcing
 precoding and OFDM frame transmission (per-user BER).  The probe-grid
-heat maps are streamed one block of grid rows at a time
-(:func:`~beamfield.field.heatmaps`), so the run holds one block of probe
-x element gains, never the whole grid's matrix.  The first block's gains
-are computed before the link stages and each precoder meets them as soon
-as it exists; the other blocks follow, each shared by every scenario.
+heat maps of every scenario's precoder are then streamed one block of
+grid rows at a time (:func:`~beamfield.field.heatmaps`), so the run
+holds one block of probe x element gains, never the whole grid's matrix.
 The maps are then aggregated: average map, boresight cut, decay fit,
 summary statistics and compliance checks against the built-in regional
 limits.  Every artifact is written in a fixed order with deterministic
@@ -100,19 +98,13 @@ def run(config, out_dir=None):
     text = grid_text(grid, config.formats)
     scenarios = config.selected_scenarios()
 
-    reports = []
-
-    def links():
-        # The link stages run as heatmaps draws their precoders, so on a grid
-        # of one block each precoder is dropped once its map is made.  Each
-        # link's BER report is kept, with its scenario id.
-        for index, scenario in enumerate(scenarios):
-            link = run_scenario(config, scenario, index, array, room)
-            reports.append((scenario.id, link.ber))
-            yield scenario, link.precoder
-
-    maps = heatmaps(links(), array, room, grid, config.channel,
-                    calibration=config.calibration)
+    links = [run_scenario(config, scenario, index, array, room)
+             for index, scenario in enumerate(scenarios)]
+    maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
+                    config.channel, calibration=config.calibration)
+    reports = [(link.scenario.id, link.ber) for link in links]
+    # The precoders have made their maps: the artifacts are written without them.
+    del links
 
     average = stats_mod.average_heatmaps(maps)
     cut = stats_mod.extract_cut(average, config.cut_x)
@@ -254,22 +246,31 @@ def _json_text(payload):
 def verify_manifest(out_dir):
     """Re-hash every artifact listed in a manifest; returns the paths that fail.
 
-    The manifest is untrusted input.  A run writes each artifact once,
-    directly in ``out_dir``, so a path that is not a string, contains
-    NUL, is absolute, resolves anywhere else (links included) or was
-    listed before fails unopened, as does a file that does not exist or
-    does not match its hash.
+    The manifest is untrusted input.  One that is not an object with an
+    ``artifacts`` list raises :class:`ValueError`.  An entry that is not
+    a mapping with a ``path`` is returned whole, unopened.  A run writes
+    each artifact once, directly in ``out_dir``, so a path that is not a
+    string, contains NUL, is absolute, resolves anywhere else (links
+    included) or was listed before fails unopened, as does an entry whose
+    ``sha256`` is not a string and a file that does not exist or does not
+    match its hash.
     """
     with open(os.path.join(out_dir, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("artifacts"), list):
+        raise ValueError("manifest.json is not an object with an 'artifacts' list")
     root = os.path.realpath(out_dir)
     seen = set()
     bad = []
     # One buffer for every read, so reading allocates nothing per chunk.
     chunk = memoryview(bytearray(_CHUNK))
     for art in manifest["artifacts"]:
+        if not isinstance(art, dict) or "path" not in art:
+            bad.append(art)
+            continue
         name = art["path"]
-        if not isinstance(name, str) or "\0" in name or os.path.isabs(name):
+        if (not isinstance(name, str) or not isinstance(art.get("sha256"), str)
+                or "\0" in name or os.path.isabs(name)):
             bad.append(name)
             continue
         path = os.path.realpath(os.path.join(root, name))

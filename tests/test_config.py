@@ -198,6 +198,9 @@ BAD_DOCUMENTS = [
     ("custom-id-twice", "seed: 1\nscenarios: [a]\ncustom_scenarios: [{id: a, ue_positions: "
      "[[0, 4]]}, {id: a, ue_positions: [[1, 4]]}]\n",
      "finding: custom_scenarios: id 'a' is defined 2 times\n"),
+    ("custom-id-is-built-in", "seed: 1\nscenarios: ['1']\ncustom_scenarios: [{id: '1', "
+     "ue_positions: [[2.5, 6]]}]\n",
+     "finding: custom_scenarios[0].id: '1' is a built-in scenario id\n"),
     ("csi-snr-overflow", "seed: 1\nchannel: {csi_snr_db: 3100}\n",
      "finding: channel.csi_snr_db: must lie between -3000 and 3000 dB, or be +inf; got 3100\n"),
     ("csi-snr-underflow", "seed: 1\nchannel: {csi_snr_db: -4000}\n",

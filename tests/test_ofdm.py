@@ -31,6 +31,7 @@ class TestOfdmConfig:
         cfg = OfdmConfig()
         assert cfg.sample_rate / cfg.fft_size == cfg.subcarrier_spacing
         assert cfg.symbols_per_frame == 16
+        assert cfg.slots_per_frame == 2664 * 16
         assert cfg.bits_per_frame == 2664 * 16 * 6
 
     def test_spacing_mismatch_rejected(self):
@@ -252,7 +253,7 @@ class TestFrameSampler:
     def test_peak_memory_does_not_grow_with_frames(self, array, room, scenarios, los_cfg):
         h, c, w = perfect_link(array, scenarios[7], room, los_cfg)
         ofdm_cfg = OfdmConfig(noise_snr_db=64.0)
-        k, slots = 3, ofdm_cfg.bits_per_frame // 6
+        k, slots = 3, ofdm_cfg.slots_per_frame
         # A frame holds at most its (k, slots) complex input and output and
         # the uint8 indices.
         bound = k * slots * (2 * 16 + 1) + (1 << 20)
@@ -270,7 +271,7 @@ class TestFrameSampler:
         ofdm_cfg = OfdmConfig(noise_snr_db=58.0)
         _, _, p = _exceedance_of(h, c, w, ofdm_cfg.noise_snr_db)
         assert ofdm._first_exceedance_cdf(p)[-1] == 1.0
-        k, slots = 8, ofdm_cfg.bits_per_frame // 6
+        k, slots = 8, ofdm_cfg.slots_per_frame
         # Per user and slot: the symbol index, its point, the product, the
         # two noise axes, and the tail draw's thresholds, proposals and
         # masks (measured: 85 bytes).

@@ -14,7 +14,7 @@ from beamfield import ConfigError, RunConfig, load_config, run, validate, verify
 from beamfield.channel import _GAIN_BLOCK_ENTRIES
 from beamfield.cli import main as cli_main
 from beamfield.config import from_dict
-from beamfield.field import compute_heatmap, probe_gains
+from beamfield.field import compute_heatmap, heatmaps, probe_gains
 from beamfield.render import grid_text, heatmap_json
 from beamfield.runner import run_scenario
 
@@ -152,34 +152,16 @@ class TestRun:
         assert np.concatenate([rx for _, rx in calls]).tobytes() == grid.points.tobytes()
         assert alive == [0] * 18
 
-    def test_precoders_do_not_pile_up_on_a_one_block_grid(self, tmp_path, monkeypatch):
-        # The default 56-point grid is one block, so each scenario's link
-        # stages run when its map needs the precoder, and no precoder is kept
-        # for a later block.  Only the loop variables still naming the
-        # previous link may keep its precoder while the next one is made.
-        precoders = []
-        alive = []
-        real = beamfield.runner.run_scenario
-
-        def tracked(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in precoders))
-            link = real(*args, **kwargs)
-            precoders.append(weakref.ref(link.precoder))
-            return link
-
-        monkeypatch.setattr(beamfield.runner, "run_scenario", tracked)
-        run(small_config(scenario_ids=RunConfig().scenario_ids), out_dir=str(tmp_path))
-        assert len(alive) == 8
-        assert max(alive) <= 1
-
     @pytest.mark.parametrize("mode", ["los-only", "image-order-1"])
     @pytest.mark.parametrize("pattern", ["isotropic", "cosine"])
     @pytest.mark.parametrize("grid_keys, active", [
+        # The default 56-point grid: one block.
+        (dict(), "central-8x8"),
         (dict(spacing=0.1), "central-8x8"),
         # One column of 513 rows: the last 64-element block would be one point.
         (dict(x_min=0.0, x_max=0.0, y_min=1.0, y_max=9.0, spacing=1 / 64), "central-8x8"),
         (dict(spacing=0.1), "all"),
-    ], ids=["fine", "one-column", "fine-all-elements"])
+    ], ids=["default", "fine", "one-column", "fine-all-elements"])
     def test_maps_match_the_whole_grid_gain_matrix_byte_for_byte(
             self, tmp_path, mode, pattern, grid_keys, active):
         # One and three users, so one and three streams per map.
@@ -200,6 +182,21 @@ class TestRun:
                                    calibration=config.calibration)
             written = (tmp_path / f"heatmap_scenario_{scenario.id}.json").read_text()
             assert written == heatmap_json(want, text)
+
+    def test_maps_from_a_generator_equal_maps_from_a_list(self):
+        # The 0.1 m grid spans 18 blocks, so every pair meets every block.
+        config = small_config(grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
+        room, array, grid = config.room, config.build_array(), config.build_grid()
+        links = [run_scenario(config, scenario, i, array, room)
+                 for i, scenario in enumerate(config.selected_scenarios())]
+        pairs = [(link.scenario, link.precoder) for link in links]
+        from_list = heatmaps(pairs, array, room, grid, config.channel, calibration=0.7)
+        from_generator = heatmaps((pair for pair in pairs), array, room, grid, config.channel,
+                                  calibration=0.7)
+        assert len(from_list) == len(from_generator) == 2
+        for a, b in zip(from_list, from_generator):
+            assert a.scenario_id == b.scenario_id
+            assert a.values.tobytes() == b.values.tobytes()
 
     def test_one_scenario_csv_run_holds_less_than_its_gain_matrix(self, tmp_path):
         # The 0.05 m grid: 121 x 141 points x 64 elements would be a 17.5 MB
@@ -333,7 +330,12 @@ class TestVerifyManifest:
                 return hashlib.sha256(fh.read()).hexdigest()
 
         artifacts = [{"path": p, "sha256": sha(p)} for p in paths]
-        (out_dir / "manifest.json").write_text(json.dumps({"artifacts": artifacts}))
+        bad, _ = self.check(out_dir, {"artifacts": artifacts}, monkeypatch)
+        return bad
+
+    def check(self, out_dir, manifest, monkeypatch):
+        # Returns what verify_manifest returns and the files it opened.
+        (out_dir / "manifest.json").write_text(json.dumps(manifest))
         opened = []
 
         def recording(path, *args, **kwargs):
@@ -344,7 +346,7 @@ class TestVerifyManifest:
         bad = verify_manifest(str(out_dir))
         root = os.path.realpath(out_dir)
         assert all(os.path.dirname(path) == root for path in opened), opened
-        return bad
+        return bad, opened
 
     def test_listed_files_that_match_pass(self, out_dir, monkeypatch):
         assert self.verify(out_dir, ["a.csv"], monkeypatch) == []
@@ -366,6 +368,29 @@ class TestVerifyManifest:
                              ids=["trailing-nul", "nul", "int", "null", "list"])
     def test_a_path_that_names_no_file_fails_unopened(self, out_dir, monkeypatch, path):
         assert self.verify(out_dir, [path, "a.csv"], monkeypatch) == [path]
+
+    @pytest.mark.parametrize("entry, returned", [
+        ({"path": "a.csv"}, "a.csv"),
+        ({"path": "a.csv", "sha256": None}, "a.csv"),
+        ("a.csv", "a.csv"),
+        ({"sha256": "0" * 64}, {"sha256": "0" * 64}),
+    ], ids=["no-sha256", "null-sha256", "bare-string", "no-path"])
+    def test_a_malformed_entry_is_returned_unopened(self, out_dir, monkeypatch, entry,
+                                                    returned):
+        good = {"path": "a.csv", "sha256": hashlib.sha256(b"a\n").hexdigest()}
+        bad, opened = self.check(out_dir, {"artifacts": [entry, good]}, monkeypatch)
+        assert bad == [returned]
+        assert opened.count(os.path.realpath(out_dir / "a.csv")) == 1
+
+    @pytest.mark.parametrize("manifest", [
+        {"artifacts": "a.csv"},
+        {"artifacts": {"path": "a.csv"}},
+        [{"path": "a.csv"}],
+        {},
+    ], ids=["artifacts-string", "artifacts-mapping", "list-root", "no-artifacts"])
+    def test_a_manifest_without_an_artifacts_list_raises(self, out_dir, monkeypatch, manifest):
+        with pytest.raises(ValueError, match="'artifacts' list"):
+            self.check(out_dir, manifest, monkeypatch)
 
 
 class TestCli:
