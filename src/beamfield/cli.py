@@ -6,12 +6,15 @@ Verbs:
     scenarios  list the built-in beamforming scenarios
     render     re-render an existing heat-map CSV to SVG/ASCII
 
+A verb imports what only it uses, so a ``validate`` launch loads neither
+the runner (nor ``hashlib`` with it), the renderer nor the compliance
+checks.
+
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -20,10 +23,7 @@ import numpy as np
 
 from .config import EXPORT_FORMATS, RunConfig, load_config, read_yaml, validate
 from .errors import BeamfieldError, ConfigError
-from .field import HeatMap
 from .geometry import ProbeGrid, standard_scenarios
-from .render import grid_text, heatmap_ascii, heatmap_svg
-from .runner import run
 
 
 def _build_parser():
@@ -81,6 +81,8 @@ def _cmd_validate(args):
 
 
 def _cmd_run(args):
+    from .runner import run
+
     config = _apply_overrides(load_config(args.config) if args.config else RunConfig(), args)
     manifest = run(config)
     print(f"run complete: {len(manifest.artifacts)} artifacts in {manifest.out_dir}")
@@ -92,6 +94,8 @@ def _cmd_run(args):
 
 
 def _print_compliance_table(manifest):
+    import json
+
     reports = []
     for art in manifest.artifacts:
         if art["type"] != "compliance":
@@ -137,6 +141,8 @@ def _parse_csv_row(path, lineno, line):
 
 def _read_heatmap_csv(path):
     """Rebuild a HeatMap from the runner's x_m,y_m,e_vpm CSV."""
+    from .field import HeatMap
+
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -173,6 +179,8 @@ def _read_heatmap_csv(path):
 
 
 def _cmd_render(args):
+    from .render import grid_text, heatmap_ascii, heatmap_svg
+
     if args.vmax is not None and not 0 < args.vmax < math.inf:
         raise ConfigError(f"--vmax: must be a positive, finite V/m value, got {args.vmax!r}")
     heatmap = _read_heatmap_csv(args.csv)

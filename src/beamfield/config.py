@@ -426,10 +426,11 @@ def validate(config):
             if y <= lit_y:
                 findings.append(f"scenario {sid}: user {u} at y = {y:g} m gets no field: "
                                 f"the cosine pattern lights only y > {lit_y:g} m")
-    # Probe points are (x, y, height) over the lattice axes: compare per axis, in
-    # O(elements) memory rather than with a points x elements difference.
-    if np.any(np.isin(tx[:, 0], grid.x_values) & np.isin(tx[:, 1], grid.y_values)
-              & (tx[:, 2] == grid.probe_height)):
+    # Probe points are (x, y, height) over the lattice axes: exact membership per
+    # axis, in O(axis + elements) memory rather than a points x elements difference.
+    # (np.isin sorts through np.unique, which imports numpy.ma on a long axis.)
+    on_x, on_y = set(grid.x_values.tolist()), set(grid.y_values.tolist())
+    if any(x in on_x and y in on_y and z == grid.probe_height for x, y, z in tx.tolist()):
         findings.append("grid: a probe point coincides exactly with a transmit element")
     try:
         cut_column(grid, config.cut_x)

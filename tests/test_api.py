@@ -6,6 +6,10 @@ import importlib
 import inspect
 import os
 import pkgutil
+import subprocess
+import sys
+
+import pytest
 
 import beamfield
 from beamfield import (
@@ -54,6 +58,10 @@ REMOVED = ("los_gain", "element_field", "superpose_fields", "power_to_field",
            "in_footprint", "SingularMatrixError")
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LAYERS = sorted(info.name for info in pkgutil.iter_modules(beamfield.__path__))
+
+
 def _modules():
     yield beamfield
     for info in pkgutil.iter_modules(beamfield.__path__):
@@ -67,6 +75,72 @@ def _field_names(cls):
 def test_all_names_the_pipeline():
     assert beamfield.__all__ == PUBLIC
     assert all(hasattr(beamfield, name) for name in PUBLIC)
+
+
+def test_every_name_is_the_object_its_home_module_defines():
+    assert sorted(beamfield._HOME) == sorted(PUBLIC)
+    for name in PUBLIC:
+        home = importlib.import_module(f"beamfield.{beamfield._HOME[name]}")
+        obj = getattr(beamfield, name)
+        assert obj is getattr(home, name), name
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+
+
+def test_a_name_rebound_in_its_home_module_reads_as_rebound(monkeypatch):
+    # The benchmark's tracer rebinds layer functions and then restores them.
+    original = beamfield.run
+    monkeypatch.setattr(beamfield.runner, "run", lambda *a, **k: None)
+    assert beamfield.run is beamfield.runner.run is not original
+    monkeypatch.undo()
+    assert beamfield.run is original
+    assert "run" not in vars(beamfield)
+
+
+def test_dir_lists_every_export_and_unknown_names_raise():
+    assert set(PUBLIC) <= set(dir(beamfield))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        beamfield.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from beamfield import *", namespace)
+    assert {name: namespace[name] for name in PUBLIC} == \
+        {name: getattr(beamfield, name) for name in PUBLIC}
+
+
+def _launch(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_every_layer_module_resolves_after_importing_the_cli():
+    # A fresh process: this one has imported every layer already.
+    script = ("import sys, beamfield, beamfield.cli\n"
+              "assert 'beamfield.runner' not in sys.modules\n"
+              f"for layer in {LAYERS!r}:\n"
+              "    assert getattr(beamfield, layer) is sys.modules['beamfield.' + layer]\n")
+    result = _launch("-c", script)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_a_validate_launch_loads_no_run_only_module(tmp_path):
+    # The launch the benchmark times, on a 0.1 m grid: 61 lattice columns.
+    path = tmp_path / "fine.yaml"
+    path.write_text("seed: 1\ngrid: {spacing: 0.1}\nofdm: {frames: 1}\n")
+    result = _launch("-X", "importtime", "-m", "beamfield.cli", "validate",
+                     "--config", str(path))
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.startswith("configuration OK")
+    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    assert "beamfield.config" in loaded
+    run_only = {"beamfield.runner", "beamfield.render", "beamfield.compliance", "hashlib",
+                "numpy.ma"}
+    assert loaded & run_only == set()
 
 
 def test_test_only_helpers_stay_out_of_the_package():

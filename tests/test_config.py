@@ -128,6 +128,12 @@ class TestSingleSourceOfTruth:
         assert validate(doc).findings == ("ofdm.noise_snr_db: must be finite, got -inf",)
 
 
+def _element_on_the_grid(spacing, height=1.3005):
+    """An active element at (0, 0, 1.3005) m and, at ``height``, a probe row at y = 0."""
+    return (f"seed: 1\narray: {{center: [0.1995, 0, 1.5]}}\n"
+            f"grid: {{y_min: 0, height: {height!r}, spacing: {spacing}}}\n")
+
+
 # Each document passed validation, was read as something else, or crashed.
 BAD_DOCUMENTS = [
     ("nan-noise-snr", "seed: 1\nofdm: {noise_snr_db: .nan}\n", "ofdm.noise_snr_db"),
@@ -226,6 +232,11 @@ BAD_DOCUMENTS = [
     ("retired-workers-bool", "seed: 1\nworkers: true\n", "finding: workers: retired"),
     ("retired-time-domain", "seed: 1\nofdm: {time_domain: true}\n",
      "finding: ofdm.time_domain: retired"),
+    # A short and a long lattice axis: 7 and 61 columns.
+    ("probe-on-an-element-7-columns", _element_on_the_grid(1.0),
+     "finding: grid: a probe point coincides exactly with a transmit element\n"),
+    ("probe-on-an-element-61-columns", _element_on_the_grid(0.1),
+     "finding: grid: a probe point coincides exactly with a transmit element\n"),
 ]
 
 
@@ -357,6 +368,11 @@ def test_cut_x_finding_stays_short_on_a_fine_grid():
     assert finding.startswith("cut_x: 0 is not a grid column")
     assert "-0.0035 and 0.003" in finding
     assert len(finding) < 200
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.1])
+def test_a_probe_row_a_nanometre_off_the_element_is_no_finding(spacing):
+    assert validate(yaml.safe_load(_element_on_the_grid(spacing, 1.3005 + 1e-9))).ok
 
 
 def test_symbol_budget_leaves_room_for_long_runs():
