@@ -9,8 +9,8 @@ the regulatory compliance checks.
 
 Importing the package loads none of its layers. Each exported name, and
 each layer module (``beamfield.runner``), loads its module on first use
-(PEP 562), so ``beamfield validate`` never loads the runner, the
-renderer or the compliance checks.
+(PEP 562), so ``beamfield validate`` loads only ``config``,
+``geometry``, ``channel``, ``ofdm``, ``stats`` and ``errors``.
 """
 
 import importlib

@@ -6,9 +6,9 @@ Verbs:
     scenarios  list the built-in beamforming scenarios
     render     re-render an existing heat-map CSV to SVG/ASCII
 
-A verb imports what only it uses, so a ``validate`` launch loads neither
-the runner (nor ``hashlib`` with it), the renderer nor the compliance
-checks.
+A verb imports what only it uses, so a ``validate`` launch loads only
+``config`` and the layers it checks with: ``geometry``, ``channel``,
+``ofdm``, ``stats`` and ``errors``.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
@@ -154,21 +154,12 @@ def _read_heatmap_csv(path):
         raise ConfigError(f"{path}: line 2: no data rows after the header")
     xs = np.array(sorted({r[0] for r in rows}))
     ys = np.array(sorted({r[1] for r in rows}))
-    lookup = {(r[0], r[1]): r[2] for r in rows}
-    if len(lookup) != len(rows) or len(xs) * len(ys) != len(rows):
+    if len({r[:2] for r in rows}) != len(rows) or len(xs) * len(ys) != len(rows):
         raise ConfigError(f"{path}: points do not form a complete lattice")
-    values = np.empty(len(rows))
-    points = np.empty((len(rows), 3))
-    k = 0
-    for y in ys:
-        for x in xs:
-            points[k] = (x, y, 0.0)
-            values[k] = lookup[(x, y)]
-            k += 1
-    axis = xs if len(xs) > 1 else ys  # a one-column grid steps in y
-    spacing = float(axis[1] - axis[0]) if len(axis) > 1 else 1.0
-    grid = ProbeGrid(points=points, spacing=spacing, probe_height=0.0,
-                     x_values=xs, y_values=ys)
+    # Every lattice point appears once, so sorting by (y, x) puts the values in grid order.
+    x, y, values = np.array(rows).T
+    values = values[np.lexsort((x, y))]
+    grid = ProbeGrid(xs, ys, 0.0)
     # The run names its maps by scenario id, and the average map "average".
     stem = os.path.basename(path).removesuffix(".csv")
     if stem == "heatmap_average":

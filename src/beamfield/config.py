@@ -442,7 +442,7 @@ def validate(config):
     lit = (ys > lit_y).astype(float)
     min_distance = config.fit_min_distance(array)
     try:
-        fit_decay(CutProfile(config.cut_x, ys, lit), min_distance)
+        fit_decay(CutProfile(ys, lit), min_distance)
     except ValueError as exc:
         rows = "" if min_distance is None else \
             f" at or beyond the {min_distance:.3g} m far-field distance"

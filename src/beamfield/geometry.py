@@ -5,7 +5,7 @@ boresight along +y.  The room footprint is x in [-width/2, +width/2],
 y in [0, length], z in [0, height]; the floor is z = 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,32 +167,41 @@ class Scenario:
 class ProbeGrid:
     """Regular lattice of probe positions at a fixed height.
 
-    Points are ordered row-major: y ascending, x ascending within each
-    row, so serialized artifacts are byte-for-byte reproducible.  A grid
-    row is one y value; ``x_values`` and ``y_values`` are the lattice axes.
+    The axes ``x_values`` and ``y_values`` are the whole lattice; the
+    points, their count and the step derive from them.  Points are
+    ordered row-major: y ascending, x ascending within each row, so
+    serialized artifacts are byte-for-byte reproducible.  A grid row is
+    one y value.
     """
 
-    points: np.ndarray
-    spacing: float
+    x_values: np.ndarray
+    y_values: np.ndarray
     probe_height: float
-    x_values: np.ndarray = field(repr=False)
-    y_values: np.ndarray = field(repr=False)
+
+    @property
+    def points(self):
+        """(n_points, 3) probe positions in grid order, built on each access."""
+        gx, gy = np.meshgrid(self.x_values, self.y_values)
+        return np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, self.probe_height)])
 
     @property
     def n_points(self):
-        return self.points.shape[0]
+        return len(self.x_values) * len(self.y_values)
+
+    @property
+    def spacing(self):
+        """The x-axis step; the y-axis step on a one-column grid; 1 m on a single point."""
+        axis = self.x_values if len(self.x_values) > 1 else self.y_values
+        return float(axis[1] - axis[0]) if len(axis) > 1 else 1.0
 
     def rows(self, start, stop):
         """The sub-grid of grid rows ``start`` to ``stop`` (y_values[start:stop])."""
-        n_x = len(self.x_values)
-        return ProbeGrid(points=self.points[start * n_x:stop * n_x], spacing=self.spacing,
-                         probe_height=self.probe_height, x_values=self.x_values,
-                         y_values=self.y_values[start:stop])
+        return replace(self, y_values=self.y_values[start:stop])
 
     def same_lattice(self, other):
-        return self.points.shape == other.points.shape and np.array_equal(
-            self.points, other.points
-        )
+        return (self.probe_height == other.probe_height
+                and np.array_equal(self.x_values, other.x_values)
+                and np.array_equal(self.y_values, other.y_values))
 
 
 def build_array(
@@ -300,18 +309,9 @@ def build_grid(
     if room is not None:
         room.require_inside([(x_min, y_min, height), (x_max, y_max, height)], "grid corner")
 
-    gx, gy = np.meshgrid(xs, ys)
-    points = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, float(height))])
-    points.setflags(write=False)
     xs.setflags(write=False)
     ys.setflags(write=False)
-    return ProbeGrid(
-        points=points,
-        spacing=float(spacing),
-        probe_height=float(height),
-        x_values=xs,
-        y_values=ys,
-    )
+    return ProbeGrid(xs, ys, float(height))
 
 
 def _lattice_axis(lo, hi, step):

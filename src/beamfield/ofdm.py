@@ -79,8 +79,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .precoding import effective_channel
-
 _QAM_SCALE = 1.0 / math.sqrt(42.0)
 
 # level = _LEVEL_BY_VALUE[3-bit value], MSB first; inverse below.
@@ -302,6 +300,9 @@ def transmit_frame(precoder, h_true, combiners, cfg, seed):
         raise ValueError(
             f"precoder has {precoder.n_streams} streams for {k} users"
         )
+    # Imported here, so validation, which reads OfdmConfig only, loads no precoding.
+    from .precoding import effective_channel
+
     eff = effective_channel(h_true, precoder, combiners)
     gain = np.diag(eff)
     if np.any(np.abs(gain) == 0.0):

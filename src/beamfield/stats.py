@@ -1,10 +1,8 @@
 """Statistics over heat maps: averaging, cut extraction, decay fits, summaries."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .field import HeatMap
 
 # How far a cut's x may lie from a grid column's and still select it (m).
 _COLUMN_TOL = 1e-9
@@ -18,7 +16,6 @@ class CutProfile:
     range from the array plane at y = 0.
     """
 
-    fixed_value: float
     distances: np.ndarray
     fields: np.ndarray
 
@@ -61,7 +58,7 @@ def average_heatmaps(maps):
             raise ValueError("heat maps must share an identical grid")
     stack = np.stack([m.values for m in maps])
     mean = np.sort(stack, axis=0).sum(axis=0) / len(maps)
-    return HeatMap(grid=first.grid, values=mean, scenario_id="average")
+    return replace(first, values=mean, scenario_id="average")
 
 
 def cut_column(grid, x):
@@ -84,15 +81,10 @@ def cut_column(grid, x):
 
 def extract_cut(heatmap, x):
     """Column of the heat map at a fixed x, as a distance-ordered profile."""
-    xs = heatmap.grid.x_values
     col = cut_column(heatmap.grid, x)
     rows = heatmap.as_grid_rows()
     ys = np.asarray(heatmap.grid.y_values, dtype=float)
-    return CutProfile(
-        fixed_value=float(xs[col]),
-        distances=ys.copy(),
-        fields=rows[:, col].copy(),
-    )
+    return CutProfile(distances=ys.copy(), fields=rows[:, col].copy())
 
 
 def fit_decay(profile, min_distance=None):
@@ -126,12 +118,13 @@ def summary(heatmap):
     if v.size == 0:
         raise ValueError("heat map is empty")
     idx = int(np.argmax(v))
-    pos = heatmap.grid.points[idx]
+    grid = heatmap.grid
+    iy, ix = divmod(idx, len(grid.x_values))
     rank = max(int(np.ceil(0.95 * v.size)), 1)
     p95 = float(np.sort(v)[rank - 1])
     return SummaryStats(
         max=float(v[idx]),
-        max_position=(float(pos[0]), float(pos[1])),
+        max_position=(float(grid.x_values[ix]), float(grid.y_values[iy])),
         min=float(v.min()),
         mean=float(v.mean()),
         p95=p95,

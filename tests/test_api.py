@@ -20,6 +20,7 @@ from beamfield import (
     CutProfile,
     OfdmConfig,
     PrecodingMatrix,
+    ProbeGrid,
     Room,
     Scenario,
     build_array,
@@ -138,7 +139,8 @@ def test_a_validate_launch_loads_no_run_only_module(tmp_path):
     loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
               if line.startswith("import time:") and "|" in line}
     assert "beamfield.config" in loaded
-    run_only = {"beamfield.runner", "beamfield.render", "beamfield.compliance", "hashlib",
+    run_only = {"beamfield.runner", "beamfield.render", "beamfield.compliance",
+                "beamfield.field", "beamfield.precoding", "beamfield.linalg", "hashlib",
                 "numpy.ma"}
     assert loaded & run_only == set()
 
@@ -151,7 +153,9 @@ def test_test_only_helpers_stay_out_of_the_package():
 def test_fields_nothing_reads_stay_deleted():
     assert _field_names(ArrayGeometry) == ["element_positions", "active_mask"]
     assert "carrier_frequency" not in inspect.signature(build_array).parameters
-    assert "axis" not in _field_names(CutProfile)
+    assert _field_names(CutProfile) == ["distances", "fields"]
+    # The axes are the lattice; points, count and step derive from them.
+    assert _field_names(ProbeGrid) == ["x_values", "y_values", "probe_height"]
     assert "exceedance_mask" not in _field_names(ComplianceReport)
     assert _field_names(PrecodingMatrix) == ["w"]
     assert not hasattr(PrecodingMatrix, "total_power")

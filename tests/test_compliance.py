@@ -22,8 +22,7 @@ def constant_map(grid, value):
 
 
 def profile(distances, fields):
-    return CutProfile(fixed_value=0.0,
-                      distances=np.asarray(distances, dtype=float),
+    return CutProfile(distances=np.asarray(distances, dtype=float),
                       fields=np.asarray(fields, dtype=float))
 
 

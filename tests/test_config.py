@@ -340,6 +340,20 @@ def test_grid_budget_is_checked_before_allocating():
     assert peak < 1 << 20
 
 
+def test_validating_a_grid_near_the_point_budget_holds_only_its_axes():
+    # 726 x 1363 = 989 538 points; validation reads the lattice axes alone.
+    doc = {"seed": 1, "cut_x": -3.7,
+           "grid": {"x_min": -3.7, "x_max": 3.7, "y_min": 1, "y_max": 14.9, "spacing": 0.0102}}
+    tracemalloc.start()
+    try:
+        report = validate(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok, report.findings
+    assert peak < 2 << 20
+
+
 def test_budgets_keep_the_default_array():
     # 64 active elements fit over every grid the point budget allows.
     assert MAX_GAIN_ENTRIES == MAX_GRID_POINTS * 64

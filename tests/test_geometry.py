@@ -173,7 +173,7 @@ class TestBuildGrid:
     @pytest.mark.parametrize("axes", [{}, {"x_values": np.zeros(1)}, {"y_values": np.zeros(1)}])
     def test_axes_are_required(self, axes):
         with pytest.raises(TypeError, match="_values"):
-            ProbeGrid(points=np.zeros((1, 3)), spacing=1.0, probe_height=1.5, **axes)
+            ProbeGrid(probe_height=1.5, **axes)
 
     def test_rows_are_a_sub_grid(self, grid):
         block = grid.rows(2, 5)
@@ -181,6 +181,21 @@ class TestBuildGrid:
         assert block.y_values.tolist() == [3.0, 4.0, 5.0]
         assert block.x_values is grid.x_values
         assert (block.spacing, block.probe_height) == (grid.spacing, grid.probe_height)
+
+    def test_same_lattice_compares_axes_and_height(self, grid):
+        assert grid.same_lattice(build_grid())
+        assert not grid.same_lattice(build_grid(height=1.2))
+        ys = grid.y_values.copy()
+        ys[-1] = 8.5
+        assert not grid.same_lattice(ProbeGrid(grid.x_values, ys, grid.probe_height))
+
+    @pytest.mark.parametrize("args, step", [
+        ((-3.0, 3.0, 1.0, 8.0, 0.5), 0.5),
+        ((0.0, 0.0, 1.0, 8.0, 0.25), 0.25),  # one column: the y step
+        ((0.0, 0.0, 2.0, 2.0, 0.25), 1.0),  # one point: 1 m
+    ])
+    def test_spacing_follows_the_axes(self, args, step):
+        assert build_grid(*args).spacing == step
 
 
 class TestRoom:

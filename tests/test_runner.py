@@ -450,6 +450,28 @@ class TestCli:
         assert footer.endswith(step)
         assert (again / "heatmap_scenario_1.txt").read_text().splitlines()[-1] == footer
 
+    def test_a_csv_with_shuffled_rows_renders_the_same(self, tmp_path):
+        run(small_config(scenario_ids=("1",), formats=("csv",)), out_dir=str(tmp_path / "run"))
+        header, *rows = (tmp_path / "run" / "heatmap_scenario_1.csv").read_text().splitlines(True)
+        np.random.default_rng(3).shuffle(rows)
+        (tmp_path / "shuffled").mkdir()
+        shuffled = tmp_path / "shuffled" / "heatmap_scenario_1.csv"
+        shuffled.write_text(header + "".join(rows))
+        rendered = []
+        for csv_path in (tmp_path / "run" / "heatmap_scenario_1.csv", shuffled):
+            out = csv_path.parent / "render"
+            assert cli_main(["render", str(csv_path), "--out", str(out)]) == 0
+            rendered.append(read_all(out))
+        assert sorted(rendered[0]) == ["heatmap_scenario_1.svg", "heatmap_scenario_1.txt"]
+        assert rendered[0] == rendered[1]
+
+    def test_a_single_point_csv_steps_one_metre(self, tmp_path):
+        path = tmp_path / "heatmap_scenario_1.csv"
+        path.write_text("x_m,y_m,e_vpm\n0.5,2,3\n")
+        assert cli_main(["render", str(path), "--format", "ascii"]) == 0
+        footer = (tmp_path / "heatmap_scenario_1.txt").read_text().splitlines()[-1]
+        assert footer.endswith("step 1 m")
+
     @pytest.mark.parametrize("body, line, message", [
         ("", 2, "no data rows"),
         ("0,1,2\n1,1\n", 3, "expected 3 fields"),

@@ -73,7 +73,6 @@ class TestAverageHeatmaps:
 class TestExtractCut:
     def test_centre_column(self, scenario_maps):
         cut = extract_cut(scenario_maps[0], 0.0)
-        assert cut.fixed_value == 0.0
         assert np.array_equal(cut.distances, np.arange(1.0, 9.0))
         rows = scenario_maps[0].as_grid_rows()
         assert np.array_equal(cut.fields, rows[:, 3])
@@ -99,22 +98,22 @@ class TestExtractCut:
 class TestFitDecay:
     def test_exact_inverse_distance(self):
         d = np.arange(1.0, 9.0)
-        p = CutProfile(fixed_value=0.0, distances=d, fields=5.0 / d)
+        p = CutProfile(distances=d, fields=5.0 / d)
         exponent, r2 = fit_decay(p)
         assert exponent == pytest.approx(-1.0, abs=1e-9)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_inverse_square(self):
         d = np.arange(1.0, 9.0)
-        p = CutProfile(fixed_value=0.0, distances=d, fields=5.0 / d**2)
+        p = CutProfile(distances=d, fields=5.0 / d**2)
         exponent, _ = fit_decay(p)
         assert exponent == pytest.approx(-2.0, abs=1e-9)
 
     def test_scale_invariance(self):
         d = np.arange(1.0, 9.0)
         f = 5.0 / d
-        p1 = CutProfile(fixed_value=0.0, distances=d, fields=f)
-        p2 = CutProfile(fixed_value=0.0, distances=d, fields=1e3 * f)
+        p1 = CutProfile(distances=d, fields=f)
+        p2 = CutProfile(distances=d, fields=1e3 * f)
         assert fit_decay(p1)[0] == pytest.approx(fit_decay(p2)[0], abs=1e-9)
 
     def test_simulated_boresight_cut(self, array, scenario_maps, los_cfg):
@@ -125,14 +124,12 @@ class TestFitDecay:
         assert -1.1 <= exponent <= -0.9
 
     def test_too_few_samples_rejected(self):
-        p = CutProfile(fixed_value=0.0,
-                       distances=np.array([1.0, 2.0]), fields=np.array([1.0, 0.5]))
+        p = CutProfile(distances=np.array([1.0, 2.0]), fields=np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="at least 3"):
             fit_decay(p)
 
     def test_zero_field_rejected(self):
-        p = CutProfile(fixed_value=0.0,
-                       distances=np.arange(1.0, 5.0),
+        p = CutProfile(distances=np.arange(1.0, 5.0),
                        fields=np.array([1.0, 0.5, 0.0, 0.25]))
         with pytest.raises(ValueError, match="positive"):
             fit_decay(p)
