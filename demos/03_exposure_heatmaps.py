@@ -25,7 +25,7 @@ text = grid_text(grid, ("svg",))
 
 # The link stages of every scenario, then all their maps from one pass
 # over the probe grid's gains.
-links = [run_scenario(config, scn, i, array, room)
+links = [run_scenario(config, scn, i, array)
          for i, scn in enumerate(standard_scenarios())]
 maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                 config.channel, calibration=config.calibration)

@@ -24,7 +24,7 @@ from beamfield.runner import run_scenario
 def scenario_maps(config):
     room = config.room
     array = config.build_array()
-    links = [run_scenario(config, scn, i, array, room)
+    links = [run_scenario(config, scn, i, array)
              for i, scn in enumerate(standard_scenarios())]
     return array, heatmaps([(link.scenario, link.precoder) for link in links], array, room,
                            config.build_grid(), config.channel,

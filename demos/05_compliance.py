@@ -26,7 +26,7 @@ config = dataclasses.replace(
 room = config.room
 array = config.build_array()
 grid = config.build_grid()
-links = [run_scenario(config, scn, i, array, room)
+links = [run_scenario(config, scn, i, array)
          for i, scn in enumerate(standard_scenarios())]
 maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                 config.channel, calibration=config.calibration)

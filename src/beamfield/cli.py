@@ -14,14 +14,13 @@ Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
 
 import numpy as np
 
-from .config import EXPORT_FORMATS, RunConfig, load_config, read_yaml, validate
+from .config import EXPORT_FORMATS, RunConfig, from_dict, read_yaml, validate
 from .errors import BeamfieldError, ConfigError
 from .geometry import ProbeGrid, standard_scenarios
 
@@ -38,13 +37,13 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="execute a full run and write artifacts")
     p_run.add_argument("--config", help="YAML config file (defaults built in)")
-    p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--seed", type=int, help="seed override")
+    p_run.add_argument("--out", help="output directory (sets output_dir)")
+    p_run.add_argument("--seed", type=int, help="run seed (sets seed)")
     p_run.add_argument("--scenario", action="append", default=None,
-                       help="scenario id to run (repeatable; default: all in config)")
+                       help="scenario id to run (repeatable; sets scenarios)")
     p_run.add_argument("--format", action="append", default=None,
                        choices=EXPORT_FORMATS,
-                       help="export format (repeatable; overrides config)")
+                       help="export format (repeatable; sets formats)")
 
     sub.add_parser("scenarios", help="list the built-in scenarios")
 
@@ -55,19 +54,6 @@ def _build_parser():
     p_ren.add_argument("--out", help="output directory (default: alongside the CSV)")
     p_ren.add_argument("--vmax", type=float, help="top of the colour scale in V/m")
     return parser
-
-
-def _apply_overrides(config, args):
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "scenario", None):
-        updates["scenario_ids"] = tuple(str(s) for s in args.scenario)
-    if getattr(args, "format", None):
-        updates["formats"] = tuple(sorted(set(args.format)))
-    if getattr(args, "out", None):
-        updates["output_dir"] = args.out
-    return dataclasses.replace(config, **updates) if updates else config
 
 
 def _cmd_validate(args):
@@ -83,8 +69,13 @@ def _cmd_validate(args):
 def _cmd_run(args):
     from .runner import run
 
-    config = _apply_overrides(load_config(args.config) if args.config else RunConfig(), args)
-    manifest = run(config)
+    # A flag sets its document key, so the document's own rules read it.
+    doc = read_yaml(args.config) if args.config else {"seed": RunConfig.seed}
+    if isinstance(doc, dict):
+        flags = {"seed": args.seed, "scenarios": args.scenario, "formats": args.format,
+                 "output_dir": args.out}
+        doc = {**doc, **{key: value for key, value in flags.items() if value is not None}}
+    manifest = run(from_dict(doc))
     print(f"run complete: {len(manifest.artifacts)} artifacts in {manifest.out_dir}")
     for art in manifest.artifacts:
         scen = f" [scenario {art['scenario']}]" if art["scenario"] else ""

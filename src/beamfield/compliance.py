@@ -50,7 +50,7 @@ def check(heatmap, region):
     """Pointwise comparison of a heat map against a regional limit."""
     limit = _limit(region)
     count = int(np.count_nonzero(heatmap.values > limit))
-    peak = float(heatmap.values.max()) if heatmap.values.size else 0.0
+    peak = float(heatmap.values.max())
     margin = -math.inf if peak == 0.0 else 20.0 * math.log10(peak / limit)
     return ComplianceReport(
         region=region,

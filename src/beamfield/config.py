@@ -296,6 +296,12 @@ _INF_ALLOWED = {"channel.csi_snr_db", "ofdm.noise_snr_db"}
 # non-zero; 10^310 overflows a float and 10^-400 rounds to 0.
 MAX_SNR_DB = 3000.0
 
+# Largest value of calibration and tx_power_w, and the inverse of the smallest.
+# A map value is calibration * sqrt(tx_power_w) times its value at unit scales,
+# so it stays within a factor 1e150 of that, and the stream powers summed under
+# the root within 1e100: far from overflowing a float or rounding to 0.
+MAX_SCALE = 1e100
+
 
 def _nonfinite(obj, path=""):
     """Findings for every float field (or float in a tuple field) that is not finite."""
@@ -331,10 +337,6 @@ def validate(config):
         findings.append("scenarios: expected a non-empty list of scenario ids")
     if config.seed < 0:
         findings.append("seed: must be non-negative")
-    if config.calibration <= 0:
-        findings.append("calibration: must be positive")
-    if config.tx_power_w <= 0:
-        findings.append("tx_power_w: must be positive")
     if config.svg_vmax is not None and config.svg_vmax <= 0:
         findings.append("svg_vmax: must be positive")
     builtin = {s.id for s in standard_scenarios()}
@@ -358,7 +360,7 @@ def validate(config):
         findings.append(f"ofdm: {samples:.3g} samples per stream (frames x OFDM symbols x "
                         f"active subcarriers) exceed the {MAX_SAMPLES_PER_STREAM:.0e} budget")
     if findings:
-        # The checks below assume finite values, a positive power and a scenario.
+        # The checks below assume finite values and a scenario.
         return ValidationReport(findings=tuple(findings))
 
     for where, snr in (("channel.csi_snr_db", config.channel.csi_snr_db),
@@ -366,6 +368,11 @@ def validate(config):
         if math.isfinite(snr) and abs(snr) > MAX_SNR_DB:
             findings.append(f"{where}: must lie between {-MAX_SNR_DB:g} and {MAX_SNR_DB:g} "
                             f"dB, or be +inf; got {snr:g}")
+    for where, scale in (("calibration", config.calibration),
+                         ("tx_power_w", config.tx_power_w)):
+        if not 1 / MAX_SCALE <= scale <= MAX_SCALE:
+            findings.append(f"{where}: must lie between {1 / MAX_SCALE:g} and "
+                            f"{MAX_SCALE:g}; got {scale!r}")
     if not math.isfinite(wavelength(config.channel.carrier_frequency)):
         # UE antennas sit half a wavelength apart: none has a position.
         findings.append(f"channel.carrier_frequency: {config.channel.carrier_frequency:g} Hz "

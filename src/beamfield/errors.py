@@ -10,10 +10,10 @@ class ZfInfeasibleError(BeamfieldError, ValueError):
 
     ``pivot_index`` is the first user whose row is not separable from the
     rows before it (its energy left after projecting them out fell below
-    the rank threshold), or None for a stream left without power.
+    the rank threshold).
     """
 
-    def __init__(self, message, pivot_index=None):
+    def __init__(self, message, pivot_index):
         super().__init__(message)
         self.pivot_index = pivot_index
 

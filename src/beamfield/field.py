@@ -52,6 +52,8 @@ class HeatMap:
     def __post_init__(self):
         if self.values.shape[0] != self.grid.n_points:
             raise ValueError("heat map has one value per grid point")
+        if not self.values.size:
+            raise ValueError("heat map has no points")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("field values must be finite and non-negative")
 

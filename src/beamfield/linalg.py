@@ -17,16 +17,6 @@ from .errors import ZfInfeasibleError
 RANK_EPS = 1e-12
 
 
-def as_complex_matrix(a):
-    """Coerce input to a 2-D complex128 array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return m
-
-
 def right_pseudo_inverse(h):
     """Right pseudo-inverse ``h^H (h h^H)^-1`` of a wide full-row-rank matrix.
 
@@ -36,7 +26,11 @@ def right_pseudo_inverse(h):
     whose ``pivot_index`` is the first row (user) not separable from the
     rows before it.
     """
-    h = as_complex_matrix(h)
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={h.ndim}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix contains NaN or Inf entries")
     m, n = h.shape
     if m > n:
         raise ValueError(f"matrix must have rows <= cols, got {m}x{n}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChannelError, ZfInfeasibleError
+from .errors import DegenerateChannelError
 from .linalg import right_pseudo_inverse
 
 
@@ -68,9 +68,8 @@ def zf_precoder(h_est, combiners, total_power):
     g = effective_user_channel(h_est, combiners)
     w0 = right_pseudo_inverse(g)
     per_stream = total_power / h_est.n_users
+    # right_pseudo_inverse returns only a full-column-rank W0: no column is zero.
     column_norms = np.linalg.norm(w0, axis=0)
-    if np.any(column_norms == 0.0):
-        raise ZfInfeasibleError("ZF produced a zero-power stream")
     w = w0 * (np.sqrt(per_stream) / column_norms)[None, :]
     return PrecodingMatrix(w=w)
 

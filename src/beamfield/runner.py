@@ -62,13 +62,13 @@ class Manifest:
         return [a["path"] for a in self.artifacts]
 
 
-def run_scenario(config, scenario, index, array, room):
+def run_scenario(config, scenario, index, array):
     """The link stages of one scenario: pilots, precoding and frames.
 
     Its heat map comes from the returned precoder, through
     :func:`~beamfield.field.heatmaps`.
     """
-    h_true = generate_channel(array, scenario, room, config.channel)
+    h_true = generate_channel(array, scenario, config.room, config.channel)
     h_est = estimate_csi(h_true, config.channel,
                          derive_seed(config.seed, index, _SEED_STREAM_CSI))
     combiners = combining_vectors(h_est)
@@ -92,16 +92,15 @@ def run(config, out_dir=None):
     out_dir = out_dir if out_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    room = config.room
     array = config.build_array()
     grid = config.build_grid()
     text = grid_text(grid, config.formats)
     scenarios = config.selected_scenarios()
 
-    links = [run_scenario(config, scenario, index, array, room)
+    links = [run_scenario(config, scenario, index, array)
              for index, scenario in enumerate(scenarios)]
-    maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
-                    config.channel, calibration=config.calibration)
+    maps = heatmaps([(link.scenario, link.precoder) for link in links], array, config.room,
+                    grid, config.channel, calibration=config.calibration)
     reports = [(link.scenario.id, link.ber) for link in links]
     # The precoders have made their maps: the artifacts are written without them.
     del links

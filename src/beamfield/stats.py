@@ -115,8 +115,6 @@ def fit_decay(profile, min_distance=None):
 def summary(heatmap):
     """Exact order statistics of a heat map (nearest-rank p95, no interpolation)."""
     v = heatmap.values
-    if v.size == 0:
-        raise ValueError("heat map is empty")
     idx = int(np.argmax(v))
     grid = heatmap.grid
     iy, ix = divmod(idx, len(grid.x_values))

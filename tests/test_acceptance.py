@@ -182,7 +182,7 @@ def test_criterion_08_maximum_near_array(grid):
         config, ofdm=dataclasses.replace(config.ofdm, frames=1))
     room = config.room
     array = config.build_array()
-    links = [run_scenario(config, scn, i, array, room)
+    links = [run_scenario(config, scn, i, array)
              for i, scn in enumerate(config.selected_scenarios())]
     maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                     config.channel, calibration=config.calibration)

@@ -33,6 +33,7 @@ from beamfield import (
     zf_precoder,
 )
 from beamfield.channel import propagation_gains
+from beamfield.runner import run_scenario
 
 PUBLIC = [
     "ArrayGeometry", "BeamfieldError", "BerReport", "ChannelMatrix",
@@ -51,12 +52,14 @@ PUBLIC = [
 # Names only tests called (now in field_oracle.py), a constant nothing read,
 # alternatives no pipeline path reached (the configurable limit table and the
 # bit-level 64-QAM mapper and demapper next to the index path), and second
-# owners of a rule: the 2-D room test and the error ZF infeasibility re-labelled.
+# owners of a rule: the 2-D room test, the error ZF infeasibility re-labelled,
+# the matrix check only the pseudo-inverse called and the CLI's copy of the
+# document's seed, scenario and format rules.
 REMOVED = ("los_gain", "element_field", "superpose_fields", "power_to_field",
            "field_to_power", "FREE_SPACE_IMPEDANCE", "interference_ratio",
            "DEFAULT_CARRIER_HZ", "_field_gains", "LimitTable", "map_64qam",
            "demap_64qam", "_index_bits", "_BIT_WEIGHTS", "_BIT_SHIFTS",
-           "in_footprint", "SingularMatrixError")
+           "in_footprint", "SingularMatrixError", "as_complex_matrix", "_apply_overrides")
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -184,6 +187,8 @@ def test_signatures_take_what_the_pipeline_passes():
     assert _parameters(Room.contains) == ["self", "point"]
     assert _parameters(Room.require_inside) == ["self", "points", "what"]
     assert not hasattr(Room, "in_footprint")
+    # The run's room is config.room; the array is built once per run.
+    assert _parameters(run_scenario) == ["config", "scenario", "index", "array"]
     # Names the benchmark binds by keyword.
     assert _parameters(transmit_frame) == ["precoder", "h_true", "combiners", "cfg", "seed"]
     assert _parameters(propagation_gains) == ["tx_points", "rx_points", "frequency", "room",

@@ -139,6 +139,10 @@ BAD_DOCUMENTS = [
     ("nan-noise-snr", "seed: 1\nofdm: {noise_snr_db: .nan}\n", "ofdm.noise_snr_db"),
     ("nan-csi-snr", "seed: 1\nchannel: {csi_snr_db: .nan}\n", "channel.csi_snr_db"),
     ("inf-calibration", "seed: 1\ncalibration: .inf\n", "calibration: must be finite"),
+    ("huge-calibration", "seed: 1\ncalibration: 1.0e+308\n",
+     "finding: calibration: must lie between 1e-100 and 1e+100; got 1e+308\n"),
+    ("tiny-tx-power", "seed: 1\ntx_power_w: 1.0e-320\n",
+     "finding: tx_power_w: must lie between 1e-100 and 1e+100; got 1e-320\n"),
     ("inf-carrier", "seed: 1\nchannel: {carrier_frequency: .inf}\n",
      "channel.carrier_frequency"),
     ("string-bool", 'seed: 1\nfit_exclude_near_field: "false"\n', "fit_exclude_near_field"),

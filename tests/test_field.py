@@ -7,7 +7,9 @@ import pytest
 
 from beamfield import (
     ChannelModelConfig,
+    HeatMap,
     PrecodingMatrix,
+    ProbeGrid,
     Room,
     Scenario,
     compute_heatmap,
@@ -192,6 +194,14 @@ class TestComputeHeatmap:
         lhs = full.values ** 2
         rhs = parts[0].values ** 2 + parts[1].values ** 2
         assert np.all(np.abs(lhs - rhs) <= 2 * np.spacing(lhs))
+
+
+@pytest.mark.parametrize("x_values, y_values", [([], [1.0, 2.0]), ([0.0, 1.0], []), ([], [])])
+def test_a_map_with_no_points_is_rejected(x_values, y_values):
+    # The map owns its validity: summary and check may take its max.
+    grid = ProbeGrid(np.array(x_values), np.array(y_values), 1.5)
+    with pytest.raises(ValueError, match="heat map has no points"):
+        HeatMap(grid=grid, values=np.empty(0), scenario_id="1")
 
 
 # The blocks of grid rows a run's maps are streamed in.  tests/test_runner.py

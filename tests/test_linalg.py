@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamfield import ZfInfeasibleError, right_pseudo_inverse
 
@@ -58,6 +60,11 @@ class TestRightPseudoInverse:
             right_pseudo_inverse(np.vstack(rows(g)))
         assert exc.value.pivot_index == pivot
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3)], ids=["1-D", "3-D"])
+    def test_rejects_a_non_matrix(self, shape):
+        with pytest.raises(ValueError, match="expected a 2-D matrix"):
+            right_pseudo_inverse(np.ones(shape))
+
     def test_rejects_nonfinite(self):
         bad = np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="NaN"):
@@ -67,3 +74,21 @@ class TestRightPseudoInverse:
         rng = np.random.default_rng(8)
         h = random_complex(rng, (8, 64))
         assert np.array_equal(right_pseudo_inverse(h), right_pseudo_inverse(h.copy()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 70)),
+       exponents=st.lists(st.integers(-170, 150), min_size=8, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_returned_inverse_has_no_zero_column(shape, exponents, seed):
+    # The rank test alone decides feasibility: a returned W0 has full column
+    # rank, so zf_precoder never divides by a zero column norm.
+    m, n = shape
+    h = random_complex(np.random.default_rng(seed), shape) \
+        * 10.0 ** np.array(exponents[:m], dtype=float)[:, None]
+    try:
+        w = right_pseudo_inverse(h)
+    except ValueError:  # ZfInfeasibleError, or a tall matrix
+        return
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, still not zero
+        assert np.all(np.linalg.norm(w, axis=0) > 0)

@@ -177,7 +177,7 @@ class TestRun:
         gains = probe_gains(array, room, grid, config.channel)
         text = grid_text(grid, config.formats)
         for i, scenario in enumerate(config.selected_scenarios()):
-            link = run_scenario(config, scenario, i, array, room)
+            link = run_scenario(config, scenario, i, array)
             want = compute_heatmap(scenario, link.precoder, grid, gains,
                                    calibration=config.calibration)
             written = (tmp_path / f"heatmap_scenario_{scenario.id}.json").read_text()
@@ -187,7 +187,7 @@ class TestRun:
         # The 0.1 m grid spans 18 blocks, so every pair meets every block.
         config = small_config(grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
         room, array, grid = config.room, config.build_array(), config.build_grid()
-        links = [run_scenario(config, scenario, i, array, room)
+        links = [run_scenario(config, scenario, i, array)
                  for i, scenario in enumerate(config.selected_scenarios())]
         pairs = [(link.scenario, link.precoder) for link in links]
         from_list = heatmaps(pairs, array, room, grid, config.channel, calibration=0.7)
@@ -514,6 +514,28 @@ class TestCli:
         names = set(os.listdir(out_dir))
         assert "heatmap_scenario_2.csv" in names
         assert not any(n.startswith("heatmap_scenario_1") for n in names)
+
+    def test_seed_flag_supplies_a_missing_seed(self, tmp_path):
+        cfg = tmp_path / "seedless.yaml"
+        cfg.write_text("scenarios: [3]\nformats: [csv]\nofdm: {frames: 1}\n")
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--config", str(cfg), "--seed", "3",
+                         "--out", str(out_dir)]) == 0
+        assert verify_manifest(str(out_dir)) == []
+
+    def test_flags_run_as_the_document_keys_they_set(self, tmp_path):
+        flags = tmp_path / "flags.yaml"
+        flags.write_text("seed: 1\nofdm: {frames: 1}\n")
+        keys = tmp_path / "keys.yaml"
+        keys.write_text(f"seed: 4\nscenarios: ['2', '6']\nformats: [json, csv]\n"
+                        f"output_dir: {str(tmp_path / 'by-keys')!r}\nofdm: {{frames: 1}}\n")
+        assert cli_main(["run", "--config", str(flags), "--seed", "4", "--scenario", "2",
+                         "--scenario", "6", "--format", "json", "--format", "csv",
+                         "--format", "json", "--out", str(tmp_path / "by-flags")]) == 0
+        assert cli_main(["run", "--config", str(keys)]) == 0
+        manifests = [(tmp_path / out / "manifest.json").read_bytes()
+                     for out in ("by-flags", "by-keys")]
+        assert manifests[0] == manifests[1]
 
     def test_missing_config_file_is_runtime_error(self, capsys):
         assert cli_main(["run", "--config", "/nonexistent.yaml"]) == 2
