@@ -17,21 +17,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrayGeometry", "BeamfieldError", "BerReport", "ChannelMatrix",
-    "ChannelModelConfig", "ComplianceReport", "ConfigError", "CutProfile",
-    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "HeatMap", "OfdmConfig",
-    "PrecodingMatrix", "ProbeGrid", "Room", "RunConfig", "Scenario",
-    "UnknownRegionError", "ZfInfeasibleError",
-    "average_heatmaps", "build_array", "build_grid", "check", "combining_vectors",
-    "compute_heatmap", "effective_channel", "estimate_csi", "extract_cut",
-    "far_field_distance", "fit_decay", "from_dict", "generate_channel", "heatmaps",
-    "load_config", "min_compliant_distance", "probe_gains", "right_pseudo_inverse",
-    "run", "standard_scenarios", "summary", "transmit_frame", "validate",
-    "verify_manifest", "wavelength", "zf_precoder",
-]
-
-# The layer module that defines each exported name.
+# The layer module that defines each exported name; ``__all__`` lists them sorted.
 _HOMES = {
     "channel": ("ChannelMatrix", "ChannelModelConfig", "estimate_csi", "generate_channel"),
     "compliance": ("DEFAULT_LIMITS_VPM", "ComplianceReport", "check",
@@ -50,6 +36,7 @@ _HOMES = {
     "stats": ("CutProfile", "average_heatmaps", "extract_cut", "fit_decay", "summary"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME)
 _MODULES = frozenset(_HOMES) | {"cli", "render"}
 
 

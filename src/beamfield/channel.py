@@ -177,6 +177,34 @@ def lit_above(tx_points, room=None, mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
     return min(float(points[:, 1].min()) for points, _, _ in _ray_sources(ends, room, mode)) + 0.0
 
 
+def may_reach_unit_gain(tx_points, rx_points, frequency, room=None,
+                        mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
+    """False when no entry of :func:`propagation_gains` can reach a magnitude of 1.
+
+    A ray from a source at distance d has a gain of at most
+    lam / (4 pi d) times the pattern's peak amplitude, and an entry sums one
+    ray per source.  Mirroring is an isometry, so the distance from an
+    image source to a receiver is the distance from the transmit point to
+    the receiver's image in the same surface.  With d the least distance
+    from a receiver or one of its images to the transmit points' bounding
+    box, every entry is therefore below 1 (and every ray longer than 0)
+    when d exceeds ``sources x peak x lam / (4 pi)``.
+    """
+    tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
+    rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
+    _check_model(mode, pattern)
+    sources = _ray_sources(rx_points, room, mode)
+    box = list(zip(tx_points.min(axis=0), tx_points.max(axis=0)))
+    # One coordinate column at a time: numpy broadcasts (N, 3) - (3,) slowly.
+    least = math.inf
+    for points, _, _ in sources:
+        x, y, z = (np.maximum(np.maximum(low - coords, coords - high), 0.0)
+                   for coords, (low, high) in zip(points.T, box))
+        least = min(least, float(np.hypot(np.hypot(x, y), z).min()))
+    peak = math.sqrt(_COSINE_PEAK_GAIN) if pattern == PATTERN_COSINE else 1.0
+    return least <= len(sources) * peak * wavelength(frequency) / (4.0 * math.pi)
+
+
 def propagation_gains(tx_points, rx_points, frequency, room=None,
                       mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
     """Complex gain matrix (n_rx x n_tx) of the configured ray model.

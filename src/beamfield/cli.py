@@ -56,12 +56,17 @@ def _build_parser():
     return parser
 
 
+def _document(args):
+    """The document ``--config`` names; without one, the one that only sets the seed."""
+    return read_yaml(args.config) if args.config else {"seed": RunConfig.seed}
+
+
 def _cmd_validate(args):
-    report = validate(read_yaml(args.config) if args.config else RunConfig())
-    if report.ok:
+    findings = validate(_document(args))
+    if not findings:
         print("configuration OK (no findings)")
         return 0
-    for finding in report.findings:
+    for finding in findings:
         print(f"finding: {finding}")
     return 1
 
@@ -70,7 +75,7 @@ def _cmd_run(args):
     from .runner import run
 
     # A flag sets its document key, so the document's own rules read it.
-    doc = read_yaml(args.config) if args.config else {"seed": RunConfig.seed}
+    doc = _document(args)
     if isinstance(doc, dict):
         flags = {"seed": args.seed, "scenarios": args.scenario, "formats": args.format,
                  "output_dir": args.out}

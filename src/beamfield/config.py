@@ -1,15 +1,19 @@
 """Run configuration: the :class:`RunConfig` dataclasses, YAML loading and validation.
 
-``RunConfig()`` is the only source of defaults.  ``from_dict`` starts each
-section from that instance and replaces just the keys a document sets, so
-``configs/paper-defaults.yaml`` only spells the defaults out.  The allowed
-keys are the dataclass fields, and each value is coerced to the type of
-its default: booleans must be YAML booleans, integers must be integral,
-and numbers may also come as strings, because YAML 1.1 reads ``1e-4`` as
-one.  Unknown keys, mistyped values and a retired key (``_RETIRED``) at
-any value but the one it is still read at raise :class:`ConfigError`
-naming the offending path.  ``validate`` reports everything else as
-findings and never raises.
+``RunConfig()`` is the only source of a document's defaults.  ``from_dict``
+starts each section from that instance and replaces just the keys a
+document sets, so ``configs/paper-defaults.yaml`` only spells the
+defaults out.  The layer dataclasses keep library defaults of their own,
+which no run reads: ``ChannelModelConfig()`` is los-only with perfect
+CSI and ``OfdmConfig()`` has a 60 dB noise level and 1 frame, where
+``RunConfig()`` sets image-order-1, 40 dB CSI, 64 dB and 4 frames.  The
+allowed keys are the dataclass fields, and each value is coerced to the
+type of its default: booleans must be YAML booleans, integers must be
+integral, and numbers may also come as strings, because YAML 1.1 reads
+``1e-4`` as one.  Unknown keys, mistyped values and a retired key
+(``_RETIRED``) at any value but the one it is still read at raise
+:class:`ConfigError` naming the offending path.  ``validate`` returns
+everything else as a tuple of findings and never raises.
 """
 
 import math
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 import yaml
 
-from .channel import ChannelModelConfig, lit_above
+from .channel import ChannelModelConfig, generate_channel, lit_above, may_reach_unit_gain
 from .errors import ConfigError
 from .geometry import (
     DEFAULT_ELEMENT_SPACING_M,
@@ -274,17 +278,6 @@ def load_config(path):
     return from_dict(read_yaml(path))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Findings from configuration validation; empty means runnable."""
-
-    findings: tuple
-
-    @property
-    def ok(self):
-        return not self.findings
-
-
 # Scenario ids become part of artifact file names.
 _ID_FORBIDDEN = ("/", "\\", "\0")
 
@@ -323,14 +316,15 @@ def validate(config):
     """Check a configuration without mutating or raising.
 
     Accepts either a built :class:`RunConfig` or a parsed document (the
-    form the CLI reads from disk); returns a report whose findings each
-    name the offending field.
+    form the CLI reads from disk).  Returns the findings, a tuple of
+    strings that each name the offending field; it is empty when the
+    configuration can run.
     """
     if not isinstance(config, RunConfig):
         try:
             config = from_dict(config)
         except ConfigError as exc:
-            return ValidationReport(findings=(str(exc),))
+            return (str(exc),)
 
     findings = _nonfinite(config)
     if not config.scenario_ids:
@@ -361,7 +355,7 @@ def validate(config):
                         f"active subcarriers) exceed the {MAX_SAMPLES_PER_STREAM:.0e} budget")
     if findings:
         # The checks below assume finite values and a scenario.
-        return ValidationReport(findings=tuple(findings))
+        return tuple(findings)
 
     for where, snr in (("channel.csi_snr_db", config.channel.csi_snr_db),
                        ("ofdm.noise_snr_db", config.ofdm.noise_snr_db)):
@@ -377,15 +371,17 @@ def validate(config):
         # UE antennas sit half a wavelength apart: none has a position.
         findings.append(f"channel.carrier_frequency: {config.channel.carrier_frequency:g} Hz "
                         "has no finite wavelength")
-        return ValidationReport(findings=tuple(findings))
+        return tuple(findings)
     room = config.room
     # An image ray is at most twice the room's diagonal long; its square must be finite.
-    if not math.isfinite(4.0 * (room.width_x * room.width_x + room.length_y * room.length_y
-                                + room.height_z * room.height_z)):
+    rays_fit = math.isfinite(4.0 * (room.width_x * room.width_x + room.length_y * room.length_y
+                                    + room.height_z * room.height_z))
+    if not rays_fit:
         findings.append(f"room: {room.width_x:g} x {room.length_y:g} x {room.height_z:g} m "
                         "is too large: the squared image-ray lengths overflow")
     # Scenario references, and every UE antenna inside the room.
     table = config.available_scenarios()
+    placed = {}
     for sid in config.scenario_ids:
         if sid not in table:
             findings.append(f"scenarios: id {sid!r} is not defined")
@@ -396,6 +392,8 @@ def validate(config):
             room.require_inside(antennas, f"scenario {sid}: UE antenna")
         except ValueError as exc:
             findings.append(str(exc))
+        else:
+            placed[sid] = antennas
 
     # Geometry: the memory budgets, from the extents, before the grid is built.
     g = config.grid
@@ -404,12 +402,12 @@ def validate(config):
         points = grid_size_bound(g.x_min, g.x_max, g.y_min, g.y_max, g.spacing)
     except ValueError as exc:
         findings.append(str(exc))
-        return ValidationReport(findings=tuple(findings))
+        return tuple(findings)
     if points * array.n_active > MAX_GAIN_ENTRIES:
         findings.append(
             f"grid: about {points:.3g} points x {array.n_active} active elements "
             f"exceed the {MAX_GAIN_ENTRIES:.3g}-entry field-gain budget")
-        return ValidationReport(findings=tuple(findings))
+        return tuple(findings)
     # Zero-forcing inverts the users x active-elements channel from the right.
     for sid in config.scenario_ids:
         if sid in table and table[sid].n_users > array.n_active:
@@ -423,7 +421,7 @@ def validate(config):
         room.require_inside(array.element_positions, "array: element")
     except ValueError as exc:
         findings.append(str(exc))
-        return ValidationReport(findings=tuple(findings))
+        return tuple(findings)
 
     # The element pattern lights every user: it lights only y > lit_y.
     tx = array.active_positions()
@@ -433,6 +431,19 @@ def validate(config):
             if y <= lit_y:
                 findings.append(f"scenario {sid}: user {u} at y = {y:g} m gets no field: "
                                 f"the cosine pattern lights only y > {lit_y:g} m")
+    # A UE antenna at the array: a gain >= 1 or a ray of length 0 stops the
+    # run.  One screen over every placed antenna; only when it cannot rule
+    # that out are the channels generated (in a room whose squared ray
+    # lengths are finite), so the findings are exact.
+    ch = config.channel
+    if placed and rays_fit and may_reach_unit_gain(
+            tx, np.concatenate(list(placed.values())), ch.carrier_frequency, room, ch.mode,
+            ch.element_pattern):
+        for sid in placed:
+            try:
+                generate_channel(array, table[sid], room, ch)
+            except ValueError as exc:
+                findings.append(f"scenario {sid}: {exc}")
     # Probe points are (x, y, height) over the lattice axes: exact membership per
     # axis, in O(axis + elements) memory rather than a points x elements difference.
     # (np.isin sorts through np.unique, which imports numpy.ma on a long axis.)
@@ -457,4 +468,4 @@ def validate(config):
             f"; the cosine pattern gives no field at y <= {lit_y:g} m"
         findings.append(f"grid: the decay fit cannot run on the cut rows{rows}: {exc}{unlit}")
 
-    return ValidationReport(findings=tuple(findings))
+    return tuple(findings)

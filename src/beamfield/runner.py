@@ -84,10 +84,10 @@ def run(config, out_dir=None):
     Aborts (without emitting a manifest) if validation finds problems or
     any scenario fails; partial results are never described as complete.
     """
-    report = validate(config)
-    if not report.ok:
+    findings = validate(config)
+    if findings:
         raise ConfigError("configuration invalid:\n"
-                          + "\n".join(f"finding: {f}" for f in report.findings))
+                          + "\n".join(f"finding: {f}" for f in findings))
 
     out_dir = out_dir if out_dir is not None else config.output_dir
     os.makedirs(out_dir, exist_ok=True)

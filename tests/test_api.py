@@ -54,12 +54,14 @@ PUBLIC = [
 # bit-level 64-QAM mapper and demapper next to the index path), and second
 # owners of a rule: the 2-D room test, the error ZF infeasibility re-labelled,
 # the matrix check only the pseudo-inverse called and the CLI's copy of the
-# document's seed, scenario and format rules.
+# document's seed, scenario and format rules; a wrapper over the findings
+# tuple and a second spelling of the noiseless receiver.
 REMOVED = ("los_gain", "element_field", "superpose_fields", "power_to_field",
            "field_to_power", "FREE_SPACE_IMPEDANCE", "interference_ratio",
            "DEFAULT_CARRIER_HZ", "_field_gains", "LimitTable", "map_64qam",
            "demap_64qam", "_index_bits", "_BIT_WEIGHTS", "_BIT_SHIFTS",
-           "in_footprint", "SingularMatrixError", "as_complex_matrix", "_apply_overrides")
+           "in_footprint", "SingularMatrixError", "as_complex_matrix", "_apply_overrides",
+           "ValidationReport", "_noise_power")
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -13,7 +13,13 @@ from beamfield import (
     build_grid,
     generate_channel,
 )
-from beamfield.channel import _GAIN_BLOCK_ENTRIES, _images, _lengths, propagation_gains
+from beamfield.channel import (
+    _GAIN_BLOCK_ENTRIES,
+    _images,
+    _lengths,
+    may_reach_unit_gain,
+    propagation_gains,
+)
 from beamfield.geometry import ue_antenna_positions, wavelength
 
 import gains_reference as ref
@@ -243,6 +249,27 @@ class TestCosinePattern:
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError, match="element pattern"):
             propagation_gains([(0, 0, 1.5)], [(0, 2, 1.5)], self.F, pattern="dipole")
+
+
+class TestUnitGainScreen:
+    @pytest.mark.parametrize("mode", ["los-only", "image-order-1"])
+    @pytest.mark.parametrize("pattern", ["isotropic", "cosine"])
+    def test_a_cleared_receiver_has_every_gain_below_one(self, array, room, mode, pattern):
+        # Receivers in a 0.6 x 0.3 x 0.6 m box in front of the array, one at a time.
+        tx = array.active_positions()
+        rng = np.random.default_rng(4)
+        cleared = []
+        for rx in rng.uniform((-0.3, 0.0, 1.2), (0.3, 0.3, 1.8), (200, 3)):
+            if not may_reach_unit_gain(tx, rx, 2.63e9, room, mode, pattern):
+                cleared.append(np.abs(propagation_gains(tx, rx, 2.63e9, room, mode,
+                                                        pattern)).max())
+        assert 0 < len(cleared) < 200
+        assert max(cleared) < 1.0
+
+    def test_the_built_in_scenarios_are_cleared(self, array, room, scenarios):
+        rx = np.concatenate([ue_antenna_positions(s, 2.63e9) for s in scenarios])
+        assert not may_reach_unit_gain(array.active_positions(), rx, 2.63e9, room,
+                                       "image-order-1", "cosine")
 
 
 class TestGenerateChannel:

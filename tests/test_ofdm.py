@@ -212,7 +212,7 @@ def _exceedance_of(h, c, w, noise_snr_db):
     """The sampler's per-axis noise deviations, thresholds and probabilities."""
     eff = effective_channel(h, w, c)
     gain = np.diag(eff)
-    return ofdm._exceedance(eff / gain[:, None], gain, ofdm._noise_power(noise_snr_db))
+    return ofdm._exceedance(eff / gain[:, None], gain, 10.0 ** (-noise_snr_db / 10.0))
 
 
 class TestFrameSampler:

@@ -42,13 +42,10 @@ def read_all(out_dir):
 
 class TestValidate:
     def test_default_config_clean(self):
-        report = validate(RunConfig())
-        assert report.ok
-        assert report.findings == ()
+        assert validate(RunConfig()) == ()
 
     def test_paper_defaults_file_clean(self):
-        report = validate(load_config(CONFIG_PATH))
-        assert report.ok
+        assert validate(load_config(CONFIG_PATH)) == ()
 
     def test_out_of_room_ue(self):
         cfg = from_dict({
@@ -56,24 +53,24 @@ class TestValidate:
             "scenarios": ["far"],
             "custom_scenarios": [{"id": "far", "ue_positions": [[10.0, 4.0]]}],
         })
-        report = validate(cfg)
-        assert any("outside the room" in f for f in report.findings)
+        findings = validate(cfg)
+        assert any("outside the room" in f for f in findings)
 
     def test_ofdm_spacing_mismatch(self):
-        report = validate({"seed": 1, "ofdm": {"fft_size": 2048}})
-        assert any("spacing" in f for f in report.findings)
+        findings = validate({"seed": 1, "ofdm": {"fft_size": 2048}})
+        assert any("spacing" in f for f in findings)
 
     def test_unknown_scenario_id(self):
-        report = validate({"seed": 1, "scenarios": [1, 99]})
-        assert any("99" in f for f in report.findings)
+        findings = validate({"seed": 1, "scenarios": [1, 99]})
+        assert any("99" in f for f in findings)
 
     def test_missing_seed(self):
-        report = validate({})
-        assert any("seed" in f for f in report.findings)
+        findings = validate({})
+        assert any("seed" in f for f in findings)
 
     def test_off_grid_cut_column(self):
-        report = validate({"seed": 1, "cut_x": 0.5})
-        assert any("cut_x" in f for f in report.findings)
+        findings = validate({"seed": 1, "cut_x": 0.5})
+        assert any("cut_x" in f for f in findings)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown top-level"):
@@ -402,6 +399,17 @@ class TestCli:
     def test_validate_ok(self, capsys):
         assert cli_main(["validate", "--config", CONFIG_PATH]) == 0
         assert "no findings" in capsys.readouterr().out
+
+    def test_validate_without_a_config_checks_the_defaults(self, capsys):
+        assert cli_main(["validate"]) == 0
+        assert capsys.readouterr().out == "configuration OK (no findings)\n"
+
+    def test_run_without_a_config_runs_the_defaults(self, tmp_path):
+        for out, config in (("bare", []), ("paper", ["--config", CONFIG_PATH])):
+            assert cli_main(["run", *config, "--scenario", "1", "--format", "csv",
+                             "--out", str(tmp_path / out)]) == 0
+        manifests = [(tmp_path / out / "manifest.json").read_bytes() for out in ("bare", "paper")]
+        assert manifests[0] == manifests[1]
 
     def test_validate_bad_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
