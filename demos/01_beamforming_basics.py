@@ -34,7 +34,7 @@ for s in standard_scenarios():
 scenario = standard_scenarios()[7]
 cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=40.0)
 
-h_true = generate_channel(array, scenario, room, cfg)
+(h_true,) = generate_channel(array, [scenario], room, cfg)
 print(f"\nscenario {scenario.id}: channel is {h_true.h.shape[0]} UE antennas "
       f"x {h_true.h.shape[1]} Tx elements")
 print(f"strongest entry |h| = {np.abs(h_true.h).max():.2e} (passive, always < 1)")

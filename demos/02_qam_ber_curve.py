@@ -26,7 +26,7 @@ room = Room()
 array = build_array()
 scenario = standard_scenarios()[0]
 cfg = ChannelModelConfig()  # line of sight, perfect CSI
-h = generate_channel(array, scenario, room, cfg)
+(h,) = generate_channel(array, [scenario], room, cfg)
 combiners = combining_vectors(h)
 precoder = zf_precoder(h, combiners, total_power=1.0)
 gain = abs(effective_channel(h, precoder, combiners)[0, 0])

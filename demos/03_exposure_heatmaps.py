@@ -10,7 +10,7 @@ import os
 
 from beamfield import RunConfig, heatmaps, standard_scenarios, summary
 from beamfield.render import grid_text, heatmap_ascii, heatmap_svg
-from beamfield.runner import run_scenario
+from beamfield.runner import run_links
 
 out_dir = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(out_dir, exist_ok=True)
@@ -25,8 +25,7 @@ text = grid_text(grid, ("svg",))
 
 # The link stages of every scenario, then all their maps from one pass
 # over the probe grid's gains.
-links = [run_scenario(config, scn, i, array)
-         for i, scn in enumerate(standard_scenarios())]
+links = run_links(config, standard_scenarios(), array)
 maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                 config.channel, calibration=config.calibration)
 

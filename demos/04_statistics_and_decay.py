@@ -18,14 +18,13 @@ from beamfield import (
     summary,
     wavelength,
 )
-from beamfield.runner import run_scenario
+from beamfield.runner import run_links
 
 
 def scenario_maps(config):
     room = config.room
     array = config.build_array()
-    links = [run_scenario(config, scn, i, array)
-             for i, scn in enumerate(standard_scenarios())]
+    links = run_links(config, standard_scenarios(), array)
     return array, heatmaps([(link.scenario, link.precoder) for link in links], array, room,
                            config.build_grid(), config.channel,
                            calibration=config.calibration)

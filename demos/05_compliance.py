@@ -19,15 +19,14 @@ from beamfield import (
     min_compliant_distance,
     standard_scenarios,
 )
-from beamfield.runner import run_scenario
+from beamfield.runner import run_links
 
 config = dataclasses.replace(
     RunConfig(), ofdm=dataclasses.replace(RunConfig().ofdm, frames=1))
 room = config.room
 array = config.build_array()
 grid = config.build_grid()
-links = [run_scenario(config, scn, i, array)
-         for i, scn in enumerate(standard_scenarios())]
+links = run_links(config, standard_scenarios(), array)
 maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                 config.channel, calibration=config.calibration)
 averaged = average_heatmaps(maps)

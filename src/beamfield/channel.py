@@ -7,6 +7,9 @@ ray is weighted by that surface's amplitude reflection coefficient, which
 reproduces the dominant standing-wave structure of an indoor link without
 a full ray tracer.  The images of a whole array are built in one numpy
 pass: each surface is a reflection of one coordinate across its plane.
+
+:func:`generate_channel` takes a sequence of scenarios, so a run's link
+block gets every scenario's channel from one gain evaluation.
 """
 
 import math
@@ -293,28 +296,38 @@ def _block_gains(rx, tx_points, images, lam, cosine, out, real, gains):
         out += ray
 
 
-def generate_channel(array, scenario, room, cfg):
-    """Ground-truth downlink channel for one scenario at the carrier frequency.
+def generate_channel(array, scenarios, room, cfg):
+    """Ground-truth downlink channels of ``scenarios`` at the carrier frequency.
 
-    Rows are UE antennas (4 per user, users in scenario order), columns
-    the active transmit elements in array order.  Deterministic in the
-    geometry.  Raises if a UE antenna lies outside the room.
+    Returns one :class:`ChannelMatrix` per scenario, in order: rows are
+    its UE antennas (``antennas_per_ue`` per user, users in scenario
+    order), columns the active transmit elements in array order.  The
+    scenarios' antennas are the receivers of one
+    :func:`propagation_gains` call, one room check and one gain check,
+    and each matrix is a view of its rows of the joint result.  A gain
+    is computed by the same operations whatever the other receivers, so
+    each matrix equals that scenario's own call bit for bit.
+    Deterministic in the geometry.  Raises if a UE antenna lies outside
+    the room or a gain reaches 1.
     """
-    rx = ue_antenna_positions(scenario, cfg.carrier_frequency, height=cfg.ue_height)
-    room.require_inside(rx, "UE antenna")
-    tx = array.active_positions()
-    h = propagation_gains(tx, rx, cfg.carrier_frequency, room=room, mode=cfg.mode,
-                          pattern=cfg.element_pattern)
+    rx = [ue_antenna_positions(s, cfg.carrier_frequency, height=cfg.ue_height)
+          for s in scenarios]
+    points = np.concatenate(rx)
+    room.require_inside(points, "UE antenna")
+    h = propagation_gains(array.active_positions(), points, cfg.carrier_frequency,
+                          room=room, mode=cfg.mode, pattern=cfg.element_pattern)
     if np.any(np.abs(h) >= 1.0):
         raise ValueError(
             "passive propagation produced a gain >= 1; a receive antenna is "
             "implausibly close to the array"
         )
-    return ChannelMatrix(
-        h=h,
-        n_users=scenario.n_users,
-        antennas_per_ue=scenario.antennas_per_ue,
-    )
+    channels, start = [], 0
+    for scenario, antennas in zip(scenarios, rx):
+        channels.append(ChannelMatrix(h=h[start:start + len(antennas)],
+                                      n_users=scenario.n_users,
+                                      antennas_per_ue=scenario.antennas_per_ue))
+        start += len(antennas)
+    return channels
 
 
 def estimate_csi(true_channel, cfg, seed):

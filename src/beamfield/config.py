@@ -10,7 +10,8 @@ CSI and ``OfdmConfig()`` has a 60 dB noise level and 1 frame, where
 allowed keys are the dataclass fields, and each value is coerced to the
 type of its default: booleans must be YAML booleans, integers must be
 integral, and numbers may also come as strings, because YAML 1.1 reads
-``1e-4`` as one.  Unknown keys, mistyped values and a retired key
+``1e-4`` as one.  A scenario id is a string or an integer, never the
+boolean YAML 1.1 makes of an unquoted ``on`` or ``no``.  Unknown keys, mistyped values and a retired key
 (``_RETIRED``) at any value but the one it is still read at raise
 :class:`ConfigError` naming the offending path.  ``validate`` returns
 everything else as a tuple of findings and never raises.
@@ -170,6 +171,18 @@ def _floats(value, path, length):
 _CUSTOM_SCENARIO = Scenario(id="", ue_positions=((0.0, 0.0),))
 
 
+def _scenario_id(value, path):
+    """A scenario id, a string or an integer, as text.
+
+    YAML 1.1 reads an unquoted ``on`` or ``no`` as a boolean, ``~`` as null
+    and ``1.50`` as the float 1.5, whose text is not what the user wrote.
+    """
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ConfigError(f"{path}: expected a scenario id (a string or an integer), "
+                          f"got {value!r}; quote it")
+    return str(value)
+
+
 def _custom_scenarios(value, path):
     entries = _sequence(value or [], path)
     for i, entry in enumerate(entries):
@@ -188,14 +201,15 @@ def _formats(value, path):
 
 # Fields whose document form is not a scalar of their default's type.
 _IRREGULAR = {
-    (RunConfig, "scenario_ids"): lambda v, path: tuple(str(s) for s in _sequence(v, path)),
+    (RunConfig, "scenario_ids"): lambda v, path: tuple(
+        _scenario_id(s, f"{path}[{k}]") for k, s in enumerate(_sequence(v, path))),
     (RunConfig, "custom_scenarios"): _custom_scenarios,
     (RunConfig, "formats"): _formats,
     (RunConfig, "svg_vmax"): lambda v, path: None if v is None else _coerce(v, float, path),
     (Room, "wall_reflection"): lambda v, path: (
         _floats(v, path, 4) if isinstance(v, (list, tuple)) else _coerce(v, float, path)),
     (ArraySection, "center"): lambda v, path: _floats(v, path, 3),
-    (Scenario, "id"): lambda v, path: str(v),
+    (Scenario, "id"): _scenario_id,
     (Scenario, "ue_positions"): lambda v, path: tuple(
         _floats(p, f"{path}[{k}]", 2) for k, p in enumerate(_sequence(v, path))),
 }
@@ -441,7 +455,7 @@ def validate(config):
             ch.element_pattern):
         for sid in placed:
             try:
-                generate_channel(array, table[sid], room, ch)
+                generate_channel(array, [table[sid]], room, ch)
             except ValueError as exc:
                 findings.append(f"scenario {sid}: {exc}")
     # Probe points are (x, y, height) over the lattice axes: exact membership per

@@ -1,7 +1,9 @@
 """Zero-forcing precoding with per-user maximum-ratio receive combining.
 
-Each user's four receive antennas are collapsed to a single stream by the
-dominant left singular vector of its channel block (``numpy.linalg.svd``).
+Each user's receive antennas are collapsed to a single stream by the
+dominant left singular vector of its channel block, from one
+``numpy.linalg.svd`` over the stack of every user's block; a run stacks
+the CSI estimates of a whole link block of scenarios into one call.
 The precoder is the right pseudo-inverse of the resulting effective user
 channel, with every stream scaled to an equal share of the given total
 transmit power.
@@ -30,23 +32,33 @@ class PrecodingMatrix:
         return self.w.shape[1]
 
 
-def _dominant_direction(block):
-    """Unit-norm dominant left singular direction of a (m x n) block.
-
-    The phase is canonicalised so the largest-magnitude component is real
+def _canonical_phase(v):
+    """``v`` with its phase turned so its largest-magnitude component is real
     and non-negative.
+
+    The factor is one numpy scalar division per user: ``np.abs(p) / p``
+    over an array of pivots rounds differently in the last bit.
     """
-    u, s, _ = np.linalg.svd(block, full_matrices=False)
-    if s[0] == 0.0:
-        raise DegenerateChannelError("user channel block is identically zero")
-    v = u[:, 0]
     pivot = int(np.argmax(np.abs(v)))
     return v * (abs(v[pivot]) / v[pivot])
 
 
 def combining_vectors(h_est):
-    """Per-user maximum-ratio combiners, one unit-norm vector per user."""
-    return [_dominant_direction(h_est.ue_block(k)) for k in range(h_est.n_users)]
+    """Per-user maximum-ratio combiners, one unit-norm vector per user.
+
+    Each is the dominant left singular vector of the user's block of
+    rows, from one ``np.linalg.svd`` over the (users x antennas_per_ue x
+    n_tx) stack of blocks.  numpy decomposes a stack one matrix at a
+    time, so ``h_est`` may stack the estimates of many scenarios (with
+    one ``antennas_per_ue``): each user's combiner equals that of its
+    own scenario's call bit for bit.
+    """
+    m = h_est.antennas_per_ue
+    blocks = h_est.h.reshape(h_est.n_users, m, h_est.h.shape[1])
+    u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+    if np.any(s[:, 0] == 0.0):
+        raise DegenerateChannelError("user channel block is identically zero")
+    return [_canonical_phase(u[k, :, 0]) for k in range(h_est.n_users)]
 
 
 def effective_user_channel(h, combiners):

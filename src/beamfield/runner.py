@@ -2,7 +2,11 @@
 
 One run executes, per selected scenario, the link stages: channel
 generation, pilot-based CSI estimation, receive combining, zero-forcing
-precoding and OFDM frame transmission (per-user BER).  The probe-grid
+precoding and OFDM frame transmission (per-user BER).  They run per
+link block of consecutive scenarios (:func:`run_links`): one channel
+call and one stacked combining SVD serve the whole block, while the CSI
+estimate, the precoder and the frames stay per scenario, with its own
+seeds, so a link is bit-identical to its scenario run alone.  The probe-grid
 heat maps of every scenario's precoder are then streamed one block of
 grid rows at a time (:func:`~beamfield.field.heatmaps`), so the run
 holds one block of probe x element gains, never the whole grid's matrix.
@@ -11,7 +15,9 @@ summary statistics and compliance checks against the built-in regional
 limits.  Every artifact is written in a fixed order with deterministic
 formatting and hashed as it is written, one chunk of its text at a
 time, and a manifest of content hashes is emitted last, so two runs
-with the same configuration and seed are byte-identical.
+with the same configuration and seed are byte-identical.  The output
+directory is made only when the first artifact is written, so a run
+that fails leaves none behind.
 
 The grid's heat-map artifact text (:func:`~beamfield.render.grid_text`)
 depends only on the probe grid; it is built once per run, for the
@@ -24,11 +30,13 @@ import json
 import math
 import os
 
+import numpy as np
+
 from . import compliance as compliance_mod
 from . import stats as stats_mod
-from .channel import estimate_csi, generate_channel
+from .channel import _GAIN_BLOCK_ENTRIES, ChannelMatrix, estimate_csi, generate_channel
 from .config import derive_seed, validate
-from .errors import ConfigError
+from .errors import BeamfieldError, ConfigError
 from .field import heatmaps
 from .ofdm import transmit_frame
 from .precoding import combining_vectors, zf_precoder
@@ -36,6 +44,10 @@ from .render import grid_text, heatmap_ascii, heatmap_csv, heatmap_json, heatmap
 
 _SEED_STREAM_CSI = 0
 _SEED_STREAM_FRAME = 1
+
+# Gains per link block: half a receiver block of propagation_gains, 128 KiB.
+# Larger link blocks ran the link stages little faster and held more memory.
+_LINK_BLOCK_ENTRIES = _GAIN_BLOCK_ENTRIES // 2
 
 # Artifact text is encoded, hashed and written 64 Ki characters at a time,
 # and verify_manifest reads and hashes artifacts 64 KiB at a time.
@@ -62,20 +74,77 @@ class Manifest:
         return [a["path"] for a in self.artifacts]
 
 
-def run_scenario(config, scenario, index, array):
-    """The link stages of one scenario: pilots, precoding and frames.
+def _link_blocks(scenarios, n_tx):
+    """(start, stop) ranges of consecutive ``scenarios`` that share one link block.
 
-    Its heat map comes from the returned precoder, through
+    A block's scenarios have one ``antennas_per_ue`` and together at most
+    ``_LINK_BLOCK_ENTRIES`` gains (UE antennas x ``n_tx``); a scenario with
+    more is a block of its own.
+    """
+    blocks, start, entries = [], 0, 0
+    for i, scenario in enumerate(scenarios):
+        size = scenario.n_users * scenario.antennas_per_ue * n_tx
+        if i > start and (entries + size > _LINK_BLOCK_ENTRIES or scenario.antennas_per_ue
+                          != scenarios[start].antennas_per_ue):
+            blocks.append((start, i))
+            start, entries = i, 0
+        entries += size
+    if scenarios:
+        blocks.append((start, len(scenarios)))
+    return blocks
+
+
+def _block_links(config, scenarios, start, stop, array):
+    """The links of ``scenarios[start:stop]``, one link block; see :func:`run_links`."""
+    block = scenarios[start:stop]
+    channel = config.channel
+    h_true = generate_channel(array, block, config.room, channel)
+    h_est = [estimate_csi(h, channel, derive_seed(config.seed, i, _SEED_STREAM_CSI))
+             for i, h in enumerate(h_true, start)]
+    stacked = ChannelMatrix(h=np.concatenate([h.h for h in h_est]),
+                            n_users=sum(s.n_users for s in block),
+                            antennas_per_ue=block[0].antennas_per_ue)
+    combiners = combining_vectors(stacked)
+    links, user = [], 0
+    for i, (scenario, h, est) in enumerate(zip(block, h_true, h_est), start):
+        own = combiners[user:user + scenario.n_users]
+        user += scenario.n_users
+        precoder = zf_precoder(est, own, config.tx_power_w)
+        ber = transmit_frame(precoder, h, own, config.ofdm,
+                             derive_seed(config.seed, i, _SEED_STREAM_FRAME))
+        links.append(ScenarioLink(scenario=scenario, ber=ber, precoder=precoder))
+    return links
+
+
+def _named_links(config, scenarios, start, stop, array):
+    """:func:`_block_links`, with an error prefixed by the id of the scenario that failed."""
+    try:
+        return _block_links(config, scenarios, start, stop, array)
+    except (BeamfieldError, ValueError) as exc:
+        if stop - start > 1:
+            # The block runs again one scenario at a time, so the one that fails names itself.
+            return [link for i in range(start, stop)
+                    for link in _named_links(config, scenarios, i, i + 1, array)]
+        exc.args = (f"scenario {scenarios[start].id}: {exc}",)
+        raise
+
+
+def run_links(config, scenarios, array):
+    """The link stages of ``scenarios``: pilots, precoding and frames.
+
+    Returns one :class:`ScenarioLink` per scenario, in order.  The
+    scenarios are taken in link blocks (:func:`_link_blocks`): each
+    block's channels come from one :func:`generate_channel` call and its
+    combiners from one :func:`combining_vectors` call over its stacked
+    CSI estimates.  The CSI estimate, the precoder and the frames stay
+    per scenario, with the seeds of its index in ``scenarios``, so every
+    link equals the one its scenario would get alone, bit for bit.  A
+    stage that fails raises its error prefixed with ``scenario <id>:``.
+    Each heat map comes from the returned precoder, through
     :func:`~beamfield.field.heatmaps`.
     """
-    h_true = generate_channel(array, scenario, config.room, config.channel)
-    h_est = estimate_csi(h_true, config.channel,
-                         derive_seed(config.seed, index, _SEED_STREAM_CSI))
-    combiners = combining_vectors(h_est)
-    precoder = zf_precoder(h_est, combiners, config.tx_power_w)
-    ber = transmit_frame(precoder, h_true, combiners, config.ofdm,
-                         derive_seed(config.seed, index, _SEED_STREAM_FRAME))
-    return ScenarioLink(scenario=scenario, ber=ber, precoder=precoder)
+    return [link for start, stop in _link_blocks(scenarios, array.n_active)
+            for link in _named_links(config, scenarios, start, stop, array)]
 
 
 def run(config, out_dir=None):
@@ -90,15 +159,12 @@ def run(config, out_dir=None):
                           + "\n".join(f"finding: {f}" for f in findings))
 
     out_dir = out_dir if out_dir is not None else config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-
     array = config.build_array()
     grid = config.build_grid()
     text = grid_text(grid, config.formats)
     scenarios = config.selected_scenarios()
 
-    links = [run_scenario(config, scenario, index, array)
-             for index, scenario in enumerate(scenarios)]
+    links = run_links(config, scenarios, array)
     maps = heatmaps([(link.scenario, link.precoder) for link in links], array, config.room,
                     grid, config.channel, calibration=config.calibration)
     reports = [(link.scenario.id, link.ber) for link in links]
@@ -168,6 +234,9 @@ class _ArtifactWriter:
     """Writes artifacts in deterministic order and records their hashes."""
 
     def __init__(self, out_dir, formats):
+        # Made only now, when the links, maps and statistics are done, so a
+        # run that fails before its first artifact leaves no directory.
+        os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.formats = set(formats)
         self._records = []

@@ -55,7 +55,7 @@ def los_gains(array, room, grid, los_cfg):
 
 def perfect_link(array, scenario, room, cfg, total_power=1.0):
     """Channel, combiners and ZF precoder under perfect CSI."""
-    h = generate_channel(array, scenario, room, cfg)
+    (h,) = generate_channel(array, [scenario], room, cfg)
     combiners = combining_vectors(h)
     precoder = zf_precoder(h, combiners, total_power)
     return h, combiners, precoder

@@ -33,7 +33,7 @@ from beamfield import (
     wavelength,
 )
 from beamfield.field import HeatMap
-from beamfield.runner import run_scenario
+from beamfield.runner import run_links
 from beamfield.stats import average_heatmaps
 
 from conftest import perfect_link, random_complex
@@ -132,7 +132,7 @@ def test_criterion_05_ber_grows_with_users(array, room, scenarios):
             from beamfield import estimate_csi, generate_channel
             from beamfield.precoding import combining_vectors, zf_precoder
 
-            h = generate_channel(array, scn, room, base.channel)
+            (h,) = generate_channel(array, [scn], room, base.channel)
             est = estimate_csi(h, base.channel, 10_000 + seed)
             combiners = combining_vectors(est)
             precoder = zf_precoder(est, combiners, base.tx_power_w)
@@ -182,8 +182,7 @@ def test_criterion_08_maximum_near_array(grid):
         config, ofdm=dataclasses.replace(config.ofdm, frames=1))
     room = config.room
     array = config.build_array()
-    links = [run_scenario(config, scn, i, array)
-             for i, scn in enumerate(config.selected_scenarios())]
+    links = run_links(config, config.selected_scenarios(), array)
     maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                     config.channel, calibration=config.calibration)
     near = 0

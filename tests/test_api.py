@@ -28,12 +28,13 @@ from beamfield import (
     combining_vectors,
     estimate_csi,
     extract_cut,
+    generate_channel,
     min_compliant_distance,
     transmit_frame,
     zf_precoder,
 )
 from beamfield.channel import propagation_gains
-from beamfield.runner import run_scenario
+from beamfield.runner import run_links
 
 PUBLIC = [
     "ArrayGeometry", "BeamfieldError", "BerReport", "ChannelMatrix",
@@ -189,8 +190,10 @@ def test_signatures_take_what_the_pipeline_passes():
     assert _parameters(Room.contains) == ["self", "point"]
     assert _parameters(Room.require_inside) == ["self", "points", "what"]
     assert not hasattr(Room, "in_footprint")
-    # The run's room is config.room; the array is built once per run.
-    assert _parameters(run_scenario) == ["config", "scenario", "index", "array"]
+    # The run's room is config.room; the array is built once per run.  The link
+    # stages take the scenarios together, so a block of them shares one call.
+    assert _parameters(run_links) == ["config", "scenarios", "array"]
+    assert _parameters(generate_channel) == ["array", "scenarios", "room", "cfg"]
     # Names the benchmark binds by keyword.
     assert _parameters(transmit_frame) == ["precoder", "h_true", "combiners", "cfg", "seed"]
     assert _parameters(propagation_gains) == ["tx_points", "rx_points", "frequency", "room",

@@ -37,7 +37,7 @@ LEVEL = 1e-6
 def _link(scenario, ch_cfg, seed):
     """True channel, combiners and ZF precoder from a noisy CSI estimate."""
     config = RunConfig()
-    h = generate_channel(config.build_array(), scenario, config.room, ch_cfg)
+    (h,) = generate_channel(config.build_array(), [scenario], config.room, ch_cfg)
     est = estimate_csi(h, ch_cfg, seed)
     combiners = combining_vectors(est)
     return h, combiners, zf_precoder(est, combiners, config.tx_power_w)

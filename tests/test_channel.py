@@ -280,13 +280,13 @@ class TestGenerateChannel:
                           active_selection="all")
         scn = Scenario(id="t", ue_positions=((0.0, 5.0),), antennas_per_ue=1)
         cfg = ChannelModelConfig()
-        cm = generate_channel(arr, scn, room, cfg)
+        (cm,) = generate_channel(arr, [scn], room, cfg)
         expect = los_gain((0, 0, 1.5), (0, 5, 1.5), cfg.carrier_frequency)
         assert cm.h.shape == (1, 1)
         assert cm.h[0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_matches_per_element_evaluation(self, array, room, scenarios, los_cfg):
-        cm = generate_channel(array, scenarios[0], room, los_cfg)
+        (cm,) = generate_channel(array, [scenarios[0]], room, los_cfg)
         rx = ue_antenna_positions(scenarios[0], los_cfg.carrier_frequency)
         tx = array.active_positions()
         for r in (0, 3):
@@ -296,44 +296,53 @@ class TestGenerateChannel:
 
     def test_zero_reflection_collapses_to_los(self, array, scenarios):
         room0 = Room(wall_reflection=0.0, floor_reflection=0.0, ceiling_reflection=0.0)
-        los = generate_channel(array, scenarios[3], room0, ChannelModelConfig())
-        img = generate_channel(array, scenarios[3], room0,
-                               ChannelModelConfig(mode="image-order-1"))
+        (los,) = generate_channel(array, [scenarios[3]], room0, ChannelModelConfig())
+        (img,) = generate_channel(array, [scenarios[3]], room0,
+                                  ChannelModelConfig(mode="image-order-1"))
         assert np.array_equal(los.h, img.h)
 
     def test_image_mode_differs_with_reflections(self, array, room, scenarios):
-        los = generate_channel(array, scenarios[0], room, ChannelModelConfig())
-        img = generate_channel(array, scenarios[0], room,
-                               ChannelModelConfig(mode="image-order-1"))
+        (los,) = generate_channel(array, [scenarios[0]], room, ChannelModelConfig())
+        (img,) = generate_channel(array, [scenarios[0]], room,
+                                  ChannelModelConfig(mode="image-order-1"))
         assert not np.allclose(los.h, img.h)
 
     def test_passive_gain_below_unity(self, array, room, scenarios):
         for mode in ("los-only", "image-order-1"):
             for scn in scenarios:
-                cm = generate_channel(array, scn, room, ChannelModelConfig(mode=mode))
+                (cm,) = generate_channel(array, [scn], room, ChannelModelConfig(mode=mode))
                 assert np.all(np.abs(cm.h) < 1.0)
 
     def test_norm_decreases_with_distance(self, array, room, los_cfg):
         norms = []
         for y in (4.0, 6.0, 8.0, 10.0):
             scn = Scenario(id="t", ue_positions=((0.0, y),))
-            norms.append(np.linalg.norm(generate_channel(array, scn, room, los_cfg).h))
+            (cm,) = generate_channel(array, [scn], room, los_cfg)
+            norms.append(np.linalg.norm(cm.h))
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
     def test_ue_outside_room_rejected(self, array, room, los_cfg):
         scn = Scenario(id="bad", ue_positions=((10.0, 4.0),))
         with pytest.raises(ValueError, match="outside"):
-            generate_channel(array, scn, room, los_cfg)
+            generate_channel(array, [scn], room, los_cfg)
+
+    def test_a_block_equals_its_scenarios_one_at_a_time(self, array, room, scenarios):
+        cfg = ChannelModelConfig(mode="image-order-1", element_pattern="cosine")
+        block = generate_channel(array, scenarios, room, cfg)
+        assert [cm.n_users for cm in block] == [scn.n_users for scn in scenarios]
+        for cm, scn in zip(block, scenarios):
+            (alone,) = generate_channel(array, [scn], room, cfg)
+            assert cm.h.tobytes() == alone.h.tobytes()
 
     def test_shape_matches_scenario(self, array, room, scenarios, los_cfg):
         for scn in scenarios:
-            cm = generate_channel(array, scn, room, los_cfg)
+            (cm,) = generate_channel(array, [scn], room, los_cfg)
             assert cm.h.shape == (4 * scn.n_users, 64)
 
 
 class TestEstimateCsi:
     def test_perfect_csi_exact_copy(self, array, room, scenarios, los_cfg):
-        cm = generate_channel(array, scenarios[0], room, los_cfg)
+        (cm,) = generate_channel(array, [scenarios[0]], room, los_cfg)
         est = estimate_csi(cm, los_cfg, 0)
         assert np.array_equal(est.h, cm.h)
         assert est.h is not cm.h
@@ -361,5 +370,5 @@ class TestEstimateCsi:
 
     def test_seeded_reproducibility(self, array, room, scenarios):
         cfg = ChannelModelConfig(csi_snr_db=10.0)
-        cm = generate_channel(array, scenarios[2], room, cfg)
+        (cm,) = generate_channel(array, [scenarios[2]], room, cfg)
         assert np.array_equal(estimate_csi(cm, cfg, 7).h, estimate_csi(cm, cfg, 7).h)

@@ -236,6 +236,19 @@ BAD_DOCUMENTS = [
     ("retired-workers-bool", "seed: 1\nworkers: true\n", "finding: workers: retired"),
     ("retired-time-domain", "seed: 1\nofdm: {time_domain: true}\n",
      "finding: ofdm.time_domain: retired"),
+    # YAML 1.1 reads on and no as booleans and 1.50 as 1.5: they ran as
+    # scenarios "True", "False" and "1.5".
+    ("boolean-id-on", "seed: 1\nscenarios: [on]\n"
+     "custom_scenarios: [{id: on, ue_positions: [[1, 5]]}]\n",
+     "finding: scenarios[0]: expected a scenario id (a string or an integer), got True"),
+    ("boolean-id-no", "seed: 1\nscenarios: ['no']\n"
+     "custom_scenarios: [{id: no, ue_positions: [[1, 5]]}]\n",
+     "finding: custom_scenarios[0].id: expected a scenario id (a string or an integer), "
+     "got False"),
+    ("float-id", "seed: 1\nscenarios: ['1.50']\n"
+     "custom_scenarios: [{id: 1.50, ue_positions: [[1, 5]]}]\n",
+     "finding: custom_scenarios[0].id: expected a scenario id (a string or an integer), "
+     "got 1.5"),
     # A UE antenna 1 mm in front of the array, and one on active element 27.
     ("ue-at-the-array", "seed: 1\nscenarios: [near]\n"
      "custom_scenarios: [{id: near, ue_positions: [[0, 0.001]]}]\n"
@@ -286,7 +299,8 @@ def test_a_ue_antenna_near_the_array_but_not_at_it_runs(tmp_path):
            "channel": {"ue_height": 1.5285}}
     cfg = from_dict(doc)
     near = cfg.selected_scenarios()[0]
-    h = generate_channel(cfg.build_array(), near, cfg.room, cfg.channel).h
+    (channel,) = generate_channel(cfg.build_array(), [near], cfg.room, cfg.channel)
+    h = channel.h
     # The screen cannot clear it; the exact channel does: its largest gain is 0.122.
     assert may_reach_unit_gain(cfg.build_array().active_positions(),
                                ue_antenna_positions(near, 2.63e9, height=1.5285),
@@ -654,7 +668,7 @@ def test_a_point_outside_the_room_gets_one_message_from_every_site():
     room = Room()
     user = Scenario(id="s", ue_positions=((5.0, 4.0),), antennas_per_ue=1)
     calls = [
-        lambda: generate_channel(build_array(), user, room, ChannelModelConfig()),
+        lambda: generate_channel(build_array(), [user], room, ChannelModelConfig()),
         lambda: propagation_gains([(5.0, 4.0, 1.5)], [(0.0, 4.0, 1.5)], 2.63e9, room=room,
                                   mode="image-order-1"),
         lambda: build_grid(5.0, 5.0, 4.0, 4.0, 1.0, 1.5, room=room),

@@ -202,7 +202,7 @@ _VARIANCE_RATIO = 1.8
 def _noisy_csi_link(array, room, scenario):
     """True channel, combiners and ZF precoder from a 10 dB CSI estimate."""
     cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=10.0)
-    h = generate_channel(array, scenario, room, cfg)
+    (h,) = generate_channel(array, [scenario], room, cfg)
     h_est = estimate_csi(h, cfg, 3)
     c = combining_vectors(h_est)
     return h, c, zf_precoder(h_est, c, 1.0)

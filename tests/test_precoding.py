@@ -5,6 +5,7 @@ from beamfield import (
     ChannelMatrix,
     ChannelModelConfig,
     DegenerateChannelError,
+    Scenario,
     ZfInfeasibleError,
     combining_vectors,
     effective_channel,
@@ -41,7 +42,7 @@ class TestCombiningVectors:
 
     def test_unit_norm(self, array, room, scenarios, los_cfg):
         for scn in scenarios:
-            h = generate_channel(array, scn, room, los_cfg)
+            (h,) = generate_channel(array, [scn], room, los_cfg)
             for c in combining_vectors(h):
                 assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
 
@@ -55,6 +56,29 @@ class TestCombiningVectors:
         h = make_channel(block, n_users=1)
         (c,) = combining_vectors(h)
         assert abs(np.vdot(c, u[:, 0])) >= 1 - 1e-12
+
+    def test_a_stacked_channel_gives_each_scenario_its_own_combiners(self, array, room):
+        # 36 users of 1-8 user scenarios, as a run stacks a link block's estimates.
+        cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=40.0)
+        rng = np.random.default_rng(29)
+        block = [Scenario(id=f"s{n}", ue_positions=tuple(
+            (float(x), float(y)) for x, y in zip(rng.uniform(-3, 3, n), rng.uniform(2, 12, n))))
+            for n in range(1, 9)]
+        estimates = [estimate_csi(h, cfg, seed)
+                     for seed, h in enumerate(generate_channel(array, block, room, cfg))]
+        stacked = ChannelMatrix(h=np.concatenate([e.h for e in estimates]), n_users=36,
+                                antennas_per_ue=4)
+        per_scenario = [c for e in estimates for c in combining_vectors(e)]
+        # The per-user reference: a 2-D SVD and one scalar phase division per user.
+        reference = []
+        for k in range(36):
+            v = np.linalg.svd(stacked.ue_block(k), full_matrices=False)[0][:, 0]
+            pivot = int(np.argmax(np.abs(v)))
+            reference.append(v * (abs(v[pivot]) / v[pivot]))
+        combiners = combining_vectors(stacked)
+        assert len(combiners) == 36
+        for c, own, ref in zip(combiners, per_scenario, reference):
+            assert c.tobytes() == own.tobytes() == ref.tobytes()
 
     def test_zero_block_rejected(self):
         h = make_channel(np.zeros((4, 8)), n_users=1)
@@ -143,7 +167,7 @@ class TestZfPrecoder:
         # ways its diagonal gain can only drop.
         for seed in range(5):
             cfg = ChannelModelConfig(csi_snr_db=25.0)
-            h8 = generate_channel(array, scenarios[7], room, cfg)
+            (h8,) = generate_channel(array, [scenarios[7]], room, cfg)
             est8 = estimate_csi(h8, cfg, seed)
             c8 = combining_vectors(est8)
             w8 = zf_precoder(est8, c8, 1.0)
@@ -180,7 +204,7 @@ class TestEffectiveChannel:
             powers = []
             for seed in range(10):
                 cfg = ChannelModelConfig(csi_snr_db=snr)
-                h = generate_channel(array, scn, room, cfg)
+                (h,) = generate_channel(array, [scn], room, cfg)
                 est = estimate_csi(h, cfg, seed)
                 c = combining_vectors(est)
                 w = zf_precoder(est, c, 1.0)
@@ -199,7 +223,7 @@ class TestEffectiveChannel:
             vals = []
             for seed in range(20):
                 cfg = ChannelModelConfig(csi_snr_db=20.0)
-                h = generate_channel(array, scn, room, cfg)
+                (h,) = generate_channel(array, [scn], room, cfg)
                 est = estimate_csi(h, cfg, seed)
                 c = combining_vectors(est)
                 w = zf_precoder(est, c, 1.0)

@@ -10,13 +10,26 @@ import pytest
 
 import beamfield.field
 import beamfield.runner
-from beamfield import ConfigError, RunConfig, load_config, run, validate, verify_manifest
+from beamfield import (
+    ConfigError,
+    RunConfig,
+    ZfInfeasibleError,
+    combining_vectors,
+    estimate_csi,
+    generate_channel,
+    load_config,
+    run,
+    transmit_frame,
+    validate,
+    verify_manifest,
+    zf_precoder,
+)
 from beamfield.channel import _GAIN_BLOCK_ENTRIES
 from beamfield.cli import main as cli_main
-from beamfield.config import from_dict
+from beamfield.config import derive_seed, from_dict
 from beamfield.field import compute_heatmap, heatmaps, probe_gains
 from beamfield.render import grid_text, heatmap_json
-from beamfield.runner import run_scenario
+from beamfield.runner import run_links
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "paper-defaults.yaml")
@@ -173,19 +186,17 @@ class TestRun:
         room, array, grid = config.room, config.build_array(), config.build_grid()
         gains = probe_gains(array, room, grid, config.channel)
         text = grid_text(grid, config.formats)
-        for i, scenario in enumerate(config.selected_scenarios()):
-            link = run_scenario(config, scenario, i, array)
-            want = compute_heatmap(scenario, link.precoder, grid, gains,
+        for link in run_links(config, config.selected_scenarios(), array):
+            want = compute_heatmap(link.scenario, link.precoder, grid, gains,
                                    calibration=config.calibration)
-            written = (tmp_path / f"heatmap_scenario_{scenario.id}.json").read_text()
+            written = (tmp_path / f"heatmap_scenario_{link.scenario.id}.json").read_text()
             assert written == heatmap_json(want, text)
 
     def test_maps_from_a_generator_equal_maps_from_a_list(self):
         # The 0.1 m grid spans 18 blocks, so every pair meets every block.
         config = small_config(grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
         room, array, grid = config.room, config.build_array(), config.build_grid()
-        links = [run_scenario(config, scenario, i, array)
-                 for i, scenario in enumerate(config.selected_scenarios())]
+        links = run_links(config, config.selected_scenarios(), array)
         pairs = [(link.scenario, link.precoder) for link in links]
         from_list = heatmaps(pairs, array, room, grid, config.channel, calibration=0.7)
         from_generator = heatmaps((pair for pair in pairs), array, room, grid, config.channel,
@@ -298,6 +309,54 @@ class TestRun:
         assert set(payload["per_scenario"]) == {"1", "5"}
         avg = payload["average"]
         assert avg["max_vpm"] >= avg["p95_vpm"] >= avg["mean_vpm"] >= avg["min_vpm"]
+
+
+def _campaign_with_customs():
+    """The eight built-ins, then customs of 1-8 users; one has 2-antenna users."""
+    rng = np.random.default_rng(31)
+    customs = [{"id": f"c{n}", "ue_positions": np.column_stack(
+                    [rng.uniform(-3, 3, n), rng.uniform(2, 12, n)]).round(3).tolist(),
+                "antennas_per_ue": 2 if n == 3 else 4}
+               for n in range(1, 9)]
+    config = from_dict({"seed": 17, "ofdm": {"frames": 1}, "custom_scenarios": customs,
+                        "scenarios": [str(i) for i in range(1, 9)]
+                        + [c["id"] for c in customs]})
+    assert config.channel.csi_snr_db == 40.0 and validate(config) == ()
+    return config
+
+
+class TestRunLinks:
+    def test_links_equal_the_stages_run_one_scenario_at_a_time(self):
+        config = _campaign_with_customs()
+        array, scenarios = config.build_array(), config.selected_scenarios()
+        blocks = beamfield.runner._link_blocks(scenarios, array.n_active)
+        assert len(blocks) >= 3 and any(stop - start > 1 for start, stop in blocks)
+        links = run_links(config, scenarios, array)
+        assert [link.scenario for link in links] == scenarios
+        for i, (scenario, link) in enumerate(zip(scenarios, links)):
+            (h,) = generate_channel(array, [scenario], config.room, config.channel)
+            est = estimate_csi(h, config.channel, derive_seed(config.seed, i, 0))
+            combiners = combining_vectors(est)
+            precoder = zf_precoder(est, combiners, config.tx_power_w)
+            ber = transmit_frame(precoder, h, combiners, config.ofdm,
+                                 derive_seed(config.seed, i, 1))
+            assert link.precoder.w.tobytes() == precoder.w.tobytes(), scenario.id
+            assert link.ber == ber, scenario.id
+
+    def test_a_failing_link_names_its_scenario_and_leaves_no_directory(self, tmp_path, capsys):
+        # Two users at one place: with perfect CSI zero-forcing cannot separate them.
+        path = tmp_path / "twin.yaml"
+        path.write_text("seed: 1\nchannel: {csi_snr_db: .inf}\nscenarios: ['1', twin, '2']\n"
+                        "custom_scenarios: [{id: twin, ue_positions: [[1.0, 5.0], [1.0, 5.0]]}]\n")
+        config = load_config(str(path))
+        assert validate(config) == ()
+        out_dir = tmp_path / "out"
+        with pytest.raises(ZfInfeasibleError, match="^scenario twin: ZF infeasible: user 1 "):
+            run(config, out_dir=str(out_dir))
+        assert not out_dir.exists()
+        assert cli_main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario twin: ZF infeasible")
+        assert not out_dir.exists()
 
 
 class TestVerifyManifest:
