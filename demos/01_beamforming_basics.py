@@ -30,9 +30,9 @@ print("\nbuilt-in scenarios:")
 for s in standard_scenarios():
     print(f"  {s.id}: {s.n_users} user(s) at {s.ue_positions}")
 
-# The three-user case, with pilot-grade CSI.
+# The three-user case at the run's operating point: image-order-1, 40 dB pilot CSI.
 scenario = standard_scenarios()[7]
-cfg = ChannelModelConfig(mode="image-order-1", csi_snr_db=40.0)
+cfg = ChannelModelConfig()
 
 (h_true,) = generate_channel(array, [scenario], room, cfg)
 print(f"\nscenario {scenario.id}: channel is {h_true.h.shape[0]} UE antennas "

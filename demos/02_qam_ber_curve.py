@@ -25,7 +25,7 @@ from beamfield import (
 room = Room()
 array = build_array()
 scenario = standard_scenarios()[0]
-cfg = ChannelModelConfig()  # line of sight, perfect CSI
+cfg = ChannelModelConfig(mode="los-only", csi_snr_db=math.inf)  # line of sight, perfect CSI
 (h,) = generate_channel(array, [scenario], room, cfg)
 combiners = combining_vectors(h)
 precoder = zf_precoder(h, combiners, total_power=1.0)

@@ -26,8 +26,9 @@ _HOMES = {
     "errors": ("BeamfieldError", "ConfigError", "DegenerateChannelError",
                "UnknownRegionError", "ZfInfeasibleError"),
     "field": ("HeatMap", "compute_heatmap", "heatmaps", "probe_gains"),
-    "geometry": ("ArrayGeometry", "ProbeGrid", "Room", "Scenario", "build_array",
-                 "build_grid", "far_field_distance", "standard_scenarios", "wavelength"),
+    "geometry": ("ArrayGeometry", "ArraySection", "GridSection", "ProbeGrid", "Room",
+                 "Scenario", "build_array", "build_grid", "far_field_distance",
+                 "standard_scenarios", "wavelength"),
     "linalg": ("right_pseudo_inverse",),
     "ofdm": ("BerReport", "OfdmConfig", "transmit_frame"),
     "precoding": ("PrecodingMatrix", "combining_vectors", "effective_channel",

@@ -1,15 +1,17 @@
 """Downlink propagation channel and pilot-based CSI estimation.
 
-The propagation model is free-space line of sight, optionally augmented
-with first-order image sources for the six room surfaces (four walls,
-floor, ceiling).  Each surface contributes a mirrored transmitter whose
-ray is weighted by that surface's amplitude reflection coefficient, which
-reproduces the dominant standing-wave structure of an indoor link without
-a full ray tracer.  The images of a whole array are built in one numpy
+The propagation model is free-space line of sight (``los-only``) or, by
+default, line of sight plus first-order image sources for the six room
+surfaces (``image-order-1``: four walls, floor, ceiling).  Each surface
+contributes a mirrored transmitter whose ray is weighted by that
+surface's amplitude reflection coefficient, which reproduces the dominant
+standing-wave structure of an indoor link without a full ray tracer.  The images of a whole array are built in one numpy
 pass: each surface is a reflection of one coordinate across its plane.
 
 :func:`generate_channel` takes a sequence of scenarios, so a run's link
 block gets every scenario's channel from one gain evaluation.
+:class:`ChannelModelConfig`'s defaults, image-order-1 with 40 dB pilot
+CSI, are the calibrated operating point of a run.
 """
 
 import math
@@ -43,9 +45,14 @@ class ChannelModelConfig:
     draws noise, from the seed given to :func:`estimate_csi`.
     """
 
-    mode: str = MODE_LOS
+    # Calibrated link operating point: first-order reflections decorrelate
+    # users that share a bearing (two users on the boresight axis are nearly
+    # colinear in pure LoS), and this CSI quality, with OfdmConfig's noise
+    # level, puts every built-in scenario at an uncoded BER of 1e-2 or better
+    # with the more-users-worse ordering clearly resolved.
+    mode: str = MODE_IMAGE_1
     carrier_frequency: float = 2.63e9
-    csi_snr_db: float = math.inf
+    csi_snr_db: float = 40.0
     element_pattern: str = PATTERN_ISOTROPIC
     ue_height: float = DEFAULT_MOUNT_HEIGHT_M
 

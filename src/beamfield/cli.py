@@ -166,11 +166,14 @@ def _read_heatmap_csv(path):
 
 
 def _cmd_render(args):
-    from .render import grid_text, heatmap_ascii, heatmap_svg
+    from .render import grid_text, heatmap_ascii, heatmap_svg, scale_top
 
-    if args.vmax is not None and not 0 < args.vmax < math.inf:
-        raise ConfigError(f"--vmax: must be a positive, finite V/m value, got {args.vmax!r}")
     heatmap = _read_heatmap_csv(args.csv)
+    try:
+        scale_top(heatmap, args.vmax)
+    except ValueError:
+        raise ConfigError(f"--vmax: must be a positive, finite V/m value, "
+                          f"got {args.vmax!r}") from None
     formats = args.format or ["svg", "ascii"]
     out_dir = args.out or os.path.dirname(os.path.abspath(args.csv))
     os.makedirs(out_dir, exist_ok=True)

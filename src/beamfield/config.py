@@ -1,13 +1,12 @@
 """Run configuration: the :class:`RunConfig` dataclasses, YAML loading and validation.
 
-``RunConfig()`` is the only source of a document's defaults.  ``from_dict``
-starts each section from that instance and replaces just the keys a
-document sets, so ``configs/paper-defaults.yaml`` only spells the
-defaults out.  The layer dataclasses keep library defaults of their own,
-which no run reads: ``ChannelModelConfig()`` is los-only with perfect
-CSI and ``OfdmConfig()`` has a 60 dB noise level and 1 frame, where
-``RunConfig()`` sets image-order-1, 40 dB CSI, 64 dB and 4 frames.  The
-allowed keys are the dataclass fields, and each value is coerced to the
+A :class:`RunConfig` is its layers' configurations: ``room``, ``array``,
+``grid``, ``channel`` and ``ofdm`` are the layer dataclasses, whose own
+defaults are the paper's campaign, and ``RunConfig()`` adds the run's
+seed, scenarios, scales and outputs.  ``from_dict`` starts each section
+from that instance and replaces just the keys a document sets, so
+``configs/paper-defaults.yaml`` only spells the defaults out.  Every
+dataclass field is its own document key, and each value is coerced to the
 type of its default: booleans must be YAML booleans, integers must be
 integral, and numbers may also come as strings, because YAML 1.1 reads
 ``1e-4`` as one.  A scenario id is a string or an integer, never the
@@ -27,9 +26,9 @@ import yaml
 from .channel import ChannelModelConfig, generate_channel, lit_above, may_reach_unit_gain
 from .errors import ConfigError
 from .geometry import (
-    DEFAULT_ELEMENT_SPACING_M,
-    DEFAULT_MOUNT_HEIGHT_M,
     MAX_GAIN_ENTRIES,
+    ArraySection,
+    GridSection,
     Room,
     Scenario,
     build_array,
@@ -47,47 +46,19 @@ EXPORT_FORMATS = ("ascii", "csv", "json", "svg")
 
 
 @dataclass(frozen=True)
-class ArraySection:
-    rows: int = 16
-    cols: int = 8
-    spacing: float = DEFAULT_ELEMENT_SPACING_M
-    center: tuple = (0.0, 0.0, DEFAULT_MOUNT_HEIGHT_M)
-    active: str = "central-8x8"
-
-
-@dataclass(frozen=True)
-class GridSection:
-    x_min: float = -3.0
-    x_max: float = 3.0
-    y_min: float = 1.0
-    y_max: float = 8.0
-    spacing: float = 1.0
-    height: float = DEFAULT_MOUNT_HEIGHT_M
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a full simulation run needs, seed included."""
 
     seed: int = 1234
-    scenario_ids: tuple = tuple(str(i) for i in range(1, 9))
+    scenarios: tuple = tuple(s.id for s in standard_scenarios())
     custom_scenarios: tuple = ()
     tx_power_w: float = 1.0
     formats: tuple = EXPORT_FORMATS
     output_dir: str = "out"
     room: Room = field(default_factory=Room)
     array: ArraySection = field(default_factory=ArraySection)
-    # Calibrated link operating point: first-order reflections decorrelate
-    # users that share a bearing (two users on the boresight axis are nearly
-    # colinear in pure LoS), and this CSI quality / noise level pair puts
-    # every built-in scenario at an uncoded BER of 1e-2 or better with the
-    # more-users-worse ordering clearly resolved.
-    channel: ChannelModelConfig = field(
-        default_factory=lambda: ChannelModelConfig(mode="image-order-1", csi_snr_db=40.0)
-    )
-    ofdm: OfdmConfig = field(
-        default_factory=lambda: OfdmConfig(noise_snr_db=64.0, frames=4)
-    )
+    channel: ChannelModelConfig = field(default_factory=ChannelModelConfig)
+    ofdm: OfdmConfig = field(default_factory=OfdmConfig)
     grid: GridSection = field(default_factory=GridSection)
     calibration: float = 1.0
     cut_x: float = 0.0
@@ -95,13 +66,7 @@ class RunConfig:
     svg_vmax: float = None
 
     def build_array(self):
-        return build_array(
-            rows=self.array.rows,
-            cols=self.array.cols,
-            spacing=self.array.spacing,
-            center=self.array.center,
-            active_selection=self.array.active,
-        )
+        return build_array(self.array)
 
     def fit_min_distance(self, array):
         """Shortest cut distance the decay fit keeps, or None to keep them all.
@@ -115,9 +80,7 @@ class RunConfig:
                                   wavelength(self.channel.carrier_frequency))
 
     def build_grid(self):
-        g = self.grid
-        return build_grid(g.x_min, g.x_max, g.y_min, g.y_max, g.spacing, g.height,
-                          room=self.room)
+        return build_grid(self.grid, room=self.room)
 
     def available_scenarios(self):
         """Standard scenarios plus any custom ones, keyed by id."""
@@ -125,10 +88,10 @@ class RunConfig:
 
     def selected_scenarios(self):
         table = self.available_scenarios()
-        missing = [sid for sid in self.scenario_ids if sid not in table]
+        missing = [sid for sid in self.scenarios if sid not in table]
         if missing:
             raise ConfigError(f"unknown scenario ids: {', '.join(missing)}")
-        return [table[sid] for sid in self.scenario_ids]
+        return [table[sid] for sid in self.scenarios]
 
 
 def derive_seed(base_seed, scenario_index, stream):
@@ -201,7 +164,7 @@ def _formats(value, path):
 
 # Fields whose document form is not a scalar of their default's type.
 _IRREGULAR = {
-    (RunConfig, "scenario_ids"): lambda v, path: tuple(
+    (RunConfig, "scenarios"): lambda v, path: tuple(
         _scenario_id(s, f"{path}[{k}]") for k, s in enumerate(_sequence(v, path))),
     (RunConfig, "custom_scenarios"): _custom_scenarios,
     (RunConfig, "formats"): _formats,
@@ -213,9 +176,6 @@ _IRREGULAR = {
     (Scenario, "ue_positions"): lambda v, path: tuple(
         _floats(p, f"{path}[{k}]", 2) for k, p in enumerate(_sequence(v, path))),
 }
-
-# Field names the document spells differently.
-_DOC_KEYS = {"scenario_ids": "scenarios"}
 
 # Keys that set nothing any more, by document path: each is read, and dropped,
 # only at the one value (of exactly that type) that every run now means.
@@ -239,15 +199,13 @@ def _section(defaults, doc, path):
         raise ConfigError(f"{path or 'config root'}: expected a mapping")
     doc = {key: value for key, value in doc.items()
            if not _retired(f"{path}.{key}" if path else key, value)}
-    keys = {_DOC_KEYS.get(f.name, f.name): f.name for f in fields(defaults)}
-    unknown = set(doc) - set(keys)
+    unknown = set(doc) - {f.name for f in fields(defaults)}
     if unknown:
         where = f"{path}: unknown keys" if path else "unknown top-level keys:"
         raise ConfigError(f"{where} {sorted(unknown, key=str)}")
     overrides = {}
-    for key, value in doc.items():
-        name = keys[key]
-        where = f"{path}.{key}" if path else key
+    for name, value in doc.items():
+        where = f"{path}.{name}" if path else name
         default = getattr(defaults, name)
         irregular = _IRREGULAR.get((type(defaults), name))
         if irregular:
@@ -341,10 +299,12 @@ def validate(config):
             return (str(exc),)
 
     findings = _nonfinite(config)
-    if not config.scenario_ids:
+    if not config.scenarios:
         findings.append("scenarios: expected a non-empty list of scenario ids")
     if config.seed < 0:
         findings.append("seed: must be non-negative")
+    # render.scale_top owns the rule; validate loads no renderer, and
+    # _nonfinite above finds a vmax that is not finite.
     if config.svg_vmax is not None and config.svg_vmax <= 0:
         findings.append("svg_vmax: must be positive")
     builtin = {s.id for s in standard_scenarios()}
@@ -359,7 +319,7 @@ def validate(config):
     for sid, n in Counter(s.id for s in config.custom_scenarios).items():
         if n > 1:
             findings.append(f"custom_scenarios: id {sid!r} is defined {n} times")
-    for sid, n in Counter(config.scenario_ids).items():
+    for sid, n in Counter(config.scenarios).items():
         if n > 1:
             findings.append(f"scenarios: id {sid!r} is listed {n} times")
     ofdm = config.ofdm
@@ -396,7 +356,7 @@ def validate(config):
     # Scenario references, and every UE antenna inside the room.
     table = config.available_scenarios()
     placed = {}
-    for sid in config.scenario_ids:
+    for sid in config.scenarios:
         if sid not in table:
             findings.append(f"scenarios: id {sid!r} is not defined")
             continue
@@ -410,10 +370,9 @@ def validate(config):
             placed[sid] = antennas
 
     # Geometry: the memory budgets, from the extents, before the grid is built.
-    g = config.grid
     try:
         array = config.build_array()
-        points = grid_size_bound(g.x_min, g.x_max, g.y_min, g.y_max, g.spacing)
+        points = grid_size_bound(config.grid)
     except ValueError as exc:
         findings.append(str(exc))
         return tuple(findings)
@@ -423,7 +382,7 @@ def validate(config):
             f"exceed the {MAX_GAIN_ENTRIES:.3g}-entry field-gain budget")
         return tuple(findings)
     # Zero-forcing inverts the users x active-elements channel from the right.
-    for sid in config.scenario_ids:
+    for sid in config.scenarios:
         if sid in table and table[sid].n_users > array.n_active:
             findings.append(
                 f"scenario {sid}: {table[sid].n_users} users exceed the {array.n_active} "
@@ -440,7 +399,7 @@ def validate(config):
     # The element pattern lights every user: it lights only y > lit_y.
     tx = array.active_positions()
     lit_y = lit_above(tx, room, config.channel.mode, config.channel.element_pattern)
-    for sid in config.scenario_ids:
+    for sid in config.scenarios:
         for u, (_, y) in enumerate(table[sid].ue_positions if sid in table else ()):
             if y <= lit_y:
                 findings.append(f"scenario {sid}: user {u} at y = {y:g} m gets no field: "

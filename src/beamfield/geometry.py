@@ -3,6 +3,10 @@
 Coordinate convention: the array face lies in the x-z plane at y = 0 with
 boresight along +y.  The room footprint is x in [-width/2, +width/2],
 y in [0, length], z in [0, height]; the floor is z = 0.
+
+:func:`build_array` and :func:`build_grid` read the ``array`` and ``grid``
+sections of a run configuration, whose defaults (the paper's 16 x 8 panel,
+central 8 x 8 active, and 56-point probe grid) are written only there.
 """
 
 from dataclasses import dataclass, replace
@@ -10,9 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-#: Half wavelength at the default 2.63 GHz carrier; the usual array design point (m).
-DEFAULT_ELEMENT_SPACING_M = 0.057
 
 #: Height of the array centre and of the probe plane (m).
 DEFAULT_MOUNT_HEIGHT_M = 1.5
@@ -204,26 +205,47 @@ class ProbeGrid:
                 and np.array_equal(self.y_values, other.y_values))
 
 
-def build_array(
-    rows=16,
-    cols=8,
-    spacing=DEFAULT_ELEMENT_SPACING_M,
-    center=(0.0, 0.0, DEFAULT_MOUNT_HEIGHT_M),
-    active_selection="central-8x8",
-):
-    """Build a rows x cols planar array centred at ``center``.
+@dataclass(frozen=True)
+class ArraySection:
+    """A planar array of ``rows`` x ``cols`` elements ``spacing`` apart.
 
-    Rows run along z, columns along x; element order is row-major.
-    ``active_selection`` is ``"all"`` or ``"central-8x8"`` (the central 64
-    elements); either way the active elements form one rectangular block.
+    ``active`` is ``"all"`` or ``"central-8x8"`` (the central 64 elements).
     """
+
+    rows: int = 16
+    cols: int = 8
+    # Half a wavelength at the 2.63 GHz carrier; the usual array design point (m).
+    spacing: float = 0.057
+    center: tuple = (0.0, 0.0, DEFAULT_MOUNT_HEIGHT_M)
+    active: str = "central-8x8"
+
+
+@dataclass(frozen=True)
+class GridSection:
+    """A rectangular probe lattice: its extents, step and height (m)."""
+
+    x_min: float = -3.0
+    x_max: float = 3.0
+    y_min: float = 1.0
+    y_max: float = 8.0
+    spacing: float = 1.0
+    height: float = DEFAULT_MOUNT_HEIGHT_M
+
+
+def build_array(section=ArraySection()):
+    """Build the planar array ``section`` describes, centred at its ``center``.
+
+    Rows run along z, columns along x; element order is row-major.  Either
+    ``active`` policy makes the active elements one rectangular block.
+    """
+    rows, cols, spacing = section.rows, section.cols, section.spacing
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
     if rows * cols > MAX_ARRAY_ELEMENTS:
         raise ValueError(f"array: {rows * cols} elements exceed the {MAX_ARRAY_ELEMENTS} budget")
     if spacing <= 0:
         raise ValueError("spacing must be positive")
-    cx, cy, cz = (float(v) for v in center)
+    cx, cy, cz = (float(v) for v in section.center)
 
     xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing + cx
     zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing + cz
@@ -233,9 +255,9 @@ def build_array(
     positions[..., 2] = zs[:, None]
     positions = positions.reshape(-1, 3)
 
-    if active_selection == "all":
+    if section.active == "all":
         mask = np.ones(rows * cols, dtype=bool)
-    elif active_selection == "central-8x8":
+    elif section.active == "central-8x8":
         if rows < 8 or cols < 8:
             raise ValueError(
                 f"central-8x8 needs at least an 8x8 array, got {rows}x{cols}"
@@ -246,7 +268,7 @@ def build_array(
         mask[r0:r0 + 8, c0:c0 + 8] = True
         mask = mask.reshape(-1)
     else:
-        raise ValueError(f"unknown active_selection policy {active_selection!r}")
+        raise ValueError(f"unknown active policy {section.active!r}")
 
     positions.setflags(write=False)
     mask.setflags(write=False)
@@ -268,50 +290,45 @@ _STANDARD_UE_LAYOUTS = (
 
 def standard_scenarios():
     """The eight built-in beamforming scenarios, ids "1" through "8"."""
-    return [Scenario(id=str(i + 1), ue_positions=layout, antennas_per_ue=4)
+    return [Scenario(id=str(i + 1), ue_positions=layout)
             for i, layout in enumerate(_STANDARD_UE_LAYOUTS)]
 
 
-def grid_size_bound(x_min, x_max, y_min, y_max, spacing):
-    """Upper bound of the point count of a :func:`build_grid` lattice.
+def grid_size_bound(section):
+    """Upper bound of the point count of the :func:`build_grid` lattice of ``section``.
 
     Computed from the extents alone, so budgets are checked before
     anything is allocated.
     """
-    if x_max < x_min or y_max < y_min:
+    g = section
+    if g.x_max < g.x_min or g.y_max < g.y_min:
         raise ValueError("grid extent must satisfy x_max >= x_min and y_max >= y_min")
-    if spacing <= 0:
+    if g.spacing <= 0:
         raise ValueError("spacing must be positive")
-    return ((x_max - x_min) / spacing + 1) * ((y_max - y_min) / spacing + 1)
+    return ((g.x_max - g.x_min) / g.spacing + 1) * ((g.y_max - g.y_min) / g.spacing + 1)
 
 
-def build_grid(
-    x_min=-3.0,
-    x_max=3.0,
-    y_min=1.0,
-    y_max=8.0,
-    spacing=1.0,
-    height=DEFAULT_MOUNT_HEIGHT_M,
-    room=None,
-):
-    """Build a rectangular probe lattice, endpoints inclusive.
+def build_grid(section=GridSection(), room=None):
+    """Build the probe lattice ``section`` describes, endpoints inclusive.
 
     The default call reproduces the 7 x 8 = 56-point measurement grid.
     When ``room`` is given the grid must lie inside it.
     """
-    n_points = grid_size_bound(x_min, x_max, y_min, y_max, spacing)
+    g = section
+    n_points = grid_size_bound(g)
     if n_points > MAX_GRID_POINTS:
         raise ValueError(f"grid: about {n_points:.3g} points exceed the {MAX_GRID_POINTS} budget")
 
-    xs = _lattice_axis(x_min, x_max, spacing)
-    ys = _lattice_axis(y_min, y_max, spacing)
+    xs = _lattice_axis(g.x_min, g.x_max, g.spacing)
+    ys = _lattice_axis(g.y_min, g.y_max, g.spacing)
 
     if room is not None:
-        room.require_inside([(x_min, y_min, height), (x_max, y_max, height)], "grid corner")
+        room.require_inside([(g.x_min, g.y_min, g.height), (g.x_max, g.y_max, g.height)],
+                            "grid corner")
 
     xs.setflags(write=False)
     ys.setflags(write=False)
-    return ProbeGrid(xs, ys, float(height))
+    return ProbeGrid(xs, ys, float(g.height))
 
 
 def _lattice_axis(lo, hi, step):

@@ -69,10 +69,11 @@ def _fills(t):
     return text.tobytes().decode("ascii").split()
 
 
-def _scale_top(heatmap, vmax):
+def scale_top(heatmap, vmax):
     """Top of the colour scale: ``vmax`` if given, else the map maximum.
 
-    An all-zero map has no maximum to scale to and gets 1 V/m.
+    A given ``vmax`` must be positive and finite.  An all-zero map has no
+    maximum to scale to and gets 1 V/m.
     """
     if vmax is None:
         return float(heatmap.values.max()) or 1.0
@@ -85,9 +86,10 @@ def _levels(values, top):
     """ASCII level index 0-9 per entry of ``values`` on the scale 0 to ``top``.
 
     Values are non-negative, so truncation is the floor of the scaled value.
+    Clamping before the division keeps a subnormal ``top`` from overflowing it.
     """
     n = len(_ASCII_LEVELS)
-    return np.minimum(values / top * n, n - 1).astype(int)
+    return np.minimum(np.minimum(values, top) / top * n, n - 1).astype(int)
 
 
 @dataclass(frozen=True, repr=False)
@@ -274,10 +276,10 @@ def heatmap_svg(heatmap, text, vmax=None, markers=()):
     pins the top of the colour scale; default is the map maximum.
     """
     template = text.template(heatmap, "svg")
-    top = _scale_top(heatmap, vmax)
+    top = scale_top(heatmap, vmax)
 
     values = heatmap.values.tolist()
-    scaled = heatmap.values / top
+    scaled = np.minimum(heatmap.values, top) / top  # clamped first, as in _levels
     cells = 4 * len(values)
     slots = [None] * (2 + cells + 4)
     slots[0] = _xml_text(heatmap.scenario_id)
@@ -314,7 +316,7 @@ def heatmap_ascii(heatmap, vmax=None):
     rows = heatmap.as_grid_rows()
     xs = heatmap.grid.x_values
     ys = heatmap.grid.y_values
-    top = _scale_top(heatmap, vmax)
+    top = scale_top(heatmap, vmax)
 
     lines = [f"scenario {heatmap.scenario_id}: RMS E-field, "
              f"'{_ASCII_LEVELS[0]}'=0 to '{_ASCII_LEVELS[-1]}'={top:.3g} V/m"]

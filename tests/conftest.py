@@ -1,3 +1,4 @@
+import math
 import os
 
 # One OpenBLAS thread, set before numpy is first imported (pytest and its
@@ -10,6 +11,7 @@ import pytest  # noqa: E402
 
 from beamfield import (  # noqa: E402
     ChannelModelConfig,
+    OfdmConfig,
     Room,
     build_array,
     build_grid,
@@ -19,6 +21,15 @@ from beamfield import (  # noqa: E402
     standard_scenarios,
     zf_precoder,
 )
+
+
+# The layer configs default to the run's operating point (image-order-1,
+# 40 dB CSI, a 64 dB receiver, 4 frames).  Tests whose physics rests on line
+# of sight with perfect CSI, or on a 60 dB receiver over one frame, spell
+# those values through these constants, and vary them with
+# dataclasses.replace.
+LOS_PERFECT_CSI = ChannelModelConfig(mode="los-only", csi_snr_db=math.inf)
+OFDM_ONE_FRAME = OfdmConfig(noise_snr_db=60.0, frames=1)
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +55,7 @@ def scenarios():
 @pytest.fixture(scope="session")
 def los_cfg():
     """LoS-only channel with perfect CSI."""
-    return ChannelModelConfig()
+    return LOS_PERFECT_CSI
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from beamfield import (
+    ArraySection,
     ChannelModelConfig,
+    GridSection,
     OfdmConfig,
     PrecodingMatrix,
     RunConfig,
@@ -36,7 +38,7 @@ from beamfield.field import HeatMap
 from beamfield.runner import run_links
 from beamfield.stats import average_heatmaps
 
-from conftest import perfect_link, random_complex
+from conftest import LOS_PERFECT_CSI, perfect_link, random_complex
 from field_oracle import interference_ratio
 from qam_oracle import exact_ber_64qam
 
@@ -100,7 +102,7 @@ def test_criterion_04_qam_awgn_ber_matches_oracle(array, room, scenarios):
     sigma^2 / (2 |g|^2) for noise power sigma^2 and own gain g, so
     Eb/N0 = |g|^2 / (6 sigma^2) sets noise_snr_db.
     """
-    h, combiners, precoder = perfect_link(array, scenarios[0], room, ChannelModelConfig())
+    h, combiners, precoder = perfect_link(array, scenarios[0], room, LOS_PERFECT_CSI)
     eff = effective_channel(h, precoder, combiners)
     assert np.array_equal(eff / np.diag(eff)[:, None], [[1.0]])
     gain = abs(eff[0, 0])
@@ -151,10 +153,10 @@ def test_criterion_05_ber_grows_with_users(array, room, scenarios):
 def test_criterion_06_free_space_field_ground_truth(room):
     # The run's own path: probe gains, then the heat map of a 1 W precoder
     # on one isotropic element, read 1 m in front of it.
-    element = build_array(rows=1, cols=1, center=(0.0, 0.0, 1.5), active_selection="all")
-    probe = build_grid(x_min=0.0, x_max=0.0, y_min=1.0, y_max=1.0, height=1.5)
+    element = build_array(ArraySection(rows=1, cols=1, center=(0.0, 0.0, 1.5), active="all"))
+    probe = build_grid(GridSection(x_min=0.0, x_max=0.0, y_min=1.0, y_max=1.0, height=1.5))
     one_watt = PrecodingMatrix(w=np.ones((1, 1), dtype=complex))
-    gains = probe_gains(element, room, probe, ChannelModelConfig())
+    gains = probe_gains(element, room, probe, LOS_PERFECT_CSI)
     heatmap = compute_heatmap(Scenario(id="1w", ue_positions=((0.0, 1.0),)), one_watt,
                               probe, gains)
     e = float(heatmap.values[0])
@@ -163,7 +165,7 @@ def test_criterion_06_free_space_field_ground_truth(room):
 
 
 def test_criterion_07_inverse_distance_decay(array, room, scenarios):
-    cfg = ChannelModelConfig()  # los-only, perfect CSI
+    cfg = LOS_PERFECT_CSI
     _, _, precoder = perfect_link(array, scenarios[0], room, cfg)
     grid = RunConfig().build_grid()
     heatmap = compute_heatmap(scenarios[0], precoder, grid,
@@ -197,7 +199,7 @@ def test_criterion_08_maximum_near_array(grid):
 
 
 def test_criterion_09_average_exactness(array, room, grid, scenarios):
-    cfg = ChannelModelConfig()
+    cfg = LOS_PERFECT_CSI
     gains = probe_gains(array, room, grid, cfg)
     maps = []
     for scn in scenarios:
@@ -226,7 +228,7 @@ def test_criterion_10_compliance_logic(array, room, grid, scenarios):
         for region, count in expected.items():
             assert check(m, region).exceed_count == count
 
-    cfg = ChannelModelConfig()
+    cfg = LOS_PERFECT_CSI
     gains = probe_gains(array, room, grid, cfg)
     peak = 0.0
     for scn in scenarios:

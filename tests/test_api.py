@@ -24,6 +24,7 @@ from beamfield import (
     Room,
     Scenario,
     build_array,
+    build_grid,
     check,
     combining_vectors,
     estimate_csi,
@@ -37,9 +38,9 @@ from beamfield.channel import propagation_gains
 from beamfield.runner import run_links
 
 PUBLIC = [
-    "ArrayGeometry", "BeamfieldError", "BerReport", "ChannelMatrix",
+    "ArrayGeometry", "ArraySection", "BeamfieldError", "BerReport", "ChannelMatrix",
     "ChannelModelConfig", "ComplianceReport", "ConfigError", "CutProfile",
-    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "HeatMap", "OfdmConfig",
+    "DEFAULT_LIMITS_VPM", "DegenerateChannelError", "GridSection", "HeatMap", "OfdmConfig",
     "PrecodingMatrix", "ProbeGrid", "Room", "RunConfig", "Scenario",
     "UnknownRegionError", "ZfInfeasibleError",
     "average_heatmaps", "build_array", "build_grid", "check", "combining_vectors",
@@ -194,6 +195,9 @@ def test_signatures_take_what_the_pipeline_passes():
     # stages take the scenarios together, so a block of them shares one call.
     assert _parameters(run_links) == ["config", "scenarios", "array"]
     assert _parameters(generate_channel) == ["array", "scenarios", "room", "cfg"]
+    # A builder reads its config section, which owns the defaults.
+    assert _parameters(build_array) == ["section"]
+    assert _parameters(build_grid) == ["section", "room"]
     # Names the benchmark binds by keyword.
     assert _parameters(transmit_frame) == ["precoder", "h_true", "combiners", "cfg", "seed"]
     assert _parameters(propagation_gains) == ["tx_points", "rx_points", "frequency", "room",

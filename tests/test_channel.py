@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from beamfield import (
+    ArraySection,
     ChannelModelConfig,
+    GridSection,
     Room,
     Scenario,
     estimate_csi,
@@ -23,7 +26,7 @@ from beamfield.channel import (
 from beamfield.geometry import ue_antenna_positions, wavelength
 
 import gains_reference as ref
-from conftest import random_complex
+from conftest import LOS_PERFECT_CSI, random_complex
 from field_oracle import los_gain
 
 
@@ -114,7 +117,7 @@ class TestImageModeReference:
         assert got.tobytes() == ref.image_gains(tx, rx, self.F, room, pattern).tobytes()
 
     def test_default_array_over_the_grid(self, array, room):
-        rx = build_grid(room=room, spacing=0.5).points
+        rx = build_grid(GridSection(spacing=0.5), room=room).points
         for pattern in ("isotropic", "cosine"):
             self.check(array.active_positions(), rx, room, pattern)
 
@@ -126,7 +129,7 @@ class TestImageModeReference:
             self.check(array.active_positions(), rx, room, pattern)
 
     def test_array_off_the_wall(self, room):
-        arr = build_array(rows=4, cols=4, center=(1.0, 2.5, 1.2), active_selection="all")
+        arr = build_array(ArraySection(rows=4, cols=4, center=(1.0, 2.5, 1.2), active="all"))
         rx = [(0.3, 6.0, 1.5), (-2.0, 1.0, 0.4), (3.0, 2.5, 2.9), (0.0, 14.0, 1.5)]
         for pattern in ("isotropic", "cosine"):
             self.check(arr.active_positions(), rx, room, pattern)
@@ -137,7 +140,7 @@ class TestImageModeReference:
 
     def test_receivers_over_several_blocks(self, array, room):
         # 64 elements: 256 receivers per block, so 725 probes end in a partial block.
-        rx = build_grid(room=room, spacing=0.25).points
+        rx = build_grid(GridSection(spacing=0.25), room=room).points
         rows = _GAIN_BLOCK_ENTRIES // array.n_active
         assert len(rx) > 2 * rows and len(rx) % rows != 0
         for pattern in ("isotropic", "cosine"):
@@ -147,20 +150,20 @@ class TestImageModeReference:
         # Only some transmit points lie on y = 0, so no image has the direct rays.
         tx = array.active_positions().copy()
         tx[::3, 1] = 0.25
-        rx = build_grid(room=room, spacing=0.5).points
+        rx = build_grid(GridSection(spacing=0.5), room=room).points
         for pattern in ("isotropic", "cosine"):
             self.check(tx, rx, room, pattern)
 
     def test_array_flush_on_an_x_wall(self, room):
         # Every element at x = -3.75: the x-low image coincides with the array.
         tx = [(-3.75, y, z) for y in (1.0, 1.057, 1.114) for z in (1.4, 1.6)]
-        rx = build_grid(room=room, spacing=0.5).points
+        rx = build_grid(GridSection(spacing=0.5), room=room).points
         for pattern in ("isotropic", "cosine"):
             self.check(tx, rx, room, pattern)
 
     def test_on_wall_array_without_a_y_low_image(self, array):
         room = Room(wall_reflection=(-0.6, -0.5, 0.0, -0.3))
-        rx = build_grid(room=room, spacing=0.5).points
+        rx = build_grid(GridSection(spacing=0.5), room=room).points
         for pattern in ("isotropic", "cosine"):
             self.check(array.active_positions(), rx, room, pattern)
 
@@ -169,7 +172,7 @@ class TestImageModeReference:
         # receivers on the wall give rays with y offsets of either sign of zero.
         tx = array.active_positions().copy()
         tx[::2, 1] = -0.0
-        rx = np.vstack([build_grid(room=room, spacing=0.5).points,
+        rx = np.vstack([build_grid(GridSection(spacing=0.5), room=room).points,
                         [(1.0, 0.0, 1.0), (1.0, -0.0, 2.0), (-2.0, -0.0, 0.5)]])
         assert np.signbit(tx[:, 1]).any() and not np.signbit(tx[:, 1]).all()
         for pattern in ("isotropic", "cosine"):
@@ -177,8 +180,8 @@ class TestImageModeReference:
 
     def test_large_array_takes_few_receivers_per_block(self, room):
         # 32 x 32 active elements: 16 receivers per block, so 56 probes are 4 blocks.
-        arr = build_array(rows=32, cols=32, active_selection="all")
-        rx = build_grid(room=room, spacing=1.0).points
+        arr = build_array(ArraySection(rows=32, cols=32, active="all"))
+        rx = build_grid(GridSection(spacing=1.0), room=room).points
         rows = _GAIN_BLOCK_ENTRIES // arr.n_active
         assert rows == 16 and len(rx) % rows != 0
         for pattern in ("isotropic", "cosine"):
@@ -276,10 +279,10 @@ class TestGenerateChannel:
     def test_single_element_single_antenna(self, room):
         from beamfield import build_array
 
-        arr = build_array(rows=1, cols=1, spacing=0.057, center=(0, 0, 1.5),
-                          active_selection="all")
+        arr = build_array(ArraySection(rows=1, cols=1, spacing=0.057, center=(0, 0, 1.5),
+                                       active="all"))
         scn = Scenario(id="t", ue_positions=((0.0, 5.0),), antennas_per_ue=1)
-        cfg = ChannelModelConfig()
+        cfg = LOS_PERFECT_CSI
         (cm,) = generate_channel(arr, [scn], room, cfg)
         expect = los_gain((0, 0, 1.5), (0, 5, 1.5), cfg.carrier_frequency)
         assert cm.h.shape == (1, 1)
@@ -296,13 +299,13 @@ class TestGenerateChannel:
 
     def test_zero_reflection_collapses_to_los(self, array, scenarios):
         room0 = Room(wall_reflection=0.0, floor_reflection=0.0, ceiling_reflection=0.0)
-        (los,) = generate_channel(array, [scenarios[3]], room0, ChannelModelConfig())
+        (los,) = generate_channel(array, [scenarios[3]], room0, LOS_PERFECT_CSI)
         (img,) = generate_channel(array, [scenarios[3]], room0,
                                   ChannelModelConfig(mode="image-order-1"))
         assert np.array_equal(los.h, img.h)
 
     def test_image_mode_differs_with_reflections(self, array, room, scenarios):
-        (los,) = generate_channel(array, [scenarios[0]], room, ChannelModelConfig())
+        (los,) = generate_channel(array, [scenarios[0]], room, LOS_PERFECT_CSI)
         (img,) = generate_channel(array, [scenarios[0]], room,
                                   ChannelModelConfig(mode="image-order-1"))
         assert not np.allclose(los.h, img.h)
@@ -369,6 +372,6 @@ class TestEstimateCsi:
         assert ratio == pytest.approx(0.01, rel=0.1)
 
     def test_seeded_reproducibility(self, array, room, scenarios):
-        cfg = ChannelModelConfig(csi_snr_db=10.0)
+        cfg = dataclasses.replace(LOS_PERFECT_CSI, csi_snr_db=10.0)
         (cm,) = generate_channel(array, [scenarios[2]], room, cfg)
         assert np.array_equal(estimate_csi(cm, cfg, 7).h, estimate_csi(cm, cfg, 7).h)

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamfield import (
+    ArraySection,
     ChannelModelConfig,
     ConfigError,
+    GridSection,
     OfdmConfig,
     Room,
     RunConfig,
@@ -78,8 +80,7 @@ def schema(obj):
     keys = {}
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        key = "scenarios" if f.name == "scenario_ids" else f.name
-        keys[key] = schema(value) if dataclasses.is_dataclass(value) else value
+        keys[f.name] = schema(value) if dataclasses.is_dataclass(value) else value
     return keys
 
 
@@ -94,6 +95,29 @@ class TestSingleSourceOfTruth:
             if isinstance(value, dict):
                 assert set(EXPLICIT[key]) == set(value), key
         assert from_dict(EXPLICIT) == RunConfig()
+
+    def test_each_section_default_is_its_class_default(self):
+        config = RunConfig()
+        for name, cls in (("room", Room), ("array", ArraySection), ("grid", GridSection),
+                          ("channel", ChannelModelConfig), ("ofdm", OfdmConfig)):
+            assert getattr(config, name) == cls(), name
+
+    def test_the_builders_default_to_the_run_config(self):
+        array, run_array = build_array(), RunConfig().build_array()
+        assert np.array_equal(array.element_positions, run_array.element_positions)
+        assert np.array_equal(array.active_mask, run_array.active_mask)
+        assert build_grid().same_lattice(RunConfig().build_grid())
+
+    def test_every_document_key_names_a_field(self):
+        def unnamed(doc, obj, path):
+            names = {f.name for f in dataclasses.fields(obj)}
+            missing = [f"{path}{key}" for key in doc if key not in names]
+            for key, value in doc.items():
+                if isinstance(value, dict) and key in names:
+                    missing += unnamed(value, getattr(obj, key), f"{path}{key}.")
+            return missing
+
+        assert unnamed(read_yaml(CONFIG_PATH), RunConfig(), "") == []
 
     def test_retired_keys_at_their_one_value_still_load(self):
         # The benchmark's workloads spell out both retired keys at these values.
@@ -671,7 +695,7 @@ def test_a_point_outside_the_room_gets_one_message_from_every_site():
         lambda: generate_channel(build_array(), [user], room, ChannelModelConfig()),
         lambda: propagation_gains([(5.0, 4.0, 1.5)], [(0.0, 4.0, 1.5)], 2.63e9, room=room,
                                   mode="image-order-1"),
-        lambda: build_grid(5.0, 5.0, 4.0, 4.0, 1.0, 1.5, room=room),
+        lambda: build_grid(GridSection(5.0, 5.0, 4.0, 4.0, 1.0, 1.5), room=room),
     ]
     messages = []
     for call in calls:

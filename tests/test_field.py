@@ -19,9 +19,9 @@ from beamfield import (
     wavelength,
 )
 from beamfield.field import _row_blocks
-from beamfield.geometry import build_array, build_grid
+from beamfield.geometry import ArraySection, GridSection, build_array, build_grid
 
-from conftest import perfect_link
+from conftest import LOS_PERFECT_CSI, perfect_link
 from field_oracle import (
     FREE_SPACE_IMPEDANCE,
     element_field,
@@ -67,21 +67,21 @@ class TestElementField:
 
 class TestSuperposeFields:
     def test_single_element_single_stream(self, room):
-        arr = build_array(rows=1, cols=1, spacing=0.05, center=(0, 0, 1.5),
-                          active_selection="all")
+        arr = build_array(ArraySection(rows=1, cols=1, spacing=0.05, center=(0, 0, 1.5),
+                                       active="all"))
         w = PrecodingMatrix(w=np.array([[1.0 + 0j]]))
-        cfg = ChannelModelConfig()
+        cfg = LOS_PERFECT_CSI
         probe = (0.0, 3.0, 1.5)
         got = superpose_fields(arr, w, probe, room, cfg)
         want = abs(element_field(arr.element_positions[0], 1.0, probe, FREQ))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_two_equal_streams_add_in_power(self, room):
-        arr = build_array(rows=1, cols=1, spacing=0.05, center=(0, 0, 1.5),
-                          active_selection="all")
+        arr = build_array(ArraySection(rows=1, cols=1, spacing=0.05, center=(0, 0, 1.5),
+                                       active="all"))
         w = PrecodingMatrix(w=np.array([[1.0 + 0j, 1.0 + 0j]]))
         single = PrecodingMatrix(w=np.array([[1.0 + 0j]]))
-        cfg = ChannelModelConfig()
+        cfg = LOS_PERFECT_CSI
         probe = (0.0, 3.0, 1.5)
         e1 = superpose_fields(arr, single, probe, room, cfg)
         e2 = superpose_fields(arr, w, probe, room, cfg)
@@ -90,9 +90,9 @@ class TestSuperposeFields:
     def test_boresight_array_gain(self):
         # 64 phased elements at equal total power: field gain ~ sqrt(64)
         # over one element, within 5% at a far on-beam point.
-        arr = build_array(rows=8, cols=8, spacing=0.057, center=(0, 0, 0),
-                          active_selection="all")
-        cfg = ChannelModelConfig()
+        arr = build_array(ArraySection(rows=8, cols=8, spacing=0.057, center=(0, 0, 0),
+                                       active="all"))
+        cfg = LOS_PERFECT_CSI
         probe = np.array([0.0, 60.0, 0.0])
         lam = wavelength(FREQ)
         d = np.linalg.norm(arr.element_positions - probe, axis=1)
@@ -100,8 +100,8 @@ class TestSuperposeFields:
         w = PrecodingMatrix(w=phased[:, None])
         e_array = superpose_fields(arr, w, probe, None, cfg)
 
-        single = build_array(rows=1, cols=1, spacing=0.057, center=(0, 0, 0),
-                             active_selection="all")
+        single = build_array(ArraySection(rows=1, cols=1, spacing=0.057, center=(0, 0, 0),
+                                          active="all"))
         w1 = PrecodingMatrix(w=np.array([[1.0 + 0j]]))
         e_single = superpose_fields(single, w1, probe, None, cfg)
         assert e_array / e_single == pytest.approx(8.0, rel=0.05)
@@ -221,7 +221,8 @@ def test_a_map_with_no_points_is_rejected(x_values, y_values):
     (300, 3, 64, [(0, 1), (1, 2), (2, 3)]),
 ])
 def test_row_blocks(n_x, n_y, n_active, blocks):
-    grid = build_grid(x_min=0.0, x_max=n_x - 1.0, y_min=0.0, y_max=n_y - 1.0, spacing=1.0)
+    grid = build_grid(GridSection(x_min=0.0, x_max=n_x - 1.0, y_min=0.0, y_max=n_y - 1.0,
+                                  spacing=1.0))
     assert _row_blocks(grid, n_active) == blocks
 
 
@@ -265,7 +266,7 @@ class TestPowerFieldConversion:
 @pytest.mark.parametrize("pattern", ["isotropic", "cosine"])
 def test_probe_gains_peak_memory_stays_near_the_result(array, room, pattern):
     # The 0.1 m exposure grid: 4331 probes x 64 elements, a 4.2 MiB matrix.
-    grid = build_grid(room=room, spacing=0.1)
+    grid = build_grid(GridSection(spacing=0.1), room=room)
     cfg = ChannelModelConfig(mode="image-order-1", element_pattern=pattern)
     tracemalloc.start()
     try:
@@ -280,7 +281,8 @@ def test_probe_gains_peak_memory_stays_near_the_result(array, room, pattern):
 @pytest.mark.parametrize("mode", ["los-only", "image-order-1"])
 def test_probe_on_an_active_element_rejected(room, mode):
     # The package's own check: a zero ray length would divide by zero.
-    element = build_array(rows=1, cols=1, center=(0.0, 1.0, 1.5), active_selection="all")
-    grid = build_grid(x_min=-1.0, x_max=1.0, y_min=1.0, y_max=2.0, height=1.5, room=room)
+    element = build_array(ArraySection(rows=1, cols=1, center=(0.0, 1.0, 1.5), active="all"))
+    grid = build_grid(GridSection(x_min=-1.0, x_max=1.0, y_min=1.0, y_max=2.0, height=1.5),
+                      room=room)
     with pytest.raises(ValueError, match="probe/receive point coincides with a transmit"):
         probe_gains(element, room, grid, ChannelModelConfig(mode=mode))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamfield import Room, Scenario, build_array, build_grid
+from beamfield import ArraySection, GridSection, Room, Scenario, build_array, build_grid
 from beamfield.geometry import ProbeGrid, far_field_distance, ue_antenna_positions, wavelength
 
 
@@ -13,15 +13,15 @@ class TestBuildArray:
         assert array.n_active == 64
 
     def test_single_element_at_origin(self):
-        a = build_array(rows=1, cols=1, spacing=0.057, center=(0, 0, 0),
-                        active_selection="all")
+        a = build_array(ArraySection(rows=1, cols=1, spacing=0.057, center=(0, 0, 0),
+                                     active="all"))
         assert a.n_elements == 1
         assert np.allclose(a.element_positions[0], (0, 0, 0))
 
     def test_2x2_neighbor_distances(self):
         d = 0.03
-        a = build_array(rows=2, cols=2, spacing=d, center=(0, 0, 0),
-                        active_selection="all")
+        a = build_array(ArraySection(rows=2, cols=2, spacing=d, center=(0, 0, 0),
+                                     active="all"))
         p = a.element_positions
         # row-major: (0,0),(0,1),(1,0),(1,1); neighbours along x and z.
         assert np.linalg.norm(p[0] - p[1]) == pytest.approx(d)
@@ -41,7 +41,7 @@ class TestBuildArray:
         (3, 5, 0.13, (1, -2, 3)),
     ])
     def test_positions_equal_loop_reference(self, rows, cols, spacing, center):
-        pos = build_array(rows, cols, spacing, center, active_selection="all").element_positions
+        pos = build_array(ArraySection(rows, cols, spacing, center, active="all")).element_positions
         xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing + center[0]
         zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing + center[2]
         expect = np.empty((rows * cols, 3))
@@ -53,13 +53,13 @@ class TestBuildArray:
 
     def test_central_policy_needs_8x8(self):
         with pytest.raises(ValueError, match="central-8x8"):
-            build_array(rows=2, cols=2, spacing=0.05, center=(0, 0, 0),
-                        active_selection="central-8x8")
+            build_array(ArraySection(rows=2, cols=2, spacing=0.05, center=(0, 0, 0),
+                                     active="central-8x8"))
 
     def test_unknown_selection_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown active_selection policy 'corner'"):
-            build_array(rows=2, cols=2, spacing=0.05, center=(0, 0, 0),
-                        active_selection="corner")
+        with pytest.raises(ValueError, match="unknown active policy 'corner'"):
+            build_array(ArraySection(rows=2, cols=2, spacing=0.05, center=(0, 0, 0),
+                                     active="corner"))
 
     def test_aperture_matches_active_extent(self, array):
         # central 8x8 at 0.057 m pitch: diagonal of a 7-gap square.
@@ -68,15 +68,15 @@ class TestBuildArray:
 
     def test_blocked_aperture_equals_the_full_pairwise_form(self):
         # 425 active elements: blocks of 154 rows split them three ways.
-        a = build_array(rows=25, cols=17, spacing=0.031, center=(0.2, 0.0, 1.5),
-                        active_selection="all")
+        a = build_array(ArraySection(rows=25, cols=17, spacing=0.031, center=(0.2, 0.0, 1.5),
+                                     active="all"))
         pos = a.active_positions()
         full = np.sqrt(((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)).max()
         assert a.aperture() == float(full)
 
     def test_aperture_of_a_large_array_stays_small_in_memory(self):
         # All pairwise differences of 4096 elements at once take 384 MiB.
-        a = build_array(rows=64, cols=64, spacing=0.02, active_selection="all")
+        a = build_array(ArraySection(rows=64, cols=64, spacing=0.02, active="all"))
         tracemalloc.start()
         try:
             aperture = a.aperture()
@@ -134,7 +134,7 @@ class TestBuildGrid:
         assert np.allclose(grid.x_values, [-3, -2, -1, 0, 1, 2, 3])
 
     def test_single_point(self):
-        g = build_grid(0, 0, 0, 0, 1.0, 1.5)
+        g = build_grid(GridSection(0, 0, 0, 0, 1.0, 1.5))
         assert g.n_points == 1
         assert np.allclose(g.points[0], (0, 0, 1.5))
 
@@ -153,7 +153,7 @@ class TestBuildGrid:
         (-1.3, 2.71, 0.2, 3.3, 0.37, 2),
     ])
     def test_points_equal_loop_reference(self, args):
-        g = build_grid(*args)
+        g = build_grid(GridSection(*args))
         expect = np.empty((g.n_points, 3))
         k = 0
         for y in g.y_values:
@@ -164,7 +164,7 @@ class TestBuildGrid:
 
     def test_outside_room_rejected(self, room):
         with pytest.raises(ValueError, match="outside the room"):
-            build_grid(-5, 5, 1, 8, 1.0, 1.5, room=room)
+            build_grid(GridSection(-5, 5, 1, 8, 1.0, 1.5), room=room)
 
     def test_no_point_on_array_element(self, grid, array):
         diff = grid.points[:, None, :] - array.element_positions[None, :, :]
@@ -184,7 +184,7 @@ class TestBuildGrid:
 
     def test_same_lattice_compares_axes_and_height(self, grid):
         assert grid.same_lattice(build_grid())
-        assert not grid.same_lattice(build_grid(height=1.2))
+        assert not grid.same_lattice(build_grid(GridSection(height=1.2)))
         ys = grid.y_values.copy()
         ys[-1] = 8.5
         assert not grid.same_lattice(ProbeGrid(grid.x_values, ys, grid.probe_height))
@@ -195,7 +195,7 @@ class TestBuildGrid:
         ((0.0, 0.0, 2.0, 2.0, 0.25), 1.0),  # one point: 1 m
     ])
     def test_spacing_follows_the_axes(self, args, step):
-        assert build_grid(*args).spacing == step
+        assert build_grid(GridSection(*args)).spacing == step
 
 
 class TestRoom:
@@ -220,12 +220,12 @@ class TestRoom:
         assert not room.contains((0, -2e-9, 1))
 
     def test_grid_height_has_the_same_slack(self, room):
-        assert build_grid(0, 0, 1, 1, 1.0, 3 + 5e-10, room=room).n_points == 1
+        assert build_grid(GridSection(0, 0, 1, 1, 1.0, 3 + 5e-10), room=room).n_points == 1
         # The rejected height prints with the digits that set it apart from the bound.
         with pytest.raises(ValueError, match=r"grid corner at \(0, 1, 3\.000000002\) lies "
                                              r"outside the room \(\|x\| <= 3\.75, 0 <= y <= 15, "
                                              r"0 <= z <= 3\)"):
-            build_grid(0, 0, 1, 1, 1.0, 3 + 2e-9, room=room)
+            build_grid(GridSection(0, 0, 1, 1, 1.0, 3 + 2e-9), room=room)
 
     def test_contains_flags_each_row(self, room):
         pts = [(0, 0, 1.5), (3.76, 1, 1), (3.75, 15, 3), (0, 1, 3.1)]

@@ -38,7 +38,7 @@ def _config(mode, pattern, mirror_users, walls):
         base,
         seed=3,
         custom_scenarios=scenarios,
-        scenario_ids=tuple(USERS),
+        scenarios=tuple(USERS),
         formats=("json",),
         room=dataclasses.replace(base.room, wall_reflection=walls),
         channel=dataclasses.replace(base.channel, mode=mode, element_pattern=pattern,
@@ -122,7 +122,7 @@ def test_reordering_the_users_leaves_the_map(tmp_path, mode):
                       for order in orders)
     base = RunConfig()
     config = dataclasses.replace(
-        base, seed=3, custom_scenarios=scenarios, scenario_ids=tuple(orders),
+        base, seed=3, custom_scenarios=scenarios, scenarios=tuple(orders),
         formats=("json",),
         channel=dataclasses.replace(base.channel, mode=mode, csi_snr_db=math.inf),
         ofdm=dataclasses.replace(base.ofdm, **NARROWBAND))
@@ -148,7 +148,7 @@ def test_reversing_the_scenarios_leaves_every_map_and_statistic(tmp_path, mode):
 
     def config(order):
         return dataclasses.replace(
-            base, seed=3, scenario_ids=order,
+            base, seed=3, scenarios=order,
             channel=dataclasses.replace(base.channel, mode=mode, csi_snr_db=math.inf),
             ofdm=dataclasses.replace(base.ofdm, **NARROWBAND))
 

@@ -19,7 +19,7 @@ from beamfield import (
 )
 from beamfield import ofdm
 
-from conftest import perfect_link
+from conftest import OFDM_ONE_FRAME, perfect_link
 from ofdm_reference import GRAY_LEVEL, constellation, decide, frame_errors, time_domain_errors
 from qam_oracle import exact_ber_64qam
 
@@ -132,14 +132,14 @@ def _link(array, room, scenario, cfg, ofdm_cfg, seed):
 
 class TestTransmitFrame:
     def test_noiseless_perfect_csi_zero_ber(self, array, room, scenarios, los_cfg):
-        ofdm_cfg = OfdmConfig(noise_snr_db=math.inf)
+        ofdm_cfg = dataclasses.replace(OFDM_ONE_FRAME, noise_snr_db=math.inf)
         for scn in scenarios:
             rep = _link(array, room, scn, los_cfg, ofdm_cfg, 1)
             assert rep.per_ue_ber == (0.0,) * scn.n_users
             assert rep.bits_tested == ofdm_cfg.bits_per_frame
 
     def test_deterministic_given_seed(self, array, room, scenarios, los_cfg):
-        ofdm_cfg = OfdmConfig(noise_snr_db=55.0)
+        ofdm_cfg = dataclasses.replace(OFDM_ONE_FRAME, noise_snr_db=55.0)
         r1 = _link(array, room, scenarios[4], los_cfg, ofdm_cfg, 99)
         r2 = _link(array, room, scenarios[4], los_cfg, ofdm_cfg, 99)
         assert r1 == r2
@@ -157,7 +157,8 @@ class TestTransmitFrame:
     def test_time_domain_mode_noiseless(self, array, room, scenarios, los_cfg):
         # The full-array reference: IFFT, 64 elements, per-antenna channel, FFT.
         h, c, w = perfect_link(array, scenarios[4], room, los_cfg)
-        errors = time_domain_errors(w, h, c, OfdmConfig(noise_snr_db=math.inf),
+        errors = time_domain_errors(w, h, c,
+                                    dataclasses.replace(OFDM_ONE_FRAME, noise_snr_db=math.inf),
                                     np.random.default_rng(1))
         assert errors.tolist() == [0, 0]
 
@@ -231,7 +232,7 @@ class TestFrameSampler:
         p_any = ofdm._first_exceedance_cdf(p)[-1]
         assert (p_any < 0.1) if k == 1 else (p_any == 1.0)
 
-        cfg = OfdmConfig(noise_snr_db=noise_snr_db, **_SHORT_FRAME)
+        cfg = dataclasses.replace(OFDM_ONE_FRAME, noise_snr_db=noise_snr_db, **_SHORT_FRAME)
         bits = cfg.bits_per_frame
         sampled = np.array([
             [round(b * bits) for b in transmit_frame(w, h, c, cfg, s).per_ue_ber]

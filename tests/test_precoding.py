@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from beamfield import (
     generate_channel,
     zf_precoder,
 )
-from conftest import perfect_link, random_complex
+from conftest import LOS_PERFECT_CSI, perfect_link, random_complex
 from field_oracle import interference_ratio
 
 
@@ -166,7 +168,7 @@ class TestZfPrecoder:
         # UE at (0, 8) appears in scenarios 1 and 8; with power split three
         # ways its diagonal gain can only drop.
         for seed in range(5):
-            cfg = ChannelModelConfig(csi_snr_db=25.0)
+            cfg = dataclasses.replace(LOS_PERFECT_CSI, csi_snr_db=25.0)
             (h8,) = generate_channel(array, [scenarios[7]], room, cfg)
             est8 = estimate_csi(h8, cfg, seed)
             c8 = combining_vectors(est8)
@@ -203,7 +205,7 @@ class TestEffectiveChannel:
         for snr in (10.0, 20.0, 30.0):
             powers = []
             for seed in range(10):
-                cfg = ChannelModelConfig(csi_snr_db=snr)
+                cfg = dataclasses.replace(LOS_PERFECT_CSI, csi_snr_db=snr)
                 (h,) = generate_channel(array, [scn], room, cfg)
                 est = estimate_csi(h, cfg, seed)
                 c = combining_vectors(est)
@@ -222,7 +224,7 @@ class TestEffectiveChannel:
         def mean_off_power(scn):
             vals = []
             for seed in range(20):
-                cfg = ChannelModelConfig(csi_snr_db=20.0)
+                cfg = dataclasses.replace(LOS_PERFECT_CSI, csi_snr_db=20.0)
                 (h,) = generate_channel(array, [scn], room, cfg)
                 est = estimate_csi(h, cfg, seed)
                 c = combining_vectors(est)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatmap_reference as ref
-from beamfield import HeatMap, build_grid
+from beamfield import GridSection, HeatMap, build_grid
 from beamfield.render import (
     _ASCII_LEVELS,
     _RAMP,
@@ -112,7 +112,7 @@ def assert_texts_match(heatmap, vmax=None, markers=()):
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
 def test_grid_text_matches_the_per_map_formatters(name):
-    grid = build_grid(**GRIDS[name])
+    grid = build_grid(GridSection(**GRIDS[name]))
     rng = np.random.default_rng(16)
     n = grid.n_points
     special = np.resize(SPECIAL, n)
@@ -132,7 +132,7 @@ def test_scenario_ids_are_encoded_like_the_reference(scenario_id):
 
 
 def test_every_special_value_on_one_grid():
-    grid = build_grid(x_min=0.0, x_max=5.0, y_min=1.0, y_max=3.0)
+    grid = build_grid(GridSection(x_min=0.0, x_max=5.0, y_min=1.0, y_max=3.0))
     assert grid.n_points == len(SPECIAL)
     heatmap = HeatMap(grid=grid, values=np.array(SPECIAL), scenario_id="s")
     assert_texts_match(heatmap)
@@ -145,14 +145,14 @@ def test_every_special_value_on_one_grid():
        scenario_id=st.text(max_size=8),
        vmax=st.none() | st.floats(min_value=1e-3, max_value=1e300))
 def test_drawn_values_match_the_reference(values, scenario_id, vmax):
-    grid = build_grid(x_min=-1.0, x_max=1.0, y_min=1.0, y_max=4.0)
+    grid = build_grid(GridSection(x_min=-1.0, x_max=1.0, y_min=1.0, y_max=4.0))
     heatmap = HeatMap(grid=grid, values=np.array(values), scenario_id=scenario_id)
     assert_texts_match(heatmap, vmax=vmax, markers=[(0.0, 2.0)])
 
 
 def test_grid_text_rejects_a_map_of_another_grid():
     text = grid_text(build_grid(), ("csv", "json", "svg"))
-    heatmap = HeatMap(grid=build_grid(y_max=7.0), values=np.ones(49), scenario_id="1")
+    heatmap = HeatMap(grid=build_grid(GridSection(y_max=7.0)), values=np.ones(49), scenario_id="1")
     for render in (heatmap_csv, heatmap_json, heatmap_svg):
         with pytest.raises(ValueError, match="different grids"):
             render(heatmap, text)
@@ -181,7 +181,7 @@ def _grid_text_peak(grid, formats):
 def test_a_csv_only_grid_text_does_not_build_the_svg_template():
     # The 0.05 m grid, 17 061 points: its SVG template alone is about 3.6 MB,
     # its CSV template 0.24 MB.
-    grid = build_grid(spacing=0.05)
+    grid = build_grid(GridSection(spacing=0.05))
     assert grid.n_points == 17_061
     every = _grid_text_peak(grid, ("ascii", "csv", "json", "svg"))
     assert _grid_text_peak(grid, ("csv",)) < every / 4

@@ -38,7 +38,7 @@ CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
 def small_config(**overrides):
     """Two scenarios, one frame: fast but exercises the whole pipeline."""
     base = RunConfig(
-        scenario_ids=("1", "5"),
+        scenarios=("1", "5"),
         ofdm=dataclasses.replace(RunConfig().ofdm, frames=1),
         formats=("csv", "json"),
     )
@@ -92,7 +92,7 @@ class TestValidate:
 
 class TestRun:
     def test_single_scenario_average_equals_map(self, tmp_path):
-        cfg = small_config(scenario_ids=("1",))
+        cfg = small_config(scenarios=("1",))
         run(cfg, out_dir=str(tmp_path))
         files = read_all(tmp_path)
         assert files["heatmap_average.csv"] == files["heatmap_scenario_1.csv"]
@@ -106,10 +106,10 @@ class TestRun:
             return real(tx_points, rx_points, *args, **kwargs)
 
         monkeypatch.setattr(beamfield.field, "propagation_gains", counting)
-        config = small_config(scenario_ids=RunConfig().scenario_ids)
+        config = small_config(scenarios=RunConfig().scenarios)
         run(config, out_dir=str(tmp_path))
         grid = config.build_grid()
-        assert len(config.scenario_ids) == 8
+        assert len(config.scenarios) == 8
         assert sum(np.array_equal(rx, grid.points) for rx in rx_seen) == 1
         assert len(rx_seen) == 1
 
@@ -122,7 +122,7 @@ class TestRun:
             return real(grid, formats)
 
         monkeypatch.setattr(beamfield.runner, "grid_text", counting)
-        config = small_config(scenario_ids=RunConfig().scenario_ids,
+        config = small_config(scenarios=RunConfig().scenarios,
                               formats=("ascii", "csv", "json", "svg"))
         manifest = run(config, out_dir=str(tmp_path))
         assert len(grids) == 1
@@ -175,7 +175,7 @@ class TestRun:
     def test_maps_match_the_whole_grid_gain_matrix_byte_for_byte(
             self, tmp_path, mode, pattern, grid_keys, active):
         # One and three users, so one and three streams per map.
-        base = small_config(scenario_ids=("1", "8"), formats=("json",), calibration=0.7,
+        base = small_config(scenarios=("1", "8"), formats=("json",), calibration=0.7,
                             fit_exclude_near_field=False)
         config = dataclasses.replace(
             base,
@@ -210,7 +210,7 @@ class TestRun:
         # The 0.05 m grid: 121 x 141 points x 64 elements would be a 17.5 MB
         # matrix; a run holds one block of it, the maps and the artifact
         # being written.
-        config = small_config(scenario_ids=("1",), formats=("csv",),
+        config = small_config(scenarios=("1",), formats=("csv",),
                               grid=dataclasses.replace(RunConfig().grid, spacing=0.05))
         matrix_bytes = config.build_grid().n_points * config.build_array().n_active * 16
         assert matrix_bytes > 17_400_000
@@ -248,7 +248,7 @@ class TestRun:
     def test_manifest_hashes_artifacts_of_several_chunks(self, tmp_path):
         # The 0.1 m grid's CSV, about 84 kB, is written, hashed and
         # verified in 64 KiB chunks; a change to its last byte is found.
-        config = small_config(scenario_ids=("1",), formats=("csv",),
+        config = small_config(scenarios=("1",), formats=("csv",),
                               grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
         manifest = run(config, out_dir=str(tmp_path))
         path = tmp_path / "heatmap_scenario_1.csv"
@@ -276,13 +276,13 @@ class TestRun:
         assert a["ber.csv"] != b["ber.csv"]
 
     def test_invalid_config_aborts_without_manifest(self, tmp_path):
-        cfg = small_config(scenario_ids=("1", "missing"))
+        cfg = small_config(scenarios=("1", "missing"))
         with pytest.raises(ConfigError):
             run(cfg, out_dir=str(tmp_path))
         assert not (tmp_path / "manifest.json").exists()
 
     def test_heatmap_csv_format(self, tmp_path):
-        run(small_config(scenario_ids=("1",)), out_dir=str(tmp_path))
+        run(small_config(scenarios=("1",)), out_dir=str(tmp_path))
         with open(tmp_path / "heatmap_scenario_1.csv", "r", encoding="utf-8") as fh:
             lines = fh.read().strip().split("\n")
         assert lines[0] == "x_m,y_m,e_vpm"
@@ -507,7 +507,7 @@ class TestCli:
         (dict(x_min=0.0, x_max=0.0, spacing=0.5), "step 0.5 m"),
     ], ids=["default", "one-column"])
     def test_rerendered_ascii_footer_keeps_the_grid_step(self, tmp_path, grid_keys, step):
-        config = small_config(scenario_ids=("1",), formats=("ascii", "csv"),
+        config = small_config(scenarios=("1",), formats=("ascii", "csv"),
                               grid=dataclasses.replace(RunConfig().grid, **grid_keys))
         run(config, out_dir=str(tmp_path / "run"))
         again = tmp_path / "again"
@@ -518,7 +518,7 @@ class TestCli:
         assert (again / "heatmap_scenario_1.txt").read_text().splitlines()[-1] == footer
 
     def test_a_csv_with_shuffled_rows_renders_the_same(self, tmp_path):
-        run(small_config(scenario_ids=("1",), formats=("csv",)), out_dir=str(tmp_path / "run"))
+        run(small_config(scenarios=("1",), formats=("csv",)), out_dir=str(tmp_path / "run"))
         header, *rows = (tmp_path / "run" / "heatmap_scenario_1.csv").read_text().splitlines(True)
         np.random.default_rng(3).shuffle(rows)
         (tmp_path / "shuffled").mkdir()
@@ -531,6 +531,21 @@ class TestCli:
             rendered.append(read_all(out))
         assert sorted(rendered[0]) == ["heatmap_scenario_1.svg", "heatmap_scenario_1.txt"]
         assert rendered[0] == rendered[1]
+
+    def test_a_subnormal_scale_top_runs_and_renders(self, tmp_path):
+        # 1e-320 V/m is positive and finite, and every field lies above it, so
+        # each cell takes the top level.  Dividing by it before clamping overflowed.
+        config = small_config(scenarios=("1",), formats=("ascii", "csv", "svg"),
+                              svg_vmax=1e-320)
+        run(config, out_dir=str(tmp_path / "run"))
+        assert verify_manifest(str(tmp_path / "run")) == []
+        ascii_text = (tmp_path / "run" / "heatmap_scenario_1.txt").read_text()
+        cells = "".join(line.split("|")[1] for line in ascii_text.splitlines()[1:-1])
+        assert set(cells) == {"@"}
+        csv_path = tmp_path / "run" / "heatmap_scenario_1.csv"
+        again = tmp_path / "again"
+        assert cli_main(["render", str(csv_path), "--out", str(again), "--vmax", "1e-320"]) == 0
+        assert (again / "heatmap_scenario_1.txt").read_text() == ascii_text
 
     def test_a_single_point_csv_steps_one_metre(self, tmp_path):
         path = tmp_path / "heatmap_scenario_1.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beamfield import (
+    GridSection,
     HeatMap,
     average_heatmaps,
     build_grid,
@@ -65,7 +66,7 @@ class TestAverageHeatmaps:
             average_heatmaps([])
 
     def test_grid_mismatch_rejected(self, grid):
-        other = build_grid(-3, 3, 1, 7, 1.0, 1.5)
+        other = build_grid(GridSection(-3, 3, 1, 7, 1.0, 1.5))
         with pytest.raises(ValueError, match="identical grid"):
             average_heatmaps([constant_map(grid, 1), constant_map(other, 1)])
 
