@@ -10,8 +10,9 @@ pass: each surface is a reflection of one coordinate across its plane.
 
 :func:`generate_channel` takes a sequence of scenarios, so a run's link
 block gets every scenario's channel from one gain evaluation.
-:class:`ChannelModelConfig`'s defaults, image-order-1 with 40 dB pilot
-CSI, are the calibrated operating point of a run.
+:class:`ChannelModelConfig` owns the ray model: its defaults, image-order-1
+with 40 dB pilot CSI, are a run's calibrated operating point, and the stage
+functions read mode, pattern, carrier and UE height from it, never a default.
 """
 
 import math
@@ -171,24 +172,22 @@ def _ray_sources(tx_points, room, mode):
     return rays
 
 
-def lit_above(tx_points, room=None, mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
-    """The y at or below which ``pattern`` lights no ray of :func:`propagation_gains`.
+def lit_above(tx_points, room, cfg):
+    """The y at or below which ``cfg``'s pattern lights no ray of :func:`propagation_gains`.
 
     -inf for the isotropic pattern; for the cosine pattern, which lights a
     receiver only from sources at smaller y, their least y (0.0, never -0.0).
     A mirror maps y to y or c - y, so only the images of the transmit points
     of least and greatest y are built.
     """
-    _check_model(mode, pattern)
-    if pattern == PATTERN_ISOTROPIC:
+    if cfg.element_pattern == PATTERN_ISOTROPIC:
         return -math.inf
     tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
     ends = tx_points[[np.argmin(tx_points[:, 1]), np.argmax(tx_points[:, 1])]]
-    return min(float(points[:, 1].min()) for points, _, _ in _ray_sources(ends, room, mode)) + 0.0
+    return min(float(p[:, 1].min()) for p, _, _ in _ray_sources(ends, room, cfg.mode)) + 0.0
 
 
-def may_reach_unit_gain(tx_points, rx_points, frequency, room=None,
-                        mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
+def may_reach_unit_gain(tx_points, rx_points, room, cfg):
     """False when no entry of :func:`propagation_gains` can reach a magnitude of 1.
 
     A ray from a source at distance d has a gain of at most
@@ -202,8 +201,7 @@ def may_reach_unit_gain(tx_points, rx_points, frequency, room=None,
     """
     tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
     rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
-    _check_model(mode, pattern)
-    sources = _ray_sources(rx_points, room, mode)
+    sources = _ray_sources(rx_points, room, cfg.mode)
     box = list(zip(tx_points.min(axis=0), tx_points.max(axis=0)))
     # One coordinate column at a time: numpy broadcasts (N, 3) - (3,) slowly.
     least = math.inf
@@ -211,13 +209,12 @@ def may_reach_unit_gain(tx_points, rx_points, frequency, room=None,
         x, y, z = (np.maximum(np.maximum(low - coords, coords - high), 0.0)
                    for coords, (low, high) in zip(points.T, box))
         least = min(least, float(np.hypot(np.hypot(x, y), z).min()))
-    peak = math.sqrt(_COSINE_PEAK_GAIN) if pattern == PATTERN_COSINE else 1.0
-    return least <= len(sources) * peak * wavelength(frequency) / (4.0 * math.pi)
+    peak = math.sqrt(_COSINE_PEAK_GAIN) if cfg.element_pattern == PATTERN_COSINE else 1.0
+    return least <= len(sources) * peak * wavelength(cfg.carrier_frequency) / (4.0 * math.pi)
 
 
-def propagation_gains(tx_points, rx_points, frequency, room=None,
-                      mode=MODE_LOS, pattern=PATTERN_ISOTROPIC):
-    """Complex gain matrix (n_rx x n_tx) of the configured ray model.
+def propagation_gains(tx_points, rx_points, frequency, room, mode, pattern):
+    """Complex gain matrix (n_rx x n_tx) of the ray model ``mode`` and element ``pattern``.
 
     Each source of :func:`_ray_sources` adds its rays scaled by its
     coefficient and then by the element pattern, in that order.
@@ -317,12 +314,11 @@ def generate_channel(array, scenarios, room, cfg):
     Deterministic in the geometry.  Raises if a UE antenna lies outside
     the room or a gain reaches 1.
     """
-    rx = [ue_antenna_positions(s, cfg.carrier_frequency, height=cfg.ue_height)
-          for s in scenarios]
+    rx = [ue_antenna_positions(s, cfg) for s in scenarios]
     points = np.concatenate(rx)
     room.require_inside(points, "UE antenna")
-    h = propagation_gains(array.active_positions(), points, cfg.carrier_frequency,
-                          room=room, mode=cfg.mode, pattern=cfg.element_pattern)
+    h = propagation_gains(array.active_positions(), points, cfg.carrier_frequency, room,
+                          cfg.mode, cfg.element_pattern)
     if np.any(np.abs(h) >= 1.0):
         raise ValueError(
             "passive propagation produced a gain >= 1; a receive antenna is "

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .config import EXPORT_FORMATS, RunConfig, from_dict, read_yaml, validate
+from .config import EXPORT_FORMATS, RunConfig, read_yaml, validate
 from .errors import BeamfieldError, ConfigError
 from .geometry import ProbeGrid, standard_scenarios
 
@@ -80,7 +80,7 @@ def _cmd_run(args):
         flags = {"seed": args.seed, "scenarios": args.scenario, "formats": args.format,
                  "output_dir": args.out}
         doc = {**doc, **{key: value for key, value in flags.items() if value is not None}}
-    manifest = run(from_dict(doc))
+    manifest = run(doc)
     print(f"run complete: {len(manifest.artifacts)} artifacts in {manifest.out_dir}")
     for art in manifest.artifacts:
         scen = f" [scenario {art['scenario']}]" if art["scenario"] else ""

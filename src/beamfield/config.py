@@ -13,12 +13,14 @@ integral, and numbers may also come as strings, because YAML 1.1 reads
 boolean YAML 1.1 makes of an unquoted ``on`` or ``no``.  Unknown keys, mistyped values and a retired key
 (``_RETIRED``) at any value but the one it is still read at raise
 :class:`ConfigError` naming the offending path.  ``validate`` returns
-everything else as a tuple of findings and never raises.
+everything else as a tuple of findings and never raises.  A
+:class:`RunConfig` built in Python meets the same rules: :func:`checked`
+reads it through its document form, once per run.
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 import yaml
@@ -250,8 +252,10 @@ def load_config(path):
     return from_dict(read_yaml(path))
 
 
-# Scenario ids become part of artifact file names.
+# Scenario ids become part of artifact file names; the longest of them,
+# heatmap_scenario_<id>.json, must fit in a 255-byte file name.
 _ID_FORBIDDEN = ("/", "\\", "\0")
+_ID_MAX_BYTES = 255 - len("heatmap_scenario_.json")
 
 # +inf has a meaning here: perfect CSI and a noiseless receiver.
 _INF_ALLOWED = {"channel.csi_snr_db", "ofdm.noise_snr_db"}
@@ -284,20 +288,32 @@ def _nonfinite(obj, path=""):
     return findings
 
 
-def validate(config):
-    """Check a configuration without mutating or raising.
+def checked(config):
+    """``config`` as the document's rules read it, and its findings; never raises.
 
-    Accepts either a built :class:`RunConfig` or a parsed document (the
-    form the CLI reads from disk).  Returns the findings, a tuple of
-    strings that each name the offending field; it is empty when the
-    configuration can run.
+    ``config`` is a built :class:`RunConfig` or a parsed document (the form
+    the CLI reads from disk).  A built config is read through its document
+    form, ``dataclasses.asdict``, so it meets the same type and shape rules
+    as a file: ``ArraySection(rows=16.0)`` reads as 16 rows and ``seed=1.5``
+    is a finding.  Returns the RunConfig, None when the rules reject it, and
+    the findings, a tuple of strings that each name the offending field.
     """
-    if not isinstance(config, RunConfig):
-        try:
-            config = from_dict(config)
-        except ConfigError as exc:
-            return (str(exc),)
+    if isinstance(config, RunConfig):
+        config = asdict(config)
+    try:
+        config = from_dict(config)
+    except ConfigError as exc:
+        return None, (str(exc),)
+    return config, _findings(config)
 
+
+def validate(config):
+    """The findings of :func:`checked`; empty when the configuration can run."""
+    return checked(config)[1]
+
+
+def _findings(config):
+    """The findings of a RunConfig that :func:`from_dict` built."""
     findings = _nonfinite(config)
     if not config.scenarios:
         findings.append("scenarios: expected a non-empty list of scenario ids")
@@ -309,9 +325,11 @@ def validate(config):
         findings.append("svg_vmax: must be positive")
     builtin = {s.id for s in standard_scenarios()}
     for i, scenario in enumerate(config.custom_scenarios):
-        if not scenario.id or any(c in scenario.id for c in _ID_FORBIDDEN):
+        if not scenario.id or any(c in scenario.id for c in _ID_FORBIDDEN) \
+                or len(scenario.id.encode("utf-8", "surrogatepass")) > _ID_MAX_BYTES:
             findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} cannot name artifact "
-                            "files: ids must be non-empty, without '/', '\\' or NUL")
+                            f"files: ids must be non-empty, at most {_ID_MAX_BYTES} UTF-8 "
+                            "bytes long, without '/', '\\' or NUL")
         if scenario.id in builtin:
             findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} is a built-in "
                             "scenario id")
@@ -360,8 +378,7 @@ def validate(config):
         if sid not in table:
             findings.append(f"scenarios: id {sid!r} is not defined")
             continue
-        antennas = ue_antenna_positions(table[sid], config.channel.carrier_frequency,
-                                        height=config.channel.ue_height)
+        antennas = ue_antenna_positions(table[sid], config.channel)
         try:
             room.require_inside(antennas, f"scenario {sid}: UE antenna")
         except ValueError as exc:
@@ -398,7 +415,7 @@ def validate(config):
 
     # The element pattern lights every user: it lights only y > lit_y.
     tx = array.active_positions()
-    lit_y = lit_above(tx, room, config.channel.mode, config.channel.element_pattern)
+    lit_y = lit_above(tx, room, config.channel)
     for sid in config.scenarios:
         for u, (_, y) in enumerate(table[sid].ue_positions if sid in table else ()):
             if y <= lit_y:
@@ -410,8 +427,7 @@ def validate(config):
     # lengths are finite), so the findings are exact.
     ch = config.channel
     if placed and rays_fit and may_reach_unit_gain(
-            tx, np.concatenate(list(placed.values())), ch.carrier_frequency, room, ch.mode,
-            ch.element_pattern):
+            tx, np.concatenate(list(placed.values())), room, ch):
         for sid in placed:
             try:
                 generate_channel(array, [table[sid]], room, ch)

@@ -70,7 +70,7 @@ def probe_gains(array, room, grid, cfg):
     read-only: one serves :func:`compute_heatmap` for every scenario.
     """
     gains = propagation_gains(array.active_positions(), grid.points, cfg.carrier_frequency,
-                              room=room, mode=cfg.mode, pattern=cfg.element_pattern)
+                              room, cfg.mode, cfg.element_pattern)
     # propagation_gains returns (lambda / 4 pi d) e^{-j...}; the field formula
     # needs e^{-j...} / d, so rescale by 4 pi / lambda.
     gains *= 4.0 * math.pi / wavelength(cfg.carrier_frequency)
@@ -91,7 +91,7 @@ def _per_stream_product(gains, w):
     return out
 
 
-def compute_heatmap(scenario, precoder, grid, gains, calibration=1.0):
+def compute_heatmap(scenario, precoder, grid, gains, calibration):
     """RMS field at every grid point, in grid order, from the shared gain matrix.
 
     ``gains`` is :func:`probe_gains` of the run's array, room, grid and
@@ -118,7 +118,7 @@ def _row_blocks(grid, n_active):
     return list(zip(starts, starts[1:] + [n_y]))
 
 
-def heatmaps(links, array, room, grid, cfg, calibration=1.0):
+def heatmaps(links, array, room, grid, cfg, calibration):
     """The heat map of every (scenario, precoder) pair of ``links`` over ``grid``.
 
     The grid is taken one block of rows at a time (:func:`_row_blocks`):

@@ -15,7 +15,7 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: Height of the array centre and of the probe plane (m).
+#: Height of the array centre, the probe plane and the UE antennas (m).
 DEFAULT_MOUNT_HEIGHT_M = 1.5
 
 #: Largest probe grid.
@@ -336,21 +336,21 @@ def _lattice_axis(lo, hi, step):
     return lo + step * np.arange(n)
 
 
-def ue_antenna_positions(scenario, carrier_frequency, height=DEFAULT_MOUNT_HEIGHT_M):
+def ue_antenna_positions(scenario, cfg):
     """3-D positions of every receive antenna, grouped per user.
 
-    Each user carries ``antennas_per_ue`` vertical dipoles in a half-
-    wavelength line along x centred on the user position, all at the
-    given height.  Shape: (n_users * antennas_per_ue, 3).
+    Each user carries ``antennas_per_ue`` vertical dipoles in a half-wavelength
+    line along x centred on the user position, all at the UE height; the
+    channel config ``cfg`` gives both.  Shape: (n_users * antennas_per_ue, 3).
     """
-    lam = wavelength(carrier_frequency)
+    lam = wavelength(cfg.carrier_frequency)
     m = scenario.antennas_per_ue
     offsets = (np.arange(m) - (m - 1) / 2.0) * (lam / 2.0)
     ue = np.asarray(scenario.ue_positions, dtype=float)
     out = np.empty((scenario.n_users, m, 3))
     out[..., 0] = ue[:, :1] + offsets
     out[..., 1] = ue[:, 1:]
-    out[..., 2] = height
+    out[..., 2] = cfg.ue_height
     return out.reshape(-1, 3)
 
 

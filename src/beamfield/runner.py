@@ -35,7 +35,7 @@ import numpy as np
 from . import compliance as compliance_mod
 from . import stats as stats_mod
 from .channel import _GAIN_BLOCK_ENTRIES, ChannelMatrix, estimate_csi, generate_channel
-from .config import derive_seed, validate
+from .config import checked, derive_seed
 from .errors import BeamfieldError, ConfigError
 from .field import heatmaps
 from .ofdm import transmit_frame
@@ -150,10 +150,12 @@ def run_links(config, scenarios, array):
 def run(config, out_dir=None):
     """Execute a full run and write all artifacts; returns the manifest.
 
+    ``config`` is a :class:`~beamfield.config.RunConfig` or a parsed
+    document; it runs as :func:`~beamfield.config.checked` reads it.
     Aborts (without emitting a manifest) if validation finds problems or
     any scenario fails; partial results are never described as complete.
     """
-    findings = validate(config)
+    config, findings = checked(config)
     if findings:
         raise ConfigError("configuration invalid:\n"
                           + "\n".join(f"finding: {f}" for f in findings))
@@ -166,7 +168,7 @@ def run(config, out_dir=None):
 
     links = run_links(config, scenarios, array)
     maps = heatmaps([(link.scenario, link.precoder) for link in links], array, config.room,
-                    grid, config.channel, calibration=config.calibration)
+                    grid, config.channel, config.calibration)
     reports = [(link.scenario.id, link.ber) for link in links]
     # The precoders have made their maps: the artifacts are written without them.
     del links

@@ -158,7 +158,7 @@ def test_criterion_06_free_space_field_ground_truth(room):
     one_watt = PrecodingMatrix(w=np.ones((1, 1), dtype=complex))
     gains = probe_gains(element, room, probe, LOS_PERFECT_CSI)
     heatmap = compute_heatmap(Scenario(id="1w", ue_positions=((0.0, 1.0),)), one_watt,
-                              probe, gains)
+                              probe, gains, calibration=1.0)
     e = float(heatmap.values[0])
     assert e == pytest.approx(math.sqrt(30.0), rel=1e-12)
     _pass(6, f"1 W isotropic at 1 m: {e:.6f} V/m (sqrt(30) = {math.sqrt(30):.6f})")
@@ -169,7 +169,7 @@ def test_criterion_07_inverse_distance_decay(array, room, scenarios):
     _, _, precoder = perfect_link(array, scenarios[0], room, cfg)
     grid = RunConfig().build_grid()
     heatmap = compute_heatmap(scenarios[0], precoder, grid,
-                              probe_gains(array, room, grid, cfg))
+                              probe_gains(array, room, grid, cfg), calibration=1.0)
     cut = extract_cut(heatmap, 0.0)
     ff = far_field_distance(array.aperture(), wavelength(cfg.carrier_frequency))
     exponent, r_squared = fit_decay(cut, min_distance=ff)
@@ -204,7 +204,7 @@ def test_criterion_09_average_exactness(array, room, grid, scenarios):
     maps = []
     for scn in scenarios:
         _, _, precoder = perfect_link(array, scn, room, cfg)
-        maps.append(compute_heatmap(scn, precoder, grid, gains))
+        maps.append(compute_heatmap(scn, precoder, grid, gains, calibration=1.0))
     averaged = average_heatmaps(maps)
     naive = sum(m.values for m in maps) / len(maps)
     rel = np.max(np.abs(averaged.values - naive) / naive)
@@ -233,7 +233,7 @@ def test_criterion_10_compliance_logic(array, room, grid, scenarios):
     peak = 0.0
     for scn in scenarios:
         _, _, precoder = perfect_link(array, scn, room, cfg)
-        hm = compute_heatmap(scn, precoder, grid, gains)
+        hm = compute_heatmap(scn, precoder, grid, gains, calibration=1.0)
         scaled = HeatMap(grid=grid, values=hm.values * (3.09 / hm.values.max()),
                          scenario_id=scn.id)
         peak = max(peak, float(scaled.values.max()))

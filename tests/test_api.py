@@ -34,7 +34,8 @@ from beamfield import (
     transmit_frame,
     zf_precoder,
 )
-from beamfield.channel import propagation_gains
+from beamfield.channel import lit_above, may_reach_unit_gain, propagation_gains
+from beamfield.geometry import ue_antenna_positions
 from beamfield.runner import run_links
 
 PUBLIC = [
@@ -202,6 +203,24 @@ def test_signatures_take_what_the_pipeline_passes():
     assert _parameters(transmit_frame) == ["precoder", "h_true", "combiners", "cfg", "seed"]
     assert _parameters(propagation_gains) == ["tx_points", "rx_points", "frequency", "room",
                                               "mode", "pattern"]
+    # The ray model's screens and the UE antennas read the run's channel config.
+    assert _parameters(lit_above) == ["tx_points", "room", "cfg"]
+    assert _parameters(may_reach_unit_gain) == ["tx_points", "rx_points", "room", "cfg"]
+    assert _parameters(ue_antenna_positions) == ["scenario", "cfg"]
+
+
+def test_no_stage_function_defaults_the_ray_model():
+    # The run's ChannelModelConfig and RunConfig own these values; a default
+    # would hand a caller who leaves one out physics the run does not use.
+    # build_grid() builds the run's grid, so its room alone stays optional.
+    owned = {"mode", "pattern", "frequency", "room", "height", "cfg", "calibration"}
+    for module in (beamfield.channel, beamfield.geometry, beamfield.field):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if name.startswith("_") or fn.__module__ != module.__name__:
+                continue
+            defaulted = {p.name for p in inspect.signature(fn).parameters.values()
+                         if p.default is not inspect.Parameter.empty} & owned
+            assert defaulted == ({"room"} if fn is build_grid else set()), name
 
 
 def test_the_oracle_does_not_import_the_code_it_checks():

@@ -103,7 +103,8 @@ class TestImages:
         message = ("transmit point at (10, 1, 1) lies outside the room "
                    "(|x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3)")
         with pytest.raises(ValueError, match=re.escape(message)):
-            propagation_gains(tx, [(0.0, 5.0, 1.5)], 2.63e9, room=room, mode="image-order-1")
+            propagation_gains(tx, [(0.0, 5.0, 1.5)], 2.63e9, room, "image-order-1",
+                              "isotropic")
 
 
 class TestImageModeReference:
@@ -112,8 +113,7 @@ class TestImageModeReference:
     F = 2.63e9
 
     def check(self, tx, rx, room, pattern="isotropic"):
-        got = propagation_gains(tx, rx, self.F, room=room, mode="image-order-1",
-                                pattern=pattern)
+        got = propagation_gains(tx, rx, self.F, room, "image-order-1", pattern)
         assert got.tobytes() == ref.image_gains(tx, rx, self.F, room, pattern).tobytes()
 
     def test_default_array_over_the_grid(self, array, room):
@@ -124,7 +124,7 @@ class TestImageModeReference:
     def test_zero_surface_coefficients(self, array, scenarios):
         room = Room(wall_reflection=(-0.6, 0.0, -0.3, -1.0), floor_reflection=0.0,
                     ceiling_reflection=-0.2)
-        rx = ue_antenna_positions(scenarios[7], self.F)
+        rx = ue_antenna_positions(scenarios[7], ChannelModelConfig(carrier_frequency=self.F))
         for pattern in ("isotropic", "cosine"):
             self.check(array.active_positions(), rx, room, pattern)
 
@@ -209,15 +209,16 @@ class TestCosinePattern:
         lam = wavelength(self.F)
         tx = [(0.2, 0.0, 1.5)]
         for d in (0.5, 2.0, 7.25):
-            g = propagation_gains(tx, [(0.2, d, 1.5)], self.F, pattern="cosine")[0, 0]
+            g = propagation_gains(tx, [(0.2, d, 1.5)], self.F, None, "los-only", "cosine")[0, 0]
             assert abs(g) == pytest.approx(math.sqrt(6) * lam / (4 * math.pi * d), rel=1e-12)
-            iso = propagation_gains(tx, [(0.2, d, 1.5)], self.F)[0, 0]
+            iso = propagation_gains(tx, [(0.2, d, 1.5)], self.F, None, "los-only",
+                                    "isotropic")[0, 0]
             assert g == pytest.approx(math.sqrt(6) * iso, rel=1e-12)
 
     def test_no_gain_in_or_behind_the_array_plane(self):
         tx = [(0.0, 0.0, 1.5), (0.057, 0.0, 1.5)]
         rx = [(1.0, 0.0, 1.5), (0.0, 0.0, 0.2), (0.0, -2.0, 1.5), (2.0, -0.5, 0.3)]
-        g = propagation_gains(tx, rx, self.F, pattern="cosine")
+        g = propagation_gains(tx, rx, self.F, None, "los-only", "cosine")
         assert np.all(g == 0.0)
 
     def test_image_mode_is_the_per_ray_sum(self, room):
@@ -244,14 +245,14 @@ class TestCosinePattern:
             for t, src in enumerate(tx):
                 want[r, t] = ray(src, dst) + sum(
                     coeff * ray(image, dst) for image, coeff in images(src))
-        got = propagation_gains(tx, rx, self.F, room=room, mode="image-order-1",
-                                pattern="cosine")
+        got = propagation_gains(tx, rx, self.F, room, "image-order-1", "cosine")
         assert np.allclose(got, want, rtol=1e-12, atol=0)
-        assert not np.allclose(got, propagation_gains(tx, rx, self.F, pattern="cosine"))
+        assert not np.allclose(got, propagation_gains(tx, rx, self.F, None, "los-only",
+                                                      "cosine"))
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError, match="element pattern"):
-            propagation_gains([(0, 0, 1.5)], [(0, 2, 1.5)], self.F, pattern="dipole")
+            propagation_gains([(0, 0, 1.5)], [(0, 2, 1.5)], self.F, None, "los-only", "dipole")
 
 
 class TestUnitGainScreen:
@@ -260,19 +261,20 @@ class TestUnitGainScreen:
     def test_a_cleared_receiver_has_every_gain_below_one(self, array, room, mode, pattern):
         # Receivers in a 0.6 x 0.3 x 0.6 m box in front of the array, one at a time.
         tx = array.active_positions()
+        cfg = ChannelModelConfig(mode=mode, element_pattern=pattern)
         rng = np.random.default_rng(4)
         cleared = []
         for rx in rng.uniform((-0.3, 0.0, 1.2), (0.3, 0.3, 1.8), (200, 3)):
-            if not may_reach_unit_gain(tx, rx, 2.63e9, room, mode, pattern):
+            if not may_reach_unit_gain(tx, rx, room, cfg):
                 cleared.append(np.abs(propagation_gains(tx, rx, 2.63e9, room, mode,
                                                         pattern)).max())
         assert 0 < len(cleared) < 200
         assert max(cleared) < 1.0
 
     def test_the_built_in_scenarios_are_cleared(self, array, room, scenarios):
-        rx = np.concatenate([ue_antenna_positions(s, 2.63e9) for s in scenarios])
-        assert not may_reach_unit_gain(array.active_positions(), rx, 2.63e9, room,
-                                       "image-order-1", "cosine")
+        cfg = ChannelModelConfig(element_pattern="cosine")
+        rx = np.concatenate([ue_antenna_positions(s, cfg) for s in scenarios])
+        assert not may_reach_unit_gain(array.active_positions(), rx, room, cfg)
 
 
 class TestGenerateChannel:
@@ -290,7 +292,7 @@ class TestGenerateChannel:
 
     def test_matches_per_element_evaluation(self, array, room, scenarios, los_cfg):
         (cm,) = generate_channel(array, [scenarios[0]], room, los_cfg)
-        rx = ue_antenna_positions(scenarios[0], los_cfg.carrier_frequency)
+        rx = ue_antenna_positions(scenarios[0], los_cfg)
         tx = array.active_positions()
         for r in (0, 3):
             for t in (0, 17, 63):

@@ -227,6 +227,9 @@ BAD_DOCUMENTS = [
      "custom_scenarios[0].id"),
     ("empty-id", 'seed: 1\ncustom_scenarios: [{id: "", ue_positions: [[0, 4]]}]\n',
      "custom_scenarios[0].id: '' cannot name artifact files"),
+    ("long-id", "seed: 1\ncustom_scenarios: [{id: " + "x" * 234 + ", ue_positions: [[0, 4]]}]\n",
+     "finding: custom_scenarios[0].id: '" + "x" * 234 + "' cannot name artifact files: ids "
+     "must be non-empty, at most 233 UTF-8 bytes long"),
     ("selected-id-twice", "seed: 1\nscenarios: ['1', '8', '1']\n",
      "finding: scenarios: id '1' is listed 2 times\n"),
     ("custom-id-twice", "seed: 1\nscenarios: [a]\ncustom_scenarios: [{id: a, ue_positions: "
@@ -327,12 +330,62 @@ def test_a_ue_antenna_near_the_array_but_not_at_it_runs(tmp_path):
     h = channel.h
     # The screen cannot clear it; the exact channel does: its largest gain is 0.122.
     assert may_reach_unit_gain(cfg.build_array().active_positions(),
-                               ue_antenna_positions(near, 2.63e9, height=1.5285),
-                               2.63e9, cfg.room, "image-order-1")
+                               ue_antenna_positions(near, cfg.channel), cfg.room, cfg.channel)
     assert 0.12 < np.abs(h).max() < 0.13
     assert validate(doc) == ()
     run(cfg, out_dir=str(tmp_path))
     assert verify_manifest(str(tmp_path)) == []
+
+
+def test_a_custom_id_of_233_utf8_bytes_runs(tmp_path):
+    # heatmap_scenario_<id>.json, the longest artifact name, fits in 255 bytes.
+    # The limit counts UTF-8 bytes: 116 two-byte characters and one more byte.
+    sid = "\u00e9" * 116 + "x"
+    doc = {"seed": 1, "formats": ["json"], "ofdm": {"frames": 1}, "scenarios": [sid],
+           "custom_scenarios": [{"id": sid, "ue_positions": [[0, 4]]}]}
+    assert validate(doc) == ()
+    run(doc, out_dir=str(tmp_path))
+    assert verify_manifest(str(tmp_path)) == []
+    doc["scenarios"] = [sid + "x"]
+    doc["custom_scenarios"][0]["id"] = sid + "x"
+    assert validate(doc) == (f"custom_scenarios[0].id: {sid + 'x'!r} cannot name artifact "
+                             "files: ids must be non-empty, at most 233 UTF-8 bytes long, "
+                             "without '/', '\\' or NUL",)
+
+
+# Configs built in Python that break a rule the document parser enforces, and
+# the parser's own text for it; a float row count is read as the integer it is.
+BUILT_CONFIGS = [
+    ("float-seed", RunConfig(seed=1.5), "seed: expected int, got 1.5"),
+    ("string-scenarios", RunConfig(scenarios="12"), "scenarios: expected a list, got '12'"),
+    ("unknown-format", RunConfig(formats=("png",)), "formats: unknown entries ['png']"),
+    ("string-formats", RunConfig(formats="csv"), "formats: expected a list, got 'csv'"),
+    ("string-flag", RunConfig(fit_exclude_near_field="no"),
+     "fit_exclude_near_field: expected bool, got 'no'"),
+    ("float-frames", RunConfig(ofdm=OfdmConfig(frames=2.5)),
+     "ofdm.frames: expected int, got 2.5"),
+    ("float-rows", RunConfig(array=ArraySection(rows=16.0)), None),
+]
+
+
+@pytest.mark.parametrize("built, finding", [case[1:] for case in BUILT_CONFIGS],
+                         ids=[case[0] for case in BUILT_CONFIGS])
+def test_a_built_config_meets_the_document_rules(tmp_path, built, finding):
+    findings = validate(built)
+    assert findings == validate(dataclasses.asdict(built))
+    if finding is None:
+        assert findings == ()
+        assert config.checked(built)[0] == RunConfig()
+        # It runs as the document rules read it: the manifest of 16 integer rows.
+        small = {"scenarios": ("1",), "formats": ("json",), "ofdm": OfdmConfig(frames=1)}
+        manifests = [run(dataclasses.replace(c, **small), out_dir=str(tmp_path / name)).artifacts
+                     for name, c in (("float", built), ("int", RunConfig()))]
+        assert manifests[0] == manifests[1]
+    else:
+        assert len(findings) == 1 and findings[0].startswith(finding), findings
+        with pytest.raises(ConfigError, match="configuration invalid"):
+            run(built, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
 
 def test_a_scenario_selected_twice_on_the_command_line_does_not_run(tmp_path, capsys):
@@ -693,8 +746,8 @@ def test_a_point_outside_the_room_gets_one_message_from_every_site():
     user = Scenario(id="s", ue_positions=((5.0, 4.0),), antennas_per_ue=1)
     calls = [
         lambda: generate_channel(build_array(), [user], room, ChannelModelConfig()),
-        lambda: propagation_gains([(5.0, 4.0, 1.5)], [(0.0, 4.0, 1.5)], 2.63e9, room=room,
-                                  mode="image-order-1"),
+        lambda: propagation_gains([(5.0, 4.0, 1.5)], [(0.0, 4.0, 1.5)], 2.63e9, room,
+                                  "image-order-1", "isotropic"),
         lambda: build_grid(GridSection(5.0, 5.0, 4.0, 4.0, 1.0, 1.5), room=room),
     ]
     messages = []

@@ -110,13 +110,13 @@ class TestSuperposeFields:
 class TestComputeHeatmap:
     def test_zero_precoder_zero_map(self, grid, scenarios, los_gains):
         w = PrecodingMatrix(w=np.zeros((64, 1), dtype=complex))
-        hm = compute_heatmap(scenarios[0], w, grid, los_gains)
+        hm = compute_heatmap(scenarios[0], w, grid, los_gains, calibration=1.0)
         assert np.all(hm.values == 0.0)
 
     def test_scenario1_max_nearest_to_array(self, array, room, grid, scenarios,
                                             los_cfg, los_gains):
         _, _, w = perfect_link(array, scenarios[0], room, los_cfg)
-        hm = compute_heatmap(scenarios[0], w, grid, los_gains)
+        hm = compute_heatmap(scenarios[0], w, grid, los_gains, calibration=1.0)
         best = hm.grid.points[np.argmax(hm.values)]
         assert np.allclose(best[:2], (0.0, 1.0))
 
@@ -124,28 +124,28 @@ class TestComputeHeatmap:
                                         los_gains):
         scn = scenarios[0]
         _, c, w = perfect_link(array, scn, room, los_cfg)
-        hm1 = compute_heatmap(scn, w, grid, los_gains)
+        hm1 = compute_heatmap(scn, w, grid, los_gains, calibration=1.0)
         w2 = dataclasses.replace(w, w=w.w * math.sqrt(2.0))
-        hm2 = compute_heatmap(scn, w2, grid, los_gains)
+        hm2 = compute_heatmap(scn, w2, grid, los_gains, calibration=1.0)
         assert np.allclose(hm2.values, hm1.values * math.sqrt(2.0), rtol=1e-12)
 
     def test_linearity_in_weight_scale(self, array, room, grid, scenarios, los_cfg,
                                        los_gains):
         _, _, w = perfect_link(array, scenarios[3], room, los_cfg)
-        hm1 = compute_heatmap(scenarios[3], w, grid, los_gains)
+        hm1 = compute_heatmap(scenarios[3], w, grid, los_gains, calibration=1.0)
         # Power-of-two scale: every float operation stays exact.
         w2 = dataclasses.replace(w, w=w.w * 2.0)
-        hm2 = compute_heatmap(scenarios[3], w2, grid, los_gains)
+        hm2 = compute_heatmap(scenarios[3], w2, grid, los_gains, calibration=1.0)
         assert np.array_equal(hm2.values, hm1.values * 2.0)
         # Generic scale: exact up to one rounding per operation.
         w3 = dataclasses.replace(w, w=w.w * 3.0)
-        hm3 = compute_heatmap(scenarios[3], w3, grid, los_gains)
+        hm3 = compute_heatmap(scenarios[3], w3, grid, los_gains, calibration=1.0)
         assert np.allclose(hm3.values, hm1.values * 3.0, rtol=1e-14)
 
     def test_calibration_scales_map(self, array, room, grid, scenarios, los_cfg,
                                     los_gains):
         _, _, w = perfect_link(array, scenarios[0], room, los_cfg)
-        hm1 = compute_heatmap(scenarios[0], w, grid, los_gains)
+        hm1 = compute_heatmap(scenarios[0], w, grid, los_gains, calibration=1.0)
         hm2 = compute_heatmap(scenarios[0], w, grid, los_gains,
                               calibration=0.5)
         assert np.array_equal(hm2.values, hm1.values * 0.5)
@@ -157,8 +157,8 @@ class TestComputeHeatmap:
         ))
         _, _, w_a = perfect_link(array, scn, room, los_cfg)
         _, _, w_b = perfect_link(array, mirrored, room, los_cfg)
-        hm_a = compute_heatmap(scn, w_a, grid, los_gains)
-        hm_b = compute_heatmap(mirrored, w_b, grid, los_gains)
+        hm_a = compute_heatmap(scn, w_a, grid, los_gains, calibration=1.0)
+        hm_b = compute_heatmap(mirrored, w_b, grid, los_gains, calibration=1.0)
         a = hm_a.as_grid_rows()
         b = hm_b.as_grid_rows()
         assert np.allclose(a, b[:, ::-1], rtol=1e-9)
@@ -186,11 +186,11 @@ class TestComputeHeatmap:
         # correctly-rounded sqrt differs, so squares agree to 2 ulp.
         scn = scenarios[4]
         _, _, w = perfect_link(array, scn, room, los_cfg)
-        full = compute_heatmap(scn, w, grid, los_gains)
+        full = compute_heatmap(scn, w, grid, los_gains, calibration=1.0)
         parts = []
         for s in range(2):
             ws = dataclasses.replace(w, w=w.w[:, s:s + 1].copy())
-            parts.append(compute_heatmap(scn, ws, grid, los_gains))
+            parts.append(compute_heatmap(scn, ws, grid, los_gains, calibration=1.0))
         lhs = full.values ** 2
         rhs = parts[0].values ** 2 + parts[1].values ** 2
         assert np.all(np.abs(lhs - rhs) <= 2 * np.spacing(lhs))

@@ -3,7 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from beamfield import ArraySection, GridSection, Room, Scenario, build_array, build_grid
+from beamfield import (
+    ArraySection,
+    ChannelModelConfig,
+    GridSection,
+    Room,
+    Scenario,
+    build_array,
+    build_grid,
+)
 from beamfield.geometry import ProbeGrid, far_field_distance, ue_antenna_positions, wavelength
 
 
@@ -238,7 +246,7 @@ class TestHelpers:
 
     def test_ue_antenna_cluster(self):
         s = Scenario(id="t", ue_positions=((1.0, 5.0),))
-        pos = ue_antenna_positions(s, 2.63e9, height=1.5)
+        pos = ue_antenna_positions(s, ChannelModelConfig(carrier_frequency=2.63e9, ue_height=1.5))
         assert pos.shape == (4, 3)
         lam = wavelength(2.63e9)
         assert np.allclose(np.diff(pos[:, 0]), lam / 2)
@@ -248,7 +256,7 @@ class TestHelpers:
 
     def test_ue_antennas_equal_loop_reference(self):
         s = Scenario(id="t", ue_positions=((1, 5), (-0.3, 2.7), (3.0, 4.1)), antennas_per_ue=7)
-        pos = ue_antenna_positions(s, 3.5e9, height=2)
+        pos = ue_antenna_positions(s, ChannelModelConfig(carrier_frequency=3.5e9, ue_height=2))
         offsets = (np.arange(7) - 3.0) * (wavelength(3.5e9) / 2.0)
         expect = np.empty((21, 3))
         for k, (ux, uy) in enumerate(s.ue_positions):

@@ -28,7 +28,7 @@ def scenario_maps(array, room, grid, scenarios, los_cfg, los_gains):
     maps = []
     for scn in scenarios:
         _, _, w = perfect_link(array, scn, room, los_cfg)
-        maps.append(compute_heatmap(scn, w, grid, los_gains))
+        maps.append(compute_heatmap(scn, w, grid, los_gains, calibration=1.0))
     return maps
 
 
