@@ -35,8 +35,9 @@ scenario = standard_scenarios()[7]
 cfg = ChannelModelConfig()
 
 (h_true,) = generate_channel(array, [scenario], room, cfg)
-print(f"\nscenario {scenario.id}: channel is {h_true.h.shape[0]} UE antennas "
-      f"x {h_true.h.shape[1]} Tx elements")
+users, antennas, elements = h_true.h.shape
+print(f"\nscenario {scenario.id}: channel is {users} user(s) x {antennas} UE antennas "
+      f"x {elements} Tx elements")
 print(f"strongest entry |h| = {np.abs(h_true.h).max():.2e} (passive, always < 1)")
 
 h_est = estimate_csi(h_true, cfg, seed=1)

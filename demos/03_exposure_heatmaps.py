@@ -35,7 +35,7 @@ vmax = max(float(hm.values.max()) for hm in maps)
 for link, hm in zip(links, maps):
     s = summary(hm)
     print(f"scenario {link.scenario.id}: users {link.scenario.ue_positions}")
-    print(f"  field max {s.max:.2f} V/m at {s.max_position}, mean {s.mean:.2f} V/m")
+    print(f"  field max {s.max_vpm:.2f} V/m at {s.max_position_m}, mean {s.mean_vpm:.2f} V/m")
     print(heatmap_ascii(hm, vmax=vmax))
     path = os.path.join(out_dir, f"heatmap_scenario_{link.scenario.id}.svg")
     with open(path, "w", encoding="utf-8") as fh:

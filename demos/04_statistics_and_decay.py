@@ -41,8 +41,8 @@ for mode in ("los-only", "image-order-1"):
     averaged = average_heatmaps(maps)
     s = summary(averaged)
     print(f"== channel mode {mode}")
-    print(f"averaged map: max {s.max:.2f} V/m at {s.max_position}, "
-          f"mean {s.mean:.2f}, p95 {s.p95:.2f}")
+    print(f"averaged map: max {s.max_vpm:.2f} V/m at {s.max_position_m}, "
+          f"mean {s.mean_vpm:.2f}, p95 {s.p95_vpm:.2f}")
 
     cut = extract_cut(averaged, 0.0)
     print("boresight profile (y in m -> V/m): "

@@ -39,7 +39,7 @@ def table(heatmap, label):
         rep = check(heatmap, region)
         margin = "-inf" if rep.exceed_count == 0 and heatmap.values.max() == 0 \
             else f"{rep.worst_margin_db:+.2f}"
-        print(f"  {region:<8} limit {rep.limit:>5.1f} V/m  exceeded at "
+        print(f"  {region:<8} limit {rep.limit_vpm:>5.1f} V/m  exceeded at "
               f"{rep.exceed_count:2d}/56 points  worst margin {margin} dB")
 
 

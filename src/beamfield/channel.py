@@ -75,24 +75,20 @@ def _check_model(mode, pattern):
 class ChannelMatrix:
     """Downlink channel between active transmit elements and UE antennas.
 
-    ``h`` has one row per receive antenna (users in scenario order, each
-    user's antennas contiguous) and one column per active transmit
-    element.
+    ``h`` is (users x antennas per user x active elements): users in
+    scenario order, ``h[k]`` the block of user ``k``, one column per
+    active transmit element.
     """
 
     h: np.ndarray
-    n_users: int
-    antennas_per_ue: int
 
-    def __post_init__(self):
-        expected = self.n_users * self.antennas_per_ue
-        if self.h.shape[0] != expected:
-            raise ValueError(f"channel has {self.h.shape[0]} rows, expected {expected}")
+    @property
+    def n_users(self):
+        return self.h.shape[0]
 
-    def ue_block(self, k):
-        """Rows of user ``k``: an (antennas_per_ue x n_tx) matrix."""
-        m = self.antennas_per_ue
-        return self.h[k * m:(k + 1) * m]
+    @property
+    def antennas_per_ue(self):
+        return self.h.shape[1]
 
 
 def _images(room, points):
@@ -303,12 +299,11 @@ def _block_gains(rx, tx_points, images, lam, cosine, out, real, gains):
 def generate_channel(array, scenarios, room, cfg):
     """Ground-truth downlink channels of ``scenarios`` at the carrier frequency.
 
-    Returns one :class:`ChannelMatrix` per scenario, in order: rows are
-    its UE antennas (``antennas_per_ue`` per user, users in scenario
-    order), columns the active transmit elements in array order.  The
-    scenarios' antennas are the receivers of one
-    :func:`propagation_gains` call, one room check and one gain check,
-    and each matrix is a view of its rows of the joint result.  A gain
+    Returns one :class:`ChannelMatrix` per scenario, in order: users in
+    scenario order, each user's antennas, then the active transmit
+    elements in array order.  The scenarios' antennas are the receivers
+    of one :func:`propagation_gains` call, one room check and one gain
+    check, and each matrix is a view of its rows of the joint result.  A gain
     is computed by the same operations whatever the other receivers, so
     each matrix equals that scenario's own call bit for bit.
     Deterministic in the geometry.  Raises if a UE antenna lies outside
@@ -326,9 +321,9 @@ def generate_channel(array, scenarios, room, cfg):
         )
     channels, start = [], 0
     for scenario, antennas in zip(scenarios, rx):
-        channels.append(ChannelMatrix(h=h[start:start + len(antennas)],
-                                      n_users=scenario.n_users,
-                                      antennas_per_ue=scenario.antennas_per_ue))
+        rows = h[start:start + len(antennas)]
+        channels.append(ChannelMatrix(
+            h=rows.reshape(scenario.n_users, scenario.antennas_per_ue, h.shape[1])))
         start += len(antennas)
     return channels
 

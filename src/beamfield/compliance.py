@@ -1,9 +1,11 @@
 """Heat-map comparison against regional RF-EMF exposure limits.
 
 Limits are flat V/m scalars per region.  ``DEFAULT_LIMITS_VPM`` is the
-table: the general-public reference levels relevant at this band, the
-ICNIRP guideline value of 41 V/m and the stricter national limits of
-Italy (6 V/m) and Poland (7 V/m).
+table: the ICNIRP general-public level of 41 V/m and the stricter
+national limits of Italy (6 V/m) and Poland (7 V/m).  The 41 V/m is
+ICNIRP 1998's (Health Physics 74(4), Table 7) 1.375 sqrt(f) V/m, f in
+MHz, for 400-2000 MHz, taken near 900 MHz; for 2-300 GHz, the band of
+the 2.63 GHz carrier, that table gives 61 V/m.
 """
 
 import math
@@ -31,12 +33,13 @@ def _limit(region):
 class ComplianceReport:
     """Exceedance statistics of one heat map against one regional limit.
 
-    ``worst_margin_db`` is 20 log10(max_field / limit); -inf for an
+    The fields are keys of its ``compliance_<region>.json``.
+    ``worst_margin_db`` is 20 log10(max_field / limit_vpm); -inf for an
     all-zero map.  Negative or -inf margin means fully compliant.
     """
 
     region: str
-    limit: float
+    limit_vpm: float
     exceed_count: int
     exceed_fraction: float
     worst_margin_db: float
@@ -54,7 +57,7 @@ def check(heatmap, region):
     margin = -math.inf if peak == 0.0 else 20.0 * math.log10(peak / limit)
     return ComplianceReport(
         region=region,
-        limit=limit,
+        limit_vpm=limit,
         exceed_count=count,
         exceed_fraction=count / heatmap.values.size,
         worst_margin_db=margin,

@@ -257,6 +257,7 @@ def load_config(path):
 _ID_FORBIDDEN = ("/", "\\", "\0")
 _ID_MAX_BYTES = 255 - len("heatmap_scenario_.json")
 
+
 # +inf has a meaning here: perfect CSI and a noiseless receiver.
 _INF_ALLOWED = {"channel.csi_snr_db", "ofdm.noise_snr_db"}
 
@@ -325,8 +326,12 @@ def _findings(config):
         findings.append("svg_vmax: must be positive")
     builtin = {s.id for s in standard_scenarios()}
     for i, scenario in enumerate(config.custom_scenarios):
+        try:
+            size = len(scenario.id.encode("utf-8"))
+        except UnicodeEncodeError:
+            size = math.inf  # a lone surrogate has no UTF-8 form, so no file name holds it
         if not scenario.id or any(c in scenario.id for c in _ID_FORBIDDEN) \
-                or len(scenario.id.encode("utf-8", "surrogatepass")) > _ID_MAX_BYTES:
+                or size > _ID_MAX_BYTES:
             findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} cannot name artifact "
                             f"files: ids must be non-empty, at most {_ID_MAX_BYTES} UTF-8 "
                             "bytes long, without '/', '\\' or NUL")

@@ -46,16 +46,13 @@ def _canonical_phase(v):
 def combining_vectors(h_est):
     """Per-user maximum-ratio combiners, one unit-norm vector per user.
 
-    Each is the dominant left singular vector of the user's block of
-    rows, from one ``np.linalg.svd`` over the (users x antennas_per_ue x
-    n_tx) stack of blocks.  numpy decomposes a stack one matrix at a
-    time, so ``h_est`` may stack the estimates of many scenarios (with
-    one ``antennas_per_ue``): each user's combiner equals that of its
-    own scenario's call bit for bit.
+    Each is the dominant left singular vector of the user's block, from
+    one ``np.linalg.svd`` over the (users x antennas_per_ue x n_tx) ``h``.
+    numpy decomposes a stack one matrix at a time, so ``h_est`` may stack
+    the estimates of many scenarios (with one ``antennas_per_ue``): each
+    user's combiner equals that of its own scenario's call bit for bit.
     """
-    m = h_est.antennas_per_ue
-    blocks = h_est.h.reshape(h_est.n_users, m, h_est.h.shape[1])
-    u, s, _ = np.linalg.svd(blocks, full_matrices=False)
+    u, s, _ = np.linalg.svd(h_est.h, full_matrices=False)
     if np.any(s[:, 0] == 0.0):
         raise DegenerateChannelError("user channel block is identically zero")
     return [_canonical_phase(u[k, :, 0]) for k in range(h_est.n_users)]
@@ -63,8 +60,7 @@ def combining_vectors(h_est):
 
 def effective_user_channel(h, combiners):
     """Stack c_k^H H_k rows into the (n_users x n_tx) effective channel."""
-    rows = [combiners[k].conj() @ h.ue_block(k) for k in range(h.n_users)]
-    return np.vstack(rows)
+    return np.vstack([c.conj() @ block for c, block in zip(combiners, h.h, strict=True)])
 
 
 def zf_precoder(h_est, combiners, total_power):

@@ -16,8 +16,9 @@ limits.  Every artifact is written in a fixed order with deterministic
 formatting and hashed as it is written, one chunk of its text at a
 time, and a manifest of content hashes is emitted last, so two runs
 with the same configuration and seed are byte-identical.  The output
-directory is made only when the first artifact is written, so a run
-that fails leaves none behind.
+directory is made once the links, maps and statistics are done, just
+before the first artifact: a run that fails before writing leaves no
+directory, and one that fails while writing leaves no manifest.
 
 The grid's heat-map artifact text (:func:`~beamfield.render.grid_text`)
 depends only on the probe grid; it is built once per run, for the
@@ -101,14 +102,11 @@ def _block_links(config, scenarios, start, stop, array):
     h_true = generate_channel(array, block, config.room, channel)
     h_est = [estimate_csi(h, channel, derive_seed(config.seed, i, _SEED_STREAM_CSI))
              for i, h in enumerate(h_true, start)]
-    stacked = ChannelMatrix(h=np.concatenate([h.h for h in h_est]),
-                            n_users=sum(s.n_users for s in block),
-                            antennas_per_ue=block[0].antennas_per_ue)
-    combiners = combining_vectors(stacked)
+    combiners = combining_vectors(ChannelMatrix(h=np.concatenate([h.h for h in h_est])))
     links, user = [], 0
     for i, (scenario, h, est) in enumerate(zip(block, h_true, h_est), start):
-        own = combiners[user:user + scenario.n_users]
-        user += scenario.n_users
+        own = combiners[user:user + est.n_users]
+        user += est.n_users
         precoder = zf_precoder(est, own, config.tx_power_w)
         ber = transmit_frame(precoder, h, own, config.ofdm,
                              derive_seed(config.seed, i, _SEED_STREAM_FRAME))
@@ -197,17 +195,15 @@ def run(config, out_dir=None):
         "min_distance_m": min_distance,
     }, kind="decay-fit")
     writer.json_report("summary.json", {
-        "average": _summary_dict(avg_summary),
-        "per_scenario": {heatmap.scenario_id: _summary_dict(stats_mod.summary(heatmap))
+        "average": dataclasses.asdict(avg_summary),
+        "per_scenario": {heatmap.scenario_id: dataclasses.asdict(stats_mod.summary(heatmap))
                          for heatmap in maps},
     }, kind="summary")
     for rep in compliance_reports:
         distance = exclusion_distances[rep.region]
+        # JSON has no infinity: an unbounded margin or distance is null.
         writer.json_report(f"compliance_{rep.region}.json", {
-            "region": rep.region,
-            "limit_vpm": rep.limit,
-            "exceed_count": rep.exceed_count,
-            "exceed_fraction": rep.exceed_fraction,
+            **dataclasses.asdict(rep),
             "worst_margin_db": None if math.isinf(rep.worst_margin_db)
             else rep.worst_margin_db,
             "compliant": rep.compliant,
@@ -215,16 +211,6 @@ def run(config, out_dir=None):
         }, kind="compliance")
 
     return writer.manifest()
-
-
-def _summary_dict(s):
-    return {
-        "max_vpm": s.max,
-        "max_position_m": list(s.max_position),
-        "min_vpm": s.min,
-        "mean_vpm": s.mean,
-        "p95_vpm": s.p95,
-    }
 
 
 def _sig9(v):

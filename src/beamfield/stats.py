@@ -35,13 +35,17 @@ class CutProfile:
 
 @dataclass(frozen=True)
 class SummaryStats:
-    """Order statistics of one heat map; p95 is nearest-rank."""
+    """Order statistics of one heat map, named by the keys of its ``summary.json`` entry.
 
-    max: float
-    max_position: tuple
-    min: float
-    mean: float
-    p95: float
+    Fields are in V/m but ``max_position_m``, the (x, y) of the maximum in
+    m; p95 is nearest-rank.
+    """
+
+    max_vpm: float
+    max_position_m: tuple
+    min_vpm: float
+    mean_vpm: float
+    p95_vpm: float
 
 
 def average_heatmaps(maps):
@@ -121,9 +125,9 @@ def summary(heatmap):
     rank = max(int(np.ceil(0.95 * v.size)), 1)
     p95 = float(np.sort(v)[rank - 1])
     return SummaryStats(
-        max=float(v[idx]),
-        max_position=(float(grid.x_values[ix]), float(grid.y_values[iy])),
-        min=float(v.min()),
-        mean=float(v.mean()),
-        p95=p95,
+        max_vpm=float(v[idx]),
+        max_position_m=(float(grid.x_values[ix]), float(grid.y_values[iy])),
+        min_vpm=float(v.min()),
+        mean_vpm=float(v.mean()),
+        p95_vpm=p95,
     )

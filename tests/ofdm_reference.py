@@ -85,8 +85,8 @@ def time_domain_errors(precoder, h_true, combiners, cfg, rng):
         grid = np.zeros((k, n_sym, n_fft), dtype=np.complex128)
         grid[:, :, bins] = constellation(sent)
         x = np.tensordot(precoder.w, np.fft.ifft(grid, axis=2, norm="ortho"), axes=1)
-        for u in range(k):
-            y = np.tensordot(h_true.ue_block(u), x, axes=1)
+        for u, h_u in enumerate(h_true.h):
+            y = np.tensordot(h_u, x, axes=1)
             y += noise_sd * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
             combined = np.tensordot(combiners[u].conj(), y, axes=1)
             received = np.fft.fft(combined, axis=1, norm="ortho")[:, bins] / gain[u]

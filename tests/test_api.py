@@ -9,12 +9,14 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import beamfield
 from beamfield import (
     ArrayGeometry,
     BerReport,
+    ChannelMatrix,
     ChannelModelConfig,
     ComplianceReport,
     CutProfile,
@@ -37,6 +39,7 @@ from beamfield import (
 from beamfield.channel import lit_above, may_reach_unit_gain, propagation_gains
 from beamfield.geometry import ue_antenna_positions
 from beamfield.runner import run_links
+from beamfield.stats import SummaryStats
 
 PUBLIC = [
     "ArrayGeometry", "ArraySection", "BeamfieldError", "BerReport", "ChannelMatrix",
@@ -171,6 +174,19 @@ def test_fields_nothing_reads_stay_deleted():
     assert "rng_seed" not in _field_names(ChannelModelConfig) + _field_names(OfdmConfig)
     assert _field_names(Scenario) == ["id", "ue_positions", "antennas_per_ue"]
     assert _field_names(BerReport) == ["per_ue_ber", "bits_tested"]
+
+
+def test_a_result_is_stated_once():
+    # A channel's counts are its shape: users x antennas per user x elements.
+    assert _field_names(ChannelMatrix) == ["h"]
+    cm = ChannelMatrix(h=np.zeros((3, 2, 5), dtype=complex))
+    assert (cm.n_users, cm.antennas_per_ue) == cm.h.shape[:2] == (3, 2)
+    assert not hasattr(ChannelMatrix, "ue_block")
+    # The summary and compliance results carry the keys their records write.
+    assert _field_names(SummaryStats) == ["max_vpm", "max_position_m", "min_vpm",
+                                          "mean_vpm", "p95_vpm"]
+    assert "limit_vpm" in _field_names(ComplianceReport)
+    assert "limit" not in _field_names(ComplianceReport)
 
 
 def _parameters(fn):

@@ -287,8 +287,8 @@ class TestGenerateChannel:
         cfg = LOS_PERFECT_CSI
         (cm,) = generate_channel(arr, [scn], room, cfg)
         expect = los_gain((0, 0, 1.5), (0, 5, 1.5), cfg.carrier_frequency)
-        assert cm.h.shape == (1, 1)
-        assert cm.h[0, 0] == pytest.approx(expect, rel=1e-12)
+        assert cm.h.shape == (1, 1, 1)
+        assert cm.h[0, 0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_matches_per_element_evaluation(self, array, room, scenarios, los_cfg):
         (cm,) = generate_channel(array, [scenarios[0]], room, los_cfg)
@@ -297,7 +297,7 @@ class TestGenerateChannel:
         for r in (0, 3):
             for t in (0, 17, 63):
                 want = los_gain(tx[t], rx[r], los_cfg.carrier_frequency)
-                assert cm.h[r, t] == pytest.approx(want, rel=1e-12)
+                assert cm.h[0, r, t] == pytest.approx(want, rel=1e-12)
 
     def test_zero_reflection_collapses_to_los(self, array, scenarios):
         room0 = Room(wall_reflection=0.0, floor_reflection=0.0, ceiling_reflection=0.0)
@@ -342,7 +342,8 @@ class TestGenerateChannel:
     def test_shape_matches_scenario(self, array, room, scenarios, los_cfg):
         for scn in scenarios:
             (cm,) = generate_channel(array, [scn], room, los_cfg)
-            assert cm.h.shape == (4 * scn.n_users, 64)
+            assert cm.h.shape == (scn.n_users, 4, 64)
+            assert (cm.n_users, cm.antennas_per_ue) == (scn.n_users, 4)
 
 
 class TestEstimateCsi:
@@ -357,8 +358,8 @@ class TestEstimateCsi:
         from beamfield import ChannelMatrix
 
         rng = np.random.default_rng(11)
-        h = random_complex(rng, (250, 400))
-        cm = ChannelMatrix(h=h, n_users=1, antennas_per_ue=250)
+        h = random_complex(rng, (1, 250, 400))
+        cm = ChannelMatrix(h=h)
         est = estimate_csi(cm, ChannelModelConfig(csi_snr_db=0.0), 42)
         ratio = np.mean(np.abs(est.h - h) ** 2) / np.mean(np.abs(h) ** 2)
         assert ratio == pytest.approx(1.0, rel=0.05)
@@ -367,8 +368,8 @@ class TestEstimateCsi:
         from beamfield import ChannelMatrix
 
         rng = np.random.default_rng(12)
-        h = random_complex(rng, (100, 100))
-        cm = ChannelMatrix(h=h, n_users=1, antennas_per_ue=100)
+        h = random_complex(rng, (1, 100, 100))
+        cm = ChannelMatrix(h=h)
         e20 = estimate_csi(cm, ChannelModelConfig(csi_snr_db=20.0), 1)
         ratio = np.mean(np.abs(e20.h - h) ** 2) / np.mean(np.abs(h) ** 2)
         assert ratio == pytest.approx(0.01, rel=0.1)

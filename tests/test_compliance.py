@@ -73,7 +73,7 @@ class TestCheck:
                     scenario_id="r")
         rep = check(m, "Poland")
         assert rep.exceed_fraction == rep.exceed_count / grid.n_points
-        assert rep.exceed_count == int(np.count_nonzero(m.values > rep.limit))
+        assert rep.exceed_count == int(np.count_nonzero(m.values > rep.limit_vpm))
 
     def test_unknown_region(self, grid):
         with pytest.raises(UnknownRegionError):

@@ -353,6 +353,18 @@ def test_a_custom_id_of_233_utf8_bytes_runs(tmp_path):
                              "without '/', '\\' or NUL",)
 
 
+def test_a_custom_id_without_a_utf8_form_does_not_run(tmp_path):
+    # A lone surrogate, which only a Python document can hold, names no file.
+    doc = {"seed": 1, "formats": ["json"], "ofdm": {"frames": 1}, "scenarios": ["\ud800"],
+           "custom_scenarios": [{"id": "\ud800", "ue_positions": [[0, 4]]}]}
+    assert validate(doc) == ("custom_scenarios[0].id: '\\ud800' cannot name artifact "
+                             "files: ids must be non-empty, at most 233 UTF-8 bytes long, "
+                             "without '/', '\\' or NUL",)
+    with pytest.raises(ConfigError, match="configuration invalid"):
+        run(doc, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 # Configs built in Python that break a rule the document parser enforces, and
 # the parser's own text for it; a float row count is read as the integer it is.
 BUILT_CONFIGS = [
@@ -652,6 +664,14 @@ def test_a_document_that_validates_runs(doc):
         with contextlib.redirect_stdout(io.StringIO()):
             status = cli_main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
     assert status == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_RUNNABLE)
+def test_a_loaded_config_is_its_own_document_form(doc):
+    # A run reads a built config through asdict, so a loaded one must come back unchanged.
+    loaded = from_dict(doc)
+    assert from_dict(dataclasses.asdict(loaded)) == loaded
 
 
 def _set(doc, path, value):

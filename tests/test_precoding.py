@@ -19,9 +19,10 @@ from conftest import LOS_PERFECT_CSI, perfect_link, random_complex
 from field_oracle import interference_ratio
 
 
-def make_channel(h, n_users, antennas=4):
-    return ChannelMatrix(h=np.asarray(h, dtype=complex), n_users=n_users,
-                         antennas_per_ue=antennas)
+def make_channel(rows, n_users):
+    """The channel of ``n_users`` users whose antenna rows are stacked in ``rows``."""
+    rows = np.asarray(rows, dtype=complex)
+    return ChannelMatrix(h=rows.reshape(n_users, -1, rows.shape[1]))
 
 
 class TestCombiningVectors:
@@ -68,13 +69,12 @@ class TestCombiningVectors:
             for n in range(1, 9)]
         estimates = [estimate_csi(h, cfg, seed)
                      for seed, h in enumerate(generate_channel(array, block, room, cfg))]
-        stacked = ChannelMatrix(h=np.concatenate([e.h for e in estimates]), n_users=36,
-                                antennas_per_ue=4)
+        stacked = ChannelMatrix(h=np.concatenate([e.h for e in estimates]))
         per_scenario = [c for e in estimates for c in combining_vectors(e)]
         # The per-user reference: a 2-D SVD and one scalar phase division per user.
         reference = []
         for k in range(36):
-            v = np.linalg.svd(stacked.ue_block(k), full_matrices=False)[0][:, 0]
+            v = np.linalg.svd(stacked.h[k], full_matrices=False)[0][:, 0]
             pivot = int(np.argmax(np.abs(v)))
             reference.append(v * (abs(v[pivot]) / v[pivot]))
         combiners = combining_vectors(stacked)
@@ -87,18 +87,13 @@ class TestCombiningVectors:
         with pytest.raises(DegenerateChannelError):
             combining_vectors(h)
 
-    def test_row_count_checked(self):
-        # Two users of four antennas need eight rows.
-        with pytest.raises(ValueError, match="channel has 4 rows, expected 8"):
-            make_channel(np.ones((4, 8)), n_users=2)
-
 
 class TestZfPrecoder:
     def test_single_user_is_matched_direction(self):
         rng = np.random.default_rng(22)
         h = make_channel(random_complex(rng, (4, 32)), n_users=1)
         c = combining_vectors(h)
-        g = (c[0].conj() @ h.h).reshape(1, -1)
+        g = (c[0].conj() @ h.h[0]).reshape(1, -1)
         w = zf_precoder(h, c, 2.0)
         expect = np.sqrt(2.0) * g.conj().T / np.linalg.norm(g)
         assert np.allclose(w.w, expect, rtol=1e-10)
@@ -175,8 +170,8 @@ class TestZfPrecoder:
             w8 = zf_precoder(est8, c8, 1.0)
             gain8 = abs(effective_channel(h8, w8, c8)[0, 0])
 
-            h1 = ChannelMatrix(h=h8.h[:4], n_users=1, antennas_per_ue=4)
-            est1 = ChannelMatrix(h=est8.h[:4], n_users=1, antennas_per_ue=4)
+            h1 = ChannelMatrix(h=h8.h[:1])
+            est1 = ChannelMatrix(h=est8.h[:1])
             c1 = combining_vectors(est1)
             w1 = zf_precoder(est1, c1, 1.0)
             gain1 = abs(effective_channel(h1, w1, c1)[0, 0])

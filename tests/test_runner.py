@@ -11,14 +11,18 @@ import pytest
 import beamfield.field
 import beamfield.runner
 from beamfield import (
+    DEFAULT_LIMITS_VPM,
     ConfigError,
     RunConfig,
     ZfInfeasibleError,
+    average_heatmaps,
+    check,
     combining_vectors,
     estimate_csi,
     generate_channel,
     load_config,
     run,
+    summary,
     transmit_frame,
     validate,
     verify_manifest,
@@ -303,12 +307,32 @@ class TestRun:
         assert int(bits) == 2664 * 16 * 6
 
     def test_summary_json_contents(self, tmp_path):
-        run(small_config(), out_dir=str(tmp_path))
+        config = small_config()
+        run(config, out_dir=str(tmp_path))
         with open(tmp_path / "summary.json", "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         assert set(payload["per_scenario"]) == {"1", "5"}
         avg = payload["average"]
         assert avg["max_vpm"] >= avg["p95_vpm"] >= avg["mean_vpm"] >= avg["min_vpm"]
+
+        # Each record is its result's fields, after a JSON round trip.
+        array = config.build_array()
+        links = run_links(config, config.selected_scenarios(), array)
+        maps = heatmaps([(link.scenario, link.precoder) for link in links], array,
+                        config.room, config.build_grid(), config.channel, config.calibration)
+        average = average_heatmaps(maps)
+
+        def record(result):
+            return json.loads(json.dumps(dataclasses.asdict(result)))
+
+        assert payload == {"average": record(summary(average)),
+                           "per_scenario": {m.scenario_id: record(summary(m)) for m in maps}}
+        # A compliance record adds only what JSON or the cut needs to its report.
+        for region in DEFAULT_LIMITS_VPM:
+            written = json.loads((tmp_path / f"compliance_{region}.json").read_text())
+            report = record(check(average, region))
+            assert set(written) - set(report) == {"compliant", "min_compliant_distance_m"}
+            assert {key: written[key] for key in report} == report
 
 
 def _campaign_with_customs():

@@ -139,20 +139,20 @@ class TestFitDecay:
 class TestSummary:
     def test_constant_map(self, grid):
         s = summary(constant_map(grid, 4.2))
-        assert s.max == s.min == s.mean == s.p95 == 4.2
+        assert s.max_vpm == s.min_vpm == s.mean_vpm == s.p95_vpm == 4.2
 
     def test_p95_matches_sort_oracle(self, scenario_maps):
         for m in scenario_maps:
             s = summary(m)
             ranked = np.sort(m.values)
             want = ranked[int(np.ceil(0.95 * ranked.size)) - 1]
-            assert s.p95 == want
+            assert s.p95_vpm == want
 
     def test_ordering(self, scenario_maps):
         for m in scenario_maps:
             s = summary(m)
-            assert s.max >= s.p95 >= s.mean >= s.min
+            assert s.max_vpm >= s.p95_vpm >= s.mean_vpm >= s.min_vpm
 
     def test_max_position(self, scenario_maps):
         s = summary(scenario_maps[0])
-        assert s.max_position == (0.0, 1.0)
+        assert s.max_position_m == (0.0, 1.0)
