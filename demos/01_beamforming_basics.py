@@ -24,7 +24,7 @@ room = Room()
 array = build_array()
 print("room: %.1f m x %.1f m x %.1f m" % (room.width_x, room.length_y, room.height_z))
 print("array: %d elements, %d active, aperture %.3f m"
-      % (array.n_elements, array.n_active, array.aperture()))
+      % (len(array.element_positions), array.n_active, array.aperture()))
 
 print("\nbuilt-in scenarios:")
 for s in standard_scenarios():

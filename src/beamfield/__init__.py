@@ -11,9 +11,22 @@ Importing the package loads none of its layers. Each exported name, and
 each layer module (``beamfield.runner``), loads its module on first use
 (PEP 562), so ``beamfield validate`` loads only ``config``,
 ``geometry``, ``channel``, ``ofdm``, ``stats`` and ``errors``.
+
+``cli`` and those layers load numpy on first use too: each binds
+``np = _numpy_on_first_use(globals())``, a stand-in that imports numpy
+when the layer first reads an attribute of it and then rebinds the
+layer's ``np`` to numpy itself, so every later ``np.<name>`` costs what
+an eager import would.  Validation checks its rules on plain floats, so
+a ``beamfield validate`` or ``beamfield scenarios`` launch loads no
+numpy at all.  A run loads it when it imports ``beamfield.runner``,
+whose run-only layers import numpy eagerly; a library caller loads it
+with the first array it builds.  Only a document whose unit-gain screen
+cannot clear a UE antenna at the array loads numpy during validation,
+for the exact channel check.
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -39,6 +52,27 @@ _HOMES = {
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 __all__ = sorted(_HOME)
 _MODULES = frozenset(_HOMES) | {"cli", "render"}
+
+
+class _DeferredNumpy:
+    """numpy's stand-in in one module's globals until the module first uses it."""
+
+    __slots__ = ("_namespace",)
+
+    def __init__(self, namespace):
+        self._namespace = namespace
+
+    def __getattr__(self, name):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+def _numpy_on_first_use(namespace):
+    """The ``np`` of the module whose globals are ``namespace``: numpy once it is
+    loaded, else a stand-in that loads it on first use and puts it in its place."""
+    return sys.modules.get("numpy") or _DeferredNumpy(namespace)
 
 
 def __getattr__(name):

@@ -13,14 +13,20 @@ block gets every scenario's channel from one gain evaluation.
 :class:`ChannelModelConfig` owns the ray model: its defaults, image-order-1
 with 40 dB pilot CSI, are a run's calibrated operating point, and the stage
 functions read mode, pattern, carrier and UE height from it, never a default.
+The screens :func:`lit_above` and :func:`may_reach_unit_gain` run on plain
+floats, which validation passes without loading numpy; they read the same
+mirror rule (:func:`_mirror`) as the gains do.
 """
+
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
+from . import _numpy_on_first_use
+from .geometry import DEFAULT_MOUNT_HEIGHT_M, _box, ue_antenna_positions, wavelength
 
-from .geometry import DEFAULT_MOUNT_HEIGHT_M, ue_antenna_positions, wavelength
+np = _numpy_on_first_use(globals())
 
 MODE_LOS = "los-only"
 MODE_IMAGE_1 = "image-order-1"
@@ -96,21 +102,43 @@ def _images(room, points):
 
     Returns a (6, T, 3) array of mirrored points and the six amplitude
     reflection coefficients, both in the fixed order x-low wall, x-high
-    wall, y-low wall, y-high wall, floor, ceiling.  Raises if a point lies
-    outside the room.
+    wall, y-low wall, y-high wall, floor, ceiling.
     """
-    room.require_inside(points, "transmit point")
-    x, y, z = points.T
-    wx = room.width_x / 2.0
     images = np.tile(points, (6, 1, 1))
-    images[0, :, 0] = -2 * wx - x
-    images[1, :, 0] = 2 * wx - x
-    images[2, :, 1] = -y
-    images[3, :, 1] = 2 * room.length_y - y
-    images[4, :, 2] = -z
-    images[5, :, 2] = 2 * room.height_z - z
-    coeffs = (*room.wall_reflections(), room.floor_reflection, room.ceiling_reflection)
-    return images, coeffs
+    for surface in range(6):
+        axis = surface // 2
+        images[surface, :, axis] = _mirror(room, surface, points[:, axis])
+    return images, _coefficients(room)
+
+
+def _coefficients(room):
+    """The six surfaces' amplitude reflection coefficients, in the order of :func:`_images`."""
+    return (*room.wall_reflections(), room.floor_reflection, room.ceiling_reflection)
+
+
+def _mirror(room, surface, v):
+    """Coordinate ``v`` on axis ``surface // 2`` mirrored in ``surface`` (numbered as
+    in :func:`_images`); ``v`` is a float or an array.  The planes y = 0 and
+    z = 0 negate it, so a coordinate of 0 mirrors to -0.0.
+    """
+    if surface in (2, 4):
+        return -v
+    wx = room.width_x / 2.0
+    return (-2 * wx, 2 * wx, None, 2 * room.length_y, None, 2 * room.height_z)[surface] - v
+
+
+def _reflecting(room, mode, points):
+    """The surfaces, numbered as in :func:`_images`, whose images of ``points``
+    the ray model ``mode`` adds to the direct rays: none in LoS, in image
+    mode each whose coefficient is not 0.  In image mode ``points`` must lie
+    inside the room (:meth:`~beamfield.geometry.Room.require_inside`).
+    """
+    if mode != MODE_IMAGE_1:
+        return []
+    if room is None:
+        raise ValueError("image-order-1 mode requires a room")
+    room.require_inside(points, "transmit point")
+    return [s for s, coeff in enumerate(_coefficients(room)) if coeff != 0.0]
 
 
 def _lengths(squares, out):
@@ -154,18 +182,21 @@ def _pattern_amplitude(d, dy, out):
 
 def _ray_sources(tx_points, room, mode):
     """The ray model's sources as (points, coefficient, axis) triples: the
-    direct rays first, with coefficient and axis None, then in image mode
-    each surface whose coefficient is not 0, in the order of ``_images``,
-    with the one axis its mirror changes (image i mirrors axis i // 2).
+    direct rays first, with coefficient and axis None, then the images of
+    :func:`_reflecting`, in the order of ``_images``, with the one axis
+    their mirror changes (image i mirrors axis i // 2).
     """
+    surfaces = _reflecting(room, mode, tx_points)
     rays = [(tx_points, None, None)]
-    if mode == MODE_IMAGE_1:
-        if room is None:
-            raise ValueError("image-order-1 mode requires a room")
+    if surfaces:
         images, coeffs = _images(room, tx_points)
-        rays += [(points, coeff, i // 2)
-                 for i, (points, coeff) in enumerate(zip(images, coeffs)) if coeff != 0.0]
+        rays += [(images[s], coeffs[s], s // 2) for s in surfaces]
     return rays
+
+
+def _rows(points):
+    """``points``, one point or an (N, 3) array-like, as a list of (x, y, z) float rows."""
+    return np.atleast_2d(np.asarray(points, dtype=float)).tolist()
 
 
 def lit_above(tx_points, room, cfg):
@@ -173,14 +204,21 @@ def lit_above(tx_points, room, cfg):
 
     -inf for the isotropic pattern; for the cosine pattern, which lights a
     receiver only from sources at smaller y, their least y (0.0, never -0.0).
-    A mirror maps y to y or c - y, so only the images of the transmit points
-    of least and greatest y are built.
+    A mirror maps y to y or c - y, so only the transmit points of least and
+    greatest y are mirrored.
     """
+    return _lit_above(_rows(tx_points), room, cfg)
+
+
+def _lit_above(tx, room, cfg):
+    """:func:`lit_above` for plain (x, y, z) rows ``tx``."""
     if cfg.element_pattern == PATTERN_ISOTROPIC:
         return -math.inf
-    tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
-    ends = tx_points[[np.argmin(tx_points[:, 1]), np.argmax(tx_points[:, 1])]]
-    return min(float(p[:, 1].min()) for p, _, _ in _ray_sources(ends, room, cfg.mode)) + 0.0
+    ends = [min(tx, key=lambda p: p[1]), max(tx, key=lambda p: p[1])]
+    surfaces = _reflecting(room, cfg.mode, ends)
+    ys = [y for _, y, _ in ends]
+    ys += [_mirror(room, s, y) for s in surfaces if s // 2 == 1 for y in ys]
+    return min(ys) + 0.0
 
 
 def may_reach_unit_gain(tx_points, rx_points, room, cfg):
@@ -195,18 +233,44 @@ def may_reach_unit_gain(tx_points, rx_points, room, cfg):
     box, every entry is therefore below 1 (and every ray longer than 0)
     when d exceeds ``sources x peak x lam / (4 pi)``.
     """
-    tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
-    rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
-    sources = _ray_sources(rx_points, room, cfg.mode)
-    box = list(zip(tx_points.min(axis=0), tx_points.max(axis=0)))
-    # One coordinate column at a time: numpy broadcasts (N, 3) - (3,) slowly.
-    least = math.inf
-    for points, _, _ in sources:
-        x, y, z = (np.maximum(np.maximum(low - coords, coords - high), 0.0)
-                   for coords, (low, high) in zip(points.T, box))
-        least = min(least, float(np.hypot(np.hypot(x, y), z).min()))
+    return _may_reach_unit_gain(_rows(tx_points), _rows(rx_points), room, cfg)
+
+
+def _may_reach_unit_gain(tx, rx, room, cfg):
+    """:func:`may_reach_unit_gain` for plain (x, y, z) rows ``tx`` and ``rx``.
+
+    A distance to the box is the hypot of the three per-axis gaps
+    max(low - c, c - high, 0), and a hypot is at least each of them, so a
+    pair with a gap beyond the limit on one axis is cleared without one.
+    A whole source is cleared when its receivers' coordinates on one axis
+    all lie beyond the box by more than the limit: the gap to their least
+    or greatest value bounds every other, since rounding keeps subtraction
+    monotone.  Only the pairs within the limit on every axis get a hypot,
+    numpy's as over every pair, so the answer is exactly that of every pair.
+    """
+    surfaces = _reflecting(room, cfg.mode, rx)
     peak = math.sqrt(_COSINE_PEAK_GAIN) if cfg.element_pattern == PATTERN_COSINE else 1.0
-    return least <= len(sources) * peak * wavelength(cfg.carrier_frequency) / (4.0 * math.pi)
+    limit = (1 + len(surfaces)) * peak * wavelength(cfg.carrier_frequency) / (4.0 * math.pi)
+    box = _box(tx)
+    spans = _box(rx)
+    near = []
+    for surface in (None, *surfaces):
+        axis = None if surface is None else surface // 2
+        # The mirror reverses the order of the coordinates it maps.
+        ranges = [(_mirror(room, surface, high), _mirror(room, surface, low)) if a == axis
+                  else (low, high) for a, (low, high) in enumerate(spans)]
+        if any(low - top > limit or bottom - high > limit
+               for (bottom, top), (low, high) in zip(ranges, box)):
+            continue
+        for point in rx:
+            coords = [_mirror(room, surface, c) if a == axis else c for a, c in enumerate(point)]
+            gaps = [max(max(low - c, c - high), 0.0) for c, (low, high) in zip(coords, box)]
+            if max(gaps) <= limit:
+                near.append(gaps)
+    if not near:
+        return False
+    x, y, z = np.array(near).T
+    return float(np.hypot(np.hypot(x, y), z).min()) <= limit
 
 
 def propagation_gains(tx_points, rx_points, frequency, room, mode, pattern):

@@ -8,7 +8,14 @@ Verbs:
 
 A verb imports what only it uses, so a ``validate`` launch loads only
 ``config`` and the layers it checks with: ``geometry``, ``channel``,
-``ofdm``, ``stats`` and ``errors``.
+``ofdm``, ``stats`` and ``errors``.  Those load numpy on first use
+(see ``beamfield``), and validation checks on plain floats, so a
+``validate`` or ``scenarios`` launch loads no numpy.  ``run`` loads it
+when it imports the runner, and ``render`` when it reads the CSV.
+
+A ``run`` launch uses one OpenBLAS thread unless ``OPENBLAS_NUM_THREADS``
+says otherwise: the BER path multiplies many small complex matrices, which
+threads contending for few cores slow down.
 
 Exit codes: 0 success, 1 validation failure, 2 runtime error.
 """
@@ -18,11 +25,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
+from . import _numpy_on_first_use
 from .config import EXPORT_FORMATS, RunConfig, read_yaml, validate
 from .errors import BeamfieldError, ConfigError
 from .geometry import ProbeGrid, standard_scenarios
+
+np = _numpy_on_first_use(globals())
 
 
 def _build_parser():
@@ -72,6 +80,8 @@ def _cmd_validate(args):
 
 
 def _cmd_run(args):
+    # Read when OpenBLAS loads, with numpy, which the runner imports.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from .runner import run
 
     # A flag sets its document key, so the document's own rules read it.

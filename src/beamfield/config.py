@@ -15,17 +15,24 @@ boolean YAML 1.1 makes of an unquoted ``on`` or ``no``.  Unknown keys, mistyped 
 :class:`ConfigError` naming the offending path.  ``validate`` returns
 everything else as a tuple of findings and never raises.  A
 :class:`RunConfig` built in Python meets the same rules: :func:`checked`
-reads it through its document form, once per run.
+reads it through its document form, once per run.  The findings come
+from plain floats, through the builders' own rules, so validation loads
+no numpy unless a UE antenna may sit at the array.
 """
 
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
-import numpy as np
 import yaml
 
-from .channel import ChannelModelConfig, generate_channel, lit_above, may_reach_unit_gain
+from . import _numpy_on_first_use
+from .channel import (
+    ChannelModelConfig,
+    _lit_above,
+    _may_reach_unit_gain,
+    generate_channel,
+)
 from .errors import ConfigError
 from .geometry import (
     MAX_GAIN_ENTRIES,
@@ -33,16 +40,20 @@ from .geometry import (
     GridSection,
     Room,
     Scenario,
+    _antenna_rows,
+    _array_layout,
+    _lattice,
     build_array,
     build_grid,
     far_field_distance,
     grid_size_bound,
     standard_scenarios,
-    ue_antenna_positions,
     wavelength,
 )
 from .ofdm import MAX_SAMPLES_PER_STREAM, OfdmConfig
-from .stats import CutProfile, cut_column, fit_decay
+from .stats import _fit_rows, cut_column
+
+np = _numpy_on_first_use(globals())
 
 EXPORT_FORMATS = ("ascii", "csv", "json", "svg")
 
@@ -74,7 +85,8 @@ class RunConfig:
         """Shortest cut distance the decay fit keeps, or None to keep them all.
 
         With ``fit_exclude_near_field`` it is the array's far-field distance:
-        nearer samples do not follow the 1/d law.
+        nearer samples do not follow the 1/d law.  ``array`` is the run's
+        ArrayGeometry or validation's plain layout of it.
         """
         if not self.fit_exclude_near_field:
             return None
@@ -383,7 +395,7 @@ def _findings(config):
         if sid not in table:
             findings.append(f"scenarios: id {sid!r} is not defined")
             continue
-        antennas = ue_antenna_positions(table[sid], config.channel)
+        antennas = _antenna_rows(table[sid], config.channel)
         try:
             room.require_inside(antennas, f"scenario {sid}: UE antenna")
         except ValueError as exc:
@@ -393,34 +405,34 @@ def _findings(config):
 
     # Geometry: the memory budgets, from the extents, before the grid is built.
     try:
-        array = config.build_array()
+        layout = _array_layout(config.array)
         points = grid_size_bound(config.grid)
     except ValueError as exc:
         findings.append(str(exc))
         return tuple(findings)
-    if points * array.n_active > MAX_GAIN_ENTRIES:
+    tx = layout.active_positions()
+    if points * len(tx) > MAX_GAIN_ENTRIES:
         findings.append(
-            f"grid: about {points:.3g} points x {array.n_active} active elements "
+            f"grid: about {points:.3g} points x {len(tx)} active elements "
             f"exceed the {MAX_GAIN_ENTRIES:.3g}-entry field-gain budget")
         return tuple(findings)
     # Zero-forcing inverts the users x active-elements channel from the right.
     for sid in config.scenarios:
-        if sid in table and table[sid].n_users > array.n_active:
+        if sid in table and table[sid].n_users > len(tx):
             findings.append(
-                f"scenario {sid}: {table[sid].n_users} users exceed the {array.n_active} "
+                f"scenario {sid}: {table[sid].n_users} users exceed the {len(tx)} "
                 "active array elements; zero-forcing needs at least one element per user")
 
     # Grid and array inside the room, no coincidence.
     try:
-        grid = config.build_grid()
-        room.require_inside(array.element_positions, "array: element")
+        grid = _lattice(config.grid, room)
+        room.require_inside(layout.positions, "array: element")
     except ValueError as exc:
         findings.append(str(exc))
         return tuple(findings)
 
     # The element pattern lights every user: it lights only y > lit_y.
-    tx = array.active_positions()
-    lit_y = lit_above(tx, room, config.channel)
+    lit_y = _lit_above(tx, room, config.channel)
     for sid in config.scenarios:
         for u, (_, y) in enumerate(table[sid].ue_positions if sid in table else ()):
             if y <= lit_y:
@@ -431,8 +443,9 @@ def _findings(config):
     # that out are the channels generated (in a room whose squared ray
     # lengths are finite), so the findings are exact.
     ch = config.channel
-    if placed and rays_fit and may_reach_unit_gain(
-            tx, np.concatenate(list(placed.values())), room, ch):
+    if placed and rays_fit and _may_reach_unit_gain(
+            tx, [a for antennas in placed.values() for a in antennas], room, ch):
+        array = config.build_array()
         for sid in placed:
             try:
                 generate_channel(array, [table[sid]], room, ch)
@@ -440,25 +453,24 @@ def _findings(config):
                 findings.append(f"scenario {sid}: {exc}")
     # Probe points are (x, y, height) over the lattice axes: exact membership per
     # axis, in O(axis + elements) memory rather than a points x elements difference.
-    # (np.isin sorts through np.unique, which imports numpy.ma on a long axis.)
-    on_x, on_y = set(grid.x_values.tolist()), set(grid.y_values.tolist())
-    if any(x in on_x and y in on_y and z == grid.probe_height for x, y, z in tx.tolist()):
+    on_x, on_y = set(grid.x_values), set(grid.y_values)
+    if any(x in on_x and y in on_y and z == grid.probe_height for x, y, z in tx):
         findings.append("grid: a probe point coincides exactly with a transmit element")
     try:
         cut_column(grid, config.cut_x)
     except ValueError as exc:
         findings.append(f"cut_x: {exc}")
-    # The decay fit of the cut column: fit_decay itself judges the rows, with
-    # a unit field on each, or 0 where the pattern lights no ray.
+    # The decay fit of the cut column: fit_decay's own row rule judges the
+    # rows, with a unit field on each, or 0 where the pattern lights no ray.
     ys = grid.y_values
-    lit = (ys > lit_y).astype(float)
-    min_distance = config.fit_min_distance(array)
+    lit = [1.0 if y > lit_y else 0.0 for y in ys]
+    min_distance = config.fit_min_distance(layout)
     try:
-        fit_decay(CutProfile(ys, lit), min_distance)
+        _fit_rows(ys, lit, min_distance)
     except ValueError as exc:
         rows = "" if min_distance is None else \
             f" at or beyond the {min_distance:.3g} m far-field distance"
-        unlit = "" if lit.all() else \
+        unlit = "" if all(lit) else \
             f"; the cosine pattern gives no field at y <= {lit_y:g} m"
         findings.append(f"grid: the decay fit cannot run on the cut rows{rows}: {exc}{unlit}")
 

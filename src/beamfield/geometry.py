@@ -7,11 +7,21 @@ y in [0, length], z in [0, height]; the floor is z = 0.
 :func:`build_array` and :func:`build_grid` read the ``array`` and ``grid``
 sections of a run configuration, whose defaults (the paper's 16 x 8 panel,
 central 8 x 8 active, and 56-point probe grid) are written only there.
+Each rule a builder applies (the element positions and active block, the
+lattice axes, the UE antenna positions, the room's boundary) is computed
+on plain floats, by the same operations in the same order as numpy would,
+and the builders turn the result into arrays; validation reads the plain
+values and loads no numpy.
 """
 
+from __future__ import annotations
+
+import math
 from dataclasses import dataclass, replace
 
-import numpy as np
+from . import _numpy_on_first_use
+
+np = _numpy_on_first_use(globals())
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -74,34 +84,42 @@ class Room:
     def wall_reflections(self):
         """Coefficients for the four walls: (x-low, x-high, y-low, y-high)."""
         w = self.wall_reflection
-        if np.isscalar(w):
+        if not isinstance(w, (tuple, list)):
             return (float(w),) * 4
         w = tuple(float(v) for v in w)
         if len(w) != 4:
             raise ValueError("wall_reflection must be a scalar or a 4-sequence")
         return w
 
+    def _holds(self, x, y, z):
+        """The boundary rule, slack included: a bool for float coordinates,
+        a flag per point for arrays of them."""
+        tol = _BOUNDARY_TOL
+        return ((abs(x) <= self.width_x / 2 + tol) & (-tol <= y)
+                & (y <= self.length_y + tol) & (-tol <= z) & (z <= self.height_z + tol))
+
     def contains(self, point):
         """True if the 3-D point lies inside the room (boundary inclusive).
 
         ``point`` may also be an (N, 3) array, which gives N flags.
         """
-        tol = _BOUNDARY_TOL
-        x, y, z = np.asarray(point, dtype=float).T
-        return ((np.abs(x) <= self.width_x / 2 + tol) & (-tol <= y)
-                & (y <= self.length_y + tol) & (-tol <= z) & (z <= self.height_z + tol))
+        return self._holds(*np.asarray(point, dtype=float).T)
 
     def require_inside(self, points, what):
-        """Raise ValueError naming, as ``what``, the first (N, 3) ``points`` row outside.
+        """Raise ValueError naming, as ``what``, the first of ``points`` outside.
 
-        Numbers print as the shortest text that reads back as the same
-        float, so a point just beyond the boundary slack never prints as
-        the bound it breaks.
+        ``points`` is an (N, 3) array, or a list of (x, y, z) rows, which
+        validation passes and which loads no numpy.  Numbers print as the
+        shortest text that reads back as the same float, so a point just
+        beyond the boundary slack never prints as the bound it breaks.
         """
-        points = np.asarray(points, dtype=float)
-        inside = self.contains(points)
-        if not inside.all():
-            x, y, z = (_exact(v) for v in points[np.argmin(inside)])
+        if isinstance(points, list):
+            outside = next((p for p in points if not self._holds(*p)), None)
+        else:
+            inside = self.contains(points)
+            outside = None if inside.all() else points[np.argmin(inside)]
+        if outside is not None:
+            x, y, z = (_exact(v) for v in outside)
             raise ValueError(f"{what} at ({x}, {y}, {z}) lies outside the room (|x| <= "
                              f"{_exact(self.width_x / 2)}, 0 <= y <= {_exact(self.length_y)}, "
                              f"0 <= z <= {_exact(self.height_z)})")
@@ -116,16 +134,12 @@ def _exact(v):
 class ArrayGeometry:
     """Planar transmit array in the x-z plane, boresight along +y.
 
-    ``element_positions`` has shape (n_elements, 3) in row-major grid
+    ``element_positions`` has shape (elements, 3) in row-major grid
     order; ``active_mask`` selects the transmitting subset.
     """
 
     element_positions: np.ndarray
     active_mask: np.ndarray
-
-    @property
-    def n_elements(self):
-        return self.element_positions.shape[0]
 
     @property
     def n_active(self):
@@ -141,8 +155,35 @@ class ArrayGeometry:
         The diagonal of their bounding box, which is that distance for the
         rectangular active blocks :func:`build_array` makes.
         """
-        pos = self.active_positions()
-        return float(np.sqrt(((pos.max(axis=0) - pos.min(axis=0)) ** 2).sum()))
+        return _aperture(self.active_positions().tolist())
+
+
+def _box(points):
+    """Per axis, the least and greatest coordinate of the (x, y, z) rows ``points``."""
+    return [(min(axis), max(axis)) for axis in zip(*points)]
+
+
+def _aperture(points):
+    """Diagonal of the bounding box of the (x, y, z) rows ``points``: squares
+    summed in axis order, as numpy sums a row of three."""
+    return math.sqrt(sum((high - low) * (high - low) for low, high in _box(points)))
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """What :func:`build_array` makes, as plain floats: ``positions`` holds
+    (x, y, z) tuples in row-major element order and ``active`` a flag for
+    each.  Validation reads it; ``RunConfig.fit_min_distance`` takes it or
+    an :class:`ArrayGeometry` alike."""
+
+    positions: list
+    active: list
+
+    def active_positions(self):
+        return [p for p, on in zip(self.positions, self.active) if on]
+
+    def aperture(self):
+        return _aperture(self.active_positions())
 
 
 @dataclass(frozen=True)
@@ -172,7 +213,8 @@ class ProbeGrid:
     points, their count and the step derive from them.  Points are
     ordered row-major: y ascending, x ascending within each row, so
     serialized artifacts are byte-for-byte reproducible.  A grid row is
-    one y value.
+    one y value.  Validation builds one over plain lists of the axes,
+    which ``n_points``, ``spacing`` and ``stats.cut_column`` read alike.
     """
 
     x_values: np.ndarray
@@ -238,6 +280,20 @@ def build_array(section=ArraySection()):
     Rows run along z, columns along x; element order is row-major.  Either
     ``active`` policy makes the active elements one rectangular block.
     """
+    layout = _array_layout(section)
+    positions = np.array(layout.positions)
+    mask = np.array(layout.active)
+    positions.setflags(write=False)
+    mask.setflags(write=False)
+    return ArrayGeometry(element_positions=positions, active_mask=mask)
+
+
+def _array_layout(section):
+    """The :class:`_Layout` of :func:`build_array`, whose checks it makes.
+
+    A coordinate is (index - (n - 1) / 2) * spacing + centre, the value
+    ``np.arange`` arithmetic gives.
+    """
     rows, cols, spacing = section.rows, section.cols, section.spacing
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
@@ -247,32 +303,24 @@ def build_array(section=ArraySection()):
         raise ValueError("spacing must be positive")
     cx, cy, cz = (float(v) for v in section.center)
 
-    xs = (np.arange(cols) - (cols - 1) / 2.0) * spacing + cx
-    zs = (np.arange(rows) - (rows - 1) / 2.0) * spacing + cz
-    positions = np.empty((rows, cols, 3))
-    positions[..., 0] = xs
-    positions[..., 1] = cy
-    positions[..., 2] = zs[:, None]
-    positions = positions.reshape(-1, 3)
+    xs = [(c - (cols - 1) / 2.0) * spacing + cx for c in range(cols)]
+    zs = [(r - (rows - 1) / 2.0) * spacing + cz for r in range(rows)]
+    positions = [(x, cy, z) for z in zs for x in xs]
 
     if section.active == "all":
-        mask = np.ones(rows * cols, dtype=bool)
+        active = [True] * (rows * cols)
     elif section.active == "central-8x8":
         if rows < 8 or cols < 8:
             raise ValueError(
                 f"central-8x8 needs at least an 8x8 array, got {rows}x{cols}"
             )
-        mask = np.zeros((rows, cols), dtype=bool)
         r0 = rows // 2 - 4
         c0 = cols // 2 - 4
-        mask[r0:r0 + 8, c0:c0 + 8] = True
-        mask = mask.reshape(-1)
+        active = [r0 <= r < r0 + 8 and c0 <= c < c0 + 8
+                  for r in range(rows) for c in range(cols)]
     else:
         raise ValueError(f"unknown active policy {section.active!r}")
-
-    positions.setflags(write=False)
-    mask.setflags(write=False)
-    return ArrayGeometry(element_positions=positions, active_mask=mask)
+    return _Layout(positions, active)
 
 
 # UE coordinates (x, y) of the eight built-in single/multi-user cases.
@@ -314,6 +362,15 @@ def build_grid(section=GridSection(), room=None):
     The default call reproduces the 7 x 8 = 56-point measurement grid.
     When ``room`` is given the grid must lie inside it.
     """
+    grid = _lattice(section, room)
+    xs, ys = np.array(grid.x_values), np.array(grid.y_values)
+    xs.setflags(write=False)
+    ys.setflags(write=False)
+    return replace(grid, x_values=xs, y_values=ys)
+
+
+def _lattice(section, room):
+    """The grid of :func:`build_grid` over plain lists of its axes, after its checks."""
     g = section
     n_points = grid_size_bound(g)
     if n_points > MAX_GRID_POINTS:
@@ -325,15 +382,13 @@ def build_grid(section=GridSection(), room=None):
     if room is not None:
         room.require_inside([(g.x_min, g.y_min, g.height), (g.x_max, g.y_max, g.height)],
                             "grid corner")
-
-    xs.setflags(write=False)
-    ys.setflags(write=False)
     return ProbeGrid(xs, ys, float(g.height))
 
 
 def _lattice_axis(lo, hi, step):
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    """lo + step * i for the i that keep the axis within hi (and 1e-9 steps beyond)."""
+    n = math.floor((hi - lo) / step + 1e-9) + 1
+    return [lo + step * i for i in range(n)]
 
 
 def ue_antenna_positions(scenario, cfg):
@@ -343,15 +398,17 @@ def ue_antenna_positions(scenario, cfg):
     line along x centred on the user position, all at the UE height; the
     channel config ``cfg`` gives both.  Shape: (n_users * antennas_per_ue, 3).
     """
+    return np.array(_antenna_rows(scenario, cfg))
+
+
+def _antenna_rows(scenario, cfg):
+    """The rows of :func:`ue_antenna_positions` as (x, y, z) float tuples."""
     lam = wavelength(cfg.carrier_frequency)
     m = scenario.antennas_per_ue
-    offsets = (np.arange(m) - (m - 1) / 2.0) * (lam / 2.0)
-    ue = np.asarray(scenario.ue_positions, dtype=float)
-    out = np.empty((scenario.n_users, m, 3))
-    out[..., 0] = ue[:, :1] + offsets
-    out[..., 1] = ue[:, 1:]
-    out[..., 2] = cfg.ue_height
-    return out.reshape(-1, 3)
+    offsets = [(i - (m - 1) / 2.0) * (lam / 2.0) for i in range(m)]
+    z = float(cfg.ue_height)
+    return [(float(x) + offset, float(y), z)
+            for x, y in scenario.ue_positions for offset in offsets]
 
 
 def far_field_distance(aperture_m, wavelength_m):

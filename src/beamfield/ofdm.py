@@ -82,19 +82,27 @@ normal each and then rounds of normals for the rejected (each keeps its
 own sign), then the rest by Marsaglia's tail method, in rounds of two
 uniforms per open draw, and one uniform each for the sign.  No block
 size enters the stream.
+
+Validation reads only :class:`OfdmConfig` and ``MAX_SAMPLES_PER_STREAM``,
+so importing this module loads no numpy (see ``beamfield``): the symbol
+tables are built by :func:`_tables` when a frame is first sent or demapped,
+and numpy loads then, if the runner has not loaded it already.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import _numpy_on_first_use
+
+np = _numpy_on_first_use(globals())
 
 _QAM_SCALE = 1.0 / math.sqrt(42.0)
 
 # level = _LEVEL_BY_VALUE[3-bit value], MSB first; inverse below.
-_LEVEL_BY_VALUE = np.array([-7, -5, -1, -3, 7, 5, 1, 3], dtype=np.int64)
+_LEVEL_BY_VALUE = (-7, -5, -1, -3, 7, 5, 1, 3)
 # 3-bit value = _VALUE_BY_LEVEL_INDEX[(level + 7) // 2]
-_VALUE_BY_LEVEL_INDEX = np.array([0, 1, 3, 2, 6, 7, 5, 4], dtype=np.uint8)
+_VALUE_BY_LEVEL_INDEX = (0, 1, 3, 2, 6, 7, 5, 4)
 
 #: Most samples one stream is simulated over in a run: frames x OFDM symbols x
 #: active subcarriers.  It bounds both the per-frame arrays and the run time;
@@ -179,12 +187,19 @@ class BerReport:
             raise ValueError("BER values must lie in [0, 1]")
 
 
-_SYMBOLS = np.arange(64)
-# Constellation point of every 6-bit symbol index.
-_CONSTELLATION = (_LEVEL_BY_VALUE[_SYMBOLS >> 3] + 1j * _LEVEL_BY_VALUE[_SYMBOLS & 7]) \
-    * _QAM_SCALE
-# Set bits of every 6-bit value: a decision's bit errors are _POPCOUNT[sent ^ decided].
-_POPCOUNT = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)
+@functools.cache
+def _tables():
+    """The symbol tables as arrays, built on first use, so that importing this
+    module loads no numpy: the constellation point of every 6-bit symbol
+    index, the set bits of every 6-bit value (a decision's bit errors are
+    ``popcount[sent ^ decided]``) and ``_VALUE_BY_LEVEL_INDEX``.
+    """
+    symbols = np.arange(64)
+    levels = np.array(_LEVEL_BY_VALUE, dtype=np.int64)
+    constellation = (levels[symbols >> 3] + 1j * levels[symbols & 7]) * _QAM_SCALE
+    popcount = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)
+    value_by_level_index = np.array(_VALUE_BY_LEVEL_INDEX, dtype=np.uint8)
+    return constellation, popcount, value_by_level_index
 
 
 def _demap_indices(symbols):
@@ -193,10 +208,11 @@ def _demap_indices(symbols):
     Values beyond the outermost level saturate, so any finite input is
     demapped.
     """
+    value_by_level_index = _tables()[2]
     indices = np.zeros(symbols.shape, dtype=np.uint8)
     for shift, axis in ((3, symbols.real), (0, symbols.imag)):
         level = np.clip(np.round((axis / _QAM_SCALE + 7.0) / 2.0), 0, 7).astype(np.uint8)
-        indices |= _VALUE_BY_LEVEL_INDEX[level] << shift
+        indices |= value_by_level_index[level] << shift
     return indices
 
 
@@ -322,6 +338,7 @@ def transmit_frame(precoder, h_true, combiners, cfg, seed):
     noise_power = 10.0 ** (-cfg.noise_snr_db / 10.0)
     slots = cfg.slots_per_frame
     errors = np.zeros(k, dtype=np.int64)
+    constellation, popcount, _ = _tables()
     sd, t, p = _exceedance(equalised, gain, noise_power)
     cdf = _first_exceedance_cdf(p)
 
@@ -337,11 +354,11 @@ def transmit_frame(precoder, h_true, combiners, cfg, seed):
         noise[hit] = tail
         noise *= sd[:, None]
         del hit, tail
-        received = equalised @ _CONSTELLATION[sent]
+        received = equalised @ constellation[sent]
         received.real += noise[0::2]
         received.imag += noise[1::2]
         del noise
-        errors += _POPCOUNT[_demap_indices(received) ^ sent].sum(axis=1, dtype=np.int64)
+        errors += popcount[_demap_indices(received) ^ sent].sum(axis=1, dtype=np.int64)
         # Free the frame before the next one is drawn, so the peak does not
         # hold two frames.
         del sent, received

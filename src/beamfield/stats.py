@@ -1,8 +1,18 @@
-"""Statistics over heat maps: averaging, cut extraction, decay fits, summaries."""
+"""Statistics over heat maps: averaging, cut extraction, decay fits, summaries.
 
+Validation applies two of their rules before any map exists, on plain
+floats and without loading numpy: :func:`cut_column` reads plain axes as
+it reads arrays, and :func:`_fit_rows` is the decay fit's row rule.
+"""
+
+from __future__ import annotations
+
+import bisect
 from dataclasses import dataclass, replace
 
-import numpy as np
+from . import _numpy_on_first_use
+
+np = _numpy_on_first_use(globals())
 
 # How far a cut's x may lie from a grid column's and still select it (m).
 _COLUMN_TOL = 1e-9
@@ -69,18 +79,20 @@ def cut_column(grid, x):
     """Index of the probe-grid column at ``x``, matched to within 1e-9 m.
 
     Raises ValueError naming the columns on either side when none matches;
-    the message is short however many columns the grid has.
+    the message is short however many columns the grid has.  The axis
+    ascends, and rounding keeps ``v - x`` monotone in ``v``, so the columns
+    within the tolerance are one run, found by bisection.
     """
     xs = grid.x_values
-    matches = np.flatnonzero(np.abs(xs - x) <= _COLUMN_TOL)
-    if matches.size == 0:
-        i = int(np.searchsorted(xs, x))
-        nearest = " and ".join(f"{v:g}" for v in xs[max(i - 1, 0):i + 1])
-        raise ValueError(
-            f"{x:g} is not a grid column (nearest: {nearest}; "
-            f"columns {xs[0]:g} to {xs[-1]:g} in steps of {grid.spacing:g})"
-        )
-    return int(matches[0])
+    i = bisect.bisect_left(xs, -_COLUMN_TOL, key=lambda v: v - x)
+    if i < len(xs) and xs[i] - x <= _COLUMN_TOL:
+        return i
+    i = bisect.bisect_left(xs, x)
+    nearest = " and ".join(f"{v:g}" for v in xs[max(i - 1, 0):i + 1])
+    raise ValueError(
+        f"{x:g} is not a grid column (nearest: {nearest}; "
+        f"columns {xs[0]:g} to {xs[-1]:g} in steps of {grid.spacing:g})"
+    )
 
 
 def extract_cut(heatmap, x):
@@ -97,15 +109,8 @@ def fit_decay(profile, min_distance=None):
     Returns (exponent, r_squared).  ``min_distance`` drops samples closer
     than the array's far-field radius, where the 1/d law does not bind.
     """
-    d = profile.distances
-    f = profile.fields
-    if min_distance is not None:
-        keep = d >= min_distance
-        d, f = d[keep], f[keep]
-    if d.size < 3:
-        raise ValueError(f"need at least 3 samples to fit a decay law, got {d.size}")
-    if np.any(d <= 0) or np.any(f <= 0):
-        raise ValueError("decay fit requires strictly positive distances and fields")
+    rows = _fit_rows(profile.distances.tolist(), profile.fields.tolist(), min_distance)
+    d, f = (np.array(column) for column in zip(*rows))
     log_d = np.log(d)
     log_f = np.log(f)
     slope, intercept = np.polyfit(log_d, log_f, 1)
@@ -114,6 +119,21 @@ def fit_decay(profile, min_distance=None):
     ss_tot = float(np.sum((log_f - np.mean(log_f)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), r_squared
+
+
+def _fit_rows(distances, fields, min_distance):
+    """The (distance, field) samples :func:`fit_decay` fits, from plain sequences.
+
+    Keeps the samples at or beyond ``min_distance`` (all when None); raises
+    ValueError unless at least 3 remain, all positive.
+    """
+    rows = [(d, f) for d, f in zip(distances, fields)
+            if min_distance is None or d >= min_distance]
+    if len(rows) < 3:
+        raise ValueError(f"need at least 3 samples to fit a decay law, got {len(rows)}")
+    if any(d <= 0 or f <= 0 for d, f in rows):
+        raise ValueError("decay fit requires strictly positive distances and fields")
+    return rows
 
 
 def summary(heatmap):

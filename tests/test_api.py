@@ -40,6 +40,7 @@ from beamfield.channel import lit_above, may_reach_unit_gain, propagation_gains
 from beamfield.geometry import ue_antenna_positions
 from beamfield.runner import run_links
 from beamfield.stats import SummaryStats
+from test_config import CONFIG_PATH, _placement_sweep_document
 
 PUBLIC = [
     "ArrayGeometry", "ArraySection", "BeamfieldError", "BerReport", "ChannelMatrix",
@@ -121,8 +122,11 @@ def test_star_import_binds_every_export():
         {name: getattr(beamfield, name) for name in PUBLIC}
 
 
-def _launch(*args):
-    env = dict(os.environ)
+def _launch(*args, env=None):
+    """A fresh ``python *args`` on this checkout, with ``env`` set over this process's own
+    environment (a None value unsets its variable)."""
+    env = {**os.environ, **(env or {})}
+    env = {key: value for key, value in env.items() if value is not None}
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
@@ -139,21 +143,58 @@ def test_every_layer_module_resolves_after_importing_the_cli():
     assert result.returncode == 0, result.stderr[-2000:]
 
 
-def test_a_validate_launch_loads_no_run_only_module(tmp_path):
-    # The launch the benchmark times, on a 0.1 m grid: 61 lattice columns.
-    path = tmp_path / "fine.yaml"
-    path.write_text("seed: 1\ngrid: {spacing: 0.1}\nofdm: {frames: 1}\n")
-    result = _launch("-X", "importtime", "-m", "beamfield.cli", "validate",
-                     "--config", str(path))
-    assert result.returncode == 0, result.stderr[-2000:]
-    assert result.stdout.startswith("configuration OK")
+_NEAR_FINDING = ("finding: scenario near: passive propagation produced a gain >= 1; a "
+                 "receive antenna is implausibly close to the array\n")
+
+
+# A verb, its document (None: no --config) and the start of its output.  The
+# launch the benchmark times, on a 0.1 m grid (61 lattice columns); a cosine
+# pattern (the lit_above screen); 96 custom scenarios (the unit-gain screen
+# over 1 728 antennas); the paper's defaults; the scenarios verb; and a UE
+# antenna 1 mm from the array, whose exact check, and only that, loads numpy.
+@pytest.mark.parametrize("verb, document, output", [
+    ("validate", "seed: 1\ngrid: {spacing: 0.1}\nofdm: {frames: 1}\n", "configuration OK"),
+    ("validate", "seed: 1\nchannel: {element_pattern: cosine}\n", "configuration OK"),
+    ("validate", _placement_sweep_document(), "configuration OK"),
+    ("validate", CONFIG_PATH, "configuration OK"),
+    ("scenarios", None, "id  users"),
+    ("validate", "seed: 1\nscenarios: [near]\ncustom_scenarios: [{id: near, ue_positions: "
+     "[[0, 0.001]]}]\nchannel: {ue_height: 1.5285}\n", _NEAR_FINDING),
+], ids=["fine-grid", "cosine", "placement-sweep", "paper-defaults", "scenarios", "ue-at-the-array"])
+def test_a_validate_launch_loads_no_run_only_module(tmp_path, verb, document, output):
+    args = [verb]
+    if document == CONFIG_PATH:
+        args += ["--config", CONFIG_PATH]
+    elif document is not None:
+        path = tmp_path / "doc.yaml"
+        path.write_text(document)
+        args += ["--config", str(path)]
+    result = _launch("-X", "importtime", "-m", "beamfield.cli", *args)
+    assert result.returncode == (1 if output == _NEAR_FINDING else 0), result.stderr[-2000:]
+    assert result.stdout.startswith(output)
     loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
               if line.startswith("import time:") and "|" in line}
     assert "beamfield.config" in loaded
     run_only = {"beamfield.runner", "beamfield.render", "beamfield.compliance",
-                "beamfield.field", "beamfield.precoding", "beamfield.linalg", "hashlib",
-                "numpy.ma"}
+                "beamfield.field", "beamfield.precoding", "beamfield.linalg", "hashlib"}
+    if output != _NEAR_FINDING:
+        run_only.add("numpy")
     assert loaded & run_only == set()
+
+
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
+def test_a_run_launch_defaults_to_one_openblas_thread(tmp_path, preset, threads):
+    # The BER path's small complex products slow down when OpenBLAS threads
+    # contend for few cores; an explicit setting still wins.
+    path = tmp_path / "one.yaml"
+    path.write_text("seed: 1\nscenarios: ['1']\nformats: [csv]\nofdm: {frames: 1}\n")
+    script = ("import os, sys\nfrom beamfield import cli\n"
+              "assert cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'])\n")
+    result = _launch("-c", script, str(path), str(tmp_path / "out"),
+                     env={"OPENBLAS_NUM_THREADS": preset})
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.splitlines()[-1] == threads
 
 
 def test_test_only_helpers_stay_out_of_the_package():

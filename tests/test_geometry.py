@@ -17,13 +17,13 @@ from beamfield.geometry import ProbeGrid, far_field_distance, ue_antenna_positio
 
 class TestBuildArray:
     def test_default_counts(self, array):
-        assert array.n_elements == 128
+        assert len(array.element_positions) == 128
         assert array.n_active == 64
 
     def test_single_element_at_origin(self):
         a = build_array(ArraySection(rows=1, cols=1, spacing=0.057, center=(0, 0, 0),
                                      active="all"))
-        assert a.n_elements == 1
+        assert len(a.element_positions) == 1
         assert np.allclose(a.element_positions[0], (0, 0, 0))
 
     def test_2x2_neighbor_distances(self):

@@ -24,6 +24,8 @@ from ofdm_reference import GRAY_LEVEL, constellation, decide, frame_errors, time
 from qam_oracle import exact_ber_64qam
 
 _SCALE = 1.0 / math.sqrt(42.0)
+# The constellation point of every 6-bit index, as the BER path builds it.
+_CONSTELLATION = ofdm._tables()[0]
 
 
 class TestOfdmConfig:
@@ -68,28 +70,28 @@ class TestQamMapping:
     and the midpoint demapper of ``ofdm_reference``."""
 
     def test_all_zero_bits(self):
-        assert ofdm._CONSTELLATION[0] == pytest.approx((-7 - 7j) * _SCALE, rel=1e-15)
+        assert _CONSTELLATION[0] == pytest.approx((-7 - 7j) * _SCALE, rel=1e-15)
 
     def test_unit_average_energy(self):
         # Mean |s|^2 over all 64 points is exactly 2 * 168 * 8 / 42 / 64 = 1.
-        assert np.mean(np.abs(ofdm._CONSTELLATION) ** 2) == pytest.approx(1.0, rel=1e-12)
+        assert np.mean(np.abs(_CONSTELLATION) ** 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_gray_table_documented_order(self):
         # Lowest-to-highest level must follow the Gray sequence on each axis:
         # the high three index bits pick the I level, the low three the Q level.
         values = np.arange(8)
-        i_levels = ofdm._CONSTELLATION[values << 3].real
-        q_levels = ofdm._CONSTELLATION[values].imag
+        i_levels = _CONSTELLATION[values << 3].real
+        q_levels = _CONSTELLATION[values].imag
         assert list(np.argsort(i_levels)) == _GRAY_ORDER
         assert list(np.argsort(q_levels)) == _GRAY_ORDER
         assert list(np.argsort(GRAY_LEVEL)) == _GRAY_ORDER
-        assert np.allclose(ofdm._CONSTELLATION, constellation(np.arange(64)),
+        assert np.allclose(_CONSTELLATION, constellation(np.arange(64)),
                            rtol=1e-15, atol=0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(30)
         sent = np.concatenate([np.arange(64), rng.integers(0, 64, size=1000)]).astype(np.uint8)
-        decided = ofdm._demap_indices(ofdm._CONSTELLATION[sent])
+        decided = ofdm._demap_indices(_CONSTELLATION[sent])
         assert decided.dtype == np.uint8
         assert np.array_equal(decided, sent)
 
@@ -105,7 +107,7 @@ class TestQamMapping:
         sent = rng.integers(0, 64, size=500, dtype=np.uint8)
         # Half the minimum distance is _SCALE; stay safely inside.
         offset = 0.4 * _SCALE * (1 + 1j) / np.sqrt(2)
-        assert np.array_equal(ofdm._demap_indices(ofdm._CONSTELLATION[sent] + offset), sent)
+        assert np.array_equal(ofdm._demap_indices(_CONSTELLATION[sent] + offset), sent)
 
     def test_decisions_match_the_reference_demapper(self):
         rng = np.random.default_rng(33)
@@ -119,7 +121,7 @@ class TestQamMapping:
         sent = rng.integers(0, 64, size=n_symbols, dtype=np.uint8)
         n0 = 1.0 / (6.0 * 10 ** (ebn0_db / 10))
         sigma = math.sqrt(n0 / 2)
-        noisy = ofdm._CONSTELLATION[sent] + rng.normal(scale=sigma, size=n_symbols) \
+        noisy = _CONSTELLATION[sent] + rng.normal(scale=sigma, size=n_symbols) \
             + 1j * rng.normal(scale=sigma, size=n_symbols)
         ber = _bit_errors(ofdm._demap_indices(noisy), sent) / (6 * n_symbols)
         assert ber == pytest.approx(exact_ber_64qam(ebn0_db), rel=0.2)
@@ -337,7 +339,7 @@ class TestSamplerParts:
             sent = np.indices((64,) * k).reshape(k, -1).astype(np.uint8)
         else:
             sent = rng.integers(0, 64, size=(k, 20_000), dtype=np.uint8)
-        points = ofdm._CONSTELLATION[sent]
+        points = _CONSTELLATION[sent]
         noiseless = eq @ points
         assert np.all(np.abs(noiseless - points) <= reach[:, None] * (1.0 + 1e-12))
         for si, sq in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
