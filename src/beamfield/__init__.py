@@ -16,8 +16,9 @@ each layer module (``beamfield.runner``), loads its module on first use
 ``np = _numpy_on_first_use(globals())``, a stand-in that imports numpy
 when the layer first reads an attribute of it and then rebinds the
 layer's ``np`` to numpy itself, so every later ``np.<name>`` costs what
-an eager import would.  Validation checks its rules on plain floats, so
-a ``beamfield validate`` or ``beamfield scenarios`` launch loads no
+an eager import would.  Geometry values are plain floats (tuples of
+positions and axes), and arrays are made only where gains are computed,
+so a ``beamfield validate`` or ``beamfield scenarios`` launch loads no
 numpy at all.  A run loads it when it imports ``beamfield.runner``,
 whose run-only layers import numpy eagerly; a library caller loads it
 with the first array it builds.  Only a document whose unit-gain screen

@@ -13,9 +13,10 @@ block gets every scenario's channel from one gain evaluation.
 :class:`ChannelModelConfig` owns the ray model: its defaults, image-order-1
 with 40 dB pilot CSI, are a run's calibrated operating point, and the stage
 functions read mode, pattern, carrier and UE height from it, never a default.
-The screens :func:`lit_above` and :func:`may_reach_unit_gain` run on plain
-floats, which validation passes without loading numpy; they read the same
-mirror rule (:func:`_mirror`) as the gains do.
+The screens :func:`lit_above` and :func:`may_reach_unit_gain` take the
+(x, y, z) rows the geometry builders make and run on plain floats, so
+validation loads no numpy; they read the same mirror rule (:func:`_mirror`)
+as the gains do.  :func:`propagation_gains` makes the arrays it computes on.
 """
 
 from __future__ import annotations
@@ -127,17 +128,18 @@ def _mirror(room, surface, v):
     return (-2 * wx, 2 * wx, None, 2 * room.length_y, None, 2 * room.height_z)[surface] - v
 
 
-def _reflecting(room, mode, points):
-    """The surfaces, numbered as in :func:`_images`, whose images of ``points``
-    the ray model ``mode`` adds to the direct rays: none in LoS, in image
-    mode each whose coefficient is not 0.  In image mode ``points`` must lie
-    inside the room (:meth:`~beamfield.geometry.Room.require_inside`).
+def _reflecting(room, mode, points, what):
+    """The surfaces, numbered as in :func:`_images`, whose images the ray model
+    ``mode`` adds to the direct rays: none in LoS, in image mode each whose
+    coefficient is not 0.  In image mode the (x, y, z) rows ``points`` must
+    lie inside the room (:meth:`~beamfield.geometry.Room.require_inside`),
+    which names them ``what``.
     """
     if mode != MODE_IMAGE_1:
         return []
     if room is None:
         raise ValueError("image-order-1 mode requires a room")
-    room.require_inside(points, "transmit point")
+    room.require_inside(points, what)
     return [s for s, coeff in enumerate(_coefficients(room)) if coeff != 0.0]
 
 
@@ -180,42 +182,19 @@ def _pattern_amplitude(d, dy, out):
     return np.multiply(math.sqrt(_COSINE_PEAK_GAIN), out, out=out)
 
 
-def _ray_sources(tx_points, room, mode):
-    """The ray model's sources as (points, coefficient, axis) triples: the
-    direct rays first, with coefficient and axis None, then the images of
-    :func:`_reflecting`, in the order of ``_images``, with the one axis
-    their mirror changes (image i mirrors axis i // 2).
-    """
-    surfaces = _reflecting(room, mode, tx_points)
-    rays = [(tx_points, None, None)]
-    if surfaces:
-        images, coeffs = _images(room, tx_points)
-        rays += [(images[s], coeffs[s], s // 2) for s in surfaces]
-    return rays
-
-
-def _rows(points):
-    """``points``, one point or an (N, 3) array-like, as a list of (x, y, z) float rows."""
-    return np.atleast_2d(np.asarray(points, dtype=float)).tolist()
-
-
 def lit_above(tx_points, room, cfg):
     """The y at or below which ``cfg``'s pattern lights no ray of :func:`propagation_gains`.
 
-    -inf for the isotropic pattern; for the cosine pattern, which lights a
-    receiver only from sources at smaller y, their least y (0.0, never -0.0).
-    A mirror maps y to y or c - y, so only the transmit points of least and
-    greatest y are mirrored.
+    ``tx_points`` is a sequence of (x, y, z) rows.  -inf for the isotropic
+    pattern; for the cosine pattern, which lights a receiver only from
+    sources at smaller y, their least y (0.0, never -0.0).  A mirror maps
+    y to y or c - y, so only the transmit points of least and greatest y
+    are mirrored.
     """
-    return _lit_above(_rows(tx_points), room, cfg)
-
-
-def _lit_above(tx, room, cfg):
-    """:func:`lit_above` for plain (x, y, z) rows ``tx``."""
     if cfg.element_pattern == PATTERN_ISOTROPIC:
         return -math.inf
-    ends = [min(tx, key=lambda p: p[1]), max(tx, key=lambda p: p[1])]
-    surfaces = _reflecting(room, cfg.mode, ends)
+    ends = [min(tx_points, key=lambda p: p[1]), max(tx_points, key=lambda p: p[1])]
+    surfaces = _reflecting(room, cfg.mode, ends, "transmit point")
     ys = [y for _, y, _ in ends]
     ys += [_mirror(room, s, y) for s in surfaces if s // 2 == 1 for y in ys]
     return min(ys) + 0.0
@@ -224,20 +203,15 @@ def _lit_above(tx, room, cfg):
 def may_reach_unit_gain(tx_points, rx_points, room, cfg):
     """False when no entry of :func:`propagation_gains` can reach a magnitude of 1.
 
-    A ray from a source at distance d has a gain of at most
-    lam / (4 pi d) times the pattern's peak amplitude, and an entry sums one
-    ray per source.  Mirroring is an isometry, so the distance from an
-    image source to a receiver is the distance from the transmit point to
-    the receiver's image in the same surface.  With d the least distance
-    from a receiver or one of its images to the transmit points' bounding
-    box, every entry is therefore below 1 (and every ray longer than 0)
-    when d exceeds ``sources x peak x lam / (4 pi)``.
-    """
-    return _may_reach_unit_gain(_rows(tx_points), _rows(rx_points), room, cfg)
-
-
-def _may_reach_unit_gain(tx, rx, room, cfg):
-    """:func:`may_reach_unit_gain` for plain (x, y, z) rows ``tx`` and ``rx``.
+    ``tx_points`` and ``rx_points`` are sequences of (x, y, z) rows.  A ray
+    from a source at distance d has a gain of at most lam / (4 pi d) times
+    the pattern's peak amplitude, and an entry sums one ray per source.
+    Mirroring is an isometry, so the distance from an image source to a
+    receiver is the distance from the transmit point to the receiver's
+    image in the same surface.  With d the least distance from a receiver
+    or one of its images to the transmit points' bounding box, every entry
+    is therefore below 1 (and every ray longer than 0) when d exceeds
+    ``sources x peak x lam / (4 pi)``.
 
     A distance to the box is the hypot of the three per-axis gaps
     max(low - c, c - high, 0), and a hypot is at least each of them, so a
@@ -248,11 +222,11 @@ def _may_reach_unit_gain(tx, rx, room, cfg):
     monotone.  Only the pairs within the limit on every axis get a hypot,
     numpy's as over every pair, so the answer is exactly that of every pair.
     """
-    surfaces = _reflecting(room, cfg.mode, rx)
+    surfaces = _reflecting(room, cfg.mode, rx_points, "receive point")
     peak = math.sqrt(_COSINE_PEAK_GAIN) if cfg.element_pattern == PATTERN_COSINE else 1.0
     limit = (1 + len(surfaces)) * peak * wavelength(cfg.carrier_frequency) / (4.0 * math.pi)
-    box = _box(tx)
-    spans = _box(rx)
+    box = _box(tx_points)
+    spans = _box(rx_points)
     near = []
     for surface in (None, *surfaces):
         axis = None if surface is None else surface // 2
@@ -262,7 +236,7 @@ def _may_reach_unit_gain(tx, rx, room, cfg):
         if any(low - top > limit or bottom - high > limit
                for (bottom, top), (low, high) in zip(ranges, box)):
             continue
-        for point in rx:
+        for point in rx_points:
             coords = [_mirror(room, surface, c) if a == axis else c for a, c in enumerate(point)]
             gaps = [max(max(low - c, c - high), 0.0) for c, (low, high) in zip(coords, box)]
             if max(gaps) <= limit:
@@ -276,8 +250,10 @@ def _may_reach_unit_gain(tx, rx, room, cfg):
 def propagation_gains(tx_points, rx_points, frequency, room, mode, pattern):
     """Complex gain matrix (n_rx x n_tx) of the ray model ``mode`` and element ``pattern``.
 
-    Each source of :func:`_ray_sources` adds its rays scaled by its
-    coefficient and then by the element pattern, in that order.
+    The sources are the transmit points, then their images in the surfaces
+    of :func:`_reflecting`, in the order of :func:`_images`.  Each adds its
+    rays scaled by its coefficient and then by the element pattern, in
+    that order.
     Receivers are taken in blocks of about ``_GAIN_BLOCK_ENTRIES`` gains,
     written into one result; every entry is computed by the same
     operations in the same order whatever the block, so the block size
@@ -291,14 +267,22 @@ def propagation_gains(tx_points, rx_points, frequency, room, mode, pattern):
     of an array mounted on that wall) has the direct rays' lengths, so it
     reuses their free-space gains.
     """
-    tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
-    rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
     lam = wavelength(frequency)
     _check_model(mode, pattern)
+    # The room check reads the caller's (x, y, z) rows, before they become arrays.
+    surfaces = _reflecting(room, mode, tx_points, "transmit point")
+    tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
+    rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
     cosine = pattern == PATTERN_COSINE
-    # Per image: whether it coincides with the transmit points.
-    images = [(points, coeff, axis, np.array_equal(points[:, axis], tx_points[:, axis]))
-              for points, coeff, axis in _ray_sources(tx_points, room, mode)[1:]]
+    # Per image: its points, coefficient, the one axis its mirror changes
+    # (image s mirrors axis s // 2) and whether it coincides with the
+    # transmit points.
+    images = []
+    if surfaces:
+        mirrored, coeffs = _images(room, tx_points)
+        images = [(mirrored[s], coeffs[s], s // 2,
+                   np.array_equal(mirrored[s][:, s // 2], tx_points[:, s // 2]))
+                  for s in surfaces]
 
     n_rx, n_tx = len(rx_points), len(tx_points)
     g = np.empty((n_rx, n_tx), dtype=np.complex128)
@@ -374,7 +358,7 @@ def generate_channel(array, scenarios, room, cfg):
     the room or a gain reaches 1.
     """
     rx = [ue_antenna_positions(s, cfg) for s in scenarios]
-    points = np.concatenate(rx)
+    points = [p for antennas in rx for p in antennas]
     room.require_inside(points, "UE antenna")
     h = propagation_gains(array.active_positions(), points, cfg.carrier_frequency, room,
                           cfg.mode, cfg.element_pattern)

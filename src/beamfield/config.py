@@ -16,8 +16,8 @@ boolean YAML 1.1 makes of an unquoted ``on`` or ``no``.  Unknown keys, mistyped 
 everything else as a tuple of findings and never raises.  A
 :class:`RunConfig` built in Python meets the same rules: :func:`checked`
 reads it through its document form, once per run.  The findings come
-from plain floats, through the builders' own rules, so validation loads
-no numpy unless a UE antenna may sit at the array.
+from the geometry the builders make, which is plain floats, so validation
+loads no numpy unless a UE antenna may sit at the array.
 """
 
 import math
@@ -27,12 +27,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 import yaml
 
 from . import _numpy_on_first_use
-from .channel import (
-    ChannelModelConfig,
-    _lit_above,
-    _may_reach_unit_gain,
-    generate_channel,
-)
+from .channel import ChannelModelConfig, generate_channel, lit_above, may_reach_unit_gain
 from .errors import ConfigError
 from .geometry import (
     MAX_GAIN_ENTRIES,
@@ -40,14 +35,12 @@ from .geometry import (
     GridSection,
     Room,
     Scenario,
-    _antenna_rows,
-    _array_layout,
-    _lattice,
     build_array,
     build_grid,
     far_field_distance,
     grid_size_bound,
     standard_scenarios,
+    ue_antenna_positions,
     wavelength,
 )
 from .ofdm import MAX_SAMPLES_PER_STREAM, OfdmConfig
@@ -86,7 +79,7 @@ class RunConfig:
 
         With ``fit_exclude_near_field`` it is the array's far-field distance:
         nearer samples do not follow the 1/d law.  ``array`` is the run's
-        ArrayGeometry or validation's plain layout of it.
+        ArrayGeometry.
         """
         if not self.fit_exclude_near_field:
             return None
@@ -395,7 +388,7 @@ def _findings(config):
         if sid not in table:
             findings.append(f"scenarios: id {sid!r} is not defined")
             continue
-        antennas = _antenna_rows(table[sid], config.channel)
+        antennas = ue_antenna_positions(table[sid], config.channel)
         try:
             room.require_inside(antennas, f"scenario {sid}: UE antenna")
         except ValueError as exc:
@@ -405,12 +398,12 @@ def _findings(config):
 
     # Geometry: the memory budgets, from the extents, before the grid is built.
     try:
-        layout = _array_layout(config.array)
+        array = config.build_array()
         points = grid_size_bound(config.grid)
     except ValueError as exc:
         findings.append(str(exc))
         return tuple(findings)
-    tx = layout.active_positions()
+    tx = array.active_positions()
     if points * len(tx) > MAX_GAIN_ENTRIES:
         findings.append(
             f"grid: about {points:.3g} points x {len(tx)} active elements "
@@ -425,14 +418,14 @@ def _findings(config):
 
     # Grid and array inside the room, no coincidence.
     try:
-        grid = _lattice(config.grid, room)
-        room.require_inside(layout.positions, "array: element")
+        grid = config.build_grid()
+        room.require_inside(array.element_positions, "array: element")
     except ValueError as exc:
         findings.append(str(exc))
         return tuple(findings)
 
     # The element pattern lights every user: it lights only y > lit_y.
-    lit_y = _lit_above(tx, room, config.channel)
+    lit_y = lit_above(tx, room, config.channel)
     for sid in config.scenarios:
         for u, (_, y) in enumerate(table[sid].ue_positions if sid in table else ()):
             if y <= lit_y:
@@ -443,9 +436,8 @@ def _findings(config):
     # that out are the channels generated (in a room whose squared ray
     # lengths are finite), so the findings are exact.
     ch = config.channel
-    if placed and rays_fit and _may_reach_unit_gain(
+    if placed and rays_fit and may_reach_unit_gain(
             tx, [a for antennas in placed.values() for a in antennas], room, ch):
-        array = config.build_array()
         for sid in placed:
             try:
                 generate_channel(array, [table[sid]], room, ch)
@@ -464,7 +456,7 @@ def _findings(config):
     # rows, with a unit field on each, or 0 where the pattern lights no ray.
     ys = grid.y_values
     lit = [1.0 if y > lit_y else 0.0 for y in ys]
-    min_distance = config.fit_min_distance(layout)
+    min_distance = config.fit_min_distance(array)
     try:
         _fit_rows(ys, lit, min_distance)
     except ValueError as exc:

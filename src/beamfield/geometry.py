@@ -7,11 +7,11 @@ y in [0, length], z in [0, height]; the floor is z = 0.
 :func:`build_array` and :func:`build_grid` read the ``array`` and ``grid``
 sections of a run configuration, whose defaults (the paper's 16 x 8 panel,
 central 8 x 8 active, and 56-point probe grid) are written only there.
-Each rule a builder applies (the element positions and active block, the
-lattice axes, the UE antenna positions, the room's boundary) is computed
-on plain floats, by the same operations in the same order as numpy would,
-and the builders turn the result into arrays; validation reads the plain
-values and loads no numpy.
+Every geometry value is plain floats: element positions and UE antennas
+are (x, y, z) tuples, the probe grid's axes tuples of floats.  Validation
+and a run read the same values, so validation loads no numpy; arrays are
+made where gains are computed (``ProbeGrid.points`` and
+:func:`~beamfield.channel.propagation_gains`).
 """
 
 from __future__ import annotations
@@ -91,33 +91,22 @@ class Room:
             raise ValueError("wall_reflection must be a scalar or a 4-sequence")
         return w
 
-    def _holds(self, x, y, z):
-        """The boundary rule, slack included: a bool for float coordinates,
-        a flag per point for arrays of them."""
-        tol = _BOUNDARY_TOL
-        return ((abs(x) <= self.width_x / 2 + tol) & (-tol <= y)
-                & (y <= self.length_y + tol) & (-tol <= z) & (z <= self.height_z + tol))
-
     def contains(self, point):
-        """True if the 3-D point lies inside the room (boundary inclusive).
-
-        ``point`` may also be an (N, 3) array, which gives N flags.
-        """
-        return self._holds(*np.asarray(point, dtype=float).T)
+        """True if the (x, y, z) point lies inside the room (boundary inclusive)."""
+        x, y, z = point
+        tol = _BOUNDARY_TOL
+        return (abs(x) <= self.width_x / 2 + tol and -tol <= y <= self.length_y + tol
+                and -tol <= z <= self.height_z + tol)
 
     def require_inside(self, points, what):
-        """Raise ValueError naming, as ``what``, the first of ``points`` outside.
+        """Raise ValueError naming, as ``what``, the first of the (x, y, z) rows
+        ``points`` outside.
 
-        ``points`` is an (N, 3) array, or a list of (x, y, z) rows, which
-        validation passes and which loads no numpy.  Numbers print as the
-        shortest text that reads back as the same float, so a point just
-        beyond the boundary slack never prints as the bound it breaks.
+        Numbers print as the shortest text that reads back as the same
+        float, so a point just beyond the boundary slack never prints as
+        the bound it breaks.
         """
-        if isinstance(points, list):
-            outside = next((p for p in points if not self._holds(*p)), None)
-        else:
-            inside = self.contains(points)
-            outside = None if inside.all() else points[np.argmin(inside)]
+        outside = next((p for p in points if not self.contains(p)), None)
         if outside is not None:
             x, y, z = (_exact(v) for v in outside)
             raise ValueError(f"{what} at ({x}, {y}, {z}) lies outside the room (|x| <= "
@@ -134,20 +123,20 @@ def _exact(v):
 class ArrayGeometry:
     """Planar transmit array in the x-z plane, boresight along +y.
 
-    ``element_positions`` has shape (elements, 3) in row-major grid
-    order; ``active_mask`` selects the transmitting subset.
+    ``element_positions`` is a tuple of (x, y, z) tuples in row-major grid
+    order; ``active_mask``, a tuple of bools, selects the transmitting subset.
     """
 
-    element_positions: np.ndarray
-    active_mask: np.ndarray
+    element_positions: tuple
+    active_mask: tuple
 
     @property
     def n_active(self):
-        return int(np.count_nonzero(self.active_mask))
+        return sum(self.active_mask)
 
     def active_positions(self):
-        """Positions of the active elements, (n_active, 3)."""
-        return self.element_positions[self.active_mask]
+        """Positions of the active elements, a list of (x, y, z) tuples."""
+        return [p for p, on in zip(self.element_positions, self.active_mask) if on]
 
     def aperture(self):
         """Largest distance between active elements (metres).
@@ -155,35 +144,13 @@ class ArrayGeometry:
         The diagonal of their bounding box, which is that distance for the
         rectangular active blocks :func:`build_array` makes.
         """
-        return _aperture(self.active_positions().tolist())
+        return math.sqrt(sum((high - low) * (high - low)
+                             for low, high in _box(self.active_positions())))
 
 
 def _box(points):
     """Per axis, the least and greatest coordinate of the (x, y, z) rows ``points``."""
     return [(min(axis), max(axis)) for axis in zip(*points)]
-
-
-def _aperture(points):
-    """Diagonal of the bounding box of the (x, y, z) rows ``points``: squares
-    summed in axis order, as numpy sums a row of three."""
-    return math.sqrt(sum((high - low) * (high - low) for low, high in _box(points)))
-
-
-@dataclass(frozen=True)
-class _Layout:
-    """What :func:`build_array` makes, as plain floats: ``positions`` holds
-    (x, y, z) tuples in row-major element order and ``active`` a flag for
-    each.  Validation reads it; ``RunConfig.fit_min_distance`` takes it or
-    an :class:`ArrayGeometry` alike."""
-
-    positions: list
-    active: list
-
-    def active_positions(self):
-        return [p for p, on in zip(self.positions, self.active) if on]
-
-    def aperture(self):
-        return _aperture(self.active_positions())
 
 
 @dataclass(frozen=True)
@@ -213,17 +180,17 @@ class ProbeGrid:
     points, their count and the step derive from them.  Points are
     ordered row-major: y ascending, x ascending within each row, so
     serialized artifacts are byte-for-byte reproducible.  A grid row is
-    one y value.  Validation builds one over plain lists of the axes,
-    which ``n_points``, ``spacing`` and ``stats.cut_column`` read alike.
+    one y value.  The axes are tuples of floats, so two grids are equal
+    (``==``) when their axes and height are.
     """
 
-    x_values: np.ndarray
-    y_values: np.ndarray
+    x_values: tuple
+    y_values: tuple
     probe_height: float
 
     @property
     def points(self):
-        """(n_points, 3) probe positions in grid order, built on each access."""
+        """The probe positions in grid order, an (n_points, 3) array built on each access."""
         gx, gy = np.meshgrid(self.x_values, self.y_values)
         return np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, self.probe_height)])
 
@@ -240,11 +207,6 @@ class ProbeGrid:
     def rows(self, start, stop):
         """The sub-grid of grid rows ``start`` to ``stop`` (y_values[start:stop])."""
         return replace(self, y_values=self.y_values[start:stop])
-
-    def same_lattice(self, other):
-        return (self.probe_height == other.probe_height
-                and np.array_equal(self.x_values, other.x_values)
-                and np.array_equal(self.y_values, other.y_values))
 
 
 @dataclass(frozen=True)
@@ -278,21 +240,8 @@ def build_array(section=ArraySection()):
     """Build the planar array ``section`` describes, centred at its ``center``.
 
     Rows run along z, columns along x; element order is row-major.  Either
-    ``active`` policy makes the active elements one rectangular block.
-    """
-    layout = _array_layout(section)
-    positions = np.array(layout.positions)
-    mask = np.array(layout.active)
-    positions.setflags(write=False)
-    mask.setflags(write=False)
-    return ArrayGeometry(element_positions=positions, active_mask=mask)
-
-
-def _array_layout(section):
-    """The :class:`_Layout` of :func:`build_array`, whose checks it makes.
-
-    A coordinate is (index - (n - 1) / 2) * spacing + centre, the value
-    ``np.arange`` arithmetic gives.
+    ``active`` policy makes the active elements one rectangular block.  A
+    coordinate is (index - (n - 1) / 2) * spacing + centre.
     """
     rows, cols, spacing = section.rows, section.cols, section.spacing
     if rows < 1 or cols < 1:
@@ -305,10 +254,10 @@ def _array_layout(section):
 
     xs = [(c - (cols - 1) / 2.0) * spacing + cx for c in range(cols)]
     zs = [(r - (rows - 1) / 2.0) * spacing + cz for r in range(rows)]
-    positions = [(x, cy, z) for z in zs for x in xs]
+    positions = tuple((x, cy, z) for z in zs for x in xs)
 
     if section.active == "all":
-        active = [True] * (rows * cols)
+        active = (True,) * (rows * cols)
     elif section.active == "central-8x8":
         if rows < 8 or cols < 8:
             raise ValueError(
@@ -316,11 +265,11 @@ def _array_layout(section):
             )
         r0 = rows // 2 - 4
         c0 = cols // 2 - 4
-        active = [r0 <= r < r0 + 8 and c0 <= c < c0 + 8
-                  for r in range(rows) for c in range(cols)]
+        active = tuple(r0 <= r < r0 + 8 and c0 <= c < c0 + 8
+                       for r in range(rows) for c in range(cols))
     else:
         raise ValueError(f"unknown active policy {section.active!r}")
-    return _Layout(positions, active)
+    return ArrayGeometry(element_positions=positions, active_mask=active)
 
 
 # UE coordinates (x, y) of the eight built-in single/multi-user cases.
@@ -362,15 +311,6 @@ def build_grid(section=GridSection(), room=None):
     The default call reproduces the 7 x 8 = 56-point measurement grid.
     When ``room`` is given the grid must lie inside it.
     """
-    grid = _lattice(section, room)
-    xs, ys = np.array(grid.x_values), np.array(grid.y_values)
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return replace(grid, x_values=xs, y_values=ys)
-
-
-def _lattice(section, room):
-    """The grid of :func:`build_grid` over plain lists of its axes, after its checks."""
     g = section
     n_points = grid_size_bound(g)
     if n_points > MAX_GRID_POINTS:
@@ -388,7 +328,7 @@ def _lattice(section, room):
 def _lattice_axis(lo, hi, step):
     """lo + step * i for the i that keep the axis within hi (and 1e-9 steps beyond)."""
     n = math.floor((hi - lo) / step + 1e-9) + 1
-    return [lo + step * i for i in range(n)]
+    return tuple(lo + step * i for i in range(n))
 
 
 def ue_antenna_positions(scenario, cfg):
@@ -396,13 +336,9 @@ def ue_antenna_positions(scenario, cfg):
 
     Each user carries ``antennas_per_ue`` vertical dipoles in a half-wavelength
     line along x centred on the user position, all at the UE height; the
-    channel config ``cfg`` gives both.  Shape: (n_users * antennas_per_ue, 3).
+    channel config ``cfg`` gives both.  A list of n_users * antennas_per_ue
+    (x, y, z) tuples.
     """
-    return np.array(_antenna_rows(scenario, cfg))
-
-
-def _antenna_rows(scenario, cfg):
-    """The rows of :func:`ue_antenna_positions` as (x, y, z) float tuples."""
     lam = wavelength(cfg.carrier_frequency)
     m = scenario.antennas_per_ue
     offsets = [(i - (m - 1) / 2.0) * (lam / 2.0) for i in range(m)]

@@ -115,7 +115,7 @@ class GridText:
     def template(self, heatmap, name):
         """The ``name`` template for ``heatmap``; ValueError unless it was
         built and the map lies on this text's grid."""
-        if not self.grid.same_lattice(heatmap.grid):
+        if self.grid != heatmap.grid:
             raise ValueError("heat map and grid text come from different grids")
         text = getattr(self, name)
         if text is None:

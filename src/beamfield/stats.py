@@ -1,8 +1,8 @@
 """Statistics over heat maps: averaging, cut extraction, decay fits, summaries.
 
-Validation applies two of their rules before any map exists, on plain
-floats and without loading numpy: :func:`cut_column` reads plain axes as
-it reads arrays, and :func:`_fit_rows` is the decay fit's row rule.
+Validation applies two of their rules before any map exists, without
+loading numpy: :func:`cut_column` reads the grid's axes, which are tuples
+of floats, and :func:`_fit_rows` is the decay fit's row rule.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def average_heatmaps(maps):
         raise ValueError("cannot average an empty list of heat maps")
     first = maps[0]
     for m in maps[1:]:
-        if not first.grid.same_lattice(m.grid):
+        if first.grid != m.grid:
             raise ValueError("heat maps must share an identical grid")
     stack = np.stack([m.values for m in maps])
     mean = np.sort(stack, axis=0).sum(axis=0) / len(maps)
@@ -99,8 +99,8 @@ def extract_cut(heatmap, x):
     """Column of the heat map at a fixed x, as a distance-ordered profile."""
     col = cut_column(heatmap.grid, x)
     rows = heatmap.as_grid_rows()
-    ys = np.asarray(heatmap.grid.y_values, dtype=float)
-    return CutProfile(distances=ys.copy(), fields=rows[:, col].copy())
+    return CutProfile(distances=np.array(heatmap.grid.y_values, dtype=float),
+                      fields=rows[:, col].copy())
 
 
 def fit_decay(profile, min_distance=None):

@@ -182,6 +182,24 @@ def test_a_validate_launch_loads_no_run_only_module(tmp_path, verb, document, ou
     assert loaded & run_only == set()
 
 
+def test_the_geometry_and_its_screens_load_no_numpy():
+    # The builders make plain tuples, and the screens read them as rows;
+    # numpy is loaded only where gains are computed.
+    script = ("import sys\n"
+              "from beamfield.channel import ChannelModelConfig, lit_above, may_reach_unit_gain\n"
+              "from beamfield.geometry import (Room, build_array, build_grid,\n"
+              "                                standard_scenarios, ue_antenna_positions)\n"
+              "room, cfg = Room(), ChannelModelConfig(element_pattern='cosine')\n"
+              "tx = build_array().active_positions()\n"
+              "assert build_grid(room=room).n_points == 56\n"
+              "rx = [p for s in standard_scenarios() for p in ue_antenna_positions(s, cfg)]\n"
+              "assert lit_above(tx, room, cfg) == 0.0\n"
+              "assert not may_reach_unit_gain(tx, rx, room, cfg)\n"
+              "assert 'numpy' not in sys.modules\n")
+    result = _launch("-c", script)
+    assert result.returncode == 0, result.stderr[-2000:]
+
+
 @pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")], ids=["unset", "preset"])
 def test_a_run_launch_defaults_to_one_openblas_thread(tmp_path, preset, threads):
     # The BER path's small complex products slow down when OpenBLAS threads

@@ -20,6 +20,7 @@ from beamfield.channel import (
     _GAIN_BLOCK_ENTRIES,
     _images,
     _lengths,
+    lit_above,
     may_reach_unit_gain,
     propagation_gains,
 )
@@ -148,7 +149,7 @@ class TestImageModeReference:
 
     def test_array_partly_off_the_wall(self, array, room):
         # Only some transmit points lie on y = 0, so no image has the direct rays.
-        tx = array.active_positions().copy()
+        tx = np.array(array.active_positions())
         tx[::3, 1] = 0.25
         rx = build_grid(GridSection(spacing=0.5), room=room).points
         for pattern in ("isotropic", "cosine"):
@@ -170,7 +171,7 @@ class TestImageModeReference:
     def test_signed_zeros_in_the_y_column(self, array, room):
         # -0.0 == 0.0, so the y-low image still coincides with the array; the
         # receivers on the wall give rays with y offsets of either sign of zero.
-        tx = array.active_positions().copy()
+        tx = np.array(array.active_positions())
         tx[::2, 1] = -0.0
         rx = np.vstack([build_grid(GridSection(spacing=0.5), room=room).points,
                         [(1.0, 0.0, 1.0), (1.0, -0.0, 2.0), (-2.0, -0.0, 0.5)]])
@@ -265,11 +266,20 @@ class TestUnitGainScreen:
         rng = np.random.default_rng(4)
         cleared = []
         for rx in rng.uniform((-0.3, 0.0, 1.2), (0.3, 0.3, 1.8), (200, 3)):
-            if not may_reach_unit_gain(tx, rx, room, cfg):
+            if not may_reach_unit_gain(tx, [rx], room, cfg):
                 cleared.append(np.abs(propagation_gains(tx, rx, 2.63e9, room, mode,
                                                         pattern)).max())
         assert 0 < len(cleared) < 200
         assert max(cleared) < 1.0
+
+    def test_each_screen_names_the_points_it_checks(self, array, room):
+        # lit_above checks its transmit points, may_reach_unit_gain its receivers.
+        where = "at (0, 20, 1.5) lies outside the room (|x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3)"
+        cfg = ChannelModelConfig(element_pattern="cosine")
+        with pytest.raises(ValueError, match=re.escape(f"transmit point {where}")):
+            lit_above([(0.0, 20.0, 1.5)], room, cfg)
+        with pytest.raises(ValueError, match=re.escape(f"receive point {where}")):
+            may_reach_unit_gain(array.active_positions(), [(0.0, 20.0, 1.5)], room, cfg)
 
     def test_the_built_in_scenarios_are_cleared(self, array, room, scenarios):
         cfg = ChannelModelConfig(element_pattern="cosine")

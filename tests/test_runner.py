@@ -130,7 +130,7 @@ class TestRun:
                               formats=("ascii", "csv", "json", "svg"))
         manifest = run(config, out_dir=str(tmp_path))
         assert len(grids) == 1
-        assert grids[0].same_lattice(config.build_grid())
+        assert grids[0] == config.build_grid()
         assert sum(a["type"] == "heatmap-svg" for a in manifest.artifacts) == 9
 
     def test_each_gain_call_gets_at_most_one_block_of_rows(self, tmp_path, monkeypatch):
