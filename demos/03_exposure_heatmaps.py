@@ -8,7 +8,7 @@ this script under ``output/``.
 
 import os
 
-from beamfield import RunConfig, heatmaps, standard_scenarios, summary
+from beamfield import RunConfig, build_array, build_grid, heatmaps, standard_scenarios, summary
 from beamfield.render import grid_text, heatmap_ascii, heatmap_svg
 from beamfield.runner import run_links
 
@@ -17,8 +17,8 @@ os.makedirs(out_dir, exist_ok=True)
 
 config = RunConfig()
 room = config.room
-array = config.build_array()
-grid = config.build_grid()
+array = build_array(config.array)
+grid = build_grid(config.grid, room=room)
 # The grid's SVG cell geometry, axes and colour bar do not depend on the
 # scenario: format them once.
 text = grid_text(grid, ("svg",))

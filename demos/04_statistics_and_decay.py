@@ -10,6 +10,8 @@ import dataclasses
 from beamfield import (
     RunConfig,
     average_heatmaps,
+    build_array,
+    build_grid,
     extract_cut,
     far_field_distance,
     fit_decay,
@@ -23,10 +25,10 @@ from beamfield.runner import run_links
 
 def scenario_maps(config):
     room = config.room
-    array = config.build_array()
+    array = build_array(config.array)
     links = run_links(config, standard_scenarios(), array)
     return array, heatmaps([(link.scenario, link.precoder) for link in links], array, room,
-                           config.build_grid(), config.channel,
+                           build_grid(config.grid, room=room), config.channel,
                            calibration=config.calibration)
 
 

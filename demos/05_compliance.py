@@ -13,6 +13,8 @@ from beamfield import (
     HeatMap,
     RunConfig,
     average_heatmaps,
+    build_array,
+    build_grid,
     check,
     extract_cut,
     heatmaps,
@@ -24,8 +26,8 @@ from beamfield.runner import run_links
 config = dataclasses.replace(
     RunConfig(), ofdm=dataclasses.replace(RunConfig().ofdm, frames=1))
 room = config.room
-array = config.build_array()
-grid = config.build_grid()
+array = build_array(config.array)
+grid = build_grid(config.grid, room=room)
 links = run_links(config, standard_scenarios(), array)
 maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                 config.channel, calibration=config.calibration)

@@ -189,7 +189,8 @@ def lit_above(tx_points, room, cfg):
     pattern; for the cosine pattern, which lights a receiver only from
     sources at smaller y, their least y (0.0, never -0.0).  A mirror maps
     y to y or c - y, so only the transmit points of least and greatest y
-    are mirrored.
+    are mirrored.  In image mode those two must lie inside the room, or
+    :class:`ValueError` names the one outside a transmit point.
     """
     if cfg.element_pattern == PATTERN_ISOTROPIC:
         return -math.inf
@@ -221,6 +222,9 @@ def may_reach_unit_gain(tx_points, rx_points, room, cfg):
     or greatest value bounds every other, since rounding keeps subtraction
     monotone.  Only the pairs within the limit on every axis get a hypot,
     numpy's as over every pair, so the answer is exactly that of every pair.
+    In image mode a receive point outside the room, where the bound fails,
+    raises :class:`ValueError`; validation has checked its own, but any
+    caller may pass points.
     """
     surfaces = _reflecting(room, cfg.mode, rx_points, "receive point")
     peak = math.sqrt(_COSINE_PEAK_GAIN) if cfg.element_pattern == PATTERN_COSINE else 1.0

@@ -158,8 +158,8 @@ def _read_heatmap_csv(path):
             rows.append(_parse_csv_row(path, lineno, line))
     if not rows:
         raise ConfigError(f"{path}: line 2: no data rows after the header")
-    xs = np.array(sorted({r[0] for r in rows}))
-    ys = np.array(sorted({r[1] for r in rows}))
+    xs = tuple(sorted({r[0] for r in rows}))
+    ys = tuple(sorted({r[1] for r in rows}))
     if len({r[:2] for r in rows}) != len(rows) or len(xs) * len(ys) != len(rows):
         raise ConfigError(f"{path}: points do not form a complete lattice")
     # Every lattice point appears once, so sorting by (y, x) puts the values in grid order.

@@ -17,7 +17,9 @@ everything else as a tuple of findings and never raises.  A
 :class:`RunConfig` built in Python meets the same rules: :func:`checked`
 reads it through its document form, once per run.  The findings come
 from the geometry the builders make, which is plain floats, so validation
-loads no numpy unless a UE antenna may sit at the array.
+loads no numpy unless a UE antenna may sit at the array.  A config with
+no finding also gets its :class:`Plan`: the array, grid, scenarios and
+fit distance validation built and checked, which is all a run reads.
 """
 
 import math
@@ -31,8 +33,10 @@ from .channel import ChannelModelConfig, generate_channel, lit_above, may_reach_
 from .errors import ConfigError
 from .geometry import (
     MAX_GAIN_ENTRIES,
+    ArrayGeometry,
     ArraySection,
     GridSection,
+    ProbeGrid,
     Room,
     Scenario,
     build_array,
@@ -71,34 +75,18 @@ class RunConfig:
     fit_exclude_near_field: bool = True
     svg_vmax: float = None
 
-    def build_array(self):
-        return build_array(self.array)
 
-    def fit_min_distance(self, array):
-        """Shortest cut distance the decay fit keeps, or None to keep them all.
+@dataclass(frozen=True)
+class Plan:
+    """What a run executes: a checked config, the geometry and the scenarios
+    (in run order) its validation built, and the shortest cut distance the
+    decay fit keeps, or None to keep them all."""
 
-        With ``fit_exclude_near_field`` it is the array's far-field distance:
-        nearer samples do not follow the 1/d law.  ``array`` is the run's
-        ArrayGeometry.
-        """
-        if not self.fit_exclude_near_field:
-            return None
-        return far_field_distance(array.aperture(),
-                                  wavelength(self.channel.carrier_frequency))
-
-    def build_grid(self):
-        return build_grid(self.grid, room=self.room)
-
-    def available_scenarios(self):
-        """Standard scenarios plus any custom ones, keyed by id."""
-        return {s.id: s for s in (*standard_scenarios(), *self.custom_scenarios)}
-
-    def selected_scenarios(self):
-        table = self.available_scenarios()
-        missing = [sid for sid in self.scenarios if sid not in table]
-        if missing:
-            raise ConfigError(f"unknown scenario ids: {', '.join(missing)}")
-        return [table[sid] for sid in self.scenarios]
+    config: RunConfig
+    array: ArrayGeometry
+    grid: ProbeGrid
+    scenarios: tuple
+    min_distance: float
 
 
 def derive_seed(base_seed, scenario_index, stream):
@@ -295,13 +283,13 @@ def _nonfinite(obj, path=""):
 
 
 def checked(config):
-    """``config`` as the document's rules read it, and its findings; never raises.
+    """The :class:`Plan` a run executes for ``config``, and its findings; never raises.
 
     ``config`` is a built :class:`RunConfig` or a parsed document (the form
     the CLI reads from disk).  A built config is read through its document
     form, ``dataclasses.asdict``, so it meets the same type and shape rules
     as a file: ``ArraySection(rows=16.0)`` reads as 16 rows and ``seed=1.5``
-    is a finding.  Returns the RunConfig, None when the rules reject it, and
+    is a finding.  Returns the plan, None whenever there is a finding, and
     the findings, a tuple of strings that each name the offending field.
     """
     if isinstance(config, RunConfig):
@@ -310,7 +298,7 @@ def checked(config):
         config = from_dict(config)
     except ConfigError as exc:
         return None, (str(exc),)
-    return config, _findings(config)
+    return _plan(config)
 
 
 def validate(config):
@@ -318,8 +306,8 @@ def validate(config):
     return checked(config)[1]
 
 
-def _findings(config):
-    """The findings of a RunConfig that :func:`from_dict` built."""
+def _plan(config):
+    """:func:`checked` of a RunConfig that :func:`from_dict` built."""
     findings = _nonfinite(config)
     if not config.scenarios:
         findings.append("scenarios: expected a non-empty list of scenario ids")
@@ -357,7 +345,7 @@ def _findings(config):
                         f"active subcarriers) exceed the {MAX_SAMPLES_PER_STREAM:.0e} budget")
     if findings:
         # The checks below assume finite values and a scenario.
-        return tuple(findings)
+        return None, tuple(findings)
 
     for where, snr in (("channel.csi_snr_db", config.channel.csi_snr_db),
                        ("ofdm.noise_snr_db", config.ofdm.noise_snr_db)):
@@ -373,7 +361,7 @@ def _findings(config):
         # UE antennas sit half a wavelength apart: none has a position.
         findings.append(f"channel.carrier_frequency: {config.channel.carrier_frequency:g} Hz "
                         "has no finite wavelength")
-        return tuple(findings)
+        return None, tuple(findings)
     room = config.room
     # An image ray is at most twice the room's diagonal long; its square must be finite.
     rays_fit = math.isfinite(4.0 * (room.width_x * room.width_x + room.length_y * room.length_y
@@ -382,7 +370,7 @@ def _findings(config):
         findings.append(f"room: {room.width_x:g} x {room.length_y:g} x {room.height_z:g} m "
                         "is too large: the squared image-ray lengths overflow")
     # Scenario references, and every UE antenna inside the room.
-    table = config.available_scenarios()
+    table = {s.id: s for s in (*standard_scenarios(), *config.custom_scenarios)}
     placed = {}
     for sid in config.scenarios:
         if sid not in table:
@@ -398,17 +386,17 @@ def _findings(config):
 
     # Geometry: the memory budgets, from the extents, before the grid is built.
     try:
-        array = config.build_array()
+        array = build_array(config.array)
         points = grid_size_bound(config.grid)
     except ValueError as exc:
         findings.append(str(exc))
-        return tuple(findings)
+        return None, tuple(findings)
     tx = array.active_positions()
     if points * len(tx) > MAX_GAIN_ENTRIES:
         findings.append(
             f"grid: about {points:.3g} points x {len(tx)} active elements "
             f"exceed the {MAX_GAIN_ENTRIES:.3g}-entry field-gain budget")
-        return tuple(findings)
+        return None, tuple(findings)
     # Zero-forcing inverts the users x active-elements channel from the right.
     for sid in config.scenarios:
         if sid in table and table[sid].n_users > len(tx):
@@ -418,11 +406,11 @@ def _findings(config):
 
     # Grid and array inside the room, no coincidence.
     try:
-        grid = config.build_grid()
+        grid = build_grid(config.grid, room=room)
         room.require_inside(array.element_positions, "array: element")
     except ValueError as exc:
         findings.append(str(exc))
-        return tuple(findings)
+        return None, tuple(findings)
 
     # The element pattern lights every user: it lights only y > lit_y.
     lit_y = lit_above(tx, room, config.channel)
@@ -456,7 +444,9 @@ def _findings(config):
     # rows, with a unit field on each, or 0 where the pattern lights no ray.
     ys = grid.y_values
     lit = [1.0 if y > lit_y else 0.0 for y in ys]
-    min_distance = config.fit_min_distance(array)
+    # Nearer than the far-field distance the field does not follow the 1/d law.
+    min_distance = far_field_distance(array.aperture(), wavelength(ch.carrier_frequency)) \
+        if config.fit_exclude_near_field else None
     try:
         _fit_rows(ys, lit, min_distance)
     except ValueError as exc:
@@ -466,4 +456,7 @@ def _findings(config):
             f"; the cosine pattern gives no field at y <= {lit_y:g} m"
         findings.append(f"grid: the decay fit cannot run on the cut rows{rows}: {exc}{unlit}")
 
-    return tuple(findings)
+    if findings:
+        return None, tuple(findings)
+    return Plan(config, array, grid, tuple(table[sid] for sid in config.scenarios),
+                min_distance), ()

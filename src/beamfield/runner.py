@@ -1,6 +1,8 @@
 """End-to-end run orchestration and artifact export.
 
-One run executes, per selected scenario, the link stages: channel
+A run executes the plan :func:`~beamfield.config.checked` returns for its
+config and reads nothing else: the array, grid and scenarios validation
+built are the run's.  Per scenario it executes the link stages: channel
 generation, pilot-based CSI estimation, receive combining, zero-forcing
 precoding and OFDM frame transmission (per-user BER).  They run per
 link block of consecutive scenarios (:func:`run_links`): one channel
@@ -149,20 +151,18 @@ def run(config, out_dir=None):
     """Execute a full run and write all artifacts; returns the manifest.
 
     ``config`` is a :class:`~beamfield.config.RunConfig` or a parsed
-    document; it runs as :func:`~beamfield.config.checked` reads it.
+    document; the run executes its :func:`~beamfield.config.checked` plan.
     Aborts (without emitting a manifest) if validation finds problems or
     any scenario fails; partial results are never described as complete.
     """
-    config, findings = checked(config)
+    plan, findings = checked(config)
     if findings:
         raise ConfigError("configuration invalid:\n"
                           + "\n".join(f"finding: {f}" for f in findings))
 
+    config, array, grid, scenarios = plan.config, plan.array, plan.grid, plan.scenarios
     out_dir = out_dir if out_dir is not None else config.output_dir
-    array = config.build_array()
-    grid = config.build_grid()
     text = grid_text(grid, config.formats)
-    scenarios = config.selected_scenarios()
 
     links = run_links(config, scenarios, array)
     maps = heatmaps([(link.scenario, link.precoder) for link in links], array, config.room,
@@ -173,8 +173,7 @@ def run(config, out_dir=None):
 
     average = stats_mod.average_heatmaps(maps)
     cut = stats_mod.extract_cut(average, config.cut_x)
-    min_distance = config.fit_min_distance(array)
-    exponent, r_squared = stats_mod.fit_decay(cut, min_distance=min_distance)
+    exponent, r_squared = stats_mod.fit_decay(cut, min_distance=plan.min_distance)
     avg_summary = stats_mod.summary(average)
     regions = sorted(compliance_mod.DEFAULT_LIMITS_VPM)
     compliance_reports = [compliance_mod.check(average, region) for region in regions]
@@ -192,7 +191,7 @@ def run(config, out_dir=None):
         "cut_x_m": config.cut_x,
         "exponent": exponent,
         "r_squared": r_squared,
-        "min_distance_m": min_distance,
+        "min_distance_m": plan.min_distance,
     }, kind="decay-fit")
     writer.json_report("summary.json", {
         "average": dataclasses.asdict(avg_summary),

@@ -34,6 +34,7 @@ from beamfield import (
     transmit_frame,
     wavelength,
 )
+from beamfield.config import checked
 from beamfield.field import HeatMap
 from beamfield.runner import run_links
 from beamfield.stats import average_heatmaps
@@ -167,7 +168,7 @@ def test_criterion_06_free_space_field_ground_truth(room):
 def test_criterion_07_inverse_distance_decay(array, room, scenarios):
     cfg = LOS_PERFECT_CSI
     _, _, precoder = perfect_link(array, scenarios[0], room, cfg)
-    grid = RunConfig().build_grid()
+    grid = build_grid(room=room)
     heatmap = compute_heatmap(scenarios[0], precoder, grid,
                               probe_gains(array, room, grid, cfg), calibration=1.0)
     cut = extract_cut(heatmap, 0.0)
@@ -183,13 +184,13 @@ def test_criterion_08_maximum_near_array(grid):
     config = dataclasses.replace(
         config, ofdm=dataclasses.replace(config.ofdm, frames=1))
     room = config.room
-    array = config.build_array()
-    links = run_links(config, config.selected_scenarios(), array)
-    maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
+    plan = checked(config)[0]
+    links = run_links(config, plan.scenarios, plan.array)
+    maps = heatmaps([(link.scenario, link.precoder) for link in links], plan.array, room, grid,
                     config.channel, calibration=config.calibration)
     near = 0
     positions = []
-    for scn, heatmap in zip(config.selected_scenarios(), maps):
+    for scn, heatmap in zip(plan.scenarios, maps):
         p = heatmap.grid.points[np.argmax(heatmap.values)]
         positions.append((scn.id, float(p[0]), float(p[1])))
         if math.hypot(p[0] - 0.0, p[1] - 1.0) <= 1.5:

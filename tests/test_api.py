@@ -41,6 +41,7 @@ from beamfield.geometry import ue_antenna_positions
 from beamfield.runner import run_links
 from beamfield.stats import SummaryStats
 from test_config import CONFIG_PATH, _placement_sweep_document
+from test_golden import INPUTS
 
 PUBLIC = [
     "ArrayGeometry", "ArraySection", "BeamfieldError", "BerReport", "ChannelMatrix",
@@ -147,11 +148,16 @@ _NEAR_FINDING = ("finding: scenario near: passive propagation produced a gain >=
                  "receive antenna is implausibly close to the array\n")
 
 
-# A verb, its document (None: no --config) and the start of its output.  The
-# launch the benchmark times, on a 0.1 m grid (61 lattice columns); a cosine
-# pattern (the lit_above screen); 96 custom scenarios (the unit-gain screen
-# over 1 728 antennas); the paper's defaults; the scenarios verb; and a UE
-# antenna 1 mm from the array, whose exact check, and only that, loads numpy.
+# The benchmark's three workloads, as the golden inputs keep them.
+_WORKLOADS = {name: path for name, path in INPUTS.items() if name != "paper-defaults"}
+
+
+# A verb, its document or config path (None: no --config) and the start of its
+# output.  The launch the benchmark times, on a 0.1 m grid (61 lattice columns);
+# a cosine pattern (the lit_above screen); 96 custom scenarios (the unit-gain
+# screen over 1 728 antennas); the paper's defaults; the scenarios verb; a UE
+# antenna 1 mm from the array, whose exact check, and only that, loads numpy;
+# and the benchmark's workloads.
 @pytest.mark.parametrize("verb, document, output", [
     ("validate", "seed: 1\ngrid: {spacing: 0.1}\nofdm: {frames: 1}\n", "configuration OK"),
     ("validate", "seed: 1\nchannel: {element_pattern: cosine}\n", "configuration OK"),
@@ -160,11 +166,13 @@ _NEAR_FINDING = ("finding: scenario near: passive propagation produced a gain >=
     ("scenarios", None, "id  users"),
     ("validate", "seed: 1\nscenarios: [near]\ncustom_scenarios: [{id: near, ue_positions: "
      "[[0, 0.001]]}]\nchannel: {ue_height: 1.5285}\n", _NEAR_FINDING),
-], ids=["fine-grid", "cosine", "placement-sweep", "paper-defaults", "scenarios", "ue-at-the-array"])
+    *(("validate", path, "configuration OK") for path in _WORKLOADS.values()),
+], ids=["fine-grid", "cosine", "placement-sweep", "paper-defaults", "scenarios", "ue-at-the-array",
+        *(f"golden-{name}" for name in _WORKLOADS)])
 def test_a_validate_launch_loads_no_run_only_module(tmp_path, verb, document, output):
     args = [verb]
-    if document == CONFIG_PATH:
-        args += ["--config", CONFIG_PATH]
+    if document in (CONFIG_PATH, *_WORKLOADS.values()):
+        args += ["--config", document]
     elif document is not None:
         path = tmp_path / "doc.yaml"
         path.write_text(document)

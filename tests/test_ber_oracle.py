@@ -14,9 +14,11 @@ import pytest
 
 from beamfield import (
     RunConfig,
+    build_array,
     effective_channel,
     estimate_csi,
     generate_channel,
+    standard_scenarios,
     transmit_frame,
 )
 from beamfield.config import derive_seed
@@ -32,12 +34,14 @@ from qam_oracle import (
 )
 
 LEVEL = 1e-6
+# The default campaign's scenarios, keyed by id.
+SCENARIOS = {s.id: s for s in standard_scenarios()}
 
 
 def _link(scenario, ch_cfg, seed):
     """True channel, combiners and ZF precoder from a noisy CSI estimate."""
     config = RunConfig()
-    (h,) = generate_channel(config.build_array(), [scenario], config.room, ch_cfg)
+    (h,) = generate_channel(build_array(config.array), [scenario], config.room, ch_cfg)
     est = estimate_csi(h, ch_cfg, seed)
     combiners = combining_vectors(est)
     return h, combiners, zf_precoder(est, combiners, config.tx_power_w)
@@ -116,7 +120,7 @@ def test_campaign_links_match_oracle():
     """The 14 user links of the default campaign at seed 1, as the runner seeds them."""
     config = dataclasses.replace(RunConfig(), seed=1)
     lines = []
-    for i, scn in enumerate(config.selected_scenarios()):
+    for i, scn in enumerate(SCENARIOS.values()):
         link = _link(scn, config.channel, derive_seed(config.seed, i, _SEED_STREAM_CSI))
         lines += _check_against_oracle(*link, config.ofdm,
                                        derive_seed(config.seed, i, _SEED_STREAM_FRAME), scn.id)
@@ -128,7 +132,7 @@ def test_criterion_5_links_match_oracle():
     """Every link of the 20 seeds the acceptance suite averages."""
     base = RunConfig()
     checked = 0
-    for scn in base.selected_scenarios():
+    for scn in SCENARIOS.values():
         for seed in range(20):
             ofdm_cfg = dataclasses.replace(base.ofdm, frames=1)
             checked += len(_check_against_oracle(*_link(scn, base.channel, 10_000 + seed),
@@ -143,7 +147,7 @@ def test_flat_and_full_array_paths_match_oracle(time_domain, scenario_id, snr_db
     agree with the same oracle on a 1-user and a 2-user link where the BER is
     ~1e-3."""
     base = RunConfig()
-    scn = base.available_scenarios()[scenario_id]
+    scn = SCENARIOS[scenario_id]
     h, combiners, precoder = _link(scn, base.channel, 7)
     pmf = _oracle_pmfs(effective_channel(h, precoder, combiners), snr_db)[0]
     assert 3e-4 <= float(np.dot(np.arange(7), pmf)) / 6 <= 3e-3
@@ -157,7 +161,7 @@ def test_interference_limited_link_matches_oracle(time_domain):
     of scenario 8's first user (predicted ~4e-3 against ~8e-5 from noise alone):
     its count must match the full oracle and be rejected by the noise-only one."""
     base = RunConfig()
-    scn = base.available_scenarios()["8"]
+    scn = SCENARIOS["8"]
     ch_cfg = dataclasses.replace(base.channel, csi_snr_db=10.0)
     h, combiners, precoder = _link(scn, ch_cfg, 7)
     ofdm_cfg = dataclasses.replace(base.ofdm, noise_snr_db=68.0, frames=1)

@@ -25,11 +25,14 @@ from beamfield import (
     build_array,
     build_grid,
     config,
+    far_field_distance,
     generate_channel,
     load_config,
     run,
+    standard_scenarios,
     validate,
     verify_manifest,
+    wavelength,
 )
 from beamfield.channel import may_reach_unit_gain, propagation_gains
 from beamfield.cli import main as cli_main
@@ -75,6 +78,19 @@ EXPLICIT = {
 }
 
 
+def _assert_plan_is_built_directly(plan):
+    """The plan's array, grid, scenarios and fit distance are what the public
+    builders make of its config."""
+    cfg = plan.config
+    array = build_array(cfg.array)
+    table = {s.id: s for s in (*standard_scenarios(), *cfg.custom_scenarios)}
+    far_field = far_field_distance(array.aperture(), wavelength(cfg.channel.carrier_frequency))
+    assert plan.array == array
+    assert plan.grid == build_grid(cfg.grid, room=cfg.room)
+    assert plan.scenarios == tuple(table[sid] for sid in cfg.scenarios)
+    assert plan.min_distance == (far_field if cfg.fit_exclude_near_field else None)
+
+
 def schema(obj):
     """{document key: default} for a config dataclass, sections nested."""
     keys = {}
@@ -103,8 +119,10 @@ class TestSingleSourceOfTruth:
             assert getattr(config, name) == cls(), name
 
     def test_the_builders_default_to_the_run_config(self):
-        assert build_array() == RunConfig().build_array()
-        assert build_grid() == RunConfig().build_grid()
+        plan, findings = config.checked(RunConfig())
+        assert findings == () and plan.config == RunConfig()
+        assert (plan.array, plan.grid, plan.scenarios) == \
+            (build_array(), build_grid(), tuple(standard_scenarios()))
 
     def test_every_document_key_names_a_field(self):
         def unnamed(doc, obj, path):
@@ -303,7 +321,8 @@ def test_bad_document_is_a_finding(tmp_path, capsys, text, expected):
     assert expected in output
     assert output.startswith(("finding: ", "error: "))
     if expected != "not valid YAML":
-        assert validate(yaml.safe_load(text)) != ()
+        plan, findings = config.checked(yaml.safe_load(text))
+        assert findings != () and plan is None
 
 
 @pytest.mark.parametrize("text", [case[1] for case in BAD_DOCUMENTS],
@@ -323,11 +342,12 @@ def test_a_ue_antenna_near_the_array_but_not_at_it_runs(tmp_path):
            "custom_scenarios": [{"id": "near", "ue_positions": [[0, 0.03]]}],
            "channel": {"ue_height": 1.5285}}
     cfg = from_dict(doc)
-    near = cfg.selected_scenarios()[0]
-    (channel,) = generate_channel(cfg.build_array(), [near], cfg.room, cfg.channel)
+    (near,) = cfg.custom_scenarios
+    array = build_array(cfg.array)
+    (channel,) = generate_channel(array, [near], cfg.room, cfg.channel)
     h = channel.h
     # The screen cannot clear it; the exact channel does: its largest gain is 0.122.
-    assert may_reach_unit_gain(cfg.build_array().active_positions(),
+    assert may_reach_unit_gain(array.active_positions(),
                                ue_antenna_positions(near, cfg.channel), cfg.room, cfg.channel)
     assert 0.12 < np.abs(h).max() < 0.13
     assert validate(doc) == ()
@@ -381,11 +401,13 @@ BUILT_CONFIGS = [
 @pytest.mark.parametrize("built, finding", [case[1:] for case in BUILT_CONFIGS],
                          ids=[case[0] for case in BUILT_CONFIGS])
 def test_a_built_config_meets_the_document_rules(tmp_path, built, finding):
-    findings = validate(built)
+    plan, findings = config.checked(built)
     assert findings == validate(dataclasses.asdict(built))
+    assert (plan is None) == (findings != ())
     if finding is None:
         assert findings == ()
-        assert config.checked(built)[0] == RunConfig()
+        assert plan.config == RunConfig()
+        _assert_plan_is_built_directly(plan)
         # It runs as the document rules read it: the manifest of 16 integer rows.
         small = {"scenarios": ("1",), "formats": ("json",), "ofdm": OfdmConfig(frames=1)}
         manifests = [run(dataclasses.replace(c, **small), out_dir=str(tmp_path / name)).artifacts
@@ -654,7 +676,9 @@ _RUNNABLE = _runnable()
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_RUNNABLE)
 def test_a_document_that_validates_runs(doc):
-    assert validate(doc) == ()
+    plan, findings = config.checked(doc)
+    assert findings == ()
+    _assert_plan_is_built_directly(plan)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.yaml")
         with open(path, "w", encoding="utf-8") as fh:
@@ -749,8 +773,8 @@ MUTATIONS = [
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(doc=_RUNNABLE)
 def test_breaking_one_rule_gives_exactly_its_finding(doc, mutate, expected):
-    findings = validate(mutate(doc))
-    assert len(findings) == 1, findings
+    plan, findings = config.checked(mutate(doc))
+    assert len(findings) == 1 and plan is None, findings
     assert findings[0].startswith(expected.format(scenario=doc["scenarios"][0])), findings
 
 

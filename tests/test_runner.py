@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import sys
 import tracemalloc
 import weakref
 
@@ -13,9 +14,11 @@ import beamfield.runner
 from beamfield import (
     DEFAULT_LIMITS_VPM,
     ConfigError,
+    ProbeGrid,
     RunConfig,
     ZfInfeasibleError,
     average_heatmaps,
+    build_grid,
     check,
     combining_vectors,
     estimate_csi,
@@ -29,8 +32,9 @@ from beamfield import (
     zf_precoder,
 )
 from beamfield.channel import _GAIN_BLOCK_ENTRIES
+from beamfield.cli import _read_heatmap_csv
 from beamfield.cli import main as cli_main
-from beamfield.config import derive_seed, from_dict
+from beamfield.config import checked, derive_seed, from_dict
 from beamfield.field import compute_heatmap, heatmaps, probe_gains
 from beamfield.render import grid_text, heatmap_json
 from beamfield.runner import run_links
@@ -112,10 +116,24 @@ class TestRun:
         monkeypatch.setattr(beamfield.field, "propagation_gains", counting)
         config = small_config(scenarios=RunConfig().scenarios)
         run(config, out_dir=str(tmp_path))
-        grid = config.build_grid()
+        grid = build_grid(config.grid, room=config.room)
         assert len(config.scenarios) == 8
         assert sum(np.array_equal(rx, grid.points) for rx in rx_seen) == 1
         assert len(rx_seen) == 1
+
+    def test_array_and_grid_built_once_per_run(self, tmp_path, monkeypatch):
+        # Validation builds them; the run reads them from its plan.
+        calls = []
+        for real in (beamfield.geometry.build_array, beamfield.geometry.build_grid):
+            def counting(*args, real=real, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("beamfield.") and vars(module).get(real.__name__) is real:
+                    monkeypatch.setattr(module, real.__name__, counting)
+        run(small_config(), out_dir=str(tmp_path))
+        assert sorted(calls) == ["build_array", "build_grid"]
 
     def test_grid_text_built_once_per_run(self, tmp_path, monkeypatch):
         grids = []
@@ -130,7 +148,7 @@ class TestRun:
                               formats=("ascii", "csv", "json", "svg"))
         manifest = run(config, out_dir=str(tmp_path))
         assert len(grids) == 1
-        assert grids[0] == config.build_grid()
+        assert grids[0] == build_grid(config.grid, room=config.room)
         assert sum(a["type"] == "heatmap-svg" for a in manifest.artifacts) == 9
 
     def test_each_gain_call_gets_at_most_one_block_of_rows(self, tmp_path, monkeypatch):
@@ -156,7 +174,7 @@ class TestRun:
         monkeypatch.setattr(beamfield.field, "probe_gains", tracked)
         config = small_config(grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
         run(config, out_dir=str(tmp_path))
-        grid = config.build_grid()
+        grid = build_grid(config.grid, room=config.room)
         assert grid.n_points == 4331
         assert len(calls) == 18
         for n_tx, rx in calls:
@@ -187,10 +205,11 @@ class TestRun:
             channel=dataclasses.replace(base.channel, mode=mode, element_pattern=pattern),
             grid=dataclasses.replace(base.grid, **grid_keys))
         run(config, out_dir=str(tmp_path))
-        room, array, grid = config.room, config.build_array(), config.build_grid()
+        plan = checked(config)[0]
+        room, array, grid = config.room, plan.array, plan.grid
         gains = probe_gains(array, room, grid, config.channel)
         text = grid_text(grid, config.formats)
-        for link in run_links(config, config.selected_scenarios(), array):
+        for link in run_links(config, plan.scenarios, array):
             want = compute_heatmap(link.scenario, link.precoder, grid, gains,
                                    calibration=config.calibration)
             written = (tmp_path / f"heatmap_scenario_{link.scenario.id}.json").read_text()
@@ -199,8 +218,9 @@ class TestRun:
     def test_maps_from_a_generator_equal_maps_from_a_list(self):
         # The 0.1 m grid spans 18 blocks, so every pair meets every block.
         config = small_config(grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
-        room, array, grid = config.room, config.build_array(), config.build_grid()
-        links = run_links(config, config.selected_scenarios(), array)
+        plan = checked(config)[0]
+        room, array, grid = config.room, plan.array, plan.grid
+        links = run_links(config, plan.scenarios, array)
         pairs = [(link.scenario, link.precoder) for link in links]
         from_list = heatmaps(pairs, array, room, grid, config.channel, calibration=0.7)
         from_generator = heatmaps((pair for pair in pairs), array, room, grid, config.channel,
@@ -216,7 +236,8 @@ class TestRun:
         # being written.
         config = small_config(scenarios=("1",), formats=("csv",),
                               grid=dataclasses.replace(RunConfig().grid, spacing=0.05))
-        matrix_bytes = config.build_grid().n_points * config.build_array().n_active * 16
+        plan = checked(config)[0]
+        matrix_bytes = plan.grid.n_points * plan.array.n_active * 16
         assert matrix_bytes > 17_400_000
         tracemalloc.start()
         try:
@@ -316,10 +337,10 @@ class TestRun:
         assert avg["max_vpm"] >= avg["p95_vpm"] >= avg["mean_vpm"] >= avg["min_vpm"]
 
         # Each record is its result's fields, after a JSON round trip.
-        array = config.build_array()
-        links = run_links(config, config.selected_scenarios(), array)
-        maps = heatmaps([(link.scenario, link.precoder) for link in links], array,
-                        config.room, config.build_grid(), config.channel, config.calibration)
+        plan = checked(config)[0]
+        links = run_links(config, plan.scenarios, plan.array)
+        maps = heatmaps([(link.scenario, link.precoder) for link in links], plan.array,
+                        config.room, plan.grid, config.channel, config.calibration)
         average = average_heatmaps(maps)
 
         def record(result):
@@ -352,11 +373,12 @@ def _campaign_with_customs():
 class TestRunLinks:
     def test_links_equal_the_stages_run_one_scenario_at_a_time(self):
         config = _campaign_with_customs()
-        array, scenarios = config.build_array(), config.selected_scenarios()
+        plan = checked(config)[0]
+        array, scenarios = plan.array, plan.scenarios
         blocks = beamfield.runner._link_blocks(scenarios, array.n_active)
         assert len(blocks) >= 3 and any(stop - start > 1 for start, stop in blocks)
         links = run_links(config, scenarios, array)
-        assert [link.scenario for link in links] == scenarios
+        assert tuple(link.scenario for link in links) == scenarios
         for i, (scenario, link) in enumerate(zip(scenarios, links)):
             (h,) = generate_channel(array, [scenario], config.room, config.channel)
             est = estimate_csi(h, config.channel, derive_seed(config.seed, i, 0))
@@ -555,6 +577,15 @@ class TestCli:
             rendered.append(read_all(out))
         assert sorted(rendered[0]) == ["heatmap_scenario_1.svg", "heatmap_scenario_1.txt"]
         assert rendered[0] == rendered[1]
+
+    def test_a_rerendered_grid_has_plain_axes(self, tmp_path):
+        # The axes are tuples of floats, as the run's grid has them, so grids
+        # compare with == whatever their probe heights.
+        run(small_config(scenarios=("1",), formats=("csv",)), out_dir=str(tmp_path))
+        grid = _read_heatmap_csv(str(tmp_path / "heatmap_scenario_1.csv")).grid
+        built = build_grid()
+        assert grid == ProbeGrid(built.x_values, built.y_values, 0.0)
+        assert grid != built
 
     def test_a_subnormal_scale_top_runs_and_renders(self, tmp_path):
         # 1e-320 V/m is positive and finite, and every field lies above it, so
