@@ -225,13 +225,48 @@ def from_dict(raw):
     return _section(RunConfig(), raw, "")
 
 
+def _rejecting_repeated_keys(loader):
+    """``loader`` whose mappings reject a key they repeat, naming it and its line.
+
+    PyYAML keeps the last of a repeated key's values, so ``seed: 1`` then
+    ``seed: 2`` would run with seed 2.  Keys a ``<<`` merge brings in are
+    not repeats: the mapping's own keys override them, as YAML defines.
+    """
+    class Loader(loader):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self.checked = set()
+
+        def flatten_mapping(self, node):
+            # Merging rewrites node.value, so each mapping is checked once, before that.
+            if node not in self.checked:
+                self.checked.add(node)
+                lines = {}
+                for key_node, _ in node.value:
+                    if (not isinstance(key_node, yaml.ScalarNode)
+                            or key_node.tag == "tag:yaml.org,2002:merge"):
+                        continue
+                    key, line = self.construct_object(key_node), key_node.start_mark.line + 1
+                    if key in lines:
+                        raise yaml.constructor.ConstructorError(
+                            problem=f"line {line}: key {key!r} is repeated "
+                                    f"(first on line {lines[key]})")
+                    lines[key] = line
+            super().flatten_mapping(node)
+
+    return Loader
+
+
 # libyaml's parser where PyYAML was built with it: the same safe constructor
 # and the same values as ``yaml.SafeLoader``, several times faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_LOADER = _rejecting_repeated_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def read_yaml(path):
-    """Parse a YAML config file; an empty file is an empty mapping."""
+    """Parse a YAML config file; an empty file is an empty mapping.
+
+    Malformed YAML, a repeated key included, raises :class:`ConfigError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.load(fh, Loader=_YAML_LOADER)

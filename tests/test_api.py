@@ -223,6 +223,19 @@ def test_a_run_launch_defaults_to_one_openblas_thread(tmp_path, preset, threads)
     assert result.stdout.splitlines()[-1] == threads
 
 
+def test_the_openblas_thread_count_changes_no_byte(tmp_path):
+    # A link block's stacked SVD and each scenario's QR run through LAPACK;
+    # the placement sweep's blocks stack 32 users into one SVD.
+    manifests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        result = _launch("-m", "beamfield.cli", "run", "--config", INPUTS["placement-sweep"],
+                         "--out", str(out), env={"OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr[-2000:]
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+
+
 def test_test_only_helpers_stay_out_of_the_package():
     for module in _modules():
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__

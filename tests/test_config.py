@@ -192,6 +192,11 @@ BAD_DOCUMENTS = [
      "custom_scenarios[0].ue_positions[0]"),
     ("list-root", "- seed: 1\n", "config root"),
     ("yaml-syntax", "seed: [1\n", "not valid YAML"),
+    # PyYAML keeps the last value of a repeated key: these ran with seed 2 and 3 frames.
+    ("repeated-key", "seed: 1\nseed: 2\n",
+     "not valid YAML: line 2: key 'seed' is repeated (first on line 1)\n"),
+    ("repeated-nested-key", "seed: 1\nofdm: {frames: 1, frames: 3}\n",
+     "not valid YAML: line 2: key 'frames' is repeated (first on line 2)\n"),
     ("seed-path", "seed: abc\n", "finding: seed: expected int, got 'abc'"),
     ("grid-budget", "seed: 1\ngrid: {spacing: 1e-4}\n", "budget"),
     ("nan-grid-spacing", "seed: 1\ngrid: {spacing: .nan}\n", "grid.spacing"),
@@ -320,19 +325,20 @@ def test_bad_document_is_a_finding(tmp_path, capsys, text, expected):
     output = captured.out + captured.err
     assert expected in output
     assert output.startswith(("finding: ", "error: "))
-    if expected != "not valid YAML":
+    if "not valid YAML" not in expected:
         plan, findings = config.checked(yaml.safe_load(text))
         assert findings != () and plan is None
 
 
-@pytest.mark.parametrize("text", [case[1] for case in BAD_DOCUMENTS],
+@pytest.mark.parametrize("text,expected", [case[1:] for case in BAD_DOCUMENTS],
                          ids=[case[0] for case in BAD_DOCUMENTS])
-def test_bad_document_does_not_run(tmp_path, capsys, text):
+def test_bad_document_does_not_run(tmp_path, capsys, text, expected):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert expected in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
 
@@ -467,11 +473,11 @@ def _read(path):
 def test_libyaml_loader_reads_what_the_python_loader_reads(tmp_path, capsys, monkeypatch, text):
     chosen = config._YAML_LOADER
     if yaml.__with_libyaml__:
-        assert chosen is yaml.CSafeLoader
+        assert issubclass(chosen, yaml.CSafeLoader)
     path = tmp_path / "doc.yaml"
     path.write_text(text)
     outcomes = []
-    for loader in (yaml.SafeLoader, chosen):
+    for loader in (config._rejecting_repeated_keys(yaml.SafeLoader), chosen):
         monkeypatch.setattr(config, "_YAML_LOADER", loader)
         try:
             outcomes.append(repr(read_yaml(path)))  # repr: NaN equals NaN
@@ -481,6 +487,21 @@ def test_libyaml_loader_reads_what_the_python_loader_reads(tmp_path, capsys, mon
             assert "not valid YAML" in capsys.readouterr().err
             outcomes.append("not valid YAML")
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("loader", [config._rejecting_repeated_keys(yaml.SafeLoader),
+                                    config._YAML_LOADER], ids=["python", "chosen"])
+def test_a_merge_key_yields_to_the_mapping_s_own_keys(tmp_path, monkeypatch, loader):
+    # A << merge repeats no key: the mapping's own keys override what it
+    # merges, and the first of several merged mappings wins.
+    monkeypatch.setattr(config, "_YAML_LOADER", loader)
+    path = tmp_path / "merge.yaml"
+    path.write_text("fine: &fine {spacing: 0.5, x_min: -3}\nwide: &wide {x_min: -3.5, y_min: 0}\n"
+                    "grid: {<<: [*fine, *wide], spacing: 0.25}\n"
+                    "reused: {<<: *fine, spacing: 1.0}\n")
+    doc = read_yaml(path)
+    assert doc["grid"] == {"spacing": 0.25, "x_min": -3, "y_min": 0}
+    assert doc["reused"] == {"spacing": 1.0, "x_min": -3}
 
 
 def test_grid_budget_is_checked_before_allocating():

@@ -6,9 +6,11 @@ workloads in ``tests/golden/``, written once by
 files, so a change to the workload generator moves no golden input.
 ``tests/golden/hashes.json`` holds, per input, the sha256 of every file its
 run writes, ``manifest.json`` included, and the platform they were
-recorded on: Python, numpy, numpy's BLAS build and the machine.  Bytes are
-promised on that platform only; elsewhere the test reports skipped and
-names the fields that differ.
+recorded on: Python, numpy, numpy's BLAS build and the machine.  On every
+platform each input runs, its manifest verifies and it writes exactly the
+files the record lists.  Bytes are promised on the recorded platform only;
+elsewhere the byte comparison reports skipped and names the fields that
+differ.
 
 A change that moves artifacts on purpose re-records the hashes with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and says which paths moved.
@@ -24,7 +26,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from beamfield import load_config, run
+from beamfield import load_config, run, verify_manifest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
@@ -63,11 +65,13 @@ def artifact_hashes(name, out_dir):
 def test_a_run_writes_its_golden_bytes(tmp_path, name):
     with open(RECORD, encoding="utf-8") as fh:
         record = json.load(fh)
+    golden, hashes = record["runs"][name], artifact_hashes(name, tmp_path)
+    assert verify_manifest(str(tmp_path)) == []
+    assert sorted(hashes) == sorted(golden), f"{name}: the run writes other files than recorded"
     here = provenance()
     differ = [key for key in record["provenance"] if record["provenance"][key] != here.get(key)]
     if differ:
         pytest.skip(f"recorded on another platform; these fields differ: {', '.join(differ)}")
-    golden, hashes = record["runs"][name], artifact_hashes(name, tmp_path)
     moved = sorted(path for path in golden.keys() | hashes.keys()
                    if golden.get(path) != hashes.get(path))
     assert moved == [], f"{name}: these artifacts differ from the golden record: {moved}"

@@ -548,20 +548,23 @@ class TestCli:
         assert ascii_text == (tmp_path / "run" / "heatmap_average.txt").read_text()
         assert "scenario average &#8212;" in (again / "heatmap_average.svg").read_text()
 
+    # The 0.1 m grid's 61 x 71 points stream in 18 blocks of rows.
     @pytest.mark.parametrize("grid_keys, step", [
         ({}, "step 1 m"),
         (dict(x_min=0.0, x_max=0.0, spacing=0.5), "step 0.5 m"),
-    ], ids=["default", "one-column"])
+        (dict(spacing=0.1), "step 0.1 m"),
+    ], ids=["default", "one-column", "fine"])
     def test_rerendered_ascii_footer_keeps_the_grid_step(self, tmp_path, grid_keys, step):
         config = small_config(scenarios=("1",), formats=("ascii", "csv"),
                               grid=dataclasses.replace(RunConfig().grid, **grid_keys))
         run(config, out_dir=str(tmp_path / "run"))
         again = tmp_path / "again"
         csv_path = tmp_path / "run" / "heatmap_scenario_1.csv"
-        assert cli_main(["render", str(csv_path), "--out", str(again), "--format", "ascii"]) == 0
+        assert cli_main(["render", str(csv_path), "--out", str(again)]) == 0
         footer = (tmp_path / "run" / "heatmap_scenario_1.txt").read_text().splitlines()[-1]
         assert footer.endswith(step)
         assert (again / "heatmap_scenario_1.txt").read_text().splitlines()[-1] == footer
+        assert (again / "heatmap_scenario_1.svg").stat().st_size > 0
 
     def test_a_csv_with_shuffled_rows_renders_the_same(self, tmp_path):
         run(small_config(scenarios=("1",), formats=("csv",)), out_dir=str(tmp_path / "run"))
@@ -587,6 +590,7 @@ class TestCli:
         assert grid == ProbeGrid(built.x_values, built.y_values, 0.0)
         assert grid != built
 
+    @pytest.mark.filterwarnings("error")
     def test_a_subnormal_scale_top_runs_and_renders(self, tmp_path):
         # 1e-320 V/m is positive and finite, and every field lies above it, so
         # each cell takes the top level.  Dividing by it before clamping overflowed.
@@ -673,6 +677,14 @@ class TestCli:
         manifests = [(tmp_path / out / "manifest.json").read_bytes()
                      for out in ("by-flags", "by-keys")]
         assert manifests[0] == manifests[1]
+
+    def test_a_scenario_flag_given_twice_is_a_finding(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--scenario", "1", "--scenario", "1",
+                         "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == ("error: configuration invalid:\n"
+                                           "finding: scenarios: id '1' is listed 2 times\n")
+        assert not out_dir.exists()
 
     def test_missing_config_file_is_runtime_error(self, capsys):
         assert cli_main(["run", "--config", "/nonexistent.yaml"]) == 2
