@@ -176,7 +176,7 @@ def _read_heatmap_csv(path):
 
 
 def _cmd_render(args):
-    from .render import grid_text, heatmap_ascii, heatmap_svg, scale_top
+    from .render import ascii_blocks, grid_text, scale_top, svg_blocks
 
     heatmap = _read_heatmap_csv(args.csv)
     try:
@@ -192,12 +192,12 @@ def _cmd_render(args):
     if "svg" in formats:
         path = os.path.join(out_dir, f"{stem}.svg")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(heatmap_svg(heatmap, grid_text(heatmap.grid, ("svg",)), vmax=args.vmax))
+            fh.writelines(svg_blocks(heatmap, grid_text(heatmap.grid, ("svg",)), vmax=args.vmax))
         written.append(path)
     if "ascii" in formats:
         path = os.path.join(out_dir, f"{stem}.txt")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(heatmap_ascii(heatmap, vmax=args.vmax))
+            fh.writelines(ascii_blocks(heatmap, vmax=args.vmax))
         written.append(path)
     for path in written:
         print(f"wrote {path}")

@@ -15,16 +15,20 @@ holds one block of probe x element gains, never the whole grid's matrix.
 The maps are then aggregated: average map, boresight cut, decay fit,
 summary statistics and compliance checks against the built-in regional
 limits.  Every artifact is written in a fixed order with deterministic
-formatting and hashed as it is written, one chunk of its text at a
-time, and a manifest of content hashes is emitted last, so two runs
-with the same configuration and seed are byte-identical.  The output
-directory is made once the links, maps and statistics are done, just
-before the first artifact: a run that fails before writing leaves no
-directory, and one that fails while writing leaves no manifest.
+formatting, and a manifest of content hashes is emitted last, so two
+runs with the same configuration and seed are byte-identical.  A heat
+map's text is made one block of grid rows at a time (:mod:`~beamfield.render`),
+and each block is encoded, hashed and written as soon as it is made, so
+no artifact's whole text or bytes are ever held.  The output directory
+is made once the links, maps and statistics are done, just before the
+first artifact: a run that fails before writing leaves no directory,
+and one that fails while writing leaves no manifest.
 
-The grid's heat-map artifact text (:func:`~beamfield.render.grid_text`)
-depends only on the probe grid; it is built once per run, for the
-requested formats, and shared by every map.
+The heat-map templates (:func:`~beamfield.render.grid_text`) depend only
+on the probe grid; they are built once per run, for the requested
+formats, after the maps, and shared by every map.  So a run holds at
+most one block of probe gains while it makes the maps, and then the
+maps, the block templates and one block of text.
 """
 
 import dataclasses
@@ -43,7 +47,7 @@ from .errors import BeamfieldError, ConfigError
 from .field import heatmaps
 from .ofdm import transmit_frame
 from .precoding import combining_vectors, zf_precoder
-from .render import grid_text, heatmap_ascii, heatmap_csv, heatmap_json, heatmap_svg
+from .render import ascii_blocks, csv_blocks, grid_text, json_blocks, svg_blocks
 
 _SEED_STREAM_CSI = 0
 _SEED_STREAM_FRAME = 1
@@ -52,8 +56,7 @@ _SEED_STREAM_FRAME = 1
 # Larger link blocks ran the link stages little faster and held more memory.
 _LINK_BLOCK_ENTRIES = _GAIN_BLOCK_ENTRIES // 2
 
-# Artifact text is encoded, hashed and written 64 Ki characters at a time,
-# and verify_manifest reads and hashes artifacts 64 KiB at a time.
+# verify_manifest reads and hashes artifacts 64 KiB at a time.
 _CHUNK = 1 << 16
 
 
@@ -162,7 +165,6 @@ def run(config, out_dir=None):
 
     config, array, grid, scenarios = plan.config, plan.array, plan.grid, plan.scenarios
     out_dir = out_dir if out_dir is not None else config.output_dir
-    text = grid_text(grid, config.formats)
 
     links = run_links(config, scenarios, array)
     maps = heatmaps([(link.scenario, link.precoder) for link in links], array, config.room,
@@ -170,6 +172,7 @@ def run(config, out_dir=None):
     reports = [(link.scenario.id, link.ber) for link in links]
     # The precoders have made their maps: the artifacts are written without them.
     del links
+    text = grid_text(grid, config.formats)
 
     average = stats_mod.average_heatmaps(maps)
     cut = stats_mod.extract_cut(average, config.cut_x)
@@ -228,15 +231,16 @@ class _ArtifactWriter:
         self.formats = set(formats)
         self._records = []
 
-    def _write(self, name, text, kind, scenario=None):
-        # One chunk of the text is encoded at a time, so no bytes copy of a
-        # whole artifact exists; a str holds code points, so the chunks'
-        # UTF-8 bytes join to those of the whole text.
+    def _write(self, name, blocks, kind, scenario=None):
+        # Each str block is encoded, hashed and written as soon as it is
+        # made, so neither the text nor the bytes of a whole artifact exist;
+        # a str holds code points, so the blocks' UTF-8 bytes join to those
+        # of the whole text.
         path = os.path.join(self.out_dir, name)
         digest = hashlib.sha256()
         with open(path, "wb") as fh:
-            for start in range(0, len(text), _CHUNK):
-                data = text[start:start + _CHUNK].encode("utf-8")
+            for block in blocks:
+                data = block.encode("utf-8")
                 digest.update(data)
                 fh.write(data)
         self._records.append({
@@ -250,14 +254,14 @@ class _ArtifactWriter:
         """Write one map's artifacts; ``text`` is the run's :func:`grid_text`."""
         stem = f"heatmap_scenario_{scenario}" if scenario is not None else "heatmap_average"
         if "csv" in self.formats:
-            self._write(f"{stem}.csv", heatmap_csv(heatmap, text), "heatmap-csv", scenario)
+            self._write(f"{stem}.csv", csv_blocks(heatmap, text), "heatmap-csv", scenario)
         if "json" in self.formats:
-            self._write(f"{stem}.json", heatmap_json(heatmap, text), "heatmap-json", scenario)
+            self._write(f"{stem}.json", json_blocks(heatmap, text), "heatmap-json", scenario)
         if "svg" in self.formats:
-            self._write(f"{stem}.svg", heatmap_svg(heatmap, text, vmax=vmax, markers=markers),
+            self._write(f"{stem}.svg", svg_blocks(heatmap, text, vmax=vmax, markers=markers),
                         "heatmap-svg", scenario)
         if "ascii" in self.formats:
-            self._write(f"{stem}.txt", heatmap_ascii(heatmap, vmax=vmax),
+            self._write(f"{stem}.txt", ascii_blocks(heatmap, vmax=vmax),
                         "heatmap-ascii", scenario)
 
     def ber_table(self, reports):
@@ -267,23 +271,23 @@ class _ArtifactWriter:
         for sid, rep in reports:
             for u, ber in enumerate(rep.per_ue_ber, start=1):
                 lines.append(f"{sid},{u},{_sig9(ber)},{rep.bits_tested}")
-        self._write("ber.csv", "\n".join(lines) + "\n", "ber-csv")
+        self._write("ber.csv", ["\n".join(lines) + "\n"], "ber-csv")
         if "json" in self.formats:
             payload = [{
                 "scenario": sid,
                 "per_ue_ber": list(rep.per_ue_ber),
                 "bits_tested": rep.bits_tested,
             } for sid, rep in reports]
-            self._write("ber.json", _json_text(payload), "ber-json")
+            self._write("ber.json", [_json_text(payload)], "ber-json")
 
     def cut(self, profile, x):
         lines = ["y_m,field_vpm"]
         for d, f in profile.samples:
             lines.append(f"{_sig9(d)},{_sig9(f)}")
-        self._write(f"cut_x{x:g}.csv", "\n".join(lines) + "\n", "cut-csv")
+        self._write(f"cut_x{x:g}.csv", ["\n".join(lines) + "\n"], "cut-csv")
 
     def json_report(self, name, payload, kind):
-        self._write(name, _json_text(payload), kind)
+        self._write(name, [_json_text(payload)], kind)
 
     def manifest(self):
         manifest = Manifest(artifacts=tuple(self._records), out_dir=self.out_dir)

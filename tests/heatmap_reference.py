@@ -77,7 +77,7 @@ def heatmap_svg(heatmap, vmax=None, markers=()):
 
     # Cells: x ascending to the right, y ascending upward (array side at bottom).
     scaled = rows / top
-    fills = _fills(scaled)
+    fills = _fills(scaled).split()
     x_labels = [f"{x:g}" for x in xs]
     for iy in range(n_y):
         cy = _MARGIN_TOP + (n_y - 1 - iy) * _CELL
@@ -136,7 +136,7 @@ def heatmap_svg(heatmap, vmax=None, markers=()):
     bar_x = _MARGIN_LEFT + plot_w + _BAR_GAP
     steps = 40
     step_h = plot_h / steps
-    for i, fill in enumerate(_fills(1.0 - np.arange(steps) / (steps - 1))):
+    for i, fill in enumerate(_fills(1.0 - np.arange(steps) / (steps - 1)).split()):
         out.append(
             f'<rect x="{bar_x}" y="{_MARGIN_TOP + i * step_h:.2f}" '
             f'width="{_BAR_WIDTH}" height="{step_h + 0.5:.2f}" fill="{fill}"/>'

@@ -6,7 +6,9 @@ workloads in ``tests/golden/``, written once by
 files, so a change to the workload generator moves no golden input.
 ``tests/golden/hashes.json`` holds, per input, the sha256 of every file its
 run writes, ``manifest.json`` included, and the platform they were
-recorded on: Python, numpy, numpy's BLAS build and the machine.  On every
+recorded on: Python, numpy, numpy's BLAS build, the BLAS kernel that
+computes (an OpenBLAS ``DYNAMIC_ARCH`` build picks one per CPU at load),
+the C library and the machine.  On every
 platform each input runs, its manifest verifies and it writes exactly the
 files the record lists.  Bytes are promised on the recorded platform only;
 elsewhere the byte comparison reports skipped and names the fields that
@@ -16,6 +18,8 @@ A change that moves artifacts on purpose re-records the hashes with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and says which paths moved.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -38,6 +42,24 @@ INPUTS = {
 }
 
 
+def blas_core():
+    """The kernel the OpenBLAS that numpy loaded runs on this CPU; None if unknown.
+
+    The build string names the kernel the wheel was built for; a
+    ``DYNAMIC_ARCH`` build may run another, picked for the CPU at load.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode("ascii")
+    return None
+
+
 def provenance():
     """The platform fields the artifact bytes may depend on."""
     try:
@@ -48,6 +70,7 @@ def provenance():
         # The directories are where the wheel was built, not what computes.
         blas = {key: value for key, value in blas.items() if "directory" not in key}
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "blas_core": blas_core(), "libc": " ".join(platform.libc_ver()).strip() or None,
             "machine": platform.machine()}
 
 

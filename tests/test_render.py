@@ -1,7 +1,7 @@
 """Heat-map text against references: the vectorised colour and ASCII-level
-rules against scalar ones, and the per-grid CSV, JSON and SVG text and the
-table-driven ASCII text against the per-map formatters of
-``heatmap_reference``."""
+rules against scalar ones, and the joined blocks of the per-grid CSV, JSON
+and SVG text and of the table-driven ASCII text, as a run writes them,
+against the per-map formatters of ``heatmap_reference``."""
 
 import tracemalloc
 from xml.dom import minidom
@@ -12,17 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatmap_reference as ref
-from beamfield import GridSection, HeatMap, build_grid
+from beamfield import GridSection, HeatMap, build_grid, render
 from beamfield.render import (
     _ASCII_LEVELS,
     _RAMP,
     _fills,
     _levels,
+    ascii_blocks,
+    csv_blocks,
     grid_text,
-    heatmap_ascii,
-    heatmap_csv,
-    heatmap_json,
-    heatmap_svg,
+    json_blocks,
+    svg_blocks,
 )
 
 
@@ -52,13 +52,15 @@ def test_fills_match_the_scalar_rule():
     bar = 1.0 - np.arange(40) / 39
     t = np.concatenate([rng.uniform(-0.1, 1.1, 100_000), np.linspace(0, 1, 10_001),
                         anchors, ties, clamps, bar])
-    assert _fills(t) == [scalar_fill(v) for v in t.tolist()]
-    assert _fills(anchors) == [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in _RAMP]
+    fills = _fills(t)
+    assert len(fills) == 8 * len(t)
+    assert fills.split() == [scalar_fill(v) for v in t.tolist()]
+    assert _fills(anchors).split() == [f"#{r:02x}{g:02x}{b:02x}" for r, g, b in _RAMP]
 
 
 def test_fills_keep_row_major_order():
     t = np.random.default_rng(13).uniform(0, 1, (7, 9))
-    assert _fills(t) == [scalar_fill(v) for v in t.ravel().tolist()]
+    assert _fills(t).split() == [scalar_fill(v) for v in t.ravel().tolist()]
 
 
 def test_levels_match_the_scalar_rule():
@@ -76,24 +78,29 @@ def test_renderings_use_the_cell_rules():
     values = np.random.default_rng(15).uniform(0, 5, grid.n_points)
     heatmap = HeatMap(grid=grid, values=values, scenario_id="r")
     top = 4.0
-    svg = heatmap_svg(heatmap, grid_text(grid, ("svg",)), vmax=top)
+    svg = joined(svg_blocks(heatmap, grid_text(grid, ("svg",)), vmax=top))
     for value in values:
         assert f'fill="{scalar_fill(value / top)}"><title>' in svg
-    lines = heatmap_ascii(heatmap, vmax=top).splitlines()[1:-1]
+    lines = joined(ascii_blocks(heatmap, vmax=top)).splitlines()[1:-1]
     rows = heatmap.as_grid_rows()[::-1]
     for line, row in zip(lines, rows):
         cells = line.split("|")[1]
         assert cells == "".join(_ASCII_LEVELS[scalar_level(v, top)] * 2 for v in row)
 
 
-# 1 x 1, 1 x n, n x 1, the 56-point campaign grid and the 4331-point 0.1 m grid.
+# 1 x 1, 1 x n, n x 1, the 56-point campaign grid and the 4331-point 0.1 m grid;
+# one column of 513 rows and one row of 601 columns, a row longer than a block.
 GRIDS = {
     "1x1": dict(x_min=0.0, x_max=0.0, y_min=2.0, y_max=2.0),
     "1xn": dict(x_min=0.0, x_max=0.0, y_min=1.0, y_max=8.0),
     "nx1": dict(x_min=-3.0, x_max=3.0, y_min=4.0, y_max=4.0),
     "56": dict(),
     "4331": dict(spacing=0.1),
+    "1x513": dict(x_min=0.0, x_max=0.0, y_min=1.0, y_max=9.0, spacing=1 / 64),
+    "601x1": dict(x_min=-3.0, x_max=3.0, y_min=4.0, y_max=4.0, spacing=0.01),
 }
+# The grids whose SVG spans several blocks at the default block size.
+SPLIT = {"4331", "1x513"}
 
 # Exact extremes, and binary-exact ties at the rounding digit of .2g, .6g and .9g.
 SPECIAL = [0.0, 5e-324, 1e-300, 1e300, 0.125, 0.375, 1.25, 2.5, 12.5, 0.5,
@@ -101,26 +108,49 @@ SPECIAL = [0.0, 5e-324, 1e-300, 1e300, 0.125, 0.375, 1.25, 2.5, 12.5, 0.5,
            99.5]
 
 
+def joined(blocks):
+    """The text a run writes: its blocks, each a non-empty str, joined."""
+    blocks = list(blocks)
+    assert blocks and all(isinstance(b, str) and b for b in blocks)
+    return "".join(blocks)
+
+
 def assert_texts_match(heatmap, vmax=None, markers=()):
     text = grid_text(heatmap.grid, ("csv", "json", "svg"))
-    assert heatmap_csv(heatmap, text) == ref.heatmap_csv(heatmap)
-    assert heatmap_json(heatmap, text) == ref.heatmap_json(heatmap)
-    assert (heatmap_svg(heatmap, text, vmax=vmax, markers=markers)
+    assert joined(csv_blocks(heatmap, text)) == ref.heatmap_csv(heatmap)
+    assert joined(json_blocks(heatmap, text)) == ref.heatmap_json(heatmap)
+    assert (joined(svg_blocks(heatmap, text, vmax=vmax, markers=markers))
             == ref.heatmap_svg(heatmap, vmax=vmax, markers=markers))
-    assert heatmap_ascii(heatmap, vmax=vmax) == ref.heatmap_ascii(heatmap, vmax=vmax)
+    assert joined(ascii_blocks(heatmap, vmax=vmax)) == ref.heatmap_ascii(heatmap, vmax=vmax)
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
-def test_grid_text_matches_the_per_map_formatters(name):
+def test_grid_text_matches_the_per_map_formatters(name, monkeypatch):
     grid = build_grid(GridSection(**GRIDS[name]))
     rng = np.random.default_rng(16)
     n = grid.n_points
     special = np.resize(SPECIAL, n)
-    for values in (rng.uniform(0, 5, n), rng.exponential(1e-3, n), special,
-                   np.zeros(n), np.arange(n)):
-        heatmap = HeatMap(grid=grid, values=values, scenario_id="7")
-        assert_texts_match(heatmap)
-        assert_texts_match(heatmap, vmax=2.5, markers=[(0.0, 2.0), (1.0, 5.0), (40.0, 1.0)])
+    # At the default block size, and at one character per block, where
+    # every grid row is a block of its own.
+    for block_chars in (render._BLOCK_CHARS, 1):
+        monkeypatch.setattr(render, "_BLOCK_CHARS", block_chars)
+        text = grid_text(grid, ("csv", "json", "svg"))
+        for blocks in (text.csv, text.json, text.svg):
+            # The blocks cover the grid's cells once, in order, in whole rows.
+            bounds = [0] + [stop for _, stop, _ in blocks]
+            assert [(start, stop) for start, stop, _ in blocks] == list(zip(bounds, bounds[1:]))
+            assert bounds[-1] == n
+            assert all((stop - start) % len(grid.x_values) == 0 for start, stop, _ in blocks)
+        if block_chars == 1:
+            assert len(text.svg) == len(text.csv) == len(text.json) == len(grid.y_values)
+        elif name in SPLIT:
+            assert len(text.svg) > 1
+        for values in (rng.uniform(0, 5, n), rng.exponential(1e-3, n), special,
+                       np.zeros(n), np.arange(n)):
+            heatmap = HeatMap(grid=grid, values=values, scenario_id="7")
+            assert_texts_match(heatmap)
+            assert_texts_match(heatmap, vmax=2.5,
+                               markers=[(0.0, 2.0), (1.0, 5.0), (40.0, 1.0)])
 
 
 @pytest.mark.parametrize("scenario_id", ['a"b', "back\\slash", "\u00e9t\u00e9", "\u96ea", "average",
@@ -153,9 +183,9 @@ def test_drawn_values_match_the_reference(values, scenario_id, vmax):
 def test_grid_text_rejects_a_map_of_another_grid():
     text = grid_text(build_grid(), ("csv", "json", "svg"))
     heatmap = HeatMap(grid=build_grid(GridSection(y_max=7.0)), values=np.ones(49), scenario_id="1")
-    for render in (heatmap_csv, heatmap_json, heatmap_svg):
+    for blocks in (csv_blocks, json_blocks, svg_blocks):
         with pytest.raises(ValueError, match="different grids"):
-            render(heatmap, text)
+            blocks(heatmap, text)
 
 
 def test_a_format_whose_template_was_not_built_is_rejected():
@@ -163,10 +193,10 @@ def test_a_format_whose_template_was_not_built_is_rejected():
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
     text = grid_text(grid, ("ascii", "csv"))
     assert (text.json, text.svg) == (None, None)
-    assert heatmap_csv(heatmap, text) == ref.heatmap_csv(heatmap)
-    for render, name in ((heatmap_json, "json"), (heatmap_svg, "svg")):
+    assert joined(csv_blocks(heatmap, text)) == ref.heatmap_csv(heatmap)
+    for blocks, name in ((json_blocks, "json"), (svg_blocks, "svg")):
         with pytest.raises(ValueError, match=f"without the {name} template"):
-            render(heatmap, text)
+            blocks(heatmap, text)
 
 
 def _grid_text_peak(grid, formats):
@@ -190,7 +220,7 @@ def test_a_csv_only_grid_text_does_not_build_the_svg_template():
 def test_svg_escapes_the_scenario_id():
     grid = build_grid()
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="a<b&c")
-    svg = heatmap_svg(heatmap, grid_text(grid, ("svg",)), markers=[(0.0, 2.0)])
+    svg = joined(svg_blocks(heatmap, grid_text(grid, ("svg",)), markers=[(0.0, 2.0)]))
     title = minidom.parseString(svg).getElementsByTagName("text")[0]
     assert title.firstChild.data.startswith("scenario a<b&c \u2014 RMS E-field")
 
@@ -200,7 +230,7 @@ def test_a_pinned_scale_top_must_be_positive_and_finite(vmax):
     grid = build_grid()
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
     with pytest.raises(ValueError, match="vmax must be positive and finite"):
-        heatmap_svg(heatmap, grid_text(grid, ("svg",)), vmax=vmax)
+        svg_blocks(heatmap, grid_text(grid, ("svg",)), vmax=vmax)
     with pytest.raises(ValueError, match="vmax must be positive and finite"):
-        heatmap_ascii(heatmap, vmax=vmax)
+        ascii_blocks(heatmap, vmax=vmax)
 

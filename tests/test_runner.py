@@ -10,10 +10,13 @@ import numpy as np
 import pytest
 
 import beamfield.field
+import beamfield.render
 import beamfield.runner
 from beamfield import (
     DEFAULT_LIMITS_VPM,
     ConfigError,
+    GridSection,
+    HeatMap,
     ProbeGrid,
     RunConfig,
     ZfInfeasibleError,
@@ -36,8 +39,8 @@ from beamfield.cli import _read_heatmap_csv
 from beamfield.cli import main as cli_main
 from beamfield.config import checked, derive_seed, from_dict
 from beamfield.field import compute_heatmap, heatmaps, probe_gains
-from beamfield.render import grid_text, heatmap_json
-from beamfield.runner import run_links
+from beamfield.render import _BLOCK_CHARS, grid_text, json_blocks, svg_blocks
+from beamfield.runner import _ArtifactWriter, run_links
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "paper-defaults.yaml")
@@ -137,16 +140,25 @@ class TestRun:
 
     def test_grid_text_built_once_per_run(self, tmp_path, monkeypatch):
         grids = []
+        calls = []
         real = beamfield.runner.grid_text
+        real_maps = beamfield.runner.heatmaps
 
         def counting(grid, formats):
             grids.append(grid)
+            calls.append("grid_text")
             return real(grid, formats)
 
+        def mapping(*args, **kwargs):
+            calls.append("heatmaps")
+            return real_maps(*args, **kwargs)
+
         monkeypatch.setattr(beamfield.runner, "grid_text", counting)
+        monkeypatch.setattr(beamfield.runner, "heatmaps", mapping)
         config = small_config(scenarios=RunConfig().scenarios,
                               formats=("ascii", "csv", "json", "svg"))
         manifest = run(config, out_dir=str(tmp_path))
+        assert calls == ["heatmaps", "grid_text"]
         assert len(grids) == 1
         assert grids[0] == build_grid(config.grid, room=config.room)
         assert sum(a["type"] == "heatmap-svg" for a in manifest.artifacts) == 9
@@ -213,7 +225,7 @@ class TestRun:
             want = compute_heatmap(link.scenario, link.precoder, grid, gains,
                                    calibration=config.calibration)
             written = (tmp_path / f"heatmap_scenario_{link.scenario.id}.json").read_text()
-            assert written == heatmap_json(want, text)
+            assert written == "".join(json_blocks(want, text))
 
     def test_maps_from_a_generator_equal_maps_from_a_list(self):
         # The 0.1 m grid spans 18 blocks, so every pair meets every block.
@@ -247,6 +259,53 @@ class TestRun:
             tracemalloc.stop()
         assert peak < matrix_bytes
 
+    def test_the_writer_holds_one_block_of_text_beyond_the_grid_text(self, tmp_path):
+        # The 0.05 m grid, 17 061 points: one map's SVG is about 3.6 MB of
+        # text.  Per map the writer holds its cells' arrays (scaled values,
+        # colours, label colours and ASCII levels, and while the colours
+        # are made their temporaries), under 96 bytes a cell, and about one
+        # block of text with its bytes and slots.
+        grid = build_grid(GridSection(spacing=0.05))
+        assert grid.n_points == 17_061
+        values = np.random.default_rng(18).uniform(0, 5, grid.n_points)
+        heatmap = HeatMap(grid=grid, values=values, scenario_id="1")
+        formats = ("ascii", "csv", "json", "svg")
+        text = grid_text(grid, formats)
+        writer = _ArtifactWriter(str(tmp_path), formats)
+        tracemalloc.start()
+        try:
+            writer.heatmap(heatmap, text, scenario="1", markers=[(0.0, 2.0)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "heatmap_scenario_1.svg").stat().st_size > 3_600_000
+        assert peak < 96 * grid.n_points + 4 * _BLOCK_CHARS
+
+    def test_a_write_that_fails_part_way_closes_its_file(self, tmp_path, monkeypatch):
+        # The 0.1 m grid's SVG spans several blocks; its second fails.  The
+        # first block's bytes are on disk, so the file was flushed and
+        # closed, and the artifact is not recorded.
+        grid = build_grid(GridSection(spacing=0.1))
+        heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
+        text = grid_text(grid, ("svg",))
+        first = next(svg_blocks(heatmap, text))
+        real = beamfield.render.heatmap_svg
+        made = []
+
+        def failing(*args):
+            if made:
+                raise RuntimeError("second block")
+            made.append(real(*args))
+            return made[-1]
+
+        monkeypatch.setattr(beamfield.render, "heatmap_svg", failing)
+        writer = _ArtifactWriter(str(tmp_path), ("svg",))
+        with pytest.raises(RuntimeError, match="second block"):
+            writer.heatmap(heatmap, text, scenario="1")
+        assert made == [first]
+        assert (tmp_path / "heatmap_scenario_1.svg").read_bytes() == first.encode()
+        assert writer._records == []
+
     def test_expected_artifacts(self, tmp_path):
         run(small_config(), out_dir=str(tmp_path))
         names = set(os.listdir(tmp_path))
@@ -271,8 +330,8 @@ class TestRun:
                 assert hashlib.sha256(fh.read()).hexdigest() == art["sha256"]
 
     def test_manifest_hashes_artifacts_of_several_chunks(self, tmp_path):
-        # The 0.1 m grid's CSV, about 84 kB, is written, hashed and
-        # verified in 64 KiB chunks; a change to its last byte is found.
+        # The 0.1 m grid's CSV, about 84 kB, is verified in 64 KiB chunks;
+        # a change to its last byte is found.
         config = small_config(scenarios=("1",), formats=("csv",),
                               grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
         manifest = run(config, out_dir=str(tmp_path))
