@@ -5,8 +5,8 @@ default, line of sight plus first-order image sources for the six room
 surfaces (``image-order-1``: four walls, floor, ceiling).  Each surface
 contributes a mirrored transmitter whose ray is weighted by that
 surface's amplitude reflection coefficient, which reproduces the dominant
-standing-wave structure of an indoor link without a full ray tracer.  The images of a whole array are built in one numpy
-pass: each surface is a reflection of one coordinate across its plane.
+standing-wave structure of an indoor link without a full ray tracer.  Each
+surface mirrors one coordinate, so an array's image is one column mirrored.
 
 :func:`generate_channel` takes a sequence of scenarios, so a run's link
 block gets every scenario's channel from one gain evaluation.
@@ -98,28 +98,15 @@ class ChannelMatrix:
         return self.h.shape[1]
 
 
-def _images(room, points):
-    """First-order images of the (T x 3) ``points`` in the six room surfaces.
-
-    Returns a (6, T, 3) array of mirrored points and the six amplitude
-    reflection coefficients, both in the fixed order x-low wall, x-high
-    wall, y-low wall, y-high wall, floor, ceiling.
-    """
-    images = np.tile(points, (6, 1, 1))
-    for surface in range(6):
-        axis = surface // 2
-        images[surface, :, axis] = _mirror(room, surface, points[:, axis])
-    return images, _coefficients(room)
-
-
 def _coefficients(room):
-    """The six surfaces' amplitude reflection coefficients, in the order of :func:`_images`."""
+    """The six surfaces' amplitude reflection coefficients, in the fixed order
+    x-low wall, x-high wall, y-low wall, y-high wall, floor, ceiling."""
     return (*room.wall_reflections(), room.floor_reflection, room.ceiling_reflection)
 
 
 def _mirror(room, surface, v):
     """Coordinate ``v`` on axis ``surface // 2`` mirrored in ``surface`` (numbered as
-    in :func:`_images`); ``v`` is a float or an array.  The planes y = 0 and
+    in :func:`_coefficients`); ``v`` is a float or an array.  The planes y = 0 and
     z = 0 negate it, so a coordinate of 0 mirrors to -0.0.
     """
     if surface in (2, 4):
@@ -129,7 +116,7 @@ def _mirror(room, surface, v):
 
 
 def _reflecting(room, mode, points, what):
-    """The surfaces, numbered as in :func:`_images`, whose images the ray model
+    """The surfaces, numbered as in :func:`_coefficients`, whose images the ray model
     ``mode`` adds to the direct rays: none in LoS, in image mode each whose
     coefficient is not 0.  In image mode the (x, y, z) rows ``points`` must
     lie inside the room (:meth:`~beamfield.geometry.Room.require_inside`),
@@ -255,7 +242,7 @@ def propagation_gains(tx_points, rx_points, frequency, room, mode, pattern):
     """Complex gain matrix (n_rx x n_tx) of the ray model ``mode`` and element ``pattern``.
 
     The sources are the transmit points, then their images in the surfaces
-    of :func:`_reflecting`, in the order of :func:`_images`.  Each adds its
+    of :func:`_reflecting`, in the order of :func:`_coefficients`.  Each adds its
     rays scaled by its coefficient and then by the element pattern, in
     that order.
     Receivers are taken in blocks of about ``_GAIN_BLOCK_ENTRIES`` gains,
@@ -278,15 +265,14 @@ def propagation_gains(tx_points, rx_points, frequency, room, mode, pattern):
     tx_points = np.atleast_2d(np.asarray(tx_points, dtype=float))
     rx_points = np.atleast_2d(np.asarray(rx_points, dtype=float))
     cosine = pattern == PATTERN_COSINE
-    # Per image: its points, coefficient, the one axis its mirror changes
-    # (image s mirrors axis s // 2) and whether it coincides with the
-    # transmit points.
+    # Per image: the one axis its mirror changes (image s mirrors axis
+    # s // 2), the transmit points' mirrored coordinates on it, its
+    # coefficient and whether it coincides with the transmit points.
     images = []
-    if surfaces:
-        mirrored, coeffs = _images(room, tx_points)
-        images = [(mirrored[s], coeffs[s], s // 2,
-                   np.array_equal(mirrored[s][:, s // 2], tx_points[:, s // 2]))
-                  for s in surfaces]
+    for s in surfaces:
+        mirrored = _mirror(room, s, tx_points[:, s // 2])
+        images.append((s // 2, mirrored, _coefficients(room)[s],
+                       np.array_equal(mirrored, tx_points[:, s // 2])))
 
     n_rx, n_tx = len(rx_points), len(tx_points)
     g = np.empty((n_rx, n_tx), dtype=np.complex128)
@@ -329,9 +315,9 @@ def _block_gains(rx, tx_points, images, lam, cosine, out, real, gains):
     else:
         out[...] = direct
 
-    for points, coeff, axis, coincident in images:
+    for axis, mirrored, coeff, coincident in images:
         if not coincident or (cosine and axis == 1):
-            np.subtract(rx[:, axis, None], points[:, axis], out=diff)
+            np.subtract(rx[:, axis, None], mirrored, out=diff)
         if coincident:
             ray_d = d_direct
             np.multiply(direct, coeff, out=ray)

@@ -150,7 +150,9 @@ def _read_heatmap_csv(path):
     from .field import HeatMap
 
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 stays in its field as a lone surrogate, so the
+    # row or header it is in is reported like any other malformed one.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != "x_m,y_m,e_vpm":
             raise ConfigError(f"{path}: not a heat-map CSV (header {header!r})")

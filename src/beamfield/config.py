@@ -25,6 +25,7 @@ fit distance validation built and checked, which is all a run reads.
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import islice
 
 import yaml
 
@@ -95,6 +96,45 @@ def derive_seed(base_seed, scenario_index, stream):
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# Most characters of a document value that an error message echoes.
+_ECHO_CHARS = 200
+
+
+def _echo(value):
+    """``repr(value)``, or its first ``_ECHO_CHARS`` characters and "..." when longer.
+
+    The text is made piece by piece, and only until it is that long, so a
+    value that a chain of YAML aliases makes huge, or that nests deeper
+    than Python can recurse, costs no more than a short one.
+    """
+    text = "".join(islice(_repr_pieces(value), _ECHO_CHARS + 1))
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
+_BRACKETS = {list: "[]", tuple: "()", dict: "{}"}
+
+
+def _repr_pieces(value):
+    """The text of ``repr(value)`` in non-empty pieces; a list, tuple or dict
+    makes the pieces of its items only as they are taken."""
+    brackets = _BRACKETS.get(type(value))
+    if brackets is None:
+        yield repr(value)
+        return
+    yield brackets[0]
+    for i, item in enumerate(value):
+        if i:
+            yield ", "
+        if type(value) is dict:
+            yield from _repr_pieces(item)
+            yield ": "
+            item = value[item]
+        yield from _repr_pieces(item)
+    if type(value) is tuple and len(value) == 1:
+        yield ","
+    yield brackets[1]
+
+
 def _coerce(value, kind, path):
     """``value`` as ``kind`` (bool, int, float or str), or a ConfigError."""
     if kind in (bool, str):
@@ -110,13 +150,13 @@ def _coerce(value, kind, path):
                 return number
             if number.is_integer():
                 return value if isinstance(value, int) else int(number)
-    raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+    raise ConfigError(f"{path}: expected {kind.__name__}, got {_echo(value)}")
 
 
 def _sequence(value, path, length=None):
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
         size = "a list" if length is None else f"a list of {length} values"
-        raise ConfigError(f"{path}: expected {size}, got {value!r}")
+        raise ConfigError(f"{path}: expected {size}, got {_echo(value)}")
     return value
 
 
@@ -137,7 +177,7 @@ def _scenario_id(value, path):
     """
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ConfigError(f"{path}: expected a scenario id (a string or an integer), "
-                          f"got {value!r}; quote it")
+                          f"got {_echo(value)}; quote it")
     return str(value)
 
 
@@ -153,7 +193,8 @@ def _custom_scenarios(value, path):
 def _formats(value, path):
     bad = [f for f in _sequence(value, path) if f not in EXPORT_FORMATS]
     if bad:
-        raise ConfigError(f"{path}: unknown entries {bad}; valid: {list(EXPORT_FORMATS)}")
+        raise ConfigError(f"{path}: unknown entries {_echo(bad)}; "
+                          f"valid: {list(EXPORT_FORMATS)}")
     return tuple(sorted(set(value)))
 
 
@@ -184,7 +225,7 @@ def _retired(where, value):
         return False
     accepted, reason = _RETIRED[where]
     if type(value) is not type(accepted) or value != accepted:
-        raise ConfigError(f"{where}: retired, {reason}; remove the key (got {value!r})")
+        raise ConfigError(f"{where}: retired, {reason}; remove the key (got {_echo(value)})")
     return True
 
 
@@ -262,15 +303,50 @@ def _rejecting_repeated_keys(loader):
 _YAML_LOADER = _rejecting_repeated_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
+# Deepest nesting of collections a document may have.  libyaml composes a
+# document by recursion in C, and near 30 000 levels it overflows the stack:
+# the process dies of a segmentation fault.  A config nests fewer than ten.
+_MAX_NESTING = 5000
+
+
+def _check_nesting(fh):
+    """Raise :class:`yaml.YAMLError` if the YAML of the binary file ``fh``
+    nests collections more than ``_MAX_NESTING`` deep, before it is composed.
+
+    Every collection opens with one of the bytes ``[{-:?`` (in UTF-8 and
+    UTF-16 alike), so their count bounds the depth, and only a document
+    with more of them is parsed to events, which costs about as much as
+    loading it.
+    """
+    data = fh.read()
+    fh.seek(0)
+    if sum(data.count(c) for c in b"[{-:?") <= _MAX_NESTING:
+        return
+    depth = 0
+    for event in yaml.parse(fh, Loader=_YAML_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > _MAX_NESTING:
+                raise yaml.YAMLError(f"collections nested more than {_MAX_NESTING} deep")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+    fh.seek(0)
+
+
 def read_yaml(path):
     """Parse a YAML config file; an empty file is an empty mapping.
 
-    Malformed YAML, a repeated key included, raises :class:`ConfigError`.
+    The YAML reader decodes the file: UTF-8, or UTF-16 with a byte-order
+    mark.  Malformed YAML raises :class:`ConfigError`: a repeated key, a
+    byte the encoding does not allow and collections nested more than
+    ``_MAX_NESTING`` deep included, or, where libyaml is absent, deeper
+    than PyYAML's own composer, which recurses in Python, can go.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         try:
+            _check_nesting(fh)
             raw = yaml.load(fh, Loader=_YAML_LOADER)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     return raw if raw is not None else {}
 

@@ -8,14 +8,10 @@ class BeamfieldError(Exception):
 class ZfInfeasibleError(BeamfieldError, ValueError):
     """Zero-forcing cannot separate the users (effective channel rank deficient).
 
-    ``pivot_index`` is the first user whose row is not separable from the
+    The message names the first user whose row is not separable from the
     rows before it (its energy left after projecting them out fell below
     the rank threshold).
     """
-
-    def __init__(self, message, pivot_index):
-        super().__init__(message)
-        self.pivot_index = pivot_index
 
 
 class DegenerateChannelError(BeamfieldError, ValueError):

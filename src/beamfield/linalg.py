@@ -23,8 +23,7 @@ def right_pseudo_inverse(h):
     This is the core of the zero-forcing precoder: the result satisfies
     ``h @ right_pseudo_inverse(h) == I`` up to numerical residual.  With
     ``h^H = Q R`` it equals ``Q R^-H``.  Raises :class:`ZfInfeasibleError`
-    whose ``pivot_index`` is the first row (user) not separable from the
-    rows before it.
+    naming the first row (user) not separable from the rows before it.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2:
@@ -39,9 +38,8 @@ def right_pseudo_inverse(h):
     threshold = RANK_EPS * np.max(np.sum(np.abs(h) ** 2, axis=1)) if m else 0.0
     deficient = np.flatnonzero((residual < threshold) | (residual == 0))
     if deficient.size:
-        k = int(deficient[0])
         raise ZfInfeasibleError(
-            f"ZF infeasible: user {k} is not separable from the users before it "
-            "(colinear effective channels)", pivot_index=k
+            f"ZF infeasible: user {deficient[0]} is not separable from the users before it "
+            "(colinear effective channels)"
         )
     return np.linalg.solve(r, q.conj().T).conj().T

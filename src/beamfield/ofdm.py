@@ -99,10 +99,8 @@ np = _numpy_on_first_use(globals())
 
 _QAM_SCALE = 1.0 / math.sqrt(42.0)
 
-# level = _LEVEL_BY_VALUE[3-bit value], MSB first; inverse below.
+# level = _LEVEL_BY_VALUE[3-bit value], MSB first; _tables derives the inverse.
 _LEVEL_BY_VALUE = (-7, -5, -1, -3, 7, 5, 1, 3)
-# 3-bit value = _VALUE_BY_LEVEL_INDEX[(level + 7) // 2]
-_VALUE_BY_LEVEL_INDEX = (0, 1, 3, 2, 6, 7, 5, 4)
 
 #: Most samples one stream is simulated over in a run: frames x OFDM symbols x
 #: active subcarriers.  It bounds both the per-frame arrays and the run time;
@@ -192,13 +190,15 @@ def _tables():
     """The symbol tables as arrays, built on first use, so that importing this
     module loads no numpy: the constellation point of every 6-bit symbol
     index, the set bits of every 6-bit value (a decision's bit errors are
-    ``popcount[sent ^ decided]``) and ``_VALUE_BY_LEVEL_INDEX``.
+    ``popcount[sent ^ decided]``) and the inverse of ``_LEVEL_BY_VALUE``:
+    the 3-bit value of each level index ``(level + 7) // 2``.
     """
     symbols = np.arange(64)
     levels = np.array(_LEVEL_BY_VALUE, dtype=np.int64)
     constellation = (levels[symbols >> 3] + 1j * levels[symbols & 7]) * _QAM_SCALE
     popcount = np.array([bin(v).count("1") for v in range(64)], dtype=np.uint8)
-    value_by_level_index = np.array(_VALUE_BY_LEVEL_INDEX, dtype=np.uint8)
+    value_by_level_index = np.empty(len(levels), dtype=np.uint8)
+    value_by_level_index[(levels + 7) // 2] = np.arange(len(levels))
     return constellation, popcount, value_by_level_index
 
 

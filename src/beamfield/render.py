@@ -117,9 +117,9 @@ def _levels(values, top):
 class GridText:
     """The artifact text of a heat map that depends only on its probe grid.
 
-    ``csv``, ``json`` and ``svg`` each hold one ``(start, stop, template)``
-    per block of whole grid rows, in grid order; the blocks of a format
-    not requested are None.  ``start:stop`` are the block's cells, and its
+    ``templates`` maps each format built (a key of ``_TEMPLATES``) to one
+    ``(start, stop, template)`` per block of whole grid rows, in grid
+    order.  ``start:stop`` are the block's cells, and its
     ``%``-template has one slot per cell (four per SVG cell: fill, value,
     label colour, label), so a block's text is one fill of its template.
     The first block opens the file and the last closes it: the SVG has two
@@ -132,19 +132,16 @@ class GridText:
     """
 
     grid: object
-    csv: tuple
-    json: tuple
-    svg: tuple
+    templates: dict
 
     def blocks(self, heatmap, name):
         """The ``name`` blocks for ``heatmap``; ValueError unless they were
         built and the map lies on this text's grid."""
         if self.grid != heatmap.grid:
             raise ValueError("heat map and grid text come from different grids")
-        blocks = getattr(self, name)
-        if blocks is None:
+        if name not in self.templates:
             raise ValueError(f"grid text was built without the {name} template")
-        return blocks
+        return self.templates[name]
 
 
 def _blocks(head, rows, tail, n_x):
@@ -269,21 +266,23 @@ def _svg_template(xs, ys):
     return _blocks(head, (row(iy, y) for iy, y in enumerate(ys)), tail, n_x)
 
 
+# The template builder of each format with grid-only text; ASCII needs none.
+_TEMPLATES = {"csv": _csv_template, "json": _json_template, "svg": _svg_template}
+
+
 def grid_text(grid, formats):
     """Format the grid-only parts of the heat-map artifacts of ``grid`` once.
 
     A run builds this once and shares it with every map it writes: the
     coordinates, the SVG cell geometry, the axis labels and the colour
     bar are the same for each scenario, so only the values and what they
-    colour are formatted per map.  Only the CSV, JSON and SVG templates
-    named in ``formats`` are built; ASCII needs none.
+    colour are formatted per map.  Only the templates of the ``formats``
+    that have one are built.
     """
     xs = np.asarray(grid.x_values, dtype=float)
     ys = np.asarray(grid.y_values, dtype=float)
-    return GridText(grid=grid,
-                    csv=_csv_template(xs, ys) if "csv" in formats else None,
-                    json=_json_template(xs, ys) if "json" in formats else None,
-                    svg=_svg_template(xs, ys) if "svg" in formats else None)
+    return GridText(grid=grid, templates={name: build(xs, ys) for name, build in
+                                          _TEMPLATES.items() if name in formats})
 
 
 def heatmap_csv(template, values):

@@ -29,6 +29,7 @@ from beamfield import (
     build_grid,
     check,
     combining_vectors,
+    config,
     estimate_csi,
     extract_cut,
     generate_channel,
@@ -38,6 +39,7 @@ from beamfield import (
 )
 from beamfield.channel import lit_above, may_reach_unit_gain, propagation_gains
 from beamfield.geometry import ue_antenna_positions
+from beamfield.render import GridText
 from beamfield.runner import run_links
 from beamfield.stats import SummaryStats
 from test_config import CONFIG_PATH, _placement_sweep_document
@@ -63,13 +65,15 @@ PUBLIC = [
 # owners of a rule: the 2-D room test, the error ZF infeasibility re-labelled,
 # the matrix check only the pseudo-inverse called and the CLI's copy of the
 # document's seed, scenario and format rules; a wrapper over the findings
-# tuple and a second spelling of the noiseless receiver.
+# tuple, a second spelling of the noiseless receiver, the array of every
+# image point that the mirror rule (``channel._mirror``) states per
+# coordinate, and the inverse Gray table ``ofdm._tables`` derives.
 REMOVED = ("los_gain", "element_field", "superpose_fields", "power_to_field",
            "field_to_power", "FREE_SPACE_IMPEDANCE", "interference_ratio",
            "DEFAULT_CARRIER_HZ", "_field_gains", "LimitTable", "map_64qam",
            "demap_64qam", "_index_bits", "_BIT_WEIGHTS", "_BIT_SHIFTS",
            "in_footprint", "SingularMatrixError", "as_complex_matrix", "_apply_overrides",
-           "ValidationReport", "_noise_power")
+           "ValidationReport", "_noise_power", "_images", "_VALUE_BY_LEVEL_INDEX")
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -236,9 +240,33 @@ def test_the_openblas_thread_count_changes_no_byte(tmp_path):
     assert manifests[0] == manifests[1]
 
 
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("nest", ["[" * 40_000 + "x" + "]" * 40_000, "\n" + "- " * 40_000 + "x"],
+                         ids=["flow", "block"])
+def test_yaml_nested_past_libyaml_s_stack_is_an_error_not_a_crash(tmp_path, verb, nest):
+    # libyaml composes a document by recursion in C: at 40 000 levels a
+    # launch died of a segmentation fault (exit 139), so it runs apart.
+    path = tmp_path / "deep.yaml"
+    path.write_text(f"seed: 1\nformats: {nest}\n")
+    out = ["--out", str(tmp_path / "out")] if verb == "run" else []
+    result = _launch("-m", "beamfield.cli", verb, "--config", str(path), *out)
+    assert result.returncode == 1, result.stderr[-2000:]
+    assert result.stdout == ""
+    assert result.stderr == (f"error: {path}: not valid YAML: collections nested more than "
+                             f"{config._MAX_NESTING} deep\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_test_only_helpers_stay_out_of_the_package():
     for module in _modules():
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
+
+
+def test_a_zf_failure_is_its_message():
+    # The message names the first user that is not separable; no attribute repeats it.
+    error = beamfield.ZfInfeasibleError("ZF infeasible: user 1 is not separable")
+    assert vars(error) == {}
+    assert not hasattr(error, "pivot_index")
 
 
 def test_fields_nothing_reads_stay_deleted():
@@ -267,6 +295,8 @@ def test_a_result_is_stated_once():
                                           "mean_vpm", "p95_vpm"]
     assert "limit_vpm" in _field_names(ComplianceReport)
     assert "limit" not in _field_names(ComplianceReport)
+    # The built grid templates are one mapping by format, with no None per format left out.
+    assert _field_names(GridText) == ["grid", "templates"]
 
 
 def _parameters(fn):

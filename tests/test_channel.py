@@ -18,8 +18,9 @@ from beamfield import (
 )
 from beamfield.channel import (
     _GAIN_BLOCK_ENTRIES,
-    _images,
+    _coefficients,
     _lengths,
+    _mirror,
     lit_above,
     may_reach_unit_gain,
     propagation_gains,
@@ -56,21 +57,24 @@ class TestLosGain:
 
 
 class TestImages:
-    """The mirror array against image positions written out by hand."""
+    """The mirror rule against image positions written out by hand."""
 
-    def test_six_first_order_images(self, room):
-        images, coeffs = _images(room, np.array([(0.0, 1.0, 1.5), (0.5, 2.0, 1.0)]))
-        assert images.shape == (6, 2, 3)
-        assert len(coeffs) == 6
+    @staticmethod
+    def images(room, points):
+        """Every point mirrored in each of the six surfaces: (6, T, 3)."""
+        images = np.tile(points, (6, 1, 1))
+        for surface in range(6):
+            images[surface, :, surface // 2] = _mirror(room, surface, points[:, surface // 2])
+        return images
 
     def test_floor_mirror(self, room):
-        images, coeffs = _images(room, np.array([(0.0, 0.0, 1.5)]))
+        images = self.images(room, np.array([(0.0, 0.0, 1.5)]))
         assert np.array_equal(images[4, 0], (0.0, 0.0, -1.5))
-        assert coeffs[4] == room.floor_reflection
+        assert _coefficients(room)[4] == room.floor_reflection
 
     def test_wall_mirrors(self, room):
         # Room: |x| <= 3.75, 0 <= y <= 15, 0 <= z <= 3.
-        images, coeffs = _images(room, np.array([(1.0, 2.0, 1.0)]))
+        images = self.images(room, np.array([(1.0, 2.0, 1.0)]))
         want = [
             (-8.5, 2.0, 1.0),   # x = -3.75 wall
             (6.5, 2.0, 1.0),    # x = +3.75 wall
@@ -80,11 +84,11 @@ class TestImages:
             (1.0, 2.0, 5.0),    # ceiling z = 3
         ]
         assert np.array_equal(images[:, 0], want)
-        assert coeffs == (-0.6, -0.6, -0.6, -0.6, -0.4, -0.4)
+        assert _coefficients(room) == (-0.6, -0.6, -0.6, -0.6, -0.4, -0.4)
 
     def test_every_point_is_mirrored(self, room):
         pts = np.array([(1.0, 2.0, 1.0), (-3.0, 14.0, 0.5), (0.0, 0.0, 3.0)])
-        images, _ = _images(room, pts)
+        images = self.images(room, pts)
         assert np.array_equal(images[:, 1], [
             (-4.5, 14.0, 0.5), (10.5, 14.0, 0.5), (-3.0, -14.0, 0.5),
             (-3.0, 16.0, 0.5), (-3.0, 14.0, -0.5), (-3.0, 14.0, 5.5)])
@@ -92,12 +96,14 @@ class TestImages:
             (-7.5, 0.0, 3.0), (7.5, 0.0, 3.0), (0.0, 0.0, 3.0),
             (0.0, 30.0, 3.0), (0.0, 0.0, -3.0), (0.0, 0.0, 3.0)])
         assert np.array_equal(pts[0], (1.0, 2.0, 1.0))
+        # The scalar screens and the gains read one rule.
+        assert [_mirror(room, s, float(pts[1, s // 2])) for s in range(6)] == \
+            [images[s, 1, s // 2] for s in range(6)]
 
     def test_per_wall_reflections(self):
         room = Room(wall_reflection=(-0.1, -0.2, -0.3, -0.4), floor_reflection=-0.5,
                     ceiling_reflection=0.0)
-        _, coeffs = _images(room, np.array([(0.0, 1.0, 1.5)]))
-        assert coeffs == (-0.1, -0.2, -0.3, -0.4, -0.5, 0.0)
+        assert _coefficients(room) == (-0.1, -0.2, -0.3, -0.4, -0.5, 0.0)
 
     def test_outside_room_rejected(self, room):
         tx = [(0.0, 0.0, 1.5), (10.0, 1.0, 1.0), (0.0, -1.0, 1.0)]

@@ -312,34 +312,92 @@ BAD_DOCUMENTS = [
      "finding: grid: a probe point coincides exactly with a transmit element\n"),
     ("probe-on-an-element-61-columns", _element_on_the_grid(0.1),
      "finding: grid: a probe point coincides exactly with a transmit element\n"),
+    # libyaml composes by recursion in C: 40 000 levels killed the process.
+    ("block-nesting-beyond-the-limit",
+     "seed: 1\nformats:\n" + "- " * config._MAX_NESTING + "x\n",
+     f"not valid YAML: collections nested more than {config._MAX_NESTING} deep\n"),
+    # The file was decoded as UTF-8 before the YAML reader saw it: exit 2, no file named.
+    ("bad-byte", b"seed: 1\nformats: [\xff]\n", "bad.yaml: not valid YAML: "),
 ]
 
 
-@pytest.mark.parametrize("text,expected", [case[1:] for case in BAD_DOCUMENTS],
-                         ids=[case[0] for case in BAD_DOCUMENTS])
+def _alias_chain(levels=7, width=10, anchor="a"):
+    """A flow list whose item k holds ``width`` aliases of item k - 1, anchored
+    as ``anchor`` and k: at the defaults its repr is 58 MB, from under 400
+    bytes of YAML."""
+    items = [f"&{anchor}0 [" + ", ".join(["x"] * width) + "]"]
+    items += [f"&{anchor}{k} [" + ", ".join([f"*{anchor}{k - 1}"] * width) + "]"
+              for k in range(1, levels)]
+    return "[" + ", ".join(items) + "]"
+
+
+def _nested(depth):
+    """A flow list ``depth`` levels deep."""
+    return "[" * depth + "x" + "]" * depth
+
+
+# Documents whose values were echoed whole: a finding of 58 MB, or a
+# RecursionError while the message was formatted.  The loader parity test
+# below does not read them: it reprs each loaded document, PyYAML's own
+# composer recurses in Python and its parser is quadratic in flow depth.
+HOSTILE_DOCUMENTS = [
+    ("alias-chain-formats", f"seed: 1\nformats: {_alias_chain()}\n",
+     "finding: formats: unknown entries [['x', 'x', "),
+    ("alias-chain-seed", f"seed: {_alias_chain()}\n", "finding: seed: expected int, got [["),
+    ("alias-chain-scenarios", f"seed: 1\nscenarios: [{_alias_chain()}]\n",
+     "finding: scenarios[0]: expected a scenario id (a string or an integer), got [["),
+    ("alias-chain-ue-positions",
+     f"seed: 1\ncustom_scenarios: [{{id: a, ue_positions: [{_alias_chain()}]}}]\n",
+     "finding: custom_scenarios[0].ue_positions[0]: expected a list of 2 values, got [["),
+    ("alias-chain-workers", f"seed: 1\nworkers: {_alias_chain()}\n",
+     "finding: workers: retired, runs are serial; remove the key (got [["),
+    ("nesting-3000-deep", f"seed: 1\nformats: {_nested(3000)}\n",
+     "finding: formats: unknown entries [[[[[["),
+    # With the mapping around it, the list nests one level less than the limit, or one more.
+    ("nesting-at-the-limit", f"seed: 1\nformats: {_nested(config._MAX_NESTING - 1)}\n",
+     "finding: formats: unknown entries [[[[[["),
+    ("flow-nesting-beyond-the-limit", f"seed: 1\nformats: {_nested(config._MAX_NESTING)}\n",
+     f"not valid YAML: collections nested more than {config._MAX_NESTING} deep\n"),
+]
+
+
+def _write(path, text):
+    """A case's document into ``path``: str as UTF-8, bytes as they are."""
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+
+
+def _assert_short(output):
+    """Under 1 KB, and no traceback."""
+    assert len(output.encode("utf-8")) < 1024
+    assert "Traceback" not in output
+
+
+@pytest.mark.parametrize("text,expected", [case[1:] for case in BAD_DOCUMENTS + HOSTILE_DOCUMENTS],
+                         ids=[case[0] for case in BAD_DOCUMENTS + HOSTILE_DOCUMENTS])
 def test_bad_document_is_a_finding(tmp_path, capsys, text, expected):
     path = tmp_path / "bad.yaml"
-    path.write_text(text)
+    _write(path, text)
     assert cli_main(["validate", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     output = captured.out + captured.err
     assert expected in output
     assert output.startswith(("finding: ", "error: "))
     if "not valid YAML" not in expected:
-        plan, findings = config.checked(yaml.safe_load(text))
+        plan, findings = config.checked(read_yaml(path))
         assert findings != () and plan is None
+    _assert_short(output)
 
 
-@pytest.mark.parametrize("text,expected", [case[1:] for case in BAD_DOCUMENTS],
-                         ids=[case[0] for case in BAD_DOCUMENTS])
+@pytest.mark.parametrize("text,expected", [case[1:] for case in BAD_DOCUMENTS + HOSTILE_DOCUMENTS],
+                         ids=[case[0] for case in BAD_DOCUMENTS + HOSTILE_DOCUMENTS])
 def test_bad_document_does_not_run(tmp_path, capsys, text, expected):
     path = tmp_path / "bad.yaml"
-    path.write_text(text)
+    _write(path, text)
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert expected in captured.err
-    assert "Traceback" not in captured.out + captured.err
+    _assert_short(captured.out + captured.err)
     assert not (tmp_path / "out").exists()
 
 
@@ -475,7 +533,7 @@ def test_libyaml_loader_reads_what_the_python_loader_reads(tmp_path, capsys, mon
     if yaml.__with_libyaml__:
         assert issubclass(chosen, yaml.CSafeLoader)
     path = tmp_path / "doc.yaml"
-    path.write_text(text)
+    _write(path, text)
     outcomes = []
     for loader in (config._rejecting_repeated_keys(yaml.SafeLoader), chosen):
         monkeypatch.setattr(config, "_YAML_LOADER", loader)
@@ -619,6 +677,69 @@ def test_any_document_gives_a_config_error_or_a_report(doc):
     findings = validate(doc)
     assert isinstance(findings, tuple)
     assert all(isinstance(f, str) for f in findings)
+
+
+# YAML text, not Python objects: flow values that may be alias chains or
+# nest deep, under RunConfig's keys and a retired one, with perhaps one byte
+# that is not UTF-8 or not allowed in YAML.  The nests stay far below the
+# depth at which libyaml crashed, so the test runs in this process.
+_YAML_SCALARS = st.sampled_from(["1", "-3", "2.5", "1e-4", ".nan", ".inf", "true", "no", "~",
+                                 "''", "x", "csv", "'1'", '"\\u00e9"', "2001-12-14"])
+_YAML_KEYS = st.sampled_from(["id", "ue_positions", "frames", "time_domain", "spacing", "mode",
+                              "zz"])
+_YAML_VALUES = st.recursive(
+    st.one_of(_YAML_SCALARS,
+              st.builds(_nested, st.sampled_from([2, 64, 1500, config._MAX_NESTING])),
+              st.builds(_alias_chain, st.integers(1, 7), st.integers(1, 10),
+                        st.sampled_from(["a", "b", "c"]))),
+    lambda values: st.one_of(
+        st.lists(values, max_size=4).map(lambda items: "[" + ", ".join(items) + "]"),
+        st.lists(st.tuples(_YAML_KEYS, values), max_size=3).map(
+            lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}")),
+    max_leaves=6)
+
+
+@st.composite
+def _yaml_texts(draw):
+    keys = draw(st.lists(st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]
+                                         + ["workers"]), unique=True, max_size=4))
+    seed = draw(st.just("1") | _YAML_VALUES)
+    data = "".join(f"{key}: {value}\n" for key, value in
+                   [("seed", seed)] + [(key, draw(_YAML_VALUES)) for key in keys]).encode()
+    if not draw(st.booleans()):
+        return data
+    at = draw(st.integers(0, len(data)))
+    byte = draw(st.sampled_from([b"\x00", b"\x80", b"\xc3", b"\xfe", b"\xff"]))
+    return data[:at] + byte + data[at:]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_yaml_texts())
+def test_any_yaml_text_gives_a_short_report(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.yaml")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["validate", "--config", path])
+    assert code in (0, 1)
+    _assert_short(out.getvalue() + err.getvalue())
+
+
+def test_the_python_loader_reports_a_nest_too_deep_for_it(tmp_path, monkeypatch):
+    # PyYAML's own composer recurses in Python: 1 000 levels exceed the recursion limit.
+    monkeypatch.setattr(config, "_YAML_LOADER", config._rejecting_repeated_keys(yaml.SafeLoader))
+    path = tmp_path / "deep.yaml"
+    _write(path, "seed: 1\nformats:\n" + "- " * 1000 + "x\n")
+    with pytest.raises(ConfigError, match="not valid YAML: maximum recursion depth"):
+        read_yaml(path)
+
+
+def test_a_utf16_document_with_a_byte_order_mark_is_read(tmp_path):
+    path = tmp_path / "utf16.yaml"
+    path.write_bytes("seed: 7\nscenarios: ['\u00e9']\n".encode("utf-16"))
+    assert read_yaml(path) == {"seed": 7, "scenarios": ["\u00e9"]}
 
 
 # Users of the built-in scenarios, and the y of the nearest one.

@@ -56,9 +56,8 @@ class TestRightPseudoInverse:
     def test_pivot_names_first_dependent_row(self, rows, pivot):
         rng = np.random.default_rng(12)
         g = random_complex(rng, (3, 16))
-        with pytest.raises(ZfInfeasibleError, match=f"user {pivot} is not separable") as exc:
+        with pytest.raises(ZfInfeasibleError, match=f"user {pivot} is not separable"):
             right_pseudo_inverse(np.vstack(rows(g)))
-        assert exc.value.pivot_index == pivot
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 3)], ids=["1-D", "3-D"])
     def test_rejects_a_non_matrix(self, shape):

@@ -135,16 +135,17 @@ def test_grid_text_matches_the_per_map_formatters(name, monkeypatch):
     for block_chars in (render._BLOCK_CHARS, 1):
         monkeypatch.setattr(render, "_BLOCK_CHARS", block_chars)
         text = grid_text(grid, ("csv", "json", "svg"))
-        for blocks in (text.csv, text.json, text.svg):
+        assert sorted(text.templates) == ["csv", "json", "svg"]
+        for blocks in text.templates.values():
             # The blocks cover the grid's cells once, in order, in whole rows.
             bounds = [0] + [stop for _, stop, _ in blocks]
             assert [(start, stop) for start, stop, _ in blocks] == list(zip(bounds, bounds[1:]))
             assert bounds[-1] == n
             assert all((stop - start) % len(grid.x_values) == 0 for start, stop, _ in blocks)
         if block_chars == 1:
-            assert len(text.svg) == len(text.csv) == len(text.json) == len(grid.y_values)
+            assert [len(b) for b in text.templates.values()] == [len(grid.y_values)] * 3
         elif name in SPLIT:
-            assert len(text.svg) > 1
+            assert len(text.templates["svg"]) > 1
         for values in (rng.uniform(0, 5, n), rng.exponential(1e-3, n), special,
                        np.zeros(n), np.arange(n)):
             heatmap = HeatMap(grid=grid, values=values, scenario_id="7")
@@ -192,7 +193,7 @@ def test_a_format_whose_template_was_not_built_is_rejected():
     grid = build_grid()
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
     text = grid_text(grid, ("ascii", "csv"))
-    assert (text.json, text.svg) == (None, None)
+    assert list(text.templates) == ["csv"]
     assert joined(csv_blocks(heatmap, text)) == ref.heatmap_csv(heatmap)
     for blocks, name in ((json_blocks, "json"), (svg_blocks, "svg")):
         with pytest.raises(ValueError, match=f"without the {name} template"):

@@ -690,6 +690,18 @@ class TestCli:
         assert err.startswith(f"error: {path}: line {line}: {message}")
         assert not (tmp_path / "heatmap_scenario_1.svg").exists()
 
+    @pytest.mark.parametrize("data, message", [
+        (b"x_m,y_m,e_vpm\n0,1,2\n1,1,2\xff\n", "line 3: not a number in '1,1,2\\udcff'"),
+        (b"x_m,y_m,e_vpm\xc3\n0,1,2\n", "not a heat-map CSV (header 'x_m,y_m,e_vpm\\udcc3')"),
+    ], ids=["row", "header"])
+    def test_render_reports_a_byte_that_is_not_utf8(self, tmp_path, capsys, data, message):
+        # The file was decoded strictly: exit 2 with the codec's message and no file named.
+        path = tmp_path / "heatmap_scenario_1.csv"
+        path.write_bytes(data)
+        assert cli_main(["render", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "heatmap_scenario_1.svg").exists()
+
     @pytest.mark.parametrize("vmax", ["nan", "0", "-1"])
     def test_render_rejects_a_scale_top_that_is_not_positive(self, tmp_path, capsys, vmax):
         path = tmp_path / "heatmap_scenario_1.csv"
