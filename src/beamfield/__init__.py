@@ -12,18 +12,18 @@ each layer module (``beamfield.runner``), loads its module on first use
 (PEP 562), so ``beamfield validate`` loads only ``config``,
 ``geometry``, ``channel``, ``ofdm``, ``stats`` and ``errors``.
 
-``cli`` and those layers load numpy on first use too: each binds
+Those layers load numpy on first use.  Each binds
 ``np = _numpy_on_first_use(globals())``, a stand-in that imports numpy
 when the layer first reads an attribute of it and then rebinds the
 layer's ``np`` to numpy itself, so every later ``np.<name>`` costs what
 an eager import would.  Geometry values are plain floats (tuples of
 positions and axes), and arrays are made only where gains are computed,
 so a ``beamfield validate`` or ``beamfield scenarios`` launch loads no
-numpy at all.  A run loads it when it imports ``beamfield.runner``,
-whose run-only layers import numpy eagerly; a library caller loads it
-with the first array it builds.  Only a document whose unit-gain screen
-cannot clear a UE antenna at the array loads numpy during validation,
-for the exact channel check.
+numpy at all.  ``beamfield run``, the one launch that does, loads it
+when it imports ``beamfield.runner``, whose run-only layers import numpy
+eagerly; a library caller loads it with the first array it builds.  Only
+a document whose unit-gain screen cannot clear a UE antenna at the array
+loads numpy during validation, for the exact channel check.
 """
 
 import importlib

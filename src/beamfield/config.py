@@ -23,6 +23,7 @@ fit distance validation built and checked, which is all a run reads.
 """
 
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import islice
@@ -119,7 +120,10 @@ def _repr_pieces(value):
     makes the pieces of its items only as they are taken."""
     brackets = _BRACKETS.get(type(value))
     if brackets is None:
-        yield repr(value)
+        try:
+            yield repr(value)
+        except ValueError:  # an int beyond sys.get_int_max_str_digits()
+            yield f"an integer of {value.bit_length()} bits"
         return
     yield brackets[0]
     for i, item in enumerate(value):
@@ -143,7 +147,9 @@ def _coerce(value, kind, path):
     elif not isinstance(value, bool):
         try:
             number = float(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:  # an int beyond a float's range
+            raise ConfigError(f"{path}: {_echo(value)} is too large") from None
+        except (TypeError, ValueError):
             pass
         else:
             if kind is float:
@@ -178,7 +184,10 @@ def _scenario_id(value, path):
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ConfigError(f"{path}: expected a scenario id (a string or an integer), "
                           f"got {_echo(value)}; quote it")
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:  # an int beyond sys.get_int_max_str_digits()
+        raise ConfigError(f"{path}: {_echo(value)} is too long for a scenario id") from None
 
 
 def _custom_scenarios(value, path):
@@ -238,7 +247,7 @@ def _section(defaults, doc, path):
     unknown = set(doc) - {f.name for f in fields(defaults)}
     if unknown:
         where = f"{path}: unknown keys" if path else "unknown top-level keys:"
-        raise ConfigError(f"{where} {sorted(unknown, key=str)}")
+        raise ConfigError(f"{where} {_echo(sorted(unknown, key=_echo))}")
     overrides = {}
     for name, value in doc.items():
         where = f"{path}.{name}" if path else name
@@ -266,8 +275,9 @@ def from_dict(raw):
     return _section(RunConfig(), raw, "")
 
 
-def _rejecting_repeated_keys(loader):
-    """``loader`` whose mappings reject a key they repeat, naming it and its line.
+def _strict_loader(loader):
+    """``loader`` that rejects a key its mapping repeats, and an integer it
+    cannot convert, as :class:`yaml.YAMLError` naming the line.
 
     PyYAML keeps the last of a repeated key's values, so ``seed: 1`` then
     ``seed: 2`` would run with seed 2.  Keys a ``<<`` merge brings in are
@@ -277,6 +287,16 @@ def _rejecting_repeated_keys(loader):
         def __init__(self, stream):
             super().__init__(stream)
             self.checked = set()
+
+        def construct_yaml_int(self, node):
+            try:
+                return super().construct_yaml_int(node)
+            # A decimal beyond sys.get_int_max_str_digits(), or !!int on other or empty text.
+            except (ValueError, IndexError):
+                raise yaml.constructor.ConstructorError(
+                    problem=f"{_echo(node.value)} is not an integer of at most "
+                            f"{sys.get_int_max_str_digits()} digits",
+                    problem_mark=node.start_mark) from None
 
         def flatten_mapping(self, node):
             # Merging rewrites node.value, so each mapping is checked once, before that.
@@ -290,17 +310,18 @@ def _rejecting_repeated_keys(loader):
                     key, line = self.construct_object(key_node), key_node.start_mark.line + 1
                     if key in lines:
                         raise yaml.constructor.ConstructorError(
-                            problem=f"line {line}: key {key!r} is repeated "
+                            problem=f"line {line}: key {_echo(key)} is repeated "
                                     f"(first on line {lines[key]})")
                     lines[key] = line
             super().flatten_mapping(node)
 
+    Loader.add_constructor("tag:yaml.org,2002:int", Loader.construct_yaml_int)
     return Loader
 
 
 # libyaml's parser where PyYAML was built with it: the same safe constructor
 # and the same values as ``yaml.SafeLoader``, several times faster.
-_YAML_LOADER = _rejecting_repeated_keys(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+_YAML_LOADER = _strict_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 # Deepest nesting of collections a document may have.  libyaml composes a
@@ -308,28 +329,39 @@ _YAML_LOADER = _rejecting_repeated_keys(getattr(yaml, "CSafeLoader", yaml.SafeLo
 # the process dies of a segmentation fault.  A config nests fewer than ten.
 _MAX_NESTING = 5000
 
+# Deepest nesting of flow collections, ``[...]`` and ``{...}``: libyaml's scanner
+# takes time quadratic in flow depth.  A config nests them at most four deep.
+_MAX_FLOW_NESTING = 64
+
 
 def _check_nesting(fh):
-    """Raise :class:`yaml.YAMLError` if the YAML of the binary file ``fh``
-    nests collections more than ``_MAX_NESTING`` deep, before it is composed.
+    """Raise :class:`yaml.YAMLError` if the YAML of the binary file ``fh`` nests
+    collections more than ``_MAX_NESTING`` deep, or flow collections more than
+    ``_MAX_FLOW_NESTING``, before it is composed.
 
-    Every collection opens with one of the bytes ``[{-:?`` (in UTF-8 and
-    UTF-16 alike), so their count bounds the depth, and only a document
-    with more of them is parsed to events, which costs about as much as
-    loading it.
+    Every collection opens with one of the bytes ``[{-:?``, a flow one with
+    ``[`` or ``{`` (in UTF-8 and UTF-16 alike), so their counts bound the
+    depths, and only a document with more of them is parsed to events.
     """
     data = fh.read()
     fh.seek(0)
-    if sum(data.count(c) for c in b"[{-:?") <= _MAX_NESTING:
+    flow = data.count(b"[") + data.count(b"{")
+    if flow <= _MAX_FLOW_NESTING and \
+            flow + sum(data.count(c) for c in b"-:?") <= _MAX_NESTING:
         return
-    depth = 0
+    opened = []  # for each open collection, whether it is a flow collection
+    flow_depth = 0
     for event in yaml.parse(fh, Loader=_YAML_LOADER):
         if isinstance(event, yaml.CollectionStartEvent):
-            depth += 1
-            if depth > _MAX_NESTING:
+            opened.append(bool(event.flow_style))
+            flow_depth += opened[-1]
+            if len(opened) > _MAX_NESTING:
                 raise yaml.YAMLError(f"collections nested more than {_MAX_NESTING} deep")
+            if flow_depth > _MAX_FLOW_NESTING:
+                raise yaml.YAMLError(
+                    f"flow collections nested more than {_MAX_FLOW_NESTING} deep")
         elif isinstance(event, yaml.CollectionEndEvent):
-            depth -= 1
+            flow_depth -= opened.pop()
     fh.seek(0)
 
 
@@ -337,10 +369,10 @@ def read_yaml(path):
     """Parse a YAML config file; an empty file is an empty mapping.
 
     The YAML reader decodes the file: UTF-8, or UTF-16 with a byte-order
-    mark.  Malformed YAML raises :class:`ConfigError`: a repeated key, a
-    byte the encoding does not allow and collections nested more than
-    ``_MAX_NESTING`` deep included, or, where libyaml is absent, deeper
-    than PyYAML's own composer, which recurses in Python, can go.
+    mark.  Malformed YAML raises :class:`ConfigError`: a repeated key, an
+    unconvertible integer, a byte the encoding does not allow and nesting
+    past :func:`_check_nesting`'s limits included, or, where libyaml is
+    absent, deeper than PyYAML's own composer, which recurses in Python, can go.
     """
     with open(path, "rb") as fh:
         try:
@@ -436,19 +468,19 @@ def _plan(config):
             size = math.inf  # a lone surrogate has no UTF-8 form, so no file name holds it
         if not scenario.id or any(c in scenario.id for c in _ID_FORBIDDEN) \
                 or size > _ID_MAX_BYTES:
-            findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} cannot name artifact "
-                            f"files: ids must be non-empty, at most {_ID_MAX_BYTES} UTF-8 "
-                            "bytes long, without '/', '\\' or NUL")
+            findings.append(f"custom_scenarios[{i}].id: {_echo(scenario.id)} cannot name "
+                            f"artifact files: ids must be non-empty, at most {_ID_MAX_BYTES} "
+                            "UTF-8 bytes long, without '/', '\\' or NUL")
         if scenario.id in builtin:
             findings.append(f"custom_scenarios[{i}].id: {scenario.id!r} is a built-in "
                             "scenario id")
     # Artifact file names carry the id, so each scenario is defined once and runs once.
     for sid, n in Counter(s.id for s in config.custom_scenarios).items():
         if n > 1:
-            findings.append(f"custom_scenarios: id {sid!r} is defined {n} times")
+            findings.append(f"custom_scenarios: id {_echo(sid)} is defined {n} times")
     for sid, n in Counter(config.scenarios).items():
         if n > 1:
-            findings.append(f"scenarios: id {sid!r} is listed {n} times")
+            findings.append(f"scenarios: id {_echo(sid)} is listed {n} times")
     ofdm = config.ofdm
     samples = ofdm.frames * ofdm.slots_per_frame
     if samples > MAX_SAMPLES_PER_STREAM:
@@ -485,7 +517,7 @@ def _plan(config):
     placed = {}
     for sid in config.scenarios:
         if sid not in table:
-            findings.append(f"scenarios: id {sid!r} is not defined")
+            findings.append(f"scenarios: id {_echo(sid)} is not defined")
             continue
         antennas = ue_antenna_positions(table[sid], config.channel)
         try:

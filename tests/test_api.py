@@ -73,7 +73,8 @@ REMOVED = ("los_gain", "element_field", "superpose_fields", "power_to_field",
            "DEFAULT_CARRIER_HZ", "_field_gains", "LimitTable", "map_64qam",
            "demap_64qam", "_index_bits", "_BIT_WEIGHTS", "_BIT_SHIFTS",
            "in_footprint", "SingularMatrixError", "as_complex_matrix", "_apply_overrides",
-           "ValidationReport", "_noise_power", "_images", "_VALUE_BY_LEVEL_INDEX")
+           "ValidationReport", "_noise_power", "_images", "_VALUE_BY_LEVEL_INDEX",
+           "_read_heatmap_csv", "_parse_csv_row", "_cmd_render")
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -139,11 +140,14 @@ def _launch(*args, env=None):
 
 
 def test_every_layer_module_resolves_after_importing_the_cli():
-    # A fresh process: this one has imported every layer already.
-    script = ("import sys, beamfield, beamfield.cli\n"
+    # A fresh process: this one has imported every layer already.  No layer
+    # moves the interpreter's limit on int-to-text digits.
+    script = ("import sys\nlimit = sys.get_int_max_str_digits()\n"
+              "import beamfield, beamfield.cli\n"
               "assert 'beamfield.runner' not in sys.modules\n"
               f"for layer in {LAYERS!r}:\n"
-              "    assert getattr(beamfield, layer) is sys.modules['beamfield.' + layer]\n")
+              "    assert getattr(beamfield, layer) is sys.modules['beamfield.' + layer]\n"
+              "assert sys.get_int_max_str_digits() == limit\n")
     result = _launch("-c", script)
     assert result.returncode == 0, result.stderr[-2000:]
 
@@ -241,9 +245,12 @@ def test_the_openblas_thread_count_changes_no_byte(tmp_path):
 
 
 @pytest.mark.parametrize("verb", ["validate", "run"])
-@pytest.mark.parametrize("nest", ["[" * 40_000 + "x" + "]" * 40_000, "\n" + "- " * 40_000 + "x"],
-                         ids=["flow", "block"])
-def test_yaml_nested_past_libyaml_s_stack_is_an_error_not_a_crash(tmp_path, verb, nest):
+@pytest.mark.parametrize("nest, limit", [
+    ("[" * 40_000 + "x" + "]" * 40_000, f"flow collections nested more than "
+                                        f"{config._MAX_FLOW_NESTING} deep"),
+    ("\n" + "- " * 40_000 + "x", f"collections nested more than {config._MAX_NESTING} deep"),
+], ids=["flow", "block"])
+def test_yaml_nested_past_libyaml_s_stack_is_an_error_not_a_crash(tmp_path, verb, nest, limit):
     # libyaml composes a document by recursion in C: at 40 000 levels a
     # launch died of a segmentation fault (exit 139), so it runs apart.
     path = tmp_path / "deep.yaml"
@@ -252,8 +259,7 @@ def test_yaml_nested_past_libyaml_s_stack_is_an_error_not_a_crash(tmp_path, verb
     result = _launch("-m", "beamfield.cli", verb, "--config", str(path), *out)
     assert result.returncode == 1, result.stderr[-2000:]
     assert result.stdout == ""
-    assert result.stderr == (f"error: {path}: not valid YAML: collections nested more than "
-                             f"{config._MAX_NESTING} deep\n")
+    assert result.stderr == f"error: {path}: not valid YAML: {limit}\n"
     assert not (tmp_path / "out").exists()
 
 

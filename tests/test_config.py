@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 
@@ -174,6 +175,15 @@ def _element_on_the_grid(spacing, height=1.3005):
             f"grid: {{y_min: 0, height: {height!r}, spacing: {spacing}}}\n")
 
 
+# Most digits Python converts between a decimal string and an int.
+_INT_DIGITS = sys.get_int_max_str_digits()
+
+
+def _nested(depth):
+    """A flow list ``depth`` levels deep."""
+    return "[" * depth + "x" + "]" * depth
+
+
 # Each document passed validation, was read as something else, or crashed.
 BAD_DOCUMENTS = [
     ("nan-noise-snr", "seed: 1\nofdm: {noise_snr_db: .nan}\n", "ofdm.noise_snr_db"),
@@ -249,7 +259,7 @@ BAD_DOCUMENTS = [
     ("empty-id", 'seed: 1\ncustom_scenarios: [{id: "", ue_positions: [[0, 4]]}]\n',
      "custom_scenarios[0].id: '' cannot name artifact files"),
     ("long-id", "seed: 1\ncustom_scenarios: [{id: " + "x" * 234 + ", ue_positions: [[0, 4]]}]\n",
-     "finding: custom_scenarios[0].id: '" + "x" * 234 + "' cannot name artifact files: ids "
+     "finding: custom_scenarios[0].id: '" + "x" * 199 + "... cannot name artifact files: ids "
      "must be non-empty, at most 233 UTF-8 bytes long"),
     ("selected-id-twice", "seed: 1\nscenarios: ['1', '8', '1']\n",
      "finding: scenarios: id '1' is listed 2 times\n"),
@@ -318,6 +328,19 @@ BAD_DOCUMENTS = [
      f"not valid YAML: collections nested more than {config._MAX_NESTING} deep\n"),
     # The file was decoded as UTF-8 before the YAML reader saw it: exit 2, no file named.
     ("bad-byte", b"seed: 1\nformats: [\xff]\n", "bad.yaml: not valid YAML: "),
+    # PyYAML's int constructor raised ValueError (exit 2) and IndexError (a traceback).
+    ("int-tag-on-text", "seed: !!int abc\n",
+     f"not valid YAML: 'abc' is not an integer of at most {_INT_DIGITS} digits\n"),
+    ("int-tag-on-nothing", "seed: !!int ''\n",
+     f"not valid YAML: '' is not an integer of at most {_INT_DIGITS} digits\n"),
+    # Messages that echoed a long id or key whole.
+    ("long-undefined-id", "seed: 1\nscenarios: [" + "x" * 5000 + "]\n",
+     "finding: scenarios: id '" + "x" * 199 + "... is not defined\n"),
+    ("long-repeated-key", "seed: 1\n? " + "x" * 5000 + "\n: 1\n? " + "x" * 5000 + "\n: 2\n",
+     "not valid YAML: line 4: key '" + "x" * 199 + "... is repeated (first on line 2)\n"),
+    # With the mapping around it, a flow list nests exactly as deep as it is.
+    ("flow-nesting-at-the-limit", f"seed: 1\nformats: {_nested(config._MAX_FLOW_NESTING)}\n",
+     "finding: formats: unknown entries [[[[[["),
 ]
 
 
@@ -331,15 +354,11 @@ def _alias_chain(levels=7, width=10, anchor="a"):
     return "[" + ", ".join(items) + "]"
 
 
-def _nested(depth):
-    """A flow list ``depth`` levels deep."""
-    return "[" * depth + "x" + "]" * depth
-
-
-# Documents whose values were echoed whole: a finding of 58 MB, or a
-# RecursionError while the message was formatted.  The loader parity test
-# below does not read them: it reprs each loaded document, PyYAML's own
-# composer recurses in Python and its parser is quadratic in flow depth.
+# Documents whose values were echoed whole (a finding of 58 MB, or a
+# RecursionError while the message was formatted), whose integers had too
+# many digits to convert to text (exit 2), or that libyaml took seconds to
+# read.  The loader parity test below does not read them: it reprs each
+# loaded document, and PyYAML's own composer recurses in Python.
 HOSTILE_DOCUMENTS = [
     ("alias-chain-formats", f"seed: 1\nformats: {_alias_chain()}\n",
      "finding: formats: unknown entries [['x', 'x', "),
@@ -351,13 +370,26 @@ HOSTILE_DOCUMENTS = [
      "finding: custom_scenarios[0].ue_positions[0]: expected a list of 2 values, got [["),
     ("alias-chain-workers", f"seed: 1\nworkers: {_alias_chain()}\n",
      "finding: workers: retired, runs are serial; remove the key (got [["),
-    ("nesting-3000-deep", f"seed: 1\nformats: {_nested(3000)}\n",
+    ("nesting-3000-deep", "seed: 1\nformats:\n" + "- " * 3000 + "x\n",
      "finding: formats: unknown entries [[[[[["),
-    # With the mapping around it, the list nests one level less than the limit, or one more.
-    ("nesting-at-the-limit", f"seed: 1\nformats: {_nested(config._MAX_NESTING - 1)}\n",
+    # With the mapping around it, the list nests one level less than the limit.
+    ("nesting-at-the-limit", "seed: 1\nformats:\n" + "- " * (config._MAX_NESTING - 1) + "x\n",
      "finding: formats: unknown entries [[[[[["),
-    ("flow-nesting-beyond-the-limit", f"seed: 1\nformats: {_nested(config._MAX_NESTING)}\n",
-     f"not valid YAML: collections nested more than {config._MAX_NESTING} deep\n"),
+    ("flow-nesting-beyond-the-limit",
+     f"seed: 1\nformats: {_nested(config._MAX_FLOW_NESTING + 1)}\n",
+     f"not valid YAML: flow collections nested more than {config._MAX_FLOW_NESTING} deep\n"),
+    # 100 KB that libyaml's scanner, quadratic in flow depth, took 2 s to read.
+    ("ten-flow-lists-4997-deep", "seed: 1\nformats: [" + ", ".join([_nested(4997)] * 10) + "]\n",
+     f"not valid YAML: flow collections nested more than {config._MAX_FLOW_NESTING} deep\n"),
+    ("decimal-seed-of-5000-digits", "seed: " + "1" * 5000 + "\n",
+     "not valid YAML: '" + "1" * 199 + f"... is not an integer of at most {_INT_DIGITS} "
+     'digits\n  in "'),
+    ("hex-seed-of-4000-digits", "seed: 0x" + "f" * 4000 + "\n",
+     "finding: seed: an integer of 16000 bits is too large\n"),
+    ("binary-seed-of-20000-digits", "seed: 0b" + "1" * 20_000 + "\n",
+     "finding: seed: an integer of 20000 bits is too large\n"),
+    ("hex-scenario-id", "seed: 1\nscenarios: [0x" + "f" * 4000 + "]\n",
+     "finding: scenarios[0]: an integer of 16000 bits is too long for a scenario id\n"),
 ]
 
 
@@ -535,7 +567,7 @@ def test_libyaml_loader_reads_what_the_python_loader_reads(tmp_path, capsys, mon
     path = tmp_path / "doc.yaml"
     _write(path, text)
     outcomes = []
-    for loader in (config._rejecting_repeated_keys(yaml.SafeLoader), chosen):
+    for loader in (config._strict_loader(yaml.SafeLoader), chosen):
         monkeypatch.setattr(config, "_YAML_LOADER", loader)
         try:
             outcomes.append(repr(read_yaml(path)))  # repr: NaN equals NaN
@@ -547,7 +579,7 @@ def test_libyaml_loader_reads_what_the_python_loader_reads(tmp_path, capsys, mon
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize("loader", [config._rejecting_repeated_keys(yaml.SafeLoader),
+@pytest.mark.parametrize("loader", [config._strict_loader(yaml.SafeLoader),
                                     config._YAML_LOADER], ids=["python", "chosen"])
 def test_a_merge_key_yields_to_the_mapping_s_own_keys(tmp_path, monkeypatch, loader):
     # A << merge repeats no key: the mapping's own keys override what it
@@ -679,17 +711,24 @@ def test_any_document_gives_a_config_error_or_a_report(doc):
     assert all(isinstance(f, str) for f in findings)
 
 
-# YAML text, not Python objects: flow values that may be alias chains or
-# nest deep, under RunConfig's keys and a retired one, with perhaps one byte
-# that is not UTF-8 or not allowed in YAML.  The nests stay far below the
-# depth at which libyaml crashed, so the test runs in this process.
-_YAML_SCALARS = st.sampled_from(["1", "-3", "2.5", "1e-4", ".nan", ".inf", "true", "no", "~",
-                                 "''", "x", "csv", "'1'", '"\\u00e9"', "2001-12-14"])
+# YAML text, not Python objects: flow values that may be alias chains, nest
+# deep or hold integers of more digits than Python converts to text, under
+# RunConfig's keys and a retired one, with perhaps one byte that is not UTF-8
+# or not allowed in YAML.  The nests stay far below the depth at which
+# libyaml crashed, so the test runs in this process.
+_LONG_INTEGERS = st.builds(lambda sign, base, digits: sign + base + "1" * digits,
+                           st.sampled_from(["", "-"]), st.sampled_from(["", "0", "0x", "0b"]),
+                           st.sampled_from([_INT_DIGITS, _INT_DIGITS + 1, 20_000]))
+_YAML_SCALARS = st.one_of(
+    st.sampled_from(["1", "-3", "2.5", "1e-4", ".nan", ".inf", "true", "no", "~",
+                     "''", "x", "csv", "'1'", '"\\u00e9"', "2001-12-14"]),
+    _LONG_INTEGERS)
 _YAML_KEYS = st.sampled_from(["id", "ue_positions", "frames", "time_domain", "spacing", "mode",
                               "zz"])
 _YAML_VALUES = st.recursive(
     st.one_of(_YAML_SCALARS,
-              st.builds(_nested, st.sampled_from([2, 64, 1500, config._MAX_NESTING])),
+              st.builds(_nested, st.sampled_from([2, config._MAX_FLOW_NESTING,
+                                                  config._MAX_FLOW_NESTING + 1, 1500])),
               st.builds(_alias_chain, st.integers(1, 7), st.integers(1, 10),
                         st.sampled_from(["a", "b", "c"]))),
     lambda values: st.one_of(
@@ -703,7 +742,7 @@ _YAML_VALUES = st.recursive(
 def _yaml_texts(draw):
     keys = draw(st.lists(st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]
                                          + ["workers"]), unique=True, max_size=4))
-    seed = draw(st.just("1") | _YAML_VALUES)
+    seed = draw(st.just("1") | _LONG_INTEGERS | _YAML_VALUES)
     data = "".join(f"{key}: {value}\n" for key, value in
                    [("seed", seed)] + [(key, draw(_YAML_VALUES)) for key in keys]).encode()
     if not draw(st.booleans()):
@@ -727,9 +766,18 @@ def test_any_yaml_text_gives_a_short_report(data):
     _assert_short(out.getvalue() + err.getvalue())
 
 
+def test_an_integer_too_long_for_text_is_a_finding():
+    # Echoing it as text raised ValueError, which validate let through.
+    assert validate({"seed": 1 << 20_000}) == ("seed: an integer of 20001 bits is too large",)
+    assert validate({"seed": 1, "workers": 1 << 20_000}) == (
+        "workers: retired, runs are serial; remove the key (got an integer of 20001 bits)",)
+    assert validate({"seed": 1, 1 << 20_000: 1}) == (
+        "unknown top-level keys: [an integer of 20001 bits]",)
+
+
 def test_the_python_loader_reports_a_nest_too_deep_for_it(tmp_path, monkeypatch):
     # PyYAML's own composer recurses in Python: 1 000 levels exceed the recursion limit.
-    monkeypatch.setattr(config, "_YAML_LOADER", config._rejecting_repeated_keys(yaml.SafeLoader))
+    monkeypatch.setattr(config, "_YAML_LOADER", config._strict_loader(yaml.SafeLoader))
     path = tmp_path / "deep.yaml"
     _write(path, "seed: 1\nformats:\n" + "- " * 1000 + "x\n")
     with pytest.raises(ConfigError, match="not valid YAML: maximum recursion depth"):

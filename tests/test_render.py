@@ -235,3 +235,16 @@ def test_a_pinned_scale_top_must_be_positive_and_finite(vmax):
     with pytest.raises(ValueError, match="vmax must be positive and finite"):
         ascii_blocks(heatmap, vmax=vmax)
 
+
+
+# ProbeGrid.spacing: the x step, the y step of a one-column grid, 1 m on a single point.
+@pytest.mark.parametrize("keys, step", [
+    (dict(spacing=0.5), "0.5"),
+    (dict(x_min=0.0, x_max=0.0, spacing=0.25), "0.25"),
+    (dict(x_min=0.0, x_max=0.0, y_min=2.0, y_max=2.0, spacing=0.5), "1"),
+], ids=["lattice", "one-column", "single-point"])
+def test_the_ascii_footer_steps_by_the_grid_spacing(keys, step):
+    grid = build_grid(GridSection(**keys))
+    heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
+    footer = joined(ascii_blocks(heatmap)).splitlines()[-1]
+    assert footer.endswith(f" step {step} m")

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+import beamfield.cli
 import beamfield.field
 import beamfield.render
 import beamfield.runner
@@ -17,7 +19,6 @@ from beamfield import (
     ConfigError,
     GridSection,
     HeatMap,
-    ProbeGrid,
     RunConfig,
     ZfInfeasibleError,
     average_heatmaps,
@@ -35,7 +36,6 @@ from beamfield import (
     zf_precoder,
 )
 from beamfield.channel import _GAIN_BLOCK_ENTRIES
-from beamfield.cli import _read_heatmap_csv
 from beamfield.cli import main as cli_main
 from beamfield.config import checked, derive_seed, from_dict
 from beamfield.field import compute_heatmap, heatmaps, probe_gains
@@ -44,6 +44,7 @@ from beamfield.runner import _ArtifactWriter, run_links
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
                            "paper-defaults.yaml")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def small_config(**overrides):
@@ -581,73 +582,19 @@ class TestCli:
         assert cli_main(["validate", "--config", str(bad)]) == 1
         assert "finding" in capsys.readouterr().out
 
-    def test_run_and_render_roundtrip(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
-            "seed: 7\nscenarios: [3]\nformats: [csv]\nofdm: {frames: 1}\n"
-        )
-        out_dir = tmp_path / "out"
-        assert cli_main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 0
-        produced = set(os.listdir(out_dir))
-        assert "heatmap_scenario_3.csv" in produced
-        assert "heatmap_scenario_3.svg" not in produced
-
-        csv_path = out_dir / "heatmap_scenario_3.csv"
-        assert cli_main(["render", str(csv_path), "--format", "svg"]) == 0
-        assert (out_dir / "heatmap_scenario_3.svg").exists()
-        svg = (out_dir / "heatmap_scenario_3.svg").read_text()
-        assert svg.startswith("<svg") and "scenario 3" in svg
-
-    def test_rerendered_average_keeps_its_title(self, tmp_path):
-        run(small_config(formats=("ascii", "csv")), out_dir=str(tmp_path / "run"))
-        csv_path = tmp_path / "run" / "heatmap_average.csv"
-        again = tmp_path / "again"
-        assert cli_main(["render", str(csv_path), "--out", str(again)]) == 0
-        ascii_text = (again / "heatmap_average.txt").read_text()
-        assert ascii_text == (tmp_path / "run" / "heatmap_average.txt").read_text()
-        assert "scenario average &#8212;" in (again / "heatmap_average.svg").read_text()
-
-    # The 0.1 m grid's 61 x 71 points stream in 18 blocks of rows.
-    @pytest.mark.parametrize("grid_keys, step", [
-        ({}, "step 1 m"),
-        (dict(x_min=0.0, x_max=0.0, spacing=0.5), "step 0.5 m"),
-        (dict(spacing=0.1), "step 0.1 m"),
-    ], ids=["default", "one-column", "fine"])
-    def test_rerendered_ascii_footer_keeps_the_grid_step(self, tmp_path, grid_keys, step):
-        config = small_config(scenarios=("1",), formats=("ascii", "csv"),
-                              grid=dataclasses.replace(RunConfig().grid, **grid_keys))
-        run(config, out_dir=str(tmp_path / "run"))
-        again = tmp_path / "again"
-        csv_path = tmp_path / "run" / "heatmap_scenario_1.csv"
-        assert cli_main(["render", str(csv_path), "--out", str(again)]) == 0
-        footer = (tmp_path / "run" / "heatmap_scenario_1.txt").read_text().splitlines()[-1]
-        assert footer.endswith(step)
-        assert (again / "heatmap_scenario_1.txt").read_text().splitlines()[-1] == footer
-        assert (again / "heatmap_scenario_1.svg").stat().st_size > 0
-
-    def test_a_csv_with_shuffled_rows_renders_the_same(self, tmp_path):
-        run(small_config(scenarios=("1",), formats=("csv",)), out_dir=str(tmp_path / "run"))
-        header, *rows = (tmp_path / "run" / "heatmap_scenario_1.csv").read_text().splitlines(True)
-        np.random.default_rng(3).shuffle(rows)
-        (tmp_path / "shuffled").mkdir()
-        shuffled = tmp_path / "shuffled" / "heatmap_scenario_1.csv"
-        shuffled.write_text(header + "".join(rows))
-        rendered = []
-        for csv_path in (tmp_path / "run" / "heatmap_scenario_1.csv", shuffled):
-            out = csv_path.parent / "render"
-            assert cli_main(["render", str(csv_path), "--out", str(out)]) == 0
-            rendered.append(read_all(out))
-        assert sorted(rendered[0]) == ["heatmap_scenario_1.svg", "heatmap_scenario_1.txt"]
-        assert rendered[0] == rendered[1]
-
-    def test_a_rerendered_grid_has_plain_axes(self, tmp_path):
-        # The axes are tuples of floats, as the run's grid has them, so grids
-        # compare with == whatever their probe heights.
-        run(small_config(scenarios=("1",), formats=("csv",)), out_dir=str(tmp_path))
-        grid = _read_heatmap_csv(str(tmp_path / "heatmap_scenario_1.csv")).grid
-        built = build_grid()
-        assert grid == ProbeGrid(built.x_values, built.y_values, 0.0)
-        assert grid != built
+    def test_the_verbs_are_listed_once(self):
+        # The parser's verbs are the ones the module docstring and README's
+        # "Command line" block list; any other verb is a usage error.
+        (verbs,) = [action.choices for action in beamfield.cli._build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+        doc = beamfield.cli.__doc__.split("Verbs:\n")[1].split("\n\n")[0]
+        with open(README, encoding="utf-8") as fh:
+            block = fh.read().split("## Command line\n\n```bash\n")[1].split("```")[0]
+        assert set(verbs) == {line.split()[0] for line in doc.splitlines()}
+        assert set(verbs) == {line.split()[1] for line in block.splitlines()}
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["render", "x.csv"])
+        assert exc.value.code == 2
 
     @pytest.mark.filterwarnings("error")
     def test_a_subnormal_scale_top_runs_and_renders(self, tmp_path):
@@ -660,61 +607,6 @@ class TestCli:
         ascii_text = (tmp_path / "run" / "heatmap_scenario_1.txt").read_text()
         cells = "".join(line.split("|")[1] for line in ascii_text.splitlines()[1:-1])
         assert set(cells) == {"@"}
-        csv_path = tmp_path / "run" / "heatmap_scenario_1.csv"
-        again = tmp_path / "again"
-        assert cli_main(["render", str(csv_path), "--out", str(again), "--vmax", "1e-320"]) == 0
-        assert (again / "heatmap_scenario_1.txt").read_text() == ascii_text
-
-    def test_a_single_point_csv_steps_one_metre(self, tmp_path):
-        path = tmp_path / "heatmap_scenario_1.csv"
-        path.write_text("x_m,y_m,e_vpm\n0.5,2,3\n")
-        assert cli_main(["render", str(path), "--format", "ascii"]) == 0
-        footer = (tmp_path / "heatmap_scenario_1.txt").read_text().splitlines()[-1]
-        assert footer.endswith("step 1 m")
-
-    @pytest.mark.parametrize("body, line, message", [
-        ("", 2, "no data rows"),
-        ("0,1,2\n1,1\n", 3, "expected 3 fields"),
-        ("0,1,2,3\n", 2, "expected 3 fields"),
-        ("0,1,2\n\n", 3, "expected 3 fields"),
-        ("0,1,abc\n", 2, "not a number"),
-        ("0,1,nan\n", 2, "non-finite"),
-        ("0,1,2\n1,inf,2\n", 3, "non-finite"),
-        ("0,1,-0.5\n", 2, "negative"),
-    ])
-    def test_render_reports_malformed_csv_lines(self, tmp_path, capsys, body, line, message):
-        path = tmp_path / "heatmap_scenario_1.csv"
-        path.write_text("x_m,y_m,e_vpm\n" + body)
-        assert cli_main(["render", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: line {line}: {message}")
-        assert not (tmp_path / "heatmap_scenario_1.svg").exists()
-
-    @pytest.mark.parametrize("data, message", [
-        (b"x_m,y_m,e_vpm\n0,1,2\n1,1,2\xff\n", "line 3: not a number in '1,1,2\\udcff'"),
-        (b"x_m,y_m,e_vpm\xc3\n0,1,2\n", "not a heat-map CSV (header 'x_m,y_m,e_vpm\\udcc3')"),
-    ], ids=["row", "header"])
-    def test_render_reports_a_byte_that_is_not_utf8(self, tmp_path, capsys, data, message):
-        # The file was decoded strictly: exit 2 with the codec's message and no file named.
-        path = tmp_path / "heatmap_scenario_1.csv"
-        path.write_bytes(data)
-        assert cli_main(["render", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
-        assert not (tmp_path / "heatmap_scenario_1.svg").exists()
-
-    @pytest.mark.parametrize("vmax", ["nan", "0", "-1"])
-    def test_render_rejects_a_scale_top_that_is_not_positive(self, tmp_path, capsys, vmax):
-        path = tmp_path / "heatmap_scenario_1.csv"
-        path.write_text("x_m,y_m,e_vpm\n0,1,2\n")
-        assert cli_main(["render", str(path), "--vmax", vmax]) == 1
-        assert capsys.readouterr().err.startswith("error: --vmax: must be a positive")
-        assert not (tmp_path / "heatmap_scenario_1.svg").exists()
-
-    def test_render_rejects_duplicate_points(self, tmp_path, capsys):
-        path = tmp_path / "heatmap_scenario_1.csv"
-        path.write_text("x_m,y_m,e_vpm\n0,0,1\n0,0,1\n1,0,1\n1,1,1\n")
-        assert cli_main(["render", str(path)]) == 1
-        assert "complete lattice" in capsys.readouterr().err
 
     def test_run_scenario_and_seed_flags(self, tmp_path):
         out_dir = tmp_path / "out"
@@ -774,6 +666,19 @@ class TestRenderOutputs:
         txt = (tmp_path / "heatmap_average.txt").read_text()
         assert "y=   8" in txt and "y=   1" in txt
         assert txt.count("\n") == 10  # header + 8 rows + axis line
+
+    # The 0.1 m grid's 61 x 71 points stream in 18 blocks of rows.
+    @pytest.mark.parametrize("grid_keys, step", [
+        ({}, "step 1 m"),
+        (dict(x_min=0.0, x_max=0.0, spacing=0.5), "step 0.5 m"),
+        (dict(spacing=0.1), "step 0.1 m"),
+    ], ids=["default", "one-column", "fine"])
+    def test_the_ascii_footer_keeps_the_grid_step(self, tmp_path, grid_keys, step):
+        config = small_config(scenarios=("1",), formats=("ascii",),
+                              grid=dataclasses.replace(RunConfig().grid, **grid_keys))
+        run(config, out_dir=str(tmp_path))
+        footer = (tmp_path / "heatmap_scenario_1.txt").read_text().splitlines()[-1]
+        assert footer.endswith(step)
 
 
 class TestGoldenValues:
