@@ -9,7 +9,7 @@ this script under ``output/``.
 import os
 
 from beamfield import RunConfig, build_array, build_grid, heatmaps, standard_scenarios, summary
-from beamfield.render import ascii_blocks, grid_text, svg_blocks
+from beamfield.render import ascii_blocks, svg_blocks
 from beamfield.runner import run_links
 
 out_dir = os.path.join(os.path.dirname(__file__), "output")
@@ -25,21 +25,28 @@ grid = build_grid(config.grid, room=room)
 links = run_links(config, standard_scenarios(), array)
 maps = heatmaps([(link.scenario, link.precoder) for link in links], array, room, grid,
                 config.channel, calibration=config.calibration)
-# The grid's SVG cell geometry, axes and colour bar do not depend on the
-# scenario: format them once.
-text = grid_text(grid, ("svg",))
-
 # A shared colour scale makes the eight maps comparable.
 vmax = max(float(hm.values.max()) for hm in maps)
 
-for link, hm in zip(links, maps):
+# The text of every map at once, one block of grid rows at a time: the
+# grid's cell geometry, axes and colour bar are formatted once per block,
+# not once per scenario.  Each (i, block) pair is a block of map i's text.
+previews = [[] for _ in maps]
+for i, block in ascii_blocks(maps, vmax=vmax):
+    previews[i].append(block)
+svgs = [[] for _ in maps]
+for i, block in svg_blocks(maps, vmax=vmax,
+                           markers=[link.scenario.ue_positions for link in links]):
+    svgs[i].append(block)
+
+for link, hm, preview, svg in zip(links, maps, previews, svgs):
     s = summary(hm)
     print(f"scenario {link.scenario.id}: users {link.scenario.ue_positions}")
     print(f"  field max {s.max_vpm:.2f} V/m at {s.max_position_m}, mean {s.mean_vpm:.2f} V/m")
-    print("".join(ascii_blocks(hm, vmax=vmax)))
+    print("".join(preview))
     path = os.path.join(out_dir, f"heatmap_scenario_{link.scenario.id}.svg")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(svg_blocks(hm, text, vmax=vmax, markers=link.scenario.ue_positions))
+        fh.writelines(svg)
     print(f"  wrote {path}\n")
 
 peaks = [float(hm.values.max()) for hm in maps]

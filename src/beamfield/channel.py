@@ -39,9 +39,11 @@ PATTERN_COSINE = "cosine"
 # power pattern confined to the front half space integrates to 4*pi/6.
 _COSINE_PEAK_GAIN = 6.0
 
-# Gains per receiver block of propagation_gains: 16 Ki complex entries are
-# 256 KiB, so each elementwise pass over a block runs from the L2 cache.
-_GAIN_BLOCK_ENTRIES = 16384
+# Gains per receiver block of propagation_gains: 8 Ki complex entries are
+# 128 KiB, so each elementwise pass over a block, and the block's few
+# working arrays together, run from the L2 cache.  Whole-grid gains ran
+# faster at 8 Ki than at 16 Ki or 4 Ki.
+_GAIN_BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -115,19 +117,27 @@ def _mirror(room, surface, v):
     return (-2 * wx, 2 * wx, None, 2 * room.length_y, None, 2 * room.height_z)[surface] - v
 
 
-def _reflecting(room, mode, points, what):
+def _surfaces(room, mode):
     """The surfaces, numbered as in :func:`_coefficients`, whose images the ray model
     ``mode`` adds to the direct rays: none in LoS, in image mode each whose
-    coefficient is not 0.  In image mode the (x, y, z) rows ``points`` must
-    lie inside the room (:meth:`~beamfield.geometry.Room.require_inside`),
-    which names them ``what``.
+    coefficient is not 0.
     """
     if mode != MODE_IMAGE_1:
         return []
     if room is None:
         raise ValueError("image-order-1 mode requires a room")
-    room.require_inside(points, what)
     return [s for s, coeff in enumerate(_coefficients(room)) if coeff != 0.0]
+
+
+def _reflecting(room, mode, points, what):
+    """:func:`_surfaces`, once in image mode the (x, y, z) rows ``points`` are
+    found inside the room (:meth:`~beamfield.geometry.Room.require_inside`),
+    which names them ``what``.
+    """
+    surfaces = _surfaces(room, mode)
+    if mode == MODE_IMAGE_1:
+        room.require_inside(points, what)
+    return surfaces
 
 
 def _lengths(squares, out):
@@ -210,10 +220,17 @@ def may_reach_unit_gain(tx_points, rx_points, room, cfg):
     monotone.  Only the pairs within the limit on every axis get a hypot,
     numpy's as over every pair, so the answer is exactly that of every pair.
     In image mode a receive point outside the room, where the bound fails,
-    raises :class:`ValueError`; validation has checked its own, but any
-    caller may pass points.
+    raises :class:`ValueError`.
     """
-    surfaces = _reflecting(room, cfg.mode, rx_points, "receive point")
+    _reflecting(room, cfg.mode, rx_points, "receive point")
+    return _may_reach_unit_gain(tx_points, rx_points, room, cfg)
+
+
+def _may_reach_unit_gain(tx_points, rx_points, room, cfg):
+    """:func:`may_reach_unit_gain` without its room check, for receive points
+    known to lie inside the room: validation has just checked every UE
+    antenna it screens."""
+    surfaces = _surfaces(room, cfg.mode)
     peak = math.sqrt(_COSINE_PEAK_GAIN) if cfg.element_pattern == PATTERN_COSINE else 1.0
     limit = (1 + len(surfaces)) * peak * wavelength(cfg.carrier_frequency) / (4.0 * math.pi)
     box = _box(tx_points)

@@ -31,7 +31,7 @@ from itertools import islice
 import yaml
 
 from . import _numpy_on_first_use
-from .channel import ChannelModelConfig, generate_channel, lit_above, may_reach_unit_gain
+from .channel import ChannelModelConfig, _may_reach_unit_gain, generate_channel, lit_above
 from .errors import ConfigError
 from .geometry import (
     MAX_GAIN_ENTRIES,
@@ -275,9 +275,16 @@ def from_dict(raw):
     return _section(RunConfig(), raw, "")
 
 
+# Most parts of a base-60 (sexagesimal) integer, ``1:30`` for 90.  One
+# of n parts is at least 60^(n-1), and :func:`_coerce` finds every
+# integer of 2^1024 or more too large, so none of more parts is accepted.
+_MAX_BASE_60_PARTS = math.ceil(1024 / math.log2(60))
+
+
 def _strict_loader(loader):
-    """``loader`` that rejects a key its mapping repeats, and an integer it
-    cannot convert, as :class:`yaml.YAMLError` naming the line.
+    """``loader`` that rejects a key its mapping repeats, an integer it
+    cannot convert and a base-60 integer of more than
+    ``_MAX_BASE_60_PARTS`` parts, as :class:`yaml.YAMLError` naming the line.
 
     PyYAML keeps the last of a repeated key's values, so ``seed: 1`` then
     ``seed: 2`` would run with seed 2.  Keys a ``<<`` merge brings in are
@@ -289,6 +296,13 @@ def _strict_loader(loader):
             self.checked = set()
 
         def construct_yaml_int(self, node):
+            # Base 60 costs time quadratic in the parts: refuse, unconverted,
+            # more parts than any integer validation accepts can have.
+            if node.value.count(":") >= _MAX_BASE_60_PARTS:
+                raise yaml.constructor.ConstructorError(
+                    problem=f"{_echo(node.value)} has more than {_MAX_BASE_60_PARTS} "
+                            "base-60 parts, so it is too large",
+                    problem_mark=node.start_mark)
             try:
                 return super().construct_yaml_int(node)
             # A decimal beyond sys.get_int_max_str_digits(), or !!int on other or empty text.
@@ -563,11 +577,12 @@ def _plan(config):
                 findings.append(f"scenario {sid}: user {u} at y = {y:g} m gets no field: "
                                 f"the cosine pattern lights only y > {lit_y:g} m")
     # A UE antenna at the array: a gain >= 1 or a ray of length 0 stops the
-    # run.  One screen over every placed antenna; only when it cannot rule
-    # that out are the channels generated (in a room whose squared ray
-    # lengths are finite), so the findings are exact.
+    # run.  One screen over every placed antenna, each found inside the room
+    # above; only when it cannot rule that out are the channels generated
+    # (in a room whose squared ray lengths are finite), so the findings are
+    # exact.
     ch = config.channel
-    if placed and rays_fit and may_reach_unit_gain(
+    if placed and rays_fit and _may_reach_unit_gain(
             tx, [a for antennas in placed.values() for a in antennas], room, ch):
         for sid in placed:
             try:

@@ -14,19 +14,22 @@ used everywhere (no array-factor shortcut): probe points can sit inside
 the array's Fraunhofer distance, where only the exact summation is valid.
 
 A run streams its maps (:func:`heatmaps`): it takes the probe grid one
-block of grid rows at a time, computes that block's probe x element
-gains once (:func:`probe_gains`), pushes them through every scenario's
+block of grid rows at a time, about ``channel._GAIN_BLOCK_ENTRIES``
+(8 Ki) gains or 128 KiB, computes that block's probe x element gains
+once (:func:`probe_gains`), pushes them through every scenario's
 precoder (:func:`compute_heatmap`) and drops them, so it never holds the
-whole grid's gain matrix.  Sharing a block's gains is exact, not an
-approximation: the image-model rays depend only on the array, the probe
-points, the room, the carrier, the channel mode and the element pattern,
-never on the precoder or the seed, so each scenario would rebuild the
-same gains bit for bit.  Streaming is exact too: every gain is computed
-by the same operations whatever the block, and a block's per-stream
-product equals the same rows of the whole grid's product bit for bit,
-except for a one-point block, which numpy evaluates as a dot product
-that may round differently; such a block is merged into the one before
-it.
+whole grid's gain matrix.  Each scenario's values land in one array per
+map; once the grid is done, each becomes that scenario's
+:class:`HeatMap`, which checks the whole map.  Sharing a block's gains
+is exact, not an approximation: the image-model rays depend only on the
+array, the probe points, the room, the carrier, the channel mode and the
+element pattern, never on the precoder or the seed, so each scenario
+would rebuild the same gains bit for bit.  Streaming is exact too:
+every gain is computed by the same operations whatever the block, and a
+block's per-stream product equals the same rows of the whole grid's
+product bit for bit, except for a one-point block, which numpy
+evaluates as a dot product that may round differently; such a block is
+merged into the one before it.
 """
 
 import math
@@ -54,7 +57,7 @@ class HeatMap:
             raise ValueError("heat map has one value per grid point")
         if not self.values.size:
             raise ValueError("heat map has no points")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
+        if not np.isfinite(self.values).all() or (self.values < 0).any():
             raise ValueError("field values must be finite and non-negative")
 
     def as_grid_rows(self):

@@ -5,23 +5,26 @@ byte-identical files.  Colours follow a fixed linear scale from 0 V/m to
 ``vmax`` through an 11-anchor perceptual ramp; the ASCII preview
 quantises the same scale to 10 character levels.
 
-Every artifact is made one block of grid rows at a time, about 64 Ki
-characters each, so no text of a whole map is ever held.  Most of a
-map's CSV, JSON and SVG text depends only on the probe grid: the
-coordinates, the cell geometry and titles, the axis labels and the
-colour bar.  :func:`grid_text` formats those parts once, as one
-``%``-template per block; a run builds it once and shares it with every
-map it writes.  Per map, :func:`csv_blocks`, :func:`json_blocks`,
-:func:`svg_blocks` and :func:`ascii_blocks` compute the scale, colours,
-label colours and levels of every cell once, as arrays, and return an
-iterator that fills one block per call of :func:`heatmap_csv`,
-:func:`heatmap_json`, :func:`heatmap_svg` or :func:`heatmap_ascii` from
-that block's slice of them.  Joined, the blocks are the artifact.
+The maps of a run share one probe grid, and their text is made
+block-major: one block of grid rows at a time, about 64 Ki characters,
+for every map before the next block.  :func:`csv_blocks`,
+:func:`json_blocks`, :func:`svg_blocks` and :func:`ascii_blocks` each
+yield one ``(map index, text)`` pair per block and map; joined in
+order, a map's blocks are its artifact.  Most of a map's CSV, JSON and
+SVG text depends only on the grid: the coordinates, the cell geometry
+and titles, the axis labels and the colour bar.  Those parts are
+formatted once per block, as one ``%``-template that every map fills
+(:func:`heatmap_csv`, :func:`heatmap_json`, :func:`heatmap_svg`), and
+the next block's template is made only once every map has filled this
+one.  The scale, colours and label colours of an SVG block's cells are
+computed once for all maps, as arrays, and an ASCII block's levels once
+per map; each is dropped with its block.  So neither a map's whole text
+nor a whole grid's template is ever held, and nothing per cell is held
+from one block to the next.
 """
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,60 +111,43 @@ def _levels(values, top):
 
     Values are non-negative, so truncation is the floor of the scaled value.
     Clamping before the division keeps a subnormal ``top`` from overflowing it.
+    The steps after the clamp run in place, on its copy of ``values``.
     """
     n = len(_ASCII_LEVELS)
-    return np.minimum(np.minimum(values, top) / top * n, n - 1).astype(int)
-
-
-@dataclass(frozen=True, repr=False)
-class GridText:
-    """The artifact text of a heat map that depends only on its probe grid.
-
-    ``templates`` maps each format built (a key of ``_TEMPLATES``) to one
-    ``(start, stop, template)`` per block of whole grid rows, in grid
-    order.  ``start:stop`` are the block's cells, and its
-    ``%``-template has one slot per cell (four per SVG cell: fill, value,
-    label colour, label), so a block's text is one fill of its template.
-    The first block opens the file and the last closes it: the SVG has two
-    slots before its first cell (the escaped scenario id and the scale
-    top) and four after its last (the user markers and the three
-    colour-bar labels); the JSON has one after its last (the scenario).
-    ``%.9g`` formats a float as ``format(v, ".9g")`` does, and ``%r`` is
-    the ``float.__repr__`` the JSON encoder writes.  Build it with
-    :func:`grid_text`.
-    """
-
-    grid: object
-    templates: dict
-
-    def blocks(self, heatmap, name):
-        """The ``name`` blocks for ``heatmap``; ValueError unless they were
-        built and the map lies on this text's grid."""
-        if self.grid != heatmap.grid:
-            raise ValueError("heat map and grid text come from different grids")
-        if name not in self.templates:
-            raise ValueError(f"grid text was built without the {name} template")
-        return self.templates[name]
+    scaled = np.minimum(values, top)
+    scaled /= top
+    scaled *= n
+    np.minimum(scaled, n - 1, out=scaled)
+    return scaled.astype(np.uint8)
 
 
 def _blocks(head, rows, tail, n_x):
-    """``(start, stop, template)`` per block of the row templates ``rows``.
+    """``(start, stop, template)`` per block of the row templates ``rows``, made on demand.
 
-    ``rows`` yields one template per grid row, in grid order.  A block
-    takes rows until they hold ``_BLOCK_CHARS`` characters, so only one
-    block's rows are held apart at a time.  ``head`` opens the first
-    block and ``tail`` closes the last.
+    ``start:stop`` are the block's cells, and its ``%``-template has one
+    slot per cell (four per SVG cell: fill, value, label colour, label),
+    so a block's text is one fill of its template.  ``rows`` yields one
+    template per grid row, in grid order.  A block takes rows until they
+    hold ``_BLOCK_CHARS`` characters; it is joined and yielded before
+    the next block's rows are made, so one block's template is held at
+    a time.  ``head`` opens the first block and ``tail()``, called once
+    the rows are done, closes the last: the SVG has two slots before its
+    first cell (the escaped scenario id and the scale top) and four after
+    its last (the user markers and the three colour-bar labels); the JSON
+    has one after its last (the scenario).  ``%.9g`` formats a float as
+    ``format(v, ".9g")`` does, and ``%r`` is the ``float.__repr__`` the
+    JSON encoder writes.
     """
-    blocks, parts, size, start = [], [head], 0, 0
+    parts, size, start = [head], 0, 0
     for iy, row in enumerate(rows):
         if size >= _BLOCK_CHARS:
-            blocks.append((start * n_x, iy * n_x, "".join(parts)))
-            parts, size, start = [], 0, iy
+            template, parts, size = "".join(parts), [], 0
+            yield start * n_x, iy * n_x, template
+            start = iy
         parts.append(row)
         size += len(row)
-    parts.append(tail)
-    blocks.append((start * n_x, (iy + 1) * n_x, "".join(parts)))
-    return tuple(blocks)
+    parts.append(tail())
+    yield start * n_x, (iy + 1) * n_x, "".join(parts)
 
 
 def _csv_template(xs, ys):
@@ -169,17 +155,19 @@ def _csv_template(xs, ys):
     # formatted once, not once per grid point.
     csv_x = [f"{x:.9g}" for x in xs.tolist()]
     rows = (tail.join(csv_x) + tail for tail in (f",{y:.9g},%.9g\n" for y in ys.tolist()))
-    return _blocks("x_m,y_m,e_vpm\n", rows, "", len(xs))
+    return _blocks("x_m,y_m,e_vpm\n", rows, lambda: "", len(xs))
 
 
 def _json_template(xs, ys):
     # json.dumps(..., indent=2, sort_keys=True) layout: e_vpm, scenario, x_m, y_m.
     row = "    [\n" + ",\n".join(["      %r"] * len(xs)) + "\n    ]"
-    json_axes = json.dumps({"x_m": xs.tolist(), "y_m": ys.tolist()}, indent=2,
-                           sort_keys=True)
-    return _blocks('{\n  "e_vpm": [\n', [row] + [",\n" + row] * (len(ys) - 1),
-                   '\n  ],\n  "scenario": %s,\n' + json_axes.removeprefix("{\n") + "\n",
-                   len(xs))
+
+    def tail():
+        axes = json.dumps({"x_m": xs.tolist(), "y_m": ys.tolist()}, indent=2, sort_keys=True)
+        return '\n  ],\n  "scenario": %s,\n' + axes.removeprefix("{\n") + "\n"
+
+    return _blocks('{\n  "e_vpm": [\n', (",\n" + row if iy else row for iy in range(len(ys))),
+                   tail, len(xs))
 
 
 def _svg_template(xs, ys):
@@ -216,73 +204,69 @@ def _svg_template(xs, ys):
         return "".join([rect_x + rect_y + title_x + title_y + label_x + label_y
                         for rect_x, title_x, label_x in columns])
 
-    axes = [
-        f'<text x="{_MARGIN_LEFT + ix * _CELL + _CELL / 2:g}" '
-        f'y="{_MARGIN_TOP + plot_h + 16}" font-family="monospace" font-size="11" '
-        f'text-anchor="middle">{x:g}</text>'
-        for ix, x in enumerate(xs)
-    ]
-    axes += [
-        f'<text x="{_MARGIN_LEFT - 8}" '
-        f'y="{_MARGIN_TOP + (n_y - 1 - iy) * _CELL + _CELL / 2 + 4:g}" '
-        f'font-family="monospace" font-size="11" text-anchor="end">{y:g}</text>'
-        for iy, y in enumerate(ys)
-    ]
-    axes.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:g}" y="{height - 10}" '
-        f'font-family="monospace" font-size="12" text-anchor="middle">x (m)</text>'
-    )
-    axes.append(
-        f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:g}" font-family="monospace" '
-        f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:g})">y (m)</text>'
-    )
+    def tail():
+        axes = [
+            f'<text x="{_MARGIN_LEFT + ix * _CELL + _CELL / 2:g}" '
+            f'y="{_MARGIN_TOP + plot_h + 16}" font-family="monospace" font-size="11" '
+            f'text-anchor="middle">{x:g}</text>'
+            for ix, x in enumerate(xs)
+        ]
+        axes += [
+            f'<text x="{_MARGIN_LEFT - 8}" '
+            f'y="{_MARGIN_TOP + (n_y - 1 - iy) * _CELL + _CELL / 2 + 4:g}" '
+            f'font-family="monospace" font-size="11" text-anchor="end">{y:g}</text>'
+            for iy, y in enumerate(ys)
+        ]
+        axes.append(
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:g}" y="{height - 10}" '
+            f'font-family="monospace" font-size="12" text-anchor="middle">x (m)</text>'
+        )
+        axes.append(
+            f'<text x="14" y="{_MARGIN_TOP + plot_h / 2:g}" font-family="monospace" '
+            f'font-size="12" text-anchor="middle" '
+            f'transform="rotate(-90 14 {_MARGIN_TOP + plot_h / 2:g})">y (m)</text>'
+        )
 
-    # Colour bar; its labels end with the map's scale.
-    bar_x = _MARGIN_LEFT + plot_w + _BAR_GAP
-    steps = 40
-    step_h = plot_h / steps
-    bar = [
-        f'<rect x="{bar_x}" y="{_MARGIN_TOP + i * step_h:.2f}" '
-        f'width="{_BAR_WIDTH}" height="{step_h + 0.5:.2f}" fill="{fill}"/>'
-        for i, fill in enumerate(_fills(1.0 - np.arange(steps) / (steps - 1)).split())
-    ]
-    bar_labels = tuple(
-        f'<text x="{bar_x + _BAR_WIDTH + 6}" '
-        f'y="{_MARGIN_TOP + (1 - frac) * plot_h + 4:.2f}" '
-        f'font-family="monospace" font-size="11">'
-        for frac in _BAR_FRACTIONS
-    )
+        # Colour bar; its labels end with the map's scale.
+        bar_x = _MARGIN_LEFT + plot_w + _BAR_GAP
+        steps = 40
+        step_h = plot_h / steps
+        bar = [
+            f'<rect x="{bar_x}" y="{_MARGIN_TOP + i * step_h:.2f}" '
+            f'width="{_BAR_WIDTH}" height="{step_h + 0.5:.2f}" fill="{fill}"/>'
+            for i, fill in enumerate(_fills(1.0 - np.arange(steps) / (steps - 1)).split())
+        ]
+        bar_labels = tuple(
+            f'<text x="{bar_x + _BAR_WIDTH + 6}" '
+            f'y="{_MARGIN_TOP + (1 - frac) * plot_h + 4:.2f}" '
+            f'font-family="monospace" font-size="11">'
+            for frac in _BAR_FRACTIONS
+        )
 
-    # One line per part.  No fixed part holds a "%": they are numbers and
-    # constant markup.
-    tail = "\n".join([
-        *axes[:-1],
-        axes[-1] + "%s",
-        *bar,
-        *(label + "%s</text>" for label in bar_labels),
-        "</svg>\n",
-    ])
+        # One line per part.  No fixed part holds a "%": they are numbers and
+        # constant markup.
+        return "\n".join([
+            *axes[:-1],
+            axes[-1] + "%s",
+            *bar,
+            *(label + "%s</text>" for label in bar_labels),
+            "</svg>\n",
+        ])
+
     return _blocks(head, (row(iy, y) for iy, y in enumerate(ys)), tail, n_x)
 
 
-# The template builder of each format with grid-only text; ASCII needs none.
-_TEMPLATES = {"csv": _csv_template, "json": _json_template, "svg": _svg_template}
+def _one_grid(maps):
+    """The probe grid of every heat map of ``maps``; ValueError if two differ."""
+    grid = maps[0].grid
+    if any(heatmap.grid != grid for heatmap in maps):
+        raise ValueError("heat maps come from different grids")
+    return grid
 
 
-def grid_text(grid, formats):
-    """Format the grid-only parts of the heat-map artifacts of ``grid`` once.
-
-    A run builds this once and shares it with every map it writes: the
-    coordinates, the SVG cell geometry, the axis labels and the colour
-    bar are the same for each scenario, so only the values and what they
-    colour are formatted per map.  Only the templates of the ``formats``
-    that have one are built.
-    """
-    xs = np.asarray(grid.x_values, dtype=float)
-    ys = np.asarray(grid.y_values, dtype=float)
-    return GridText(grid=grid, templates={name: build(xs, ys) for name, build in
-                                          _TEMPLATES.items() if name in formats})
+def _axes(grid):
+    """The grid's x and y axes as float arrays."""
+    return (np.asarray(grid.x_values, dtype=float), np.asarray(grid.y_values, dtype=float))
 
 
 def heatmap_csv(template, values):
@@ -290,12 +274,14 @@ def heatmap_csv(template, values):
     return template % tuple(values.tolist())
 
 
-def csv_blocks(heatmap, text):
-    """The ``x_m,y_m,e_vpm`` rows of ``heatmap`` in grid order, 9 significant
-    digits, as one str per block of ``text``, the :func:`grid_text` of its grid."""
-    blocks = text.blocks(heatmap, "csv")
-    return (heatmap_csv(template, heatmap.values[start:stop])
-            for start, stop, template in blocks)
+def csv_blocks(maps):
+    """The ``x_m,y_m,e_vpm`` rows of each heat map of ``maps`` in grid order,
+    9 significant digits, as ``(i, text)`` per block and map: ``text`` is
+    a block of ``maps[i]``'s CSV."""
+    grid = _one_grid(maps)
+    for start, stop, template in _csv_template(*_axes(grid)):
+        for i, heatmap in enumerate(maps):
+            yield i, heatmap_csv(template, heatmap.values[start:stop])
 
 
 def heatmap_json(template, values, trail=()):
@@ -303,19 +289,21 @@ def heatmap_json(template, values, trail=()):
     return template % (*values.tolist(), *trail)
 
 
-def json_blocks(heatmap, text):
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of ``heatmap``,
-    as one str per block of ``text``, the :func:`grid_text` of its grid.
+def json_blocks(maps):
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` of each heat
+    map of ``maps``, as ``(i, text)`` per block and map: ``text`` is a
+    block of ``maps[i]``'s JSON.
 
     ``payload`` holds ``scenario``, the axes ``x_m`` / ``y_m`` and the
     values ``e_vpm`` as rows of constant y.
     """
-    blocks = text.blocks(heatmap, "json")
-    values = heatmap.values.astype(float, copy=False)
-    # The last block's stop is the grid's last cell; the scenario follows it.
-    scenario = (json.dumps(heatmap.scenario_id),)
-    return (heatmap_json(template, values[start:stop], scenario if stop == values.size else ())
-            for start, stop, template in blocks)
+    grid = _one_grid(maps)
+    for start, stop, template in _json_template(*_axes(grid)):
+        # The last block's stop is the grid's last cell; the scenario follows it.
+        last = stop == grid.n_points
+        for i, heatmap in enumerate(maps):
+            yield i, heatmap_json(template, heatmap.values[start:stop].astype(float, copy=False),
+                                  (json.dumps(heatmap.scenario_id),) if last else ())
 
 
 def _xml_text(s):
@@ -330,8 +318,7 @@ def _xml_text(s):
 def _marker_text(grid, markers):
     """The open circles of the (x, y) ``markers`` that lie near ``grid``, each on
     a line of its own."""
-    xs = np.asarray(grid.x_values, dtype=float)
-    ys = np.asarray(grid.y_values, dtype=float)
+    xs, ys = _axes(grid)
     plot_w = len(xs) * _CELL
     plot_h = len(ys) * _CELL
     x0, x1 = xs[0], xs[-1]
@@ -353,8 +340,8 @@ def heatmap_svg(template, values, fills, labels, lead=(), trail=()):
     """One block of a map's SVG: ``template`` filled with ``lead``, then per
     cell its fill, value, label colour and value again, then ``trail``.
 
-    ``values`` and ``labels`` are the block's slices of the map's values
-    and label colours, ``fills`` its slice of the map's :func:`_fills` text.
+    ``values`` and ``labels`` are the block's cells' values and label
+    colours, ``fills`` their :func:`_fills` text.
     """
     values = values.tolist()
     first = len(lead)
@@ -369,27 +356,31 @@ def heatmap_svg(template, values, fills, labels, lead=(), trail=()):
     return template % tuple(slots)
 
 
-def svg_blocks(heatmap, text, vmax=None, markers=()):
-    """Render a heat map as an SVG colour grid, one str per block of ``text``.
+def svg_blocks(maps, vmax=None, markers=None):
+    """Each heat map of ``maps`` as an SVG colour grid, as ``(i, text)`` per
+    block and map: ``text`` is a block of ``maps[i]``'s SVG.
 
-    ``text`` is the :func:`grid_text` of the map's grid.  ``markers`` are
-    (x, y) positions drawn as open circles (user locations).  ``vmax``
-    pins the top of the colour scale; default is the map maximum.  The
-    scale, the fills and the label colours of every cell are computed
-    here, once; each block formats its slice of them.
+    ``markers``, if given, holds one sequence of (x, y) positions per map,
+    drawn as open circles (user locations).  ``vmax`` pins the top of the
+    colour scale; default is each map's maximum.  A block's scaled
+    values, fills and label colours are computed for every map at once.
     """
-    blocks = text.blocks(heatmap, "svg")
-    top = scale_top(heatmap, vmax)
-    scaled = np.minimum(heatmap.values, top) / top  # clamped first, as in _levels
-    fills = _fills(scaled)
-    labels = _LABEL_COLOURS[(scaled > 0.6).view(np.int8)]
-    lead = (_xml_text(heatmap.scenario_id), f"{top:.3g}")
-    trail = (_marker_text(heatmap.grid, markers),
-             *(f"{frac * top:.3g}" for frac in _BAR_FRACTIONS))
-    return (heatmap_svg(template, heatmap.values[start:stop], fills[8 * start:8 * stop],
-                        labels[start:stop], lead if start == 0 else (),
-                        trail if stop == labels.size else ())
-            for start, stop, template in blocks)
+    grid = _one_grid(maps)
+    tops = [scale_top(heatmap, vmax) for heatmap in maps]
+    column = np.array(tops)[:, None]
+    for start, stop, template in _svg_template(*_axes(grid)):
+        values = np.stack([heatmap.values[start:stop] for heatmap in maps])
+        scaled = np.minimum(values, column) / column  # clamped first, as in _levels
+        fills = _fills(scaled)
+        labels = _LABEL_COLOURS[(scaled > 0.6).view(np.int8)]
+        width = 8 * (stop - start)
+        for i, (heatmap, top) in enumerate(zip(maps, tops)):
+            lead = (_xml_text(heatmap.scenario_id), f"{top:.3g}") if start == 0 else ()
+            trail = ((_marker_text(grid, markers[i] if markers else ()),
+                      *(f"{frac * top:.3g}" for frac in _BAR_FRACTIONS))
+                     if stop == grid.n_points else ())
+            yield i, heatmap_svg(template, values[i], fills[i * width:(i + 1) * width],
+                                 labels[i], lead, trail)
 
 
 def heatmap_ascii(ys, cells, head="", tail=""):
@@ -401,25 +392,30 @@ def heatmap_ascii(ys, cells, head="", tail=""):
                            for i, y in enumerate(ys)]) + tail
 
 
-def ascii_blocks(heatmap, vmax=None):
-    """10-level character rendering, far rows on top, array side at the bottom,
-    one str per block of grid rows.
+def ascii_blocks(maps, vmax=None):
+    """10-level character rendering of each heat map of ``maps``, far rows on
+    top, array side at the bottom, as ``(i, text)`` per block of grid rows
+    and map: ``text`` is a block of ``maps[i]``'s preview.
 
-    The level of every cell is computed here, once, as one string of two
-    characters per cell; each block formats its rows of it.
+    A block's levels are computed per map, two characters per cell: at
+    two characters a cell, a block holds far more cells than an SVG
+    block, and their levels for every map at once would cost about 20
+    bytes per cell and map.
     """
-    xs = heatmap.grid.x_values
-    ys = heatmap.grid.y_values[::-1]
-    top = scale_top(heatmap, vmax)
-    levels = _ASCII_CODES[_levels(heatmap.as_grid_rows()[::-1], top)]
-    cells = np.repeat(levels, 2, axis=1).tobytes().decode("ascii")
-    head = (f"scenario {heatmap.scenario_id}: RMS E-field, "
-            f"'{_ASCII_LEVELS[0]}'=0 to '{_ASCII_LEVELS[-1]}'={top:.3g} V/m\n")
-    tail = f"        x: {xs[0]:g} to {xs[-1]:g} step {heatmap.grid.spacing:g} m\n"
+    grid = _one_grid(maps)
+    xs = grid.x_values
+    ys = grid.y_values[::-1]
+    tops = [scale_top(heatmap, vmax) for heatmap in maps]
+    tail = f"        x: {xs[0]:g} to {xs[-1]:g} step {grid.spacing:g} m\n"
     width = 2 * len(xs)
     height = max(1, _BLOCK_CHARS // width)
-    return (heatmap_ascii(ys[start:start + height],
-                          cells[start * width:(start + height) * width],
-                          head if start == 0 else "",
-                          tail if start + height >= len(ys) else "")
-            for start in range(0, len(ys), height))
+    for start in range(0, len(ys), height):
+        last = start + height >= len(ys)
+        for i, (heatmap, top) in enumerate(zip(maps, tops)):
+            rows = heatmap.as_grid_rows()[::-1][start:start + height]
+            cells = np.repeat(_ASCII_CODES[_levels(rows, top)], 2, axis=1)
+            head = (f"scenario {heatmap.scenario_id}: RMS E-field, "
+                    f"'{_ASCII_LEVELS[0]}'=0 to '{_ASCII_LEVELS[-1]}'={top:.3g} V/m\n"
+                    if start == 0 else "")
+            yield i, heatmap_ascii(ys[start:start + height], cells.tobytes().decode("ascii"),
+                                   head, tail if last else "")

@@ -16,19 +16,20 @@ The maps are then aggregated: average map, boresight cut, decay fit,
 summary statistics and compliance checks against the built-in regional
 limits.  Every artifact is written in a fixed order with deterministic
 formatting, and a manifest of content hashes is emitted last, so two
-runs with the same configuration and seed are byte-identical.  A heat
-map's text is made one block of grid rows at a time (:mod:`~beamfield.render`),
-and each block is encoded, hashed and written as soon as it is made, so
-no artifact's whole text or bytes are ever held.  The output directory
-is made once the links, maps and statistics are done, just before the
-first artifact: a run that fails before writing leaves no directory,
-and one that fails while writing leaves no manifest.
+runs with the same configuration and seed are byte-identical.  The
+output directory is made once the links, maps and statistics are done,
+just before the first artifact: a run that fails before writing leaves
+no directory, and one that fails while writing leaves no manifest.
 
-The heat-map templates (:func:`~beamfield.render.grid_text`) depend only
-on the probe grid; they are built once per run, for the requested
-formats, after the maps, and shared by every map.  So a run holds at
-most one block of probe gains while it makes the maps, and then the
-maps, the block templates and one block of text.
+The heat maps are written one format at a time, block-major
+(:mod:`~beamfield.render`): one block of grid rows of every map, its
+grid-only template made once and filled per map, before the next block.
+Each block is encoded, hashed and appended to its map's file as soon as
+it is made, and a file is open only while one block is written to it.
+So a run holds at most one block of probe gains while it makes the
+maps, and then the maps and one block of text and of per-cell arrays:
+no artifact's whole text or bytes, and no whole grid's template, ever
+exist.
 """
 
 import dataclasses
@@ -47,14 +48,14 @@ from .errors import BeamfieldError, ConfigError
 from .field import heatmaps
 from .ofdm import transmit_frame
 from .precoding import combining_vectors, zf_precoder
-from .render import ascii_blocks, csv_blocks, grid_text, json_blocks, svg_blocks
+from .render import ascii_blocks, csv_blocks, json_blocks, svg_blocks
 
 _SEED_STREAM_CSI = 0
 _SEED_STREAM_FRAME = 1
 
-# Gains per link block: half a receiver block of propagation_gains, 128 KiB.
+# Gains per link block: one receiver block of propagation_gains, 128 KiB.
 # Larger link blocks ran the link stages little faster and held more memory.
-_LINK_BLOCK_ENTRIES = _GAIN_BLOCK_ENTRIES // 2
+_LINK_BLOCK_ENTRIES = _GAIN_BLOCK_ENTRIES
 
 # verify_manifest reads and hashes artifacts 64 KiB at a time.
 _CHUNK = 1 << 16
@@ -172,7 +173,6 @@ def run(config, out_dir=None):
     reports = [(link.scenario.id, link.ber) for link in links]
     # The precoders have made their maps: the artifacts are written without them.
     del links
-    text = grid_text(grid, config.formats)
 
     average = stats_mod.average_heatmaps(maps)
     cut = stats_mod.extract_cut(average, config.cut_x)
@@ -184,10 +184,9 @@ def run(config, out_dir=None):
                            for region in regions}
 
     writer = _ArtifactWriter(out_dir, config.formats)
-    for scenario, heatmap in zip(scenarios, maps):
-        writer.heatmap(heatmap, text, scenario=scenario.id,
-                       vmax=config.svg_vmax, markers=scenario.ue_positions)
-    writer.heatmap(average, text, scenario=None, vmax=config.svg_vmax)
+    writer.heatmaps([*maps, average], [scenario.id for scenario in scenarios] + [None],
+                    vmax=config.svg_vmax,
+                    markers=[scenario.ue_positions for scenario in scenarios] + [()])
     writer.ber_table(reports)
     writer.cut(cut, config.cut_x)
     writer.json_report("decay_fit.json", {
@@ -231,38 +230,57 @@ class _ArtifactWriter:
         self.formats = set(formats)
         self._records = []
 
-    def _write(self, name, blocks, kind, scenario=None):
-        # Each str block is encoded, hashed and written as soon as it is
-        # made, so neither the text nor the bytes of a whole artifact exist;
-        # a str holds code points, so the blocks' UTF-8 bytes join to those
-        # of the whole text.
-        path = os.path.join(self.out_dir, name)
-        digest = hashlib.sha256()
-        with open(path, "wb") as fh:
-            for block in blocks:
-                data = block.encode("utf-8")
-                digest.update(data)
-                fh.write(data)
-        self._records.append({
-            "path": name,
-            "type": kind,
-            "sha256": digest.hexdigest(),
-            "scenario": scenario,
-        })
+    def _append(self, names, blocks):
+        """Write the ``(i, str)`` pairs ``blocks`` to the files ``names[i]``;
+        returns each file's sha256 hex digest.
 
-    def heatmap(self, heatmap, text, scenario, vmax=None, markers=()):
-        """Write one map's artifacts; ``text`` is the run's :func:`grid_text`."""
-        stem = f"heatmap_scenario_{scenario}" if scenario is not None else "heatmap_average"
-        if "csv" in self.formats:
-            self._write(f"{stem}.csv", csv_blocks(heatmap, text), "heatmap-csv", scenario)
-        if "json" in self.formats:
-            self._write(f"{stem}.json", json_blocks(heatmap, text), "heatmap-json", scenario)
-        if "svg" in self.formats:
-            self._write(f"{stem}.svg", svg_blocks(heatmap, text, vmax=vmax, markers=markers),
-                        "heatmap-svg", scenario)
-        if "ascii" in self.formats:
-            self._write(f"{stem}.txt", ascii_blocks(heatmap, vmax=vmax),
-                        "heatmap-ascii", scenario)
+        Each block is encoded, hashed and written as soon as it is made, so
+        neither the text nor the bytes of a whole artifact exist; a str
+        holds code points, so the blocks' UTF-8 bytes join to those of the
+        whole text.  A file is created by its first block and reopened to
+        append each later one, so one file is open at a time however many
+        the blocks go to.
+        """
+        digests = [hashlib.sha256() for _ in names]
+        made = set()
+        for i, block in blocks:
+            data = block.encode("utf-8")
+            digests[i].update(data)
+            with open(os.path.join(self.out_dir, names[i]), "ab" if i in made else "wb") as fh:
+                fh.write(data)
+            made.add(i)
+        return [digest.hexdigest() for digest in digests]
+
+    def _record(self, name, kind, digest, scenario=None):
+        self._records.append({"path": name, "type": kind, "sha256": digest,
+                              "scenario": scenario})
+
+    def _write(self, name, text, kind):
+        (digest,) = self._append([name], [(0, text)])
+        self._record(name, kind, digest)
+
+    def heatmaps(self, maps, scenarios, vmax=None, markers=None):
+        """Write the artifacts of ``maps`` on one grid, those of ``maps[i]``
+        under the scenario id ``scenarios[i]``, or as the average where it is
+        None; ``markers`` holds the (x, y) user positions of each map.
+
+        Each format is written block-major (:mod:`~beamfield.render`); the
+        records are then listed per map, in the order of the formats below.
+        """
+        stems = [f"heatmap_scenario_{scenario}" if scenario is not None else "heatmap_average"
+                 for scenario in scenarios]
+        written = []
+        for fmt, extension, kind, blocks in (
+                ("csv", "csv", "heatmap-csv", lambda: csv_blocks(maps)),
+                ("json", "json", "heatmap-json", lambda: json_blocks(maps)),
+                ("svg", "svg", "heatmap-svg", lambda: svg_blocks(maps, vmax, markers)),
+                ("ascii", "txt", "heatmap-ascii", lambda: ascii_blocks(maps, vmax))):
+            if fmt in self.formats:
+                names = [f"{stem}.{extension}" for stem in stems]
+                written.append((names, kind, self._append(names, blocks())))
+        for i, scenario in enumerate(scenarios):
+            for names, kind, digests in written:
+                self._record(names[i], kind, digests[i], scenario)
 
     def ber_table(self, reports):
         """Write the (scenario id, BER report) pairs ``reports``."""
@@ -271,23 +289,23 @@ class _ArtifactWriter:
         for sid, rep in reports:
             for u, ber in enumerate(rep.per_ue_ber, start=1):
                 lines.append(f"{sid},{u},{_sig9(ber)},{rep.bits_tested}")
-        self._write("ber.csv", ["\n".join(lines) + "\n"], "ber-csv")
+        self._write("ber.csv", "\n".join(lines) + "\n", "ber-csv")
         if "json" in self.formats:
             payload = [{
                 "scenario": sid,
                 "per_ue_ber": list(rep.per_ue_ber),
                 "bits_tested": rep.bits_tested,
             } for sid, rep in reports]
-            self._write("ber.json", [_json_text(payload)], "ber-json")
+            self._write("ber.json", _json_text(payload), "ber-json")
 
     def cut(self, profile, x):
         lines = ["y_m,field_vpm"]
         for d, f in profile.samples:
             lines.append(f"{_sig9(d)},{_sig9(f)}")
-        self._write(f"cut_x{x:g}.csv", ["\n".join(lines) + "\n"], "cut-csv")
+        self._write(f"cut_x{x:g}.csv", "\n".join(lines) + "\n", "cut-csv")
 
     def json_report(self, name, payload, kind):
-        self._write(name, [_json_text(payload)], kind)
+        self._write(name, _json_text(payload), kind)
 
     def manifest(self):
         manifest = Manifest(artifacts=tuple(self._records), out_dir=self.out_dir)

@@ -71,7 +71,9 @@ def average_heatmaps(maps):
         if first.grid != m.grid:
             raise ValueError("heat maps must share an identical grid")
     stack = np.stack([m.values for m in maps])
-    mean = np.sort(stack, axis=0).sum(axis=0) / len(maps)
+    # Sorted in place: the stack is this function's own copy of the maps.
+    stack.sort(axis=0)
+    mean = stack.sum(axis=0) / len(maps)
     return replace(first, values=mean, scenario_id="average")
 
 

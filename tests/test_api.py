@@ -39,7 +39,6 @@ from beamfield import (
 )
 from beamfield.channel import lit_above, may_reach_unit_gain, propagation_gains
 from beamfield.geometry import ue_antenna_positions
-from beamfield.render import GridText
 from beamfield.runner import run_links
 from beamfield.stats import SummaryStats
 from test_config import CONFIG_PATH, _placement_sweep_document
@@ -301,8 +300,6 @@ def test_a_result_is_stated_once():
                                           "mean_vpm", "p95_vpm"]
     assert "limit_vpm" in _field_names(ComplianceReport)
     assert "limit" not in _field_names(ComplianceReport)
-    # The built grid templates are one mapping by format, with no None per format left out.
-    assert _field_names(GridText) == ["grid", "templates"]
 
 
 def _parameters(fn):

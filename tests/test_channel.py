@@ -186,11 +186,12 @@ class TestImageModeReference:
             self.check(tx, rx, room, pattern)
 
     def test_large_array_takes_few_receivers_per_block(self, room):
-        # 32 x 32 active elements: 16 receivers per block, so 56 probes are 4 blocks.
+        # 32 x 32 active elements: 8 receivers per block, so 49 probes are
+        # 7 blocks, the last of one receiver.
         arr = build_array(ArraySection(rows=32, cols=32, active="all"))
-        rx = build_grid(GridSection(spacing=1.0), room=room).points
+        rx = build_grid(GridSection(spacing=1.0, y_max=7.0), room=room).points
         rows = _GAIN_BLOCK_ENTRIES // arr.n_active
-        assert rows == 16 and len(rx) % rows != 0
+        assert rows == 8 and len(rx) == 49
         for pattern in ("isotropic", "cosine"):
             self.check(arr.active_positions(), rx, room, pattern)
 

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -390,6 +391,10 @@ HOSTILE_DOCUMENTS = [
      "finding: seed: an integer of 20000 bits is too large\n"),
     ("hex-scenario-id", "seed: 1\nscenarios: [0x" + "f" * 4000 + "]\n",
      "finding: scenarios[0]: an integer of 16000 bits is too long for a scenario id\n"),
+    # 98 KB whose conversion, quadratic in its parts, took 1.2 s.
+    ("base-60-seed-of-49000-parts", "seed: " + ":".join(["1"] * 49_000) + "\n",
+     "not valid YAML: '" + "1:" * 99 + f"1... has more than {config._MAX_BASE_60_PARTS} "
+     'base-60 parts, so it is too large\n  in "'),
 ]
 
 
@@ -431,6 +436,27 @@ def test_bad_document_does_not_run(tmp_path, capsys, text, expected):
     assert expected in captured.err
     _assert_short(captured.out + captured.err)
     assert not (tmp_path / "out").exists()
+
+
+def test_validation_checks_each_ue_antenna_inside_the_room_once(monkeypatch):
+    # The unit-gain screen reads antennas validation has just found inside
+    # the room, so it does not check them again; may_reach_unit_gain, which
+    # any caller may pass points, still does.
+    whats = []
+    real = Room.require_inside
+
+    def recording(self, points, what):
+        whats.append(what)
+        return real(self, points, what)
+
+    monkeypatch.setattr(Room, "require_inside", recording)
+    config = RunConfig()
+    assert config.channel.mode == "image-order-1"
+    assert validate(config) == ()
+    assert sorted(w for w in whats if "UE antenna" in w or "receive point" in w) == sorted(
+        f"scenario {sid}: UE antenna" for sid in config.scenarios)
+    with pytest.raises(ValueError, match="receive point at"):
+        may_reach_unit_gain([(0.0, 0.0, 1.5)], [(0.0, 20.0, 1.5)], config.room, config.channel)
 
 
 def test_a_ue_antenna_near_the_array_but_not_at_it_runs(tmp_path):
@@ -773,6 +799,43 @@ def test_an_integer_too_long_for_text_is_a_finding():
         "workers: retired, runs are serial; remove the key (got an integer of 20001 bits)",)
     assert validate({"seed": 1, 1 << 20_000: 1}) == (
         "unknown top-level keys: [an integer of 20001 bits]",)
+
+
+def test_base_60_integers_load_up_to_the_part_limit(tmp_path):
+    path = tmp_path / "doc.yaml"
+    _write(path, "seed: 1:30\n")
+    assert read_yaml(path) == {"seed": 90}
+    # The most parts load; one more is at least 60^174, beyond a float.
+    most = config._MAX_BASE_60_PARTS
+    _write(path, "seed: " + ":".join(["1"] + ["0"] * (most - 1)) + "\n")
+    assert read_yaml(path) == {"seed": 60 ** (most - 1)}
+    with pytest.raises(OverflowError):
+        float(60 ** most)
+    _write(path, "seed: " + ":".join(["1"] + ["0"] * most) + "\n")
+    with pytest.raises(ConfigError, match=f"(?s)more than {most} base-60 parts.*line 1,"):
+        read_yaml(path)
+
+
+def test_a_long_base_60_integer_reads_no_slower_than_a_benign_document(tmp_path):
+    # 98 KB each: one integer of 49 000 parts, refused, and 16 330 integers
+    # of two parts.  Converting the first took time quadratic in its parts.
+    hostile, benign = tmp_path / "hostile.yaml", tmp_path / "benign.yaml"
+    _write(hostile, "seed: " + ":".join(["1"] * 49_000) + "\n")
+    _write(benign, "seed: 1\nx: [" + ", ".join(["1:30"] * 16_330) + "]\n")
+    assert abs(hostile.stat().st_size - benign.stat().st_size) < 100
+
+    def seconds(path):
+        best = math.inf
+        for _ in range(2):
+            start = time.perf_counter()
+            try:
+                read_yaml(path)
+            except ConfigError:
+                pass
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert seconds(hostile) < seconds(benign)
 
 
 def test_the_python_loader_reports_a_nest_too_deep_for_it(tmp_path, monkeypatch):

@@ -208,14 +208,14 @@ def test_a_map_with_no_points_is_rejected(x_values, y_values):
 # checks that those maps equal compute_heatmap over the whole grid's gains
 # byte for byte.
 @pytest.mark.parametrize("n_x, n_y, n_active, blocks", [
-    (61, 71, 64, [(4 * i, 4 * i + 4) for i in range(17)] + [(68, 71)]),
-    (61, 71, 128, [(2 * i, 2 * i + 2) for i in range(35)] + [(70, 71)]),
+    (61, 71, 64, [(2 * i, 2 * i + 2) for i in range(35)] + [(70, 71)]),
+    (61, 71, 128, [(i, i + 1) for i in range(71)]),
     (7, 8, 64, [(0, 8)]),
     # A one-point remainder joins the block before it ...
-    (1, 513, 64, [(0, 256), (256, 513)]),
-    (1, 257, 64, [(0, 257)]),
+    (1, 513, 64, [(0, 128), (128, 256), (256, 384), (384, 513)]),
+    (1, 257, 64, [(0, 128), (128, 257)]),
     # ... but a one-row remainder of several points stays a block.
-    (2, 129, 64, [(0, 128), (128, 129)]),
+    (2, 129, 64, [(0, 64), (64, 128), (128, 129)]),
     (1, 1, 64, [(0, 1)]),
     # A row wider than a block is a block of its own.
     (300, 3, 64, [(0, 1), (1, 2), (2, 3)]),

@@ -1,9 +1,9 @@
 """Heat-map text against references: the vectorised colour and ASCII-level
 rules against scalar ones, and the joined blocks of the per-grid CSV, JSON
-and SVG text and of the table-driven ASCII text, as a run writes them,
-against the per-map formatters of ``heatmap_reference``."""
+and SVG text and of the table-driven ASCII text, written block-major over
+several maps as a run writes them, against the per-map formatters of
+``heatmap_reference``."""
 
-import tracemalloc
 from xml.dom import minidom
 
 import numpy as np
@@ -20,7 +20,6 @@ from beamfield.render import (
     _levels,
     ascii_blocks,
     csv_blocks,
-    grid_text,
     json_blocks,
     svg_blocks,
 )
@@ -78,10 +77,11 @@ def test_renderings_use_the_cell_rules():
     values = np.random.default_rng(15).uniform(0, 5, grid.n_points)
     heatmap = HeatMap(grid=grid, values=values, scenario_id="r")
     top = 4.0
-    svg = joined(svg_blocks(heatmap, grid_text(grid, ("svg",)), vmax=top))
+    (svg,) = texts(svg_blocks([heatmap], vmax=top))
     for value in values:
         assert f'fill="{scalar_fill(value / top)}"><title>' in svg
-    lines = joined(ascii_blocks(heatmap, vmax=top)).splitlines()[1:-1]
+    (preview,) = texts(ascii_blocks([heatmap], vmax=top))
+    lines = preview.splitlines()[1:-1]
     rows = heatmap.as_grid_rows()[::-1]
     for line, row in zip(lines, rows):
         cells = line.split("|")[1]
@@ -108,20 +108,30 @@ SPECIAL = [0.0, 5e-324, 1e-300, 1e300, 0.125, 0.375, 1.25, 2.5, 12.5, 0.5,
            99.5]
 
 
-def joined(blocks):
-    """The text a run writes: its blocks, each a non-empty str, joined."""
-    blocks = list(blocks)
-    assert blocks and all(isinstance(b, str) and b for b in blocks)
-    return "".join(blocks)
+def texts(blocks):
+    """The text a run writes per map: the map's blocks, each a non-empty str,
+    joined in order.  The blocks come block-major: each block of the grid
+    goes to every map, in map order, before the next."""
+    by_map, order = {}, []
+    for i, block in blocks:
+        assert isinstance(block, str) and block
+        by_map.setdefault(i, []).append(block)
+        order.append(i)
+    n = len(by_map)
+    assert n and order == list(range(n)) * (len(order) // n)
+    return ["".join(by_map[i]) for i in range(n)]
 
 
-def assert_texts_match(heatmap, vmax=None, markers=()):
-    text = grid_text(heatmap.grid, ("csv", "json", "svg"))
-    assert joined(csv_blocks(heatmap, text)) == ref.heatmap_csv(heatmap)
-    assert joined(json_blocks(heatmap, text)) == ref.heatmap_json(heatmap)
-    assert (joined(svg_blocks(heatmap, text, vmax=vmax, markers=markers))
-            == ref.heatmap_svg(heatmap, vmax=vmax, markers=markers))
-    assert joined(ascii_blocks(heatmap, vmax=vmax)) == ref.heatmap_ascii(heatmap, vmax=vmax)
+def assert_texts_match(maps, vmax=None, markers=None):
+    marks = markers or [()] * len(maps)
+    assert texts(csv_blocks(maps)) == [ref.heatmap_csv(m) for m in maps]
+    assert texts(json_blocks(maps)) == [ref.heatmap_json(m) for m in maps]
+    assert (texts(svg_blocks(maps, vmax=vmax, markers=markers))
+            == [ref.heatmap_svg(m, vmax=vmax, markers=k) for m, k in zip(maps, marks)])
+    assert texts(ascii_blocks(maps, vmax=vmax)) == [ref.heatmap_ascii(m, vmax=vmax) for m in maps]
+
+
+TEMPLATES = (render._csv_template, render._json_template, render._svg_template)
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
@@ -130,28 +140,28 @@ def test_grid_text_matches_the_per_map_formatters(name, monkeypatch):
     rng = np.random.default_rng(16)
     n = grid.n_points
     special = np.resize(SPECIAL, n)
+    # Five maps written together, each on its own scale and with its own
+    # markers, so every block is filled for several maps in turn.
+    maps = [HeatMap(grid=grid, values=values, scenario_id=str(k)) for k, values in enumerate(
+        (rng.uniform(0, 5, n), rng.exponential(1e-3, n), special, np.zeros(n), np.arange(n)))]
+    markers = [[(0.0, 2.0), (1.0, 5.0), (40.0, 1.0)], [], [(0.0, 2.0)], [], [(1.0, 5.0)]]
     # At the default block size, and at one character per block, where
     # every grid row is a block of its own.
     for block_chars in (render._BLOCK_CHARS, 1):
         monkeypatch.setattr(render, "_BLOCK_CHARS", block_chars)
-        text = grid_text(grid, ("csv", "json", "svg"))
-        assert sorted(text.templates) == ["csv", "json", "svg"]
-        for blocks in text.templates.values():
+        for make in TEMPLATES:
+            blocks = list(make(*render._axes(grid)))
             # The blocks cover the grid's cells once, in order, in whole rows.
             bounds = [0] + [stop for _, stop, _ in blocks]
             assert [(start, stop) for start, stop, _ in blocks] == list(zip(bounds, bounds[1:]))
             assert bounds[-1] == n
             assert all((stop - start) % len(grid.x_values) == 0 for start, stop, _ in blocks)
-        if block_chars == 1:
-            assert [len(b) for b in text.templates.values()] == [len(grid.y_values)] * 3
-        elif name in SPLIT:
-            assert len(text.templates["svg"]) > 1
-        for values in (rng.uniform(0, 5, n), rng.exponential(1e-3, n), special,
-                       np.zeros(n), np.arange(n)):
-            heatmap = HeatMap(grid=grid, values=values, scenario_id="7")
-            assert_texts_match(heatmap)
-            assert_texts_match(heatmap, vmax=2.5,
-                               markers=[(0.0, 2.0), (1.0, 5.0), (40.0, 1.0)])
+            if block_chars == 1:
+                assert len(blocks) == len(grid.y_values)
+            elif name in SPLIT and make is render._svg_template:
+                assert len(blocks) > 1
+        assert_texts_match(maps)
+        assert_texts_match(maps, vmax=2.5, markers=markers)
 
 
 @pytest.mark.parametrize("scenario_id", ['a"b', "back\\slash", "\u00e9t\u00e9", "\u96ea", "average",
@@ -159,15 +169,15 @@ def test_grid_text_matches_the_per_map_formatters(name, monkeypatch):
 def test_scenario_ids_are_encoded_like_the_reference(scenario_id):
     grid = build_grid()
     values = np.random.default_rng(17).uniform(0, 5, grid.n_points)
-    assert_texts_match(HeatMap(grid=grid, values=values, scenario_id=scenario_id))
+    assert_texts_match([HeatMap(grid=grid, values=values, scenario_id=scenario_id)])
 
 
 def test_every_special_value_on_one_grid():
     grid = build_grid(GridSection(x_min=0.0, x_max=5.0, y_min=1.0, y_max=3.0))
     assert grid.n_points == len(SPECIAL)
     heatmap = HeatMap(grid=grid, values=np.array(SPECIAL), scenario_id="s")
-    assert_texts_match(heatmap)
-    assert_texts_match(heatmap, vmax=1.0)
+    assert_texts_match([heatmap])
+    assert_texts_match([heatmap], vmax=1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,50 +188,38 @@ def test_every_special_value_on_one_grid():
 def test_drawn_values_match_the_reference(values, scenario_id, vmax):
     grid = build_grid(GridSection(x_min=-1.0, x_max=1.0, y_min=1.0, y_max=4.0))
     heatmap = HeatMap(grid=grid, values=np.array(values), scenario_id=scenario_id)
-    assert_texts_match(heatmap, vmax=vmax, markers=[(0.0, 2.0)])
+    assert_texts_match([heatmap], vmax=vmax, markers=[[(0.0, 2.0)]])
 
 
 def test_grid_text_rejects_a_map_of_another_grid():
-    text = grid_text(build_grid(), ("csv", "json", "svg"))
-    heatmap = HeatMap(grid=build_grid(GridSection(y_max=7.0)), values=np.ones(49), scenario_id="1")
-    for blocks in (csv_blocks, json_blocks, svg_blocks):
-        with pytest.raises(ValueError, match="different grids"):
-            blocks(heatmap, text)
-
-
-def test_a_format_whose_template_was_not_built_is_rejected():
     grid = build_grid()
-    heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
-    text = grid_text(grid, ("ascii", "csv"))
-    assert list(text.templates) == ["csv"]
-    assert joined(csv_blocks(heatmap, text)) == ref.heatmap_csv(heatmap)
-    for blocks, name in ((json_blocks, "json"), (svg_blocks, "svg")):
-        with pytest.raises(ValueError, match=f"without the {name} template"):
-            blocks(heatmap, text)
+    maps = [HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1"),
+            HeatMap(grid=build_grid(GridSection(y_max=7.0)), values=np.ones(49), scenario_id="2")]
+    for blocks in (csv_blocks, json_blocks, svg_blocks, ascii_blocks):
+        with pytest.raises(ValueError, match="different grids"):
+            next(blocks(maps))
 
 
-def _grid_text_peak(grid, formats):
-    tracemalloc.start()
-    try:
-        grid_text(grid, formats)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_a_csv_only_grid_text_does_not_build_the_svg_template():
-    # The 0.05 m grid, 17 061 points: its SVG template alone is about 3.6 MB,
-    # its CSV template 0.24 MB.
+def test_a_csv_only_grid_text_does_not_build_the_svg_template(monkeypatch):
+    # The 0.05 m grid, 17 061 points: its SVG text is about 3.6 MB a map,
+    # its CSV text 0.24 MB.  The CSV blocks make only the CSV template.
     grid = build_grid(GridSection(spacing=0.05))
     assert grid.n_points == 17_061
-    every = _grid_text_peak(grid, ("ascii", "csv", "json", "svg"))
-    assert _grid_text_peak(grid, ("csv",)) < every / 4
+    values = np.random.default_rng(19).uniform(0, 5, grid.n_points)
+    heatmap = HeatMap(grid=grid, values=values, scenario_id="1")
+
+    def refused(xs, ys):
+        raise AssertionError("a template the CSV does not use was built")
+
+    for name in ("_json_template", "_svg_template"):
+        monkeypatch.setattr(render, name, refused)
+    assert texts(csv_blocks([heatmap])) == [ref.heatmap_csv(heatmap)]
 
 
 def test_svg_escapes_the_scenario_id():
     grid = build_grid()
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="a<b&c")
-    svg = joined(svg_blocks(heatmap, grid_text(grid, ("svg",)), markers=[(0.0, 2.0)]))
+    (svg,) = texts(svg_blocks([heatmap], markers=[[(0.0, 2.0)]]))
     title = minidom.parseString(svg).getElementsByTagName("text")[0]
     assert title.firstChild.data.startswith("scenario a<b&c \u2014 RMS E-field")
 
@@ -230,11 +228,9 @@ def test_svg_escapes_the_scenario_id():
 def test_a_pinned_scale_top_must_be_positive_and_finite(vmax):
     grid = build_grid()
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
-    with pytest.raises(ValueError, match="vmax must be positive and finite"):
-        svg_blocks(heatmap, grid_text(grid, ("svg",)), vmax=vmax)
-    with pytest.raises(ValueError, match="vmax must be positive and finite"):
-        ascii_blocks(heatmap, vmax=vmax)
-
+    for blocks in (svg_blocks, ascii_blocks):
+        with pytest.raises(ValueError, match="vmax must be positive and finite"):
+            next(blocks([heatmap], vmax=vmax))
 
 
 # ProbeGrid.spacing: the x step, the y step of a one-column grid, 1 m on a single point.
@@ -246,5 +242,5 @@ def test_a_pinned_scale_top_must_be_positive_and_finite(vmax):
 def test_the_ascii_footer_steps_by_the_grid_spacing(keys, step):
     grid = build_grid(GridSection(**keys))
     heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
-    footer = joined(ascii_blocks(heatmap)).splitlines()[-1]
+    footer = texts(ascii_blocks([heatmap]))[0].splitlines()[-1]
     assert footer.endswith(f" step {step} m")

@@ -39,7 +39,7 @@ from beamfield.channel import _GAIN_BLOCK_ENTRIES
 from beamfield.cli import main as cli_main
 from beamfield.config import checked, derive_seed, from_dict
 from beamfield.field import compute_heatmap, heatmaps, probe_gains
-from beamfield.render import _BLOCK_CHARS, grid_text, json_blocks, svg_blocks
+from beamfield.render import _BLOCK_CHARS, json_blocks, svg_blocks
 from beamfield.runner import _ArtifactWriter, run_links
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -140,32 +140,46 @@ class TestRun:
         assert sorted(calls) == ["build_array", "build_grid"]
 
     def test_grid_text_built_once_per_run(self, tmp_path, monkeypatch):
-        grids = []
+        # Each format's block templates are made once per run, after the
+        # maps, one block at a time, and every map fills each block: no
+        # template is made again per map.  The 0.1 m grid's SVG spans
+        # several blocks.
         calls = []
-        real = beamfield.runner.grid_text
+        made = {}
         real_maps = beamfield.runner.heatmaps
-
-        def counting(grid, formats):
-            grids.append(grid)
-            calls.append("grid_text")
-            return real(grid, formats)
 
         def mapping(*args, **kwargs):
             calls.append("heatmaps")
             return real_maps(*args, **kwargs)
 
-        monkeypatch.setattr(beamfield.runner, "grid_text", counting)
+        def counting(xs, ys, real, name):
+            calls.append(name)
+            for block in real(xs, ys):
+                made[name] = made.get(name, 0) + 1
+                yield block
+
         monkeypatch.setattr(beamfield.runner, "heatmaps", mapping)
+        names = ("_csv_template", "_json_template", "_svg_template")
+        reals = {name: getattr(beamfield.render, name) for name in names}
+        for name, real in reals.items():
+            monkeypatch.setattr(beamfield.render, name,
+                                lambda xs, ys, real=real, name=name: counting(xs, ys, real, name))
         config = small_config(scenarios=RunConfig().scenarios,
-                              formats=("ascii", "csv", "json", "svg"))
+                              formats=("ascii", "csv", "json", "svg"),
+                              grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
         manifest = run(config, out_dir=str(tmp_path))
-        assert calls == ["heatmaps", "grid_text"]
-        assert len(grids) == 1
-        assert grids[0] == build_grid(config.grid, room=config.room)
+        assert calls == ["heatmaps", *names]
+        axes = beamfield.render._axes(build_grid(config.grid, room=config.room))
+        assert made == {name: sum(1 for _ in real(*axes)) for name, real in reals.items()}
+        assert made["_svg_template"] > 1
         assert sum(a["type"] == "heatmap-svg" for a in manifest.artifacts) == 9
+        # A format not requested makes no template.
+        calls.clear()
+        run(small_config(scenarios=("1",), formats=("csv",)), out_dir=str(tmp_path / "csv"))
+        assert calls == ["heatmaps", "_csv_template"]
 
     def test_each_gain_call_gets_at_most_one_block_of_rows(self, tmp_path, monkeypatch):
-        # The 0.1 m grid, 61 x 71 points: 4 grid rows (244 points) per block
+        # The 0.1 m grid, 61 x 71 points: 2 grid rows (122 points) per block
         # at 64 active elements, so the run never holds its 4.4 MB matrix.
         calls = []
         blocks = []
@@ -189,13 +203,13 @@ class TestRun:
         run(config, out_dir=str(tmp_path))
         grid = build_grid(config.grid, room=config.room)
         assert grid.n_points == 4331
-        assert len(calls) == 18
+        assert len(calls) == 36
         for n_tx, rx in calls:
             assert n_tx == 64 and len(rx) <= _GAIN_BLOCK_ENTRIES // n_tx
         # The blocks cover the grid once, in order, and each block's gains
         # are dropped before the next block's are computed.
         assert np.concatenate([rx for _, rx in calls]).tobytes() == grid.points.tobytes()
-        assert alive == [0] * 18
+        assert alive == [0] * 36
 
     @pytest.mark.parametrize("mode", ["los-only", "image-order-1"])
     @pytest.mark.parametrize("pattern", ["isotropic", "cosine"])
@@ -221,15 +235,14 @@ class TestRun:
         plan = checked(config)[0]
         room, array, grid = config.room, plan.array, plan.grid
         gains = probe_gains(array, room, grid, config.channel)
-        text = grid_text(grid, config.formats)
         for link in run_links(config, plan.scenarios, array):
             want = compute_heatmap(link.scenario, link.precoder, grid, gains,
                                    calibration=config.calibration)
             written = (tmp_path / f"heatmap_scenario_{link.scenario.id}.json").read_text()
-            assert written == "".join(json_blocks(want, text))
+            assert written == "".join(text for _, text in json_blocks([want]))
 
     def test_maps_from_a_generator_equal_maps_from_a_list(self):
-        # The 0.1 m grid spans 18 blocks, so every pair meets every block.
+        # The 0.1 m grid spans 36 blocks, so every pair meets every block.
         config = small_config(grid=dataclasses.replace(RunConfig().grid, spacing=0.1))
         plan = checked(config)[0]
         room, array, grid = config.room, plan.array, plan.grid
@@ -260,27 +273,86 @@ class TestRun:
             tracemalloc.stop()
         assert peak < matrix_bytes
 
-    def test_the_writer_holds_one_block_of_text_beyond_the_grid_text(self, tmp_path):
-        # The 0.05 m grid, 17 061 points: one map's SVG is about 3.6 MB of
-        # text.  Per map the writer holds its cells' arrays (scaled values,
-        # colours, label colours and ASCII levels, and while the colours
-        # are made their temporaries), under 96 bytes a cell, and about one
-        # block of text with its bytes and slots.
-        grid = build_grid(GridSection(spacing=0.05))
-        assert grid.n_points == 17_061
-        values = np.random.default_rng(18).uniform(0, 5, grid.n_points)
-        heatmap = HeatMap(grid=grid, values=values, scenario_id="1")
-        formats = ("ascii", "csv", "json", "svg")
-        text = grid_text(grid, formats)
-        writer = _ArtifactWriter(str(tmp_path), formats)
+    @staticmethod
+    def _maps(grid, count):
+        rng = np.random.default_rng(18)
+        return [HeatMap(grid=grid, values=rng.uniform(0, 5, grid.n_points), scenario_id=str(k))
+                for k in range(count)]
+
+    @pytest.mark.parametrize("y_max", [8.0, 1.7], ids=["141-rows", "15-rows"])
+    def test_the_write_phase_peak_is_set_by_the_row_length_not_the_grid(self, tmp_path,
+                                                                        y_max):
+        # The 0.05 m grid, 121 x 141 points (17 061), and its first 15 rows.
+        # The whole grid's SVG text is 3.6 MB a map.  The maps exist before
+        # the write; beyond them the writer holds one block template (at
+        # most _BLOCK_CHARS characters of rows and one more row, under 500
+        # characters a cell), one map's filled block, its bytes and its
+        # per-cell slots, and the block's per-cell arrays of every map.  So
+        # the bound is set by the row length n_x and _BLOCK_CHARS; the
+        # 141-row grid, with 9.4 times the points, meets the same one.
+        grid = build_grid(GridSection(spacing=0.05, y_max=y_max))
+        n_x = len(grid.x_values)
+        assert n_x == 121 and grid.n_points == 121 * len(grid.y_values)
+        maps = self._maps(grid, 3)
+        writer = _ArtifactWriter(str(tmp_path), ("ascii", "csv", "json", "svg"))
         tracemalloc.start()
         try:
-            writer.heatmap(heatmap, text, scenario="1", markers=[(0.0, 2.0)])
+            writer.heatmaps(maps, [m.scenario_id for m in maps], markers=[[(0.0, 2.0)]] * 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = _BLOCK_CHARS + 500 * n_x
+        assert peak < 8 * block
+        if y_max == 8.0:
+            assert (tmp_path / "heatmap_scenario_1.svg").stat().st_size > 3_600_000
+            assert 8 * block < 3_600_000 / 3
+
+    def test_the_writer_holds_one_block_of_text_beyond_the_grid_text(self, tmp_path):
+        # The 0.05 m grid, 17 061 points: one map's SVG is about 3.6 MB of
+        # text.  Beyond the map the writer holds its cells' arrays (scaled
+        # values, colours, label colours and ASCII levels, and while the
+        # colours are made their temporaries), under 96 bytes a cell, and
+        # about one block of text with its template, bytes and slots.
+        grid = build_grid(GridSection(spacing=0.05))
+        assert grid.n_points == 17_061
+        heatmap = self._maps(grid, 1)[0]
+        writer = _ArtifactWriter(str(tmp_path), ("ascii", "csv", "json", "svg"))
+        tracemalloc.start()
+        try:
+            writer.heatmaps([heatmap], ["1"], markers=[[(0.0, 2.0)]])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (tmp_path / "heatmap_scenario_1.svg").stat().st_size > 3_600_000
         assert peak < 96 * grid.n_points + 4 * _BLOCK_CHARS
+
+    def test_a_multi_block_write_opens_one_file_at_a_time(self, tmp_path, monkeypatch):
+        # The 0.1 m grid's CSV and SVG span several blocks, each written to
+        # every map's file in turn: a file is created by its first block,
+        # reopened for each later one and closed before the next is opened.
+        grid = build_grid(GridSection(spacing=0.1))
+        maps = self._maps(grid, 3)
+        handles, open_at_once = [], []
+
+        def tracking(path, *args, **kwargs):
+            handles.append(open(path, *args, **kwargs))
+            open_at_once.append(sum(not fh.closed for fh in handles))
+            return handles[-1]
+
+        monkeypatch.setattr(beamfield.runner, "open", tracking, raising=False)
+        writer = _ArtifactWriter(str(tmp_path), ("ascii", "csv", "json", "svg"))
+        writer.heatmaps(maps, ["1", "2", None], markers=[[(0.0, 2.0)], [], []])
+        assert set(open_at_once) == {1}
+        assert all(fh.closed for fh in handles)
+        stems = ["heatmap_scenario_1", "heatmap_scenario_2", "heatmap_average"]
+        paths = [f"{stem}.{ext}" for stem in stems for ext in ("csv", "json", "svg", "txt")]
+        assert len(handles) > len(paths)
+        # The records list each map's files in turn, as a map-by-map write did.
+        assert [r["path"] for r in writer._records] == paths
+        assert [r["scenario"] for r in writer._records] == ["1"] * 4 + ["2"] * 4 + [None] * 4
+        for record in writer._records:
+            data = (tmp_path / record["path"]).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == record["sha256"]
 
     def test_a_write_that_fails_part_way_closes_its_file(self, tmp_path, monkeypatch):
         # The 0.1 m grid's SVG spans several blocks; its second fails.  The
@@ -288,8 +360,7 @@ class TestRun:
         # closed, and the artifact is not recorded.
         grid = build_grid(GridSection(spacing=0.1))
         heatmap = HeatMap(grid=grid, values=np.ones(grid.n_points), scenario_id="1")
-        text = grid_text(grid, ("svg",))
-        first = next(svg_blocks(heatmap, text))
+        _, first = next(svg_blocks([heatmap]))
         real = beamfield.render.heatmap_svg
         made = []
 
@@ -302,7 +373,7 @@ class TestRun:
         monkeypatch.setattr(beamfield.render, "heatmap_svg", failing)
         writer = _ArtifactWriter(str(tmp_path), ("svg",))
         with pytest.raises(RuntimeError, match="second block"):
-            writer.heatmap(heatmap, text, scenario="1")
+            writer.heatmaps([heatmap], ["1"])
         assert made == [first]
         assert (tmp_path / "heatmap_scenario_1.svg").read_bytes() == first.encode()
         assert writer._records == []
@@ -667,7 +738,7 @@ class TestRenderOutputs:
         assert "y=   8" in txt and "y=   1" in txt
         assert txt.count("\n") == 10  # header + 8 rows + axis line
 
-    # The 0.1 m grid's 61 x 71 points stream in 18 blocks of rows.
+    # The 0.1 m grid's 61 x 71 points stream in 36 blocks of rows.
     @pytest.mark.parametrize("grid_keys, step", [
         ({}, "step 1 m"),
         (dict(x_min=0.0, x_max=0.0, spacing=0.5), "step 0.5 m"),
